@@ -187,7 +187,9 @@ func (pg *Pager) evict() {
 
 // fetch returns the frame for id, pinned; the caller must unpin it. A
 // miss reads the live slot through the store (which may yield) and may
-// evict cold clean frames to make room.
+// evict cold clean frames to make room. A page has at most one frame:
+// of several processes that miss on it together, the first back from the
+// store installs the frame and the rest adopt it.
 func (pg *Pager) fetch(p *sim.Proc, id uint64) (*frame, error) {
 	if f, ok := pg.frames[id]; ok {
 		pg.mHits.Inc()
@@ -213,6 +215,14 @@ func (pg *Pager) fetch(p *sim.Proc, id uint64) (*frame, error) {
 		pg.mReads.Inc()
 		if err := pg.store.Read(p, slot, pg.readBuf); err != nil {
 			return nil, fmt.Errorf("btree: fetch page %d: %w", id, err)
+		}
+		if f, ok := pg.frames[id]; ok {
+			// The read yielded and another process's miss on the same page
+			// installed it first. Adopt that frame: a second one would
+			// replace it in pg.frames and orphan updates made through it.
+			pg.touch(f)
+			f.pins++
+			return f, nil
 		}
 		var err error
 		if n, err = decodeNode(pg.readBuf); err != nil {

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"xssd/internal/sim"
 )
 
 // checkpointCycle runs one full checkpoint against a MemStore-backed
@@ -305,5 +308,68 @@ func TestPagerAbortRequeuesImages(t *testing.T) {
 	}
 	if !sawRedirty {
 		t.Fatal("re-dirtied page's fresh image (lsn 2) missing from second snapshot")
+	}
+}
+
+// slowStore is a MemStore whose reads take virtual time, like a device:
+// a fetch miss yields inside Read, so other processes run meanwhile.
+type slowStore struct{ *MemStore }
+
+func (s slowStore) Read(p *sim.Proc, slot int64, buf []byte) error {
+	p.Sleep(10 * time.Microsecond)
+	return s.MemStore.Read(p, slot, buf)
+}
+
+// TestConcurrentMissesShareOneFrame has two processes miss on the same
+// evicted page while the store read is in flight. The writer comes back
+// first and updates the page; the reader's miss must then adopt that
+// frame, not install a second one over it — or the update lives on in an
+// orphan that no later read and no checkpoint snapshot ever sees.
+func TestConcurrentMissesShareOneFrame(t *testing.T) {
+	pg := NewPager(slowStore{NewMemStore(512, 4096)}, Config{PoolPages: 4})
+	tr := New(pg)
+	if err := tr.Put(nil, "k", Item{Ver: 1, Val: []byte("old")}, 1); err != nil {
+		t.Fatal(err)
+	}
+	checkpointCycle(t, pg)
+	pg.pool = 0 // evict the now-clean root leaf
+	pg.evict()
+	pg.pool = 4
+	if pg.Resident() != 0 {
+		t.Fatalf("%d frames resident after eviction, want 0", pg.Resident())
+	}
+
+	env := sim.NewEnv(1)
+	var seen Item
+	env.Go("writer", func(p *sim.Proc) {
+		if err := tr.Put(p, "k", Item{Ver: 2, Val: []byte("new")}, 2); err != nil {
+			t.Errorf("put: %v", err)
+		}
+	})
+	env.Go("reader", func(p *sim.Proc) {
+		p.Sleep(time.Microsecond) // miss while the writer's read is in flight
+		it, _, err := tr.Get(p, "k")
+		if err != nil {
+			t.Errorf("get: %v", err)
+		}
+		seen = it
+	})
+	env.RunUntil(time.Millisecond)
+
+	if seen.Ver != 2 || string(seen.Val) != "new" {
+		t.Errorf("concurrent reader saw ver %d %q, want the update (ver 2 \"new\")", seen.Ver, seen.Val)
+	}
+	if it, _, _ := tr.Get(nil, "k"); it.Ver != 2 {
+		t.Errorf("later read sees ver %d: the update went to an orphaned frame", it.Ver)
+	}
+	if pg.Resident() != 1 || pg.DirtyPages() != 1 {
+		t.Errorf("resident %d, dirty %d frames; want one frame for the one page", pg.Resident(), pg.DirtyPages())
+	}
+	snap, err := pg.SnapshotCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Images) != 1 || snap.Images[0].LSN != 2 {
+		t.Errorf("checkpoint after the update captured %d images (LSN %v), want the updated page at LSN 2", len(snap.Images), snap.Images)
 	}
 }

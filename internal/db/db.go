@@ -1,9 +1,10 @@
-// Package db implements the in-memory database substrate the experiments
-// drive (the paper uses ERMIA, a memory-optimized engine whose only
-// persistent state is the transaction log). The engine keeps all rows in
-// memory, runs transactions with optimistic concurrency control, and
-// persists commits through a pluggable wal.Log — which is exactly the
-// surface the X-SSD accelerates.
+// Package db implements the database substrate the experiments drive (the
+// paper uses ERMIA, a memory-optimized engine whose only persistent state
+// is the transaction log). The engine runs transactions with optimistic
+// concurrency control over tables behind a three-method row store — an
+// in-memory row map, or a durable B+tree (paged.go) — and persists commits
+// through a pluggable wal.Log, which is exactly the surface the X-SSD
+// accelerates.
 package db
 
 import (
@@ -20,16 +21,33 @@ import (
 // Errors returned by transactions.
 var (
 	ErrConflict = errors.New("db: transaction conflict, retry")
-	ErrNoTable  = errors.New("db: no such table")
 	ErrTxDone   = errors.New("db: transaction already finished")
 )
 
-// Engine is an in-memory multi-table store with redo logging.
+// Engine is a multi-table store with redo logging.
 type Engine struct {
 	env    *sim.Env
 	log    *wal.Log // nil: run without durability (recovery impossible)
 	tables map[string]*table
 	nextTx int64
+
+	// pager is the buffer pool new tables grow their B+trees on; nil for
+	// an engine whose tables are in-memory row maps (see paged.go).
+	pager *btree.Pager
+
+	// busy serializes the commit critical section (validate + append +
+	// apply), Prepare, CommitPrepared and checkpoint snapshots against
+	// each other. A store that fetches pages yields on device I/O inside
+	// validation or apply; without the lock two committers could
+	// interleave there and both validate successfully against state the
+	// other is about to overwrite. A row map never yields, so there the
+	// lock is never contended: a flag write and a Broadcast nobody hears.
+	busy bool
+	free *sim.Signal
+
+	// lastLSN tracks the end LSN of the last record appended (live) or
+	// replayed (recovery) — the append frontier for engines with no log.
+	lastLSN int64
 
 	// encBuf is the reusable redo-record scratch: the WAL copies the
 	// payload into its own batch before Append returns, and nothing
@@ -44,40 +62,87 @@ type Engine struct {
 	// the first Prepare, so purely local workloads never pay for it.
 	pins map[hkey]*Tx
 
-	// paged is non-nil for an engine whose tables live in B+tree pages
-	// behind a buffer pool instead of in-memory row maps (see paged.go).
-	paged *pagedState
-
 	commits, aborts int64
+}
+
+// store is where one table's rows live. Every engine operation is written
+// once against these three methods; *btree.Tree satisfies them as is, and
+// rowMap is the in-memory implementation. p is the calling simulated
+// process (a tree may fetch pages from the device on it; nil is legal
+// when nothing can miss), and lsn is the end LSN of the redo record
+// carrying a write (a tree stamps touched pages with it). Get reports
+// tombstones as found — Item.Tomb tells them apart — and an absent row
+// as the zero Item, so Item.Ver is the version OCC observes either way.
+// Scan visits rows in key order until fn returns false.
+type store interface {
+	Get(p *sim.Proc, key string) (btree.Item, bool, error)
+	Put(p *sim.Proc, key string, it btree.Item, lsn int64) error
+	Scan(p *sim.Proc, fn func(key string, it btree.Item) bool) error
 }
 
 type table struct {
 	name string
-	rows map[string]row
-
-	// tree replaces rows when the engine is paged (rows stays nil).
-	tree *btree.Tree
+	rows store
 }
+
+// rowMap is the memory-only store. Cells stay at 32 bytes (a btree.Item
+// is 40) and convert at Get and Scan: the map is most of a loaded
+// engine's heap.
+type rowMap map[string]row
 
 type row struct {
-	val []byte
-	ver int64 // transaction id of the writer
+	val []byte // nil: tombstone
+	ver int64  // transaction id of the writer
 }
 
-// New creates an engine. log may be nil for a volatile instance.
+func (m rowMap) Get(_ *sim.Proc, key string) (btree.Item, bool, error) {
+	r, ok := m[key]
+	return btree.Item{Ver: r.ver, Val: r.val, Tomb: ok && r.val == nil}, ok, nil
+}
+
+func (m rowMap) Put(_ *sim.Proc, key string, it btree.Item, _ int64) error {
+	r := row{ver: it.Ver}
+	if !it.Tomb {
+		// A live row with no bytes must not read back as a tombstone.
+		if r.val = it.Val; r.val == nil {
+			r.val = []byte{}
+		}
+	}
+	m[key] = r
+	return nil
+}
+
+func (m rowMap) Scan(_ *sim.Proc, fn func(key string, it btree.Item) bool) error {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if r := m[k]; !fn(k, btree.Item{Ver: r.ver, Val: r.val, Tomb: r.val == nil}) {
+			break
+		}
+	}
+	return nil
+}
+
+// New creates an engine whose tables live in memory only. log may be nil
+// for a volatile instance.
 func New(env *sim.Env, log *wal.Log) *Engine {
-	return &Engine{env: env, log: log, tables: map[string]*table{}}
+	return &Engine{env: env, log: log, tables: map[string]*table{}, free: env.NewSignal()}
 }
 
 // CreateTable registers a table; creating an existing table is a no-op.
+// This is the one place a store is chosen.
 func (e *Engine) CreateTable(name string) {
-	if _, ok := e.tables[name]; !ok {
-		if e.paged != nil {
-			e.tables[name] = &table{name: name, tree: btree.New(e.paged.pg)}
-		} else {
-			e.tables[name] = &table{name: name, rows: map[string]row{}}
-		}
+	if _, ok := e.tables[name]; ok {
+		return
 	}
+	var rows store = rowMap{}
+	if e.pager != nil {
+		rows = btree.New(e.pager)
+	}
+	e.tables[name] = &table{name: name, rows: rows}
 }
 
 // Table is a resolved table handle. Hot paths hold one and use the *In
@@ -121,39 +186,36 @@ func (e *Engine) RowCountIn(p *sim.Proc, name string) int {
 		return 0
 	}
 	n := 0
-	if t.tree != nil {
-		err := t.tree.Scan(p, func(_ string, it btree.Item) bool {
-			if !it.Tomb {
-				n++
-			}
-			return true
-		})
-		if err != nil {
-			e.pagedFault(p, fmt.Errorf("db: row count %q: %w", name, err))
-			return 0
-		}
-		return n
-	}
-	for _, r := range t.rows {
-		if r.val != nil {
-			n++
-		}
-	}
+	e.scanLive(p, t, func(string, []byte) { n++ })
 	return n
+}
+
+// scanLive visits a table's live rows in key order: the one scan behind
+// row counts and fingerprints.
+func (e *Engine) scanLive(p *sim.Proc, t *table, fn func(key string, val []byte)) {
+	err := t.rows.Scan(p, func(k string, it btree.Item) bool {
+		if !it.Tomb {
+			fn(k, it.Val)
+		}
+		return true
+	})
+	if err != nil {
+		e.fault(p, fmt.Errorf("db: scan %q: %w", t.name, err))
+	}
 }
 
 // Stats returns committed and aborted transaction counts.
 func (e *Engine) Stats() (commits, aborts int64) { return e.commits, e.aborts }
 
 // Tx is one transaction. All methods must be called from a single
-// simulated process; only Commit blocks.
+// simulated process; only commits (and, on a paged engine, reads) block.
 type Tx struct {
 	eng  *Engine
 	id   int64
 	done bool
 
 	// p is the owning simulated process — required on a paged engine,
-	// where reads and commits may block on device I/O. nil on the
+	// where reads and commits may block on device I/O. May be nil on the
 	// in-memory engine (nothing there ever yields).
 	p *sim.Proc
 
@@ -192,24 +254,27 @@ func (e *Engine) BeginP(p *sim.Proc) *Tx {
 func (t *Tx) ID() int64 { return t.id }
 
 // GetIn reads a row through a resolved handle, observing the
-// transaction's own writes first.
+// transaction's own writes first. The read runs on the transaction's
+// process and records the observed version: 0 for an absent row, the
+// writer's id for a live row or a tombstone.
 func (t *Tx) GetIn(tab Table, key string) ([]byte, bool) {
-	if i, ok := t.wIndex[hkey{tab.t, key}]; ok {
+	k := hkey{tab.t, key}
+	if i, ok := t.wIndex[k]; ok {
 		w := t.writes[i]
 		if w.delete {
 			return nil, false
 		}
 		return w.val, true
 	}
-	if tab.t.tree != nil {
-		return t.getPaged(tab, key)
+	it, found, err := tab.t.rows.Get(t.p, key)
+	if err != nil {
+		t.eng.fault(t.p, fmt.Errorf("db: get %s/%q: %w", tab.name, key, err))
 	}
-	r, ok := tab.t.rows[key]
-	t.reads[hkey{tab.t, key}] = r.ver // absent rows observe version 0
-	if !ok || r.val == nil {
-		return nil, false // missing or tombstoned
+	t.reads[k] = it.Ver
+	if !found || it.Tomb {
+		return nil, false
 	}
-	return r.val, true
+	return it.Val, true
 }
 
 // Get reads a row by table name, observing the transaction's own writes
@@ -277,82 +342,157 @@ func (t *Tx) Abort() {
 	}
 }
 
-// Commit validates the read set, applies the write set, logs the redo
-// record and blocks until it is durable. Read-only transactions skip the
-// log entirely.
-func (t *Tx) Commit(p *sim.Proc) error {
+// lockCommits enters the engine-wide commit/checkpoint critical section.
+func (e *Engine) lockCommits(p *sim.Proc) {
+	if e.busy {
+		// No process context is legal only when nothing can contend
+		// (single-threaded tests, bulk load, recovery).
+		if p == nil {
+			panic("db: commit lock contended without a process context")
+		}
+		p.WaitFor(e.free, func() bool { return !e.busy })
+	}
+	e.busy = true
+}
+
+func (e *Engine) unlockCommits() {
+	e.busy = false
+	e.free.Broadcast()
+}
+
+// fault handles a row-store failure (only a paged store has any). After a
+// power loss the device answers nothing — park the calling process
+// forever, exactly like a thread blocked on a dead disk; the chaos
+// harness ends the run by advancing past the window. Any other store
+// error on a live device is a corruption bug: fail loudly.
+func (e *Engine) fault(p *sim.Proc, err error) {
+	if e.log != nil && e.log.Dead() && p != nil {
+		p.WaitFor(e.free, func() bool { return false })
+	}
+	panic(fmt.Sprintf("db: row store fault: %v", err))
+}
+
+// validate re-reads every row the transaction observed and reports
+// whether each still carries the version it saw. The order of the
+// re-reads is the one place the engine looks at what kind of store it
+// has: with a pager a re-read may miss and yield, so the read set is
+// walked in sorted (table, key) order — map order would leak into the
+// event schedule and break cross-run determinism. Without one nothing
+// yields, the outcome does not depend on which stale read is found
+// first, and map order costs neither a sort nor an allocation.
+func (t *Tx) validate(p *sim.Proc) bool {
+	if t.eng.pager == nil {
+		for k, ver := range t.reads {
+			if t.current(p, k) != ver {
+				return false
+			}
+		}
+		return true
+	}
+	rks := make([]hkey, 0, len(t.reads))
+	for k := range t.reads {
+		rks = append(rks, k)
+	}
+	sort.Slice(rks, func(i, j int) bool {
+		if rks[i].t.name != rks[j].t.name {
+			return rks[i].t.name < rks[j].t.name
+		}
+		return rks[i].key < rks[j].key
+	})
+	for _, k := range rks {
+		if t.current(p, k) != t.reads[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// current returns the version row k carries now (0 when absent).
+func (t *Tx) current(p *sim.Proc, k hkey) int64 {
+	it, _, err := k.t.rows.Get(p, k.key)
+	if err != nil {
+		t.eng.fault(p, fmt.Errorf("db: validate %s/%q: %w", k.t.name, k.key, err))
+	}
+	return it.Ver
+}
+
+// commit is the one commit critical section: under the engine lock,
+// validate the read set, refuse to overwrite rows a prepared transaction
+// pinned, append the redo record, and apply the write set with the
+// record's end LSN stamped on every touched page. Append comes before
+// apply because a tree needs that LSN; a row map cannot tell the
+// difference (nothing yields in between, and Append only marks the
+// flusher runnable). Returns the LSN to wait on, 0 for read-only commits.
+func (t *Tx) commit(p *sim.Proc) (int64, error) {
 	if t.done {
-		return ErrTxDone
+		return 0, ErrTxDone
 	}
-	if t.eng.paged != nil {
-		lsn, err := t.commitPaged(p)
-		if err == nil && lsn > 0 && t.eng.log != nil {
-			t.eng.log.WaitDurable(p, lsn)
-		}
-		return err
-	}
-	// Validate: every row read must still carry the version we saw. (Map
-	// order is fine here: the commit/abort outcome does not depend on
-	// which stale read is discovered first, and nothing in the loop
-	// schedules events.)
-	for k, ver := range t.reads {
-		if k.t.rows[k.key].ver != ver {
-			t.Abort()
-			return ErrConflict
-		}
-	}
-	if len(t.eng.pins) > 0 && t.pinned() {
+	e := t.eng
+	e.lockCommits(p)
+	defer e.unlockCommits()
+	if !t.validate(p) || t.pinned(false) {
 		t.Abort()
-		return ErrConflict
+		return 0, ErrConflict
 	}
 	t.done = true
-	if len(t.writes) == 0 {
-		t.eng.commits++
-		return nil
+	var lsn int64
+	if len(t.writes) > 0 {
+		payload := e.encodeScratch(t.writes)
+		if e.log != nil {
+			e.lastLSN = e.log.Append(wal.Record{TxID: t.id, Payload: payload})
+		} else {
+			e.lastLSN += int64(wal.EncodedLen(len(payload)))
+		}
+		lsn = e.lastLSN
+		if err := e.apply(p, t.writes, t.id, lsn); err != nil {
+			e.fault(p, err)
+		}
 	}
-	// Apply in memory (versions stamp the writer id), then persist the
-	// redo record; the caller is unblocked when the group commit flushes.
-	t.applyWrites()
-	t.eng.commits++
-	if t.eng.log != nil {
-		t.eng.log.Commit(p, wal.Record{TxID: t.id, Payload: t.eng.encodeScratch(t.writes)})
+	e.commits++ // after apply, which may yield: a commit counts once it is visible
+	return lsn, nil
+}
+
+// apply installs a write set, stamping rows with ver and pages with lsn:
+// the one apply behind live commits, CommitPrepared, ApplyWriteSet and
+// record replay. Deletes leave a versioned tombstone so OCC still detects
+// conflicts against a read of the now-absent row. Decoded ops carry no
+// resolved handle; they resolve against this engine, creating tables on
+// first touch.
+func (e *Engine) apply(p *sim.Proc, ws []writeOp, ver, lsn int64) error {
+	for _, w := range ws {
+		tab := w.tab.t
+		if tab == nil {
+			tab = e.Table(w.tab.name).t
+		}
+		it := btree.Item{Ver: ver, Tomb: w.delete}
+		if !w.delete {
+			it.Val = w.val
+		}
+		if err := tab.rows.Put(p, w.key, it, lsn); err != nil {
+			return fmt.Errorf("db: apply %s/%q: %w", w.tab.name, w.key, err)
+		}
 	}
 	return nil
+}
+
+// Commit validates the read set, logs the redo record, applies the write
+// set and blocks until the record is durable. Read-only transactions skip
+// the log entirely.
+func (t *Tx) Commit(p *sim.Proc) error {
+	lsn, err := t.commit(p)
+	if err == nil && lsn > 0 && t.eng.log != nil {
+		t.eng.log.WaitDurable(p, lsn)
+	}
+	return err
 }
 
 // CommitAsync validates and applies like Commit but returns immediately
 // with the LSN to wait on, enabling pipelined (asynchronous) commit: the
 // worker continues with new transactions while durability catches up, and
 // acknowledges the client only once the log passes the returned LSN.
-// Read-only transactions return LSN 0.
-func (t *Tx) CommitAsync() (int64, error) {
-	if t.done {
-		return 0, ErrTxDone
-	}
-	if t.eng.paged != nil {
-		return t.commitPaged(t.p)
-	}
-	for k, ver := range t.reads {
-		if k.t.rows[k.key].ver != ver {
-			t.Abort()
-			return 0, ErrConflict
-		}
-	}
-	if len(t.eng.pins) > 0 && t.pinned() {
-		t.Abort()
-		return 0, ErrConflict
-	}
-	t.done = true
-	t.eng.commits++
-	if len(t.writes) == 0 {
-		return 0, nil
-	}
-	t.applyWrites()
-	if t.eng.log == nil {
-		return 0, nil
-	}
-	return t.eng.log.Append(wal.Record{TxID: t.id, Payload: t.eng.encodeScratch(t.writes)}), nil
-}
+// Read-only transactions return LSN 0. It runs on the transaction's own
+// process (BeginP).
+func (t *Tx) CommitAsync() (int64, error) { return t.commit(t.p) }
 
 // CommitPipelined is CommitAsync wired to a wal.Pipeline: the commit's
 // LSN token enters the pipeline (blocking only when its in-flight window
@@ -379,55 +519,46 @@ func (t *Tx) Prepare() error {
 	if t.done {
 		return ErrTxDone
 	}
-	if t.eng.paged != nil {
-		// 2PC pins fence the in-memory row maps; the paged engine has no
-		// sharded deployment, so fail loudly instead of silently skipping
-		// validation.
-		panic("db: Prepare on a paged engine")
+	e := t.eng
+	e.lockCommits(t.p)
+	defer e.unlockCommits()
+	if !t.validate(t.p) || t.pinned(true) {
+		t.Abort()
+		return ErrConflict
 	}
-	// Validation and pin checks are map-order safe for the same reason
-	// Commit's are: any single stale read or foreign pin aborts, and the
-	// loops schedule nothing.
-	for k, ver := range t.reads {
-		if k.t.rows[k.key].ver != ver {
-			t.Abort()
-			return ErrConflict
-		}
-	}
-	if len(t.eng.pins) > 0 {
-		for k := range t.reads {
-			if o := t.eng.pins[k]; o != nil && o != t {
-				t.Abort()
-				return ErrConflict
-			}
-		}
-		for _, w := range t.writes {
-			if o := t.eng.pins[hkey{w.tab.t, w.key}]; o != nil && o != t {
-				t.Abort()
-				return ErrConflict
-			}
-		}
-	}
-	if t.eng.pins == nil {
-		t.eng.pins = map[hkey]*Tx{}
+	if e.pins == nil {
+		e.pins = map[hkey]*Tx{}
 	}
 	for k := range t.reads {
-		t.eng.pins[k] = t
+		e.pins[k] = t
 	}
 	for _, w := range t.writes {
-		t.eng.pins[hkey{w.tab.t, w.key}] = t
+		e.pins[hkey{w.tab.t, w.key}] = t
 	}
 	return nil
 }
 
-// pinned reports whether a row this transaction writes is claimed by a
-// prepared distributed transaction. Reading a pinned row stays legal (the
-// reader serializes before the pin's owner), but writing one would
-// invalidate validation the owner already voted yes on.
-func (t *Tx) pinned() bool {
+// pinned reports whether another prepared distributed transaction claims
+// a row this one writes or — for a transaction about to pin its own read
+// set — reads. Reading a pinned row stays legal for an ordinary commit
+// (the reader serializes before the pin's owner), but writing one would
+// invalidate validation the owner already voted yes on. (Map-order safe:
+// any single foreign pin aborts, and the loops schedule nothing.)
+func (t *Tx) pinned(reads bool) bool {
+	pins := t.eng.pins
+	if len(pins) == 0 {
+		return false
+	}
 	for _, w := range t.writes {
-		if o := t.eng.pins[hkey{w.tab.t, w.key}]; o != nil && o != t {
+		if o := pins[hkey{w.tab.t, w.key}]; o != nil && o != t {
 			return true
+		}
+	}
+	if reads {
+		for k := range t.reads {
+			if o := pins[k]; o != nil && o != t {
+				return true
+			}
 		}
 	}
 	return false
@@ -436,9 +567,6 @@ func (t *Tx) pinned() bool {
 // unpin releases every pin owned by t. (Deleting while ranging is defined
 // in Go, and no outcome depends on the visit order.)
 func (t *Tx) unpin() {
-	if len(t.eng.pins) == 0 {
-		return
-	}
 	for k, o := range t.eng.pins {
 		if o == t {
 			delete(t.eng.pins, k)
@@ -449,21 +577,22 @@ func (t *Tx) unpin() {
 // CommitPrepared applies a prepared transaction's writes — stamped with
 // ver, the distributed transaction's global id — and releases its pins.
 // No validation happens here: after Prepare the transaction cannot lose,
-// and the caller has already made the commit decision durable.
+// and the caller has already made the commit decision durable. The apply
+// takes the commit lock on the transaction's process and stamps pages
+// with the engine's append frontier, which the decision record is below.
 func (t *Tx) CommitPrepared(ver int64) {
 	if t.done {
 		return
 	}
+	e := t.eng
+	e.lockCommits(t.p)
+	defer e.unlockCommits()
 	t.done = true
 	t.unpin()
-	for _, w := range t.writes {
-		rw := row{ver: ver}
-		if !w.delete {
-			rw.val = w.val
-		}
-		w.tab.t.rows[w.key] = rw
+	if err := e.apply(t.p, t.writes, ver, e.frontier()); err != nil {
+		e.fault(t.p, err)
 	}
-	t.eng.commits++
+	e.commits++
 }
 
 // EncodedWrites serializes the transaction's write set in the redo-record
@@ -477,14 +606,24 @@ func (t *Tx) EncodedWrites() []byte { return encodeWrites(t.writes) }
 // transaction. The recovery twin of CommitPrepared.
 func (e *Engine) ApplyWriteSet(payload []byte, ver int64) error {
 	ws, err := decodeWrites(payload)
+	if err == nil {
+		err = e.apply(nil, ws, ver, e.frontier())
+	}
 	if err != nil {
 		return fmt.Errorf("db: apply write set ver %d: %w", ver, err)
 	}
-	for _, w := range ws {
-		e.applyOp(w, ver)
-	}
 	e.commits++
 	return nil
+}
+
+// frontier returns the WAL append frontier: the log's when there is one
+// (control and checkpoint records are appended around the engine), else
+// the end of the last record committed or replayed.
+func (e *Engine) frontier() int64 {
+	if e.log != nil {
+		return e.log.AppendedLSN()
+	}
+	return e.lastLSN
 }
 
 // Log returns the engine's WAL (nil when volatile).
@@ -493,49 +632,16 @@ func (e *Engine) Log() *wal.Log { return e.log }
 // Env returns the engine's simulation environment.
 func (e *Engine) Env() *sim.Env { return e.env }
 
-func (t *Tx) applyWrites() {
-	// Every writeOp on this path carries a resolved handle, so the apply
-	// loop touches only the row maps.
-	for _, w := range t.writes {
-		rw := row{ver: t.id}
-		if !w.delete {
-			rw.val = w.val
-		}
-		w.tab.t.rows[w.key] = rw
-	}
-}
-
-func (e *Engine) applyOp(w writeOp, ver int64) {
-	tab, ok := e.tables[w.tab.name]
-	if !ok {
-		e.CreateTable(w.tab.name)
-		tab = e.tables[w.tab.name]
-	}
-	if w.delete {
-		// Deletion leaves a versioned tombstone (val == nil) so OCC still
-		// detects conflicts against a read of the now-absent row.
-		tab.rows[w.key] = row{val: nil, ver: ver}
-	} else {
-		tab.rows[w.key] = row{val: w.val, ver: ver}
-	}
-}
-
 // LoadRow installs a row directly, bypassing transactions and the log.
 // It exists for bulk loading (e.g. populating TPC-C tables); rows loaded
 // this way carry version 0, exactly like rows recovered from a snapshot.
 // On a paged engine the load happens before any checkpoint, so every
 // touched page is fresh and resident — no device I/O, no process needed.
 func (e *Engine) LoadRow(tableName, key string, val []byte) {
-	e.CreateTable(tableName)
-	tab := e.tables[tableName]
-	if tab.tree != nil {
-		cp := append([]byte(nil), val...)
-		if err := tab.tree.Put(nil, key, btree.Item{Val: cp}, 0); err != nil {
-			panic(fmt.Sprintf("db: load row %q/%q: %v", tableName, key, err))
-		}
-		return
+	it := btree.Item{Val: append([]byte(nil), val...)}
+	if err := e.Table(tableName).t.rows.Put(nil, key, it, 0); err != nil {
+		panic(fmt.Sprintf("db: load row %q/%q: %v", tableName, key, err))
 	}
-	tab.rows[key] = row{val: append([]byte(nil), val...)}
 }
 
 // Read is a convenience snapshot read outside any transaction.
@@ -550,22 +656,14 @@ func (e *Engine) ReadIn(p *sim.Proc, tableName, key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	if tab.tree != nil {
-		it, found, err := tab.tree.Get(p, key)
-		if err != nil {
-			e.pagedFault(p, fmt.Errorf("db: read %q/%q: %w", tableName, key, err))
-			return nil, false
-		}
-		if !found || it.Tomb {
-			return nil, false
-		}
-		return it.Val, true
+	it, found, err := tab.rows.Get(p, key)
+	if err != nil {
+		e.fault(p, fmt.Errorf("db: read %q/%q: %w", tableName, key, err))
 	}
-	r, ok := tab.rows[key]
-	if !ok || r.val == nil {
+	if !found || it.Tomb {
 		return nil, false
 	}
-	return r.val, true
+	return it.Val, true
 }
 
 // --- redo payload encoding -------------------------------------------------
@@ -584,9 +682,7 @@ func (e *Engine) encodeScratch(ws []writeOp) []byte {
 }
 
 func appendWrites(buf []byte, ws []writeOp) []byte {
-	var n [2]byte
-	binary.LittleEndian.PutUint16(n[:], uint16(len(ws)))
-	buf = append(buf, n[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ws)))
 	for _, w := range ws {
 		flags := byte(0)
 		if w.delete {
@@ -594,13 +690,9 @@ func appendWrites(buf []byte, ws []writeOp) []byte {
 		}
 		buf = append(buf, flags, byte(len(w.tab.name)))
 		buf = append(buf, w.tab.name...)
-		var kl [2]byte
-		binary.LittleEndian.PutUint16(kl[:], uint16(len(w.key)))
-		buf = append(buf, kl[:]...)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(w.key)))
 		buf = append(buf, w.key...)
-		var vl [4]byte
-		binary.LittleEndian.PutUint32(vl[:], uint32(len(w.val)))
-		buf = append(buf, vl[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(w.val)))
 		buf = append(buf, w.val...)
 	}
 	return buf
@@ -659,29 +751,42 @@ func IsControlPayload(payload []byte) bool {
 }
 
 // ApplyRecord replays one redo record (recovery and secondary apply);
-// control records are skipped.
-func (e *Engine) ApplyRecord(r wal.Record) error {
-	if e.paged != nil {
-		return e.ApplyRecordIn(nil, r)
+// control records are skipped. The no-process form of ApplyRecordIn.
+func (e *Engine) ApplyRecord(r wal.Record) error { return e.ApplyRecordIn(nil, r) }
+
+// ApplyRecordIn replays one redo record on process p (a paged engine may
+// fetch pages during tail replay). Control records advance the frontier
+// without touching rows. Rows are stamped with the record's TxID and
+// pages with its end LSN — bit-identical to what the live engine
+// produced, because the live commit used exactly the same stamps.
+func (e *Engine) ApplyRecordIn(p *sim.Proc, r wal.Record) error {
+	end := r.LSN + int64(wal.EncodedLen(len(r.Payload)))
+	if end > e.lastLSN {
+		e.lastLSN = end
 	}
 	if IsControlPayload(r.Payload) {
 		return nil
 	}
 	ws, err := decodeWrites(r.Payload)
+	if err == nil {
+		err = e.apply(p, ws, r.TxID, end)
+	}
 	if err != nil {
 		return fmt.Errorf("db: apply tx %d: %w", r.TxID, err)
-	}
-	for _, w := range ws {
-		e.applyOp(w, r.TxID)
 	}
 	e.commits++
 	return nil
 }
 
-// Recover replays a decoded log stream in order (crash restart).
-func (e *Engine) Recover(records []wal.Record) error {
+// Recover replays a decoded log stream in order (crash restart). The
+// no-process form of RecoverIn.
+func (e *Engine) Recover(records []wal.Record) error { return e.RecoverIn(nil, records) }
+
+// RecoverIn replays a decoded log stream on process p (control records
+// skip themselves).
+func (e *Engine) RecoverIn(p *sim.Proc, records []wal.Record) error {
 	for _, r := range records {
-		if err := e.ApplyRecord(r); err != nil {
+		if err := e.ApplyRecordIn(p, r); err != nil {
 			return err
 		}
 	}
@@ -690,15 +795,15 @@ func (e *Engine) Recover(records []wal.Record) error {
 
 // Fingerprint folds every table's contents into a deterministic hash, for
 // equivalence checks between a recovered or replicated engine and its
-// source. (FNV-1a over sorted rows.) Paged engines delegate to
-// FingerprintIn with no process — fine when pages are memory-backed or
-// resident; use FingerprintIn from a process otherwise.
+// source. (FNV-1a over sorted rows.) The no-process form of
+// FingerprintIn — fine when pages are memory-backed or resident; use
+// FingerprintIn from a process otherwise.
 func (e *Engine) Fingerprint() uint64 { return e.FingerprintIn(nil) }
 
 // FingerprintIn is Fingerprint running on a simulated process (paged
 // engines walk every table's tree, which may fetch pages). The hash is
-// identical across engine modes: a paged engine holding the same rows as
-// an in-memory one fingerprints to the same value.
+// identical across stores: a paged engine holding the same rows as an
+// in-memory one fingerprints to the same value.
 func (e *Engine) FingerprintIn(p *sim.Proc) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -712,32 +817,11 @@ func (e *Engine) FingerprintIn(p *sim.Proc) uint64 {
 		}
 	}
 	for _, n := range e.Tables() {
-		tab := e.tables[n]
 		mix([]byte(n))
-		if tab.tree != nil {
-			err := tab.tree.Scan(p, func(k string, it btree.Item) bool {
-				if !it.Tomb {
-					mix([]byte(k))
-					mix(it.Val)
-				}
-				return true
-			})
-			if err != nil {
-				e.pagedFault(p, fmt.Errorf("db: fingerprint %q: %w", n, err))
-			}
-			continue
-		}
-		keys := make([]string, 0, len(tab.rows))
-		for k := range tab.rows {
-			if tab.rows[k].val != nil {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		e.scanLive(p, e.tables[n], func(k string, v []byte) {
 			mix([]byte(k))
-			mix(tab.rows[k].val)
-		}
+			mix(v)
+		})
 	}
 	return h
 }

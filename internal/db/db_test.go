@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"xssd/internal/btree"
 	"xssd/internal/obs"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
@@ -23,275 +25,320 @@ func (s *instantSink) Write(p *sim.Proc, d []byte) error {
 
 func (s *instantSink) Name() string { return "instant" }
 
-func newEngine(env *sim.Env) (*Engine, *instantSink) {
+// mkEngine builds an engine over one of the two row stores.
+type mkEngine func(env *sim.Env, log *wal.Log) *Engine
+
+// stores are the two row stores every engine test runs over: the row map,
+// and B+trees on a memory-backed pager with pages small enough that a few
+// dozen rows split.
+var stores = []struct {
+	name string
+	mk   mkEngine
+}{
+	{"rowmap", New},
+	{"tree", func(env *sim.Env, log *wal.Log) *Engine {
+		return NewPaged(env, log, btree.NewPager(btree.NewMemStore(512, 1<<20), btree.Config{PoolPages: 8}))
+	}},
+}
+
+// eachStore runs fn as one subtest per row store.
+func eachStore(t *testing.T, fn func(t *testing.T, mk mkEngine)) {
+	for _, s := range stores {
+		t.Run(s.name, func(t *testing.T) { fn(t, s.mk) })
+	}
+}
+
+func newEngine(env *sim.Env, mk mkEngine) (*Engine, *instantSink) {
 	sink := &instantSink{}
 	log := wal.NewLog(env, sink, wal.Config{GroupBytes: 1, GroupTimeout: time.Microsecond})
-	return New(env, log), sink
+	return mk(env, log), sink
 }
 
 func TestPutGetCommit(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, _ := newEngine(env)
-	eng.CreateTable("acct")
-	env.Go("tx", func(p *sim.Proc) {
-		tx := eng.Begin()
-		tx.Put("acct", "alice", []byte("100"))
-		if err := tx.Commit(p); err != nil {
-			t.Errorf("commit: %v", err)
-		}
-		if v, ok := eng.Read("acct", "alice"); !ok || string(v) != "100" {
-			t.Errorf("read back %q ok=%v", v, ok)
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, _ := newEngine(env, mk)
+		eng.CreateTable("acct")
+		env.Go("tx", func(p *sim.Proc) {
+			tx := eng.Begin()
+			tx.Put("acct", "alice", []byte("100"))
+			if err := tx.Commit(p); err != nil {
+				t.Errorf("commit: %v", err)
+			}
+			if v, ok := eng.Read("acct", "alice"); !ok || string(v) != "100" {
+				t.Errorf("read back %q ok=%v", v, ok)
+			}
+		})
+		env.RunUntil(time.Second)
+		if c, a := eng.Stats(); c != 1 || a != 0 {
+			t.Fatalf("stats = %d/%d", c, a)
 		}
 	})
-	env.RunUntil(time.Second)
-	if c, a := eng.Stats(); c != 1 || a != 0 {
-		t.Fatalf("stats = %d/%d", c, a)
-	}
 }
 
 func TestReadYourWrites(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, _ := newEngine(env)
-	eng.CreateTable("t")
-	env.Go("tx", func(p *sim.Proc) {
-		tx := eng.Begin()
-		tx.Put("t", "k", []byte("v1"))
-		if v, ok := tx.Get("t", "k"); !ok || string(v) != "v1" {
-			t.Error("did not see own write")
-		}
-		tx.Delete("t", "k")
-		if _, ok := tx.Get("t", "k"); ok {
-			t.Error("saw own deleted row")
-		}
-		tx.Abort()
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, _ := newEngine(env, mk)
+		eng.CreateTable("t")
+		env.Go("tx", func(p *sim.Proc) {
+			tx := eng.Begin()
+			tx.Put("t", "k", []byte("v1"))
+			if v, ok := tx.Get("t", "k"); !ok || string(v) != "v1" {
+				t.Error("did not see own write")
+			}
+			tx.Delete("t", "k")
+			if _, ok := tx.Get("t", "k"); ok {
+				t.Error("saw own deleted row")
+			}
+			tx.Abort()
+		})
+		env.RunUntil(time.Second)
 	})
-	env.RunUntil(time.Second)
 }
 
 func TestConflictAborts(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, _ := newEngine(env)
-	eng.CreateTable("t")
-	var errA, errB error
-	env.Go("setup", func(p *sim.Proc) {
-		tx := eng.Begin()
-		tx.Put("t", "hot", []byte("v0"))
-		tx.Commit(p)
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, _ := newEngine(env, mk)
+		eng.CreateTable("t")
+		var errA, errB error
+		env.Go("setup", func(p *sim.Proc) {
+			tx := eng.Begin()
+			tx.Put("t", "hot", []byte("v0"))
+			tx.Commit(p)
 
-		a := eng.Begin()
-		b := eng.Begin()
-		a.Get("t", "hot")
-		b.Get("t", "hot")
-		a.Put("t", "hot", []byte("a"))
-		b.Put("t", "hot", []byte("b"))
-		errA = a.Commit(p) // commits first: ok
-		errB = b.Commit(p) // observed the pre-a version: conflict
+			a := eng.Begin()
+			b := eng.Begin()
+			a.Get("t", "hot")
+			b.Get("t", "hot")
+			a.Put("t", "hot", []byte("a"))
+			b.Put("t", "hot", []byte("b"))
+			errA = a.Commit(p) // commits first: ok
+			errB = b.Commit(p) // observed the pre-a version: conflict
+		})
+		env.RunUntil(time.Second)
+		if errA != nil {
+			t.Fatalf("first committer failed: %v", errA)
+		}
+		if errB != ErrConflict {
+			t.Fatalf("second committer err = %v, want ErrConflict", errB)
+		}
+		if v, _ := eng.Read("t", "hot"); string(v) != "a" {
+			t.Fatalf("final value %q", v)
+		}
 	})
-	env.RunUntil(time.Second)
-	if errA != nil {
-		t.Fatalf("first committer failed: %v", errA)
-	}
-	if errB != ErrConflict {
-		t.Fatalf("second committer err = %v, want ErrConflict", errB)
-	}
-	if v, _ := eng.Read("t", "hot"); string(v) != "a" {
-		t.Fatalf("final value %q", v)
-	}
 }
 
 func TestConflictOnPhantomInsert(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, _ := newEngine(env)
-	eng.CreateTable("t")
-	env.Go("tx", func(p *sim.Proc) {
-		a := eng.Begin()
-		if _, ok := a.Get("t", "new"); ok {
-			t.Error("phantom row exists")
-		}
-		b := eng.Begin()
-		b.Put("t", "new", []byte("x"))
-		b.Commit(p)
-		a.Put("t", "other", []byte("y"))
-		if err := a.Commit(p); err != ErrConflict {
-			t.Errorf("read-of-absent-then-inserted err = %v, want conflict", err)
-		}
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, _ := newEngine(env, mk)
+		eng.CreateTable("t")
+		env.Go("tx", func(p *sim.Proc) {
+			a := eng.Begin()
+			if _, ok := a.Get("t", "new"); ok {
+				t.Error("phantom row exists")
+			}
+			b := eng.Begin()
+			b.Put("t", "new", []byte("x"))
+			b.Commit(p)
+			a.Put("t", "other", []byte("y"))
+			if err := a.Commit(p); err != ErrConflict {
+				t.Errorf("read-of-absent-then-inserted err = %v, want conflict", err)
+			}
+		})
+		env.RunUntil(time.Second)
 	})
-	env.RunUntil(time.Second)
 }
 
 func TestDoubleCommitRejected(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, _ := newEngine(env)
-	env.Go("tx", func(p *sim.Proc) {
-		tx := eng.Begin()
-		tx.Put("t", "k", []byte("v"))
-		tx.Commit(p)
-		if err := tx.Commit(p); err != ErrTxDone {
-			t.Errorf("second commit: %v", err)
-		}
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, _ := newEngine(env, mk)
+		env.Go("tx", func(p *sim.Proc) {
+			tx := eng.Begin()
+			tx.Put("t", "k", []byte("v"))
+			tx.Commit(p)
+			if err := tx.Commit(p); err != ErrTxDone {
+				t.Errorf("second commit: %v", err)
+			}
+		})
+		env.RunUntil(time.Second)
 	})
-	env.RunUntil(time.Second)
 }
 
 func TestDeleteAndTombstoneConflict(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, _ := newEngine(env)
-	eng.CreateTable("t")
-	env.Go("tx", func(p *sim.Proc) {
-		tx := eng.Begin()
-		tx.Put("t", "k", []byte("v"))
-		tx.Commit(p)
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, _ := newEngine(env, mk)
+		eng.CreateTable("t")
+		env.Go("tx", func(p *sim.Proc) {
+			tx := eng.Begin()
+			tx.Put("t", "k", []byte("v"))
+			tx.Commit(p)
 
-		del := eng.Begin()
-		del.Delete("t", "k")
-		del.Commit(p)
-		if _, ok := eng.Read("t", "k"); ok {
-			t.Error("row visible after delete")
-		}
-		// A reader that saw the tombstone version conflicts with a rewrite.
-		r := eng.Begin()
-		if _, ok := r.Get("t", "k"); ok {
-			t.Error("tx read deleted row")
-		}
-		w := eng.Begin()
-		w.Put("t", "k", []byte("v2"))
-		w.Commit(p)
-		r.Put("t", "x", []byte("y"))
-		if err := r.Commit(p); err != ErrConflict {
-			t.Errorf("stale tombstone read committed: %v", err)
-		}
+			del := eng.Begin()
+			del.Delete("t", "k")
+			del.Commit(p)
+			if _, ok := eng.Read("t", "k"); ok {
+				t.Error("row visible after delete")
+			}
+			// A reader that saw the tombstone version conflicts with a rewrite.
+			r := eng.Begin()
+			if _, ok := r.Get("t", "k"); ok {
+				t.Error("tx read deleted row")
+			}
+			w := eng.Begin()
+			w.Put("t", "k", []byte("v2"))
+			w.Commit(p)
+			r.Put("t", "x", []byte("y"))
+			if err := r.Commit(p); err != ErrConflict {
+				t.Errorf("stale tombstone read committed: %v", err)
+			}
+		})
+		env.RunUntil(time.Second)
 	})
-	env.RunUntil(time.Second)
 }
 
 func TestRecoveryRebuildsIdenticalState(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, sink := newEngine(env)
-	eng.CreateTable("t")
-	rng := rand.New(rand.NewSource(7))
-	env.Go("load", func(p *sim.Proc) {
-		for i := 0; i < 200; i++ {
-			tx := eng.Begin()
-			key := string(rune('a' + rng.Intn(20)))
-			switch rng.Intn(3) {
-			case 0, 1:
-				val := make([]byte, rng.Intn(50)+1)
-				rng.Read(val)
-				tx.Put("t", key, val)
-			case 2:
-				tx.Delete("t", key)
-			}
-			if err := tx.Commit(p); err != nil {
-				t.Errorf("commit %d: %v", i, err)
-			}
-		}
-	})
-	env.RunUntil(time.Minute)
-
-	recovered := New(env, nil)
-	if err := recovered.Recover(wal.DecodeAll(sink.data)); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if eng.Fingerprint() != recovered.Fingerprint() {
-		t.Fatal("recovered state differs from original")
-	}
-}
-
-func TestRecoveryOfTruncatedLogIsPrefix(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, sink := newEngine(env)
-	eng.CreateTable("t")
-	env.Go("load", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			tx := eng.Begin()
-			tx.Put("t", string(rune('a'+i)), []byte{byte(i)})
-			tx.Commit(p)
-		}
-	})
-	env.RunUntil(time.Second)
-	// Chop mid-record: recovery applies only whole records.
-	cut := sink.data[:len(sink.data)-5]
-	recovered := New(env, nil)
-	if err := recovered.Recover(wal.DecodeAll(cut)); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if got, want := recovered.RowCount("t"), 9; got != want {
-		t.Fatalf("recovered rows = %d, want %d (last record lost)", got, want)
-	}
-}
-
-func TestFollowerConvergesAcrossArbitraryChunking(t *testing.T) {
-	f := func(seed int64) bool {
+	eachStore(t, func(t *testing.T, mk mkEngine) {
 		env := sim.NewEnv(1)
-		eng, sink := newEngine(env)
+		eng, sink := newEngine(env, mk)
 		eng.CreateTable("t")
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(rand.NewSource(7))
 		env.Go("load", func(p *sim.Proc) {
-			for i := 0; i < 50; i++ {
+			for i := 0; i < 200; i++ {
 				tx := eng.Begin()
-				val := make([]byte, rng.Intn(80))
-				rng.Read(val)
-				tx.Put("t", string(rune('a'+rng.Intn(10))), val)
-				tx.Commit(p)
+				key := string(rune('a' + rng.Intn(20)))
+				switch rng.Intn(3) {
+				case 0, 1:
+					val := make([]byte, rng.Intn(50)+1)
+					rng.Read(val)
+					tx.Put("t", key, val)
+				case 2:
+					tx.Delete("t", key)
+				}
+				if err := tx.Commit(p); err != nil {
+					t.Errorf("commit %d: %v", i, err)
+				}
 			}
 		})
 		env.RunUntil(time.Minute)
 
-		follower := NewFollower(New(env, nil))
-		stream := sink.data
-		for len(stream) > 0 {
-			n := rng.Intn(64) + 1
-			if n > len(stream) {
-				n = len(stream)
-			}
-			if err := follower.Feed(stream[:n]); err != nil {
-				return false
-			}
-			stream = stream[n:]
+		recovered := mk(env, nil)
+		if err := recovered.Recover(wal.DecodeAll(sink.data)); err != nil {
+			t.Fatalf("recover: %v", err)
 		}
-		return follower.Engine().Fingerprint() == eng.Fingerprint() &&
-			follower.Transactions() == 50
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
+		if eng.Fingerprint() != recovered.Fingerprint() {
+			t.Fatal("recovered state differs from original")
+		}
+	})
+}
+
+func TestRecoveryOfTruncatedLogIsPrefix(t *testing.T) {
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, sink := newEngine(env, mk)
+		eng.CreateTable("t")
+		env.Go("load", func(p *sim.Proc) {
+			for i := 0; i < 10; i++ {
+				tx := eng.Begin()
+				tx.Put("t", string(rune('a'+i)), []byte{byte(i)})
+				tx.Commit(p)
+			}
+		})
+		env.RunUntil(time.Second)
+		// Chop mid-record: recovery applies only whole records.
+		cut := sink.data[:len(sink.data)-5]
+		recovered := mk(env, nil)
+		if err := recovered.Recover(wal.DecodeAll(cut)); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if got, want := recovered.RowCount("t"), 9; got != want {
+			t.Fatalf("recovered rows = %d, want %d (last record lost)", got, want)
+		}
+	})
+}
+
+func TestFollowerConvergesAcrossArbitraryChunking(t *testing.T) {
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		f := func(seed int64) bool {
+			env := sim.NewEnv(1)
+			eng, sink := newEngine(env, mk)
+			eng.CreateTable("t")
+			rng := rand.New(rand.NewSource(seed))
+			env.Go("load", func(p *sim.Proc) {
+				for i := 0; i < 50; i++ {
+					tx := eng.Begin()
+					val := make([]byte, rng.Intn(80))
+					rng.Read(val)
+					tx.Put("t", string(rune('a'+rng.Intn(10))), val)
+					tx.Commit(p)
+				}
+			})
+			env.RunUntil(time.Minute)
+
+			follower := NewFollower(mk(env, nil))
+			stream := sink.data
+			for len(stream) > 0 {
+				n := rng.Intn(64) + 1
+				if n > len(stream) {
+					n = len(stream)
+				}
+				if err := follower.Feed(stream[:n]); err != nil {
+					return false
+				}
+				stream = stream[n:]
+			}
+			return follower.Engine().Fingerprint() == eng.Fingerprint() &&
+				follower.Transactions() == 50
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestReadOnlyTxSkipsLog(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, sink := newEngine(env)
-	eng.CreateTable("t")
-	env.Go("tx", func(p *sim.Proc) {
-		tx := eng.Begin()
-		tx.Get("t", "nothing")
-		if err := tx.Commit(p); err != nil {
-			t.Errorf("read-only commit: %v", err)
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, sink := newEngine(env, mk)
+		eng.CreateTable("t")
+		env.Go("tx", func(p *sim.Proc) {
+			tx := eng.Begin()
+			tx.Get("t", "nothing")
+			if err := tx.Commit(p); err != nil {
+				t.Errorf("read-only commit: %v", err)
+			}
+		})
+		env.RunUntil(time.Second)
+		if len(sink.data) != 0 {
+			t.Fatal("read-only transaction wrote to the log")
 		}
 	})
-	env.RunUntil(time.Second)
-	if len(sink.data) != 0 {
-		t.Fatal("read-only transaction wrote to the log")
-	}
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	env := sim.NewEnv(1)
-	a, _ := newEngine(env)
-	b, _ := newEngine(env)
-	a.CreateTable("t")
-	b.CreateTable("t")
-	env.Go("tx", func(p *sim.Proc) {
-		ta := a.Begin()
-		ta.Put("t", "k", []byte("v1"))
-		ta.Commit(p)
-		tb := b.Begin()
-		tb.Put("t", "k", []byte("v2"))
-		tb.Commit(p)
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		a, _ := newEngine(env, mk)
+		b, _ := newEngine(env, mk)
+		a.CreateTable("t")
+		b.CreateTable("t")
+		env.Go("tx", func(p *sim.Proc) {
+			ta := a.Begin()
+			ta.Put("t", "k", []byte("v1"))
+			ta.Commit(p)
+			tb := b.Begin()
+			tb.Put("t", "k", []byte("v2"))
+			tb.Commit(p)
+		})
+		env.RunUntil(time.Second)
+		if a.Fingerprint() == b.Fingerprint() {
+			t.Fatal("fingerprints collide on different values")
+		}
 	})
-	env.RunUntil(time.Second)
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("fingerprints collide on different values")
-	}
 }
 
 func TestEncodeDecodeWritesRoundTrip(t *testing.T) {
@@ -361,20 +408,249 @@ func TestCommitPipelinedKeepsManyTxInFlight(t *testing.T) {
 }
 
 func TestCommitPipelinedReadOnlySkipsPipeline(t *testing.T) {
-	env := sim.NewEnv(1)
-	eng, _ := newEngine(env)
-	eng.CreateTable("t")
-	pl := wal.NewPipeline(eng.Log(), 4, obs.Scope{})
-	env.Go("worker", func(p *sim.Proc) {
-		tx := eng.Begin()
-		tx.Get("t", "missing")
-		lsn, err := tx.CommitPipelined(p, pl)
-		if err != nil || lsn != 0 {
-			t.Errorf("read-only pipelined commit: lsn=%d err=%v", lsn, err)
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, _ := newEngine(env, mk)
+		eng.CreateTable("t")
+		pl := wal.NewPipeline(eng.Log(), 4, obs.Scope{})
+		env.Go("worker", func(p *sim.Proc) {
+			tx := eng.Begin()
+			tx.Get("t", "missing")
+			lsn, err := tx.CommitPipelined(p, pl)
+			if err != nil || lsn != 0 {
+				t.Errorf("read-only pipelined commit: lsn=%d err=%v", lsn, err)
+			}
+		})
+		env.RunUntil(time.Millisecond)
+		if pl.Inflight() != 0 || pl.Retired() != 0 {
+			t.Fatalf("read-only commit entered the pipeline")
 		}
 	})
-	env.RunUntil(time.Millisecond)
-	if pl.Inflight() != 0 || pl.Retired() != 0 {
-		t.Fatalf("read-only commit entered the pipeline")
+}
+
+// --- store-differential cases ------------------------------------------------
+
+// dump renders every row of every table — key, version, value or tombstone
+// — so two engines can be compared cell for cell, not just by fingerprint.
+func dump(t *testing.T, e *Engine) string {
+	var sb strings.Builder
+	for _, n := range e.Tables() {
+		err := e.tables[n].rows.Scan(nil, func(k string, it btree.Item) bool {
+			fmt.Fprintf(&sb, "%s/%s v%d tomb=%v %x\n", n, k, it.Ver, it.Tomb, it.Val)
+			return true
+		})
+		if err != nil {
+			t.Fatalf("scan %s: %v", n, err)
+		}
+	}
+	return sb.String()
+}
+
+// sameOnBothStores runs scenario once per store and requires the engines
+// it returns (handed back in stores order) to agree on fingerprint, live
+// row counts and every cell.
+func sameOnBothStores(t *testing.T, scenario func(t *testing.T, mk mkEngine) *Engine) []*Engine {
+	var engs []*Engine
+	eachStore(t, func(t *testing.T, mk mkEngine) { engs = append(engs, scenario(t, mk)) })
+	if t.Failed() {
+		return nil
+	}
+	a, b := engs[0], engs[1]
+	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
+		t.Errorf("fingerprint: row map %016x, tree %016x", fa, fb)
+	}
+	for _, n := range a.Tables() {
+		if ra, rb := a.RowCount(n), b.RowCount(n); ra != rb {
+			t.Errorf("live rows in %q: row map %d, tree %d", n, ra, rb)
+		}
+	}
+	if da, db := dump(t, a), dump(t, b); da != db {
+		t.Errorf("cells differ\nrow map:\n%stree:\n%s", da, db)
+	}
+	return engs
+}
+
+func TestPrepareFencesThenCommitPrepared(t *testing.T) {
+	sameOnBothStores(t, func(t *testing.T, mk mkEngine) *Engine {
+		env := sim.NewEnv(1)
+		eng, _ := newEngine(env, mk)
+		for i := 0; i < 40; i++ { // enough rows that the tree has split
+			eng.LoadRow("t", fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 24))
+		}
+		env.Go("2pc", func(p *sim.Proc) {
+			tab := eng.Table("t")
+			dist := eng.BeginP(p)
+			dist.GetIn(tab, "k03")
+			dist.PutIn(tab, "k07", []byte("prepared"))
+			dist.DeleteIn(tab, "k11")
+			if err := dist.Prepare(); err != nil {
+				t.Errorf("prepare: %v", err)
+				return
+			}
+			// Foreign writers bounce off both the pinned write and the
+			// pinned read; a foreign reader of a pinned row commits.
+			for _, k := range []string{"k07", "k03"} {
+				w := eng.BeginP(p)
+				w.PutIn(tab, k, []byte("foreign"))
+				if err := w.Commit(p); err != ErrConflict {
+					t.Errorf("foreign write to pinned %s: err = %v, want ErrConflict", k, err)
+				}
+			}
+			r := eng.BeginP(p)
+			r.GetIn(tab, "k07")
+			r.PutIn(tab, "k20", []byte("reader"))
+			if err := r.Commit(p); err != nil {
+				t.Errorf("foreign read of a pinned row: %v", err)
+			}
+			other := eng.BeginP(p)
+			other.GetIn(tab, "k03")
+			other.PutIn(tab, "k30", []byte("x"))
+			if err := other.Prepare(); err != ErrConflict {
+				t.Errorf("second prepare sharing a pinned read: err = %v, want ErrConflict", err)
+			}
+
+			dist.CommitPrepared(9001)
+			w := eng.BeginP(p)
+			w.PutIn(tab, "k03", []byte("after"))
+			if err := w.Commit(p); err != nil {
+				t.Errorf("write after the pins were released: %v", err)
+			}
+		})
+		env.RunUntil(time.Second)
+		if v, ok := eng.Read("t", "k07"); !ok || string(v) != "prepared" {
+			t.Errorf("prepared write reads back %q ok=%v", v, ok)
+		}
+		if _, ok := eng.Read("t", "k11"); ok {
+			t.Error("prepared delete left the row visible")
+		}
+		if c, a := eng.Stats(); c != 3 || a != 3 {
+			t.Errorf("stats = %d commits / %d aborts, want 3/3", c, a)
+		}
+		return eng
+	})
+}
+
+func TestWriteSetAndStreamReplayAgree(t *testing.T) {
+	// One source history on a row-map engine: a redo stream plus a 2PC
+	// write set that never rode it as a redo record.
+	env := sim.NewEnv(1)
+	src, sink := newEngine(env, New)
+	var writeSet []byte
+	env.Go("load", func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 120; i++ {
+			tx := src.Begin()
+			key := fmt.Sprintf("k%02d", rng.Intn(30))
+			if rng.Intn(4) == 0 {
+				tx.Delete("t", key)
+			} else {
+				val := make([]byte, rng.Intn(40)) // length 0 included
+				rng.Read(val)
+				tx.Put("t", key, val)
+			}
+			tx.Commit(p)
+		}
+		tx := src.Begin()
+		tx.Put("t", "k05", []byte("decided"))
+		tx.Put("u", "fresh-table", nil)
+		tx.Delete("t", "k06")
+		writeSet = tx.EncodedWrites()
+		tx.Prepare()
+		tx.CommitPrepared(7000)
+	})
+	env.RunUntil(time.Minute)
+
+	recovered := sameOnBothStores(t, func(t *testing.T, mk mkEngine) *Engine {
+		eng := mk(sim.NewEnv(1), nil)
+		if err := eng.Recover(wal.DecodeAll(sink.data)); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if err := eng.ApplyWriteSet(writeSet, 7000); err != nil {
+			t.Fatalf("apply write set: %v", err)
+		}
+		return eng
+	})
+	for i, eng := range recovered {
+		if got, want := dump(t, eng), dump(t, src); got != want {
+			t.Errorf("%s replay differs from the live engine\nreplay:\n%slive:\n%s", stores[i].name, got, want)
+		}
 	}
 }
+
+func TestEmptyValueIsALiveRow(t *testing.T) {
+	sameOnBothStores(t, func(t *testing.T, mk mkEngine) *Engine {
+		env := sim.NewEnv(1)
+		eng, sink := newEngine(env, mk)
+		eng.LoadRow("t", "loaded", nil)
+		env.Go("tx", func(p *sim.Proc) {
+			tx := eng.Begin()
+			tx.PutIn(eng.Table("t"), "put", []byte{})
+			tx.PutOwnedIn(eng.Table("t"), "owned", nil)
+			tx.Delete("t", "gone")
+			tx.Commit(p)
+			r := eng.Begin()
+			if v, ok := r.Get("t", "put"); !ok || len(v) != 0 {
+				t.Errorf("empty row reads %q ok=%v inside a transaction", v, ok)
+			}
+			r.Abort()
+		})
+		env.RunUntil(time.Second)
+		for _, k := range []string{"loaded", "put", "owned"} {
+			if v, ok := eng.Read("t", k); !ok || len(v) != 0 {
+				t.Errorf("empty row %q reads %q ok=%v", k, v, ok)
+			}
+		}
+		if got := eng.RowCount("t"); got != 3 {
+			t.Errorf("live rows = %d, want 3 (the empty rows are not tombstones)", got)
+		}
+		// valLen == 0 on the redo stream decodes to the same live row.
+		replayed := mk(sim.NewEnv(1), nil)
+		replayed.LoadRow("t", "loaded", nil)
+		if err := replayed.Recover(wal.DecodeAll(sink.data)); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if replayed.Fingerprint() != eng.Fingerprint() || replayed.RowCount("t") != 3 {
+			t.Errorf("replay of empty values: %d live rows, fingerprint match %v",
+				replayed.RowCount("t"), replayed.Fingerprint() == eng.Fingerprint())
+		}
+		return eng
+	})
+}
+
+// TestRowMapAllocations pins what the hot path allocates on a row-map
+// engine, so the store interface cannot start boxing unnoticed: a repeat
+// read allocates nothing, and a 4-read/2-write transaction allocates what
+// it did before the engine had a store seam.
+func TestRowMapAllocations(t *testing.T) {
+	eng := New(sim.NewEnv(1), nil)
+	tab := eng.Table("t")
+	keys := []string{"a", "b", "c", "d"}
+	for _, k := range keys {
+		eng.LoadRow("t", k, []byte("value"))
+	}
+	vals := [2][]byte{[]byte("one"), []byte("two")}
+
+	tx := eng.Begin()
+	tx.GetIn(tab, "a")
+	if n := testing.AllocsPerRun(200, func() { tx.GetIn(tab, "a") }); n != 0 {
+		t.Errorf("repeat GetIn of an already-read key: %v allocs, want 0", n)
+	}
+	n := testing.AllocsPerRun(200, func() {
+		tx := eng.Begin()
+		for _, k := range keys {
+			tx.GetIn(tab, k)
+		}
+		tx.PutOwnedIn(tab, "a", vals[0])
+		tx.PutOwnedIn(tab, "b", vals[1])
+		if _, err := tx.CommitAsync(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != commitAllocs {
+		t.Errorf("4-read/2-write CommitAsync: %v allocs, want %d", n, commitAllocs)
+	}
+}
+
+// commitAllocs is what TestRowMapAllocations' transaction allocated at the
+// commit before the store seam (PR 11), measured there with the same body.
+const commitAllocs = 6

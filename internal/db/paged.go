@@ -1,240 +1,42 @@
-// Paged engine mode: tables live in B+tree pages behind a buffer pool
-// (internal/btree) destaged to the conventional side of the device,
-// instead of in in-memory row maps. The transaction API is identical —
-// OCC validation, redo logging, pipelined commit — but reads and commits
-// may fetch pages from the device, so they run on the owning simulated
-// process and the commit critical section is serialized by an
-// engine-wide lock (a fetch mid-validation yields, and two interleaved
-// validations could both pass against each other's writes). Fuzzy
-// checkpoints (internal/ckpt) bound recovery to the WAL tail past the
-// last complete checkpoint.
+// Durable tables: an engine built with NewPaged grows every table as a
+// B+tree (internal/btree) on one buffer pool destaged to the conventional
+// side of the device, instead of an in-memory row map. *btree.Tree is the
+// engine's row store as is, so the transaction path in db.go is the same
+// code either way; a tree's reads and writes may fetch pages and yield,
+// which is why transactions carry their process and commits hold the
+// engine lock. This file holds what only a durable engine has: the pager,
+// reopening tables at checkpointed roots, and the checkpoint cut that lets
+// internal/ckpt bound recovery to the WAL tail past the last checkpoint.
 package db
 
 import (
 	"fmt"
-	"sort"
 
 	"xssd/internal/btree"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
 )
 
-// pagedState is the extra engine state of a paged engine.
-type pagedState struct {
-	pg *btree.Pager
-
-	// busy serializes the commit critical section (validate + append +
-	// apply) and checkpoint snapshots against each other. Page fetches
-	// inside validation or apply yield on device I/O; without the lock two
-	// committers could interleave there and both validate successfully
-	// against state the other is about to overwrite.
-	busy bool
-	free *sim.Signal
-
-	// lastLSN tracks the end LSN of the last record appended (live) or
-	// replayed (recovery) — the append frontier for engines with no log.
-	lastLSN int64
-}
-
-// NewPaged creates a paged engine over pager. log may be nil (recovery
-// instances and tests).
+// NewPaged creates an engine whose tables are B+trees over pager. log may
+// be nil (recovery instances and tests).
 func NewPaged(env *sim.Env, log *wal.Log, pager *btree.Pager) *Engine {
 	e := New(env, log)
-	e.paged = &pagedState{pg: pager, free: env.NewSignal()}
+	e.pager = pager
 	return e
 }
 
 // Paged reports whether the engine stores tables in pages.
-func (e *Engine) Paged() bool { return e.paged != nil }
+func (e *Engine) Paged() bool { return e.pager != nil }
 
 // Pager returns the paged engine's buffer pool (nil on the in-memory
 // engine).
-func (e *Engine) Pager() *btree.Pager {
-	if e.paged == nil {
-		return nil
-	}
-	return e.paged.pg
-}
-
-// lockCommits enters the engine-wide commit/checkpoint critical section.
-func (ps *pagedState) lockCommits(p *sim.Proc) {
-	if p == nil {
-		// No process context: legal only when nothing can contend (single
-		// threaded tests, bulk load before workers start). The flag still
-		// guards against re-entry.
-		if ps.busy {
-			panic("db: paged commit lock contended without a process context")
-		}
-		ps.busy = true
-		return
-	}
-	p.WaitFor(ps.free, func() bool { return !ps.busy })
-	ps.busy = true
-}
-
-func (ps *pagedState) unlockCommits() {
-	ps.busy = false
-	ps.free.Broadcast()
-}
-
-// pagedFault handles a page-store failure outside the commit path. After
-// a power loss the device answers nothing — park the calling process
-// forever, exactly like a thread blocked on a dead disk; the chaos
-// harness ends the run by advancing past the window. Any other store
-// error on a live device is a corruption bug: fail loudly.
-func (e *Engine) pagedFault(p *sim.Proc, err error) {
-	if e.log != nil && e.log.Dead() && p != nil {
-		p.WaitFor(e.paged.free, func() bool { return false })
-	}
-	panic(fmt.Sprintf("db: paged engine fault: %v", err))
-}
-
-// getPaged is GetIn's paged read path: point-read the table's tree on
-// the transaction's process and record the observed version (0 for an
-// absent row, the writer's id for a live row or tombstone — same
-// observation rules as the row-map path).
-func (t *Tx) getPaged(tab Table, key string) ([]byte, bool) {
-	it, found, err := tab.t.tree.Get(t.p, key)
-	if err != nil {
-		t.eng.pagedFault(t.p, fmt.Errorf("get %s/%q: %w", tab.name, key, err))
-		return nil, false
-	}
-	ver := int64(0)
-	if found {
-		ver = it.Ver
-	}
-	t.reads[hkey{tab.t, key}] = ver
-	if !found || it.Tomb {
-		return nil, false
-	}
-	return it.Val, true
-}
-
-// commitPaged is the paged commit critical section: under the engine
-// lock, re-validate every read against the trees, append the redo record,
-// and apply the write set with the record's end LSN stamped on every
-// touched page. Returns the LSN to wait on (0 for read-only commits).
-func (t *Tx) commitPaged(p *sim.Proc) (int64, error) {
-	ps := t.eng.paged
-	ps.lockCommits(p)
-	defer ps.unlockCommits()
-
-	// Validation re-reads pages and may yield on misses, so iterate the
-	// read set in sorted (table, key) order — map order would leak into
-	// the event schedule and break cross-run determinism.
-	if len(t.reads) > 0 {
-		rks := make([]hkey, 0, len(t.reads))
-		for k := range t.reads {
-			rks = append(rks, k)
-		}
-		sort.Slice(rks, func(i, j int) bool {
-			if rks[i].t.name != rks[j].t.name {
-				return rks[i].t.name < rks[j].t.name
-			}
-			return rks[i].key < rks[j].key
-		})
-		for _, k := range rks {
-			it, found, err := k.t.tree.Get(p, k.key)
-			if err != nil {
-				t.eng.pagedFault(p, fmt.Errorf("validate %s/%q: %w", k.t.name, k.key, err))
-			}
-			cur := int64(0)
-			if found {
-				cur = it.Ver
-			}
-			if cur != t.reads[k] {
-				t.Abort()
-				return 0, ErrConflict
-			}
-		}
-	}
-	t.done = true
-	if len(t.writes) == 0 {
-		t.eng.commits++
-		return 0, nil
-	}
-	payload := t.eng.encodeScratch(t.writes)
-	var lsn int64
-	if t.eng.log != nil {
-		lsn = t.eng.log.Append(wal.Record{TxID: t.id, Payload: payload})
-	} else {
-		lsn = ps.lastLSN + int64(wal.EncodedLen(len(payload)))
-	}
-	ps.lastLSN = lsn
-	if err := t.eng.applyPagedWrites(p, t.writes, t.id, lsn); err != nil {
-		t.eng.pagedFault(p, err)
-	}
-	t.eng.commits++
-	return lsn, nil
-}
-
-// applyPagedWrites installs a write set into the trees, stamping rows
-// with ver and pages with lsn. Deletes become tombstones (versioned, so
-// OCC still catches reads of the absent row), exactly like the row maps.
-func (e *Engine) applyPagedWrites(p *sim.Proc, ws []writeOp, ver, lsn int64) error {
-	for _, w := range ws {
-		tab := w.tab.t
-		if tab == nil {
-			e.CreateTable(w.tab.name)
-			tab = e.tables[w.tab.name]
-		}
-		it := btree.Item{Ver: ver, Tomb: w.delete}
-		if !w.delete {
-			it.Val = w.val
-		}
-		if err := tab.tree.Put(p, w.key, it, lsn); err != nil {
-			return fmt.Errorf("apply %s/%q: %w", w.tab.name, w.key, err)
-		}
-	}
-	return nil
-}
-
-// ApplyRecordIn replays one redo record into a paged engine on process p
-// (recovery tail replay). Control records advance the frontier without
-// touching rows. Rows are stamped with the record's TxID and pages with
-// its end LSN — bit-identical to what the live engine produced, because
-// the live commit used exactly the same stamps.
-func (e *Engine) ApplyRecordIn(p *sim.Proc, r wal.Record) error {
-	end := r.LSN + int64(wal.EncodedLen(len(r.Payload)))
-	if end > e.paged.lastLSN {
-		e.paged.lastLSN = end
-	}
-	if IsControlPayload(r.Payload) {
-		return nil
-	}
-	ws, err := decodeWrites(r.Payload)
-	if err != nil {
-		return fmt.Errorf("db: apply tx %d: %w", r.TxID, err)
-	}
-	for i := range ws {
-		// Decoded ops carry no resolved handle; resolve against this
-		// engine (creating tables on first touch, like classic replay).
-		e.CreateTable(ws[i].tab.name)
-		ws[i].tab.t = e.tables[ws[i].tab.name]
-	}
-	if err := e.applyPagedWrites(p, ws, r.TxID, end); err != nil {
-		return fmt.Errorf("db: apply tx %d: %w", r.TxID, err)
-	}
-	e.commits++
-	return nil
-}
-
-// RecoverIn replays a decoded log stream into a paged engine on process
-// p (control records skip themselves).
-func (e *Engine) RecoverIn(p *sim.Proc, records []wal.Record) error {
-	for _, r := range records {
-		if err := e.ApplyRecordIn(p, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (e *Engine) Pager() *btree.Pager { return e.pager }
 
 // OpenPagedTable attaches a recovered table to its checkpointed root
 // page. Recovery calls it for every table in the checkpoint record
 // before replaying the WAL tail.
 func (e *Engine) OpenPagedTable(name string, root uint64) {
-	e.tables[name] = &table{name: name, tree: btree.Open(e.paged.pg, root)}
+	e.tables[name] = &table{name: name, rows: btree.Open(e.pager, root)}
 }
 
 // Checkpoint is one fuzzy checkpoint captured from a paged engine: the
@@ -253,21 +55,17 @@ type Checkpoint struct {
 // StartLSN are exactly the committed state. The snapshot itself spends
 // zero virtual time; writing the images out happens afterwards, outside
 // the lock, concurrently with new commits (that is what makes the
-// checkpoint fuzzy).
+// checkpoint fuzzy). Only a paged engine has pages to cut.
 func (e *Engine) BeginCheckpoint(p *sim.Proc) (Checkpoint, error) {
-	ps := e.paged
-	ps.lockCommits(p)
-	defer ps.unlockCommits()
-	snap, err := ps.pg.SnapshotCheckpoint()
+	e.lockCommits(p)
+	defer e.unlockCommits()
+	snap, err := e.pager.SnapshotCheckpoint()
 	if err != nil {
 		return Checkpoint{}, fmt.Errorf("db: checkpoint snapshot: %w", err)
 	}
-	ck := Checkpoint{Snap: snap, Tables: make(map[string]uint64, len(e.tables)), StartLSN: ps.lastLSN}
-	if e.log != nil {
-		ck.StartLSN = e.log.AppendedLSN()
-	}
+	ck := Checkpoint{Snap: snap, Tables: make(map[string]uint64, len(e.tables)), StartLSN: e.frontier()}
 	for name, tab := range e.tables {
-		ck.Tables[name] = tab.tree.Root()
+		ck.Tables[name] = tab.rows.(*btree.Tree).Root()
 	}
 	return ck, nil
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -529,8 +530,16 @@ func LoadWarehouses(eng *db.Engine, cfg Config, seed int64, owns func(w int) boo
 				}.Encode())
 				byName[last] = append(byName[last], int64(c))
 			}
-			for last, ids := range byName {
-				put(TCustIdx, CIdxKey(w, d, last), encodeIDList(ids))
+			// Install in name order: a B+tree's page layout depends on
+			// insert order, so map order here would give a paged engine a
+			// different tree every load.
+			lasts := make([]string, 0, len(byName))
+			for last := range byName {
+				lasts = append(lasts, last)
+			}
+			sort.Strings(lasts)
+			for _, last := range lasts {
+				put(TCustIdx, CIdxKey(w, d, last), encodeIDList(byName[last]))
 			}
 		}
 	}

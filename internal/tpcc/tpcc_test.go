@@ -1,11 +1,14 @@
 package tpcc
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"xssd/internal/btree"
 	"xssd/internal/db"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
@@ -363,5 +366,35 @@ func TestPipelineDepthIgnoredWithoutWAL(t *testing.T) {
 	Load(eng, cfg, 1)
 	if client := NewClient(eng, cfg, 42, 1); client.Pipeline() != nil {
 		t.Fatal("volatile engine cannot have a commit pipeline")
+	}
+}
+
+// TestLoadGivesOneTreeLayoutPerSeed loads the same (cfg, seed) into fresh
+// paged engines and requires byte-identical checkpoint images: a B+tree's
+// page layout depends on insert order, so any map-order leak in the loader
+// shows up here as differing pages.
+func TestLoadGivesOneTreeLayoutPerSeed(t *testing.T) {
+	snapshot := func() db.Checkpoint {
+		pager := btree.NewPager(btree.NewMemStore(1024, 1<<20), btree.Config{PoolPages: 16})
+		eng := db.NewPaged(sim.NewEnv(1), nil, pager)
+		Load(eng, smallConfig(), 7)
+		ck, err := eng.BeginCheckpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	want := snapshot()
+	for i := 0; i < 5; i++ {
+		got := snapshot()
+		if !reflect.DeepEqual(got.Tables, want.Tables) || len(got.Snap.Images) != len(want.Snap.Images) {
+			t.Fatalf("load %d: %d pages, roots %v; first load %d pages, roots %v",
+				i, len(got.Snap.Images), got.Tables, len(want.Snap.Images), want.Tables)
+		}
+		for j, img := range got.Snap.Images {
+			if w := want.Snap.Images[j]; img.ID != w.ID || !bytes.Equal(img.Data, w.Data) {
+				t.Fatalf("load %d: page image %d (id %d) differs from the first load's (id %d)", i, j, img.ID, w.ID)
+			}
+		}
 	}
 }

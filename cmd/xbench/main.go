@@ -129,23 +129,23 @@ func main() {
 	case *suite != "":
 		fmt.Fprintf(os.Stderr, "xbench: unknown suite %q (\"perf\", \"latency\", or \"shard\")\n", *suite)
 		os.Exit(2)
-	case *chaosRun && *shards > 0:
-		if err := chaos.SweepShard(os.Stdout, *seeds, *shards, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	case *chaosRun || *failoverRun:
+		// One sweep; the flags pick the scenario generator. The axes are
+		// not composed yet (chaos.Run rejects the pairs), so a flag set
+		// naming two of them is a usage error, not a silent pick of one.
+		gen := chaos.DefaultScenario
+		switch {
+		case *chaosRun && *failoverRun, *failoverRun && (*shards > 0 || *paged), *shards > 0 && *paged:
+			fmt.Fprintln(os.Stderr, "xbench: -failover, -chaos -shards N and -chaos -paged select different sweeps; give one")
+			os.Exit(2)
+		case *failoverRun:
+			gen = chaos.DefaultFailoverScenario
+		case *shards > 0:
+			gen = func(seed int64) chaos.Scenario { return chaos.DefaultShardScenario(seed, *shards) }
+		case *paged:
+			gen = chaos.DefaultPagedScenario
 		}
-	case *chaosRun && *paged:
-		if err := chaos.SweepPaged(os.Stdout, *seeds, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *chaosRun:
-		if err := chaos.SweepWorkers(os.Stdout, *seeds, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *failoverRun:
-		if err := chaos.SweepFailoverWorkers(os.Stdout, *seeds, *workers); err != nil {
+		if err := chaos.Sweep(os.Stdout, gen, *seeds, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -19,17 +19,20 @@
 //	I9  recovering from (last complete checkpoint + WAL tail) is
 //	    bit-identical to a full replay of the durable stream, and replays
 //	    strictly fewer records once a checkpoint completed — paged runs
-//	    check it against the primary's own page slots, classic and
-//	    sharded runs against a synthetic checkpoint schedule (paged.go).
+//	    check it against the primary's own page slots, every other run
+//	    against a synthetic checkpoint schedule (paged.go).
+//
+// I6-I7 (takeover safety and determinism) and I8 (cross-shard atomicity)
+// belong to the KillAt and Shards axes: failover.go, shard.go. There is
+// one Scenario, one Run and one Sweep, and the prefix disciplines behind
+// I1-I3 are stated once (invariants.go) for every runner to call.
 //
 // A Scenario is fully deterministic: (Seed, Plan) and the cluster shape
 // determine every event, so any violation replays exactly.
 package chaos
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -37,6 +40,7 @@ import (
 	"xssd/internal/ckpt"
 	"xssd/internal/core"
 	"xssd/internal/db"
+	"xssd/internal/failover"
 	"xssd/internal/fault"
 	"xssd/internal/metrics"
 	"xssd/internal/nand"
@@ -63,7 +67,12 @@ const chaosStallTimeout = 2 * time.Millisecond
 
 // Scenario describes one chaos run. (Seed, Plan) plus the shape fields
 // fully determine the execution; Run on an identical Scenario replays
-// identically (invariant I5).
+// identically (invariants I5 and I7).
+//
+// Shards, Paged and KillAt are the axes beyond the replicated single
+// primary. Each is implemented against the plain configuration only, so
+// Run rejects any two of them together rather than silently dropping one
+// (see validate).
 type Scenario struct {
 	// Seed seeds the simulation environment (and hence the workload and
 	// every prob-triggered fault decision).
@@ -90,23 +99,31 @@ type Scenario struct {
 	// runner over the identical topology. Runs with the same (Seed, Plan,
 	// shape) and any SimWorkers >= 1 are byte-identical to each other;
 	// they are a different topology (hence different fingerprints) than
-	// SimWorkers == 0.
+	// SimWorkers == 0. A takeover serializes the group permanently at its
+	// barrier, so promotion rewiring and the re-bound host stream are
+	// race-free under any worker count.
 	SimWorkers int
 	// Shards, when > 0, runs the sharded-cluster scenario instead of the
 	// single-primary one: Shards primary devices partitioning 2*Shards
 	// warehouses, cross-shard 2PC, and invariant I8 on top of the
-	// classics (see shard.go). 0 keeps the classic path byte-identical
-	// to its pre-sharding behavior.
+	// classics (see shard.go).
 	Shards int
 	// Paged stores the database in B+tree pages behind a buffer pool
 	// (internal/btree), destaged to a conventional-side LBA range of the
 	// primary, with a background fuzzy-checkpoint manager (internal/ckpt)
 	// bounding recovery to the WAL tail — and checks invariant I9 against
-	// the device's own checkpointed page slots (see paged.go). false
-	// keeps the classic in-memory row-map engine byte-identical to its
-	// pre-paging behavior; those runs still check I9 post mortem against
-	// a synthetic checkpoint schedule that costs no virtual time.
+	// the device's own checkpointed page slots (see paged.go). Every other
+	// run keeps the in-memory row-map engine and checks I9 post mortem
+	// against a synthetic checkpoint schedule that costs no virtual time.
 	Paged bool
+	// KillAt, when > 0, kills whichever device is primary at that instant
+	// and lets a failover.Manager promote a survivor mid-workload
+	// (invariants I6-I7, see failover.go). It needs at least one secondary
+	// and must fall inside the window, after boot (the first millisecond).
+	KillAt time.Duration
+	// Manager tunes the failover manager of a KillAt run; zero fields
+	// take defaults.
+	Manager failover.Config
 }
 
 func (s Scenario) withDefaults() Scenario {
@@ -125,6 +142,59 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
+// validate rejects a scenario the harness cannot run as asked: a
+// malformed plan, a kill with no survivor or outside the window, or two
+// axes that are not composed yet — each pair would run with one axis
+// quietly ignored while the summary claimed its invariant. Call after
+// withDefaults.
+func (s Scenario) validate() error {
+	if err := s.Plan.Validate(); err != nil {
+		return fmt.Errorf("chaos: %w", err)
+	}
+	kill := s.KillAt != 0
+	uncomposed := func(pair, why string) error {
+		return fmt.Errorf("chaos: scenario combines %s, which are not composed yet (%s)", pair, why)
+	}
+	switch {
+	case kill && s.Secondaries < 1:
+		return fmt.Errorf("chaos: failover needs at least one secondary")
+	case kill && (s.KillAt < 0 || s.KillAt >= s.Window):
+		return fmt.Errorf("chaos: kill time %v outside the window %v", s.KillAt, s.Window)
+	case s.Shards > 0 && s.Paged:
+		return uncomposed("Shards and Paged", "shard.Cluster builds row-map engines")
+	case s.Shards > 0 && kill:
+		return uncomposed("Shards and KillAt", "shard.Cluster has no failover manager")
+	case s.Paged && kill:
+		return uncomposed("Paged and KillAt", "the page store stays bound to the dead primary")
+	}
+	return nil
+}
+
+// invariants names what Run checks on this scenario's axes, for the
+// sweep summary.
+func (s Scenario) invariants() string {
+	switch {
+	case s.KillAt > 0:
+		return "I1-I3 on the survivors, I9 + I6-I7"
+	case s.Shards > 0:
+		return "I1-I3, I5, I9 + I8"
+	default:
+		return "I1-I5 + I9"
+	}
+}
+
+// randomScheme draws one of the three replication schemes.
+func randomScheme(rng *rand.Rand) core.ReplicationScheme {
+	switch rng.Intn(3) {
+	case 0:
+		return core.Eager
+	case 1:
+		return core.Lazy
+	default:
+		return core.Chain
+	}
+}
+
 // DefaultScenario derives a randomized scenario from a seed: cluster
 // shape, replication scheme, and a fault.RandomPlan all follow from the
 // seed, so a sweep over seeds explores the space reproducibly.
@@ -132,14 +202,7 @@ func DefaultScenario(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	s := Scenario{Seed: seed, Secondaries: rng.Intn(3)}.withDefaults()
 	if s.Secondaries > 0 {
-		switch rng.Intn(3) {
-		case 0:
-			s.Scheme = core.Eager
-		case 1:
-			s.Scheme = core.Lazy
-		default:
-			s.Scheme = core.Chain
-		}
+		s.Scheme = randomScheme(rng)
 	}
 	s.Plan = fault.RandomPlan(rng, s.Window, s.Secondaries > 0, PrimaryName)
 	return s
@@ -152,11 +215,11 @@ type Result struct {
 	Seed        int64
 	Secondaries int
 	Scheme      core.ReplicationScheme
-	PowerLost   bool
+	PowerLost   bool // a primary lost power (always, on a KillAt run)
 
 	Commits  int64 // committed transactions (live engine)
-	Written  int64 // bytes the host handed to the sink
-	Destaged int64 // bytes the primary moved to the conventional side
+	Written  int64 // bytes of the oracle stream: what the host handed to the sink
+	Destaged int64 // bytes the (final) primary moved to the conventional side
 	Durable  int64 // final durable horizon of the WAL
 	Firings  int   // fault rules that fired
 	Events   int64 // simulator events dispatched (perf-suite accounting)
@@ -167,6 +230,18 @@ type Result struct {
 
 	StallSeen     bool          // status register showed StatusReplicaStalled
 	MaxSuppressed time.Duration // longest observed shadow-suppression stretch
+
+	// KillAt runs only. PreKillCommits and DurableAtKill snapshot what the
+	// takeover must preserve; Promoted, ResumeAt, Replayed, Backfilled
+	// mirror the manager's Takeover record and DetectToLive is its
+	// promotion latency.
+	PreKillCommits int64
+	DurableAtKill  int64
+	Promoted       string
+	ResumeAt       int64
+	Replayed       int64
+	Backfilled     int64
+	DetectToLive   time.Duration
 
 	// MixLatency summarizes per-worker transaction-mix latency, sampled
 	// through a deterministic bounded reservoir (memory stays flat however
@@ -242,22 +317,42 @@ type stallMonitor struct {
 	maxSuppressed time.Duration
 }
 
-// Run executes one scenario and checks invariants I1-I4 (I5 is checked
-// by the caller across two runs, via Result.Fingerprint). The returned
-// error reports harness failures; invariant breaches land in
-// Result.Violations.
+// Run executes one scenario and checks every invariant its axes give a
+// precondition for (I5/I7 is checked by the caller across two runs, via
+// Result.Fingerprint and Result.Metrics). The returned error reports
+// harness failures and scenarios the harness cannot run as asked;
+// invariant breaches land in Result.Violations.
 func Run(s Scenario) (*Result, error) {
 	s = s.withDefaults()
-	if err := s.Plan.Validate(); err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
+	if err := s.validate(); err != nil {
+		return nil, err
 	}
 	if s.Shards > 0 {
 		return runSharded(s)
 	}
+	return runSingle(s)
+}
+
+// runSingle is the single-primary runner: one primary, its secondaries,
+// one host-side WAL + engine + TPC-C workers, with the boot taking the
+// kill, paged or classic arm.
+//
+// Every pinned fingerprint digests the exact event history, and a kill
+// run's differs from the others' in five places. Those stay, as the
+// `kill` branches marked (1)-(5): folding any of them would re-pin every
+// failover fingerprint for no change in what is checked.
+func runSingle(s Scenario) (*Result, error) {
+	kill := s.KillAt > 0
+	plan := s.Plan
+	if kill {
+		plan = &fault.Plan{Rules: append(append([]fault.Rule(nil), s.Plan.Rules...), fault.Rule{
+			Trigger: fault.TriggerAt, At: s.KillAt, Point: fault.PrimaryKill, Action: fault.ActionFail,
+		})}
+	}
 
 	// Injectors attach inside newEngine, before building devices, so
 	// at-time power-loss rules arm.
-	en := newEngine(s.Seed, s.SimWorkers, s.Secondaries, s.Plan)
+	en := newEngine(s.Seed, s.SimWorkers, s.Secondaries, plan)
 	defer en.detach()
 	defer en.close()
 	env := en.host
@@ -277,18 +372,50 @@ func Run(s Scenario) (*Result, error) {
 	}
 
 	tcfg := tpcc.Config{Warehouses: 2, Districts: 2, CustomersPerDistrict: 8, Items: 40, FillerLen: 10}
+	load := func(e *db.Engine) { tpcc.Load(e, tcfg, loadSeed) }
 	// Mix-latency reservoir: seeded from the env's RNG (one draw, before
 	// any process runs) so eviction choices replay identically.
-	mixLat := metrics.NewReservoir(256, rand.New(rand.NewSource(env.Rand().Int63())))
+	// (1) Kill runs seed it from the scenario seed instead: they never
+	// drew here, and one more draw shifts every later random choice.
+	mixSeed := s.Seed
+	if !kill {
+		mixSeed = env.Rand().Int63()
+	}
+	mixLat := metrics.NewReservoir(256, rand.New(rand.NewSource(mixSeed)))
 	var (
 		written   []byte
 		lg        *wal.Log
 		eng       *db.Engine
-		mgr       *ckpt.Manager
+		ckptMgr   *ckpt.Manager
+		fo        *failover.Manager
 		pagedBase int64
 		bootErr   error
 		stop      bool
 	)
+	r := &Result{Seed: s.Seed, Secondaries: s.Secondaries, Scheme: s.Scheme}
+
+	if kill {
+		// The kill: resolve "the current primary" when the rule fires, and
+		// snapshot the committed state the takeover must preserve. The
+		// rule is armed on the host member's injector: the hook reads
+		// host-side state (engine stats, durable LSN) and the primary lives
+		// on the host member, so the power loss lands on the victim's own
+		// Env.
+		en.injs[0].OnTime(fault.PrimaryKill, "", func() {
+			p := cluster.Primary()
+			if p == nil || p.PowerLost() {
+				return
+			}
+			if eng != nil {
+				r.PreKillCommits, _ = eng.Stats()
+			}
+			if lg != nil {
+				r.DurableAtKill = lg.DurableLSN()
+			}
+			p.InjectPowerLoss()
+		})
+	}
+
 	env.Go("chaos-boot", func(p *sim.Proc) {
 		if cluster != nil {
 			if s.Scheme == core.Chain {
@@ -300,8 +427,21 @@ func Run(s Scenario) (*Result, error) {
 				return
 			}
 		}
-		sink := &recordingSink{inner: wal.NewVillarsSink(p, prim, "chaos"), buf: &written}
-		lg = wal.NewLog(env, sink, wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond})
+		sink := wal.NewVillarsSink(p, prim, "chaos")
+		wcfg := wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond}
+		if kill {
+			// (2) No host recording — two sinks will see traffic. The log
+			// retains the flushed stream instead: the takeover's backfill
+			// and tail replay are served from that copy (paper §7.1 assigns
+			// catch-up transfer to the database), and so is the oracle. The
+			// manager starts right after the log: its watchdog's spawn
+			// order relative to the workers is part of the event history.
+			wcfg.Retain = true
+			lg = wal.NewLog(env, sink, wcfg)
+			fo = failover.New(env, cluster, lg, sink, s.Manager)
+		} else {
+			lg = wal.NewLog(env, &recordingSink{inner: sink, buf: &written}, wcfg)
+		}
 		if s.Paged {
 			// Page slots live above the destage rings on the conventional
 			// side; DMA staging sits at the top of host memory (the WAL
@@ -314,19 +454,24 @@ func Run(s Scenario) (*Result, error) {
 			store := btree.NewDeviceStore(prim, pagedBase, pagedSlots, scratch)
 			pager := btree.NewPager(store, btree.Config{PoolPages: pagedPool, Scope: obs.For(env).Scope(PrimaryName + "/pager")})
 			eng = db.NewPaged(env, lg, pager)
-			mgr = ckpt.NewManager(eng, lg, ckpt.Config{Interval: pagedCkptInterval, Scope: obs.For(env).Scope(PrimaryName + "/ckpt")})
-			env.Go("chaos-ckpt", mgr.Run)
+			ckptMgr = ckpt.NewManager(eng, lg, ckpt.Config{Interval: pagedCkptInterval, Scope: obs.For(env).Scope(PrimaryName + "/ckpt")})
+			env.Go("chaos-ckpt", ckptMgr.Run)
 		} else {
 			eng = db.New(env, lg)
 		}
-		tpcc.Load(eng, tcfg, loadSeed)
+		load(eng)
+		// (3) Workers exit with a dead log — except on kill runs, where
+		// they outlive the primary: they block on backlog back-pressure
+		// while the pipeline is down and resume once the takeover restarts
+		// it.
+		done := func() bool { return stop || (!kill && lg.Dead()) }
 		for w := 0; w < s.Workers; w++ {
 			w := w
 			env.Go(fmt.Sprintf("chaos-worker-%d", w), func(p *sim.Proc) {
 				client := tpcc.NewClient(eng, tcfg, s.Seed*97+int64(w)+1, w%tcfg.Warehouses+1)
-				for !stop && !lg.Dead() {
+				for !done() {
 					lg.WaitBacklog(p, 32<<10)
-					if stop || lg.Dead() {
+					if done() {
 						return
 					}
 					// Think time sized so a window's worth of log traffic
@@ -345,7 +490,10 @@ func Run(s Scenario) (*Result, error) {
 	})
 
 	mon := &stallMonitor{}
-	if cluster != nil {
+	// (4) Kill runs have no stall monitor — it costs events, and the
+	// register it polls dies with the primary — and, below, do not wait
+	// out a post-crash drain: the takeover is their recovery.
+	if cluster != nil && !kill {
 		// Direct peers of the primary: the replicas whose staleness the
 		// primary's own status register is responsible for surfacing. In
 		// a chain the primary only watches its successor.
@@ -406,36 +554,30 @@ func Run(s Scenario) (*Result, error) {
 		return nil, fmt.Errorf("chaos: boot: %w", bootErr)
 	}
 	stop = true
-	if mgr != nil {
+	if ckptMgr != nil {
 		// Exit after the in-flight attempt (if any) so the checkpoint
 		// record traffic quiesces inside the settle window — the no-crash
 		// I1 checks demand a drained WAL at the cut.
-		mgr.Stop()
+		ckptMgr.Stop()
 	}
 	en.runUntil(s.Window + s.Settle)
+	if fo != nil {
+		fo.Stop()
+	}
 
-	r := &Result{Seed: s.Seed, Secondaries: s.Secondaries, Scheme: s.Scheme}
 	r.PowerLost = prim.PowerLost()
-	if r.PowerLost && !prim.Drained() {
+	if !kill && r.PowerLost && !prim.Drained() {
 		en.runUntil(en.now() + 300*time.Millisecond)
 	}
-	violate := func(format string, args ...any) {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	v := &violations{}
 
-	r.Written = int64(len(written))
-	r.Destaged = prim.Destage().DestagedStream()
-	if lg != nil {
-		r.Durable = lg.DurableLSN()
-	}
-	if eng != nil {
-		r.Commits, _ = eng.Stats()
-	}
+	r.Durable = lg.DurableLSN()
+	r.Commits, _ = eng.Stats()
 	r.Firings = en.firings()
 	r.StallSeen = mon.seen
 	r.MaxSuppressed = mon.maxSuppressed
-	if mgr != nil {
-		r.Checkpoints = mgr.Completed()
+	if ckptMgr != nil {
+		r.Checkpoints = ckptMgr.Completed()
 	}
 
 	// Live-engine fingerprint. The classic engine walks in-memory maps;
@@ -446,125 +588,72 @@ func Run(s Scenario) (*Result, error) {
 	// live fingerprint is deterministically skipped.
 	var liveFP uint64
 	liveFPOK := false
-	if eng != nil {
-		if !s.Paged {
-			liveFP, liveFPOK = eng.Fingerprint(), true
-		} else if !r.PowerLost {
-			env.Go("chaos-paged-livefp", func(p *sim.Proc) {
-				liveFP = eng.FingerprintIn(p)
-				liveFPOK = true
-			})
-			env.RunUntil(env.Now() + 100*time.Millisecond)
-			if !liveFPOK {
-				violate("I9: live paged fingerprint walk did not finish")
-			}
+	if !s.Paged {
+		liveFP, liveFPOK = eng.Fingerprint(), true
+	} else if !r.PowerLost {
+		env.Go("chaos-paged-livefp", func(p *sim.Proc) {
+			liveFP = eng.FingerprintIn(p)
+			liveFPOK = true
+		})
+		env.RunUntil(env.Now() + 100*time.Millisecond)
+		if !liveFPOK {
+			v.add("I9", "live paged fingerprint walk did not finish")
 		}
 	}
 
-	// ---- I3: secondaries hold a prefix of the primary's stream --------
-	primFr := prim.CMB().Ring().Frontier()
-	for i, sec := range devices[1:] {
-		ring := sec.CMB().Ring()
-		head, fr := ring.Head(), ring.Frontier()
-		if fr > r.Written {
-			violate("I3: %s frontier %d beyond host stream %d", sec.Name(), fr, r.Written)
-			continue
-		}
-		if fr > primFr {
-			violate("I3: %s frontier %d ran ahead of primary %d", sec.Name(), fr, primFr)
-			continue
-		}
-		if fr > head {
-			data, err := ring.Read(head, int(fr-head))
-			if err != nil {
-				violate("I3: %s ring read [%d,%d): %v", sec.Name(), head, fr, err)
-			} else if !bytes.Equal(data, written[head:fr]) {
-				violate("I3: %s ring bytes diverge from primary stream in [%d,%d)", sec.Name(), head, fr)
+	// Whose conventional side, whose replicas, against which stream: the
+	// primary and its secondaries against the host recording — or, after
+	// a takeover, the promoted device and the other survivors against the
+	// retained stream (conv is nil when the takeover left no device to
+	// inspect; checkTakeover has said why).
+	conv, replicas, oracle := prim, devices[1:], written
+	replicaLimit, converged := prim.CMB().Ring().Frontier(), !r.PowerLost
+	i1, i2, i3 := "I1", "I2", "I3"
+	if kill {
+		i1, i2, i3 = "I6", "I6", "I6"
+		conv, oracle = checkTakeover(v, r, fo, cluster, lg, prim)
+		replicas = nil
+		for _, d := range devices {
+			if !d.PowerLost() && d != conv {
+				replicas = append(replicas, d)
 			}
 		}
-		if !r.PowerLost && fr != primFr {
-			violate("I3: %s did not converge: frontier %d, primary %d (peer %d)", sec.Name(), fr, primFr, i)
-		}
+		replicaLimit, converged = r.Durable, true
 	}
+	r.Written = int64(len(oracle))
 
 	// ---- I4: a stale replica must be surfaced in the status register --
 	// One-directional: a long suppression stretch with data outstanding
 	// must raise the bit; the bit may also show for shorter transients.
 	if mon.maxSuppressed > 2*chaosStallTimeout && !mon.seen {
-		violate("I4: shadow suppressed for %v with data outstanding, stall bit never set", mon.maxSuppressed)
+		v.add("I4", "shadow suppressed for %v with data outstanding, stall bit never set", mon.maxSuppressed)
 	}
 
-	// ---- I1: gap-free conventional prefix -----------------------------
-	if r.PowerLost {
-		if !prim.Drained() {
-			violate("I1: primary not drained after power loss")
-		}
-		if lg != nil && r.Destaged < r.Durable {
-			violate("I1: destaged %d < durable horizon %d", r.Destaged, r.Durable)
-		}
-	} else if lg != nil {
-		if bl := lg.Backlog(); bl != 0 {
-			violate("I1: WAL backlog %d after settle with no crash", bl)
-		}
-		if r.Destaged != r.Written {
-			violate("I1: destaged %d != written %d with no crash", r.Destaged, r.Written)
-		}
-		if primFr != r.Written {
-			violate("I1: primary ring frontier %d != written %d with no crash", primFr, r.Written)
-		}
-	}
-	_, slots := prim.Destage().LBARing()
-	if prim.Destage().TailLBA() > slots {
-		// The workload outran the destage LBA ring and early slots were
-		// recycled; the whole-stream verifier below would read garbage.
-		// Scenario parameters are sized to keep this from happening.
-		return nil, fmt.Errorf("chaos: stream wrapped the destage ring (%d slots): shrink the window or workload", slots)
-	}
-	prefix, err := flashPrefix(prim)
-	if err != nil {
-		violate("I1: %v", err)
-	} else {
-		if int64(len(prefix)) != r.Destaged {
-			violate("I1: flash prefix %d bytes, destage counter %d", len(prefix), r.Destaged)
-		}
-		if int64(len(prefix)) > r.Written {
-			violate("I1: flash prefix %d beyond host stream %d", len(prefix), r.Written)
-		} else if !bytes.Equal(prefix, written[:len(prefix)]) {
-			violate("I1: flash prefix diverges from host stream (first %d bytes)", len(prefix))
-		}
-	}
+	if conv != nil {
+		// ---- I3: replicas hold a prefix of the stream -----------------
+		checkReplicaPrefix(v, i3, replicas, oracle, replicaLimit, converged)
 
-	// ---- I2: crash-recovery equality ----------------------------------
-	if lg != nil && err == nil && int64(len(prefix)) <= r.Written {
-		recovered := db.New(env, nil)
-		tpcc.Load(recovered, tcfg, loadSeed)
-		if rerr := recovered.Recover(wal.DecodeAll(prefix)); rerr != nil {
-			violate("I2: recover from flash prefix: %v", rerr)
-		} else {
-			oracle := db.New(env, nil)
-			tpcc.Load(oracle, tcfg, loadSeed)
-			if oerr := oracle.Recover(wal.DecodeAll(written[:len(prefix)])); oerr != nil {
-				violate("I2: replay host stream: %v", oerr)
-			}
-			if recovered.Fingerprint() != oracle.Fingerprint() {
-				violate("I2: recovered state diverges from host-stream replay")
-			}
-			if !r.PowerLost && liveFPOK && recovered.Fingerprint() != liveFP {
-				violate("I2: recovered state != live engine with no crash")
-			}
+		// ---- I1: gap-free conventional prefix -------------------------
+		r.Destaged = conv.Destage().DestagedStream()
+		prefix, err := checkConventionalPrefix(v, i1, conv, lg, oracle)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: %w", err)
 		}
-	}
-
-	// ---- I9: checkpoint-bounded recovery equality ---------------------
-	if lg != nil && err == nil && int64(len(prefix)) <= r.Written {
-		records := wal.DecodeAll(prefix)
-		if s.Paged {
-			for _, v := range livePagedI9(prim, pagedBase, r.Checkpoints, records, tcfg, liveFP, liveFPOK) {
-				violate("%s", v)
+		if prefix != nil {
+			// ---- I2: crash-recovery equality --------------------------
+			// A takeover leaves the live engine running on the survivor,
+			// so the two stay comparable across that crash.
+			records := wal.DecodeAll(prefix)
+			recovered := checkRecovery(v, i2, env, load, prefix, oracle, liveFP, liveFPOK && (kill || !r.PowerLost))
+			if kill {
+				checkCommittedSurvive(v, r, recovered, records)
 			}
-		} else {
-			for _, v := range syntheticPagedI9(s.Seed, records, func(e *db.Engine) { tpcc.Load(e, tcfg, loadSeed) }) {
-				violate("%s", v)
+
+			// ---- I9: checkpoint-bounded recovery equality -------------
+			if s.Paged {
+				v.extend(livePagedI9(prim, pagedBase, r.Checkpoints, records, tcfg, liveFP, liveFPOK))
+			} else {
+				v.extend(syntheticPagedI9(s.Seed, records, load))
 			}
 		}
 	}
@@ -581,144 +670,19 @@ func Run(s Scenario) (*Result, error) {
 		fp = mix64(fp, liveFP)
 	}
 	fp = mix64(fp, uint64(r.Commits))
-	fp = mix64(fp, uint64(r.Written))
-	fp = mix64(fp, uint64(r.Destaged))
+	// (5) Kill runs fold the takeover record where the others fold the
+	// stream counters; one formula would re-pin one kind for nothing.
+	ingredients := []int64{r.Written, r.Destaged}
+	if kill {
+		ingredients = []int64{r.Durable, r.ResumeAt, r.Replayed, r.Backfilled, int64(r.DetectToLive)}
+	}
+	for _, x := range ingredients {
+		fp = mix64(fp, uint64(x))
+	}
 	fp = mix64(fp, uint64(r.Firings))
 	fp = mix64(fp, snap.Fingerprint())
 	r.Fingerprint = fp
 	r.Events = en.events()
+	r.Violations = v.list
 	return r, nil
-}
-
-// flashPrefix reads the destage ring back through the FTL and reassembles
-// the stream prefix the conventional side holds, failing on any gap or
-// malformed page (the read itself runs in virtual time). The verifier
-// process runs on the device's own Env: under the group runner a promoted
-// device lives in its own member, and its NAND timers must dispatch on
-// the same event loop the verifier sleeps on. The run is post-mortem
-// (single-threaded), so driving one member directly is race-free.
-func flashPrefix(d *villars.Device) ([]byte, error) {
-	env := d.Env()
-	base, count := d.Destage().LBARing()
-	var got []byte
-	var rerr error
-	env.Go("chaos-flash-verify", func(p *sim.Proc) {
-		for slot := int64(0); slot < d.Destage().TailLBA(); slot++ {
-			page, err := d.FTL().Read(p, base+slot%count)
-			if err != nil {
-				rerr = fmt.Errorf("flash prefix: read slot %d: %w", slot, err)
-				return
-			}
-			off, n, ok := villars.DecodePageHeader(page)
-			if !ok {
-				rerr = fmt.Errorf("flash prefix: slot %d is not a destage page", slot)
-				return
-			}
-			if off != int64(len(got)) {
-				rerr = fmt.Errorf("flash prefix: slot %d at stream offset %d, want %d (gap)", slot, off, len(got))
-				return
-			}
-			got = append(got, page[villars.PageHeaderLen:villars.PageHeaderLen+n]...)
-		}
-	})
-	env.RunUntil(env.Now() + 50*time.Millisecond)
-	return got, rerr
-}
-
-// SeedResult pairs the two runs of one seed in a sweep, with the
-// cross-run I5 violations merged into the first run's own.
-type SeedResult struct {
-	// Seed is the swept seed.
-	Seed int64
-	// First and Second are the paired runs of the identical scenario.
-	First, Second *Result
-	// Violations merges First's invariant breaches with the I5 pair checks.
-	Violations []string
-}
-
-// SweepResults runs DefaultScenario for each seed twice — checking
-// invariants I1-I4 inside each run and I5 (bitwise reproducibility)
-// across the pair — and returns the per-seed outcomes for callers that
-// post-process them (the CLI prints them; tests pin the sweep's Fold).
-func SweepResults(seeds int) ([]SeedResult, error) {
-	return SweepResultsWorkers(seeds, 0)
-}
-
-// SweepResultsWorkers is SweepResults under a chosen engine: simWorkers is
-// copied into every scenario (0 = classic single-Env scheduler, n >= 1 =
-// parallel group runner with n quantum executors). Both runs of a pair use
-// the same engine; cross-engine equivalence is the differential suite's job.
-func SweepResultsWorkers(seeds, simWorkers int) ([]SeedResult, error) {
-	out := make([]SeedResult, 0, seeds)
-	for seed := 0; seed < seeds; seed++ {
-		sc := DefaultScenario(int64(seed))
-		sc.SimWorkers = simWorkers
-		r1, err := Run(sc)
-		if err != nil {
-			return nil, err
-		}
-		r2, err := Run(sc)
-		if err != nil {
-			return nil, err
-		}
-		sr := SeedResult{Seed: int64(seed), First: r1, Second: r2}
-		sr.Violations = append(sr.Violations, r1.Violations...)
-		if r2.Fingerprint != r1.Fingerprint {
-			sr.Violations = append(sr.Violations, fmt.Sprintf("I5: re-run fingerprint %016x != %016x", r2.Fingerprint, r1.Fingerprint))
-		}
-		if !bytes.Equal(r1.Metrics, r2.Metrics) {
-			sr.Violations = append(sr.Violations, "I5: re-run metrics snapshots differ")
-		}
-		out = append(out, sr)
-	}
-	return out, nil
-}
-
-// Fold digests a sweep into one fingerprint: FNV-1a over the
-// (seed, run-fingerprint) sequence. The fold is order-sensitive by
-// design — a sweep's identity includes its schedule, so the same results
-// visited in a different order produce a different digest.
-func Fold(results []SeedResult) uint64 {
-	h := uint64(fnvOffset)
-	for _, r := range results {
-		h = mix64(h, uint64(r.Seed))
-		if r.First != nil {
-			h = mix64(h, r.First.Fingerprint)
-		}
-	}
-	return h
-}
-
-// Sweep runs SweepResults and writes one summary line per seed plus the
-// final fold. It returns an error listing every violation, or nil when
-// all seeds hold.
-func Sweep(w io.Writer, seeds int) error {
-	return SweepWorkers(w, seeds, 0)
-}
-
-// SweepWorkers is Sweep under a chosen engine (see SweepResultsWorkers).
-func SweepWorkers(w io.Writer, seeds, simWorkers int) error {
-	results, err := SweepResultsWorkers(seeds, simWorkers)
-	if err != nil {
-		return err
-	}
-	total := 0
-	for _, sr := range results {
-		r1 := sr.First
-		scheme := "-"
-		if r1.Secondaries > 0 {
-			scheme = r1.Scheme.String()
-		}
-		fmt.Fprintf(w, "seed %3d  sec=%d scheme=%-5s crash=%-5v commits=%-5d written=%-7d destaged=%-7d faults=%-2d fp=%016x\n",
-			sr.Seed, r1.Secondaries, scheme, r1.PowerLost, r1.Commits, r1.Written, r1.Destaged, r1.Firings, r1.Fingerprint)
-		for _, v := range sr.Violations {
-			fmt.Fprintf(w, "          VIOLATION %s\n", v)
-		}
-		total += len(sr.Violations)
-	}
-	if total > 0 {
-		return fmt.Errorf("chaos: %d invariant violations across %d seeds", total, seeds)
-	}
-	fmt.Fprintf(w, "chaos: %d seeds × 2 runs, invariants I1-I5 hold, fold %016x\n", seeds, Fold(results))
-	return nil
 }

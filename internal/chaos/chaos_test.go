@@ -2,7 +2,8 @@ package chaos
 
 import (
 	"bytes"
-	"io"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,14 +82,45 @@ at 14ms device.power@p fail
 
 // Sweep is the xbench -chaos entry point; keep a small always-on run so
 // the end-to-end path (two runs per seed, I5 cross-check, reporting)
-// stays exercised in CI.
+// stays exercised in CI — and pin its fold, so a drift in any classic
+// fingerprint fails here instead of waiting for someone to diff sweeps.
 func TestSweepSmall(t *testing.T) {
-	seeds := 3
+	seeds, want := 3, uint64(0xfbad9bca076df175)
 	if testing.Short() {
-		seeds = 2
+		seeds, want = 2, 0x1dcf304b1af391f1
 	}
-	if err := Sweep(io.Discard, seeds); err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	if err := Sweep(&buf, DefaultScenario, seeds, 0); err != nil {
+		t.Fatalf("%v\n%s", err, buf.String())
+	}
+	if fold := fmt.Sprintf("fold %016x", want); !strings.Contains(buf.String(), fold) {
+		t.Errorf("classic %d-seed sweep: want %q in\n%s", seeds, fold, buf.String())
+	}
+}
+
+// TestRunRejectsUncomposedAxes: a scenario naming two axes the harness
+// cannot run together (or a kill it cannot stage) must come back as an
+// error, never as a run with one axis dropped and a green summary.
+func TestRunRejectsUncomposedAxes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		want string
+	}{
+		{"shards×paged", Scenario{Shards: 2, Paged: true}, "Shards and Paged"},
+		{"shards×kill", Scenario{Shards: 2, Secondaries: 1, KillAt: 8 * time.Millisecond}, "Shards and KillAt"},
+		{"paged×kill", Scenario{Paged: true, Secondaries: 1, KillAt: 8 * time.Millisecond}, "Paged and KillAt"},
+		{"kill without a survivor", Scenario{KillAt: 8 * time.Millisecond}, "at least one secondary"},
+		{"kill after the window", Scenario{Secondaries: 1, KillAt: 30 * time.Millisecond}, "outside the window"},
+		{"kill before time zero", Scenario{Secondaries: 1, KillAt: -time.Millisecond}, "outside the window"},
+		{"malformed plan", Scenario{Plan: &fault.Plan{Rules: []fault.Rule{{Point: "no.such.point"}}}}, "rule 0"},
+	} {
+		r, err := Run(tc.sc)
+		if err == nil {
+			t.Errorf("%s: Run accepted the scenario (violations %v)", tc.name, r.Violations)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
 	}
 }
 

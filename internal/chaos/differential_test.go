@@ -71,11 +71,11 @@ func TestChaosSerialParallelDifferential(t *testing.T) {
 // bit at every worker count (I7 across runners).
 func TestFailoverSerialParallelDifferential(t *testing.T) {
 	for _, seed := range diffSeeds(t) {
-		var base *FailoverResult
+		var base *Result
 		for _, w := range differentialWorkers {
 			sc := DefaultFailoverScenario(seed)
 			sc.SimWorkers = w
-			r, err := RunFailover(sc)
+			r, err := Run(sc)
 			if err != nil {
 				t.Fatalf("seed %d w=%d: %v", seed, w, err)
 			}
@@ -129,14 +129,15 @@ func TestGroupRunsReproduceAcrossRepeats(t *testing.T) {
 // them along with the survivors.
 func TestFailoverGroupReleasesGoroutines(t *testing.T) {
 	before := countGoroutines()
-	r, err := RunFailover(FailoverScenario{
+	r, err := Run(Scenario{
 		Seed:        11,
 		Secondaries: 3,
+		Window:      20 * time.Millisecond,
 		KillAt:      8 * time.Millisecond,
 		SimWorkers:  4,
 	})
 	if err != nil {
-		t.Fatalf("RunFailover: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if r.Promoted == "" {
 		t.Fatal("no promotion recorded")

@@ -1,97 +1,39 @@
-// Failover chaos harness: kill the primary mid-workload and check the
-// promotion invariants on top of the base harness's I1-I5:
+// Failover chaos: the Scenario.KillAt axis. The primary dies mid-workload,
+// a failover.Manager promotes a survivor, and on top of the prefix
+// disciplines (checked on the survivors, against the retained stream) the
+// run must show:
 //
-//	I6  every transaction committed before the kill is readable after the
-//	    takeover — the promoted device's flash holds a gap-free prefix of
-//	    the (single, duplicate-free) log stream covering the old durable
-//	    horizon, and recovering from it reproduces the live engine;
+//	I6  exactly one clean takeover, and every transaction committed before
+//	    the kill readable after it — the promoted device's flash holds a
+//	    gap-free prefix of the (single, duplicate-free) log stream covering
+//	    the old durable horizon, and recovering from it reproduces the live
+//	    engine;
 //	I7  the entire failover timeline — detection, election, truncation,
 //	    backfill, resume — replays bit for bit on a re-run.
 package chaos
 
 import (
-	"bytes"
-	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
-	"xssd/internal/core"
 	"xssd/internal/db"
 	"xssd/internal/failover"
 	"xssd/internal/fault"
 	"xssd/internal/repl"
-	"xssd/internal/sim"
-	"xssd/internal/tpcc"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
 )
-
-// FailoverScenario describes one primary-kill run. (Seed, KillAt, Plan)
-// plus the shape fields fully determine the execution; RunFailover on an
-// identical scenario replays identically (invariant I7).
-type FailoverScenario struct {
-	// Seed seeds the simulation environment (workload, fault decisions).
-	Seed int64
-	// Scheme is the replication scheme under test.
-	Scheme core.ReplicationScheme
-	// Secondaries is how many replicas to attach (at least 1 — a failover
-	// needs a survivor).
-	Secondaries int
-	// KillAt is when the primary loses power. Must leave room for boot
-	// (the first millisecond) and fall inside the window.
-	KillAt time.Duration
-	// Plan carries extra fault rules beside the kill (dropped mirror
-	// chunks, frozen shadows, ...); nil means none.
-	Plan *fault.Plan
-	// Workers is the number of TPC-C worker processes; 0 means 2.
-	Workers int
-	// Window is how long the workload runs; 0 means 20 ms.
-	Window time.Duration
-	// Settle is the post-window quiesce time; 0 means 20 ms.
-	Settle time.Duration
-	// Manager tunes the failover manager; zero fields take defaults.
-	Manager failover.Config
-	// SimWorkers selects the engine exactly as Scenario.SimWorkers does:
-	// 0 = classic single-Env scheduler, n >= 1 = parallel group runner
-	// with one member per device (host side with the primary) and n
-	// quantum executors. The takeover serializes the group permanently at
-	// its barrier, so promotion rewiring and the re-bound host stream are
-	// race-free under any worker count.
-	SimWorkers int
-}
-
-func (s FailoverScenario) withDefaults() FailoverScenario {
-	if s.Plan == nil {
-		s.Plan = &fault.Plan{}
-	}
-	if s.Workers <= 0 {
-		s.Workers = 2
-	}
-	if s.Window <= 0 {
-		s.Window = 20 * time.Millisecond
-	}
-	if s.Settle <= 0 {
-		s.Settle = 20 * time.Millisecond
-	}
-	return s
-}
 
 // DefaultFailoverScenario derives a randomized kill scenario from a seed:
 // cluster shape, scheme, kill time, and a background fault plan (without
 // extra power rules — exactly one device dies, the primary) all follow
 // from the seed.
-func DefaultFailoverScenario(seed int64) FailoverScenario {
+func DefaultFailoverScenario(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed))
-	s := FailoverScenario{Seed: seed, Secondaries: 1 + rng.Intn(3)}.withDefaults()
-	switch rng.Intn(3) {
-	case 0:
-		s.Scheme = core.Eager
-	case 1:
-		s.Scheme = core.Lazy
-	default:
-		s.Scheme = core.Chain
-	}
+	// 20 ms, not the 30 ms default: the pinned failover folds are digests
+	// of 20 ms runs, and a kill, a takeover and post-promotion traffic fit.
+	s := Scenario{Seed: seed, Secondaries: 1 + rng.Intn(3), Window: 20 * time.Millisecond}.withDefaults()
+	s.Scheme = randomScheme(rng)
 	// Kill inside the window's middle half: boot is long done, and the
 	// takeover plus post-promotion traffic still fit before the window ends.
 	s.KillAt = s.Window/4 + time.Duration(rng.Int63n(int64(s.Window/2)))
@@ -99,389 +41,73 @@ func DefaultFailoverScenario(seed int64) FailoverScenario {
 	return s
 }
 
-// FailoverResult summarizes one kill run.
-type FailoverResult struct {
-	Seed        int64
-	Secondaries int
-	Scheme      core.ReplicationScheme
-
-	Commits        int64 // committed transactions over the whole run
-	PreKillCommits int64 // committed before the primary died
-	DurableAtKill  int64 // durable horizon when the primary died
-	Durable        int64 // final durable horizon
-	Destaged       int64 // bytes the promoted device moved to flash
-	Firings        int   // fault rules that fired
-	Events         int64 // simulator events dispatched
-
-	// Promoted, ResumeAt, Replayed, Backfilled mirror the manager's
-	// Takeover record; DetectToLive is its promotion latency.
-	Promoted     string
-	ResumeAt     int64
-	Replayed     int64
-	Backfilled   int64
-	DetectToLive time.Duration
-
-	// Metrics is the canonical metrics snapshot; Fingerprint digests the
-	// full event history. Both must reproduce bit for bit on a re-run (I7).
-	Metrics     []byte
-	Fingerprint uint64
-	Violations  []string
-}
-
-// RunFailover executes one kill scenario and checks I6 (plus the base
-// harness's prefix disciplines on the survivors). I7 is checked by the
-// caller across two runs, via Fingerprint and Metrics.
-func RunFailover(s FailoverScenario) (*FailoverResult, error) {
-	s = s.withDefaults()
-	if s.Secondaries < 1 {
-		return nil, fmt.Errorf("chaos: failover needs at least one secondary")
-	}
-	if s.KillAt <= 0 || s.KillAt >= s.Window {
-		return nil, fmt.Errorf("chaos: kill time %v outside the window %v", s.KillAt, s.Window)
-	}
-	plan := &fault.Plan{Rules: append(append([]fault.Rule(nil), s.Plan.Rules...), fault.Rule{
-		Trigger: fault.TriggerAt, At: s.KillAt, Point: fault.PrimaryKill, Action: fault.ActionFail,
-	})}
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-
-	en := newEngine(s.Seed, s.SimWorkers, s.Secondaries, plan)
-	defer en.detach()
-	defer en.close()
-	env := en.host
-
-	prim := chaosDevice(env, PrimaryName)
-	devices := []*villars.Device{prim}
-	for i := 0; i < s.Secondaries; i++ {
-		devices = append(devices, chaosDevice(en.deviceEnv(i+1), fmt.Sprintf("s%d", i)))
-	}
-	cluster, err := repl.New(env, devices)
-	if err != nil {
-		return nil, err
-	}
-
-	tcfg := tpcc.Config{Warehouses: 2, Districts: 2, CustomersPerDistrict: 8, Items: 40, FillerLen: 10}
-	var (
-		lg      *wal.Log
-		eng     *db.Engine
-		mgr     *failover.Manager
-		bootErr error
-		stop    bool
-	)
-	r := &FailoverResult{Seed: s.Seed, Secondaries: s.Secondaries, Scheme: s.Scheme}
-
-	// The kill: resolve "the current primary" when the rule fires, and
-	// snapshot the committed state the takeover must preserve.
-	// The kill rule is armed on the host member's injector: the hook reads
-	// host-side state (engine stats, durable LSN) and the primary lives on
-	// the host member, so the power loss lands on the victim's own Env.
-	en.injs[0].OnTime(fault.PrimaryKill, "", func() {
-		p := cluster.Primary()
-		if p == nil || p.PowerLost() {
-			return
-		}
-		if eng != nil {
-			r.PreKillCommits, _ = eng.Stats()
-		}
-		if lg != nil {
-			r.DurableAtKill = lg.DurableLSN()
-		}
-		p.InjectPowerLoss()
-	})
-
-	env.Go("chaos-boot", func(p *sim.Proc) {
-		if s.Scheme == core.Chain {
-			bootErr = cluster.SetupChain(p)
-		} else {
-			bootErr = cluster.Setup(p, 0, s.Scheme)
-		}
-		if bootErr != nil {
-			return
-		}
-		// Retain the flushed stream: the takeover's backfill and tail
-		// replay are served from this copy (paper §7.1 assigns catch-up
-		// transfer to the database).
-		sink := wal.NewVillarsSink(p, prim, "chaos")
-		lg = wal.NewLog(env, sink, wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond, Retain: true})
-		mgr = failover.New(env, cluster, lg, sink, s.Manager)
-		eng = db.New(env, lg)
-		tpcc.Load(eng, tcfg, loadSeed)
-		for w := 0; w < s.Workers; w++ {
-			w := w
-			env.Go(fmt.Sprintf("chaos-worker-%d", w), func(p *sim.Proc) {
-				client := tpcc.NewClient(eng, tcfg, s.Seed*97+int64(w)+1, w%tcfg.Warehouses+1)
-				// Unlike the base harness, workers outlive the primary:
-				// they block on backlog back-pressure while the pipeline
-				// is down and resume once the takeover restarts it.
-				for !stop {
-					lg.WaitBacklog(p, 32<<10)
-					if stop {
-						return
-					}
-					p.Sleep(100 * time.Microsecond)
-					client.RunMixAsync(p)
-				}
-			})
-		}
-		en.release()
-	})
-
-	en.runUntil(s.Window)
-	if bootErr != nil {
-		return nil, fmt.Errorf("chaos: boot: %w", bootErr)
-	}
-	stop = true
-	en.runUntil(s.Window + s.Settle)
-	if mgr != nil {
-		mgr.Stop()
-	}
-
-	violate := func(format string, args ...any) {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
-
-	r.Firings = en.firings()
-	if eng != nil {
-		r.Commits, _ = eng.Stats()
-	}
-	if lg != nil {
-		r.Durable = lg.DurableLSN()
-	}
-
-	// ---- I6: exactly one clean takeover -------------------------------
-	takeovers := mgr.Takeovers()
-	if err := mgr.Err(); err != nil {
-		violate("I6: manager halted: %v", err)
+// checkTakeover checks the promotion half of I6 — one clean takeover that
+// lost none of the durable horizon — and fills r's takeover fields. It
+// returns the promoted device and the oracle stream the survivors are
+// held to; the device is nil when no survivor took over (reported here),
+// leaving nothing for the prefix checks to inspect.
+func checkTakeover(v *violations, r *Result, fo *failover.Manager, cluster *repl.Cluster, lg *wal.Log, dead *villars.Device) (*villars.Device, []byte) {
+	takeovers := fo.Takeovers()
+	if err := fo.Err(); err != nil {
+		v.add("I6", "manager halted: %v", err)
 	}
 	if len(takeovers) != 1 {
-		violate("I6: %d takeovers, want 1", len(takeovers))
+		v.add("I6", "%d takeovers, want 1", len(takeovers))
 	}
 	if lg.Dead() {
-		violate("I6: log pipeline still dead after takeover")
-	} else if bl := lg.Backlog(); bl != 0 {
-		violate("I6: WAL backlog %d after settle", bl)
+		v.add("I6", "log pipeline still dead after takeover")
 	}
-	newPrim := cluster.Primary()
-	if newPrim == prim {
-		violate("I6: dead device still primary")
+	promoted := cluster.Primary()
+	if promoted == dead {
+		v.add("I6", "dead device still primary")
 	}
 	if len(takeovers) == 1 {
 		tk := takeovers[0]
 		r.Promoted, r.ResumeAt = tk.Promoted, tk.ResumeAt
 		r.Replayed, r.Backfilled = tk.Replayed, tk.Backfilled
 		r.DetectToLive = tk.PromotedAt - tk.DetectedAt
-		if newPrim != nil && newPrim.Name() != tk.Promoted {
-			violate("I6: primary %s != promoted %s", newPrim.Name(), tk.Promoted)
+		if promoted != nil && promoted.Name() != tk.Promoted {
+			v.add("I6", "primary %s != promoted %s", promoted.Name(), tk.Promoted)
 		}
 		if tk.ResumeAt+tk.Replayed < r.DurableAtKill {
-			violate("I6: resume %d + replay %d below durable-at-kill %d", tk.ResumeAt, tk.Replayed, r.DurableAtKill)
+			v.add("I6", "resume %d + replay %d below durable-at-kill %d", tk.ResumeAt, tk.Replayed, r.DurableAtKill)
 		}
 	}
 
 	// The oracle stream: the retained flushed prefix — a failover run has
 	// no single host recording (two sinks saw traffic), but retention is
 	// byte-exact by construction.
-	oracle, oerr := lg.StreamRange(0, r.Durable)
-	if oerr != nil {
-		violate("I6: retained stream [0, %d): %v", r.Durable, oerr)
+	oracle, err := lg.StreamRange(0, r.Durable)
+	if err != nil {
+		v.add("I6", "retained stream [0, %d): %v", r.Durable, err)
 	}
 	if r.Durable < r.DurableAtKill {
-		violate("I6: durable horizon moved backwards: %d after kill at %d", r.Durable, r.DurableAtKill)
+		v.add("I6", "durable horizon moved backwards: %d after kill at %d", r.Durable, r.DurableAtKill)
 	}
-
-	// ---- I6: promoted device holds the whole stream -------------------
-	if newPrim != nil && newPrim != prim && oerr == nil {
-		r.Destaged = newPrim.Destage().DestagedStream()
-		if fr := newPrim.CMB().Ring().Frontier(); fr != r.Durable {
-			violate("I6: promoted frontier %d != durable %d", fr, r.Durable)
-		}
-		if r.Destaged != r.Durable {
-			violate("I6: promoted destaged %d != durable %d", r.Destaged, r.Durable)
-		}
-		_, slots := newPrim.Destage().LBARing()
-		if newPrim.Destage().TailLBA() > slots {
-			return nil, fmt.Errorf("chaos: stream wrapped the destage ring (%d slots): shrink the window or workload", slots)
-		}
-		prefix, err := flashPrefix(newPrim)
-		if err != nil {
-			violate("I6: %v", err)
-		} else {
-			if int64(len(prefix)) != r.Durable {
-				violate("I6: flash prefix %d bytes, durable %d", len(prefix), r.Durable)
-			}
-			n := len(prefix)
-			if n > len(oracle) {
-				n = len(oracle)
-			}
-			if !bytes.Equal(prefix[:n], oracle[:n]) {
-				violate("I6: promoted flash prefix diverges from retained stream")
-			}
-
-			// Committed-before-kill transactions survive, none duplicated:
-			// recover from the promoted flash, replay the retained stream,
-			// compare both against the live engine.
-			recovered := db.New(env, nil)
-			tpcc.Load(recovered, tcfg, loadSeed)
-			records := wal.DecodeAll(prefix)
-			seen := make(map[int64]bool, len(records))
-			for _, rec := range records {
-				if seen[rec.TxID] {
-					violate("I6: txn %d appears twice in the recovered stream", rec.TxID)
-					break
-				}
-				seen[rec.TxID] = true
-			}
-			if rerr := recovered.Recover(records); rerr != nil {
-				violate("I6: recover from promoted flash: %v", rerr)
-			} else {
-				if c, _ := recovered.Stats(); c < r.PreKillCommits {
-					violate("I6: recovered %d commits < %d committed before the kill", c, r.PreKillCommits)
-				}
-				replayDB := db.New(env, nil)
-				tpcc.Load(replayDB, tcfg, loadSeed)
-				if rerr := replayDB.Recover(wal.DecodeAll(oracle)); rerr != nil {
-					violate("I6: replay retained stream: %v", rerr)
-				}
-				if recovered.Fingerprint() != replayDB.Fingerprint() {
-					violate("I6: recovered state diverges from retained-stream replay")
-				}
-				if eng != nil && recovered.Fingerprint() != eng.Fingerprint() {
-					violate("I6: recovered state != live engine after takeover")
-				}
-			}
-		}
-
-		// Survivor discipline (I3 carried over): every live member holds
-		// a converged prefix of the stream.
-		for _, d := range devices {
-			if d.PowerLost() || d == newPrim {
-				continue
-			}
-			ring := d.CMB().Ring()
-			head, fr := ring.Head(), ring.Frontier()
-			if fr != r.Durable {
-				violate("I6: survivor %s frontier %d != durable %d", d.Name(), fr, r.Durable)
-				continue
-			}
-			if fr > head {
-				data, err := ring.Read(head, int(fr-head))
-				if err != nil {
-					violate("I6: %s ring read [%d,%d): %v", d.Name(), head, fr, err)
-				} else if !bytes.Equal(data, oracle[head:fr]) {
-					violate("I6: %s ring bytes diverge from the stream in [%d,%d)", d.Name(), head, fr)
-				}
-			}
-		}
+	if promoted == nil || promoted == dead || err != nil {
+		return nil, nil
 	}
-
-	// ---- I7 ingredients: fingerprint + metrics snapshot ---------------
-	snap := en.snapshot()
-	r.Metrics = snap.Encode()
-	fp := uint64(fnvOffset)
-	for _, d := range devices {
-		fp = mix64(fp, d.Tracer().Fingerprint())
-	}
-	if eng != nil {
-		fp = mix64(fp, eng.Fingerprint())
-	}
-	fp = mix64(fp, uint64(r.Commits))
-	fp = mix64(fp, uint64(r.Durable))
-	fp = mix64(fp, uint64(r.ResumeAt))
-	fp = mix64(fp, uint64(r.Replayed))
-	fp = mix64(fp, uint64(r.Backfilled))
-	fp = mix64(fp, uint64(r.DetectToLive))
-	fp = mix64(fp, uint64(r.Firings))
-	fp = mix64(fp, snap.Fingerprint())
-	r.Fingerprint = fp
-	r.Events = en.events()
-	return r, nil
+	return promoted, oracle
 }
 
-// FailoverSeedResult pairs the two runs of one failover seed, with the
-// cross-run I7 violations merged into the first run's own.
-type FailoverSeedResult struct {
-	// Seed is the swept seed.
-	Seed int64
-	// First and Second are the paired runs of the identical scenario.
-	First, Second *FailoverResult
-	// Violations merges First's breaches with the I7 pair checks.
-	Violations []string
-}
-
-// SweepFailoverResults runs DefaultFailoverScenario for each seed twice —
-// I6 inside each run, I7 across the pair — returning per-seed outcomes.
-func SweepFailoverResults(seeds int) ([]FailoverSeedResult, error) {
-	return SweepFailoverResultsWorkers(seeds, 0)
-}
-
-// SweepFailoverResultsWorkers is SweepFailoverResults under a chosen
-// engine: simWorkers is copied into every scenario (see
-// SweepResultsWorkers for the convention).
-func SweepFailoverResultsWorkers(seeds, simWorkers int) ([]FailoverSeedResult, error) {
-	out := make([]FailoverSeedResult, 0, seeds)
-	for seed := 0; seed < seeds; seed++ {
-		sc := DefaultFailoverScenario(int64(seed))
-		sc.SimWorkers = simWorkers
-		r1, err := RunFailover(sc)
-		if err != nil {
-			return nil, err
+// checkCommittedSurvive is I6's claim about the recovered stream itself:
+// no transaction appears twice (the tail replay and the backfill must not
+// re-drive what a survivor already held), and the database recovered from
+// the promoted flash (nil when recovery failed) holds at least every
+// commit acknowledged before the kill.
+func checkCommittedSurvive(v *violations, r *Result, recovered *db.Engine, records []wal.Record) {
+	seen := make(map[int64]bool, len(records))
+	for _, rec := range records {
+		if seen[rec.TxID] {
+			v.add("I6", "txn %d appears twice in the recovered stream", rec.TxID)
+			break
 		}
-		r2, err := RunFailover(sc)
-		if err != nil {
-			return nil, err
-		}
-		sr := FailoverSeedResult{Seed: int64(seed), First: r1, Second: r2}
-		sr.Violations = append(sr.Violations, r1.Violations...)
-		if r2.Fingerprint != r1.Fingerprint {
-			sr.Violations = append(sr.Violations, fmt.Sprintf("I7: re-run fingerprint %016x != %016x", r2.Fingerprint, r1.Fingerprint))
-		}
-		if !bytes.Equal(r1.Metrics, r2.Metrics) {
-			sr.Violations = append(sr.Violations, "I7: re-run metrics snapshots differ")
-		}
-		out = append(out, sr)
+		seen[rec.TxID] = true
 	}
-	return out, nil
-}
-
-// FoldFailover digests a failover sweep into one order-sensitive
-// fingerprint (same construction as Fold).
-func FoldFailover(results []FailoverSeedResult) uint64 {
-	h := uint64(fnvOffset)
-	for _, r := range results {
-		h = mix64(h, uint64(r.Seed))
-		if r.First != nil {
-			h = mix64(h, r.First.Fingerprint)
-		}
+	if recovered == nil {
+		return
 	}
-	return h
-}
-
-// SweepFailover runs the failover sweep, writes one summary line per seed
-// plus the final fold, and returns an error listing every violation.
-func SweepFailover(w io.Writer, seeds int) error {
-	return SweepFailoverWorkers(w, seeds, 0)
-}
-
-// SweepFailoverWorkers is SweepFailover under a chosen engine.
-func SweepFailoverWorkers(w io.Writer, seeds, simWorkers int) error {
-	results, err := SweepFailoverResultsWorkers(seeds, simWorkers)
-	if err != nil {
-		return err
+	if c, _ := recovered.Stats(); c < r.PreKillCommits {
+		v.add("I6", "recovered %d commits < %d committed before the kill", c, r.PreKillCommits)
 	}
-	total := 0
-	for _, sr := range results {
-		r := sr.First
-		fmt.Fprintf(w, "seed %3d  sec=%d scheme=%-5s kill@%-8v promoted=%-3s resume=%-7d replay=%-5d backfill=%-5d commits=%-5d fp=%016x\n",
-			sr.Seed, r.Secondaries, r.Scheme, DefaultFailoverScenario(sr.Seed).KillAt, r.Promoted, r.ResumeAt, r.Replayed, r.Backfilled, r.Commits, r.Fingerprint)
-		for _, v := range sr.Violations {
-			fmt.Fprintf(w, "          VIOLATION %s\n", v)
-		}
-		total += len(sr.Violations)
-	}
-	if total > 0 {
-		return fmt.Errorf("chaos: %d failover invariant violations across %d seeds", total, seeds)
-	}
-	fmt.Fprintf(w, "chaos: %d failover seeds × 2 runs, invariants I6-I7 hold, fold %016x\n", seeds, FoldFailover(results))
-	return nil
 }

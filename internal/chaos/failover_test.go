@@ -13,14 +13,15 @@ func TestRunFailoverCleanKill(t *testing.T) {
 	for _, scheme := range []core.ReplicationScheme{core.Eager, core.Lazy, core.Chain} {
 		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
-			r, err := RunFailover(FailoverScenario{
+			r, err := Run(Scenario{
 				Seed:        1,
 				Scheme:      scheme,
 				Secondaries: 2,
+				Window:      20 * time.Millisecond,
 				KillAt:      8 * time.Millisecond,
 			})
 			if err != nil {
-				t.Fatalf("RunFailover: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			for _, v := range r.Violations {
 				t.Errorf("violation: %s", v)

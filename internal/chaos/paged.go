@@ -18,9 +18,7 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -267,63 +265,4 @@ func DefaultPagedScenario(seed int64) Scenario {
 	s := DefaultScenario(seed)
 	s.Paged = true
 	return s
-}
-
-// SweepPagedResults runs DefaultPagedScenario for each seed twice —
-// invariants I1-I4 and I9 inside each run, I5 across the pair — under
-// the chosen engine (see SweepResultsWorkers).
-func SweepPagedResults(seeds, simWorkers int) ([]SeedResult, error) {
-	out := make([]SeedResult, 0, seeds)
-	for seed := 0; seed < seeds; seed++ {
-		sc := DefaultPagedScenario(int64(seed))
-		sc.SimWorkers = simWorkers
-		r1, err := Run(sc)
-		if err != nil {
-			return nil, err
-		}
-		r2, err := Run(sc)
-		if err != nil {
-			return nil, err
-		}
-		sr := SeedResult{Seed: int64(seed), First: r1, Second: r2}
-		sr.Violations = append(sr.Violations, r1.Violations...)
-		if r2.Fingerprint != r1.Fingerprint {
-			sr.Violations = append(sr.Violations, fmt.Sprintf("I5: re-run fingerprint %016x != %016x", r2.Fingerprint, r1.Fingerprint))
-		}
-		if !bytes.Equal(r1.Metrics, r2.Metrics) {
-			sr.Violations = append(sr.Violations, "I5: re-run metrics snapshots differ")
-		}
-		out = append(out, sr)
-	}
-	return out, nil
-}
-
-// SweepPaged runs SweepPagedResults and writes one summary line per
-// seed plus the final fold — the CLI gate behind `xbench -chaos
-// -paged`. It returns an error listing every violation, or nil when
-// all seeds hold.
-func SweepPaged(w io.Writer, seeds, simWorkers int) error {
-	results, err := SweepPagedResults(seeds, simWorkers)
-	if err != nil {
-		return err
-	}
-	total := 0
-	for _, sr := range results {
-		r1 := sr.First
-		scheme := "-"
-		if r1.Secondaries > 0 {
-			scheme = r1.Scheme.String()
-		}
-		fmt.Fprintf(w, "seed %3d  sec=%d scheme=%-5s crash=%-5v commits=%-5d ckpts=%-3d written=%-7d destaged=%-7d faults=%-2d fp=%016x\n",
-			sr.Seed, r1.Secondaries, scheme, r1.PowerLost, r1.Commits, r1.Checkpoints, r1.Written, r1.Destaged, r1.Firings, r1.Fingerprint)
-		for _, v := range sr.Violations {
-			fmt.Fprintf(w, "          VIOLATION %s\n", v)
-		}
-		total += len(sr.Violations)
-	}
-	if total > 0 {
-		return fmt.Errorf("chaos: %d invariant violations across %d paged seeds", total, seeds)
-	}
-	fmt.Fprintf(w, "chaos: %d paged seeds × 2 runs, invariants I1-I5 + I9 hold, fold %016x\n", seeds, Fold(results))
-	return nil
 }

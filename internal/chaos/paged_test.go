@@ -13,13 +13,16 @@ import (
 // fuzzy checkpoints — through the full battery (I1-I5 plus the live I9
 // recovery check against the device's own page slots).
 func TestPagedSweepHoldsInvariants(t *testing.T) {
-	seeds := 8
+	seeds, want := 8, uint64(0xed6ca1988ba52525)
 	if testing.Short() {
-		seeds = 4
+		seeds, want = 4, 0x2857e0ff321fd2f1
 	}
-	results, err := SweepPagedResults(seeds, 0)
+	results, err := SweepResults(DefaultPagedScenario, seeds, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := Fold(results); got != want {
+		t.Errorf("paged %d-seed fold = %016x, want %016x (a paged run's event history changed)", seeds, got, want)
 	}
 	crashes, ckpts := 0, 0
 	for _, sr := range results {
@@ -115,14 +118,14 @@ func TestPagedSweepPrinterGreen(t *testing.T) {
 		t.Skip("covered by TestPagedSweepHoldsInvariants in short mode")
 	}
 	var buf bytes.Buffer
-	if err := SweepPaged(&buf, 3, 0); err != nil {
+	if err := Sweep(&buf, DefaultPagedScenario, 3, 0); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
 	out := buf.String()
 	if strings.Contains(out, "VIOLATION") {
 		t.Fatalf("violations in green sweep:\n%s", out)
 	}
-	if !strings.Contains(out, "I9 hold") {
+	if !strings.Contains(out, "ckpts=") || !strings.Contains(out, "I9 hold") {
 		t.Fatalf("missing closing summary:\n%s", out)
 	}
 }

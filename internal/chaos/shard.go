@@ -5,32 +5,26 @@
 // order lines, 15% of payments) makes a slice of the traffic cross-shard
 // 2PC. Faults come from the same plan grammar — including shard.rpc
 // rules scoped to a shard name and device.power kills of individual
-// primaries — and the classic invariants extend per shard:
+// primaries. I1 and I3 are the shared prefix checks (invariants.go), run
+// per shard against that shard's own recording; I5 and the synthetic I9
+// carry over as they are; I4 has no monitor here. What is the cluster's
+// own:
 //
-//	I1  each shard's conventional side holds a gap-free prefix of its
-//	    own acknowledged stream, covering the durable horizon;
 //	I2  recovering every shard from its flash prefix (with 2PC control
 //	    records steering cross-shard write sets) reproduces the replay
 //	    of the host streams — and the live engines when nothing crashed;
-//	I3  each shard's secondaries hold a prefix of that shard's stream;
-//	I5  identical (Seed, Plan, shape) reproduce the run bit for bit;
 //	I8  no single kill, at any point in the protocol, leaves a
 //	    cross-shard transaction half-applied: every participant commit
 //	    has a durable coordinator decision, every durable decision has
 //	    durable participant prepares, every client ack has a durable
 //	    decision (shard.CheckAtomicity).
-//
-// The classic path (Shards == 0) does not touch any of this code.
 package chaos
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
-	"xssd/internal/core"
 	"xssd/internal/db"
 	"xssd/internal/fault"
 	"xssd/internal/shard"
@@ -126,9 +120,7 @@ func runSharded(s Scenario) (*Result, error) {
 	cl.RunUntil(s.Window + s.Settle)
 
 	r := &Result{Seed: s.Seed, Secondaries: s.Secondaries, Scheme: s.Scheme}
-	violate := func(format string, args ...any) {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	v := &violations{}
 	for _, sh := range cl.Shards() {
 		if sh.Device().PowerLost() {
 			r.PowerLost = true
@@ -150,71 +142,15 @@ func runSharded(s Scenario) (*Result, error) {
 	// ---- per-shard I1 + I3, and the flash-prefix views for I2/I8 ------
 	prefixes := make([][]byte, s.Shards)
 	for i, sh := range cl.Shards() {
+		v.prefix = fmt.Sprintf("shard %d: ", i)
 		prim := sh.Device()
-		written := streams[i]
-		r.Written += int64(len(written))
+		r.Written += int64(len(streams[i]))
 		r.Destaged += prim.Destage().DestagedStream()
 		r.Durable += sh.Log().DurableLSN()
-		lost := prim.PowerLost()
-
-		for _, sec := range sh.Secondaries() {
-			ring := sec.CMB().Ring()
-			head, fr := ring.Head(), ring.Frontier()
-			primFr := prim.CMB().Ring().Frontier()
-			if fr > int64(len(written)) {
-				violate("I3: shard %d: %s frontier %d beyond host stream %d", i, sec.Name(), fr, len(written))
-				continue
-			}
-			if fr > primFr {
-				violate("I3: shard %d: %s frontier %d ran ahead of primary %d", i, sec.Name(), fr, primFr)
-				continue
-			}
-			if fr > head {
-				data, err := ring.Read(head, int(fr-head))
-				if err != nil {
-					violate("I3: shard %d: %s ring read [%d,%d): %v", i, sec.Name(), head, fr, err)
-				} else if !bytes.Equal(data, written[head:fr]) {
-					violate("I3: shard %d: %s ring bytes diverge in [%d,%d)", i, sec.Name(), head, fr)
-				}
-			}
-			if !lost && fr != primFr {
-				violate("I3: shard %d: %s did not converge: frontier %d, primary %d", i, sec.Name(), fr, primFr)
-			}
+		checkReplicaPrefix(v, "I3", sh.Secondaries(), streams[i], prim.CMB().Ring().Frontier(), !prim.PowerLost())
+		if prefixes[i], err = checkConventionalPrefix(v, "I1", prim, sh.Log(), streams[i]); err != nil {
+			return nil, fmt.Errorf("chaos: shard %d: %w", i, err)
 		}
-
-		if lost {
-			if !prim.Drained() {
-				violate("I1: shard %d: primary not drained after power loss", i)
-			}
-			if prim.Destage().DestagedStream() < sh.Log().DurableLSN() {
-				violate("I1: shard %d: destaged %d < durable horizon %d", i, prim.Destage().DestagedStream(), sh.Log().DurableLSN())
-			}
-		} else {
-			if bl := sh.Log().Backlog(); bl != 0 {
-				violate("I1: shard %d: WAL backlog %d after settle with no crash", i, bl)
-			}
-			if got := prim.Destage().DestagedStream(); got != int64(len(written)) {
-				violate("I1: shard %d: destaged %d != written %d with no crash", i, got, len(written))
-			}
-		}
-		_, slots := prim.Destage().LBARing()
-		if prim.Destage().TailLBA() > slots {
-			return nil, fmt.Errorf("chaos: shard %d: stream wrapped the destage ring (%d slots): shrink the window or workload", i, slots)
-		}
-		prefix, err := flashPrefix(prim)
-		if err != nil {
-			violate("I1: shard %d: %v", i, err)
-			continue
-		}
-		if int64(len(prefix)) > int64(len(written)) {
-			violate("I1: shard %d: flash prefix %d beyond host stream %d", i, len(prefix), len(written))
-			continue
-		}
-		if !bytes.Equal(prefix, written[:len(prefix)]) {
-			violate("I1: shard %d: flash prefix diverges from host stream (first %d bytes)", i, len(prefix))
-			continue
-		}
-		prefixes[i] = prefix
 	}
 
 	// ---- I2 + I8: cluster recovery from the flash prefixes ------------
@@ -222,44 +158,45 @@ func runSharded(s Scenario) (*Result, error) {
 	hostViews := make([]*shard.View, s.Shards)
 	parseOK := true
 	for i := range prefixes {
+		v.prefix = fmt.Sprintf("shard %d: ", i)
 		if prefixes[i] == nil {
 			parseOK = false
 			break
 		}
 		if views[i], err = shard.ParseStream(i, prefixes[i]); err != nil {
-			violate("I2: shard %d: parse flash prefix: %v", i, err)
+			v.add("I2", "parse flash prefix: %v", err)
 			parseOK = false
 			break
 		}
 		if hostViews[i], err = shard.ParseStream(i, streams[i][:len(prefixes[i])]); err != nil {
-			violate("I2: shard %d: parse host stream: %v", i, err)
+			v.add("I2", "parse host stream: %v", err)
 			parseOK = false
 			break
 		}
 	}
+	v.prefix = ""
 	if parseOK {
 		acked := make([][]int64, s.Shards)
 		for i, sh := range cl.Shards() {
 			acked[i] = sh.AckedGIDs()
 		}
-		for _, v := range shard.CheckAtomicity(views, acked) {
-			violate("%s", v)
-		}
+		v.extend(shard.CheckAtomicity(views, acked))
 		replayLoad := func(eng *db.Engine, id int) { cfg.Load(eng, id) }
 		recovered, rerr := shard.Replay(sim.NewEnv(1), views, replayLoad)
 		if rerr != nil {
-			violate("I2: recover from flash prefixes: %v", rerr)
+			v.add("I2", "recover from flash prefixes: %v", rerr)
 		} else {
 			oracle, oerr := shard.Replay(sim.NewEnv(1), hostViews, replayLoad)
 			if oerr != nil {
-				violate("I2: replay host streams: %v", oerr)
+				v.add("I2", "replay host streams: %v", oerr)
 			} else {
 				for i := range recovered {
+					v.prefix = fmt.Sprintf("shard %d: ", i)
 					if recovered[i].Fingerprint() != oracle[i].Fingerprint() {
-						violate("I2: shard %d: recovered state diverges from host-stream replay", i)
+						v.add("I2", "recovered state diverges from host-stream replay")
 					}
 					if !r.PowerLost && recovered[i].Fingerprint() != cl.Shard(i).Engine().Fingerprint() {
-						violate("I2: shard %d: recovered state != live engine with no crash", i)
+						v.add("I2", "recovered state != live engine with no crash")
 					}
 				}
 			}
@@ -276,10 +213,10 @@ func runSharded(s Scenario) (*Result, error) {
 			continue
 		}
 		id := i
-		for _, v := range syntheticPagedI9(s.Seed*1000003+int64(i)*7919+29, wal.DecodeAll(prefixes[i]), func(e *db.Engine) { cfg.Load(e, id) }) {
-			violate("shard %d: %s", i, v)
-		}
+		v.prefix = fmt.Sprintf("shard %d: ", i)
+		v.extend(syntheticPagedI9(s.Seed*1000003+int64(i)*7919+29, wal.DecodeAll(prefixes[i]), func(e *db.Engine) { cfg.Load(e, id) }))
 	}
+	v.prefix = ""
 
 	// ---- I5 ingredients: fold, shard-major ----------------------------
 	snap := cl.Snapshot()
@@ -301,6 +238,7 @@ func runSharded(s Scenario) (*Result, error) {
 	fp = mix64(fp, snap.Fingerprint())
 	r.Fingerprint = fp
 	r.Events = cl.Events()
+	r.Violations = v.list
 	return r, nil
 }
 
@@ -315,14 +253,7 @@ func DefaultShardScenario(seed int64, shards int) Scenario {
 	}
 	s := Scenario{Seed: seed, Shards: shards, Secondaries: rng.Intn(2)}.withDefaults()
 	if s.Secondaries > 0 {
-		switch rng.Intn(3) {
-		case 0:
-			s.Scheme = core.Eager
-		case 1:
-			s.Scheme = core.Lazy
-		default:
-			s.Scheme = core.Chain
-		}
+		s.Scheme = randomScheme(rng)
 	}
 	victim := fmt.Sprintf("p%d", rng.Intn(shards))
 	plan := &fault.Plan{}
@@ -352,63 +283,4 @@ func DefaultShardScenario(seed int64, shards int) Scenario {
 	}
 	s.Plan = plan
 	return s
-}
-
-// SweepShardResults runs DefaultShardScenario for each seed twice —
-// invariants I1-I4 and I8 inside each run, I5 across the pair — under
-// the chosen engine and shard count (shards <= 0 varies it per seed).
-func SweepShardResults(seeds, shards, simWorkers int) ([]SeedResult, error) {
-	out := make([]SeedResult, 0, seeds)
-	for seed := 0; seed < seeds; seed++ {
-		sc := DefaultShardScenario(int64(seed), shards)
-		sc.SimWorkers = simWorkers
-		r1, err := Run(sc)
-		if err != nil {
-			return nil, err
-		}
-		r2, err := Run(sc)
-		if err != nil {
-			return nil, err
-		}
-		sr := SeedResult{Seed: int64(seed), First: r1, Second: r2}
-		sr.Violations = append(sr.Violations, r1.Violations...)
-		if r2.Fingerprint != r1.Fingerprint {
-			sr.Violations = append(sr.Violations, fmt.Sprintf("I5: re-run fingerprint %016x != %016x", r2.Fingerprint, r1.Fingerprint))
-		}
-		if !bytes.Equal(r1.Metrics, r2.Metrics) {
-			sr.Violations = append(sr.Violations, "I5: re-run metrics snapshots differ")
-		}
-		out = append(out, sr)
-	}
-	return out, nil
-}
-
-// SweepShard runs SweepShardResults and writes one summary line per
-// seed plus the final fold — the CLI gate behind `xbench -chaos
-// -shards N`. It returns an error listing every violation, or nil when
-// all seeds hold.
-func SweepShard(w io.Writer, seeds, shards, simWorkers int) error {
-	results, err := SweepShardResults(seeds, shards, simWorkers)
-	if err != nil {
-		return err
-	}
-	total := 0
-	for _, sr := range results {
-		r1 := sr.First
-		scheme := "-"
-		if r1.Secondaries > 0 {
-			scheme = r1.Scheme.String()
-		}
-		fmt.Fprintf(w, "seed %3d  sec=%d scheme=%-5s crash=%-5v commits=%-5d written=%-7d destaged=%-7d faults=%-2d fp=%016x\n",
-			sr.Seed, r1.Secondaries, scheme, r1.PowerLost, r1.Commits, r1.Written, r1.Destaged, r1.Firings, r1.Fingerprint)
-		for _, v := range sr.Violations {
-			fmt.Fprintf(w, "          VIOLATION %s\n", v)
-		}
-		total += len(sr.Violations)
-	}
-	if total > 0 {
-		return fmt.Errorf("chaos: %d invariant violations across %d sharded seeds", total, seeds)
-	}
-	fmt.Fprintf(w, "chaos: %d sharded seeds × 2 runs, invariants I1-I5 + I8 hold, fold %016x\n", seeds, Fold(results))
-	return nil
 }

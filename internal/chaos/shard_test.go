@@ -12,9 +12,12 @@ import (
 // varying shard count, replication shape, RPC disturbance, and single
 // kills — through the full invariant battery (I1-I3, I5, I8).
 func TestShardSweepHoldsInvariants(t *testing.T) {
-	results, err := SweepShardResults(6, 0, 0)
+	results, err := SweepResults(func(seed int64) Scenario { return DefaultShardScenario(seed, 0) }, 6, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := Fold(results); got != 0xb4ad9ce75969ac28 {
+		t.Errorf("sharded 6-seed fold = %016x, want b4ad9ce75969ac28 (a sharded run's event history changed)", got)
 	}
 	crashes := 0
 	for _, sr := range results {
@@ -90,7 +93,7 @@ func TestShardKillStaysAtomic(t *testing.T) {
 // its summary discipline.
 func TestShardSweepPrinterGreen(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SweepShard(&buf, 3, 2, 0); err != nil {
+	if err := Sweep(&buf, func(seed int64) Scenario { return DefaultShardScenario(seed, 2) }, 3, 0); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
 	out := buf.String()

@@ -46,28 +46,15 @@ func TestFoldOrderSensitive(t *testing.T) {
 	}
 }
 
-// TestFoldFailoverMatchesConstruction: the failover fold uses the same
-// construction, so the two sweeps' digests are comparable tooling-wise.
-func TestFoldFailoverMatchesConstruction(t *testing.T) {
-	frs := []FailoverSeedResult{
-		{Seed: 0, First: &FailoverResult{Fingerprint: 0x1111111111111111}},
-		{Seed: 1, First: &FailoverResult{Fingerprint: 0x2222222222222222}},
-		{Seed: 2, First: &FailoverResult{Fingerprint: 0x3333333333333333}},
-	}
-	if got := FoldFailover(frs); got != 0x2f715322a21d8256 {
-		t.Errorf("FoldFailover = %#016x, want 0x2f715322a21d8256 (diverged from Fold)", got)
-	}
-}
-
 // TestSweepFailoverResultsPair runs a tiny failover sweep and checks the
 // exported per-seed results carry both runs with identical fingerprints.
 func TestSweepFailoverResultsPair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full failover sweep pair in -short mode")
 	}
-	rs, err := SweepFailoverResults(2)
+	rs, err := SweepResults(DefaultFailoverScenario, 2, 0)
 	if err != nil {
-		t.Fatalf("SweepFailoverResults: %v", err)
+		t.Fatalf("SweepResults: %v", err)
 	}
 	if len(rs) != 2 {
 		t.Fatalf("got %d seed results, want 2", len(rs))
@@ -83,7 +70,7 @@ func TestSweepFailoverResultsPair(t *testing.T) {
 			t.Errorf("seed %d: pair fingerprints differ", sr.Seed)
 		}
 	}
-	if FoldFailover(rs) == uint64(fnvOffset) {
-		t.Errorf("sweep fold never mixed anything in")
+	if got := Fold(rs); got != 0x65c4cdab431d2253 {
+		t.Errorf("failover 2-seed fold = %016x, want 65c4cdab431d2253 (a kill run's event history changed)", got)
 	}
 }

@@ -14,18 +14,19 @@ import (
 // checkRun runs one scenario twice and enforces I6 (in-run invariants)
 // and I7 (bit-identical re-run), returning the first run for extra
 // scenario-specific assertions.
-func checkRun(t *testing.T, sc chaos.FailoverScenario) *chaos.FailoverResult {
+func checkRun(t *testing.T, sc chaos.Scenario) *chaos.Result {
 	t.Helper()
-	r1, err := chaos.RunFailover(sc)
+	sc.Window = 20 * time.Millisecond // the kill times below are laid out for it
+	r1, err := chaos.Run(sc)
 	if err != nil {
-		t.Fatalf("RunFailover: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	for _, v := range r1.Violations {
 		t.Errorf("violation: %s", v)
 	}
-	r2, err := chaos.RunFailover(sc)
+	r2, err := chaos.Run(sc)
 	if err != nil {
-		t.Fatalf("RunFailover (re-run): %v", err)
+		t.Fatalf("Run (re-run): %v", err)
 	}
 	if r2.Fingerprint != r1.Fingerprint {
 		t.Errorf("I7: re-run fingerprint %016x != %016x", r2.Fingerprint, r1.Fingerprint)
@@ -48,7 +49,7 @@ func checkRun(t *testing.T, sc chaos.FailoverScenario) *chaos.FailoverResult {
 // TestFailoverPropertyGrid sweeps the property space: every replication
 // scheme × cluster sizes 2-4 × seeded kill times, each run twice. Every
 // committed-before-kill transaction must be readable after promotion
-// (I6, checked inside RunFailover) and the whole failover timeline must
+// (I6, checked inside chaos.Run) and the whole failover timeline must
 // replay bit for bit (I7).
 func TestFailoverPropertyGrid(t *testing.T) {
 	kills := 10
@@ -61,7 +62,7 @@ func TestFailoverPropertyGrid(t *testing.T) {
 				scheme, size, k := scheme, size, k
 				t.Run(fmt.Sprintf("%s/size%d/kill%d", scheme, size, k), func(t *testing.T) {
 					t.Parallel()
-					checkRun(t, chaos.FailoverScenario{
+					checkRun(t, chaos.Scenario{
 						Seed:        int64(1000 + k + size*10 + int(scheme)*100),
 						Scheme:      scheme,
 						Secondaries: size - 1,
@@ -93,7 +94,7 @@ func dropsBeforeKill(killAt time.Duration, n int64) *fault.Plan {
 // promoted device — no committed record may be lost.
 func TestFailoverTailReplay(t *testing.T) {
 	killAt := 8 * time.Millisecond
-	r := checkRun(t, chaos.FailoverScenario{
+	r := checkRun(t, chaos.Scenario{
 		Seed:        42,
 		Scheme:      core.Lazy,
 		Secondaries: 1,
@@ -113,7 +114,7 @@ func TestFailoverTailReplay(t *testing.T) {
 // before the host resumes.
 func TestFailoverBackfill(t *testing.T) {
 	killAt := 8 * time.Millisecond
-	r := checkRun(t, chaos.FailoverScenario{
+	r := checkRun(t, chaos.Scenario{
 		Seed:        43,
 		Scheme:      core.Eager,
 		Secondaries: 2,
@@ -139,7 +140,7 @@ func TestFailoverBackfill(t *testing.T) {
 // path — the manager must not transfer anything itself.
 func TestFailoverChainHealsWithoutBackfill(t *testing.T) {
 	killAt := 8 * time.Millisecond
-	r := checkRun(t, chaos.FailoverScenario{
+	r := checkRun(t, chaos.Scenario{
 		Seed:        44,
 		Scheme:      core.Chain,
 		Secondaries: 2,
@@ -171,7 +172,7 @@ func freezeSpanningKill(name string, killAt, dur time.Duration) *fault.Plan {
 // as current — even though it may hold the longest prefix.
 func TestFailoverElectionSkipsFrozenPeer(t *testing.T) {
 	killAt := 8 * time.Millisecond
-	r := checkRun(t, chaos.FailoverScenario{
+	r := checkRun(t, chaos.Scenario{
 		Seed:        45,
 		Scheme:      core.Eager,
 		Secondaries: 2,
@@ -190,7 +191,7 @@ func TestFailoverElectionSkipsFrozenPeer(t *testing.T) {
 func TestFailoverChainWaitsOutFrozenLink(t *testing.T) {
 	killAt := 8 * time.Millisecond
 	freeze := 1500 * time.Microsecond
-	r := checkRun(t, chaos.FailoverScenario{
+	r := checkRun(t, chaos.Scenario{
 		Seed:        46,
 		Scheme:      core.Chain,
 		Secondaries: 2,

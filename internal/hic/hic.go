@@ -43,10 +43,6 @@ type Config struct {
 	// production controller; its conventional-side latency dominates the
 	// paper's Fig 9 NVMe series).
 	FirmwareLatency time.Duration
-	// ArbBurst is the fetcher's round-robin arbitration burst: how many
-	// commands it takes from one armed SQ before moving to the next.
-	// 0 means 1 — strict round-robin, the NVMe default arbitration.
-	ArbBurst int
 }
 
 // DefaultConfig uses 8 command handlers, a 64 MB write cache and 80 µs of
@@ -62,9 +58,6 @@ func (c *Config) fill() {
 	}
 	if c.FirmwareLatency == 0 {
 		c.FirmwareLatency = 80 * time.Microsecond
-	}
-	if c.ArbBurst <= 0 {
-		c.ArbBurst = 1
 	}
 }
 
@@ -132,8 +125,8 @@ func NewMulti(env *sim.Env, qs *nvme.QueueSet, link *sim.Link, host *pcie.HostMe
 }
 
 // fetch is the arbitration loop: sleep on the set's shared armed line,
-// then sweep the SQs round-robin, taking up to ArbBurst commands from
-// each armed queue per turn until every SQ is dry.
+// then sweep the SQs in strict round-robin — one command from each armed
+// queue per turn, the NVMe default arbitration — until every SQ is dry.
 //
 //xssd:hotpath
 func (c *Controller) fetch(p *sim.Proc) {
@@ -145,22 +138,16 @@ func (c *Controller) fetch(p *sim.Proc) {
 			start := c.rr
 			for i := 0; i < n; i++ {
 				qi := (start + i) % n
-				sq := c.qs.Pair(qi).SQ
-				served := false
-				for b := 0; b < c.cfg.ArbBurst; b++ {
-					cmd, ok := sq.Pop()
-					if !ok {
-						break
-					}
-					c.pending = append(c.pending, fetched{cmd: cmd, q: qi})
-					moved, any, served = true, true, true
+				cmd, ok := c.qs.Pair(qi).SQ.Pop()
+				if !ok {
+					continue
 				}
-				if served {
-					// The rotation resumes after the last queue served —
-					// NVMe round-robin, so back-to-back sweeps do not
-					// double-serve the sweep-boundary queue.
-					c.rr = (qi + 1) % n
-				}
+				c.pending = append(c.pending, fetched{cmd: cmd, q: qi})
+				moved, any = true, true
+				// The rotation resumes after the last queue served —
+				// NVMe round-robin, so back-to-back sweeps do not
+				// double-serve the sweep-boundary queue.
+				c.rr = (qi + 1) % n
 			}
 			if !any {
 				break

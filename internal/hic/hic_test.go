@@ -171,10 +171,10 @@ func TestQueuePairFIFO(t *testing.T) {
 	}
 }
 
-// newMultiRig builds a controller over n queue pairs with the given
-// arbitration burst and a one-worker execution stage, so completion order
-// exposes the fetcher's round-robin order directly.
-func newMultiRig(n, burst int) (*rig, *nvme.QueueSet) {
+// newMultiRig builds a controller over n queue pairs with a one-worker
+// execution stage, so completion order exposes the fetcher's round-robin
+// order directly.
+func newMultiRig(n int) (*rig, *nvme.QueueSet) {
 	env := sim.NewEnv(1)
 	geo := nand.Geometry{Channels: 2, WaysPerChan: 2, BlocksPerDie: 16, PagesPerBlock: 16, PageSize: 1024}
 	timing := nand.Timing{TRead: 5 * time.Microsecond, TProg: 20 * time.Microsecond, TErase: 100 * time.Microsecond, BusRate: 1e9}
@@ -186,13 +186,12 @@ func newMultiRig(n, burst int) (*rig, *nvme.QueueSet) {
 	qs := nvme.NewQueueSet(env, n, nvme.Coalesce{})
 	cfg := DefaultConfig
 	cfg.Workers = 1
-	cfg.ArbBurst = burst
 	ctrl := NewMulti(env, qs, link, host, f, nil, cfg)
 	return &rig{env: env, host: host, driver: nvme.NewMultiDriver(env, qs, 0), ctrl: ctrl}, qs
 }
 
 func TestMultiQueueCompletesOnOriginQueue(t *testing.T) {
-	r, qs := newMultiRig(3, 1)
+	r, qs := newMultiRig(3)
 	bs := r.ctrl.BlockSize()
 	var got [3]nvme.Completion
 	r.env.Go("host", func(p *sim.Proc) {
@@ -224,7 +223,7 @@ func TestMultiQueueRoundRobinArbitration(t *testing.T) {
 	// draining one queue first. Admin commands echo CDW through Value, so
 	// the completion values record execution order.
 	admin := &stubAdmin{}
-	r, qs := newMultiRig(2, 1)
+	r, qs := newMultiRig(2)
 	r.ctrl.admin = admin
 	_ = qs
 	r.env.Go("host", func(p *sim.Proc) {
@@ -251,40 +250,6 @@ func TestMultiQueueRoundRobinArbitration(t *testing.T) {
 				got[j] = cc.CDW
 			}
 			t.Fatalf("execution order %v, want strict round-robin %v", got, want)
-		}
-	}
-}
-
-func TestMultiQueueArbitrationBurst(t *testing.T) {
-	// With ArbBurst 2, the fetcher takes two commands from a queue before
-	// rotating: q0,q0,q1,q1,q0,q1.
-	admin := &stubAdmin{}
-	r, _ := newMultiRig(2, 2)
-	r.ctrl.admin = admin
-	r.env.Go("host", func(p *sim.Proc) {
-		var toks []nvme.Token
-		for q := 0; q < 2; q++ {
-			for i := 0; i < 3; i++ {
-				toks = append(toks, r.driver.SubmitAsync(p, q, nvme.Command{
-					Opcode: nvme.OpXQueryStatus, CDW: int64(q*100 + i)}))
-			}
-		}
-		for _, tok := range toks {
-			r.driver.Wait(p, tok)
-		}
-	})
-	r.env.RunUntil(time.Second)
-	want := []int64{0, 1, 100, 101, 2, 102}
-	got := make([]int64, len(admin.calls))
-	for j, cc := range admin.calls {
-		got[j] = cc.CDW
-	}
-	if len(got) != len(want) {
-		t.Fatalf("admin saw %d commands, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("execution order %v, want burst-2 round-robin %v", got, want)
 		}
 	}
 }

@@ -1,3 +1,3 @@
 module xssd
 
-go 1.22
+go 1.23

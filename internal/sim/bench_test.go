@@ -23,8 +23,9 @@ func BenchmarkEnvScheduleFire(b *testing.B) {
 	}
 }
 
-// BenchmarkProcYield measures the process handoff: park the worker, run
-// the scheduler, wake the worker — two channel operations per yield.
+// BenchmarkProcYield measures the process handoff: yield to the scheduler,
+// dispatch the resume event, switch back — two coroutine switches per
+// yield. TestYieldZeroAlloc holds it to 0 allocs.
 func BenchmarkProcYield(b *testing.B) {
 	env := NewEnv(1)
 	env.Go("yielder", func(p *Proc) {
@@ -99,4 +100,21 @@ func TestCloseWithDeferredSleep(t *testing.T) {
 	})
 	env.RunUntil(5 * time.Microsecond)
 	env.Close() // must return; a hang here fails the test by timeout
+}
+
+// BenchmarkGoShortLived measures a whole process lifetime on a recycled
+// carrier — Go, first dispatch, one sleep, finish — the shape of the
+// per-page destage worker and the per-2PC-message handler.
+func BenchmarkGoShortLived(b *testing.B) {
+	env := NewEnv(1)
+	defer env.Close()
+	short := func(p *Proc) { p.Sleep(time.Nanosecond) }
+	env.Go("short", short)
+	env.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Go("short", short)
+		env.Run()
+	}
 }

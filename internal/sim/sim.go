@@ -3,15 +3,17 @@
 // hardware: every component of the simulated X-SSD device, the PCIe
 // subsystem, and the database workers runs as a sim process in virtual time.
 //
-// Processes are goroutines, but the scheduler serializes them: exactly one
-// process runs at any instant, and control returns to the scheduler whenever
-// a process blocks (Sleep, Wait, Transfer, ...). Event ordering is total —
-// (virtual time, sequence number) — so runs are bit-for-bit reproducible for
-// a given seed, and shared state needs no locking.
+// Processes are coroutines (iter.Pull) the scheduler switches to and from
+// directly: exactly one process runs at any instant, and control returns to
+// the scheduler whenever a process blocks (Sleep, Wait, Transfer, ...).
+// Event ordering is total — (virtual time, sequence number) — so runs are
+// bit-for-bit reproducible for a given seed, and shared state needs no
+// locking.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 	"time"
@@ -39,12 +41,12 @@ type Env struct {
 	nowq    []event // FIFO of events due at the current instant
 	nowqPos int     // nowq[:nowqPos] already dispatched
 	rng     *rand.Rand
-	parked  chan struct{} // running process -> scheduler baton (cap 1)
-	live    int           // processes started and not yet finished
-	blocked int           // processes waiting on a Signal (no pending event)
+	blocked int // processes waiting on a Signal (no pending event)
 	running bool
 	closed  bool
-	procs   []*Proc // every process not yet finished (see Close)
+
+	carriers []*carrier // every coroutine made for this Env (see Close)
+	idle     []*carrier // stack of carriers whose process has finished
 
 	name string     // member name within a Group ("" for a standalone Env)
 	fail *ProcPanic // first captured process/callback panic (see ProcPanic)
@@ -116,10 +118,7 @@ func (e *Env) heapPop() event {
 // seed. Two environments with the same seed and the same process program
 // produce identical traces.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(chan struct{}, 1),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -185,8 +184,7 @@ func (e *Env) After(d time.Duration, fn func()) { e.schedule(e.now+int64(d), nil
 type Proc struct {
 	env  *Env
 	name string
-	park chan struct{} // scheduler -> process baton (cap 1)
-	done bool
+	c    *carrier // the coroutine running this process
 }
 
 // Name returns the process name given to Go.
@@ -198,18 +196,18 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.Now() }
 
-// procKilled unwinds a process goroutine released by Env.Close; the
-// wrapper in Go recovers it.
+// procKilled unwinds a process whose carrier Env.Close stopped; the
+// carrier recovers it.
 type procKilledT struct{}
 
 var procKilled any = procKilledT{}
 
-// ProcPanic carries a panic out of a simulated process. The scheduler
-// captures the panic on the process goroutine, returns the baton normally
-// (so Close still releases every parked process and no goroutine leaks),
-// and rethrows the ProcPanic on the driving goroutine — the caller of
-// Run/RunUntil, or of Group.RunUntil when the process ran inside a group
-// quantum on a worker.
+// ProcPanic carries a panic out of a simulated process. The carrier
+// captures the panic on the process's coroutine, returns to the scheduler
+// normally (so Close still releases every parked process and no goroutine
+// leaks), and the scheduler rethrows the ProcPanic on the driving goroutine
+// — the caller of Run/RunUntil, or of Group.RunUntil when the process ran
+// inside a group quantum on a worker.
 type ProcPanic struct {
 	Env   string // member name of the Env ("" for a standalone Env)
 	Proc  string // process name, or "(scheduler callback)" for an fn panic
@@ -225,75 +223,103 @@ func (pp *ProcPanic) Error() string {
 	return fmt.Sprintf("sim: process %s panicked: %v\n%s", where, pp.Value, pp.Stack)
 }
 
+// carrier is a coroutine that runs processes, one after another. The
+// scheduler resumes it with next, the process it carries blocks with yield;
+// both are direct switches between the two goroutines, with no run queue in
+// between. When its process finishes the carrier parks itself on the Env's
+// idle stack and the next Go reuses it, so a short-lived process costs a
+// Proc, not a coroutine. Which carrier runs which process never reaches
+// virtual time. See DESIGN.md §9.
+type carrier struct {
+	env   *Env
+	p     *Proc // the process assigned by Go; nil while idle
+	fn    func(p *Proc)
+	next  func() (struct{}, bool) // scheduler side: run until the next yield
+	stop  func()                  // scheduler side: make yield report false
+	yield func(struct{}) bool     // process side: back to the scheduler
+}
+
 // Go starts fn as a new simulated process at the current virtual time.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Go on closed Env")
 	}
-	p := &Proc{env: e, name: name, park: make(chan struct{}, 1)}
-	e.live++
-	e.addProc(p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != procKilled && e.fail == nil {
-				e.fail = &ProcPanic{Env: e.name, Proc: p.name, Value: r, Stack: debug.Stack()}
-			}
-			p.done = true
-			e.live--
-			e.parked <- struct{}{}
-		}()
-		<-p.park // wait to be scheduled for the first time
-		if e.closed {
-			return
-		}
-		fn(p)
-	}()
+	var c *carrier
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle = e.idle[:n-1]
+	} else {
+		c = &carrier{env: e}
+		// The coroutine starts at its first next, which is the process's
+		// first dispatch.
+		c.next, c.stop = iter.Pull(c.loop)
+		e.carriers = append(e.carriers, c)
+	}
+	p := &Proc{env: e, name: name, c: c}
+	c.p, c.fn = p, fn
 	e.schedule(e.now, p, nil)
 	return p
 }
 
-// addProc registers p for Close, compacting finished entries when the
-// registry has grown well past the live population (short-lived processes
-// — one per destaged page, for example — would otherwise pin the slice).
-func (e *Env) addProc(p *Proc) {
-	if len(e.procs) >= 64 && len(e.procs) >= 2*e.live {
-		kept := e.procs[:0]
-		for _, q := range e.procs {
-			if !q.done {
-				kept = append(kept, q)
-			}
+// loop is the carrier's body: run the assigned process, go idle, wait to be
+// handed the next one. It returns when Close stops the carrier.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.run()
+		c.p, c.fn = nil, nil
+		c.env.idle = append(c.env.idle, c)
+		if !yield(struct{}{}) {
+			return
 		}
-		for i := len(kept); i < len(e.procs); i++ {
-			e.procs[i] = nil
-		}
-		e.procs = kept
 	}
-	e.procs = append(e.procs, p)
 }
 
-// yieldToScheduler hands control back and blocks until resumed. The two
-// batons have capacity 1, so neither side ever blocks sending — each
-// handoff costs one park and one wake, not two of each.
+// run executes the assigned process to completion. A panic must not leave
+// the coroutine — iter.Pull would rethrow it at the scheduler's next — so
+// it is captured here per process and travels as Env.fail; the carrier
+// itself stays usable.
+func (c *carrier) run() {
+	defer func() {
+		e := c.env
+		if r := recover(); r != nil && r != procKilled && e.fail == nil {
+			e.fail = &ProcPanic{Env: e.name, Proc: c.p.name, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	c.fn(c.p)
+}
+
+// resume switches to p's carrier until the process blocks or finishes.
+func (p *Proc) resume() {
+	if p.c.p != p {
+		// A wake-up for a process that already finished would resume
+		// whatever process its carrier runs now.
+		panic("sim: resume of finished process " + p.name)
+	}
+	p.c.next()
+}
+
+// yieldToScheduler hands control back and blocks until resumed. yield
+// reports false once Close has stopped the carrier — at the resume that
+// delivers the stop, and at once on any later call from a deferred
+// function — and the process unwinds.
 //
 //xssd:hotpath
 func (p *Proc) yieldToScheduler() {
-	e := p.env
-	if e.closed {
-		panic(procKilled)
-	}
-	e.parked <- struct{}{}
-	<-p.park
-	if e.closed {
+	if !p.c.yield(struct{}{}) {
 		panic(procKilled)
 	}
 }
 
 // Close releases every parked process so its goroutine exits, and drops
 // all queued events. Without it, an Env abandoned after a truncated
-// RunUntil leaks one goroutine per sleeping or Signal-blocked process for
-// the life of the program. Close is terminal: the Env must not be used
-// afterwards. It must be called from the driving test or main goroutine,
-// never from process context.
+// RunUntil leaks one goroutine per carrier for the life of the program.
+// Stopping a carrier parked inside a process unwinds that process through
+// its deferred functions; an idle carrier, or one handed a process that was
+// never dispatched, just returns (the process never runs); a carrier that
+// was never resumed at all never starts. Close is terminal: the Env must
+// not be used afterwards. It must be called from the driving test or main
+// goroutine, never from process context.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -302,14 +328,11 @@ func (e *Env) Close() {
 		panic("sim: Close from process context")
 	}
 	e.closed = true
-	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.park <- struct{}{} // wake; the process sees closed and unwinds
-		<-e.parked           // its exit ack
+	for _, c := range e.carriers {
+		c.stop()
 	}
-	e.procs = nil
+	e.carriers = nil
+	e.idle = nil
 	e.heap = nil
 	e.nowq = nil
 	e.nowqPos = 0
@@ -442,12 +465,11 @@ func (e *Env) run(until int64) int {
 			continue
 		}
 		if ev.proc != nil {
-			ev.proc.park <- struct{}{}
-			<-e.parked
+			ev.proc.resume()
 			if e.fail != nil {
-				// The process panicked; its goroutine has unwound and
-				// returned the baton. Stop dispatching — the caller (Run or
-				// the group barrier) decides how to surface the failure.
+				// The process panicked; its carrier captured the panic and
+				// yielded. Stop dispatching — the caller (Run or the group
+				// barrier) decides how to surface the failure.
 				goto out
 			}
 		}

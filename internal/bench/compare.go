@@ -62,12 +62,20 @@ func ReadPerfFile(path string) ([]PerfResult, error) {
 // applies to every cell regardless of duration.
 const compareWallFloorNS = int64(500_000_000)
 
+// compareAllocsTol: the fraction by which a cell's allocation count may
+// exceed its baseline's. For one toolchain the count repeats to a few parts
+// in 10⁵ (map growth, GC timing), so unlike events/second it is gated on
+// every cell that recorded it, however short.
+const compareAllocsTol = 0.05
+
 // Compare gates a new perf run against a baseline: it fails if any
 // baseline cell is missing from the new run, dispatched a different event
-// count (a determinism break — event counts are machine-independent), or
-// regressed in events/second by more than tol (a fraction, e.g. 0.15) on
-// cells running past compareWallFloorNS. Cells present only in the new
-// run are ignored, so adding cells does not require regenerating history.
+// count (a determinism break — event counts are machine-independent),
+// allocated more than compareAllocsTol above the baseline's count (cells
+// whose baseline recorded no allocs are skipped), or regressed in
+// events/second by more than tol (a fraction, e.g. 0.15) on cells running
+// past compareWallFloorNS. Cells present only in the new run are ignored,
+// so adding cells does not require regenerating history.
 func Compare(baseline, current []PerfResult, tol float64) error {
 	byName := make(map[string]PerfResult, len(current))
 	for _, r := range current {
@@ -107,6 +115,11 @@ func Compare(baseline, current []PerfResult, tol float64) error {
 			problems = append(problems, fmt.Sprintf(
 				"%s: committed %d transactions, baseline %d (virtual-time drift — determinism break?)",
 				b.Bench, c.Commits, b.Commits))
+		}
+		if b.Allocs > 0 && float64(c.Allocs) > float64(b.Allocs)*(1+compareAllocsTol) {
+			problems = append(problems, fmt.Sprintf(
+				"%s: %d allocs, >%.0f%% above baseline %d",
+				b.Bench, c.Allocs, compareAllocsTol*100, b.Allocs))
 		}
 		if b.WallNS >= compareWallFloorNS && b.EventsPerSec > 0 && c.EventsPerSec < b.EventsPerSec*(1-tol) {
 			problems = append(problems, fmt.Sprintf(

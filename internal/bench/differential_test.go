@@ -171,6 +171,33 @@ func TestCompareWallFloor(t *testing.T) {
 	}
 }
 
+// TestCompareGatesAllocs checks the allocation gate: growth past 5 % of
+// the baseline's count fails whatever the cell's duration, anything up to
+// it passes, and a baseline that recorded no count gates nothing.
+func TestCompareGatesAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		base, current int64
+		fails         bool
+	}{
+		{"+6% fails", 100_000, 106_000, true},
+		{"+4% passes", 100_000, 104_000, false},
+		{"exactly +5% passes", 100_000, 105_000, false},
+		{"fewer passes", 100_000, 50_000, false},
+		{"baseline without allocs is skipped", 0, 1_000_000, false},
+	} {
+		baseline := []PerfResult{{Bench: "c", Events: 10, Allocs: tc.base}}
+		current := []PerfResult{{Bench: "c", Events: 10, Allocs: tc.current}}
+		err := Compare(baseline, current, 0.15)
+		if tc.fails != (err != nil) {
+			t.Errorf("%s: Compare(%d -> %d allocs) = %v", tc.name, tc.base, tc.current, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "allocs") {
+			t.Errorf("%s: unexpected error: %v", tc.name, err)
+		}
+	}
+}
+
 // TestCompareFlagsQuantileDrift checks that Compare demands exact
 // quantile equality on latency-suite cells (virtual-time quantiles are
 // deterministic) while leaving quantile-free perf cells alone.

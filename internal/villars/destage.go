@@ -68,7 +68,9 @@ type destageModule struct {
 	procName    string // per-page worker name, built once
 
 	kick     *sim.Signal
-	Advanced *sim.Signal // broadcast after every completed page
+	kickFn   func()        // kick.Broadcast, bound once for the latency-bound timer
+	armedFor time.Duration // deadline of the last latency-bound timer armed
+	Advanced *sim.Signal   // broadcast after every completed page
 
 	// metrics (<fs>/destage/...)
 	mPages        *obs.Counter
@@ -105,6 +107,7 @@ func newDestageModule(d *Device, fs *fastSide, baseLBA, lbaCount int64) *destage
 		Advanced: d.env.NewSignal(),
 		procName: "destage-page-" + fs.name,
 	}
+	m.kickFn = m.kick.Broadcast
 	sc := obs.For(d.env).Scope(fs.name + "/destage")
 	m.mPages = sc.Counter("pages")
 	m.mPartialPages = sc.Counter("partial_pages")
@@ -169,8 +172,13 @@ func (m *destageModule) loop(p *sim.Proc) {
 		if !full && !urgent {
 			// Not enough for a full page and not old enough for a padded
 			// one: wait for more data, with a timer so the latency bound
-			// still fires on a quiet ring.
-			m.dev.env.After(m.fs.latencyBound-age, m.kick.Broadcast)
+			// still fires on a quiet ring. The loop comes through here once
+			// per persisted chunk while it has caught up; headArrived only
+			// moves forward, so one timer per distinct deadline is enough.
+			if deadline := cmb.headArrived + m.fs.latencyBound; deadline != m.armedFor {
+				m.armedFor = deadline
+				m.dev.env.At(deadline, m.kickFn)
+			}
 			p.Wait(m.kick)
 			continue
 		}

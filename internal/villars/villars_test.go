@@ -437,3 +437,59 @@ func TestBackingClassesBothWork(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyBoundArmsOneTimerPerDeadline feeds a caught-up fast side n
+// 64-byte chunks (less than one page in total), then nothing. The destage
+// loop wakes once per persisted chunk and every time finds the same
+// deadline, headArrived + latency bound; it must carve the padded page at
+// exactly that instant, and the quiet stretch before it must cost the same
+// few events whatever n was — one timer per deadline, not one per chunk.
+func TestLatencyBoundArmsOneTimerPerDeadline(t *testing.T) {
+	const chunk = 64
+	eventsToCarve := func(n int) int64 {
+		env := sim.NewEnv(1)
+		defer env.Close()
+		cfg := testConfig("a")
+		cfg.Geometry.PageSize = 16384
+		d := New(env, cfg, pcie.NewHostMemory(1<<20))
+		const gap = 500 * time.Nanosecond
+		env.Go("host", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				d.CMB().MemWrite(int64(i*chunk), make([]byte, chunk))
+				p.Sleep(gap)
+			}
+		})
+		env.RunUntil(time.Duration(n)*gap + 10*time.Microsecond)
+		if got := d.CMB().Ring().Frontier(); got != int64(n*chunk) {
+			t.Fatalf("n=%d: frontier %d after the feed, want %d", n, got, n*chunk)
+		}
+		_, _, busOps := d.CMB().bank.Bus().Stats()
+		quiet := env.Events()
+		deadline := d.CMB().headArrived + cfg.DestageLatencyBound
+
+		// The carve starts by reading the ring over the backing bus, so
+		// the bus's transfer count moves at the instant the loop decides.
+		env.RunUntil(deadline - 1)
+		if _, _, ops := d.CMB().bank.Bus().Stats(); ops != busOps {
+			t.Fatalf("n=%d: page carved before headArrived + bound (%v)", n, deadline)
+		}
+		env.RunUntil(deadline)
+		if _, _, ops := d.CMB().bank.Bus().Stats(); ops != busOps+1 {
+			t.Fatalf("n=%d: no carve at headArrived + bound (%v)", n, deadline)
+		}
+		events := env.Events() - quiet
+
+		env.RunUntil(deadline + 10*time.Millisecond)
+		if total, partial := d.Destage().Pages(); total != 1 || partial != 1 {
+			t.Fatalf("n=%d: pages = (%d,%d), want one padded page", n, total, partial)
+		}
+		if got := d.Destage().DestagedStream(); got != int64(n*chunk) {
+			t.Fatalf("n=%d: destaged stream = %d, want %d", n, got, n*chunk)
+		}
+		return events
+	}
+	few, many := eventsToCarve(10), eventsToCarve(200)
+	if few != many || few > 4 {
+		t.Fatalf("events from the last persist to the carve: %d after 10 chunks, %d after 200; want the same small count", few, many)
+	}
+}

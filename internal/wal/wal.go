@@ -133,6 +133,13 @@ type Log struct {
 	durableLSN int64  // everything below is persisted
 	oldestWait time.Duration
 
+	// The group-timeout timer: wake (appended.Broadcast, bound once) fires
+	// at oldestWait+GroupTimeout, and armedFor is the last deadline a
+	// timer was armed for. On the Log, not the flusher, so a flusher
+	// restarted by Resume does not re-arm a deadline that is still pending.
+	wake     func()
+	armedFor time.Duration
+
 	// failover retention (Config.Retain): the flushed stream's bytes in
 	// [retainBase, durableLSN), kept so Resume can re-drive the tail a
 	// promoted device is missing.
@@ -171,6 +178,7 @@ func NewLog(env *sim.Env, sink Sink, cfg Config) *Log {
 		appended: env.NewSignal(),
 		flushed:  env.NewSignal(),
 	}
+	l.wake = l.appended.Broadcast
 	sc := obs.For(env).Scope("wal/" + sink.Name())
 	l.mRecords = sc.Counter("records")
 	l.mFlushes = sc.Counter("flushes")
@@ -266,10 +274,14 @@ func (l *Log) flusher(p *sim.Proc) {
 		}
 		if len(l.buf) < l.cfg.GroupBytes {
 			// Not a full group yet: wait for more appends, with a timer so
-			// the group timeout still bounds latency on a quiet log.
-			age := p.Now() - l.oldestWait
-			if age < l.cfg.GroupTimeout {
-				l.env.After(l.cfg.GroupTimeout-age, l.appended.Broadcast)
+			// the group timeout still bounds latency on a quiet log. Every
+			// append wakes the flusher through here; oldestWait only moves
+			// forward, so one timer per distinct deadline is enough.
+			if deadline := l.oldestWait + l.cfg.GroupTimeout; p.Now() < deadline {
+				if deadline != l.armedFor {
+					l.armedFor = deadline
+					l.env.At(deadline, l.wake)
+				}
 				p.Wait(l.appended)
 				continue
 			}

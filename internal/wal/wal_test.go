@@ -346,3 +346,58 @@ func TestResumeReplaySurvivesTrim(t *testing.T) {
 		t.Fatalf("replayed stream decodes to %d records, want 40", len(recs))
 	}
 }
+
+// stampSink records when each flush reached the sink.
+type stampSink struct{ at []time.Duration }
+
+func (s *stampSink) Write(p *sim.Proc, data []byte) error {
+	s.at = append(s.at, p.Now())
+	return nil
+}
+
+func (s *stampSink) Name() string { return "stamp" }
+
+// TestGroupTimeoutArmsOneTimerPerDeadline appends n small records, far
+// below GroupBytes, then nothing. Every append wakes the flusher to the
+// same deadline, oldestWait + GroupTimeout; the flush must start at exactly
+// that instant, and the quiet stretch before it must cost the same few
+// events whatever n was — one timer per deadline, not one per append.
+func TestGroupTimeoutArmsOneTimerPerDeadline(t *testing.T) {
+	eventsToFlush := func(n int) int64 {
+		env := sim.NewEnv(1)
+		defer env.Close()
+		sink := &stampSink{}
+		log := NewLog(env, sink, Config{GroupBytes: 1 << 20, GroupTimeout: time.Millisecond})
+		const first, gap = 3 * time.Microsecond, time.Microsecond
+		env.Go("appender", func(p *sim.Proc) {
+			p.Sleep(first)
+			for i := 0; i < n; i++ {
+				log.Append(Record{TxID: int64(i), Payload: []byte("small")})
+				p.Sleep(gap)
+			}
+		})
+		env.RunUntil(first + time.Duration(n)*gap)
+		if got, want := log.AppendedLSN(), int64(n*EncodedLen(5)); got != want {
+			t.Fatalf("n=%d: appended %d bytes, want %d", n, got, want)
+		}
+		quiet := env.Events()
+		deadline := first + time.Millisecond // oldestWait is the first append
+
+		env.RunUntil(deadline - 1)
+		if len(sink.at) != 0 {
+			t.Fatalf("n=%d: flushed at %v, before oldestWait + GroupTimeout (%v)", n, sink.at[0], deadline)
+		}
+		env.RunUntil(deadline)
+		if len(sink.at) != 1 || sink.at[0] != deadline {
+			t.Fatalf("n=%d: flushes at %v, want one at %v", n, sink.at, deadline)
+		}
+		if log.DurableLSN() != log.AppendedLSN() {
+			t.Fatalf("n=%d: durable %d of %d appended bytes", n, log.DurableLSN(), log.AppendedLSN())
+		}
+		return env.Events() - quiet
+	}
+	few, many := eventsToFlush(10), eventsToFlush(200)
+	if few != many || few > 4 {
+		t.Fatalf("events from the last append to the flush: %d after 10 appends, %d after 200; want the same small count", few, many)
+	}
+}

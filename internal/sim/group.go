@@ -281,9 +281,12 @@ func (g *Group) RunUntil(t time.Duration) int {
 	return blocked
 }
 
-// runQuantum drives one member through a single quantum. A panic from a
-// scheduler-context callback is captured like a process panic, so failures
-// cross the worker boundary as data instead of crashing the pool.
+// runQuantum drives one member through a single quantum. The member's
+// process coroutines are resumed by the calling goroutine — the coordinator
+// or a pool worker, a different one from quantum to quantum but never two
+// at once: the barrier orders them, which is all iter.Pull asks. A panic
+// from a scheduler-context callback is captured like a process panic, so
+// failures cross the worker boundary as data instead of crashing the pool.
 func (e *Env) runQuantum(qEnd int64) {
 	defer func() {
 		if r := recover(); r != nil && e.fail == nil {

@@ -167,15 +167,15 @@ func (m *destageModule) loop(p *sim.Proc) {
 			continue
 		}
 		full := eligible >= int64(m.maxPayload())
-		age := p.Now() - cmb.headArrived
-		urgent := m.dev.powerLost || age >= m.fs.latencyBound
+		deadline := cmb.headArrived + m.fs.latencyBound
+		urgent := m.dev.powerLost || p.Now() >= deadline
 		if !full && !urgent {
 			// Not enough for a full page and not old enough for a padded
 			// one: wait for more data, with a timer so the latency bound
 			// still fires on a quiet ring. The loop comes through here once
 			// per persisted chunk while it has caught up; headArrived only
 			// moves forward, so one timer per distinct deadline is enough.
-			if deadline := cmb.headArrived + m.fs.latencyBound; deadline != m.armedFor {
+			if deadline != m.armedFor {
 				m.armedFor = deadline
 				m.dev.env.At(deadline, m.kickFn)
 			}

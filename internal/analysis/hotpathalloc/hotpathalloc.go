@@ -90,10 +90,8 @@ func check(pass *analysis.Pass, fd *ast.FuncDecl) {
 			}
 		case *ast.BinaryExpr:
 			if n.Op.String() == "+" {
-				if t, ok := pass.TypesInfo.Types[n]; ok && t.Type != nil {
-					if b, ok := t.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						pass.Reportf(n.Pos(), "hot path: string concatenation allocates; build the string once outside the hot path")
-					}
+				if t, ok := pass.TypesInfo.Types[n]; ok && t.Type != nil && isString(t.Type) {
+					pass.Reportf(n.Pos(), "hot path: string concatenation allocates; build the string once outside the hot path")
 				}
 			}
 		}
@@ -102,9 +100,14 @@ func check(pass *analysis.Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, walk)
 }
 
-// checkCall flags allocating calls: fmt, make/new, and interface boxing
-// of non-pointer-shaped arguments.
+// checkCall flags allocating calls: fmt, make/new, copying conversions
+// between strings and byte or rune slices, and interface boxing of
+// non-pointer-shaped arguments.
 func checkCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, emptyLocals map[types.Object]bool) {
+	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
+		checkConversion(pass, call, tv.Type)
+		return
+	}
 	if id, ok := analysis.Unparen(call.Fun).(*ast.Ident); ok {
 		switch pass.TypesInfo.Uses[id] {
 		case types.Universe.Lookup("make"):
@@ -146,6 +149,9 @@ func checkCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, emptyL
 		if pt == nil {
 			continue
 		}
+		if _, isParam := pt.(*types.TypeParam); isParam {
+			continue // a generic call is instantiated for the argument's type: nothing is boxed
+		}
 		if _, isIface := pt.Underlying().(*types.Interface); !isIface {
 			continue
 		}
@@ -161,6 +167,37 @@ func checkCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, emptyL
 		}
 		pass.Reportf(arg.Pos(), "hot path: converting %s to %s boxes the value on the heap", at.Type.String(), pt.String())
 	}
+}
+
+// checkConversion flags string(b) and []byte(s) (and the rune-slice
+// forms): each copies its operand into a fresh allocation. A constant
+// operand converts at compile time.
+func checkConversion(pass *analysis.Pass, call *ast.CallExpr, to types.Type) {
+	if len(call.Args) != 1 {
+		return
+	}
+	from, ok := pass.TypesInfo.Types[call.Args[0]]
+	if !ok || from.Type == nil || from.Value != nil {
+		return
+	}
+	if isString(to) && isCharSlice(from.Type) || isCharSlice(to) && isString(from.Type) {
+		pass.Reportf(call.Pos(), "hot path: converting %s to %s copies the bytes on every call", from.Type.String(), to.String())
+	}
+}
+
+func isString(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}
+
+// isCharSlice reports whether t is a []byte or a []rune.
+func isCharSlice(t types.Type) bool {
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune)
 }
 
 // checkAppend flags appends whose destination starts empty on every

@@ -99,3 +99,30 @@ func (m *mod) hotNilCopy(b []byte) []byte {
 func (m *mod) hotReuse(b []byte) {
 	m.bufs = append(m.bufs, b)
 }
+
+//xssd:hotpath
+func (m *mod) hotConvert(b []byte, s string) (string, []byte) {
+	const c = "constant"
+	_ = []byte(c)
+	return string(b), []byte(s) // want "converting \\[\\]byte to string copies the bytes" "converting string to \\[\\]byte copies the bytes"
+}
+
+func largest[S ~[]E, E any](s S, less func(a, b E) bool) E {
+	top := s[0]
+	for _, e := range s[1:] {
+		if less(top, e) {
+			top = e
+		}
+	}
+	return top
+}
+
+func lessInt(a, b int) bool { return a < b }
+
+// hotGeneric passes a slice for a type parameter: the call is instantiated
+// for []int, nothing is converted to an interface; no report.
+//
+//xssd:hotpath
+func (m *mod) hotGeneric(vals []int) int {
+	return largest(vals, lessInt)
+}

@@ -8,10 +8,13 @@
 package db
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"xssd/internal/btree"
 	"xssd/internal/sim"
@@ -61,6 +64,12 @@ type Engine struct {
 	// sets stay fenced until the coordinator's decision arrives. nil until
 	// the first Prepare, so purely local workloads never pay for it.
 	pins map[hkey]*Tx
+
+	// spare holds the read/write sets of finished transactions, cleared
+	// but with their capacity, for BeginP to hand out again (DESIGN §9): a
+	// transaction's cost is then the rows it writes, not three containers
+	// grown from empty.
+	spare []txSets
 
 	commits, aborts int64
 }
@@ -219,9 +228,27 @@ type Tx struct {
 	// in-memory engine (nothing there ever yields).
 	p *sim.Proc
 
-	reads  map[hkey]int64 // observed row versions
+	// The sets are on loan from the engine: BeginP takes them off
+	// Engine.spare and release puts them back when the transaction
+	// finishes, after which it holds none and touches nothing.
+	txSets
+}
+
+// txSets is what a transaction accumulates. reads is append-only — nothing
+// looks a key up in it; validate, Prepare and pinned only walk it — so a
+// row read twice appears twice and is validated against every version it
+// was seen at.
+type txSets struct {
+	reads  []readOp
 	writes []writeOp
 	wIndex map[hkey]int // read-your-writes index into writes
+}
+
+// readOp is one observed row version: 0 for an absent row, the writer's
+// id for a live row or a tombstone.
+type readOp struct {
+	hkey
+	ver int64
 }
 
 type writeOp struct {
@@ -247,7 +274,27 @@ func (e *Engine) Begin() *Tx { return e.BeginP(nil) }
 // run on p when they need the device.
 func (e *Engine) BeginP(p *sim.Proc) *Tx {
 	e.nextTx++
-	return &Tx{eng: e, id: e.nextTx, p: p, reads: map[hkey]int64{}, wIndex: map[hkey]int{}}
+	t := &Tx{eng: e, id: e.nextTx, p: p}
+	if n := len(e.spare); n > 0 {
+		t.txSets, e.spare[n-1] = e.spare[n-1], txSets{}
+		e.spare = e.spare[:n-1]
+	} else {
+		t.wIndex = map[hkey]int{}
+	}
+	return t
+}
+
+// release hands a finished transaction's sets back to the engine. The Tx
+// itself is not recycled — callers keep the pointer — so from here on it
+// holds no set at all, and GetIn and addWrite check done before touching
+// one: a late call can neither assign into a nil map nor reach a set
+// another transaction now owns.
+func (t *Tx) release() {
+	clear(t.reads)
+	clear(t.writes)
+	clear(t.wIndex)
+	t.eng.spare = append(t.eng.spare, txSets{t.reads[:0], t.writes[:0], t.wIndex})
+	t.txSets = txSets{}
 }
 
 // ID returns the transaction id.
@@ -256,21 +303,35 @@ func (t *Tx) ID() int64 { return t.id }
 // GetIn reads a row through a resolved handle, observing the
 // transaction's own writes first. The read runs on the transaction's
 // process and records the observed version: 0 for an absent row, the
-// writer's id for a live row or a tombstone.
+// writer's id for a live row or a tombstone. On a finished transaction it
+// reads the store and records nothing.
+//
+// The returned bytes are the row as installed, not a copy, and they never
+// change: both stores replace a row's value whole (rowMap assigns the
+// cell, a tree leaf swaps the slice, and page decode gives every value
+// its own slice), so callers may keep views into them — internal/tpcc
+// decodes string fields as views — and must never write through them.
+//
+//xssd:hotpath
 func (t *Tx) GetIn(tab Table, key string) ([]byte, bool) {
 	k := hkey{tab.t, key}
-	if i, ok := t.wIndex[k]; ok {
-		w := t.writes[i]
-		if w.delete {
-			return nil, false
+	if len(t.writes) > 0 { // most reads come before the first write: skip the probe
+		if i, ok := t.wIndex[k]; ok {
+			w := t.writes[i]
+			if w.delete {
+				return nil, false
+			}
+			return w.val, true
 		}
-		return w.val, true
 	}
 	it, found, err := tab.t.rows.Get(t.p, key)
 	if err != nil {
+		//xssd:ignore hotpathalloc a store fault ends the run: the process parks or the engine panics
 		t.eng.fault(t.p, fmt.Errorf("db: get %s/%q: %w", tab.name, key, err))
 	}
-	t.reads[k] = it.Ver
+	if !t.done {
+		t.reads = append(t.reads, readOp{k, it.Ver})
+	}
 	if !found || it.Tomb {
 		return nil, false
 	}
@@ -323,11 +384,20 @@ func (t *Tx) Delete(tableName, key string) {
 	t.DeleteIn(t.eng.Table(tableName), key)
 }
 
+// addWrite buffers one write, replacing an earlier write to the same row.
+// A finished transaction drops it.
+//
+//xssd:hotpath
 func (t *Tx) addWrite(w writeOp) {
-	k := hkey{w.tab.t, w.key}
-	if i, ok := t.wIndex[k]; ok {
-		t.writes[i] = w
+	if t.done {
 		return
+	}
+	k := hkey{w.tab.t, w.key}
+	if len(t.writes) > 0 {
+		if i, ok := t.wIndex[k]; ok {
+			t.writes[i] = w
+			return
+		}
 	}
 	t.wIndex[k] = len(t.writes)
 	t.writes = append(t.writes, w)
@@ -338,6 +408,7 @@ func (t *Tx) Abort() {
 	if !t.done {
 		t.done = true
 		t.unpin()
+		t.release()
 		t.eng.aborts++
 	}
 }
@@ -373,44 +444,53 @@ func (e *Engine) fault(p *sim.Proc, err error) {
 }
 
 // validate re-reads every row the transaction observed and reports
-// whether each still carries the version it saw. The order of the
-// re-reads is the one place the engine looks at what kind of store it
-// has: with a pager a re-read may miss and yield, so the read set is
-// walked in sorted (table, key) order — map order would leak into the
-// event schedule and break cross-run determinism. Without one nothing
-// yields, the outcome does not depend on which stale read is found
-// first, and map order costs neither a sort nor an allocation.
+// whether each still carries the version it saw — every version, when a
+// row was read more than once: two reads that disagree cannot both match.
+// The order of the re-reads is the one place the engine looks at what
+// kind of store it has: with a pager a re-read may miss and yield, so
+// which row is fetched first is part of the event schedule. The read set
+// is sorted by (table, key, version) first — in place, its order means
+// nothing to Prepare or pinned — which is the order every paged fold and
+// baseline was recorded in, from when the set was a map and map order had
+// to be kept out of the schedule. Without a pager nothing yields, the
+// outcome does not depend on which stale read is found first, and read
+// order costs no sort. An adjacent repeat of the same row at the same
+// version is skipped, so a pager is asked for each row once, as the map
+// walk asked it.
+//
+//xssd:hotpath
 func (t *Tx) validate(p *sim.Proc) bool {
-	if t.eng.pager == nil {
-		for k, ver := range t.reads {
-			if t.current(p, k) != ver {
-				return false
-			}
-		}
-		return true
+	if t.eng.pager != nil {
+		slices.SortFunc(t.reads, compareReads)
 	}
-	rks := make([]hkey, 0, len(t.reads))
-	for k := range t.reads {
-		rks = append(rks, k)
-	}
-	sort.Slice(rks, func(i, j int) bool {
-		if rks[i].t.name != rks[j].t.name {
-			return rks[i].t.name < rks[j].t.name
+	for i, r := range t.reads {
+		if i > 0 && r == t.reads[i-1] {
+			continue
 		}
-		return rks[i].key < rks[j].key
-	})
-	for _, k := range rks {
-		if t.current(p, k) != t.reads[k] {
+		if t.current(p, r.hkey) != r.ver {
 			return false
 		}
 	}
 	return true
 }
 
+func compareReads(a, b readOp) int {
+	if c := strings.Compare(a.t.name, b.t.name); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ver, b.ver)
+}
+
 // current returns the version row k carries now (0 when absent).
+//
+//xssd:hotpath
 func (t *Tx) current(p *sim.Proc, k hkey) int64 {
 	it, _, err := k.t.rows.Get(p, k.key)
 	if err != nil {
+		//xssd:ignore hotpathalloc a store fault ends the run: the process parks or the engine panics
 		t.eng.fault(p, fmt.Errorf("db: validate %s/%q: %w", k.t.name, k.key, err))
 	}
 	return it.Ver
@@ -449,6 +529,7 @@ func (t *Tx) commit(p *sim.Proc) (int64, error) {
 		}
 	}
 	e.commits++ // after apply, which may yield: a commit counts once it is visible
+	t.release()
 	return lsn, nil
 }
 
@@ -458,6 +539,8 @@ func (t *Tx) commit(p *sim.Proc) (int64, error) {
 // conflicts against a read of the now-absent row. Decoded ops carry no
 // resolved handle; they resolve against this engine, creating tables on
 // first touch.
+//
+//xssd:hotpath
 func (e *Engine) apply(p *sim.Proc, ws []writeOp, ver, lsn int64) error {
 	for _, w := range ws {
 		tab := w.tab.t
@@ -469,6 +552,7 @@ func (e *Engine) apply(p *sim.Proc, ws []writeOp, ver, lsn int64) error {
 			it.Val = w.val
 		}
 		if err := tab.rows.Put(p, w.key, it, lsn); err != nil {
+			//xssd:ignore hotpathalloc a store fault ends the run: the process parks or the engine panics
 			return fmt.Errorf("db: apply %s/%q: %w", w.tab.name, w.key, err)
 		}
 	}
@@ -514,7 +598,9 @@ func (t *Tx) CommitPipelined(p *sim.Proc, pl *wal.Pipeline) (int64, error) {
 // transaction is guaranteed committable — no other transaction can commit
 // a write to any row it touched until CommitPrepared or Abort releases
 // the pins. A validation failure or a collision with another prepared
-// transaction aborts and returns ErrConflict (vote no).
+// transaction aborts and returns ErrConflict (vote no). A prepared
+// transaction keeps its read and write sets — EncodedWrites and
+// CommitPrepared read them — until CommitPrepared or Abort.
 func (t *Tx) Prepare() error {
 	if t.done {
 		return ErrTxDone
@@ -529,8 +615,8 @@ func (t *Tx) Prepare() error {
 	if e.pins == nil {
 		e.pins = map[hkey]*Tx{}
 	}
-	for k := range t.reads {
-		e.pins[k] = t
+	for _, r := range t.reads {
+		e.pins[r.hkey] = t
 	}
 	for _, w := range t.writes {
 		e.pins[hkey{w.tab.t, w.key}] = t
@@ -555,8 +641,8 @@ func (t *Tx) pinned(reads bool) bool {
 		}
 	}
 	if reads {
-		for k := range t.reads {
-			if o := pins[k]; o != nil && o != t {
+		for _, r := range t.reads {
+			if o := pins[r.hkey]; o != nil && o != t {
 				return true
 			}
 		}
@@ -593,6 +679,7 @@ func (t *Tx) CommitPrepared(ver int64) {
 		e.fault(t.p, err)
 	}
 	e.commits++
+	t.release()
 }
 
 // EncodedWrites serializes the transaction's write set in the redo-record

@@ -161,7 +161,7 @@ func TestConsistencyNameIndex(t *testing.T) {
 				if !ok {
 					continue
 				}
-				for _, cid := range decodeIDList(idxRow) {
+				for _, cid := range decodeIDList(nil, idxRow) {
 					cRow, ok := eng.Read(TCustomer, CKey(w, d, int(cid)))
 					if !ok {
 						t.Fatalf("index names missing customer %d:%d:%d", w, d, cid)

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"xssd/internal/db"
 	"xssd/internal/obs"
@@ -150,11 +151,18 @@ func (e *enc) s(s string) {
 	e.b = append(e.b, s...)
 }
 
+// dec reads a row back. Decoding copies nothing: a string field of the
+// decoded row is a view into the row bytes, so the bytes handed to a
+// Decode function must never change afterwards. Rows read through
+// db.Tx.GetIn qualify — its contract is that an installed value is
+// immutable — and nothing else is decoded on a hot path. Malformed bytes
+// decode to zero fields, never a panic or a read past the row.
 type dec struct {
 	b   []byte
 	bad bool
 }
 
+//xssd:hotpath
 func (d *dec) u() uint64 {
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
@@ -165,6 +173,7 @@ func (d *dec) u() uint64 {
 	return v
 }
 
+//xssd:hotpath
 func (d *dec) i() int64 {
 	v, n := binary.Varint(d.b)
 	if n <= 0 {
@@ -175,13 +184,14 @@ func (d *dec) i() int64 {
 	return v
 }
 
+//xssd:hotpath
 func (d *dec) s() string {
-	n := int(d.u())
-	if d.bad || n > len(d.b) {
+	n := d.u()
+	if d.bad || n > uint64(len(d.b)) {
 		d.bad = true
 		return ""
 	}
-	out := string(d.b[:n])
+	out := unsafe.String(unsafe.SliceData(d.b), int(n))
 	d.b = d.b[n:]
 	return out
 }
@@ -205,6 +215,8 @@ func (r Warehouse) Encode() []byte {
 }
 
 // DecodeWarehouse parses a warehouse row.
+//
+//xssd:hotpath
 func DecodeWarehouse(b []byte) Warehouse {
 	d := dec{b: b}
 	return Warehouse{Name: d.s(), Tax: d.i(), YTD: d.i()}
@@ -231,6 +243,8 @@ func (r District) Encode() []byte {
 }
 
 // DecodeDistrict parses a district row.
+//
+//xssd:hotpath
 func DecodeDistrict(b []byte) District {
 	d := dec{b: b}
 	return District{Name: d.s(), Tax: d.i(), YTD: d.i(), NextOID: d.i(), NextDelivery: d.i()}
@@ -265,6 +279,8 @@ func (r Customer) Encode() []byte {
 }
 
 // DecodeCustomer parses a customer row.
+//
+//xssd:hotpath
 func DecodeCustomer(b []byte) Customer {
 	d := dec{b: b}
 	return Customer{
@@ -291,6 +307,8 @@ func (r Item) Encode() []byte {
 }
 
 // DecodeItem parses an item row.
+//
+//xssd:hotpath
 func DecodeItem(b []byte) Item {
 	d := dec{b: b}
 	return Item{Name: d.s(), Price: d.i(), Data: d.s()}
@@ -319,6 +337,8 @@ func (r Stock) Encode() []byte {
 }
 
 // DecodeStock parses a stock row.
+//
+//xssd:hotpath
 func DecodeStock(b []byte) Stock {
 	d := dec{b: b}
 	return Stock{Qty: d.i(), YTD: d.i(), OrderCnt: d.i(), RemoteCnt: d.i(), Dist: d.s(), Data: d.s()}
@@ -349,6 +369,8 @@ func (r Order) Encode() []byte {
 }
 
 // DecodeOrder parses an order row.
+//
+//xssd:hotpath
 func DecodeOrder(b []byte) Order {
 	d := dec{b: b}
 	return Order{CID: d.i(), EntryD: d.i(), Carrier: d.i(), OLCnt: d.i(), AllLocal: d.i() == 1}
@@ -377,6 +399,8 @@ func (r OrderLine) Encode() []byte {
 }
 
 // DecodeOrderLine parses an order-line row.
+//
+//xssd:hotpath
 func DecodeOrderLine(b []byte) OrderLine {
 	d := dec{b: b}
 	return OrderLine{IID: d.i(), SupplyW: d.i(), Qty: d.i(), Amount: d.i(), DeliveryD: d.i(), DistInfo: d.s()}
@@ -401,6 +425,8 @@ func (r History) Encode() []byte {
 }
 
 // DecodeHistory parses a history row.
+//
+//xssd:hotpath
 func DecodeHistory(b []byte) History {
 	d := dec{b: b}
 	return History{CID: d.i(), Amount: d.i(), Date: d.i(), Data: d.s()}
@@ -416,14 +442,21 @@ func encodeIDList(ids []int64) []byte {
 	return e.b
 }
 
-func decodeIDList(b []byte) []int64 {
+// decodeIDList appends the list to dst (a terminal passes its scratch, so
+// a by-name customer selection allocates nothing). A count the bytes
+// cannot hold — every id takes at least one — decodes to no ids.
+//
+//xssd:hotpath
+func decodeIDList(dst []int64, b []byte) []int64 {
 	d := dec{b: b}
-	n := int(d.u())
-	out := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.i())
+	n := d.u()
+	if n > uint64(len(d.b)) {
+		return dst
 	}
-	return out
+	for i := uint64(0); i < n; i++ {
+		dst = append(dst, d.i())
+	}
+	return dst
 }
 
 // --- random helpers (TPC-C clause 2.1.6 and 4.3) ----------------------------

@@ -12,7 +12,6 @@ package tpcc
 
 import (
 	"errors"
-	"math/rand"
 
 	"xssd/internal/db"
 	"xssd/internal/shard"
@@ -50,9 +49,7 @@ type ShardedClient struct {
 // NewShardedClient creates a terminal homed on warehouse homeWID of cl.
 func NewShardedClient(cl *shard.Cluster, cfg Config, seed int64, homeWID int, mix RemoteMix) *ShardedClient {
 	home := cl.Shard(cl.ShardOf(homeWID))
-	eng := home.Engine()
-	inner := &Client{cfg: cfg, eng: eng, rng: rand.New(rand.NewSource(seed)), home: homeWID, tabs: resolveTables(eng)}
-	return &ShardedClient{cl: cl, home: home, mix: mix, inner: inner}
+	return &ShardedClient{cl: cl, home: home, mix: mix, inner: newTerminal(home.Engine(), cfg, seed, homeWID)}
 }
 
 // Home returns the terminal's home shard.
@@ -117,14 +114,15 @@ func (c *ShardedClient) newOrder(p *sim.Proc) error {
 		return abort(orErr(err, "tpcc: missing warehouse"))
 	}
 	wh := DecodeWarehouse(wRow)
-	dRow, ok, err := tx.GetW(p, w, TDistrict, DKey(w, d))
+	dKey := DKey(w, d)
+	dRow, ok, err := tx.GetW(p, w, TDistrict, dKey)
 	if err != nil || !ok {
 		return abort(orErr(err, "tpcc: missing district"))
 	}
 	dist := DecodeDistrict(dRow)
 	oid := int(dist.NextOID)
 	dist.NextOID++
-	tx.PutW(w, TDistrict, DKey(w, d), dist.Encode())
+	tx.PutW(w, TDistrict, dKey, dist.Encode())
 
 	cRow, ok, err := tx.GetW(p, w, TCustomer, CKey(w, d, cid))
 	if err != nil || !ok {
@@ -155,7 +153,8 @@ func (c *ShardedClient) newOrder(p *sim.Proc) error {
 			return abort(ErrRollback)
 		}
 		item := DecodeItem(iRow)
-		sRow, ok, err := tx.GetW(p, supplyW, TStock, SKey(supplyW, iid))
+		sKey := SKey(supplyW, iid)
+		sRow, ok, err := tx.GetW(p, supplyW, TStock, sKey)
 		if err != nil || !ok {
 			return abort(orErr(err, "tpcc: missing stock"))
 		}
@@ -171,7 +170,7 @@ func (c *ShardedClient) newOrder(p *sim.Proc) error {
 		if supplyW != w {
 			stock.RemoteCnt++
 		}
-		tx.PutW(supplyW, TStock, SKey(supplyW, iid), stock.Encode())
+		tx.PutW(supplyW, TStock, sKey, stock.Encode())
 		amount := qty * item.Price
 		total += amount
 		tx.PutW(w, TOrderLine, OLKey(w, d, oid, ln), OrderLine{
@@ -209,27 +208,30 @@ func (c *ShardedClient) payment(p *sim.Proc) error {
 		tx.Abort()
 		return err
 	}
-	wRow, ok, err := tx.GetW(p, w, TWarehouse, WKey(w))
+	wKey := WKey(w)
+	wRow, ok, err := tx.GetW(p, w, TWarehouse, wKey)
 	if err != nil || !ok {
 		return abort(orErr(err, "tpcc: missing warehouse"))
 	}
 	wh := DecodeWarehouse(wRow)
 	wh.YTD += amount
-	tx.PutW(w, TWarehouse, WKey(w), wh.Encode())
+	tx.PutW(w, TWarehouse, wKey, wh.Encode())
 
-	dRow, ok, err := tx.GetW(p, w, TDistrict, DKey(w, d))
+	dKey := DKey(w, d)
+	dRow, ok, err := tx.GetW(p, w, TDistrict, dKey)
 	if err != nil || !ok {
 		return abort(orErr(err, "tpcc: missing district"))
 	}
 	dist := DecodeDistrict(dRow)
 	dist.YTD += amount
-	tx.PutW(w, TDistrict, DKey(w, d), dist.Encode())
+	tx.PutW(w, TDistrict, dKey, dist.Encode())
 
 	cid, err := c.selectCustomer(p, tx, cw, cd)
 	if err != nil {
 		return abort(err)
 	}
-	cRow, ok, err := tx.GetW(p, cw, TCustomer, CKey(cw, cd, cid))
+	cKey := CKey(cw, cd, cid)
+	cRow, ok, err := tx.GetW(p, cw, TCustomer, cKey)
 	if err != nil || !ok {
 		return abort(orErr(err, "tpcc: missing customer"))
 	}
@@ -240,7 +242,7 @@ func (c *ShardedClient) payment(p *sim.Proc) error {
 	if cust.Credit == "BC" {
 		cust.Data = randomFiller(in.rng, in.cfg.FillerLen)
 	}
-	tx.PutW(cw, TCustomer, CKey(cw, cd, cid), cust.Encode())
+	tx.PutW(cw, TCustomer, cKey, cust.Encode())
 	tx.PutW(w, THistory, HKey(w, d, tx.ID()), History{
 		CID: int64(cid), Amount: amount, Date: int64(p.Now()),
 		Data: wh.Name + " " + dist.Name,
@@ -261,11 +263,11 @@ func (c *ShardedClient) selectCustomer(p *sim.Proc, tx *shard.Tx, w, d int) (int
 		if !ok {
 			return in.randCID(), nil
 		}
-		ids := decodeIDList(idxRow)
-		if len(ids) == 0 {
+		in.ids = decodeIDList(in.ids[:0], idxRow)
+		if len(in.ids) == 0 {
 			return in.randCID(), nil
 		}
-		return int(ids[len(ids)/2]), nil
+		return int(in.ids[len(in.ids)/2]), nil
 	}
 	return in.randCID(), nil
 }

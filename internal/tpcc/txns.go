@@ -55,14 +55,22 @@ type Client struct {
 	retries int64
 
 	// commitFn overrides the commit path (pipelined commit); nil means
-	// synchronous tx.Commit.
+	// synchronous tx.Commit. asyncFn is the CommitAsync path RunMixAsync
+	// switches to; both are bound once, in NewClient.
 	commitFn func(*sim.Proc, *db.Tx) error
+	asyncFn  func(*sim.Proc, *db.Tx) error
 	lastLSN  int64
 	pipe     *wal.Pipeline // non-nil when Config.PipelineDepth > 0
 
 	// Resolved table handles: every row access in the transaction mix
 	// goes through these, skipping the engine's per-access name lookup.
 	tabs tableSet
+
+	// Per-call scratch the terminal owns, cleared by the profile that
+	// uses it: the customer ids of one name-index row, and the item ids
+	// Stock-Level has already counted.
+	ids  []int64
+	seen map[int64]bool
 }
 
 type tableSet struct {
@@ -92,7 +100,14 @@ func resolveTables(eng *db.Engine) tableSet {
 // transactions in flight instead of stalling on each durability wait;
 // call DrainPipeline before reading final durable counts.
 func NewClient(eng *db.Engine, cfg Config, seed int64, homeWID int) *Client {
-	c := &Client{cfg: cfg, eng: eng, rng: rand.New(rand.NewSource(seed)), home: homeWID, tabs: resolveTables(eng)}
+	c := newTerminal(eng, cfg, seed, homeWID)
+	c.asyncFn = func(_ *sim.Proc, tx *db.Tx) error {
+		lsn, err := tx.CommitAsync()
+		if err == nil {
+			c.lastLSN = lsn
+		}
+		return err
+	}
 	if cfg.PipelineDepth > 0 && eng.Log() != nil {
 		c.pipe = wal.NewPipeline(eng.Log(), cfg.PipelineDepth, cfg.PipelineScope)
 		c.commitFn = func(p *sim.Proc, tx *db.Tx) error {
@@ -104,6 +119,15 @@ func NewClient(eng *db.Engine, cfg Config, seed int64, homeWID int) *Client {
 		}
 	}
 	return c
+}
+
+// newTerminal builds the state every terminal has — the classic one and
+// the one inside a ShardedClient — with the synchronous commit path.
+func newTerminal(eng *db.Engine, cfg Config, seed int64, homeWID int) *Client {
+	return &Client{
+		cfg: cfg, eng: eng, rng: rand.New(rand.NewSource(seed)), home: homeWID,
+		tabs: resolveTables(eng), seen: map[int64]bool{},
+	}
 }
 
 // Pipeline returns the terminal's commit pipeline (nil on the classic
@@ -196,15 +220,9 @@ func (c *Client) commit(p *sim.Proc, tx *db.Tx) error {
 func (c *Client) RunMixAsync(p *sim.Proc) (int64, error) {
 	c.lastLSN = 0
 	prev := c.commitFn // a pipelined terminal restores its commit path
-	c.commitFn = func(_ *sim.Proc, tx *db.Tx) error {
-		lsn, err := tx.CommitAsync()
-		if err == nil {
-			c.lastLSN = lsn
-		}
-		return err
-	}
-	defer func() { c.commitFn = prev }()
+	c.commitFn = c.asyncFn
 	_, err := c.RunMix(p)
+	c.commitFn = prev
 	return c.lastLSN, err
 }
 
@@ -232,7 +250,8 @@ func (c *Client) newOrder(p *sim.Proc) error {
 		return errors.New("tpcc: missing warehouse")
 	}
 	wh := DecodeWarehouse(wRow)
-	dRow, ok := tx.GetIn(c.tabs.district, DKey(w, d))
+	dKey := DKey(w, d)
+	dRow, ok := tx.GetIn(c.tabs.district, dKey)
 	if !ok {
 		tx.Abort()
 		return errors.New("tpcc: missing district")
@@ -240,7 +259,7 @@ func (c *Client) newOrder(p *sim.Proc) error {
 	dist := DecodeDistrict(dRow)
 	oid := int(dist.NextOID)
 	dist.NextOID++
-	tx.PutOwnedIn(c.tabs.district, DKey(w, d), dist.Encode())
+	tx.PutOwnedIn(c.tabs.district, dKey, dist.Encode())
 
 	cRow, ok := tx.GetIn(c.tabs.customer, CKey(w, d, cid))
 	if !ok {
@@ -269,7 +288,8 @@ func (c *Client) newOrder(p *sim.Proc) error {
 			return ErrRollback // "unused item number" rollback
 		}
 		item := DecodeItem(iRow)
-		sRow, ok := tx.GetIn(c.tabs.stock, SKey(supplyW, iid))
+		sKey := SKey(supplyW, iid)
+		sRow, ok := tx.GetIn(c.tabs.stock, sKey)
 		if !ok {
 			tx.Abort()
 			return errors.New("tpcc: missing stock")
@@ -286,7 +306,7 @@ func (c *Client) newOrder(p *sim.Proc) error {
 		if supplyW != w {
 			stock.RemoteCnt++
 		}
-		tx.PutOwnedIn(c.tabs.stock, SKey(supplyW, iid), stock.Encode())
+		tx.PutOwnedIn(c.tabs.stock, sKey, stock.Encode())
 		amount := qty * item.Price
 		total += amount
 		tx.PutOwnedIn(c.tabs.orderLine, OLKey(w, d, oid, ln), OrderLine{
@@ -319,30 +339,33 @@ func (c *Client) payment(p *sim.Proc) error {
 	amount := int64(c.rng.Intn(499900) + 100)
 
 	tx := c.eng.BeginP(p)
-	wRow, ok := tx.GetIn(c.tabs.warehouse, WKey(w))
+	wKey := WKey(w)
+	wRow, ok := tx.GetIn(c.tabs.warehouse, wKey)
 	if !ok {
 		tx.Abort()
 		return errors.New("tpcc: missing warehouse")
 	}
 	wh := DecodeWarehouse(wRow)
 	wh.YTD += amount
-	tx.PutOwnedIn(c.tabs.warehouse, WKey(w), wh.Encode())
+	tx.PutOwnedIn(c.tabs.warehouse, wKey, wh.Encode())
 
-	dRow, ok := tx.GetIn(c.tabs.district, DKey(w, d))
+	dKey := DKey(w, d)
+	dRow, ok := tx.GetIn(c.tabs.district, dKey)
 	if !ok {
 		tx.Abort()
 		return errors.New("tpcc: missing district")
 	}
 	dist := DecodeDistrict(dRow)
 	dist.YTD += amount
-	tx.PutOwnedIn(c.tabs.district, DKey(w, d), dist.Encode())
+	tx.PutOwnedIn(c.tabs.district, dKey, dist.Encode())
 
 	cid, err := c.selectCustomer(tx, cw, cd)
 	if err != nil {
 		tx.Abort()
 		return err
 	}
-	cRow, ok := tx.GetIn(c.tabs.customer, CKey(cw, cd, cid))
+	cKey := CKey(cw, cd, cid)
+	cRow, ok := tx.GetIn(c.tabs.customer, cKey)
 	if !ok {
 		tx.Abort()
 		return errors.New("tpcc: missing customer")
@@ -354,7 +377,7 @@ func (c *Client) payment(p *sim.Proc) error {
 	if cust.Credit == "BC" {
 		cust.Data = randomFiller(c.rng, c.cfg.FillerLen)
 	}
-	tx.PutOwnedIn(c.tabs.customer, CKey(cw, cd, cid), cust.Encode())
+	tx.PutOwnedIn(c.tabs.customer, cKey, cust.Encode())
 	tx.PutOwnedIn(c.tabs.history, HKey(w, d, tx.ID()), History{
 		CID: int64(cid), Amount: amount, Date: int64(p.Now()),
 		Data: wh.Name + " " + dist.Name,
@@ -372,11 +395,11 @@ func (c *Client) selectCustomer(tx *db.Tx, w, d int) (int, error) {
 			// Name not present at this scale: fall back to id selection.
 			return c.randCID(), nil
 		}
-		ids := decodeIDList(idxRow)
-		if len(ids) == 0 {
+		c.ids = decodeIDList(c.ids[:0], idxRow)
+		if len(c.ids) == 0 {
 			return c.randCID(), nil
 		}
-		return int(ids[len(ids)/2]), nil
+		return int(c.ids[len(c.ids)/2]), nil
 	}
 	return c.randCID(), nil
 }
@@ -427,7 +450,8 @@ func (c *Client) delivery(p *sim.Proc) error {
 	carrier := int64(c.rng.Intn(10) + 1)
 	tx := c.eng.BeginP(p)
 	for d := 1; d <= c.cfg.Districts; d++ {
-		dRow, ok := tx.GetIn(c.tabs.district, DKey(w, d))
+		dKey := DKey(w, d)
+		dRow, ok := tx.GetIn(c.tabs.district, dKey)
 		if !ok {
 			continue
 		}
@@ -436,23 +460,25 @@ func (c *Client) delivery(p *sim.Proc) error {
 		if int64(oid) >= dist.NextOID {
 			continue // nothing to deliver in this district
 		}
-		if _, ok := tx.GetIn(c.tabs.newOrder, NOKey(w, d, oid)); !ok {
+		noKey := NOKey(w, d, oid)
+		if _, ok := tx.GetIn(c.tabs.newOrder, noKey); !ok {
 			// Order consumed by a concurrent delivery; advance anyway.
 			dist.NextDelivery++
-			tx.PutOwnedIn(c.tabs.district, DKey(w, d), dist.Encode())
+			tx.PutOwnedIn(c.tabs.district, dKey, dist.Encode())
 			continue
 		}
-		tx.DeleteIn(c.tabs.newOrder, NOKey(w, d, oid))
+		tx.DeleteIn(c.tabs.newOrder, noKey)
 		dist.NextDelivery++
-		tx.PutOwnedIn(c.tabs.district, DKey(w, d), dist.Encode())
+		tx.PutOwnedIn(c.tabs.district, dKey, dist.Encode())
 
-		oRow, ok := tx.GetIn(c.tabs.order, OKey(w, d, oid))
+		oKey := OKey(w, d, oid)
+		oRow, ok := tx.GetIn(c.tabs.order, oKey)
 		if !ok {
 			continue
 		}
 		order := DecodeOrder(oRow)
 		order.Carrier = carrier
-		tx.PutOwnedIn(c.tabs.order, OKey(w, d, oid), order.Encode())
+		tx.PutOwnedIn(c.tabs.order, oKey, order.Encode())
 		// DeliveryD == 0 means "undelivered", so a delivery at virtual
 		// time zero must still stamp a nonzero instant.
 		stamp := int64(p.Now())
@@ -461,23 +487,25 @@ func (c *Client) delivery(p *sim.Proc) error {
 		}
 		var total int64
 		for ln := 1; ln <= int(order.OLCnt); ln++ {
-			olRow, ok := tx.GetIn(c.tabs.orderLine, OLKey(w, d, oid, ln))
+			olKey := OLKey(w, d, oid, ln)
+			olRow, ok := tx.GetIn(c.tabs.orderLine, olKey)
 			if !ok {
 				continue
 			}
 			ol := DecodeOrderLine(olRow)
 			ol.DeliveryD = stamp
 			total += ol.Amount
-			tx.PutOwnedIn(c.tabs.orderLine, OLKey(w, d, oid, ln), ol.Encode())
+			tx.PutOwnedIn(c.tabs.orderLine, olKey, ol.Encode())
 		}
-		cRow, ok := tx.GetIn(c.tabs.customer, CKey(w, d, int(order.CID)))
+		cKey := CKey(w, d, int(order.CID))
+		cRow, ok := tx.GetIn(c.tabs.customer, cKey)
 		if !ok {
 			continue
 		}
 		cust := DecodeCustomer(cRow)
 		cust.Balance += total
 		cust.DeliveryCnt++
-		tx.PutOwnedIn(c.tabs.customer, CKey(w, d, int(order.CID)), cust.Encode())
+		tx.PutOwnedIn(c.tabs.customer, cKey, cust.Encode())
 	}
 	return c.commit(p, tx)
 }
@@ -496,7 +524,7 @@ func (c *Client) stockLevel(p *sim.Proc) error {
 	}
 	dist := DecodeDistrict(dRow)
 	low := 0
-	seen := map[int64]bool{}
+	clear(c.seen)
 	for oid := int(dist.NextOID) - 1; oid >= 1 && oid > int(dist.NextOID)-20; oid-- {
 		oRow, ok := tx.GetIn(c.tabs.order, OKey(w, d, oid))
 		if !ok {
@@ -509,10 +537,10 @@ func (c *Client) stockLevel(p *sim.Proc) error {
 				continue
 			}
 			ol := DecodeOrderLine(olRow)
-			if seen[ol.IID] {
+			if c.seen[ol.IID] {
 				continue
 			}
-			seen[ol.IID] = true
+			c.seen[ol.IID] = true
 			sRow, ok := tx.GetIn(c.tabs.stock, SKey(w, int(ol.IID)))
 			if !ok {
 				continue

@@ -11,7 +11,6 @@ package pcie
 
 import (
 	"fmt"
-	"time"
 
 	"xssd/internal/sim"
 )
@@ -161,20 +160,27 @@ func (r *Region) Size() int64 { return r.size }
 // Link returns the PCIe link the region is reached through.
 func (r *Region) Link() *sim.Link { return r.link }
 
-// write sends one posted-write TLP (payload ≤ MaxPayload) and blocks the
-// calling process for its wire serialization. Delivery to the target
-// happens when the packet fully arrives.
-func (r *Region) write(p *sim.Proc, off int64, data []byte) {
+// post puts one posted-write TLP (payload ≤ MaxPayload) on the wire.
+// Delivery to the target happens when the packet fully arrives.
+//
+//xssd:hotpath
+func (r *Region) post(off int64, data []byte) {
 	if off < 0 || off+int64(len(data)) > r.size {
+		//xssd:ignore hotpathalloc the message is built on the way to a panic
 		panic(fmt.Sprintf("pcie: write [%d,%d) outside region of %d", off, off+int64(len(data)), r.size))
 	}
 	buf := r.getBuf(len(data))
 	copy(buf, data)
 	r.pend(off, buf, nil)
 	r.link.Send(WireBytes(len(buf)), r.deliver)
-	// The store occupies the CPU until it is accepted on the wire: model
-	// by blocking for this packet's serialization time (not its delivery).
-	p.Sleep(time.Duration(float64(WireBytes(len(data))) / r.link.BytesPerSec() * 1e9))
+}
+
+// write posts one TLP and blocks the calling process for its wire
+// serialization: the store occupies the CPU until it is accepted on the
+// wire, not until it is delivered.
+func (r *Region) write(p *sim.Proc, off int64, data []byte) {
+	r.post(off, data)
+	p.Sleep(r.link.SerializationTime(WireBytes(len(data))))
 }
 
 // writeBlocking sends one write TLP and stalls the calling process until
@@ -245,11 +251,24 @@ type MMIO struct {
 	// write-combining buffer state
 	wcStart int64
 	wcBuf   []byte
+
+	// line train (see storeLines): the caller's bytes not yet on the wire,
+	// the region offset of the next line, and the process parked in Store.
+	// trainData may be a pooled buffer (a WAL flush batch): it is held only
+	// while its owner is parked inside Store and dropped before Store
+	// returns, so the owner cannot recycle it underneath the train.
+	//xssd:pool retain
+	trainData []byte
+	trainOff  int64
+	trainProc *sim.Proc
+	trainNext func() // trainStep, bound once
 }
 
 // NewMMIO maps region with the given mode.
 func NewMMIO(region *Region, mode MMIOMode) *MMIO {
-	return &MMIO{region: region, mode: mode, wcBuf: make([]byte, 0, WCLineSize)}
+	m := &MMIO{region: region, mode: mode, wcBuf: make([]byte, 0, WCLineSize)}
+	m.trainNext = m.trainStep
+	return m
 }
 
 // Mode returns the caching mode.
@@ -276,6 +295,13 @@ func (m *MMIO) Store(p *sim.Proc, off int64, data []byte) {
 				m.flush(p) // discontiguous store: spill the buffer
 			}
 			if len(m.wcBuf) == 0 {
+				if lines := len(data) / WCLineSize; lines >= 2 && off%WCLineSize == 0 {
+					n := lines * WCLineSize
+					m.storeLines(p, off, data[:n])
+					off += int64(n)
+					data = data[n:]
+					continue
+				}
 				m.wcStart = off
 			}
 			// fill up to the boundary of the line the buffer started in
@@ -292,6 +318,48 @@ func (m *MMIO) Store(p *sim.Proc, off int64, data []byte) {
 			}
 		}
 	}
+}
+
+// storeLines sends a run of two or more whole, aligned lines — the body of
+// every large store — as a train. Line by line it is the loop above: fill
+// the buffer, post it, sleep one line's serialization. But between two
+// lines the process does nothing except wake up to post the next, so the
+// train posts the first line from the process, parks it, and lets a
+// scheduler callback post each later line where the wake-up would have run;
+// the last one schedules the process where the last sleep would have ended.
+// Every post and every re-arm draws the sequence number the loop's did, so
+// the link, the device and every other process see the same events in the
+// same order (DESIGN.md §9), for one process switch per store instead of
+// one per line. A single line gains nothing from it and keeps the loop.
+//
+// The lines are copied out of data as each one leaves, as the loop did, so
+// the caller's slice stays borrowed until Store returns.
+func (m *MMIO) storeLines(p *sim.Proc, off int64, data []byte) {
+	if m.trainProc != nil {
+		panic("pcie: concurrent Store on one MMIO handle")
+	}
+	m.trainProc, m.trainOff, m.trainData = p, off, data
+	m.trainStep()
+	p.Park()
+}
+
+// trainStep posts the train's next line and re-arms itself one line's
+// serialization later, or after the last line wakes the storing process
+// then. Runs in scheduler context except for the first line.
+//
+//xssd:hotpath
+func (m *MMIO) trainStep() {
+	m.region.post(m.trainOff, m.trainData[:WCLineSize])
+	m.trainOff += WCLineSize
+	m.trainData = m.trainData[WCLineSize:]
+	ser := m.region.link.SerializationTime(WireBytes(WCLineSize))
+	if len(m.trainData) > 0 {
+		m.trainProc.Env().After(ser, m.trainNext)
+		return
+	}
+	p := m.trainProc
+	m.trainProc, m.trainData = nil, nil
+	p.WakeAfter(ser)
 }
 
 func (m *MMIO) flush(p *sim.Proc) {

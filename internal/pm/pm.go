@@ -65,29 +65,37 @@ type Bank struct {
 	env  *sim.Env
 	spec Spec
 	bus  *sim.Link
+
+	bgPeriod time.Duration // background burst interval (SharedFrac > 0)
+	bgNext   func()        // backgroundStep, bound once
 }
 
 // NewBank instantiates spec in env. If the spec declares a SharedFrac > 0,
-// a background process is started that keeps that fraction of the bus busy,
-// modelling the data-buffer traffic the paper's DRAM CMB shares its
-// controller with.
+// a background timer chain (a scheduler callback that re-arms itself, not a
+// process) keeps that fraction of the bus busy, modelling the data-buffer
+// traffic the paper's DRAM CMB shares its controller with.
 func NewBank(env *sim.Env, spec Spec) *Bank {
 	b := &Bank{env: env, spec: spec, bus: env.NewLink("pm-"+spec.Class.String(), spec.Bandwidth, spec.Latency)}
 	if spec.SharedFrac > 0 {
-		frac := spec.SharedFrac
-		env.Go("pm-background", func(p *sim.Proc) {
-			// Periodically claim bursts sized so that the long-run bus
-			// occupancy matches frac: a burst of B bytes every
-			// B/(frac*bandwidth) seconds.
-			const burst = 4096
-			period := time.Duration(float64(burst) / (frac * spec.Bandwidth) * 1e9)
-			for {
-				b.bus.Send(burst, nil)
-				p.Sleep(period)
-			}
-		})
+		// Periodically claim bursts sized so that the long-run bus occupancy
+		// matches the fraction: a burst of B bytes every B/(frac*bandwidth)
+		// seconds.
+		b.bgPeriod = time.Duration(float64(bgBurst) / (spec.SharedFrac * spec.Bandwidth) * 1e9)
+		b.bgNext = b.backgroundStep
+		env.After(0, b.bgNext)
 	}
 	return b
+}
+
+// bgBurst is the size of one background claim on a shared bus.
+const bgBurst = 4096
+
+// backgroundStep claims one burst and re-arms itself a period later.
+//
+//xssd:hotpath
+func (b *Bank) backgroundStep() {
+	b.bus.Send(bgBurst, nil)
+	b.env.After(b.bgPeriod, b.bgNext)
 }
 
 // Spec returns the bank's configuration.
@@ -120,9 +128,7 @@ func (b *Bank) WriteAsync(n int, fn func()) {
 // SerializationTime returns how long an n-byte access occupies the bus,
 // excluding the fixed access latency — the pacing quantum for pipelined
 // stores.
-func (b *Bank) SerializationTime(n int) time.Duration {
-	return time.Duration(float64(n) / b.spec.Bandwidth * 1e9)
-}
+func (b *Bank) SerializationTime(n int) time.Duration { return b.bus.SerializationTime(n) }
 
 // Bus exposes the underlying link for utilization stats.
 func (b *Bank) Bus() *sim.Link { return b.bus }

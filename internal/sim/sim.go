@@ -37,6 +37,7 @@ type Env struct {
 	now     int64 // virtual time in nanoseconds
 	seq     int64 // tie-breaker for events at the same instant
 	events  int64 // dispatched events, for throughput accounting
+	resumes int64 // those of them that resumed a process
 	heap    []event
 	nowq    []event // FIFO of events due at the current instant
 	nowqPos int     // nowq[:nowqPos] already dispatched
@@ -132,6 +133,11 @@ func (e *Env) Name() string { return e.name }
 // plus scheduler callbacks. It is the denominator-free workload measure the
 // perf suite divides by wall time to get events/second.
 func (e *Env) Events() int64 { return e.events }
+
+// Switches returns how many of those events resumed a process — a coroutine
+// switch there and one back — rather than running a callback inline. A
+// per-item path that stays callbacks end to end leaves it unchanged.
+func (e *Env) Switches() int64 { return e.resumes }
 
 // Rand returns the environment's deterministic random source. It must only
 // be used from process context (calls are serialized by the scheduler).
@@ -357,6 +363,21 @@ func (p *Proc) SleepUntil(t time.Duration) {
 // event due now run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
+// Park suspends the process with no wake-up of its own: the caller has
+// armed a chain of scheduler callbacks whose last step calls WakeAfter.
+// Together they are a run of Sleeps with the work between them done by
+// callbacks — the process pays one switch for the run, not one per Sleep,
+// and resumes at the (time, seq) position the last Sleep would have
+// returned at. A parked process is not counted as blocked: like a sleeper,
+// it has an event on the way.
+func (p *Proc) Park() { p.yieldToScheduler() }
+
+// WakeAfter schedules the parked process to resume d from now. It is the
+// scheduler-context half of Park.
+//
+//xssd:hotpath
+func (p *Proc) WakeAfter(d time.Duration) { p.env.schedule(p.env.now+int64(d), p, nil) }
+
 // Signal is a broadcast condition variable in virtual time. The zero value
 // is not usable; create with NewSignal.
 type Signal struct {
@@ -382,6 +403,11 @@ func (s *Signal) Broadcast() {
 	s.waiters = s.waiters[:0]
 }
 
+// Waiting reports whether a Broadcast now would wake anyone. A kick site
+// that can tell the waiter would only re-check its condition and wait again
+// uses it to find out whether that waiter is parked here at all.
+func (s *Signal) Waiting() bool { return len(s.waiters) > 0 }
+
 // Wait blocks the process until the next Broadcast on s.
 //
 //xssd:hotpath
@@ -402,8 +428,11 @@ func (p *Proc) WaitFor(s *Signal, cond func() bool) {
 // Run drives the simulation until no events remain. It returns the number
 // of processes still blocked on Signals (0 means everything ran to
 // completion; >0 indicates a deadlock or processes waiting on external
-// stimulus). If a process panicked, Run rethrows the *ProcPanic here, on
-// the driving goroutine.
+// stimulus). Only processes count: a service written as a chain of
+// scheduler callbacks that has gone idle until its next kick (the CMB
+// drain, say) holds no event and no process, so it is not in the number.
+// If a process panicked, Run rethrows the *ProcPanic here, on the driving
+// goroutine.
 func (e *Env) Run() int { n := e.run(-1); e.rethrow(); return n }
 
 // RunUntil drives the simulation until virtual time t; events due later
@@ -465,6 +494,7 @@ func (e *Env) run(until int64) int {
 			continue
 		}
 		if ev.proc != nil {
+			e.resumes++
 			ev.proc.resume()
 			if e.fail != nil {
 				// The process panicked; its carrier captured the panic and
@@ -513,6 +543,19 @@ func (l *Link) Name() string { return l.name }
 // BytesPerSec returns the link's configured bandwidth.
 func (l *Link) BytesPerSec() float64 { return l.bytesPerSec }
 
+// SerializationTime returns how long n bytes occupy the link, excluding the
+// propagation latency: at least a nanosecond for any payload, so every
+// transfer moves the clock. It is the one definition of that quantum — a
+// sender pacing itself by it (a CPU posting stores, a pipelined memory
+// port) keeps an idle link exactly busy, with neither a gap nor a queue.
+func (l *Link) SerializationTime(n int) time.Duration {
+	dur := int64(float64(n) / l.bytesPerSec * 1e9)
+	if dur < 1 && n > 0 {
+		dur = 1
+	}
+	return time.Duration(dur)
+}
+
 // occupy reserves the link for n bytes starting no earlier than now and
 // returns the completion time of the transfer (excluding latency).
 func (l *Link) occupy(n int) (start, end int64) {
@@ -520,10 +563,7 @@ func (l *Link) occupy(n int) (start, end int64) {
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	dur := int64(float64(n) / l.bytesPerSec * 1e9)
-	if dur < 1 && n > 0 {
-		dur = 1
-	}
+	dur := int64(l.SerializationTime(n))
 	end = start + dur
 	l.busyUntil = end
 	l.bytes += int64(n)

@@ -13,9 +13,10 @@ import (
 
 // cmbModule is the fast side's front end (paper §4.1, Fig 5): arriving TLP
 // payloads land on an SRAM intake queue of pre-negotiated size; a drain
-// process retires them into the PM backing ring; the credit counter — the
+// chain retires them into the PM backing ring; the credit counter — the
 // ring's contiguous frontier — advances only when gap-free data reaches the
-// backing memory.
+// backing memory. The module has no process of its own: intake, drain and
+// persist are all scheduler callbacks.
 type cmbModule struct {
 	dev  *Device
 	fs   *fastSide
@@ -26,6 +27,8 @@ type cmbModule struct {
 	queue     []cmbChunk
 	queuePos  int // queue[:queuePos] already drained
 	queueUsed int
+	draining  bool   // a drainStep is scheduled
+	drainNext func() // drainStep, bound once
 
 	// persistq holds chunks in flight on the backing bus; the bus is FIFO,
 	// so every completion fires persistNext (bound once) — no per-chunk
@@ -38,7 +41,6 @@ type cmbModule struct {
 	//xssd:pool put
 	chunkBufs [][]byte
 
-	arrived       *sim.Signal // intake queue received data
 	CreditChanged *sim.Signal // frontier advanced
 
 	// advanced API (paper §5.2): active allocations pin the destage floor.
@@ -75,9 +77,9 @@ func newCMBModule(d *Device, fs *fastSide, bank *pm.Bank) *cmbModule {
 		fs:            fs,
 		bank:          bank,
 		ring:          ring.New(int(fs.cmbSize)),
-		arrived:       d.env.NewSignal(),
 		CreditChanged: d.env.NewSignal(),
 	}
+	m.drainNext = m.drainStep
 	m.persistNext = m.persistOldest
 	sc := obs.For(d.env).Scope(fs.name + "/cmb")
 	m.mBytesIn = sc.Counter("bytes_in")
@@ -87,7 +89,6 @@ func newCMBModule(d *Device, fs *fastSide, bank *pm.Bank) *cmbModule {
 	sc.GaugeFunc("credit", m.ring.Frontier)
 	sc.GaugeFunc("live", m.ring.Live)
 	sc.GaugeFunc("queue_used", func() int64 { return int64(m.queueUsed) })
-	d.env.Go("cmb-drain-"+fs.name, m.drain)
 	return m
 }
 
@@ -129,7 +130,7 @@ func (m *cmbModule) MemWrite(off int64, data []byte) {
 	m.queueUsed += len(buf)
 	m.mBytesIn.Add(int64(len(buf)))
 	m.dev.tracer.Record(trace.CMBWrite, m.fs.name, off, int64(len(buf)))
-	m.arrived.Broadcast()
+	m.kickDrain()
 }
 
 // MemRead implements pcie.Target: loads from the CMB window read the
@@ -142,35 +143,51 @@ func (m *cmbModule) MemRead(off int64, n int) []byte {
 	return data
 }
 
-// drain streams intake-queue entries onto the backing bus. Stores are
-// pipelined: each chunk occupies the bus for its serialization time only,
-// and commits to the ring one access latency later (bus FIFO keeps those
-// completions in order), so back-to-back chunks stream at full bus
-// bandwidth instead of serializing on the access latency.
+// kickDrain starts the drain chain unless it is already running: its first
+// step runs at this instant, after the events already due.
 //
 //xssd:hotpath
-func (m *cmbModule) drain(p *sim.Proc) {
-	for {
-		if m.queuePos == len(m.queue) {
-			if m.dev.powerLost {
-				// Crash protocol: the queue is empty; nothing more will
-				// arrive. The destage module finishes the job.
-				m.fs.destage.kick.Broadcast()
-			}
-			p.Wait(m.arrived)
-			continue
-		}
-		c := m.queue[m.queuePos]
-		m.queue[m.queuePos] = cmbChunk{}
-		m.queuePos++
-		if m.persistPos > 0 && m.persistPos == len(m.persistq) {
-			m.persistq = m.persistq[:0]
-			m.persistPos = 0
-		}
-		m.persistq = append(m.persistq, c)
-		m.bank.WriteAsync(len(c.data), m.persistNext)
-		p.Sleep(m.bank.SerializationTime(len(c.data)))
+func (m *cmbModule) kickDrain() {
+	if !m.draining {
+		m.draining = true
+		m.dev.env.After(0, m.drainNext)
 	}
+}
+
+// drainStep streams one intake-queue entry onto the backing bus and re-arms
+// itself for when the bus has taken it; on an empty queue the chain stops
+// until the next kickDrain. Stores are pipelined: each chunk occupies the
+// bus for its serialization time only, and commits to the ring one access
+// latency later (bus FIFO keeps those completions in order), so back-to-back
+// chunks stream at full bus bandwidth instead of serializing on the access
+// latency.
+//
+// The first step is a scheduled event even when the bus is idle, never a
+// call from MemWrite: run inline, its WriteAsync would reach the bus ahead
+// of whatever else is due at this instant — a destage carve's ring read,
+// say — and reorder the two (DESIGN.md §9).
+//
+//xssd:hotpath
+func (m *cmbModule) drainStep() {
+	if m.queuePos == len(m.queue) {
+		m.draining = false
+		if m.dev.powerLost {
+			// Crash protocol: the queue is empty; nothing more will
+			// arrive. The destage module finishes the job.
+			m.fs.destage.kick.Broadcast()
+		}
+		return
+	}
+	c := m.queue[m.queuePos]
+	m.queue[m.queuePos] = cmbChunk{}
+	m.queuePos++
+	if m.persistPos > 0 && m.persistPos == len(m.persistq) {
+		m.persistq = m.persistq[:0]
+		m.persistPos = 0
+	}
+	m.persistq = append(m.persistq, c)
+	m.bank.WriteAsync(len(c.data), m.persistNext)
+	m.dev.env.After(m.bank.SerializationTime(len(c.data)), m.drainNext)
 }
 
 // getChunkBuf returns a pooled intake buffer of length n.
@@ -212,7 +229,7 @@ func (m *cmbModule) persistOldest() {
 	if m.ring.Frontier() != before {
 		m.dev.tracer.Record(trace.CMBPersist, m.fs.name, c.off, m.ring.Frontier())
 		m.CreditChanged.Broadcast()
-		m.fs.destage.kick.Broadcast()
+		m.fs.destage.frontierMoved()
 	}
 }
 

@@ -154,39 +154,69 @@ func (m *destageModule) maxPayload() int { return m.dev.cfg.Geometry.PageSize - 
 func (m *destageModule) maxInflight() int { return m.dev.cfg.Geometry.Dies() }
 
 func (m *destageModule) loop(p *sim.Proc) {
-	cmb := m.fs.cmb
 	for {
-		m.retire(cmb)
-		if len(m.inflight)-m.inflightPos >= m.maxInflight() {
+		m.retire(m.fs.cmb)
+		n := m.carvable()
+		if n == 0 {
 			p.Wait(m.kick)
 			continue
-		}
-		eligible := cmb.destageFloor() - m.carved
-		if eligible <= 0 {
-			p.Wait(m.kick)
-			continue
-		}
-		full := eligible >= int64(m.maxPayload())
-		deadline := cmb.headArrived + m.fs.latencyBound
-		urgent := m.dev.powerLost || p.Now() >= deadline
-		if !full && !urgent {
-			// Not enough for a full page and not old enough for a padded
-			// one: wait for more data, with a timer so the latency bound
-			// still fires on a quiet ring. The loop comes through here once
-			// per persisted chunk while it has caught up; headArrived only
-			// moves forward, so one timer per distinct deadline is enough.
-			if deadline != m.armedFor {
-				m.armedFor = deadline
-				m.dev.env.At(deadline, m.kickFn)
-			}
-			p.Wait(m.kick)
-			continue
-		}
-		n := int64(m.maxPayload())
-		if n > eligible {
-			n = eligible
 		}
 		m.carveOne(p, n)
+	}
+}
+
+// carvable returns how many bytes the loop should carve into a page at
+// this instant, or 0 when it has to wait: the pipeline is full, nothing is
+// eligible, or there is less than a page and it is not old enough for a
+// padded one. In the last case it also makes sure a timer will kick the
+// loop when the latency bound falls due on a quiet ring. headArrived only
+// moves forward, so one timer per distinct deadline is enough.
+//
+//xssd:hotpath
+func (m *destageModule) carvable() int64 {
+	cmb := m.fs.cmb
+	if len(m.inflight)-m.inflightPos >= m.maxInflight() {
+		return 0
+	}
+	eligible := cmb.destageFloor() - m.carved
+	if eligible <= 0 {
+		return 0
+	}
+	if max := int64(m.maxPayload()); eligible >= max {
+		return max
+	}
+	deadline := cmb.headArrived + m.fs.latencyBound
+	if m.dev.powerLost || m.dev.env.Now() >= deadline {
+		return eligible
+	}
+	if deadline != m.armedFor {
+		m.armedFor = deadline
+		m.dev.env.At(deadline, m.kickFn)
+	}
+	return 0
+}
+
+// frontierMoved is the CMB module's note that a persisted chunk advanced
+// the frontier. On a caught-up ring that happens once per 64-byte line, and
+// nearly every time the loop would wake only to find less than a page, arm
+// the deadline timer if the deadline is new, and wait again. So the note
+// evaluates the loop's own wait condition here, in the persist callback,
+// and kicks only when the loop has something to do: a finished page at the
+// head of the pipeline to retire, or a page to carve. The one side effect
+// of the wake-up that is skipped — arming the timer — has happened inside
+// carvable. When the loop is not parked on kick (it sleeps in carveOne's
+// ring read, or a kick earlier in this instant already woke it) a kick
+// would have reached nobody and the loop looks for itself when it gets
+// there, so the note does nothing at all. DESIGN.md §9.
+//
+//xssd:hotpath
+func (m *destageModule) frontierMoved() {
+	if !m.kick.Waiting() {
+		return
+	}
+	headDone := m.inflightPos < len(m.inflight) && m.inflight[m.inflightPos].done
+	if headDone || m.carvable() > 0 {
+		m.kick.Broadcast()
 	}
 }
 

@@ -607,7 +607,7 @@ func (d *Device) InjectPowerLoss() {
 	d.tracer.Record(trace.PowerLoss, d.cfg.Name, 0, 0)
 	for _, fs := range d.fastSides() {
 		fs.cmb.ring.DiscardGaps()
-		fs.cmb.arrived.Broadcast() // wake the drain so it can observe the flag
+		fs.cmb.kickDrain() // so an idle drain observes the flag
 		fs.destage.kick.Broadcast()
 	}
 	deadline := d.env.Now() + d.cfg.SupercapBudget
@@ -639,10 +639,7 @@ func (d *Device) Drained() bool {
 		return false
 	}
 	for _, fs := range d.fastSides() {
-		if fs.cmb.queueUsed == 0 && fs.cmb.ring.Live() > 0 || fs.cmb.queueUsed > 0 {
-			return false
-		}
-		if fs.cmb.ring.Live() > 0 {
+		if fs.cmb.queueUsed > 0 || fs.cmb.ring.Live() > 0 {
 			return false
 		}
 	}

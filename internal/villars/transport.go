@@ -27,7 +27,9 @@ type transportModule struct {
 	// secondary state
 	reportTo     *ntb.Window // counter-update path back to the primary
 	reportPeerID int
-	reporting    bool
+	reporting    bool   // a reportStep is scheduled
+	reportLate   bool   // that step is the tail of a fault-delayed update
+	reportNext   func() // reportStep, bound once
 	lastReported int64
 	frozenUntil  time.Duration // fault plan: suppress reports until then
 
@@ -101,6 +103,7 @@ func newTransportModule(d *Device) *transportModule {
 		scheme:         core.Eager,
 		ShadowAdvanced: d.env.NewSignal(),
 	}
+	t.reportNext = t.reportStep
 	sc := obs.For(d.env).Scope(d.cfg.Name + "/transport")
 	t.mMirroredBytes = sc.Counter("mirrored_bytes")
 	t.mCounterUpdates = sc.Counter("counter_updates")
@@ -308,49 +311,64 @@ func (t *transportModule) counterUpdateObserved(pl *peerLink) {
 	}
 }
 
-// startReporting launches the secondary's periodic shadow-counter update
-// process (paper §4.2: "the frequency with which it does so is
-// adjustable").
+// startReporting starts the secondary's periodic shadow-counter update
+// chain (paper §4.2: "the frequency with which it does so is adjustable").
+// At the fastest setting it runs every 400 ns on every secondary, so it is
+// a scheduler callback that re-arms itself, not a process.
 func (t *transportModule) startReporting() {
 	t.reporting = true
-	t.dev.env.Go("shadow-report-"+t.dev.cfg.Name, func(p *sim.Proc) {
-		for {
-			if t.mode != core.Secondary || t.reportTo == nil {
-				t.reporting = false
-				return
-			}
-			// Fault plan: the transport.shadow point can drop one update,
-			// delay it, or freeze reporting for a stretch — the stale
-			// shadow counter scenario the status register must surface.
-			switch d := fault.CheckEnv(t.dev.env, fault.TransportShadow, t.dev.cfg.Name, 1); d.Act {
-			case fault.ActionFreeze:
-				t.frozenUntil = p.Now() + d.Dur
-			case fault.ActionDrop, fault.ActionFail:
-				t.mUpdatesSuppressed.Inc()
-				p.Sleep(t.dev.cfg.ShadowUpdatePeriod)
-				continue
-			case fault.ActionDelay:
-				p.Sleep(d.Dur)
-			}
-			if p.Now() < t.frozenUntil {
-				t.mUpdatesSuppressed.Inc()
-				p.Sleep(t.dev.cfg.ShadowUpdatePeriod)
-				continue
-			}
-			// The update fires every period unconditionally — the paper's
-			// Fig 13 measures exactly this fixed-rate traffic (2.35% of
-			// the fabric at 0.4 µs).
-			v := t.reportValue()
-			t.lastReported = v
-			payload := make([]byte, core.CounterUpdateBytes)
-			for i := 0; i < 8; i++ {
-				payload[i] = byte(v >> (8 * i))
-			}
-			t.reportTo.WriteRaw(int64(t.reportPeerID), payload[:8], core.CounterUpdateBytes, nil)
-			t.mUpdatesSent.Inc()
-			p.Sleep(t.dev.cfg.ShadowUpdatePeriod)
+	t.dev.env.After(0, t.reportNext)
+}
+
+// reportStep sends one counter update — or skips it, under the fault plan —
+// and re-arms itself for the next; it stops when the device leaves the
+// Secondary role.
+//
+//xssd:hotpath
+func (t *transportModule) reportStep() {
+	env := t.dev.env
+	suppress := false
+	if t.reportLate {
+		// The tail of an update the fault plan delayed: the process form
+		// slept in mid-iteration, so it goes out without another look at
+		// the role or the plan.
+		t.reportLate = false
+	} else {
+		if t.mode != core.Secondary || t.reportTo == nil {
+			t.reporting = false
+			return
 		}
-	})
+		// Fault plan: the transport.shadow point can drop one update,
+		// delay it, or freeze reporting for a stretch — the stale shadow
+		// counter scenario the status register must surface.
+		switch d := fault.CheckEnv(env, fault.TransportShadow, t.dev.cfg.Name, 1); d.Act {
+		case fault.ActionFreeze:
+			t.frozenUntil = env.Now() + d.Dur
+		case fault.ActionDrop, fault.ActionFail:
+			suppress = true
+		case fault.ActionDelay:
+			t.reportLate = true
+			env.After(d.Dur, t.reportNext)
+			return
+		}
+	}
+	if suppress || env.Now() < t.frozenUntil {
+		t.mUpdatesSuppressed.Inc()
+	} else {
+		// The update fires every period unconditionally — the paper's
+		// Fig 13 measures exactly this fixed-rate traffic (2.35% of the
+		// fabric at 0.4 µs).
+		v := t.reportValue()
+		t.lastReported = v
+		//xssd:ignore hotpathalloc one message buffer per update, as the process form allocated; the bridge copies it
+		payload := make([]byte, core.CounterUpdateBytes)
+		for i := 0; i < 8; i++ {
+			payload[i] = byte(v >> (8 * i))
+		}
+		t.reportTo.WriteRaw(int64(t.reportPeerID), payload[:8], core.CounterUpdateBytes, nil)
+		t.mUpdatesSent.Inc()
+	}
+	env.After(t.dev.cfg.ShadowUpdatePeriod, t.reportNext)
 }
 
 // reportValue is what a secondary reports upstream: its local persist

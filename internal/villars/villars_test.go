@@ -439,11 +439,13 @@ func TestBackingClassesBothWork(t *testing.T) {
 }
 
 // TestLatencyBoundArmsOneTimerPerDeadline feeds a caught-up fast side n
-// 64-byte chunks (less than one page in total), then nothing. The destage
-// loop wakes once per persisted chunk and every time finds the same
-// deadline, headArrived + latency bound; it must carve the padded page at
-// exactly that instant, and the quiet stretch before it must cost the same
-// few events whatever n was — one timer per deadline, not one per chunk.
+// 64-byte chunks (less than one page in total), then nothing. Every persisted
+// chunk finds the same deadline, headArrived + latency bound, and nothing for
+// the destage loop to do before it: the loop must not be resumed once until
+// then (the persist callback arms the timer the loop would have armed), it
+// must carve the padded page at exactly that instant, and the quiet stretch
+// before it must cost the same few events whatever n was — one timer per
+// deadline, not one per chunk.
 func TestLatencyBoundArmsOneTimerPerDeadline(t *testing.T) {
 	const chunk = 64
 	eventsToCarve := func(n int) int64 {
@@ -452,6 +454,8 @@ func TestLatencyBoundArmsOneTimerPerDeadline(t *testing.T) {
 		cfg := testConfig("a")
 		cfg.Geometry.PageSize = 16384
 		d := New(env, cfg, pcie.NewHostMemory(1<<20))
+		env.RunUntil(0) // every device process has started and parked
+		settled := env.Switches()
 		const gap = 500 * time.Nanosecond
 		env.Go("host", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
@@ -472,6 +476,11 @@ func TestLatencyBoundArmsOneTimerPerDeadline(t *testing.T) {
 		env.RunUntil(deadline - 1)
 		if _, _, ops := d.CMB().bank.Bus().Stats(); ops != busOps {
 			t.Fatalf("n=%d: page carved before headArrived + bound (%v)", n, deadline)
+		}
+		// The host was dispatched once and woke from n sleeps; nothing else
+		// in the device is a process that should have run.
+		if got, host := env.Switches()-settled, int64(n+1); got != host {
+			t.Errorf("n=%d: %d process switches before the deadline, %d of them the host's; the destage loop woke with nothing to do", n, got, host)
 		}
 		env.RunUntil(deadline)
 		if _, _, ops := d.CMB().bank.Bus().Stats(); ops != busOps+1 {

@@ -33,6 +33,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"xssd/internal/bench"
@@ -227,6 +228,13 @@ func runPerfSuite(path string) error {
 		fmt.Printf("%-28s %10.0f events/s  (%d events, %v, %d allocs)\n",
 			best.Bench, best.EventsPerSec, best.Events,
 			time.Duration(best.WallNS).Round(time.Millisecond), best.Allocs)
+		if strings.HasPrefix(c.Name, "pargroup/") {
+			// The hand-off counters depend on the host, so they are printed
+			// here and never written to the results file.
+			st := bench.LastGroupStats()
+			fmt.Printf("%-28s hand-off, last repetition: %d quanta, %d shared, %d member-quanta helped, %d wakes\n",
+				"", st.Quanta, st.Shared, st.Helped, st.Wakes)
+		}
 		results = append(results, best)
 	}
 	if err := bench.WritePerfFile(path, results); err != nil {

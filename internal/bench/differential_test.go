@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -128,6 +129,32 @@ func TestPargroupCellWorkerParity(t *testing.T) {
 	}
 	if e1 == 0 {
 		t.Fatal("pargroup dispatched no events")
+	}
+}
+
+// TestPargroupReplCellWorkerParity is the same contract for the repl3
+// twins, whose members exchange NTB traffic across every barrier: events
+// and barrier count are equal at any executor count, and at two executors
+// the quanta really are handed to a helper.
+func TestPargroupReplCellWorkerParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy simulation; skipped in -short mode")
+	}
+	e1 := PargroupReplCell(1)
+	s1 := LastGroupStats()
+	e2 := PargroupReplCell(2)
+	s2 := LastGroupStats()
+	if e1 != e2 || s1.Quanta != s2.Quanta {
+		t.Fatalf("repl3 drifts across workers: %d events in %d quanta vs %d in %d", e1, s1.Quanta, e2, s2.Quanta)
+	}
+	if e1 == 0 {
+		t.Fatal("repl3 dispatched no events")
+	}
+	if s1.Shared != 0 {
+		t.Errorf("serial runner shared %d quanta", s1.Shared)
+	}
+	if min(runtime.GOMAXPROCS(0), runtime.NumCPU()) >= 2 && s2.Shared < s2.Quanta*9/10 {
+		t.Errorf("two executors shared %d of %d quanta; every member should be active in nearly all", s2.Shared, s2.Quanta)
 	}
 }
 

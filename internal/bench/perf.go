@@ -73,5 +73,11 @@ func PerfCells() []PerfCell {
 		{Name: fmt.Sprintf("pargroup/d%d/sw8", pargroupDevices), Run: func() (int64, error) {
 			return PargroupCell(pargroupDevices, 8), nil
 		}},
+		{Name: "pargroup/repl3/sw1", Run: func() (int64, error) {
+			return PargroupReplCell(1), nil
+		}},
+		{Name: "pargroup/repl3/sw2", Run: func() (int64, error) {
+			return PargroupReplCell(2), nil
+		}},
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -116,5 +117,42 @@ func BenchmarkGoShortLived(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env.Go("short", short)
 		env.Run()
+	}
+}
+
+// BenchmarkGroupQuantum measures one quantum of the group engine, barrier
+// and hand-off included, in ns/op: dense3 is three members of 26 events
+// each, all active in every quantum (tpcc_repl's shape); sparse4 is four
+// members of which one is active (tpcc_shard4's, mostly). /sw1 is the serial
+// runner. The hand-off counters are per quantum.
+func BenchmarkGroupQuantum(b *testing.B) {
+	for _, wl := range []struct {
+		name  string
+		build func(*Group)
+		span  time.Duration
+	}{
+		{"dense3", func(g *Group) { denseChains(g, 3) }, denseSpan},
+		{"sparse4", func(g *Group) { tokenRing(g, 4) }, tokenSpan},
+	} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/sw%d", wl.name, workers), func(b *testing.B) {
+				g := NewGroup(GroupConfig{Workers: workers})
+				defer g.Close()
+				wl.build(g)
+				g.RunUntil(100 * wl.span)
+				before := g.Stats()
+				b.ReportAllocs()
+				b.ResetTimer()
+				g.RunUntil(g.Now() + time.Duration(b.N)*wl.span)
+				b.StopTimer()
+				st := g.Stats()
+				if n := st.Quanta - before.Quanta; n != int64(b.N) {
+					b.Fatalf("crossed %d barriers in %d spans", n, b.N)
+				}
+				b.ReportMetric(float64(st.Shared-before.Shared)/float64(b.N), "shared/op")
+				b.ReportMetric(float64(st.Helped-before.Helped)/float64(b.N), "helped/op")
+				b.ReportMetric(float64(st.Wakes-before.Wakes)/float64(b.N), "wakes/op")
+			})
+		}
 	}
 }

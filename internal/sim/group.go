@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -11,14 +14,14 @@ import (
 // Group runs several Envs side by side under one virtual clock: the
 // conservative parallel engine. Time advances in lock-step quanta; within a
 // quantum every member with due work runs its own event loop — on the
-// coordinator goroutine when serialized, on a worker pool otherwise — and
-// members exchange state only through PostTo mailboxes that are merged at
-// the barrier between quanta in a fixed (time, sender index, send seq)
-// order. Because each member's intra-quantum execution is single-threaded
-// and deterministic, and the only inter-member channel is the
-// deterministically merged mailbox, a same-seed group run is byte-identical
-// regardless of GOMAXPROCS or the configured worker count. See DESIGN.md
-// §11 for the protocol and the conduit inventory.
+// coordinator goroutine, or on a helper goroutine that claimed the member
+// (shareQuantum) — and members exchange state only through PostTo mailboxes
+// that are merged at the barrier between quanta in a fixed (time, sender
+// index, send seq) order. Because each member's intra-quantum execution is
+// single-threaded and deterministic, and the only inter-member channel is
+// the deterministically merged mailbox, a same-seed group run is
+// byte-identical regardless of GOMAXPROCS or the configured worker count.
+// See DESIGN.md §11 for the protocol and the conduit inventory.
 //
 // The quantum is the engine's lookahead: a post whose delivery time falls
 // inside the quantum that produced it is clamped to the quantum's end, so
@@ -31,7 +34,7 @@ type Group struct {
 	quantum int64
 	envs    []*Env
 	now     int64
-	qEnd    int64 // end of the executing quantum; read-only while workers run
+	qEnd    int64 // end of the executing quantum; read-only while members run
 	running bool
 	closed  bool
 	inline  bool // run quanta on the coordinator goroutine, env-index order
@@ -40,19 +43,31 @@ type Group struct {
 	reqSerial   atomic.Bool // mode switches requested from process context,
 	reqParallel atomic.Bool // applied at the next barrier
 
-	started bool // worker pool spawned
-	work    chan int
-	wdone   chan struct{}
-
 	posts  []post // merge scratch, reused across barriers
-	active []int  // members with work this quantum, reused
+	active []int  // members with work this quantum, reused; read-only while members run
+
+	// The quantum hand-off (shareQuantum; DESIGN §11 "The hand-off").
+	executors int            // goroutines that may run members during this RunUntil, the coordinator included
+	dense     int            // consecutive quanta with two or more active members
+	helpers   []*parker      // one per helper goroutine, in start order
+	helping   sync.WaitGroup // Close waits on it for the helpers to exit
+	coord     parker         // the coordinator waiting for a quantum's last member
+	stop      atomic.Bool    // Close: helpers exit
+	todo      atomic.Int64   // members of the published quantum nobody has claimed yet
+	pending   atomic.Int64   // members of the published quantum that have not finished
+
+	stats  GroupStats   // the coordinator's counters; Helped stays zero here
+	helped atomic.Int64 // written by helpers
 }
 
 // GroupConfig parameterizes NewGroup.
 type GroupConfig struct {
-	// Workers is the number of OS-thread-backed quantum executors; 1 (or 0)
-	// yields the serial runner — same barriers, same merge, no worker pool.
-	// The pool never exceeds the member count.
+	// Workers is the most goroutines that run members within one quantum,
+	// the coordinator (RunUntil's caller) included: Workers-1 helpers beside
+	// it. 1 (or 0) yields the serial runner — same barriers, same merge, no
+	// helper. The count in use is further capped by the member count and by
+	// the CPUs the process can use (GOMAXPROCS, NumCPU): an executor without
+	// a CPU of its own only adds hand-offs. It never reaches virtual time.
 	Workers int
 	// Quantum is the barrier interval and engine lookahead; 0 means 1µs.
 	// It must not exceed the smallest cross-env delivery latency, or posts
@@ -84,7 +99,12 @@ func NewGroup(cfg GroupConfig) *Group {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = time.Microsecond
 	}
-	return &Group{cfg: cfg, quantum: int64(cfg.Quantum), inline: cfg.StartInline}
+	return &Group{
+		cfg:     cfg,
+		quantum: int64(cfg.Quantum),
+		inline:  cfg.StartInline,
+		coord:   parker{wake: make(chan struct{}, 1)},
+	}
 }
 
 // NewEnv creates a member environment. name labels the member in failure
@@ -119,6 +139,26 @@ func (g *Group) Quantum() time.Duration { return time.Duration(g.quantum) }
 
 // Workers returns the configured worker count.
 func (g *Group) Workers() int { return g.cfg.Workers }
+
+// GroupStats counts the quantum hand-off. Quanta repeats exactly for a
+// seed. Shared, Helped and Wakes depend on the host — how many CPUs there
+// are and which goroutine got to a member first — so they must never be
+// registered in obs, folded into a fingerprint or compared across runs;
+// they exist for tests and benchmarks of the hand-off itself.
+type GroupStats struct {
+	Quanta int64 // barriers crossed
+	Shared int64 // quanta published for helpers to claim from
+	Helped int64 // member-quanta a helper ran
+	Wakes  int64 // wake tokens sent to parked helpers
+}
+
+// Stats returns the hand-off counters. Call it between runs, from the
+// driving goroutine.
+func (g *Group) Stats() GroupStats {
+	st := g.stats
+	st.Helped = g.helped.Load()
+	return st
+}
 
 // Inline reports whether quanta currently run serialized on the
 // coordinator goroutine.
@@ -208,7 +248,7 @@ func (e *Env) hasEventBefore(t int64) bool {
 // members. Quanta are not grid-aligned: each barrier fast-forwards to one
 // quantum past the earliest pending event, so idle stretches cost nothing.
 // If any member's process panicked during a quantum, the group is closed
-// (releasing every parked goroutine and the worker pool) and the
+// (releasing every parked goroutine and the helpers) and the
 // lowest-index member's *ProcPanic is rethrown here — the same failure
 // regardless of worker count.
 func (g *Group) RunUntil(t time.Duration) int {
@@ -220,6 +260,8 @@ func (g *Group) RunUntil(t time.Duration) int {
 	}
 	g.running = true
 	defer func() { g.running = false }()
+	// Members may have been added since the last run.
+	g.executors = min(g.cfg.Workers, len(g.envs), runtime.GOMAXPROCS(0), runtime.NumCPU())
 	until := int64(t)
 	for {
 		g.deliverPosts()
@@ -247,19 +289,15 @@ func (g *Group) RunUntil(t time.Duration) int {
 				g.active = append(g.active, i)
 			}
 		}
-		if g.inline || g.cfg.Workers == 1 || len(g.active) == 1 {
+		if g.inline || g.executors < 2 || len(g.active) == 1 {
+			g.dense = 0
 			for _, i := range g.active {
 				g.envs[i].runQuantum(qEnd)
 			}
 		} else {
-			g.ensureWorkers()
-			for _, i := range g.active {
-				g.work <- i
-			}
-			for range g.active {
-				<-g.wdone
-			}
+			g.shareQuantum()
 		}
+		g.stats.Quanta++
 		g.now = qEnd
 		if f := g.firstFailure(); f != nil {
 			g.running = false
@@ -283,10 +321,11 @@ func (g *Group) RunUntil(t time.Duration) int {
 
 // runQuantum drives one member through a single quantum. The member's
 // process coroutines are resumed by the calling goroutine — the coordinator
-// or a pool worker, a different one from quantum to quantum but never two
-// at once: the barrier orders them, which is all iter.Pull asks. A panic
-// from a scheduler-context callback is captured like a process panic, so
-// failures cross the worker boundary as data instead of crashing the pool.
+// or a helper, a different one from quantum to quantum but never two at
+// once: the hand-off's atomics order them (shareQuantum), which is all
+// iter.Pull asks. A panic from a scheduler-context callback is captured
+// like a process panic, so failures cross the goroutine boundary as data
+// instead of killing a helper.
 func (e *Env) runQuantum(qEnd int64) {
 	defer func() {
 		if r := recover(); r != nil && e.fail == nil {
@@ -300,8 +339,8 @@ func (e *Env) runQuantum(qEnd int64) {
 // their destination queues. It runs between quanta on the coordinator
 // goroutine, so the injections are single-threaded; the (time, sender
 // index, send seq) sort makes the injection order — and therefore each
-// destination's seq assignment — independent of which workers ran which
-// members.
+// destination's seq assignment — independent of which goroutine ran which
+// member. The key is unique, so any comparison sort yields the same order.
 func (g *Group) deliverPosts() {
 	buf := g.posts[:0]
 	for _, e := range g.envs {
@@ -311,17 +350,8 @@ func (g *Group) deliverPosts() {
 		}
 		e.outbox = e.outbox[:0]
 	}
-	if len(buf) > 1 {
-		sort.Slice(buf, func(i, j int) bool {
-			a, b := &buf[i], &buf[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
-		})
+	if len(buf) > 1 && !slices.IsSortedFunc(buf, mergeOrder) {
+		slices.SortFunc(buf, mergeOrder)
 	}
 	for i := range buf {
 		p := &buf[i]
@@ -333,13 +363,25 @@ func (g *Group) deliverPosts() {
 	g.posts = buf[:0]
 }
 
-// applyModeRequests lands Serialize/Parallelize requests at a barrier.
+// mergeOrder is the barrier merge key: (time, sender index, send seq).
+func mergeOrder(a, b post) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	if a.src != b.src {
+		return cmp.Compare(a.src, b.src)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// applyModeRequests lands Serialize/Parallelize requests at a barrier. It
+// runs at every barrier and a request is rare, so it loads before it swaps.
 func (g *Group) applyModeRequests() {
-	if g.reqSerial.Swap(false) {
+	if g.reqSerial.Load() && g.reqSerial.Swap(false) {
 		g.inline = true
 		g.sticky = true
 	}
-	if g.reqParallel.Swap(false) && !g.sticky {
+	if g.reqParallel.Load() && g.reqParallel.Swap(false) && !g.sticky {
 		g.inline = false
 	}
 }
@@ -357,35 +399,165 @@ func (g *Group) firstFailure() *ProcPanic {
 	return nil
 }
 
-// ensureWorkers spawns the quantum-executor pool on first concurrent use.
-// Workers exit when Close closes the work channel.
-func (g *Group) ensureWorkers() {
-	if g.started {
-		return
+// The hand-off's two tunables. Neither reaches virtual time. The readings
+// are stackbench runs on a 2-vCPU host with the constant patched, counted
+// per repetition (EXPERIMENTS.md "Quantum hand-off (PR 20)").
+const (
+	// spinBound is how many loads a helper spends with nothing published and
+	// nothing in flight before it parks, and how many the coordinator spends
+	// on a quantum's last member before it does. A park costs the helper
+	// several quanta of absence, so the bound has to outlast the barrier's
+	// serial section and the collector's pauses: on tpcc_repl (133 081
+	// quanta, every one shared) 1 000 loads park the helper 7 000 times and
+	// read 26-28 s/vs, 4 000 park it 4 500 times and read 25-26 — both
+	// slower than the channel hand-off this replaced — 30 000 park it 100
+	// times and read 16-20, 200 000 park it 8 times for the same wall. On
+	// the xbench cell pargroup/repl3/sw2 (19 820 shared quanta of ~300
+	// events) 30 000 still parks it 160-195 times and 100 000 25-32 times,
+	// again for the same wall; past that the only effect is a helper that
+	// spins longer after the last dense quantum.
+	spinBound = 100_000
+	// denseRun is how many consecutive quanta must have had two or more
+	// active members before the coordinator pays a futex wake for a parked
+	// helper; below it the coordinator drains the quantum itself, as the
+	// serial runner would. On tpcc_shard4 (252 881 quanta, 10 780 shared,
+	// scattered) 1 wakes a helper 4 400 times to run 2 500 members and
+	// reads 0.83 s/vs, 2 wakes it 1 200 times for 0.77, 8 wakes it 3 times
+	// for 0.75, 64 never; tpcc_repl cannot tell them apart.
+	denseRun = 8
+)
+
+// shareQuantum runs a quantum with two or more active members. The
+// coordinator publishes it — active and qEnd are already in place, then
+// pending, then todo last — and every executor claims members by counting
+// todo down: a claim k >= 0 was made on the quantum now published and owns
+// active[len(active)-1-k], anything below zero means there is nothing left.
+// Only a claim entitles an executor to read active, qEnd and the member; a
+// claimed member holds pending above zero until its executor is done with
+// it, and the coordinator does not leave — so rewrites nothing — before
+// pending reads zero. A member's coroutines are thereby resumed in publish
+// → claim → finish → pending == 0 order from one quantum to the next, each
+// arrow an atomic operation observing the one before it.
+//
+// The coordinator keeps active[0] for itself without a claim: in every
+// topology in the tree that is the host member, the longest of the quantum,
+// and the coordinator is the one executor known to be running right now.
+func (g *Group) shareQuantum() {
+	for len(g.helpers) < g.executors-1 {
+		h := &parker{wake: make(chan struct{}, 1)}
+		g.helpers = append(g.helpers, h)
+		g.helping.Add(1)
+		go g.help(h)
 	}
-	g.started = true
-	n := g.cfg.Workers
-	if n > len(g.envs) {
-		n = len(g.envs)
-	}
-	g.work = make(chan int)
-	// Buffered so a worker never blocks reporting completion while the
-	// coordinator is still handing out this quantum's members — with fewer
-	// workers than members that would deadlock the barrier.
-	g.wdone = make(chan struct{}, len(g.envs))
-	for w := 0; w < n; w++ {
-		go func() {
-			for i := range g.work {
-				g.envs[i].runQuantum(g.qEnd)
-				g.wdone <- struct{}{}
+	n := len(g.active)
+	g.pending.Store(int64(n))
+	g.todo.Store(int64(n - 1))
+	g.stats.Shared++
+	if g.dense++; g.dense >= denseRun {
+		// Keep the first n-1 helpers awake; the rest spin down and park.
+		need := n - 1
+		for _, h := range g.helpers {
+			if need == 0 {
+				break
 			}
-		}()
+			if h.unpark() {
+				g.stats.Wakes++
+			}
+			need--
+		}
+	}
+	g.envs[g.active[0]].runQuantum(g.qEnd)
+	g.pending.Add(-1)
+	g.claimMembers()
+	for spins := 0; g.pending.Load() != 0; spins++ {
+		if spins == spinBound {
+			// The helper holding the last member lost its CPU. A token may
+			// be left over from a helper that saw an earlier quantum's
+			// pending reach zero late, hence the loop.
+			g.coord.park(func() bool { return g.pending.Load() == 0 })
+			spins = 0
+		}
 	}
 }
 
+// claimMembers runs members of the published quantum until none is left
+// unclaimed and returns how many it ran.
+func (g *Group) claimMembers() int {
+	ran := 0
+	for {
+		k := g.todo.Add(-1)
+		if k < 0 {
+			return ran
+		}
+		g.envs[g.active[len(g.active)-1-int(k)]].runQuantum(g.qEnd)
+		ran++
+		if g.pending.Add(-1) == 0 {
+			g.coord.unpark()
+		}
+	}
+}
+
+// help is a helper goroutine's body. While a quantum is in flight on
+// another executor the next publish is at most that member away, so the
+// wait is not charged; with nothing in flight — the barrier's serial
+// section, an inline phase, a stretch of single-member quanta — it spends
+// spinBound loads and parks until the coordinator sees a dense phase.
+func (g *Group) help(h *parker) {
+	defer g.helping.Done()
+	idle := 0
+	for {
+		switch {
+		case g.todo.Load() > 0:
+			if ran := g.claimMembers(); ran > 0 {
+				g.helped.Add(int64(ran))
+				idle = 0
+			}
+		case g.pending.Load() != 0:
+			// In flight elsewhere: not charged, and not a reason to start
+			// the count over either — only a claim is.
+		case g.stop.Load():
+			return
+		default:
+			if idle++; idle == spinBound {
+				h.park(g.stop.Load)
+				idle = 0
+			}
+		}
+	}
+}
+
+// parker lets one goroutine sleep until another wakes it, with no lost
+// wake-up and no blocking on the waking side. The sleeper raises parked and
+// then looks at its condition once more; the waker changes the condition
+// and then looks at parked. Whoever lowers the flag owns the one token, so
+// the cap-1 channel never holds two.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// park blocks until unpark, unless ready already holds.
+func (p *parker) park(ready func() bool) {
+	p.parked.Store(true)
+	if ready() && p.parked.CompareAndSwap(true, false) {
+		return
+	}
+	<-p.wake
+}
+
+// unpark wakes the sleeper if there is one and reports whether it did.
+func (p *parker) unpark() bool {
+	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
+		return true
+	}
+	return false
+}
+
 // Close closes every member (releasing all parked process goroutines) and
-// shuts down the worker pool. Like Env.Close it is terminal and must be
-// called from the driving goroutine, never from process context.
+// returns once the helpers, spinning or parked, have exited. Like Env.Close
+// it is terminal and must be called from the driving goroutine, never from
+// process context.
 func (g *Group) Close() {
 	if g.closed {
 		return
@@ -394,9 +566,11 @@ func (g *Group) Close() {
 		panic("sim: Group.Close during Run")
 	}
 	g.closed = true
-	if g.started {
-		close(g.work)
+	g.stop.Store(true)
+	for _, h := range g.helpers {
+		h.unpark()
 	}
+	g.helping.Wait()
 	for _, e := range g.envs {
 		e.Close()
 	}

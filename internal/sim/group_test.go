@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -362,4 +363,355 @@ func TestGroupCrossEnvSignal(t *testing.T) {
 	if woke < 7*time.Microsecond {
 		t.Errorf("cross-env wait woke at %v, want >= 7µs", woke)
 	}
+}
+
+// TestGroupGrowsBetweenRuns adds members after a concurrent run. The
+// executor count follows the member count at each RunUntil; a hand-off sized
+// at first use (a completion buffer of two, then six members) hangs here.
+func TestGroupGrowsBetweenRuns(t *testing.T) {
+	g := NewGroup(GroupConfig{Workers: 2})
+	ticks := make([]int, 6)
+	add := func() {
+		i := len(g.Envs())
+		e := g.NewEnv(fmt.Sprintf("m%d", i), int64(i))
+		e.Go("ticker", func(p *Proc) {
+			for {
+				p.Sleep(100 * time.Nanosecond)
+				ticks[i]++
+			}
+		})
+	}
+	add()
+	add()
+	g.RunUntil(50 * time.Microsecond)
+	for i := 0; i < 4; i++ {
+		add()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.RunUntil(100 * time.Microsecond)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("second RunUntil did not return after the group grew from 2 to 6 members")
+	}
+	g.Close()
+	for i, n := range ticks {
+		if n == 0 {
+			t.Errorf("member %d never ran", i)
+		}
+	}
+}
+
+// TestGroupBarrierZeroAlloc holds the barrier merge to zero allocations
+// once the merge scratch and the members' queues have grown: three members,
+// each posting to the other two out of key order in every quantum.
+func TestGroupBarrierZeroAlloc(t *testing.T) {
+	g := NewGroup(GroupConfig{Workers: 1})
+	defer g.Close()
+	envs := make([]*Env, 3)
+	for i := range envs {
+		envs[i] = g.NewEnv(fmt.Sprintf("m%d", i), int64(i))
+	}
+	delivered := 0
+	land := func() { delivered++ }
+	for i, e := range envs {
+		var tick func()
+		tick = func() {
+			// Later instant first, so the merged outboxes need the sort.
+			e.PostTo(envs[(i+1)%3], e.Now()+3*time.Microsecond, land)
+			e.PostTo(envs[(i+2)%3], e.Now()+2*time.Microsecond, land)
+			e.After(500*time.Nanosecond, tick)
+		}
+		e.After(0, tick)
+	}
+	g.RunUntil(100 * time.Microsecond)
+	if delivered == 0 {
+		t.Fatal("no post was delivered during warm-up")
+	}
+	before := delivered
+	allocs := testing.AllocsPerRun(200, func() {
+		g.RunUntil(g.Now() + time.Microsecond)
+	})
+	if delivered == before {
+		t.Fatal("no post crossed a measured barrier")
+	}
+	if allocs != 0 {
+		t.Fatalf("a barrier with posts in flight allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// ringResult is everything a ring run exposes: it must not depend on the
+// worker count.
+type ringResult struct {
+	Logs   [][]groupTrace
+	Draws  []int64
+	Events int64
+	Quanta int64
+}
+
+// runRing builds a random ring from seed — 2 to 8 members, each firing 1 to
+// 50 events per quantum and posting to a random other member at random
+// instants, some inside the lookahead so they clamp — and runs it.
+func runRing(seed int64, workers int) ringResult {
+	shape := rand.New(rand.NewSource(seed))
+	k := 2 + shape.Intn(7)
+	g := NewGroup(GroupConfig{Workers: workers})
+	envs := make([]*Env, k)
+	for i := range envs {
+		envs[i] = g.NewEnv(fmt.Sprintf("m%d", i), seed*100+int64(i))
+	}
+	res := ringResult{Logs: make([][]groupTrace, k), Draws: make([]int64, k)}
+	for i, e := range envs {
+		perQuantum := 1 + shape.Intn(50)
+		gap := 2 * int(time.Microsecond) / perQuantum // mean gap = quantum / perQuantum
+		val := 0
+		var tick func()
+		tick = func() {
+			if e.Rand().Intn(4) == 0 {
+				val++
+				dst := envs[(i+1+e.Rand().Intn(k-1))%k]
+				src, v := i, val
+				at := e.Now() + time.Duration(e.Rand().Intn(3000))
+				e.PostTo(dst, at, func() {
+					res.Logs[dst.gidx] = append(res.Logs[dst.gidx], groupTrace{Src: src, Val: v, At: dst.Now()})
+				})
+			}
+			e.After(time.Duration(1+e.Rand().Intn(gap)), tick)
+		}
+		e.After(time.Duration(shape.Intn(2000)), tick)
+	}
+	g.RunUntil(300 * time.Microsecond)
+	res.Events, res.Quanta = g.Events(), g.Stats().Quanta
+	for i, e := range envs {
+		res.Draws[i] = e.Rand().Int63()
+	}
+	g.Close()
+	return res
+}
+
+// TestGroupHandoffStress runs random rings at several worker counts against
+// the serial runner: delivery history, rng states, event and barrier counts
+// must be equal. CI runs it under -race -cpu 1,2,4, which is what checks
+// that publish → claim and finish → pending == 0 order a member's coroutine
+// resumes from quantum to quantum.
+func TestGroupHandoffStress(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		ref := runRing(seed, 1)
+		if ref.Events == 0 || ref.Quanta == 0 {
+			t.Fatalf("seed %d: reference run did nothing", seed)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			if got := runRing(seed, workers); !reflect.DeepEqual(got, ref) {
+				t.Errorf("seed %d workers %d: run differs from the serial runner (events %d vs %d, quanta %d vs %d)",
+					seed, workers, got.Events, ref.Events, got.Quanta, ref.Quanta)
+			}
+		}
+	}
+}
+
+// The two workloads of BenchmarkGroupQuantum, also used by the tests of the
+// hand-off's idle side. Both keep every event on a 40ns grid, so barriers
+// fall a fixed distance apart and a run of n*quantumSpan is n quanta.
+
+// denseChains gives each of k members a callback chain firing every 40ns —
+// 26 events per quantum — whose every 26th firing posts to the next member
+// over a 2µs hop: every member is active in every quantum, as in a
+// replicated topology under load. Barriers are 1040ns apart.
+func denseChains(g *Group, k int) {
+	envs := make([]*Env, k)
+	for i := range envs {
+		envs[i] = g.NewEnv(fmt.Sprintf("m%d", i), int64(i))
+	}
+	land := func() {}
+	for i, e := range envs {
+		next, fired := envs[(i+1)%k], 0
+		var tick func()
+		tick = func() {
+			if fired++; fired%26 == 0 {
+				e.PostTo(next, e.Now()+2*time.Microsecond, land)
+			}
+			e.After(40*time.Nanosecond, tick)
+		}
+		e.After(40*time.Nanosecond, tick)
+	}
+}
+
+const denseSpan = 1040 * time.Nanosecond
+
+// tokenRing hands one token around k members: the holder fires 25 events
+// 40ns apart and the last posts the token to the next member over a 1.1µs
+// hop. Exactly one member is active in every quantum, and quanta are 2.1µs
+// apart.
+func tokenRing(g *Group, k int) {
+	envs := make([]*Env, k)
+	take := make([]func(), k)
+	for i := range envs {
+		envs[i] = g.NewEnv(fmt.Sprintf("m%d", i), int64(i))
+	}
+	for i, e := range envs {
+		next, left := (i+1)%k, 0
+		var tick func()
+		tick = func() {
+			if left--; left > 0 {
+				e.After(40*time.Nanosecond, tick)
+				return
+			}
+			e.PostTo(envs[next], e.Now()+1100*time.Nanosecond, take[next])
+		}
+		take[i] = func() {
+			left = 25
+			e.After(40*time.Nanosecond, tick)
+		}
+	}
+	envs[0].After(1100*time.Nanosecond, take[0])
+}
+
+const tokenSpan = 2100 * time.Nanosecond
+
+// TestGroupSparseNeverShares: with one active member per quantum nothing is
+// published and no helper goroutine is ever started, whatever Workers says.
+func TestGroupSparseNeverShares(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := NewGroup(GroupConfig{Workers: 8})
+	tokenRing(g, 4)
+	g.RunUntil(1000 * tokenSpan)
+	st := g.Stats()
+	if st.Quanta != 1000 {
+		t.Errorf("crossed %d barriers, want 1000", st.Quanta)
+	}
+	if st.Shared != 0 || st.Helped != 0 || st.Wakes != 0 || len(g.helpers) != 0 {
+		t.Errorf("sparse group used the hand-off: %+v, %d helpers", st, len(g.helpers))
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines, started with %d", n, base)
+	}
+	g.Close()
+}
+
+// TestGroupNoHelperWithoutCPU: executors are capped by the CPUs the process
+// can use, so at GOMAXPROCS 1 a dense group at Workers 8 is the serial loop.
+func TestGroupNoHelperWithoutCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := NewGroup(GroupConfig{Workers: 8})
+	denseChains(g, 3)
+	g.RunUntil(1000 * denseSpan)
+	if st := g.Stats(); st.Quanta != 1000 || st.Shared != 0 || len(g.helpers) != 0 {
+		t.Errorf("GOMAXPROCS 1: %+v, %d helpers; want 1000 quanta, none shared, no helper", st, len(g.helpers))
+	}
+	g.Close()
+}
+
+// needTwoCPUs skips a test of the helper side where the executor cap leaves
+// the coordinator alone.
+func needTwoCPUs(t *testing.T) {
+	t.Helper()
+	if min(runtime.GOMAXPROCS(0), runtime.NumCPU()) < 2 {
+		t.Skip("needs two usable CPUs")
+	}
+}
+
+// waitParked polls until every helper of g has parked.
+func waitParked(t *testing.T, g *Group) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, h := range g.helpers {
+		for !h.parked.Load() {
+			if time.Now().After(deadline) {
+				t.Fatal("helper still spinning 5s after the last shared quantum")
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestGroupDenseWake walks a helper through its states: started by the
+// first shared quantum, parked once nothing has been in flight for
+// spinBound loads, left asleep by multi-member runs shorter than denseRun,
+// woken by a longer one.
+func TestGroupDenseWake(t *testing.T) {
+	needTwoCPUs(t)
+	g := NewGroup(GroupConfig{Workers: 2})
+	defer g.Close()
+	a, b := g.NewEnv("a", 1), g.NewEnv("b", 2)
+	var tickA, tickB func()
+	tickA = func() { a.After(40*time.Nanosecond, tickA) }
+	a.After(40*time.Nanosecond, tickA)
+	var bUntil time.Duration
+	tickB = func() {
+		if b.Now() < bUntil {
+			b.After(40*time.Nanosecond, tickB)
+		}
+	}
+	// burst runs n quanta with both members active, then one with a alone,
+	// which ends the run of multi-member quanta.
+	burst := func(n int) {
+		bUntil = g.Now() + time.Duration(n)*denseSpan
+		b.After(40*time.Nanosecond, tickB)
+		g.RunUntil(g.Now() + time.Duration(n+1)*denseSpan)
+	}
+	for i := 1; i <= 4; i++ {
+		burst(denseRun - 1)
+		if st := g.Stats(); st.Shared != int64(i*(denseRun-1)) || len(g.helpers) != 1 {
+			t.Fatalf("after %d short bursts: %+v, %d helpers", i, st, len(g.helpers))
+		}
+		waitParked(t, g)
+	}
+	if st := g.Stats(); st.Wakes != 0 {
+		t.Fatalf("runs shorter than denseRun woke the helper: %+v", st)
+	}
+	burst(2 * denseRun)
+	if st := g.Stats(); st.Wakes < 1 {
+		t.Fatalf("a dense run did not wake the parked helper: %+v", st)
+	}
+}
+
+// TestGroupCloseReleasesHelpers closes a group in each state its helpers
+// can be in: never started, spinning right after a dense phase, and parked
+// after a long inline phase. Close returns once they have exited.
+func TestGroupCloseReleasesHelpers(t *testing.T) {
+	t.Run("never parallel", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		g := NewGroup(GroupConfig{Workers: 2, StartInline: true})
+		denseChains(g, 3)
+		g.RunUntil(100 * denseSpan)
+		if len(g.helpers) != 0 {
+			t.Errorf("inline group started %d helpers", len(g.helpers))
+		}
+		g.Close()
+		waitGoroutines(t, base)
+	})
+	t.Run("spinning", func(t *testing.T) {
+		needTwoCPUs(t)
+		base := runtime.NumGoroutine()
+		g := NewGroup(GroupConfig{Workers: 2})
+		denseChains(g, 3)
+		g.RunUntil(100 * denseSpan)
+		if len(g.helpers) != 1 {
+			t.Fatalf("dense group has %d helpers, want 1", len(g.helpers))
+		}
+		g.Close()
+		waitGoroutines(t, base)
+	})
+	t.Run("parked", func(t *testing.T) {
+		needTwoCPUs(t)
+		base := runtime.NumGoroutine()
+		g := NewGroup(GroupConfig{Workers: 2})
+		denseChains(g, 3)
+		g.RunUntil(100 * denseSpan)
+		g.Serialize()
+		g.RunUntil(g.Now() + 5000*denseSpan)
+		waitParked(t, g)
+		if st := g.Stats(); st.Shared > 101 {
+			t.Errorf("serialized group kept sharing quanta: %+v", st)
+		}
+		g.Close()
+		waitGoroutines(t, base)
+	})
 }

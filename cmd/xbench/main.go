@@ -15,9 +15,10 @@
 // Add -metrics out.json to any experiment run to also dump a per-cell
 // metrics snapshot (canonical JSON, byte-identical across same-seed runs).
 //
-// Add -workers N to run the simulations on the parallel group engine with
-// N quantum executors (0, the default, is the classic single-Env
-// scheduler). Same-seed results are byte-identical for every N >= 1.
+// Every simulation runs on a sim.Group. -workers N places the devices on
+// it: 0 (the default) puts all of a run's devices on one member, N >= 1
+// gives each device a member of its own and the group N quantum executors.
+// Same-seed results are byte-identical for every N >= 1.
 //
 // Performance modes:
 //
@@ -51,9 +52,9 @@ func main() {
 	shards := flag.Int("shards", 0, "with -chaos: run the sharded-cluster sweep with this many shards per seed (invariants I1-I5 + I8); 0 = classic single-primary sweep")
 	paged := flag.Bool("paged", false, "with -chaos: store tables in B+tree pages destaged to the conventional side, with background fuzzy checkpoints (invariants I1-I5 + I9)")
 	metricsOut := flag.String("metrics", "", "write per-cell metrics snapshots to this file as JSON")
-	workers := flag.Int("workers", 0, "simulation engine: 0 = classic single-Env scheduler, n >= 1 = parallel group runner with n quantum executors (figures, sweeps, and the perf suite)")
+	workers := flag.Int("workers", 0, "device placement on the simulation group: 0 = every device on one member, n >= 1 = one member per device and n quantum executors (figures, sweeps, and the perf suite)")
 	suite := flag.String("suite", "", "run a timed suite (\"perf\", \"latency\", or \"shard\")")
-	out := flag.String("o", "BENCH_PR4.json", "output file for -suite perf/latency")
+	out := flag.String("o", "BENCH_PR4.json", "output file for -suite")
 	compare := flag.Bool("compare", false, "compare two perf result files: -compare baseline.json new.json")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed events/sec regression fraction for -compare")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -112,24 +113,16 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("compare: %s within %.0f%% of %s on every cell\n", flag.Arg(1), *tolerance*100, flag.Arg(0))
-	case *suite == "perf":
-		if err := runPerfSuite(*out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *suite == "latency":
-		if err := runLatencySuite(*out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *suite == "shard":
-		if err := runShardSuite(*out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	case *suite != "":
-		fmt.Fprintf(os.Stderr, "xbench: unknown suite %q (\"perf\", \"latency\", or \"shard\")\n", *suite)
-		os.Exit(2)
+		cells := suiteCells(*suite)
+		if cells == nil {
+			fmt.Fprintf(os.Stderr, "xbench: unknown suite %q (\"perf\", \"latency\", or \"shard\")\n", *suite)
+			os.Exit(2)
+		}
+		if err := runSuite(*suite, cells, *out); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	case *chaosRun || *failoverRun:
 		// One sweep; the flags pick the scenario generator. The axes are
 		// not composed yet (chaos.Run rejects the pairs), so a flag set
@@ -194,40 +187,69 @@ func main() {
 	}
 }
 
-// perfRepeatBelow: cells whose first run finishes faster than this are
-// re-timed (best of three). Short cells are dominated by scheduler and
-// timer noise, and the compare gate's 15% tolerance assumes the noise is
-// smaller than that; best-of-N clips the one-sided slow tail.
-const perfRepeatBelow = 2 * time.Second
+// repeatBelow: cells whose first run finishes faster than this are re-timed
+// (best of three). Short cells are dominated by scheduler and timer noise,
+// and the compare gate's 15% tolerance assumes the noise is smaller than
+// that; best-of-N clips the one-sided slow tail.
+const repeatBelow = 2 * time.Second
 
-// runPerfSuite times every perf cell against the wall clock and writes the
+// shardScalingFloor: the 4-shard cell must commit at least this multiple
+// of the 1-shard cell's aggregate — the headline scaling claim of the
+// sharded cluster, gated at generation time so a regressing tree cannot
+// even produce a BENCH_PR9.json.
+const shardScalingFloor = 3.0
+
+// suiteCells lists the cells of a timed suite, or nil for an unknown name.
+func suiteCells(suite string) []bench.Cell {
+	switch suite {
+	case "perf":
+		return bench.PerfCells()
+	case "latency":
+		return bench.LatencyCells()
+	case "shard":
+		return bench.ShardCells()
+	}
+	return nil
+}
+
+// runSuite times every cell of a suite against the wall clock and writes the
 // canonical results file. Timing lives here, not in internal/bench: the
 // simulation packages are virtual-time only (the simdeterminism analyzer
-// enforces it), while a command may consult real clocks.
-func runPerfSuite(path string) error {
-	cells := bench.PerfCells()
+// enforces it), while a command may consult real clocks. Events, quantiles
+// and commit counts are virtual time — deterministic — so the compare gate
+// holds them to exact equality; wall time, events/sec and allocations
+// describe the machine and the code.
+func runSuite(suite string, cells []bench.Cell, path string) error {
 	results := make([]bench.PerfResult, 0, len(cells))
 	for _, c := range cells {
-		best, err := timePerfCell(c)
+		best, err := timeCell(c)
 		if err != nil {
-			return fmt.Errorf("perf suite: %s: %w", c.Name, err)
+			return fmt.Errorf("%s suite: %s: %w", suite, c.Name, err)
 		}
-		for rep := 1; rep < 3 && best.WallNS < int64(perfRepeatBelow); rep++ {
-			again, err := timePerfCell(c)
+		for rep := 1; rep < 3 && best.WallNS < int64(repeatBelow); rep++ {
+			again, err := timeCell(c)
 			if err != nil {
-				return fmt.Errorf("perf suite: %s (rep %d): %w", c.Name, rep, err)
+				return fmt.Errorf("%s suite: %s (rep %d): %w", suite, c.Name, rep, err)
 			}
 			if again.Events != best.Events {
-				return fmt.Errorf("perf suite: %s: event count drifted across repeats: %d vs %d",
-					c.Name, again.Events, best.Events)
+				return fmt.Errorf("%s suite: %s: event count drifted across repeats: %d vs %d",
+					suite, c.Name, again.Events, best.Events)
 			}
 			if again.WallNS < best.WallNS {
 				best = again
 			}
 		}
-		fmt.Printf("%-28s %10.0f events/s  (%d events, %v, %d allocs)\n",
+		fmt.Printf("%-28s %10.0f events/s  (%d events, %v, %d allocs)",
 			best.Bench, best.EventsPerSec, best.Events,
 			time.Duration(best.WallNS).Round(time.Millisecond), best.Allocs)
+		if best.P50NS != 0 || best.P99NS != 0 || best.P999NS != 0 {
+			fmt.Printf("  p50 %v p99 %v p999 %v",
+				time.Duration(best.P50NS), time.Duration(best.P99NS), time.Duration(best.P999NS))
+		}
+		if best.Commits != 0 {
+			fmt.Printf("  %d commits", best.Commits)
+		}
+		fmt.Println()
 		if strings.HasPrefix(c.Name, "pargroup/") {
 			// The hand-off counters depend on the host, so they are printed
 			// here and never written to the results file.
@@ -237,117 +259,44 @@ func runPerfSuite(path string) error {
 		}
 		results = append(results, best)
 	}
+	if suite == "shard" {
+		if err := bench.CheckShardScaling(results, shardScalingFloor); err != nil {
+			return err
+		}
+	}
 	if err := bench.WritePerfFile(path, results); err != nil {
 		return err
 	}
-	fmt.Printf("perf: wrote %d cells to %s\n", len(results), path)
+	fmt.Printf("%s: wrote %d cells to %s\n", suite, len(results), path)
 	return nil
 }
 
-// timePerfCell runs one cell once under the wall clock.
-func timePerfCell(c bench.PerfCell) (bench.PerfResult, error) {
+// timeCell runs one cell once under the wall clock.
+func timeCell(c bench.Cell) (bench.PerfResult, error) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	events, err := c.Run()
+	m, err := c.Run()
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return bench.PerfResult{}, err
 	}
 	r := bench.PerfResult{
-		Bench:  c.Name,
-		WallNS: wall.Nanoseconds(),
-		Events: events,
-		Allocs: int64(after.Mallocs - before.Mallocs),
+		Bench:   c.Name,
+		WallNS:  wall.Nanoseconds(),
+		Events:  m.Events,
+		Allocs:  int64(after.Mallocs - before.Mallocs),
+		P50NS:   m.Lat.P50,
+		P99NS:   m.Lat.P99,
+		P999NS:  m.Lat.P999,
+		Commits: m.Commits,
 	}
 	if wall > 0 {
-		r.EventsPerSec = float64(events) / wall.Seconds()
+		r.EventsPerSec = float64(m.Events) / wall.Seconds()
 	}
 	return r, nil
-}
-
-// runLatencySuite runs the queue-depth × coalescing sweep and writes the
-// canonical results file (BENCH_PR8.json). Quantiles are virtual time —
-// deterministic — so the compare gate holds them to exact equality; wall
-// time and events/sec are the same machine-dependent series the perf
-// suite reports.
-func runLatencySuite(path string) error {
-	cells := bench.LatencyCells()
-	results := make([]bench.PerfResult, 0, len(cells))
-	for _, c := range cells {
-		start := time.Now()
-		m, err := c.Run()
-		wall := time.Since(start)
-		if err != nil {
-			return fmt.Errorf("latency suite: %s: %w", c.Name, err)
-		}
-		r := bench.PerfResult{
-			Bench:  c.Name,
-			WallNS: wall.Nanoseconds(),
-			Events: m.Events,
-			P50NS:  m.Lat.P50,
-			P99NS:  m.Lat.P99,
-			P999NS: m.Lat.P999,
-		}
-		if wall > 0 {
-			r.EventsPerSec = float64(m.Events) / wall.Seconds()
-		}
-		fmt.Printf("%-24s p50 %-9v p99 %-9v p999 %-9v (%d ops, %d events, %v)\n",
-			r.Bench, time.Duration(r.P50NS), time.Duration(r.P99NS), time.Duration(r.P999NS),
-			m.Lat.N, r.Events, wall.Round(time.Millisecond))
-		results = append(results, r)
-	}
-	if err := bench.WritePerfFile(path, results); err != nil {
-		return err
-	}
-	fmt.Printf("latency: wrote %d cells to %s\n", len(results), path)
-	return nil
-}
-
-// shardScalingFloor: the 4-shard cell must commit at least this multiple
-// of the 1-shard cell's aggregate — the headline scaling claim of the
-// sharded cluster, gated at generation time so a regressing tree cannot
-// even produce a BENCH_PR9.json.
-const shardScalingFloor = 3.0
-
-// runShardSuite runs the sharded-cluster throughput cells and writes the
-// canonical results file (BENCH_PR9.json). Event and commit counts are
-// virtual time — deterministic — so the compare gate holds both to exact
-// equality; the scaling gate additionally requires the 4-shard cell to
-// commit at least 3x the 1-shard cell's transactions.
-func runShardSuite(path string) error {
-	cells := bench.ShardCells()
-	results := make([]bench.PerfResult, 0, len(cells))
-	for _, c := range cells {
-		start := time.Now()
-		m, err := c.Run()
-		wall := time.Since(start)
-		if err != nil {
-			return fmt.Errorf("shard suite: %s: %w", c.Name, err)
-		}
-		r := bench.PerfResult{
-			Bench:   c.Name,
-			WallNS:  wall.Nanoseconds(),
-			Events:  m.Events,
-			Commits: m.Commits,
-		}
-		if wall > 0 {
-			r.EventsPerSec = float64(m.Events) / wall.Seconds()
-		}
-		fmt.Printf("%-20s %6d commits  (%d events, %v)\n",
-			r.Bench, r.Commits, r.Events, wall.Round(time.Millisecond))
-		results = append(results, r)
-	}
-	if err := bench.CheckShardScaling(results, shardScalingFloor); err != nil {
-		return err
-	}
-	if err := bench.WritePerfFile(path, results); err != nil {
-		return err
-	}
-	fmt.Printf("shard: wrote %d cells to %s\n", len(results), path)
-	return nil
 }
 
 // runCompare gates new against baseline with the given tolerance.

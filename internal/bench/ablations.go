@@ -50,8 +50,8 @@ func AblationScheme() *Table {
 
 func ablationSchemeCell(scheme core.ReplicationScheme) metrics.Candlestick {
 	c := newCellSim(5)
-	defer c.close()
-	env := c.env()
+	defer c.Close()
+	env := c.env
 	prim := fig13Device(env, "prim", 400*time.Nanosecond)
 	sec1 := fig13Device(c.member("sec1", 6), "sec1", 400*time.Nanosecond)
 	sec2 := fig13Device(c.member("sec2", 7), "sec2", 400*time.Nanosecond)
@@ -76,8 +76,8 @@ func ablationSchemeCell(scheme core.ReplicationScheme) metrics.Candlestick {
 			p.Sleep(2 * time.Microsecond)
 		}
 	})
-	c.release()
-	c.runUntil(c.now() + 4*time.Millisecond)
+	c.Parallelize()
+	c.RunUntil(c.Now() + 4*time.Millisecond)
 	c.capture("ablation-scheme/" + scheme.String())
 	return sample.Candlestick()
 }

@@ -2,20 +2,18 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
-
-	"xssd/internal/pm"
 )
 
 // The figure-cell differential suite: every cell must produce the same
-// measurements, metrics JSON, and event count at every worker count of the
-// parallel runner; single-member figures must additionally match the plain
-// single-Env runner byte for byte (quantum chopping is invisible to a lone
-// member). Runner modes: -1 encodes the plain runner, n >= 1 a group with
-// n executors.
+// measurements, metrics JSON, and event count at every worker count. (That
+// a lone-member group is the bare Env, event for event, is checked where
+// both still exist: sim.TestGroupSingleMemberMatchesEnv and
+// villars.TestLoneMemberGroupMatchesBareEnv.)
 
 type cellRun struct {
 	events  int64
@@ -30,11 +28,7 @@ func runCellDifferential(t *testing.T, modes []int, cell func() []float64) []cel
 	defer SetEngineWorkers(prev)
 	out := make([]cellRun, 0, len(modes))
 	for _, mode := range modes {
-		if mode < 0 {
-			SetEngineWorkers(0)
-		} else {
-			SetEngineWorkers(mode)
-		}
+		SetEngineWorkers(mode)
 		cap := StartCapture()
 		values := cell()
 		StopCapture()
@@ -66,41 +60,10 @@ func checkRunsIdentical(t *testing.T, name string, modes []int, runs []cellRun) 
 	}
 }
 
-// TestSingleMemberFigsMatchPlainRunner demands full byte-identity between
-// the plain runner and the group runner at workers {1, 2, 8} for one cell
-// of each single-device figure.
-func TestSingleMemberFigsMatchPlainRunner(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy simulation; skipped in -short mode")
-	}
-	modes := []int{-1, 1, 2, 8}
-	t.Run("fig10", func(t *testing.T) {
-		runs := runCellDifferential(t, modes, func() []float64 {
-			return []float64{Fig10Cell(pm.SRAMSpec, false, 64)}
-		})
-		checkRunsIdentical(t, "fig10", modes, runs)
-	})
-	t.Run("fig11", func(t *testing.T) {
-		runs := runCellDifferential(t, modes, func() []float64 {
-			lat, mbps := Fig11Cell(32<<10, 16<<10)
-			return []float64{float64(lat), mbps}
-		})
-		checkRunsIdentical(t, "fig11", modes, runs)
-	})
-	t.Run("fig9", func(t *testing.T) {
-		runs := runCellDifferential(t, modes, func() []float64 {
-			lat, ktps := Fig09Cell("Villars-SRAM", 2)
-			return []float64{float64(lat), ktps}
-		})
-		checkRunsIdentical(t, "fig9", modes, runs)
-	})
-}
-
-// TestFig13WorkerCountInvariant runs the genuinely multi-member figure
-// under the group runner only: the secondary lives on its own member and
-// all pair traffic crosses at barriers, so the executor count must not be
-// observable. (The plain runner is a different topology — one Env for both
-// devices — and is not compared.)
+// TestFig13WorkerCountInvariant runs the genuinely multi-member figure with
+// the secondary on its own member: all pair traffic crosses at barriers, so
+// the executor count must not be observable. (Workers 0 is a different
+// topology — one member for both devices — and is not compared.)
 func TestFig13WorkerCountInvariant(t *testing.T) {
 	modes := []int{1, 2, 8}
 	runs := runCellDifferential(t, modes, func() []float64 {
@@ -155,6 +118,30 @@ func TestPargroupReplCellWorkerParity(t *testing.T) {
 	}
 	if min(runtime.GOMAXPROCS(0), runtime.NumCPU()) >= 2 && s2.Shared < s2.Quanta*9/10 {
 		t.Errorf("two executors shared %d of %d quanta; every member should be active in nearly all", s2.Shared, s2.Quanta)
+	}
+}
+
+// BenchmarkPargroup prints what the executor pool buys on the host that
+// runs it (CI's "Go benchmarks" step): the perf suite's two pargroup
+// topologies at 1, 2 and 4 executors. Information, not a gate — read sw2
+// and sw4 against the sw1 of the same run.
+func BenchmarkPargroup(b *testing.B) {
+	for _, topo := range []struct {
+		name string
+		run  func(simWorkers int) int64
+	}{
+		{fmt.Sprintf("d%d", pargroupDevices), func(sw int) int64 { return PargroupCell(pargroupDevices, sw) }},
+		{"repl3", PargroupReplCell},
+	} {
+		for _, sw := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/sw%d", topo.name, sw), func(b *testing.B) {
+				var events int64
+				for i := 0; i < b.N; i++ {
+					events += topo.run(sw)
+				}
+				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+			})
+		}
 	}
 }
 

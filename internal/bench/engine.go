@@ -1,120 +1,60 @@
 package bench
 
 import (
-	"time"
-
 	"xssd/internal/obs"
 	"xssd/internal/sim"
 )
 
-// engineWorkers selects the runner for every figure cell: 0 runs each cell
-// on a plain single Env (the classic scheduler); n >= 1 runs it inside a
-// sim.Group with n quantum executors. Single-device figures (9-12) keep
-// one member, so their event streams are byte-identical to the plain
-// runner (quantum chopping is invisible to a lone member); fig13 puts the
-// secondary on its own member and exchanges NTB traffic at barriers.
+// engineWorkers places the devices of every figure cell and sizes its
+// executor pool: every cell runs on a sim.Group, with 0 putting all of a
+// cell's devices on member 0 and n >= 1 giving each extra device a member
+// of its own and the group n quantum executors. Single-device figures
+// (9-12) have one member either way, so their event streams do not depend
+// on it (quantum chopping is invisible to a lone member); fig13 at n >= 1
+// puts the secondary on its own member and exchanges NTB traffic at
+// barriers.
 var engineWorkers int
 
-// SetEngineWorkers picks the cell runner (the xbench -workers flag). The
+// SetEngineWorkers sets the placement (the xbench -workers flag). The
 // harness is single-threaded, so a package-level switch is acceptable —
 // one experiment cell runs at a time.
 func SetEngineWorkers(n int) { engineWorkers = n }
 
-// EngineWorkers reports the current cell runner.
+// EngineWorkers reports the current placement.
 func EngineWorkers() int { return engineWorkers }
 
-// cellSim is the per-cell simulation handle: a plain Env under the classic
-// runner, a sim.Group (started inline for bring-up) under the parallel
-// one. Cells build their topology against env()/member(), call release()
-// once setup is done, and drive time through runUntil.
+// cellSim is the per-cell simulation: a group started inline for bring-up.
+// Cells build their topology against env and member(), call Parallelize once
+// setup is done, drive time through RunUntil, and defer Close so
+// back-to-back cells do not accumulate parked goroutines.
 type cellSim struct {
-	group *sim.Group
-	envs  []*sim.Env
+	*sim.Group
+	env *sim.Env // member 0
 }
 
-// newCellSim opens the cell's root environment with the figure's seed.
+// newCellSim opens the cell's group and its member 0 with the figure's seed.
 func newCellSim(seed int64) *cellSim {
-	c := &cellSim{}
-	if engineWorkers > 0 {
-		c.group = sim.NewGroup(sim.GroupConfig{Workers: engineWorkers, StartInline: true})
-		c.envs = []*sim.Env{c.group.NewEnv("m0", seed)}
-	} else {
-		c.envs = []*sim.Env{sim.NewEnv(seed)}
-	}
-	return c
+	g := sim.NewGroup(sim.GroupConfig{Workers: engineWorkers, StartInline: true})
+	return &cellSim{Group: g, env: g.NewEnv("m0", seed)}
 }
 
-// env returns the root environment (member 0).
-func (c *cellSim) env() *sim.Env { return c.envs[0] }
-
-// member returns a new group member under the parallel runner, or the
-// root environment under the classic one — cells place each extra device
-// on a member() so the same wiring code builds both topologies.
+// member returns the Env an extra device goes on: a new member at
+// engineWorkers >= 1, member 0 otherwise — so the same wiring code builds
+// both placements.
 func (c *cellSim) member(name string, seed int64) *sim.Env {
-	if c.group == nil {
-		return c.envs[0]
+	if engineWorkers == 0 {
+		return c.env
 	}
-	e := c.group.NewEnv(name, seed)
-	c.envs = append(c.envs, e)
-	return e
+	return c.NewEnv(name, seed)
 }
 
-// release ends the bring-up phase: group members run concurrently from
-// the next barrier on. No-op under the classic runner.
-func (c *cellSim) release() {
-	if c.group != nil {
-		c.group.Parallelize()
-	}
-}
-
-// runUntil drives the cell to absolute virtual time t.
-func (c *cellSim) runUntil(t time.Duration) {
-	if c.group != nil {
-		c.group.RunUntil(t)
-		return
-	}
-	c.envs[0].RunUntil(t)
-}
-
-// now returns the cell's virtual time.
-func (c *cellSim) now() time.Duration {
-	if c.group != nil {
-		return c.group.Now()
-	}
-	return c.envs[0].Now()
-}
-
-// events returns total dispatched events across the cell's members.
-func (c *cellSim) events() int64 {
-	if c.group != nil {
-		return c.group.Events()
-	}
-	return c.envs[0].Events()
-}
-
-// capture records the cell's merged metrics snapshot (the group analogue
-// of captureCell; identical bytes for a single member, since snapshots
-// are name-sorted either way).
+// capture records the cell's event count and, under -metrics, its merged
+// metrics snapshot.
 func (c *cellSim) capture(cell string) {
-	lastEvents = c.events()
+	lastEvents = c.Events()
 	if activeCapture == nil {
 		return
 	}
-	snaps := make([]*obs.Snapshot, len(c.envs))
-	for i, e := range c.envs {
-		snaps[i] = obs.For(e).Snapshot()
-	}
 	activeCapture.cells = append(activeCapture.cells,
-		CellMetrics{Cell: cell, Snapshot: obs.Merge(snaps...)})
-}
-
-// close releases every parked process goroutine (and the group's worker
-// pool); cells defer it so back-to-back cells do not accumulate parked
-// goroutines.
-func (c *cellSim) close() {
-	if c.group != nil {
-		c.group.Close()
-		return
-	}
-	c.envs[0].Close()
+		CellMetrics{Cell: cell, Snapshot: obs.SnapshotOf(c.Envs())})
 }

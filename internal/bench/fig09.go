@@ -67,8 +67,8 @@ var fig9DRAMBacking = pm.Spec{
 // committed-transaction throughput.
 func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
 	c := newCellSim(42)
-	defer c.close()
-	env := c.env()
+	defer c.Close()
+	env := c.env
 	hostMem := pcie.NewHostMemory(1 << 20)
 
 	var log *wal.Log
@@ -91,7 +91,7 @@ func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
 			log = mkLog(wal.NewVillarsSink(p, dev, setup))
 			ready <- struct{}{}
 		})
-		c.runUntil(time.Microsecond)
+		c.RunUntil(time.Microsecond)
 		<-ready
 	case "NVMe":
 		dev := villars.New(env, fig9DeviceConfig("fig9", pm.SRAMSpec), hostMem)
@@ -155,8 +155,8 @@ func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
 			}
 		})
 	}
-	c.release()
-	c.runUntil(fig9Window)
+	c.Parallelize()
+	c.RunUntil(fig9Window)
 	c.capture(fmt.Sprintf("fig9/%s/w%d", setup, workers))
 	window := (fig9Window - fig9Warmup).Seconds()
 	return sample.Mean(), float64(committed) / window / 1000

@@ -43,8 +43,8 @@ func fig10Device(env *sim.Env, backing pm.Spec) *villars.Device {
 // backing ring per second) for one (backing, mode, size) cell.
 func Fig10Cell(backing pm.Spec, uncached bool, size int) float64 {
 	c := newCellSim(1)
-	defer c.close()
-	env := c.env()
+	defer c.Close()
+	env := c.env
 	dev := fig10Device(env, backing)
 	env.Go("writer", func(p *sim.Proc) {
 		l := xapi.Open(p, dev, xapi.Options{Uncached: uncached})
@@ -53,8 +53,8 @@ func Fig10Cell(backing pm.Spec, uncached bool, size int) float64 {
 			l.XPwrite(p, buf)
 		}
 	})
-	c.release()
-	c.runUntil(fig10Window)
+	c.Parallelize()
+	c.RunUntil(fig10Window)
 	mode := "wc"
 	if uncached {
 		mode = "uc"

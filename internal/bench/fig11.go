@@ -28,8 +28,8 @@ const fig11Window = 30 * time.Millisecond
 
 func Fig11Cell(queueSize, groupSize int) (lat time.Duration, mbps float64) {
 	c := newCellSim(1)
-	defer c.close()
-	env := c.env()
+	defer c.Close()
+	env := c.env
 	cfg := villars.DefaultConfig("fig11")
 	cfg.Backing = pm.SRAMSpec
 	// A roomy ring keeps the destage pipeline off the critical path so the
@@ -55,8 +55,8 @@ func Fig11Cell(queueSize, groupSize int) (lat time.Duration, mbps float64) {
 			bytes += int64(groupSize)
 		}
 	})
-	c.release()
-	c.runUntil(fig11Window)
+	c.Parallelize()
+	c.RunUntil(fig11Window)
 	c.capture(fmt.Sprintf("fig11/q%dK/g%dK", queueSize>>10, groupSize>>10))
 	return sample.Mean(), float64(bytes) / fig11Window.Seconds() / 1e6
 }

@@ -42,8 +42,8 @@ func fig12Device(env *sim.Env, policy sched.Policy) *villars.Device {
 // of the array program bandwidth.
 func Fig12Cell(policy sched.Policy, fastOffer float64) (conv, fast float64) {
 	c := newCellSim(3)
-	defer c.close()
-	env := c.env()
+	defer c.Close()
+	env := c.env
 	dev := fig12Device(env, policy)
 	geo := dev.Array().Geometry()
 	progBW := geo.ProgramBandwidth(dev.Array().Timing())
@@ -88,12 +88,12 @@ func Fig12Cell(policy sched.Policy, fastOffer float64) (conv, fast float64) {
 	})
 
 	// Measure steady state: skip the first quarter of the window.
-	c.release()
+	c.Parallelize()
 	warm := fig12Window / 4
-	c.runUntil(warm)
+	c.RunUntil(warm)
 	convStart := dev.Scheduler().BytesBySource(sched.Conventional)
 	fastStart := dev.Scheduler().BytesBySource(sched.Destage)
-	c.runUntil(fig12Window)
+	c.RunUntil(fig12Window)
 	c.capture(fmt.Sprintf("fig12/%s/offer%.0f", policy, fastOffer*100))
 	window := (fig12Window - warm).Seconds()
 	conv = float64(dev.Scheduler().BytesBySource(sched.Conventional)-convStart) / window / progBW

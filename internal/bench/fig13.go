@@ -48,10 +48,10 @@ func fig13Device(env *sim.Env, name string, period time.Duration) *villars.Devic
 // and the counter-update bandwidth share for one period.
 func Fig13Cell(period time.Duration) (metrics.Candlestick, float64) {
 	c := newCellSim(5)
-	defer c.close()
-	env := c.env()
+	defer c.Close()
+	env := c.env
 	prim := fig13Device(env, "prim", period)
-	// Under the parallel runner the secondary lives on its own member and
+	// At -workers >= 1 the secondary lives on its own member and
 	// all pair traffic — mirrored writes one way, counter updates the
 	// other — crosses at barriers through the bridges.
 	secEnv := c.member("sec", 6)
@@ -85,8 +85,8 @@ func Fig13Cell(period time.Duration) (metrics.Candlestick, float64) {
 			}
 		}
 	})
-	c.release()
-	c.runUntil(fig13Window)
+	c.Parallelize()
+	c.RunUntil(fig13Window)
 	c.capture(fmt.Sprintf("fig13/period%v", period))
 	updates := sec.Transport().UpdatesSent()
 	wire := float64(updates) * float64(core.CounterUpdateBytes)
@@ -99,11 +99,11 @@ func Fig13Cell(period time.Duration) (metrics.Candlestick, float64) {
 // may drive the secondary's queues directly even when it lives on another
 // member.
 func setRoles(c *cellSim, prim, sec *villars.Device) {
-	c.env().Go("set-roles", func(p *sim.Proc) {
+	c.env.Go("set-roles", func(p *sim.Proc) {
 		submitMode(p, sec, core.Secondary)
 		submitMode(p, prim, core.Primary)
 	})
-	c.runUntil(c.now() + 100*time.Microsecond)
+	c.RunUntil(c.Now() + 100*time.Microsecond)
 }
 
 func submitMode(p *sim.Proc, d *villars.Device, mode core.TransportMode) {

@@ -42,51 +42,38 @@ const (
 	latSeed       = 42
 )
 
-// LatencyMeasurement is one cell's outcome: the dispatched event count
-// (the determinism anchor) and the latency digest.
-type LatencyMeasurement struct {
-	Events int64
-	Lat    obs.Summary
-}
-
-// LatencyCell is one timed unit of the latency suite.
-type LatencyCell struct {
-	Name string
-	Run  func() (LatencyMeasurement, error)
-}
-
 // LatencyCells lists the suite in canonical order: a queue-count sweep,
 // an in-flight-depth sweep, a coalescing ablation, the serial/parallel
 // twins, and the TPC-C pipelined-commit pair.
-func LatencyCells() []LatencyCell {
-	cells := []LatencyCell{}
-	add := func(name string, run func() (LatencyMeasurement, error)) {
-		cells = append(cells, LatencyCell{Name: name, Run: run})
+func LatencyCells() []Cell {
+	cells := []Cell{}
+	add := func(name string, run func() (Measurement, error)) {
+		cells = append(cells, Cell{Name: name, Run: run})
 	}
 	for _, pairs := range []int{1, 4, 8} {
 		pairs := pairs
-		add(fmt.Sprintf("lat/nvme/q%d/d8/c1", pairs), func() (LatencyMeasurement, error) {
+		add(fmt.Sprintf("lat/nvme/q%d/d8/c1", pairs), func() (Measurement, error) {
 			return LatencyNVMeCell(pairs, 8, 1), nil
 		})
 	}
 	for _, depth := range []int{1, 32} {
 		depth := depth
-		add(fmt.Sprintf("lat/nvme/q4/d%d/c1", depth), func() (LatencyMeasurement, error) {
+		add(fmt.Sprintf("lat/nvme/q4/d%d/c1", depth), func() (Measurement, error) {
 			return LatencyNVMeCell(4, depth, 1), nil
 		})
 	}
-	add("lat/nvme/q4/d8/c8", func() (LatencyMeasurement, error) {
+	add("lat/nvme/q4/d8/c8", func() (Measurement, error) {
 		return LatencyNVMeCell(4, 8, 8), nil
 	})
 	for _, sw := range []int{1, 8} {
 		sw := sw
-		add(fmt.Sprintf("lat/nvme/q4/d8/c1/sw%d", sw), func() (LatencyMeasurement, error) {
+		add(fmt.Sprintf("lat/nvme/q4/d8/c1/sw%d", sw), func() (Measurement, error) {
 			return latencyNVMeCellPinned(4, 8, 1, sw), nil
 		})
 	}
 	for _, depth := range []int{1, 16} {
 		depth := depth
-		add(fmt.Sprintf("lat/tpcc/pipe%d", depth), func() (LatencyMeasurement, error) {
+		add(fmt.Sprintf("lat/tpcc/pipe%d", depth), func() (Measurement, error) {
 			return LatencyTPCCCell(depth), nil
 		})
 	}
@@ -109,10 +96,10 @@ func latencyDeviceConfig(pairs, depth, coalesce int) villars.Config {
 // keeping depth one-block writes in flight on its own queue through the
 // async driver surface, and digests the per-queue submit→complete
 // histograms.
-func LatencyNVMeCell(pairs, depth, coalesce int) LatencyMeasurement {
+func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 	c := newCellSim(latSeed)
-	defer c.close()
-	env := c.env()
+	defer c.Close()
+	env := c.env
 	hostMem := pcie.NewHostMemory(1 << 20)
 	dev := villars.New(env, latencyDeviceConfig(pairs, depth, coalesce), hostMem)
 	drv := dev.HostDriver()
@@ -160,21 +147,21 @@ func LatencyNVMeCell(pairs, depth, coalesce int) LatencyMeasurement {
 			}
 		})
 	}
-	c.release()
-	c.runUntil(latWindow)
+	c.Parallelize()
+	c.RunUntil(latWindow)
 	c.capture(fmt.Sprintf("lat/nvme/q%d/d%d/c%d", pairs, depth, coalesce))
 
 	hists := make([]*obs.Histogram, pairs)
 	for q := 0; q < pairs; q++ {
 		hists[q] = drv.Latency(q)
 	}
-	return LatencyMeasurement{Events: c.events(), Lat: obs.SummaryOf(hists...)}
+	return Measurement{Events: c.Events(), Lat: obs.SummaryOf(hists...)}
 }
 
 // latencyNVMeCellPinned runs the cell with the engine pinned to sw
 // quantum executors regardless of the -workers flag — the /swN twins the
 // compare gate holds to bit-identical results.
-func latencyNVMeCellPinned(pairs, depth, coalesce, sw int) LatencyMeasurement {
+func latencyNVMeCellPinned(pairs, depth, coalesce, sw int) Measurement {
 	prev := engineWorkers
 	SetEngineWorkers(sw)
 	defer SetEngineWorkers(prev)
@@ -184,10 +171,10 @@ func latencyNVMeCellPinned(pairs, depth, coalesce, sw int) LatencyMeasurement {
 // LatencyTPCCCell runs TPC-C terminals on the pipelined CommitAsync path
 // (tpcc.Config.PipelineDepth) against a Villars-SRAM log device and
 // digests the pipelines' submit→durable histograms.
-func LatencyTPCCCell(pipeDepth int) LatencyMeasurement {
+func LatencyTPCCCell(pipeDepth int) Measurement {
 	c := newCellSim(latSeed)
-	defer c.close()
-	env := c.env()
+	defer c.Close()
+	env := c.env
 	hostMem := pcie.NewHostMemory(1 << 20)
 	dev := villars.New(env, fig9DeviceConfig("lattpcc", pm.SRAMSpec), hostMem)
 
@@ -198,7 +185,7 @@ func LatencyTPCCCell(pipeDepth int) LatencyMeasurement {
 			wal.Config{GroupBytes: 16 << 10, GroupTimeout: 10 * time.Millisecond})
 		ready <- struct{}{}
 	})
-	c.runUntil(time.Microsecond)
+	c.RunUntil(time.Microsecond)
 	<-ready
 
 	eng := db.New(env, log)
@@ -220,13 +207,13 @@ func LatencyTPCCCell(pipeDepth int) LatencyMeasurement {
 			}
 		})
 	}
-	c.release()
-	c.runUntil(latTPCCWindow)
+	c.Parallelize()
+	c.RunUntil(latTPCCWindow)
 	c.capture(fmt.Sprintf("lat/tpcc/pipe%d", pipeDepth))
 
 	hists := make([]*obs.Histogram, latTPCCJobs)
 	for w, cl := range clients {
 		hists[w] = cl.Pipeline().Latency()
 	}
-	return LatencyMeasurement{Events: c.events(), Lat: obs.SummaryOf(hists...)}
+	return Measurement{Events: c.Events(), Lat: obs.SummaryOf(hists...)}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xssd/internal/chaos"
+	"xssd/internal/obs"
 	"xssd/internal/pm"
 	"xssd/internal/sched"
 )
@@ -19,65 +20,75 @@ import (
 // logging. Seed 7 draws two secondaries under DefaultScenario.
 const perfChaosSeed = 7
 
-// PerfCell is one timed unit of the perf suite. Run executes the cell to
-// completion and reports how many simulator events it dispatched.
-type PerfCell struct {
+// Cell is one timed unit of a suite (perf, latency or shard). Run executes
+// the cell to completion.
+type Cell struct {
 	Name string
-	Run  func() (events int64, err error)
+	Run  func() (Measurement, error)
+}
+
+// Measurement is what a cell reports, every field virtual-time and so
+// exact: the simulator events it dispatched (the determinism anchor of
+// every suite), and where the suite gates them a latency digest (latency
+// suite) and an aggregate committed-transaction count (shard suite).
+type Measurement struct {
+	Events  int64
+	Lat     obs.Summary
+	Commits int64
 }
 
 // PerfCells lists the suite in its canonical order. Each cell builds a
 // fresh environment with the same fixed seed its figure uses, so event
 // counts are reproducible across runs and machines.
-func PerfCells() []PerfCell {
-	return []PerfCell{
-		{Name: "fig9/Villars-SRAM/w8", Run: func() (int64, error) {
+func PerfCells() []Cell {
+	return []Cell{
+		{Name: "fig9/Villars-SRAM/w8", Run: func() (Measurement, error) {
 			Fig09Cell("Villars-SRAM", 8)
-			return LastCellEvents(), nil
+			return Measurement{Events: LastCellEvents()}, nil
 		}},
-		{Name: "fig10/sram/wc/64B", Run: func() (int64, error) {
+		{Name: "fig10/sram/wc/64B", Run: func() (Measurement, error) {
 			Fig10Cell(pm.SRAMSpec, false, 64)
-			return LastCellEvents(), nil
+			return Measurement{Events: LastCellEvents()}, nil
 		}},
-		{Name: "fig11/q32K/g16K", Run: func() (int64, error) {
+		{Name: "fig11/q32K/g16K", Run: func() (Measurement, error) {
 			Fig11Cell(32<<10, 16<<10)
-			return LastCellEvents(), nil
+			return Measurement{Events: LastCellEvents()}, nil
 		}},
-		{Name: "fig12/priority/offer0.60", Run: func() (int64, error) {
+		{Name: "fig12/priority/offer0.60", Run: func() (Measurement, error) {
 			Fig12Cell(sched.ConventionalPriority, 0.60)
-			return LastCellEvents(), nil
+			return Measurement{Events: LastCellEvents()}, nil
 		}},
-		{Name: "fig13/400ns", Run: func() (int64, error) {
+		{Name: "fig13/400ns", Run: func() (Measurement, error) {
 			Fig13Cell(400 * time.Nanosecond)
-			return LastCellEvents(), nil
+			return Measurement{Events: LastCellEvents()}, nil
 		}},
-		{Name: fmt.Sprintf("chaos/seed%d", perfChaosSeed), Run: func() (int64, error) {
+		{Name: fmt.Sprintf("chaos/seed%d", perfChaosSeed), Run: func() (Measurement, error) {
 			sc := chaos.DefaultScenario(perfChaosSeed)
 			sc.SimWorkers = engineWorkers
 			r, err := chaos.Run(sc)
 			if err != nil {
-				return 0, err
+				return Measurement{}, err
 			}
 			if len(r.Violations) > 0 {
-				return 0, fmt.Errorf("bench: chaos seed %d violated invariants: %v", perfChaosSeed, r.Violations)
+				return Measurement{}, fmt.Errorf("bench: chaos seed %d violated invariants: %v", perfChaosSeed, r.Violations)
 			}
-			return r.Events, nil
+			return Measurement{Events: r.Events}, nil
 		}},
 		// The /swN twins pin the engine explicitly (independent of
 		// -workers): same multi-device topology, different executor
 		// counts. Compare demands identical event counts across twins and
 		// the wall-clock ratio is the parallel speedup.
-		{Name: fmt.Sprintf("pargroup/d%d/sw1", pargroupDevices), Run: func() (int64, error) {
-			return PargroupCell(pargroupDevices, 1), nil
+		{Name: fmt.Sprintf("pargroup/d%d/sw1", pargroupDevices), Run: func() (Measurement, error) {
+			return Measurement{Events: PargroupCell(pargroupDevices, 1)}, nil
 		}},
-		{Name: fmt.Sprintf("pargroup/d%d/sw8", pargroupDevices), Run: func() (int64, error) {
-			return PargroupCell(pargroupDevices, 8), nil
+		{Name: fmt.Sprintf("pargroup/d%d/sw8", pargroupDevices), Run: func() (Measurement, error) {
+			return Measurement{Events: PargroupCell(pargroupDevices, 8)}, nil
 		}},
-		{Name: "pargroup/repl3/sw1", Run: func() (int64, error) {
-			return PargroupReplCell(1), nil
+		{Name: "pargroup/repl3/sw1", Run: func() (Measurement, error) {
+			return Measurement{Events: PargroupReplCell(1)}, nil
 		}},
-		{Name: "pargroup/repl3/sw2", Run: func() (int64, error) {
-			return PargroupReplCell(2), nil
+		{Name: "pargroup/repl3/sw2", Run: func() (Measurement, error) {
+			return Measurement{Events: PargroupReplCell(2)}, nil
 		}},
 	}
 }

@@ -38,30 +38,17 @@ const (
 	shardSeed   = 21
 )
 
-// ShardMeasurement is one cell's outcome: the dispatched event count and
-// the aggregate committed-transaction count, both virtual-deterministic.
-type ShardMeasurement struct {
-	Events  int64
-	Commits int64
-}
-
-// ShardCell is one timed unit of the shard suite.
-type ShardCell struct {
-	Name string
-	Run  func() (ShardMeasurement, error)
-}
-
 // ShardCells lists the suite in canonical order: the shard-count scaling
 // series, the remote-mix sweep, and the engine twins.
-func ShardCells() []ShardCell {
-	cells := []ShardCell{}
-	add := func(name string, run func() (ShardMeasurement, error)) {
-		cells = append(cells, ShardCell{Name: name, Run: run})
+func ShardCells() []Cell {
+	cells := []Cell{}
+	add := func(name string, run func() (Measurement, error)) {
+		cells = append(cells, Cell{Name: name, Run: run})
 	}
 	for _, n := range []int{1, 2, 4, 8} {
 		name := fmt.Sprintf("shard/s%d", n)
 		n := n
-		add(name, func() (ShardMeasurement, error) {
+		add(name, func() (Measurement, error) {
 			return ShardBenchCell(name, n, 1, tpcc.SpecMix())
 		})
 	}
@@ -75,14 +62,14 @@ func ShardCells() []ShardCell {
 	} {
 		name := "shard/s4/" + rm.label
 		rm := rm
-		add(name, func() (ShardMeasurement, error) {
+		add(name, func() (Measurement, error) {
 			return ShardBenchCell(name, 4, 1, rm.mix)
 		})
 	}
 	for _, sw := range []int{1, 2, 8} {
 		name := fmt.Sprintf("shard/s4/sw%d", sw)
 		sw := sw
-		add(name, func() (ShardMeasurement, error) {
+		add(name, func() (Measurement, error) {
 			return ShardBenchCell(name, 4, sw, tpcc.SpecMix())
 		})
 	}
@@ -93,7 +80,7 @@ func ShardCells() []ShardCell {
 // measurement window: shards primaries, two warehouses and two terminals
 // each, no faults, the given remote mix. cell names the run for the
 // metrics capture (xbench -metrics).
-func ShardBenchCell(cell string, shards, simWorkers int, mix tpcc.RemoteMix) (ShardMeasurement, error) {
+func ShardBenchCell(cell string, shards, simWorkers int, mix tpcc.RemoteMix) (Measurement, error) {
 	tcfg := tpcc.Config{Warehouses: 2 * shards, Districts: 2, CustomersPerDistrict: 8, Items: 40, FillerLen: 10}
 	cl, err := shard.New(shard.Config{
 		Shards:     shards,
@@ -108,7 +95,7 @@ func ShardBenchCell(cell string, shards, simWorkers int, mix tpcc.RemoteMix) (Sh
 		},
 	})
 	if err != nil {
-		return ShardMeasurement{}, err
+		return Measurement{}, err
 	}
 	defer cl.Close()
 	cl.Build()
@@ -145,12 +132,12 @@ func ShardBenchCell(cell string, shards, simWorkers int, mix tpcc.RemoteMix) (Sh
 	})
 	cl.RunUntil(shardWindow)
 	if bootErr != nil {
-		return ShardMeasurement{}, bootErr
+		return Measurement{}, bootErr
 	}
 	stop = true
 	cl.RunUntil(shardWindow + shardSettle)
 
-	m := ShardMeasurement{Events: cl.Events()}
+	m := Measurement{Events: cl.Events()}
 	for _, c := range clients {
 		byType, _, _ := c.Counts()
 		for _, n := range byType {

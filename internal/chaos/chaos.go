@@ -91,17 +91,17 @@ type Scenario struct {
 	// Settle is how long the stack gets to quiesce after the workload
 	// stops (flush, destage, repair, catch-up); 0 means 20 ms.
 	Settle time.Duration
-	// SimWorkers selects the simulation engine. 0 runs the classic
-	// single-Env scheduler (all devices plus the host workload on one
-	// event loop). n >= 1 runs the parallel group engine: the primary and
-	// the host side share member Env 0, each secondary gets its own
-	// member, and n workers execute quanta — n == 1 being the serial
-	// runner over the identical topology. Runs with the same (Seed, Plan,
-	// shape) and any SimWorkers >= 1 are byte-identical to each other;
-	// they are a different topology (hence different fingerprints) than
-	// SimWorkers == 0. A takeover serializes the group permanently at its
-	// barrier, so promotion rewiring and the re-bound host stream are
-	// race-free under any worker count.
+	// SimWorkers places the devices on the scenario's sim.Group; the
+	// engine is the same either way. 0 puts every device and the host
+	// workload on member 0 (one event loop). n >= 1 keeps the primary and
+	// the host side on member 0, gives each secondary a member of its own,
+	// and runs quanta on n executors — n == 1 being the serial runner over
+	// that topology. Runs with the same (Seed, Plan, shape) and any
+	// SimWorkers >= 1 are byte-identical to each other; they are a
+	// different topology (hence different fingerprints) than
+	// SimWorkers == 0. A takeover on a multi-member group serializes it
+	// permanently at its barrier, so promotion rewiring and the re-bound
+	// host stream are race-free under any worker count.
 	SimWorkers int
 	// Shards, when > 0, runs the sharded-cluster scenario instead of the
 	// single-primary one: Shards primary devices partitioning 2*Shards
@@ -354,7 +354,7 @@ func runSingle(s Scenario) (*Result, error) {
 	// at-time power-loss rules arm.
 	en := newEngine(s.Seed, s.SimWorkers, s.Secondaries, plan)
 	defer en.detach()
-	defer en.close()
+	defer en.group.Close()
 	env := en.host
 
 	prim := chaosDevice(env, PrimaryName)
@@ -486,7 +486,7 @@ func runSingle(s Scenario) (*Result, error) {
 		}
 		// Bring-up walked every member's state directly (role commands,
 		// peer wiring); only now may members run concurrently.
-		en.release()
+		en.group.Parallelize()
 	})
 
 	mon := &stallMonitor{}
@@ -549,7 +549,7 @@ func runSingle(s Scenario) (*Result, error) {
 		})
 	}
 
-	en.runUntil(s.Window)
+	en.group.RunUntil(s.Window)
 	if bootErr != nil {
 		return nil, fmt.Errorf("chaos: boot: %w", bootErr)
 	}
@@ -560,14 +560,14 @@ func runSingle(s Scenario) (*Result, error) {
 		// I1 checks demand a drained WAL at the cut.
 		ckptMgr.Stop()
 	}
-	en.runUntil(s.Window + s.Settle)
+	en.group.RunUntil(s.Window + s.Settle)
 	if fo != nil {
 		fo.Stop()
 	}
 
 	r.PowerLost = prim.PowerLost()
 	if !kill && r.PowerLost && !prim.Drained() {
-		en.runUntil(en.now() + 300*time.Millisecond)
+		en.group.RunUntil(en.group.Now() + 300*time.Millisecond)
 	}
 	v := &violations{}
 
@@ -660,7 +660,7 @@ func runSingle(s Scenario) (*Result, error) {
 
 	// ---- I5 ingredients: event-history fingerprint + metrics snapshot -
 	r.MixLatency = mixLat.Candlestick()
-	snap := en.snapshot()
+	snap := obs.SnapshotOf(en.envs)
 	r.Metrics = snap.Encode()
 	fp := uint64(fnvOffset)
 	for _, d := range devices {
@@ -682,7 +682,7 @@ func runSingle(s Scenario) (*Result, error) {
 	fp = mix64(fp, uint64(r.Firings))
 	fp = mix64(fp, snap.Fingerprint())
 	r.Fingerprint = fp
-	r.Events = en.events()
+	r.Events = en.group.Events()
 	r.Violations = v.list
 	return r, nil
 }

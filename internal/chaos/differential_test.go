@@ -12,8 +12,8 @@ import (
 // barriers, same mailbox merge, no worker pool. Runs with 2 and 8 workers
 // must reproduce its fingerprint and metrics byte for byte; any scheduling
 // leak through the barrier protocol shows up here as drift. SimWorkers == 0
-// (the classic single-Env scheduler) is a different topology and is covered
-// by TestSameSeedAndPlanReproduceExactly, not compared against.
+// (every device on one member) is a different topology and is covered by
+// TestSameSeedAndPlanReproduceExactly, not compared against.
 var differentialWorkers = []int{1, 2, 8}
 
 func diffSeeds(t *testing.T) []int64 {

@@ -2,54 +2,38 @@ package chaos
 
 import (
 	"fmt"
-	"time"
 
 	"xssd/internal/fault"
-	"xssd/internal/obs"
 	"xssd/internal/sim"
 )
 
-// memberSeed derives a member Env's seed from the scenario seed and the
-// member index (splitmix64 finalizer), so multi-env runs are fully
-// determined by (Seed, shape) like single-env runs.
-func memberSeed(seed int64, idx int) int64 {
-	z := uint64(seed) + uint64(idx+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
-// engine abstracts the two ways a scenario can run: the classic
-// single-Env scheduler (SimWorkers == 0, every device plus the host
-// workload on one event loop) or the parallel group runner (SimWorkers
-// >= 1: the primary and the whole host side — WAL, database, TPC-C
-// workers, monitor, watchdog — on member 0, each secondary device on its
-// own member, SimWorkers quantum executors). SimWorkers == 1 is the
-// serial runner over the identical multi-env topology: same barriers,
-// same mailbox merge, no worker pool — the differential suite's baseline.
+// engine is the group a scenario runs on plus the fault injectors hooked
+// into its members. The primary and the whole host side — WAL, database,
+// TPC-C workers, monitor, watchdog — live on member 0; SimWorkers only
+// decides where the secondaries go: 0 puts them on member 0 too (one event
+// loop for everything), >= 1 gives each a member of its own and that many
+// quantum executors. SimWorkers == 1 is the serial runner over the
+// multi-member topology: same barriers, same mailbox merge, no helper — the
+// differential suite's baseline.
 type engine struct {
 	group *sim.Group
-	host  *sim.Env   // member 0; also the only Env in single-env mode
-	envs  []*sim.Env // distinct members in index order
+	host  *sim.Env   // member 0
+	envs  []*sim.Env // members in index order
 	injs  []*fault.Injector
 }
 
-// newEngine builds the Envs and attaches one fault injector per member
-// (each seeded from its own member's rng, armed before any device is
-// built so at-time power rules land). Call detach when done.
+// newEngine builds the members and attaches one fault injector to each
+// (seeded from its own member's rng, armed before any device is built so
+// at-time power rules land). Call detach when done.
 func newEngine(seed int64, simWorkers, secondaries int, plan *fault.Plan) *engine {
-	en := &engine{}
-	if simWorkers <= 0 {
-		en.host = sim.NewEnv(seed)
-		en.envs = []*sim.Env{en.host}
-	} else {
-		en.group = sim.NewGroup(sim.GroupConfig{Workers: simWorkers, StartInline: true})
-		en.host = en.group.NewEnv("host", seed)
-		en.envs = []*sim.Env{en.host}
+	en := &engine{group: sim.NewGroup(sim.GroupConfig{Workers: simWorkers, StartInline: true})}
+	en.host = en.group.NewEnv("host", seed)
+	if simWorkers > 0 {
 		for i := 0; i < secondaries; i++ {
-			en.envs = append(en.envs, en.group.NewEnv(fmt.Sprintf("s%d", i), memberSeed(seed, i+1)))
+			en.group.NewEnv(fmt.Sprintf("s%d", i), sim.MemberSeed(seed, i+1))
 		}
 	}
+	en.envs = en.group.Envs()
 	for _, e := range en.envs {
 		inj := fault.New(e, plan)
 		fault.Attach(e, inj)
@@ -60,45 +44,10 @@ func newEngine(seed int64, simWorkers, secondaries int, plan *fault.Plan) *engin
 
 // deviceEnv returns the Env that owns device i (0 = primary).
 func (en *engine) deviceEnv(i int) *sim.Env {
-	if en.group == nil || i >= len(en.envs) {
+	if i >= len(en.envs) {
 		return en.host
 	}
 	return en.envs[i]
-}
-
-// release ends the bring-up phase: under the group runner the cluster
-// Setup walked every member's state directly (legal while inline), so
-// concurrency is only unlocked once boot is done. Called from the boot
-// process; lands at the next barrier.
-func (en *engine) release() {
-	if en.group != nil {
-		en.group.Parallelize()
-	}
-}
-
-// runUntil drives the scenario to absolute virtual time t.
-func (en *engine) runUntil(t time.Duration) {
-	if en.group != nil {
-		en.group.RunUntil(t)
-		return
-	}
-	en.host.RunUntil(t)
-}
-
-// now returns the engine's virtual time.
-func (en *engine) now() time.Duration {
-	if en.group != nil {
-		return en.group.Now()
-	}
-	return en.host.Now()
-}
-
-// events returns total dispatched events across all members.
-func (en *engine) events() int64 {
-	if en.group != nil {
-		return en.group.Events()
-	}
-	return en.host.Events()
 }
 
 // firings sums fired fault rules across members in index order.
@@ -110,30 +59,9 @@ func (en *engine) firings() int {
 	return n
 }
 
-// snapshot merges every member's metrics registry in index order.
-func (en *engine) snapshot() *obs.Snapshot {
-	if en.group == nil {
-		return obs.For(en.host).Snapshot()
-	}
-	snaps := make([]*obs.Snapshot, len(en.envs))
-	for i, e := range en.envs {
-		snaps[i] = obs.For(e).Snapshot()
-	}
-	return obs.Merge(snaps...)
-}
-
 // detach unhooks the fault injectors from the member Envs.
 func (en *engine) detach() {
 	for _, e := range en.envs {
 		fault.Detach(e)
 	}
-}
-
-// close releases every parked process goroutine (and the worker pool).
-func (en *engine) close() {
-	if en.group != nil {
-		en.group.Close()
-		return
-	}
-	en.host.Close()
 }

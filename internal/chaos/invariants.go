@@ -128,7 +128,7 @@ func checkConventionalPrefix(v *violations, label string, d *villars.Device, lg 
 // flashPrefix reads the destage ring back through the FTL and reassembles
 // the stream prefix the conventional side holds, failing on any gap or
 // malformed page (the read itself runs in virtual time). The verifier
-// process runs on the device's own Env: under the group runner a promoted
+// process runs on the device's own Env: at SimWorkers >= 1 a promoted
 // device lives in its own member, and its NAND timers must dispatch on
 // the same event loop the verifier sleeps on. The run is post-mortem
 // (single-threaded), so driving one member directly is race-free.

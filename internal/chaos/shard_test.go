@@ -35,8 +35,8 @@ func TestShardSweepHoldsInvariants(t *testing.T) {
 }
 
 // TestShardWorkerCountParity pins that the sharded scenario is a pure
-// function of (seed, plan, shape): the classic engine and the group
-// engine at 1, 2, and 8 quantum executors must produce bit-identical
+// function of (seed, plan, shape): one member for everything and a member
+// per device at 1, 2, and 8 quantum executors must produce bit-identical
 // fingerprints and metric snapshots.
 func TestShardWorkerCountParity(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {

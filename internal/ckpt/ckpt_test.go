@@ -55,7 +55,7 @@ func (h *harness) runCommitter(t *testing.T, n int, done *bool) {
 		for i := 0; i < n; i++ {
 			tx := h.eng.BeginP(p)
 			key := fmt.Sprintf("k%04d", i%50)
-			tx.Put("kv", key, []byte(fmt.Sprintf("v-%06d", i)))
+			tx.PutIn(h.eng.Table("kv"), key, []byte(fmt.Sprintf("v-%06d", i)))
 			if err := tx.Commit(p); err != nil {
 				t.Errorf("commit %d: %v", i, err)
 				return
@@ -231,7 +231,7 @@ func TestCrashMidCheckpointFallsBack(t *testing.T) {
 	h.env.Go("driver", func(p *sim.Proc) {
 		commit := func(i int) {
 			tx := h.eng.BeginP(p)
-			tx.Put("kv", fmt.Sprintf("k%04d", i%50), []byte(fmt.Sprintf("v-%06d", i)))
+			tx.PutIn(h.eng.Table("kv"), fmt.Sprintf("k%04d", i%50), []byte(fmt.Sprintf("v-%06d", i)))
 			if err := tx.Commit(p); err != nil {
 				t.Errorf("commit %d: %v", i, err)
 			}

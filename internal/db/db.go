@@ -169,6 +169,16 @@ func (e *Engine) Table(name string) Table {
 	return Table{t: e.tables[name], name: name}
 }
 
+// LookupTable returns the handle of an existing table and never creates
+// one: the resolver for reads that arrive by table name (an absent table
+// holds no rows).
+//
+//xssd:hotpath
+func (e *Engine) LookupTable(name string) (Table, bool) {
+	t, ok := e.tables[name]
+	return Table{t: t, name: name}, ok
+}
+
 // Tables returns the table names in sorted order, so callers that iterate
 // them (recovery checks, fingerprints, dumps) stay deterministic.
 func (e *Engine) Tables() []string {
@@ -338,16 +348,6 @@ func (t *Tx) GetIn(tab Table, key string) ([]byte, bool) {
 	return it.Val, true
 }
 
-// Get reads a row by table name, observing the transaction's own writes
-// first.
-func (t *Tx) Get(tableName, key string) ([]byte, bool) {
-	tab, ok := t.eng.tables[tableName]
-	if !ok {
-		return nil, false
-	}
-	return t.GetIn(Table{t: tab, name: tableName}, key)
-}
-
 // PutIn buffers a row write through a resolved handle. The value is
 // copied, so the caller may reuse the slice afterwards.
 func (t *Tx) PutIn(tab Table, key string, val []byte) {
@@ -365,23 +365,6 @@ func (t *Tx) PutOwnedIn(tab Table, key string, val []byte) {
 // DeleteIn buffers a row deletion through a resolved handle.
 func (t *Tx) DeleteIn(tab Table, key string) {
 	t.addWrite(writeOp{tab: tab, key: key, delete: true})
-}
-
-// Put buffers a row write by table name (creating the table on first
-// use). The value is copied, so the caller may reuse the slice.
-func (t *Tx) Put(tableName, key string, val []byte) {
-	t.PutIn(t.eng.Table(tableName), key, val)
-}
-
-// PutOwned buffers a row write by table name and takes ownership of val.
-func (t *Tx) PutOwned(tableName, key string, val []byte) {
-	t.PutOwnedIn(t.eng.Table(tableName), key, val)
-}
-
-// Delete buffers a row deletion by table name (creating the table on
-// first use).
-func (t *Tx) Delete(tableName, key string) {
-	t.DeleteIn(t.eng.Table(tableName), key)
 }
 
 // addWrite buffers one write, replacing an earlier write to the same row.

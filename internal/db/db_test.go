@@ -61,7 +61,7 @@ func TestPutGetCommit(t *testing.T) {
 		eng.CreateTable("acct")
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.Put("acct", "alice", []byte("100"))
+			tx.PutIn(eng.Table("acct"), "alice", []byte("100"))
 			if err := tx.Commit(p); err != nil {
 				t.Errorf("commit: %v", err)
 			}
@@ -83,12 +83,12 @@ func TestReadYourWrites(t *testing.T) {
 		eng.CreateTable("t")
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.Put("t", "k", []byte("v1"))
-			if v, ok := tx.Get("t", "k"); !ok || string(v) != "v1" {
+			tx.PutIn(eng.Table("t"), "k", []byte("v1"))
+			if v, ok := tx.GetIn(eng.Table("t"), "k"); !ok || string(v) != "v1" {
 				t.Error("did not see own write")
 			}
-			tx.Delete("t", "k")
-			if _, ok := tx.Get("t", "k"); ok {
+			tx.DeleteIn(eng.Table("t"), "k")
+			if _, ok := tx.GetIn(eng.Table("t"), "k"); ok {
 				t.Error("saw own deleted row")
 			}
 			tx.Abort()
@@ -105,15 +105,15 @@ func TestConflictAborts(t *testing.T) {
 		var errA, errB error
 		env.Go("setup", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.Put("t", "hot", []byte("v0"))
+			tx.PutIn(eng.Table("t"), "hot", []byte("v0"))
 			tx.Commit(p)
 
 			a := eng.Begin()
 			b := eng.Begin()
-			a.Get("t", "hot")
-			b.Get("t", "hot")
-			a.Put("t", "hot", []byte("a"))
-			b.Put("t", "hot", []byte("b"))
+			a.GetIn(eng.Table("t"), "hot")
+			b.GetIn(eng.Table("t"), "hot")
+			a.PutIn(eng.Table("t"), "hot", []byte("a"))
+			b.PutIn(eng.Table("t"), "hot", []byte("b"))
 			errA = a.Commit(p) // commits first: ok
 			errB = b.Commit(p) // observed the pre-a version: conflict
 		})
@@ -137,13 +137,13 @@ func TestConflictOnPhantomInsert(t *testing.T) {
 		eng.CreateTable("t")
 		env.Go("tx", func(p *sim.Proc) {
 			a := eng.Begin()
-			if _, ok := a.Get("t", "new"); ok {
+			if _, ok := a.GetIn(eng.Table("t"), "new"); ok {
 				t.Error("phantom row exists")
 			}
 			b := eng.Begin()
-			b.Put("t", "new", []byte("x"))
+			b.PutIn(eng.Table("t"), "new", []byte("x"))
 			b.Commit(p)
-			a.Put("t", "other", []byte("y"))
+			a.PutIn(eng.Table("t"), "other", []byte("y"))
 			if err := a.Commit(p); err != ErrConflict {
 				t.Errorf("read-of-absent-then-inserted err = %v, want conflict", err)
 			}
@@ -158,7 +158,7 @@ func TestDoubleCommitRejected(t *testing.T) {
 		eng, _ := newEngine(env, mk)
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.Put("t", "k", []byte("v"))
+			tx.PutIn(eng.Table("t"), "k", []byte("v"))
 			tx.Commit(p)
 			if err := tx.Commit(p); err != ErrTxDone {
 				t.Errorf("second commit: %v", err)
@@ -175,24 +175,24 @@ func TestDeleteAndTombstoneConflict(t *testing.T) {
 		eng.CreateTable("t")
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.Put("t", "k", []byte("v"))
+			tx.PutIn(eng.Table("t"), "k", []byte("v"))
 			tx.Commit(p)
 
 			del := eng.Begin()
-			del.Delete("t", "k")
+			del.DeleteIn(eng.Table("t"), "k")
 			del.Commit(p)
 			if _, ok := eng.Read("t", "k"); ok {
 				t.Error("row visible after delete")
 			}
 			// A reader that saw the tombstone version conflicts with a rewrite.
 			r := eng.Begin()
-			if _, ok := r.Get("t", "k"); ok {
+			if _, ok := r.GetIn(eng.Table("t"), "k"); ok {
 				t.Error("tx read deleted row")
 			}
 			w := eng.Begin()
-			w.Put("t", "k", []byte("v2"))
+			w.PutIn(eng.Table("t"), "k", []byte("v2"))
 			w.Commit(p)
-			r.Put("t", "x", []byte("y"))
+			r.PutIn(eng.Table("t"), "x", []byte("y"))
 			if err := r.Commit(p); err != ErrConflict {
 				t.Errorf("stale tombstone read committed: %v", err)
 			}
@@ -215,9 +215,9 @@ func TestRecoveryRebuildsIdenticalState(t *testing.T) {
 				case 0, 1:
 					val := make([]byte, rng.Intn(50)+1)
 					rng.Read(val)
-					tx.Put("t", key, val)
+					tx.PutIn(eng.Table("t"), key, val)
 				case 2:
-					tx.Delete("t", key)
+					tx.DeleteIn(eng.Table("t"), key)
 				}
 				if err := tx.Commit(p); err != nil {
 					t.Errorf("commit %d: %v", i, err)
@@ -244,7 +244,7 @@ func TestRecoveryOfTruncatedLogIsPrefix(t *testing.T) {
 		env.Go("load", func(p *sim.Proc) {
 			for i := 0; i < 10; i++ {
 				tx := eng.Begin()
-				tx.Put("t", string(rune('a'+i)), []byte{byte(i)})
+				tx.PutIn(eng.Table("t"), string(rune('a'+i)), []byte{byte(i)})
 				tx.Commit(p)
 			}
 		})
@@ -273,7 +273,7 @@ func TestFollowerConvergesAcrossArbitraryChunking(t *testing.T) {
 					tx := eng.Begin()
 					val := make([]byte, rng.Intn(80))
 					rng.Read(val)
-					tx.Put("t", string(rune('a'+rng.Intn(10))), val)
+					tx.PutIn(eng.Table("t"), string(rune('a'+rng.Intn(10))), val)
 					tx.Commit(p)
 				}
 			})
@@ -307,7 +307,7 @@ func TestReadOnlyTxSkipsLog(t *testing.T) {
 		eng.CreateTable("t")
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.Get("t", "nothing")
+			tx.GetIn(eng.Table("t"), "nothing")
 			if err := tx.Commit(p); err != nil {
 				t.Errorf("read-only commit: %v", err)
 			}
@@ -328,10 +328,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 		b.CreateTable("t")
 		env.Go("tx", func(p *sim.Proc) {
 			ta := a.Begin()
-			ta.Put("t", "k", []byte("v1"))
+			ta.PutIn(a.Table("t"), "k", []byte("v1"))
 			ta.Commit(p)
 			tb := b.Begin()
-			tb.Put("t", "k", []byte("v2"))
+			tb.PutIn(b.Table("t"), "k", []byte("v2"))
 			tb.Commit(p)
 		})
 		env.RunUntil(time.Second)
@@ -385,7 +385,7 @@ func TestCommitPipelinedKeepsManyTxInFlight(t *testing.T) {
 	env.Go("worker", func(p *sim.Proc) {
 		for i := 0; i < 32; i++ {
 			tx := eng.Begin()
-			tx.Put("t", fmt.Sprintf("k%d", i), []byte("v"))
+			tx.PutIn(eng.Table("t"), fmt.Sprintf("k%d", i), []byte("v"))
 			if _, err := tx.CommitPipelined(p, pl); err != nil {
 				t.Errorf("commit %d: %v", i, err)
 			}
@@ -415,7 +415,7 @@ func TestCommitPipelinedReadOnlySkipsPipeline(t *testing.T) {
 		pl := wal.NewPipeline(eng.Log(), 4, obs.Scope{})
 		env.Go("worker", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.Get("t", "missing")
+			tx.GetIn(eng.Table("t"), "missing")
 			lsn, err := tx.CommitPipelined(p, pl)
 			if err != nil || lsn != 0 {
 				t.Errorf("read-only pipelined commit: lsn=%d err=%v", lsn, err)
@@ -542,18 +542,18 @@ func TestWriteSetAndStreamReplayAgree(t *testing.T) {
 			tx := src.Begin()
 			key := fmt.Sprintf("k%02d", rng.Intn(30))
 			if rng.Intn(4) == 0 {
-				tx.Delete("t", key)
+				tx.DeleteIn(src.Table("t"), key)
 			} else {
 				val := make([]byte, rng.Intn(40)) // length 0 included
 				rng.Read(val)
-				tx.Put("t", key, val)
+				tx.PutIn(src.Table("t"), key, val)
 			}
 			tx.Commit(p)
 		}
 		tx := src.Begin()
-		tx.Put("t", "k05", []byte("decided"))
-		tx.Put("u", "fresh-table", nil)
-		tx.Delete("t", "k06")
+		tx.PutIn(src.Table("t"), "k05", []byte("decided"))
+		tx.PutIn(src.Table("u"), "fresh-table", nil)
+		tx.DeleteIn(src.Table("t"), "k06")
 		writeSet = tx.EncodedWrites()
 		tx.Prepare()
 		tx.CommitPrepared(7000)
@@ -586,10 +586,10 @@ func TestEmptyValueIsALiveRow(t *testing.T) {
 			tx := eng.Begin()
 			tx.PutIn(eng.Table("t"), "put", []byte{})
 			tx.PutOwnedIn(eng.Table("t"), "owned", nil)
-			tx.Delete("t", "gone")
+			tx.DeleteIn(eng.Table("t"), "gone")
 			tx.Commit(p)
 			r := eng.Begin()
-			if v, ok := r.Get("t", "put"); !ok || len(v) != 0 {
+			if v, ok := r.GetIn(eng.Table("t"), "put"); !ok || len(v) != 0 {
 				t.Errorf("empty row reads %q ok=%v inside a transaction", v, ok)
 			}
 			r.Abort()
@@ -634,7 +634,7 @@ func TestFinishedTxTouchesNothing(t *testing.T) {
 		}},
 		{"conflict", func(p *sim.Proc, tx *Tx) {
 			w := tx.eng.BeginP(p)
-			w.Put("t", "seen", []byte("newer"))
+			w.PutIn(tx.eng.Table("t"), "seen", []byte("newer"))
 			if err := w.Commit(p); err != nil {
 				t.Errorf("setting up the conflict: %v", err)
 			}
@@ -685,13 +685,9 @@ func TestFinishedTxTouchesNothing(t *testing.T) {
 					if v, ok := dead.GetIn(tab, "b"); !ok || string(v) != "v0" {
 						t.Errorf("finished GetIn of a row the live transaction wrote reads %q ok=%v, want the stored row", v, ok)
 					}
-					dead.Get("t", "a")
 					dead.PutIn(tab, "a", []byte("late"))
 					dead.PutOwnedIn(tab, "b", []byte("late"))
 					dead.DeleteIn(tab, "c")
-					dead.Put("t", "d", []byte("late"))
-					dead.PutOwned("t", "d", []byte("late"))
-					dead.Delete("t", "a")
 					if got := len(dead.EncodedWrites()); got != 2 {
 						t.Errorf("finished transaction encodes %d bytes of writes, want an empty write set", got)
 					}

@@ -81,8 +81,10 @@ func (s *Sample) sort() {
 	}
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank interpolation, or 0 if empty.
+// Percentile returns the p-th percentile (0 <= p <= 100), or 0 if empty.
+// It interpolates linearly between the two order statistics around rank
+// p/100 * (n-1); it is not nearest-rank, so the result need not be an
+// observed value.
 func (s *Sample) Percentile(p float64) time.Duration {
 	if len(s.vals) == 0 {
 		return 0

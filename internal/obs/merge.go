@@ -3,7 +3,19 @@ package obs
 import (
 	"fmt"
 	"sort"
+
+	"xssd/internal/sim"
 )
+
+// SnapshotOf snapshots the registry of every member of a group and merges
+// them in index order: the metrics export of a multi-env run.
+func SnapshotOf(envs []*sim.Env) *Snapshot {
+	snaps := make([]*Snapshot, len(envs))
+	for i, e := range envs {
+		snaps[i] = For(e).Snapshot()
+	}
+	return Merge(snaps...)
+}
 
 // Merge combines per-member snapshots of a sim.Group into one canonical
 // snapshot, in member-index order. Each member of a group owns its own

@@ -1,9 +1,9 @@
 // Cross-shard RPC: the cluster's only inter-member channel. Every
 // message rides Env.PostTo — the group mailbox, merged at quantum
 // barriers in (time, sender, seq) order — so delivery order is a pure
-// function of the simulation and never of worker interleaving. On the
-// classic engine PostTo degrades to a local timer and the very same code
-// runs on one Env.
+// function of the simulation and never of worker interleaving. With
+// every shard on one member (SimWorkers == 0) PostTo degrades to a local
+// timer and the very same code runs on one Env.
 //
 // Fault surface: every message checks the fault.ShardRPC point.
 // Requests check on the sender's injector, replies on the replier's —

@@ -13,8 +13,8 @@
 // terminals all live on member Env "sh<i>"; each of its secondaries gets
 // its own member. The only cross-shard channel is the RPC conduit in
 // rpc.go, built on Env.PostTo, so runs are byte-identical for every
-// worker count — and SimWorkers == 0 runs the identical code on one
-// classic Env (PostTo degrades to a local timer), which is the
+// worker count — and SimWorkers == 0 runs the identical code with every
+// shard on member 0 (PostTo degrades to a local timer), which is the
 // single-scheduler baseline.
 package shard
 
@@ -57,10 +57,11 @@ type Config struct {
 	Secondaries int
 	// Scheme selects the replication scheme when Secondaries > 0.
 	Scheme core.ReplicationScheme
-	// SimWorkers selects the engine: 0 runs every shard on one classic
-	// Env; n >= 1 runs the parallel group engine with one member per
-	// shard (plus one per secondary) and n quantum executors. All
-	// n >= 1 runs of one config are byte-identical to each other.
+	// SimWorkers places the devices on the cluster's sim.Group: 0 puts
+	// every shard and secondary on member 0; n >= 1 gives each shard (and
+	// each secondary) a member of its own and the group n quantum
+	// executors. All n >= 1 runs of one config are byte-identical to each
+	// other.
 	SimWorkers int
 	// Seed seeds shard 0's Env; further members derive theirs with a
 	// splitmix64 finalizer, so (Seed, shape) fixes the whole run.
@@ -88,9 +89,10 @@ type Config struct {
 	// terminal starts.
 	Load func(eng *db.Engine, shardID int)
 	// Failover, when true, attaches a failover.Manager to every shard
-	// that has secondaries (WAL retention is forced on). Supported on
-	// the classic engine only (SimWorkers == 0): a takeover serializes
-	// the whole group, which would stall every other shard's progress.
+	// that has secondaries (WAL retention is forced on). Supported with
+	// every shard on one member only (SimWorkers == 0): a takeover
+	// serializes a multi-member group, which would stall every other
+	// shard's progress.
 	Failover bool
 	// FailoverConfig tunes the per-shard managers when Failover is set;
 	// the zero value uses failover.DefaultConfig.
@@ -126,16 +128,6 @@ func OwnerOf(warehouse, shards, warehouses int) int {
 		s = shards - 1
 	}
 	return s
-}
-
-// memberSeed derives a member Env's seed from the cluster seed and the
-// member index (splitmix64 finalizer), mirroring the chaos engine's
-// derivation so multi-env runs are fully determined by (Seed, shape).
-func memberSeed(seed int64, idx int) int64 {
-	z := uint64(seed) + uint64(idx+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // DefaultDevice builds the small-geometry device the shard harnesses use
@@ -234,17 +226,16 @@ func (s *Shard) Failover() *failover.Manager { return s.fo }
 // I8 oracle checks each against the durable streams.
 func (s *Shard) AckedGIDs() []int64 { return append([]int64(nil), s.acked...) }
 
-// Cluster is a set of shards plus the group engine that runs them.
+// Cluster is a set of shards plus the group that runs them.
 type Cluster struct {
 	cfg    Config
-	group  *sim.Group // nil on the classic single-Env engine
-	envs   []*sim.Env // member envs in index order (one entry when classic)
+	group  *sim.Group
 	shards []*Shard
 }
 
-// New validates cfg and creates the simulation environments — and nothing
-// else, so a harness can attach fault injectors to Envs() before Build
-// constructs the devices (at-time power rules arm at device creation).
+// New validates cfg and creates the shards' simulation environments — and
+// nothing else, so a harness can attach fault injectors to Envs() before
+// Build constructs the devices (at-time power rules arm at device creation).
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards < 1 {
@@ -254,38 +245,15 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("shard: Warehouses (%d) must be a positive multiple of Shards (%d)", cfg.Warehouses, cfg.Shards)
 	}
 	if cfg.Failover && cfg.SimWorkers > 0 {
-		return nil, errors.New("shard: Failover requires the classic engine (SimWorkers == 0)")
+		return nil, errors.New("shard: Failover requires every shard on one member (SimWorkers == 0)")
 	}
-	c := &Cluster{cfg: cfg}
-	if cfg.SimWorkers > 0 {
-		c.group = sim.NewGroup(sim.GroupConfig{Workers: cfg.SimWorkers, StartInline: true})
-	}
-	member := 0
-	newEnv := func(name string) *sim.Env {
-		seed := cfg.Seed
-		if member > 0 {
-			seed = memberSeed(cfg.Seed, member)
-		}
-		member++
-		if c.group != nil {
-			e := c.group.NewEnv(name, seed)
-			c.envs = append(c.envs, e)
-			return e
-		}
-		// Classic engine: every shard shares one Env; members beyond the
-		// first reuse it (the seed draw above still advances, keeping
-		// member indices stable across engines).
-		if len(c.envs) == 0 {
-			c.envs = append(c.envs, sim.NewEnv(cfg.Seed))
-		}
-		return c.envs[0]
-	}
+	c := &Cluster{cfg: cfg, group: sim.NewGroup(sim.GroupConfig{Workers: cfg.SimWorkers, StartInline: true})}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &Shard{
 			id:       i,
 			c:        c,
 			name:     fmt.Sprintf("p%d", i),
-			env:      newEnv(fmt.Sprintf("sh%d", i)),
+			env:      c.place(fmt.Sprintf("sh%d", i)),
 			outcomes: map[int64]bool{},
 			remote:   map[int64]*party{},
 		}
@@ -294,11 +262,21 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Envs returns the member environments in index order (a single shared
-// Env on the classic engine). Attach fault injectors here, before Build.
-func (c *Cluster) Envs() []*sim.Env { return append([]*sim.Env(nil), c.envs...) }
+// place returns the Env the next device goes on: member 0 for every device
+// at SimWorkers == 0, a new member otherwise.
+func (c *Cluster) place(name string) *sim.Env {
+	envs := c.group.Envs()
+	if len(envs) > 0 && c.cfg.SimWorkers == 0 {
+		return envs[0]
+	}
+	return c.group.NewEnv(name, sim.MemberSeed(c.cfg.Seed, len(envs)))
+}
 
-// Group returns the parallel group runner (nil on the classic engine).
+// Envs returns the member environments in index order (one at
+// SimWorkers == 0). Attach fault injectors here, before Build.
+func (c *Cluster) Envs() []*sim.Env { return c.group.Envs() }
+
+// Group returns the group the cluster runs on; never nil.
 func (c *Cluster) Group() *sim.Group { return c.group }
 
 // Shards returns the shards in index order.
@@ -324,11 +302,7 @@ func (c *Cluster) Build() {
 	}
 	for _, s := range c.shards {
 		for j := 0; j < c.cfg.Secondaries; j++ {
-			env := s.env
-			if c.group != nil {
-				env = c.group.NewEnv(fmt.Sprintf("sh%d.s%d", s.id, j), memberSeed(c.cfg.Seed, len(c.envs)))
-				c.envs = append(c.envs, env)
-			}
+			env := c.place(fmt.Sprintf("sh%d.s%d", s.id, j))
 			s.secs = append(s.secs, c.cfg.Device(env, fmt.Sprintf("s%d.%d", s.id, j)))
 		}
 		sc := obs.For(s.env).Scope(fmt.Sprintf("cluster/shard/%d", s.id))
@@ -348,9 +322,9 @@ func (c *Cluster) Build() {
 // Env, so everything a shard later drives (the logger's latency spans,
 // the WAL daemon, the engine) is born on the member whose clock it
 // reads. The caller's process only spawns and joins those bring-up
-// processes. Legal cross-member access: under the group engine the
-// caller runs while the group is still inline (StartInline), exactly
-// like the chaos harness's boot, and Release is only called afterwards.
+// processes. Legal cross-member access: the caller runs while the group
+// is still inline (StartInline), exactly like the chaos harness's boot,
+// and Release is only called afterwards.
 func (c *Cluster) Boot(p *sim.Proc) error {
 	n := len(c.shards)
 	errs := make([]error, n)
@@ -412,57 +386,22 @@ func (s *Shard) bringUp(p *sim.Proc, cfg Config) error {
 	return nil
 }
 
-// Release ends the bring-up phase: under the group engine it unlocks
-// concurrent member execution (a no-op on the classic engine). Call from
-// the boot process once every cross-member touch is done.
-func (c *Cluster) Release() {
-	if c.group != nil {
-		c.group.Parallelize()
-	}
-}
+// Release ends the bring-up phase: members run concurrently from the next
+// barrier on. Call from the boot process once every cross-member touch is
+// done.
+func (c *Cluster) Release() { c.group.Parallelize() }
 
 // RunUntil drives the cluster to absolute virtual time t.
-func (c *Cluster) RunUntil(t time.Duration) {
-	if c.group != nil {
-		c.group.RunUntil(t)
-		return
-	}
-	c.envs[0].RunUntil(t)
-}
+func (c *Cluster) RunUntil(t time.Duration) { c.group.RunUntil(t) }
 
 // Now returns the cluster's virtual time.
-func (c *Cluster) Now() time.Duration {
-	if c.group != nil {
-		return c.group.Now()
-	}
-	return c.envs[0].Now()
-}
+func (c *Cluster) Now() time.Duration { return c.group.Now() }
 
 // Events returns total dispatched events across all members.
-func (c *Cluster) Events() int64 {
-	if c.group != nil {
-		return c.group.Events()
-	}
-	return c.envs[0].Events()
-}
+func (c *Cluster) Events() int64 { return c.group.Events() }
 
 // Snapshot merges every member's metrics registry in index order.
-func (c *Cluster) Snapshot() *obs.Snapshot {
-	if c.group == nil {
-		return obs.For(c.envs[0]).Snapshot()
-	}
-	snaps := make([]*obs.Snapshot, len(c.envs))
-	for i, e := range c.envs {
-		snaps[i] = obs.For(e).Snapshot()
-	}
-	return obs.Merge(snaps...)
-}
+func (c *Cluster) Snapshot() *obs.Snapshot { return obs.SnapshotOf(c.group.Envs()) }
 
-// Close releases every parked process goroutine (and the worker pool).
-func (c *Cluster) Close() {
-	if c.group != nil {
-		c.group.Close()
-		return
-	}
-	c.envs[0].Close()
-}
+// Close releases every parked process goroutine and the executor pool.
+func (c *Cluster) Close() { c.group.Close() }

@@ -103,7 +103,7 @@ func balance(cl *Cluster, w int) int64 {
 	eng := cl.Shard(cl.ShardOf(w)).Engine()
 	tx := eng.Begin()
 	defer tx.Abort()
-	row, ok := tx.Get("kv", balKey(w))
+	row, ok := tx.GetIn(eng.Table("kv"), balKey(w))
 	if !ok {
 		return -1
 	}
@@ -158,7 +158,7 @@ func checkCluster(t *testing.T, cl *Cluster, streams [][]byte, deadShard int) {
 		}
 		tx := eng.Begin()
 		for w := 1; w <= cfg.Warehouses; w++ {
-			if row, ok := tx.Get("kv", balKey(w)); ok {
+			if row, ok := tx.GetIn(eng.Table("kv"), balKey(w)); ok {
 				total += decBal(row)
 			}
 		}

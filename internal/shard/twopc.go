@@ -84,6 +84,17 @@ func (t *Tx) part(sid int) *partRef {
 	return pr
 }
 
+// getByName is a read that arrived by table name: the handle is resolved
+// here, at the RPC boundary, and a table nobody has written yet holds no
+// rows (a read must not create it).
+func getByName(eng *db.Engine, tx *db.Tx, table, key string) ([]byte, bool) {
+	tab, ok := eng.LookupTable(table)
+	if !ok {
+		return nil, false
+	}
+	return tx.GetIn(tab, key)
+}
+
 // GetW reads a row owned by the given warehouse, routing to its shard.
 // Local reads hit the home engine directly; remote reads run inside the
 // owning shard's participant transaction (observing this transaction's
@@ -93,7 +104,7 @@ func (t *Tx) part(sid int) *partRef {
 func (t *Tx) GetW(p *sim.Proc, warehouse int, table, key string) ([]byte, bool, error) {
 	sid := t.home.c.ShardOf(warehouse)
 	if sid == t.home.id {
-		v, ok := t.local.Get(table, key)
+		v, ok := getByName(t.home.eng, t.local, table, key)
 		return v, ok, nil
 	}
 	t.part(sid)
@@ -102,7 +113,7 @@ func (t *Tx) GetW(p *sim.Proc, warehouse int, table, key string) ([]byte, bool, 
 	var ok bool
 	reached := t.home.rpc(p, t.home.c.shards[sid], t.home.c.cfg.RPCTimeout, func(dst *Shard, reply func(mut func())) {
 		pt := dst.partyFor(gid, coord)
-		v, o := pt.tx.Get(table, key)
+		v, o := getByName(dst.eng, pt.tx, table, key)
 		// Copy before crossing members: the engine's row buffer belongs
 		// to dst and a later write there may replace it mid-flight.
 		v = append([]byte(nil), v...)
@@ -121,7 +132,7 @@ func (t *Tx) GetW(p *sim.Proc, warehouse int, table, key string) ([]byte, bool, 
 func (t *Tx) PutW(warehouse int, table, key string, val []byte) {
 	sid := t.home.c.ShardOf(warehouse)
 	if sid == t.home.id {
-		t.local.PutOwned(table, key, val)
+		t.local.PutOwnedIn(t.home.eng.Table(table), key, val)
 		return
 	}
 	t.part(sid).writes++
@@ -137,7 +148,7 @@ func (t *Tx) PutW(warehouse int, table, key string, val []byte) {
 func (t *Tx) DeleteW(warehouse int, table, key string) {
 	sid := t.home.c.ShardOf(warehouse)
 	if sid == t.home.id {
-		t.local.Delete(table, key)
+		t.local.DeleteIn(t.home.eng.Table(table), key)
 		return
 	}
 	t.part(sid).writes++

@@ -131,6 +131,21 @@ func (g *Group) NewEnv(name string, seed int64) *Env {
 // Envs returns the member environments in index order.
 func (g *Group) Envs() []*Env { return append([]*Env(nil), g.envs...) }
 
+// MemberSeed is the seed harnesses give member idx of a group whose run is
+// seeded with seed, so a multi-member run is fully determined by (seed,
+// shape): member 0 takes the run's seed itself — a lone-member group then
+// reproduces NewEnv(seed) — and every later member a splitmix64 finalizer
+// of (seed, idx).
+func MemberSeed(seed int64, idx int) int64 {
+	if idx == 0 {
+		return seed
+	}
+	z := uint64(seed) + uint64(idx+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
+}
+
 // Now returns the group's virtual time (the last barrier reached).
 func (g *Group) Now() time.Duration { return time.Duration(g.now) }
 

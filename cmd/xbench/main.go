@@ -249,6 +249,9 @@ func runSuite(suite string, cells []bench.Cell, path string) error {
 		if best.Commits != 0 {
 			fmt.Printf("  %d commits", best.Commits)
 		}
+		if best.NandPages != 0 {
+			fmt.Printf("  %d nand pages", best.NandPages)
+		}
 		fmt.Println()
 		if strings.HasPrefix(c.Name, "pargroup/") {
 			// The hand-off counters depend on the host, so they are printed
@@ -284,14 +287,15 @@ func timeCell(c bench.Cell) (bench.PerfResult, error) {
 		return bench.PerfResult{}, err
 	}
 	r := bench.PerfResult{
-		Bench:   c.Name,
-		WallNS:  wall.Nanoseconds(),
-		Events:  m.Events,
-		Allocs:  int64(after.Mallocs - before.Mallocs),
-		P50NS:   m.Lat.P50,
-		P99NS:   m.Lat.P99,
-		P999NS:  m.Lat.P999,
-		Commits: m.Commits,
+		Bench:     c.Name,
+		WallNS:    wall.Nanoseconds(),
+		Events:    m.Events,
+		Allocs:    int64(after.Mallocs - before.Mallocs),
+		P50NS:     m.Lat.P50,
+		P99NS:     m.Lat.P99,
+		P999NS:    m.Lat.P999,
+		Commits:   m.Commits,
+		NandPages: m.NandPages,
 	}
 	if wall > 0 {
 		r.EventsPerSec = float64(m.Events) / wall.Seconds()

@@ -29,6 +29,10 @@ type PerfResult struct {
 	// count (BENCH_PR9.json). Commits are virtual-deterministic, so the
 	// compare gate demands equality, like event counts.
 	Commits int64 `json:"commits,omitempty"`
+	// The perf suite's destage cell carries the flash pages its device
+	// programmed: the NAND bill is virtual-deterministic too, and gated
+	// the same way.
+	NandPages int64 `json:"nand_pages,omitempty"`
 }
 
 // WritePerfFile writes results as indented JSON with a trailing newline —
@@ -71,6 +75,7 @@ const compareAllocsTol = 0.05
 // Compare gates a new perf run against a baseline: it fails if any
 // baseline cell is missing from the new run, dispatched a different event
 // count (a determinism break — event counts are machine-independent),
+// moved a quantile, commit count or flash-page count its baseline recorded,
 // allocated more than compareAllocsTol above the baseline's count (cells
 // whose baseline recorded no allocs are skipped), or regressed in
 // events/second by more than tol (a fraction, e.g. 0.15) on cells running
@@ -115,6 +120,11 @@ func Compare(baseline, current []PerfResult, tol float64) error {
 			problems = append(problems, fmt.Sprintf(
 				"%s: committed %d transactions, baseline %d (virtual-time drift — determinism break?)",
 				b.Bench, c.Commits, b.Commits))
+		}
+		if b.NandPages != 0 && c.NandPages != b.NandPages {
+			problems = append(problems, fmt.Sprintf(
+				"%s: programmed %d flash pages, baseline %d (the destage policy changed?)",
+				b.Bench, c.NandPages, b.NandPages))
 		}
 		if b.Allocs > 0 && float64(c.Allocs) > float64(b.Allocs)*(1+compareAllocsTol) {
 			problems = append(problems, fmt.Sprintf(

@@ -236,3 +236,38 @@ func TestCompareFlagsQuantileDrift(t *testing.T) {
 		t.Fatalf("Compare gated quantiles on a quantile-free baseline: %v", err)
 	}
 }
+
+// TestCompareFlagsNandPageDrift checks that Compare holds a cell that
+// recorded its flash-page count to exactly that count — in either
+// direction, it is a policy change — and gates nothing on a baseline
+// without one.
+func TestCompareFlagsNandPageDrift(t *testing.T) {
+	baseline := []PerfResult{{Bench: "destage/thinlog", Events: 100, NandPages: 255}}
+	for _, pages := range []int64{254, 1069} {
+		current := []PerfResult{{Bench: "destage/thinlog", Events: 100, NandPages: pages}}
+		if err := Compare(baseline, current, 0.15); err == nil || !strings.Contains(err.Error(), "flash pages") {
+			t.Fatalf("Compare(255 -> %d pages) = %v", pages, err)
+		}
+	}
+	if err := Compare(baseline, baseline, 0.15); err != nil {
+		t.Fatalf("Compare rejected an equal page count: %v", err)
+	}
+	noPages := []PerfResult{{Bench: "fig9", Events: 50}}
+	if err := Compare(noPages, []PerfResult{{Bench: "fig9", Events: 50, NandPages: 9}}, 0.15); err != nil {
+		t.Fatalf("Compare gated pages on a baseline without them: %v", err)
+	}
+}
+
+// TestThinLogCellPadsPerBoundNotPerLine pins the cell's point: a terminal
+// that persists a record every half millisecond under a 1 ms bound costs
+// about a page per bound interval. With the bound ageing the ring head the
+// same cell programmed 1 069 pages.
+func TestThinLogCellPadsPerBoundNotPerLine(t *testing.T) {
+	m := ThinLogCell()
+	if most := int64(thinLogWindow/thinLogBound) + 16; m.NandPages == 0 || m.NandPages > most {
+		t.Fatalf("%d flash pages in %v under a %v bound, want at most %d", m.NandPages, thinLogWindow, thinLogBound, most)
+	}
+	if again := ThinLogCell(); again != m {
+		t.Fatalf("cell does not repeat: %+v then %+v", m, again)
+	}
+}

@@ -30,11 +30,13 @@ type Cell struct {
 // Measurement is what a cell reports, every field virtual-time and so
 // exact: the simulator events it dispatched (the determinism anchor of
 // every suite), and where the suite gates them a latency digest (latency
-// suite) and an aggregate committed-transaction count (shard suite).
+// suite), an aggregate committed-transaction count (shard suite) and the
+// flash pages programmed (the perf suite's destage cell).
 type Measurement struct {
-	Events  int64
-	Lat     obs.Summary
-	Commits int64
+	Events    int64
+	Lat       obs.Summary
+	Commits   int64
+	NandPages int64
 }
 
 // PerfCells lists the suite in its canonical order. Each cell builds a
@@ -73,6 +75,9 @@ func PerfCells() []Cell {
 				return Measurement{}, fmt.Errorf("bench: chaos seed %d violated invariants: %v", perfChaosSeed, r.Violations)
 			}
 			return Measurement{Events: r.Events}, nil
+		}},
+		{Name: "destage/thinlog", Run: func() (Measurement, error) {
+			return ThinLogCell(), nil
 		}},
 		// The /swN twins pin the engine explicitly (independent of
 		// -workers): same multi-device topology, different executor

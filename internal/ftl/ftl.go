@@ -74,7 +74,8 @@ type FTL struct {
 	gcKick     *sim.Signal
 
 	// stats
-	hostPages, gcPages, gcErases, badRetries int64
+	pagesBy              [3]int64 // committed page programs per sched.Source
+	gcErases, badRetries int64
 }
 
 // New builds an FTL over arr, dispatching through sch. All blocks start
@@ -121,11 +122,16 @@ func logicalPages(geo nand.Geometry, cfg Config) int64 {
 func (f *FTL) LogicalPages() int64 { return int64(len(f.l2p)) }
 
 // Observe registers the FTL's telemetry under sc (the owning device
-// supplies "<dev>/ftl"): page-program and GC progress gauges plus the
-// free-block pool level, the inputs to the write-amplification account.
+// supplies "<dev>/ftl"): page programs by the traffic class that caused
+// them, the write amplification they add up to, GC progress and the
+// free-block pool level. Every series is a gauge read at snapshot time.
 func (f *FTL) Observe(sc obs.Scope) {
-	sc.GaugeFunc("host_pages", func() int64 { return f.hostPages })
-	sc.GaugeFunc("gc_pages", func() int64 { return f.gcPages })
+	sc.GaugeFunc("host_pages", func() int64 { return f.Stats().HostPages })
+	sc.GaugeFunc("destage_pages", func() int64 { return f.pagesBy[sched.Destage] })
+	sc.GaugeFunc("conventional_pages", func() int64 { return f.pagesBy[sched.Conventional] })
+	sc.GaugeFunc("gc_pages", func() int64 { return f.pagesBy[sched.GC] })
+	// Gauges are integers: write amplification in thousandths, 1000 = none.
+	sc.GaugeFunc("waf_milli", func() int64 { return int64(f.Stats().WriteAmplification()*1000 + 0.5) })
 	sc.GaugeFunc("gc_erases", func() int64 { return f.gcErases })
 	sc.GaugeFunc("bad_retries", func() int64 { return f.badRetries })
 	sc.GaugeFunc("free_blocks", func() int64 { return int64(f.FreeBlocks()) })
@@ -275,11 +281,7 @@ func (f *FTL) commitMapping(lpn, ppn int64, src sched.Source) {
 	f.l2p[lpn] = ppn
 	f.p2l[ppn] = lpn
 	f.validCount[f.blockIndex(f.dieOf(ppn), f.blockOf(ppn))]++
-	if src == sched.GC {
-		f.gcPages++
-	} else {
-		f.hostPages++
-	}
+	f.pagesBy[src]++
 }
 
 // Read returns the page stored at lpn, blocking for the flash read.
@@ -479,7 +481,12 @@ func (s Stats) WriteAmplification() float64 {
 
 // Stats returns a snapshot of FTL counters.
 func (f *FTL) Stats() Stats {
-	return Stats{HostPages: f.hostPages, GCPages: f.gcPages, GCErases: f.gcErases, BadRetries: f.badRetries}
+	return Stats{
+		HostPages:  f.pagesBy[sched.Conventional] + f.pagesBy[sched.Destage],
+		GCPages:    f.pagesBy[sched.GC],
+		GCErases:   f.gcErases,
+		BadRetries: f.badRetries,
+	}
 }
 
 // FreeBlocks returns the total number of free blocks across all dies.

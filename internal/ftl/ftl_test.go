@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xssd/internal/nand"
+	"xssd/internal/obs"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
 )
@@ -268,5 +269,52 @@ func TestQuickShadowConsistencyUnderGC(t *testing.T) {
 			}
 		})
 		env.RunUntil(time.Minute)
+	}
+}
+
+// TestObserveSplitsHostPagesBySource drives both host classes over a hot
+// set until the collector runs and reads the account back from the
+// registry alone: the per-class gauges sum to host_pages, and waf_milli is
+// Stats.WriteAmplification in thousandths.
+func TestObserveSplitsHostPagesBySource(t *testing.T) {
+	env, _, f := setup(5)
+	f.Observe(obs.For(env).Scope("d/ftl"))
+	// Every third write is a destage page; the conventional ones rewrite a
+	// hot set, except that the first hundred of them lay down cold pages
+	// the collector will have to move out of mostly-invalid blocks.
+	const hot, cold = 16, 100
+	env.Go("io", func(p *sim.Proc) {
+		conv := 0
+		for round := 0; round < 600; round++ {
+			src, lpn := sched.Destage, int64(round%hot)
+			if round%3 != 0 {
+				src = sched.Conventional
+				if conv++; conv <= cold {
+					lpn = int64(hot + conv)
+				}
+			}
+			if err := f.Write(p, lpn, fill(f, lpn, byte(round)), src); err != nil {
+				t.Errorf("round %d: %v", round, err)
+				return
+			}
+		}
+	})
+	env.RunUntil(time.Second)
+	gauge := map[string]int64{}
+	for _, g := range obs.For(env).Snapshot().Gauges {
+		gauge[g.Name] = g.Value
+	}
+	st := f.Stats()
+	if st.GCPages == 0 {
+		t.Fatalf("collector migrated nothing: %+v", st)
+	}
+	if d, c := gauge["d/ftl/destage_pages"], gauge["d/ftl/conventional_pages"]; d != 200 || c != 400 || d+c != gauge["d/ftl/host_pages"] {
+		t.Fatalf("destage %d + conventional %d pages, host_pages %d; want 200 + 400", d, c, gauge["d/ftl/host_pages"])
+	}
+	if got := gauge["d/ftl/gc_pages"]; got != st.GCPages {
+		t.Fatalf("gc_pages gauge %d, Stats %d", got, st.GCPages)
+	}
+	if got, want := gauge["d/ftl/waf_milli"], int64(st.WriteAmplification()*1000+0.5); got != want || got <= 1000 {
+		t.Fatalf("waf_milli = %d, want %d (> 1000 with the collector running)", got, want)
 	}
 }

@@ -47,7 +47,6 @@ type cmbModule struct {
 	allocs      []Allocation
 	nextAllocID int64
 
-	headArrived  time.Duration // when the oldest undestaged byte arrived
 	supercapDead bool
 
 	// metrics (<fs>/cmb/...)
@@ -223,9 +222,6 @@ func (m *cmbModule) persistOldest() {
 		return
 	}
 	m.mPersist.Since(c.at)
-	if m.ring.Live() > 0 && before == m.ring.Head() {
-		m.headArrived = m.dev.env.Now()
-	}
 	if m.ring.Frontier() != before {
 		m.dev.tracer.Record(trace.CMBPersist, m.fs.name, c.off, m.ring.Frontier())
 		m.CreditChanged.Broadcast()
@@ -270,6 +266,7 @@ func (m *cmbModule) Free(id int64) bool {
 	for i, a := range m.allocs {
 		if a.ID == id {
 			m.allocs = append(m.allocs[:i], m.allocs[i+1:]...)
+			m.fs.destage.floorMoved()
 			m.fs.destage.kick.Broadcast()
 			return true
 		}

@@ -38,10 +38,11 @@ func DecodePageHeader(buf []byte) (streamOff int64, payloadLen int, ok bool) {
 
 // destageModule moves data from the fast side's PM ring onto a circular
 // range of logical blocks on the conventional side (paper §4.3). It
-// bundles ring-head data into flash pages, optionally padding with filler
-// to honour a latency bound, and keeps up to one page per die in flight so
-// the destage stream can use the array's full program bandwidth. The PM
-// ring is released strictly in order as pages land.
+// bundles ring-head data into flash pages, padding with filler only when
+// the oldest byte not yet in a page has been eligible for the latency
+// bound, and keeps up to one page per die in flight so the destage stream
+// can use the array's full program bandwidth. The PM ring is released
+// strictly in order as pages land.
 type destageModule struct {
 	dev *Device
 	fs  *fastSide
@@ -54,6 +55,16 @@ type destageModule struct {
 
 	// pipeline state
 	carved int64 // stream offset carved into in-flight pages
+
+	// The latency bound's clock: a circular FIFO in which entry k is the
+	// instant destageFloor() first passed carved + k*maxPayload(). Its head
+	// is when the oldest uncarved byte became eligible; a full-page carve
+	// pops it and the next entry — when the floor crossed that page's end —
+	// takes over, so the remainder keeps its own age. floor - carved never
+	// exceeds the PM ring, which bounds the entries at ring/page + 1.
+	since    []time.Duration
+	sincePos int
+	sinceLen int
 	//xssd:pool retain
 	inflight    []*destagePage
 	inflightPos int // inflight[:inflightPos] already retired
@@ -107,6 +118,7 @@ func newDestageModule(d *Device, fs *fastSide, baseLBA, lbaCount int64) *destage
 		Advanced: d.env.NewSignal(),
 		procName: "destage-page-" + fs.name,
 	}
+	m.since = make([]time.Duration, fs.cmbSize/int64(m.maxPayload())+1)
 	m.kickFn = m.kick.Broadcast
 	sc := obs.For(d.env).Scope(fs.name + "/destage")
 	m.mPages = sc.Counter("pages")
@@ -115,6 +127,11 @@ func newDestageModule(d *Device, fs *fastSide, baseLBA, lbaCount int64) *destage
 	m.mErrors = sc.Counter("errors")
 	m.mRetries = sc.Counter("retries")
 	m.mPageLat = sc.Histogram("page_ns")
+	// Every carve adds its payload to the carve point and nothing else
+	// moves it, so the stream offset is the payload account beside
+	// filler_bytes: (payload + filler) / payload is the padding's share of
+	// the NAND bill.
+	sc.GaugeFunc("payload_bytes", func() int64 { return m.carved })
 	sc.GaugeFunc("stream", func() int64 { return m.destagedStream })
 	sc.GaugeFunc("inflight", func() int64 { return int64(len(m.inflight) - m.inflightPos) })
 	sc.GaugeFunc("tail_lba", func() int64 { return m.tail })
@@ -169,23 +186,25 @@ func (m *destageModule) loop(p *sim.Proc) {
 // this instant, or 0 when it has to wait: the pipeline is full, nothing is
 // eligible, or there is less than a page and it is not old enough for a
 // padded one. In the last case it also makes sure a timer will kick the
-// loop when the latency bound falls due on a quiet ring. headArrived only
-// moves forward, so one timer per distinct deadline is enough.
+// loop when the latency bound falls due on a quiet ring. The bound ages the
+// oldest eligible byte that is not in a page yet (eligibleSince), not the
+// ring head: bytes already carved are on their way to flash whatever the
+// ring still holds. eligibleSince only moves forward, so one timer per
+// distinct deadline is enough.
 //
 //xssd:hotpath
 func (m *destageModule) carvable() int64 {
-	cmb := m.fs.cmb
 	if len(m.inflight)-m.inflightPos >= m.maxInflight() {
 		return 0
 	}
-	eligible := cmb.destageFloor() - m.carved
+	eligible := m.fs.cmb.destageFloor() - m.carved
 	if eligible <= 0 {
 		return 0
 	}
 	if max := int64(m.maxPayload()); eligible >= max {
 		return max
 	}
-	deadline := cmb.headArrived + m.fs.latencyBound
+	deadline := m.eligibleSince() + m.fs.latencyBound
 	if m.dev.powerLost || m.dev.env.Now() >= deadline {
 		return eligible
 	}
@@ -194,6 +213,41 @@ func (m *destageModule) carvable() int64 {
 		m.dev.env.At(deadline, m.kickFn)
 	}
 	return 0
+}
+
+// eligibleSince returns when the byte at the carve point became
+// destage-eligible. Only meaningful while destageFloor() > carved.
+//
+//xssd:hotpath
+func (m *destageModule) eligibleSince() time.Duration { return m.since[m.sincePos] }
+
+// floorMoved stamps this instant on every page boundary past the carve
+// point that destageFloor() has crossed since the last call — the carve
+// point itself when nothing was eligible. Whatever raises the floor calls
+// it in the same instant: a persist (frontierMoved) or a Free.
+//
+//xssd:hotpath
+func (m *destageModule) floorMoved() {
+	floor, max := m.fs.cmb.destageFloor(), int64(m.maxPayload())
+	for next := m.carved + int64(m.sinceLen)*max; next < floor; next += max {
+		m.since[(m.sincePos+m.sinceLen)%len(m.since)] = m.dev.env.Now()
+		m.sinceLen++
+	}
+}
+
+// carveTo advances the carve point by the n bytes just bundled into a
+// page. A full page hands the clock to the next boundary's stamp; a padded
+// one took everything eligible, so the clock restarts at the next byte.
+//
+//xssd:hotpath
+func (m *destageModule) carveTo(n int64) {
+	m.carved += n
+	if n == int64(m.maxPayload()) {
+		m.sincePos = (m.sincePos + 1) % len(m.since)
+		m.sinceLen--
+	} else {
+		m.sinceLen = 0
+	}
 }
 
 // frontierMoved is the CMB module's note that a persisted chunk advanced
@@ -207,10 +261,12 @@ func (m *destageModule) carvable() int64 {
 // carvable. When the loop is not parked on kick (it sleeps in carveOne's
 // ring read, or a kick earlier in this instant already woke it) a kick
 // would have reached nobody and the loop looks for itself when it gets
-// there, so the note does nothing at all. DESIGN.md §9.
+// there, so the note does no more than stamp the latency bound's clock.
+// DESIGN.md §9.
 //
 //xssd:hotpath
 func (m *destageModule) frontierMoved() {
+	m.floorMoved()
 	if !m.kick.Waiting() {
 		return
 	}
@@ -229,10 +285,17 @@ func (m *destageModule) carveOne(p *sim.Proc, n int64) {
 	page := m.getPage()
 	EncodePageHeader(page, m.carved, int(n))
 	if err := cmb.ring.ReadInto(page[PageHeaderLen:PageHeaderLen+n], m.carved); err != nil {
+		// The carve point did not move, so the loop will ask for the same
+		// bytes again: back off like the page worker does, or it would spin
+		// at this instant forever.
 		m.mErrors.Inc()
 		m.pageBufs = append(m.pageBufs, page)
+		p.Sleep(destageRetryBackoff)
 		return
 	}
+	// The bytes are in the page: move the carve point before the read below
+	// sleeps, so a line persisting meanwhile is aged from its own arrival.
+	m.carveTo(n)
 	// Reading the backing memory costs its bus (the in-device path is two
 	// data movements total; paper §5.1 "Destaging Efficiency").
 	cmb.bank.Read(p, int(n))
@@ -253,7 +316,6 @@ func (m *destageModule) carveOne(p *sim.Proc, n int64) {
 		m.inflightPos = 0
 	}
 	m.inflight = append(m.inflight, entry)
-	m.carved += n
 	lba := m.baseLBA + m.tail%m.lbaCount
 	m.tail++
 	//xssd:ignore hotpathalloc the per-page worker closure is the pipeline's unit of work
@@ -328,7 +390,6 @@ func (m *destageModule) retire(cmb *cmbModule) {
 			continue
 		}
 		m.destagedStream = cmb.ring.Head()
-		cmb.headArrived = m.dev.env.Now()
 		m.dev.tracer.Record(trace.DestagePage, m.fs.name, m.destagedStream, e.n)
 		m.mPageLat.Since(e.carvedAt)
 		m.Advanced.Broadcast()

@@ -13,6 +13,7 @@ import (
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/sim"
+	"xssd/internal/trace"
 )
 
 // The multi-queue host interface's property test: for a RANDOM queue
@@ -142,6 +143,229 @@ func TestQuickMultiQueueHistoryInvariant(t *testing.T) {
 		n = 3
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(1911))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The destage latency bound's property test: for a RANDOM trickle of lines
+// (sizes, gaps, the bound itself, the flash program time, now and then a
+// burst of a page or more, an Alloc/Free pin, a power loss at the end),
+//
+//   - no padded page is carved while its first byte — the oldest eligible
+//     byte not yet in a page — is younger than the bound, except after
+//     power loss, and
+//   - every page is carved within the bound of its first byte becoming
+//     eligible, plus whatever part of the wait the pipeline was full, plus
+//     the backing-bus time of a carve or two.
+//
+// Eligibility is observed from outside the destage module: a byte is
+// eligible from the first instant destageFloor() is past it.
+
+// tricklePage is one carved page as the observers saw it.
+type tricklePage struct {
+	off, n  int64
+	carved  time.Duration // the instant the page entered the pipeline
+	retired time.Duration
+}
+
+// trickleRun feeds one random schedule to a device and returns what the
+// property needs. floorAt[i] is the first instant the floor was past
+// floorOff[i]; both rise.
+type trickleRun struct {
+	bound     time.Duration
+	maxPage   int64
+	inflight  int
+	total     int64
+	powerLost time.Duration // 0: never
+	floorAt   []time.Duration
+	floorOff  []int64
+	pages     []tricklePage
+}
+
+func runTrickle(t *testing.T, seed int64) trickleRun {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	env := sim.NewEnv(seed)
+	defer env.Close()
+	cfg := testConfig("q")
+	cfg.DestageLatencyBound = time.Duration(50+rng.Intn(350)) * time.Microsecond
+	cfg.Timing.TProg = []time.Duration{20, 200, 600}[rng.Intn(3)] * time.Microsecond
+	d := New(env, cfg, pcie.NewHostMemory(1<<20))
+	tr := d.EnableTracing(1 << 14)
+	cmb, dst := d.CMB(), d.Destage()
+	run := trickleRun{bound: cfg.DestageLatencyBound, maxPage: int64(dst.maxPayload()), inflight: dst.maxInflight()}
+
+	noteFloor := func() {
+		if f := cmb.destageFloor(); len(run.floorOff) == 0 || f > run.floorOff[len(run.floorOff)-1] {
+			run.floorAt = append(run.floorAt, env.Now())
+			run.floorOff = append(run.floorOff, f)
+		}
+	}
+	env.Go("floor-watch", func(p *sim.Proc) {
+		for {
+			p.Wait(cmb.CreditChanged)
+			noteFloor()
+		}
+	})
+	// A page sits in the pipeline for at least its program time, so a scan
+	// every half of that sees each one; its offset is the ring head plus
+	// the pages ahead of it.
+	carvedAt := map[int64]time.Duration{}
+	env.Go("pipeline-watch", func(p *sim.Proc) {
+		for {
+			off := cmb.ring.Head()
+			for _, e := range dst.inflight[dst.inflightPos:] {
+				if _, seen := carvedAt[off]; !seen {
+					carvedAt[off] = e.carvedAt
+				}
+				off += e.n
+			}
+			p.Sleep(cfg.Timing.TProg / 2)
+		}
+	})
+
+	ops := 40 + rng.Intn(120)
+	pinAt, pinFor := rng.Intn(ops), 1+rng.Intn(20)
+	crash := rng.Intn(3) == 0
+	done := false
+	env.Go("host", func(p *sim.Proc) {
+		var off int64
+		var pin Allocation
+		pinned := false
+		for i := 0; i < ops; i++ {
+			n := 64 * (1 + rng.Intn(4))
+			if rng.Intn(16) == 0 {
+				n = int(run.maxPage) + 64*rng.Intn(8) // a burst of a page or more
+			}
+			for cmb.QueueUsed()+n > cfg.QueueSize { // the host's flow control
+				p.Sleep(200 * time.Nanosecond)
+			}
+			cmb.MemWrite(off, make([]byte, n))
+			off += int64(n)
+			if rng.Intn(20) == 0 { // a quiet stretch longer than the bound
+				p.Sleep(run.bound + time.Duration(rng.Intn(100))*time.Microsecond)
+			} else {
+				p.Sleep(time.Duration(200+rng.Intn(40000)) * time.Nanosecond)
+			}
+			if i == pinAt {
+				// Pin the floor: the region is written back to front, the
+				// stream goes on behind it, and nothing past its start is
+				// eligible until the Free.
+				for cmb.ring.Frontier() < off { // Alloc starts at the persisted tail
+					p.Sleep(200 * time.Nanosecond)
+				}
+				var err error
+				if pin, err = cmb.Alloc(256); err != nil {
+					t.Errorf("seed %d: alloc: %v", seed, err)
+					return
+				}
+				pinned = true
+				cmb.MemWrite(pin.Start+128, make([]byte, 128))
+				cmb.MemWrite(pin.Start, make([]byte, 128))
+				off = pin.End
+			}
+			if pinned && i == pinAt+pinFor {
+				cmb.Free(pin.ID)
+				noteFloor()
+				pinned = false
+			}
+		}
+		if pinned {
+			cmb.Free(pin.ID)
+			noteFloor()
+		}
+		run.total = off
+		if crash {
+			p.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
+			run.powerLost = p.Now()
+			d.InjectPowerLoss()
+		}
+		done = true
+	})
+	for limit := env.Now() + time.Second; !(done && dst.DestagedStream() == run.total) && env.Now() < limit; {
+		env.RunUntil(env.Now() + time.Millisecond)
+	}
+	if got := dst.DestagedStream(); !done || got != run.total {
+		t.Errorf("seed %d: destaged %d of %d bytes", seed, got, run.total)
+	}
+	for _, ev := range tr.Filter(trace.DestagePage) {
+		off := ev.A - ev.B
+		c, ok := carvedAt[off]
+		if !ok {
+			t.Errorf("seed %d: the page at %d was never seen in the pipeline", seed, off)
+		}
+		run.pages = append(run.pages, tricklePage{off: off, n: ev.B, carved: c, retired: ev.At})
+	}
+	return run
+}
+
+// eligibleAt returns the first instant the floor was past stream offset off.
+func (r trickleRun) eligibleAt(off int64) time.Duration {
+	for i, f := range r.floorOff {
+		if f > off {
+			return r.floorAt[i]
+		}
+	}
+	return -1
+}
+
+// fullBetween returns how much of [from, to) the pipeline was full: page j
+// fills it when it enters and page j-inflight+1 frees it when it retires.
+func (r trickleRun) fullBetween(from, to time.Duration) time.Duration {
+	var sum time.Duration
+	for j := r.inflight - 1; j < len(r.pages); j++ {
+		s, e := r.pages[j].carved, r.pages[j-r.inflight+1].retired
+		if s < from {
+			s = from
+		}
+		if e > to {
+			e = to
+		}
+		if e > s {
+			sum += e - s
+		}
+	}
+	return sum
+}
+
+func TestQuickLatencyBoundAgesOldestUncarvedByte(t *testing.T) {
+	// A carve reads its bytes over the backing bus, behind any drain in
+	// flight there, before the page enters the pipeline; so a page may be
+	// late by its own read, the read the loop was in when the deadline fell
+	// due, and those of the pages carved ahead of it since.
+	const busSlack = 1500 * time.Nanosecond
+	prop := func(seed int64) bool {
+		r := runTrickle(t, seed)
+		for i, pg := range r.pages {
+			since := r.eligibleAt(pg.off)
+			if since < 0 {
+				t.Errorf("seed %d: page at %d carved but never eligible", seed, pg.off)
+				continue
+			}
+			deadline := since + r.bound
+			crashed := r.powerLost > 0 && pg.carved >= r.powerLost
+			if pg.n < r.maxPage && !crashed && pg.carved < deadline {
+				t.Errorf("seed %d: padded page [%d,+%d) carved at %v, its first byte eligible only since %v (bound %v)",
+					seed, pg.off, pg.n, pg.carved, since, r.bound)
+			}
+			reads := 2
+			for _, q := range r.pages[:i] {
+				if q.carved >= deadline {
+					reads++
+				}
+			}
+			if late := pg.carved - deadline - r.fullBetween(deadline, pg.carved); late > time.Duration(reads)*busSlack {
+				t.Errorf("seed %d: page [%d,+%d) carved at %v, %v past its deadline %v with the pipeline free",
+					seed, pg.off, pg.n, pg.carved, late, deadline)
+			}
+		}
+		return !t.Failed()
+	}
+	cfg := &quick.Config{MaxCountScale: 0.3, Rand: rand.New(rand.NewSource(22))}
+	if testing.Short() {
+		cfg.MaxCountScale = 0.08
+	}
+	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

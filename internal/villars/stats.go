@@ -36,9 +36,10 @@ type DestageStats struct {
 	// Stream is the stream bytes durable on the conventional side.
 	Stream int64
 	// Pages and PartialPages count written flash pages; FillerBytes is the
-	// padding inside the partial ones.
-	Pages, PartialPages int64
-	FillerBytes         int64
+	// padding inside the partial ones and PayloadBytes the stream bytes
+	// carved into all of them.
+	Pages, PartialPages       int64
+	FillerBytes, PayloadBytes int64
 	// Retries counts failed page programs that were retried; Errors counts
 	// pages that hit carve or retire errors.
 	Retries, Errors int64
@@ -161,6 +162,7 @@ func (fs *fastSide) destageStats() DestageStats {
 		Pages:        pages,
 		PartialPages: partial,
 		FillerBytes:  m.FillerBytes(),
+		PayloadBytes: m.carved,
 		Retries:      m.Retries(),
 		Errors:       m.Errors(),
 		TailLBA:      m.tail,

@@ -440,7 +440,8 @@ func TestBackingClassesBothWork(t *testing.T) {
 
 // TestLatencyBoundArmsOneTimerPerDeadline feeds a caught-up fast side n
 // 64-byte chunks (less than one page in total), then nothing. Every persisted
-// chunk finds the same deadline, headArrived + latency bound, and nothing for
+// chunk finds the same deadline — the first chunk's persist, which is when
+// the carve point became eligible, plus the latency bound — and nothing for
 // the destage loop to do before it: the loop must not be resumed once until
 // then (the persist callback arms the timer the loop would have armed), it
 // must carve the padded page at exactly that instant, and the quiet stretch
@@ -469,13 +470,17 @@ func TestLatencyBoundArmsOneTimerPerDeadline(t *testing.T) {
 		}
 		_, _, busOps := d.CMB().bank.Bus().Stats()
 		quiet := env.Events()
-		deadline := d.CMB().headArrived + cfg.DestageLatencyBound
+		since := d.Destage().eligibleSince()
+		if since <= 0 || since >= gap {
+			t.Fatalf("n=%d: eligibleSince = %v, want the first chunk's persist, inside (0, %v)", n, since, gap)
+		}
+		deadline := since + cfg.DestageLatencyBound
 
 		// The carve starts by reading the ring over the backing bus, so
 		// the bus's transfer count moves at the instant the loop decides.
 		env.RunUntil(deadline - 1)
 		if _, _, ops := d.CMB().bank.Bus().Stats(); ops != busOps {
-			t.Fatalf("n=%d: page carved before headArrived + bound (%v)", n, deadline)
+			t.Fatalf("n=%d: page carved before eligibleSince + bound (%v)", n, deadline)
 		}
 		// The host was dispatched once and woke from n sleeps; nothing else
 		// in the device is a process that should have run.
@@ -484,7 +489,7 @@ func TestLatencyBoundArmsOneTimerPerDeadline(t *testing.T) {
 		}
 		env.RunUntil(deadline)
 		if _, _, ops := d.CMB().bank.Bus().Stats(); ops != busOps+1 {
-			t.Fatalf("n=%d: no carve at headArrived + bound (%v)", n, deadline)
+			t.Fatalf("n=%d: no carve at eligibleSince + bound (%v)", n, deadline)
 		}
 		events := env.Events() - quiet
 
@@ -500,5 +505,81 @@ func TestLatencyBoundArmsOneTimerPerDeadline(t *testing.T) {
 	few, many := eventsToCarve(10), eventsToCarve(200)
 	if few != many || few > 4 {
 		t.Fatalf("events from the last persist to the carve: %d after 10 chunks, %d after 200; want the same small count", few, many)
+	}
+}
+
+// TestTrickleDoesNotPadAPagePerLine is the thin-log regression: 64-byte
+// lines 10 µs apart under a 1 ms bound and a 600 µs flash program. Once the
+// bound trips, the tripping page is in flight for most of the next
+// millisecond; lines persisting meanwhile are young and must wait for their
+// own deadline, not each be padded into a page because the ring's head is
+// old. One page per bound interval, plus the last line's.
+func TestTrickleDoesNotPadAPagePerLine(t *testing.T) {
+	const (
+		lines = 500
+		line  = 64
+		gap   = 10 * time.Microsecond
+		bound = time.Millisecond
+	)
+	env := sim.NewEnv(1)
+	defer env.Close()
+	cfg := DefaultConfig("thin")
+	// A 16 KB page: 6.4 KB arrive per bound interval, so no page ever fills.
+	cfg.Geometry = nand.Geometry{Channels: 4, WaysPerChan: 4, BlocksPerDie: 64, PagesPerBlock: 64, PageSize: 16 << 10}
+	cfg.DestageLatencyBound = bound
+	d := New(env, cfg, pcie.NewHostMemory(1<<20))
+	env.Go("host", func(p *sim.Proc) {
+		for i := 0; i < lines; i++ {
+			d.CMB().MemWrite(int64(i*line), make([]byte, line))
+			p.Sleep(gap)
+		}
+	})
+	env.RunUntil(lines*gap + 2*bound + 10*time.Millisecond)
+	if got := d.Destage().DestagedStream(); got != lines*line {
+		t.Fatalf("destaged %d bytes, want %d", got, lines*line)
+	}
+	span := time.Duration(lines) * gap
+	want := int64((span+bound-1)/bound) + 1
+	st := d.Stats().Destage
+	if st.Pages > want {
+		t.Fatalf("%d pages for %d lines over %v under a %v bound, want at most %d", st.Pages, lines, span, bound, want)
+	}
+	// The bill adds up: what the pages hold is the stream plus the padding.
+	if st.PayloadBytes != lines*line || st.PayloadBytes+st.FillerBytes != st.Pages*int64(d.Destage().maxPayload()) {
+		t.Fatalf("payload %d + filler %d over %d pages of %d", st.PayloadBytes, st.FillerBytes, st.Pages, d.Destage().maxPayload())
+	}
+}
+
+// TestCarveReadFailureBacksOff injects the one failure carveOne can meet —
+// the ring no longer holds the bytes at the carve point — and checks that
+// the destage loop counts it and yields: it used to return to the loop at
+// the same instant, find the same bytes carvable, and fail again forever.
+func TestCarveReadFailureBacksOff(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	d := newDevice(env, "a")
+	env.Go("host", func(p *sim.Proc) {
+		d.CMB().MemWrite(0, make([]byte, 256))
+		p.Sleep(10 * time.Microsecond)
+		// Behind the destage module's back: the head passes the carve point.
+		if err := d.CMB().Ring().Release(128); err != nil {
+			t.Errorf("release: %v", err)
+		}
+	})
+	const horizon = 5 * time.Millisecond
+	env.RunUntil(horizon)
+	if env.Now() != horizon {
+		t.Fatalf("virtual time stopped at %v", env.Now())
+	}
+	errs := d.Destage().Errors()
+	if errs == 0 {
+		t.Fatal("failed ring read not counted")
+	}
+	// Bound 200 µs, then one attempt per back-off.
+	if most := int64(horizon/destageRetryBackoff) + 1; errs > most {
+		t.Fatalf("%d failed reads in %v, want at most one per %v back-off", errs, horizon, destageRetryBackoff)
+	}
+	if total, _ := d.Destage().Pages(); total != 0 {
+		t.Fatalf("%d pages written from a ring that no longer holds the bytes", total)
 	}
 }

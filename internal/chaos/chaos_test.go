@@ -85,9 +85,9 @@ at 14ms device.power@p fail
 // stays exercised in CI — and pin its fold, so a drift in any classic
 // fingerprint fails here instead of waiting for someone to diff sweeps.
 func TestSweepSmall(t *testing.T) {
-	seeds, want := 3, uint64(0xfbad9bca076df175)
+	seeds, want := 3, uint64(0x123f144faf530f67)
 	if testing.Short() {
-		seeds, want = 2, 0x1dcf304b1af391f1
+		seeds, want = 2, 0xf13fe2055a083be6
 	}
 	var buf bytes.Buffer
 	if err := Sweep(&buf, DefaultScenario, seeds, 0); err != nil {

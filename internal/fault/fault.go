@@ -2,7 +2,6 @@ package fault
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"xssd/internal/sim"
@@ -76,40 +75,28 @@ func New(env *sim.Env, plan *Plan) *Injector {
 	return inj
 }
 
-// registry maps environments to their attached injector so hook sites
-// deep in the stack can find it without plumbing. Guarded for the rare
-// case of multiple environments running on different test goroutines;
-// lookups are by key only (no iteration), so order never leaks.
-var registry = struct {
-	sync.Mutex
-	m map[*sim.Env]*Injector
-}{m: map[*sim.Env]*Injector{}}
+// envKey is the sim.Env attachment slot holding the environment's
+// injector, so hook sites deep in the stack can find it without plumbing.
+// The injector lives and dies with its Env, and a lookup touches only that
+// Env's own state: group members checking side by side share nothing.
+const envKey = "fault"
 
 // Attach registers inj as env's injector, replacing any previous one.
-func Attach(env *sim.Env, inj *Injector) {
-	registry.Lock()
-	defer registry.Unlock()
-	registry.m[env] = inj
-}
+func Attach(env *sim.Env, inj *Injector) { env.Attach(envKey, inj) }
 
-// Detach removes env's injector. Always pair with Attach in tests so one
-// run's plan cannot leak into the next.
-func Detach(env *sim.Env) {
-	registry.Lock()
-	defer registry.Unlock()
-	delete(registry.m, env)
-}
+// Detach removes env's injector. Pair it with Attach where the Env keeps
+// running afterwards, so one phase's plan cannot leak into the next.
+func Detach(env *sim.Env) { env.Attach(envKey, nil) }
 
 // For returns env's injector, or nil when none is attached.
 func For(env *sim.Env) *Injector {
-	registry.Lock()
-	defer registry.Unlock()
-	return registry.m[env]
+	inj, _ := env.Attachment(envKey).(*Injector)
+	return inj
 }
 
 // CheckEnv is the hook-site entry point: evaluate point for env's
 // injector, if any. With no injector attached it returns the zero
-// Decision at the cost of one mutex-guarded map lookup.
+// Decision at the cost of one lookup in env's attachments.
 func CheckEnv(env *sim.Env, point, comp string, weight int64) Decision {
 	return For(env).Check(point, comp, weight)
 }

@@ -2,6 +2,8 @@ package fault
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -232,6 +234,74 @@ func TestAttachDetach(t *testing.T) {
 	}
 	if For(env) != nil {
 		t.Fatal("For after Detach is non-nil")
+	}
+}
+
+// TestDetachLeavesNothingBehind: the injector hangs off the Env itself, so
+// Detach on an Env that never had one is a no-op, a detached Env takes a
+// new injector, and one Env's injector is invisible from another.
+func TestDetachLeavesNothingBehind(t *testing.T) {
+	env, other := sim.NewEnv(1), sim.NewEnv(1)
+	Detach(env)
+	if For(env) != nil {
+		t.Fatal("For on a never-attached Env is non-nil")
+	}
+	plan := &Plan{Rules: []Rule{{Point: WALSink, Trigger: TriggerOn, Count: 1, Action: ActionFail, Times: 100}}}
+	first, second := New(env, plan), New(env, plan)
+	Attach(env, first)
+	Detach(env)
+	if For(env) != nil || !CheckEnv(env, WALSink, "", 1).None() {
+		t.Fatal("detached Env still has an injector")
+	}
+	Attach(env, second)
+	if For(env) != second || !CheckEnv(env, WALSink, "", 1).Fail() {
+		t.Fatal("re-attached injector is not the one in use")
+	}
+	if For(other) != nil || !CheckEnv(other, WALSink, "", 1).None() {
+		t.Fatal("one Env's injector is visible from another")
+	}
+	if len(first.Firings()) != 0 || len(second.Firings()) != 1 {
+		t.Fatalf("firings: detached %d, attached %d, want 0 and 1", len(first.Firings()), len(second.Firings()))
+	}
+}
+
+// TestCheckEnvSharesNothingAcrossMembers: two members of a group sit in
+// CheckEnv loops through the same quanta, on two goroutines when the host
+// has them. Each lookup touches its own Env only, so -race stays quiet and
+// each member's decisions are those of a run on its own.
+func TestCheckEnvSharesNothingAcrossMembers(t *testing.T) {
+	plan := &Plan{Rules: []Rule{{Point: NTBDeliver, Trigger: TriggerProb, Prob: 0.3, Action: ActionDrop}}}
+	run := func(workers int) [2][]Firing {
+		g := sim.NewGroup(sim.GroupConfig{Workers: workers})
+		defer g.Close()
+		var injs [2]*Injector
+		for i := range injs {
+			e := g.NewEnv(fmt.Sprintf("m%d", i), int64(10+i))
+			injs[i] = New(e, plan)
+			Attach(e, injs[i])
+			var tick func()
+			tick = func() {
+				for n := 0; n < 20; n++ {
+					CheckEnv(e, NTBDeliver, "b", 1)
+				}
+				e.After(100*time.Nanosecond, tick)
+			}
+			e.After(0, tick)
+		}
+		g.RunUntil(200 * time.Microsecond)
+		for _, e := range g.Envs() {
+			Detach(e)
+		}
+		return [2][]Firing{injs[0].Firings(), injs[1].Firings()}
+	}
+	serial, parallel := run(1), run(2)
+	for i := range serial {
+		if len(serial[i]) == 0 {
+			t.Fatalf("member %d never fired", i)
+		}
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Errorf("member %d: firings differ between workers 1 and 2", i)
+		}
 	}
 }
 

@@ -3,9 +3,18 @@
 // write stream to peer devices. NTB forwards TLPs between two hosts' PCIe
 // systems with only address translation — no protocol conversion — which is
 // why the model is just another link plus a window mapping.
+//
+// A bridge has two delivery paths, chosen once by where its far end lives.
+// Inside one Env a chunk waits in pendq and lands from the link's own
+// completion event. Across members of a sim.Group a chunk rides a crossSlot
+// through the group mailbox: the slot lends its buffer to the receiving
+// member for the delivery and takes it back by virtual time alone, once the
+// group's settled horizon has passed the arrival. Neither path allocates in
+// steady state, and on both the target must copy what it keeps.
 package ntb
 
 import (
+	"slices"
 	"time"
 
 	"xssd/internal/fault"
@@ -26,9 +35,11 @@ const (
 // remote host, possibly across several daisy-chain hops. A bridge belongs
 // to the sender's Env; when the remote end lives in a different member of
 // a sim.Group (NewBridgeTo), deliveries cross through the group mailbox at
-// their arrival time instead of the local event queue. The hop latency
-// (1.1µs default) exceeds the group's 1µs quantum, so barrier clamping
-// never distorts arrival times.
+// their arrival time instead of the local event queue, each in a slot from
+// the bridge's own queue (sendCross). The hop latency (1.1µs default)
+// exceeds the group's 1µs quantum, so barrier clamping never distorts
+// arrival times; with a shorter hop a chunk lands, and its done callback
+// runs, at the clamped instant PostTo reports.
 type Bridge struct {
 	env    *sim.Env
 	remote *sim.Env // Env the window targets live in; == env when intra-env
@@ -47,6 +58,15 @@ type Bridge struct {
 	deliver func()
 	//xssd:pool put
 	bufs [][]byte
+
+	// slots holds every chunk slot this bridge has made for cross-member
+	// deliveries, as a ring in arrival order with the oldest at slotHead
+	// (sendCross). The sender alone writes a slot; the receiving member
+	// reads it during the one delivery it was posted for.
+	//xssd:pool retain a slot that crossed is not rewritten until the settled horizon has passed its arrival
+	slots    []*crossSlot
+	slotHead int
+	recycle  bool // both ends in one sim.Group: its settled horizon releases slots
 
 	// metrics (ntb/<name>/...)
 	mChunks  *obs.Counter
@@ -115,11 +135,12 @@ func NewBridgeTo(env, remote *sim.Env, name string, bandwidth float64, hopLatenc
 		hops = 1
 	}
 	b := &Bridge{
-		env:    env,
-		remote: remote,
-		link:   env.NewLink("ntb-"+name, bandwidth, time.Duration(hops)*hopLatency),
-		hops:   hops,
-		name:   name,
+		env:     env,
+		remote:  remote,
+		link:    env.NewLink("ntb-"+name, bandwidth, time.Duration(hops)*hopLatency),
+		hops:    hops,
+		name:    name,
+		recycle: env.Group() != nil && env.Group() == remote.Group(),
 	}
 	b.deliver = b.deliverNext
 	sc := obs.For(env).Scope("ntb/" + name)
@@ -144,21 +165,75 @@ func NewDefaultBridgeTo(env, remote *sim.Env, name string) *Bridge {
 	return NewBridgeTo(env, remote, name, DefaultBandwidth, DefaultHopLatency, 1)
 }
 
+// crossSlot carries one chunk to a target in another group member. run is
+// bound once, when the slot is made, and is what the mailbox post executes
+// in the receiver's Env; at is the instant it does. The slot and its buffer
+// stay the sender's: the receiver only reads them, at at, and the target
+// copies what it keeps.
+type crossSlot struct {
+	target pcie.Target
+	dst    int64
+	//xssd:pool retain lent to the receiving member for the delivery at at; rewritten only once the settled horizon has passed at
+	buf []byte
+	at  time.Duration
+	run func()
+}
+
+func (s *crossSlot) land() { s.target.MemWrite(s.dst, s.buf) }
+
+// nextSlot returns the slot the next cross-member chunk rides and makes it
+// the newest of the ring. Arrivals are monotone per bridge (one FIFO link,
+// one monotone clamp), so the ring's head is the oldest delivery and the
+// only one inspected: it is reused when its arrival lies strictly before
+// the group's settled horizon — every member has dispatched every event
+// before that instant, the post included, or dropped it with its closed
+// destination — and otherwise the ring grows by one. The rule reads virtual
+// time only, so the slots in use, like everything else, are the same at any
+// worker count.
+//
+//xssd:hotpath
+//xssd:pool get
+func (b *Bridge) nextSlot() *crossSlot {
+	if len(b.slots) > 0 && b.recycle {
+		if s := b.slots[b.slotHead]; s.at < b.env.Settled() {
+			if b.slotHead++; b.slotHead == len(b.slots) {
+				b.slotHead = 0
+			}
+			return s
+		}
+	}
+	return b.growSlots()
+}
+
+// growSlots makes a slot and inserts it in front of the ring's head, which
+// is the newest position. It runs until the ring covers the chunks one hop
+// latency plus a quantum can hold, then never again.
+func (b *Bridge) growSlots() *crossSlot {
+	s := &crossSlot{buf: make([]byte, 0, pcie.MaxPayload)}
+	s.run = s.land
+	b.slots = slices.Insert(b.slots, b.slotHead, s)
+	b.slotHead = (b.slotHead + 1) % len(b.slots) // wraps for the first slot only
+	return s
+}
+
 // sendCross ships one chunk to a remote-Env target: the link is occupied
 // locally (timing and bandwidth accounting belong to the sender) and the
-// arrival is posted through the group mailbox carrying a private buffer
-// the remote target copies from — pooled buffers never cross Envs. done,
-// if non-nil, fires in the *sender's* Env at the arrival instant:
-// completion callbacks drive sender-side state (retransmission windows,
-// WriteBlocking signals) and must not run remotely.
+// arrival is posted through the group mailbox in a slot of the bridge's
+// ring, which the remote target copies from. done, if non-nil, fires in
+// the *sender's* Env at the instant the chunk lands: completion callbacks
+// drive sender-side state (retransmission windows, WriteBlocking signals)
+// and must not run remotely. A post to a closed member is dropped by the
+// mailbox; its slot comes back by the same rule as any other.
 //
-//xssd:conduit NTB delivery is the wire itself: bytes land at the remote Env's target at the barrier-merged arrival time
+//xssd:hotpath
+//xssd:conduit NTB delivery is the wire itself: bytes land at the remote Env's target at the barrier-merged arrival time, from a slot buffer that, having crossed, is not rewritten until the settled horizon has passed its arrival
 func (b *Bridge) sendCross(target pcie.Target, dst int64, data []byte, wireBytes int, done func()) {
-	buf := append([]byte(nil), data...)
-	at := b.link.SendTimed(wireBytes)
-	b.env.PostTo(b.remote, at, func() { target.MemWrite(dst, buf) })
+	s := b.nextSlot()
+	s.target, s.dst = target, dst
+	s.buf = append(s.buf[:0], data...)
+	s.at = b.env.PostTo(b.remote, b.link.SendTimed(wireBytes), s.run)
 	if done != nil {
-		b.env.At(at, done)
+		b.env.At(s.at, done)
 	}
 }
 
@@ -208,7 +283,8 @@ func (w *Window) Write(off int64, data []byte, done func()) {
 		case fault.ActionDelay:
 			// Delayed chunks bypass the in-order pendq (their Send is
 			// issued when the timer fires, interleaving with later
-			// traffic) and carry a private copy the closure owns.
+			// traffic) and carry a private copy the closure owns; a
+			// cross-member one takes its slot only when the timer fires.
 			chunk := append([]byte(nil), data[:n]...)
 			delay := d.Dur
 			if b.remote != b.env {

@@ -216,25 +216,48 @@ func (g *Group) Parallelize() { g.reqParallel.Store(true) }
 // order, so delivery order is independent of worker interleaving by
 // construction. Outside a run — bring-up, teardown, a standalone Env —
 // it schedules on dst directly, which is race-free because those phases are
-// single-threaded. at is clamped to the end of the executing quantum; posts
-// to a closed member are dropped.
+// single-threaded. at is clamped to the end of the executing quantum (to
+// dst's clock outside a run); posts to a closed member are dropped.
+//
+// PostTo returns the instant fn runs at — at after the clamp — so a sender
+// that pairs the post with local bookkeeping (a completion callback, the
+// reuse stamp of the buffer fn reads) keys it to the delivery, not to the
+// request: with a cross-env latency under one quantum the two differ.
 //
 //xssd:conduit group mailbox: fn runs in dst's own Env at a barrier-merged instant
-func (e *Env) PostTo(dst *Env, at time.Duration, fn func()) {
+func (e *Env) PostTo(dst *Env, at time.Duration, fn func()) time.Duration {
 	t := int64(at)
 	g := e.grp
 	if dst == e || g == nil || dst.grp != g || !g.running {
-		if dst.closed {
-			return
+		if t < dst.now {
+			t = dst.now
 		}
-		dst.schedule(t, nil, fn)
-		return
+		if !dst.closed {
+			dst.schedule(t, nil, fn)
+		}
+		return time.Duration(t)
 	}
 	if t < g.qEnd {
 		t = g.qEnd
 	}
 	e.postSeq++
 	e.outbox = append(e.outbox, post{at: t, src: e.gidx, dst: dst.gidx, seq: e.postSeq, fn: fn})
+	return time.Duration(t)
+}
+
+// Settled returns the group's settled horizon: the start of the quantum now
+// executing (the last barrier reached), before which every member has
+// dispatched every event. A post whose delivery instant is strictly before
+// it has run, so whatever its fn read may be rewritten by the sender — the
+// release rule for state lent across members (ntb's chunk slots). It is a
+// function of virtual time alone, the same at every worker count, and is
+// written only between quanta, so members may read it while they run. For an
+// Env outside a group it is 0: nothing is ever known settled.
+func (e *Env) Settled() time.Duration {
+	if e.grp == nil {
+		return 0
+	}
+	return time.Duration(e.grp.now)
 }
 
 // nextEventAt returns the earliest pending event time of e, if any.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -340,6 +341,119 @@ func TestGroupPostOutsideRun(t *testing.T) {
 		t.Errorf("pre-run post delivered at %v, want 5µs", at)
 	}
 	g.Close()
+}
+
+// TestPostToReturnsDeliveryInstant pins PostTo's return value on each of
+// its paths: a post at or past the quantum's end runs when asked, a post
+// inside the lookahead runs at the quantum's end, a post made while the
+// group is idle runs at the request or at dst's clock if that is later, and
+// a post to a closed member still reports where it would have run. In every
+// case the reported instant is the one fn observes.
+func TestPostToReturnsDeliveryInstant(t *testing.T) {
+	g := NewGroup(GroupConfig{Workers: 2})
+	defer g.Close()
+	a := g.NewEnv("a", 1)
+	b := g.NewEnv("b", 2)
+	c := g.NewEnv("c", 3)
+	type obs struct{ said, ran time.Duration }
+	var seen []*obs
+	post := func(dst *Env, at time.Duration) *obs {
+		o := &obs{ran: -1}
+		o.said = a.PostTo(dst, at, func() { o.ran = dst.Now() })
+		seen = append(seen, o)
+		return o
+	}
+	idle := post(b, 5*time.Microsecond)
+	if idle.said != 5*time.Microsecond {
+		t.Errorf("idle post: said %v, want 5µs", idle.said)
+	}
+	var far, near *obs
+	var qEnd time.Duration
+	a.At(10*time.Microsecond, func() {
+		qEnd = a.Now() + g.Quantum()
+		far = post(b, a.Now()+3*time.Microsecond)
+		near = post(b, a.Now()+200*time.Nanosecond)
+	})
+	g.RunUntil(20 * time.Microsecond)
+	if far.said != 13*time.Microsecond {
+		t.Errorf("post past the quantum: said %v, want 13µs", far.said)
+	}
+	if near.said != qEnd {
+		t.Errorf("post inside the lookahead: said %v, want the quantum's end %v", near.said, qEnd)
+	}
+	late := post(b, time.Microsecond) // b's clock is at 20µs
+	if late.said != 20*time.Microsecond {
+		t.Errorf("idle post into dst's past: said %v, want dst's clock 20µs", late.said)
+	}
+	c.Close()
+	if said := a.PostTo(c, 25*time.Microsecond, func() { t.Error("post to a closed member ran") }); said != 25*time.Microsecond {
+		t.Errorf("post to a closed member: said %v, want 25µs", said)
+	}
+	g.RunUntil(30 * time.Microsecond)
+	for i, o := range seen {
+		if o.ran != o.said {
+			t.Errorf("post %d ran at %v, PostTo said %v", i, o.ran, o.said)
+		}
+	}
+}
+
+// TestSettledHorizon pins Env.Settled: 0 outside a group; inside one, the
+// start of the executing quantum. The sender looks at what a post wrote in
+// the receiver's member only once the post's instant lies before the
+// horizon, and must then find it written — under -race that read is also
+// the proof that a barrier orders it after the receiver's write. The
+// horizons seen are the same at any worker count.
+func TestSettledHorizon(t *testing.T) {
+	if got := NewEnv(1).Settled(); got != 0 {
+		t.Fatalf("standalone Env: Settled = %v, want 0", got)
+	}
+	type flight struct {
+		at  time.Duration
+		ran bool // written by the post, in the receiver's member
+	}
+	var first []time.Duration
+	for _, workers := range []int{1, 2} {
+		g := NewGroup(GroupConfig{Workers: workers})
+		a := g.NewEnv("a", 1)
+		b := g.NewEnv("b", 2)
+		var flights []*flight
+		checked := 0
+		var horizons []time.Duration
+		var tick func()
+		tick = func() {
+			h := a.Settled()
+			horizons = append(horizons, h)
+			if h > a.Now() {
+				t.Errorf("workers %d: horizon %v ahead of the member's clock %v", workers, h, a.Now())
+			}
+			for ; checked < len(flights) && flights[checked].at < h; checked++ {
+				if !flights[checked].ran {
+					t.Errorf("workers %d: post at %v lies before the horizon %v and has not run", workers, flights[checked].at, h)
+				}
+			}
+			f := &flight{}
+			f.at = a.PostTo(b, a.Now()+1100*time.Nanosecond, func() { f.ran = true })
+			flights = append(flights, f)
+			a.After(300*time.Nanosecond, tick)
+		}
+		a.After(0, tick)
+		var busy func()
+		busy = func() { b.After(250*time.Nanosecond, busy) }
+		b.After(0, busy)
+		g.RunUntil(50 * time.Microsecond)
+		if got := a.Settled(); got != 50*time.Microsecond {
+			t.Errorf("workers %d: Settled after the run = %v, want 50µs", workers, got)
+		}
+		if checked < 100 {
+			t.Errorf("workers %d: only %d posts were seen settled", workers, checked)
+		}
+		if workers == 1 {
+			first = horizons
+		} else if !slices.Equal(first, horizons) {
+			t.Errorf("horizons differ between workers 1 and %d", workers)
+		}
+		g.Close()
+	}
 }
 
 // TestGroupCrossEnvSignal exercises a foreign-Env Signal wait during an

@@ -32,6 +32,9 @@ type transportModule struct {
 	reportNext   func() // reportStep, bound once
 	lastReported int64
 	frozenUntil  time.Duration // fault plan: suppress reports until then
+	// reportMsg is the one update message a step fills and sends; the
+	// bridge copies it before WriteRaw returns.
+	reportMsg [core.CounterUpdateBytes]byte
 
 	// repair state: a background process resending mirror chunks whose
 	// bytes a peer's shadow counter has not covered within the repair
@@ -360,12 +363,10 @@ func (t *transportModule) reportStep() {
 		// fabric at 0.4 µs).
 		v := t.reportValue()
 		t.lastReported = v
-		//xssd:ignore hotpathalloc one message buffer per update, as the process form allocated; the bridge copies it
-		payload := make([]byte, core.CounterUpdateBytes)
 		for i := 0; i < 8; i++ {
-			payload[i] = byte(v >> (8 * i))
+			t.reportMsg[i] = byte(v >> (8 * i))
 		}
-		t.reportTo.WriteRaw(int64(t.reportPeerID), payload[:8], core.CounterUpdateBytes, nil)
+		t.reportTo.WriteRaw(int64(t.reportPeerID), t.reportMsg[:8], core.CounterUpdateBytes, nil)
 		t.mUpdatesSent.Inc()
 	}
 	env.After(t.dev.cfg.ShadowUpdatePeriod, t.reportNext)

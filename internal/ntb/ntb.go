@@ -66,7 +66,6 @@ type Bridge struct {
 	//xssd:pool retain a slot that crossed is not rewritten until the settled horizon has passed its arrival
 	slots    []*crossSlot
 	slotHead int
-	recycle  bool // both ends in one sim.Group: its settled horizon releases slots
 
 	// metrics (ntb/<name>/...)
 	mChunks  *obs.Counter
@@ -135,12 +134,11 @@ func NewBridgeTo(env, remote *sim.Env, name string, bandwidth float64, hopLatenc
 		hops = 1
 	}
 	b := &Bridge{
-		env:     env,
-		remote:  remote,
-		link:    env.NewLink("ntb-"+name, bandwidth, time.Duration(hops)*hopLatency),
-		hops:    hops,
-		name:    name,
-		recycle: env.Group() != nil && env.Group() == remote.Group(),
+		env:    env,
+		remote: remote,
+		link:   env.NewLink("ntb-"+name, bandwidth, time.Duration(hops)*hopLatency),
+		hops:   hops,
+		name:   name,
 	}
 	b.deliver = b.deliverNext
 	sc := obs.For(env).Scope("ntb/" + name)
@@ -194,7 +192,7 @@ func (s *crossSlot) land() { s.target.MemWrite(s.dst, s.buf) }
 //xssd:hotpath
 //xssd:pool get
 func (b *Bridge) nextSlot() *crossSlot {
-	if len(b.slots) > 0 && b.recycle {
+	if len(b.slots) > 0 {
 		if s := b.slots[b.slotHead]; s.at < b.env.Settled() {
 			if b.slotHead++; b.slotHead == len(b.slots) {
 				b.slotHead = 0

@@ -1,6 +1,7 @@
 package ntb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -56,21 +57,29 @@ func quickPlan(seed int64) *fault.Plan {
 	}}
 }
 
+// newRingGroup makes a k-member group whose members each carry an injector
+// for seed's fabric fault plan.
+func newRingGroup(seed int64, k, workers int) (*sim.Group, []*sim.Env) {
+	g := sim.NewGroup(sim.GroupConfig{Workers: workers})
+	plan := quickPlan(seed)
+	envs := make([]*sim.Env, k)
+	for i := range envs {
+		envs[i] = g.NewEnv(fmt.Sprintf("m%d", i), seed+int64(i)*7919)
+		fault.Attach(envs[i], fault.New(envs[i], plan))
+	}
+	return g, envs
+}
+
 // runRing builds a k-member ring (member i bridges to member (i+1)%k),
 // spawns one sender per member issuing msgs writes at random times drawn
 // from its own member rng, runs the window, and returns an FNV-1a digest
 // of every member's delivery history in member order.
 func runRing(seed int64, k, msgs, workers int) uint64 {
-	g := sim.NewGroup(sim.GroupConfig{Workers: workers})
+	g, envs := newRingGroup(seed, k, workers)
 	defer g.Close()
-	plan := quickPlan(seed)
 	var targets []*captureTarget
-
-	envs := make([]*sim.Env, k)
-	for i := 0; i < k; i++ {
-		envs[i] = g.NewEnv(fmt.Sprintf("m%d", i), seed+int64(i)*7919)
-		fault.Attach(envs[i], fault.New(envs[i], plan))
-		targets = append(targets, &captureTarget{env: envs[i]})
+	for _, e := range envs {
+		targets = append(targets, &captureTarget{env: e})
 	}
 	for i := 0; i < k; i++ {
 		src, dst := envs[i], envs[(i+1)%k]
@@ -154,9 +163,9 @@ func TestQuickRingDeliveryReRunStable(t *testing.T) {
 }
 
 // The dense variant (the slot rule's contract): every sender fires bursts
-// of 1-200 back-to-back chunks, so dozens of slots are in flight at once
-// and a burst outlasts several quanta — the sender is still taking slots
-// while its earlier chunks land next door. Each chunk carries (sender,
+// of 1-200 back-to-back chunks, so up to hundreds of slots are out at once
+// and a burst outlasts several quanta — the next burst takes slots while
+// the last one's chunks are still landing next door. Each chunk carries (sender,
 // sequence, filler derived from both, checksum) and goes to the offset its
 // sequence names, so the receiver can tell on arrival, from the chunk
 // alone, whether it is byte for byte what the sender wrote and whether it
@@ -206,7 +215,7 @@ func (t *verifyTarget) MemWrite(off int64, data []byte) {
 	seq := int(off / quickPayload)
 	denseChunk(want[:], t.from, seq)
 	switch {
-	case len(data) != quickPayload || string(data) != string(want[:]):
+	case !bytes.Equal(data, want[:]):
 		t.bad = append(t.bad, fmt.Sprintf("at %v offset %d: chunk is not m%d's #%d as written", t.env.Now(), off, t.from, seq))
 	case t.seen[seq]:
 		t.bad = append(t.bad, fmt.Sprintf("at %v: m%d's #%d landed twice", t.env.Now(), t.from, seq))
@@ -234,16 +243,10 @@ type denseResult struct {
 // are on their way; the window is long enough for every one of them, the
 // delayed included, to land.
 func runDenseRing(seed int64, k, bursts, workers int) denseResult {
-	g := sim.NewGroup(sim.GroupConfig{Workers: workers})
+	g, envs := newRingGroup(seed, k, workers)
 	defer g.Close()
-	plan := quickPlan(seed)
-	envs := make([]*sim.Env, k)
 	targets := make([]*verifyTarget, k)
 	bridges := make([]*Bridge, k)
-	for i := 0; i < k; i++ {
-		envs[i] = g.NewEnv(fmt.Sprintf("m%d", i), seed+int64(i)*7919)
-		fault.Attach(envs[i], fault.New(envs[i], plan))
-	}
 	for i := 0; i < k; i++ {
 		targets[(i+1)%k] = &verifyTarget{captureTarget: captureTarget{env: envs[(i+1)%k]}, from: i, seen: map[int]bool{}}
 	}

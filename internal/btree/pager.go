@@ -17,8 +17,9 @@ type Config struct {
 	// what keeps the on-store image set consistent). 0 means 64.
 	PoolPages int
 	// Scope registers pager instruments (reads, writes, hits, misses,
-	// evictions, resident/dirty gauges). The zero Scope keeps the pager
-	// silent — recovery oracles must not pollute live metrics snapshots.
+	// evictions, merge_probes, resident/dirty gauges). The zero Scope keeps
+	// the pager silent — recovery oracles must not pollute live metrics
+	// snapshots.
 	Scope obs.Scope
 }
 
@@ -91,6 +92,9 @@ type Pager struct {
 	readBuf []byte
 
 	mReads, mWrites, mHits, mMisses, mEvicts *obs.Counter
+	// mProbes counts the sibling fetches maybeMerge issues, hit or miss:
+	// the page reads a tree operation spends off its own path.
+	mProbes *obs.Counter
 }
 
 // NewPager builds a pager over store.
@@ -111,6 +115,7 @@ func NewPager(store PageStore, cfg Config) *Pager {
 	pg.mHits = sc.Counter("hits")
 	pg.mMisses = sc.Counter("misses")
 	pg.mEvicts = sc.Counter("evictions")
+	pg.mProbes = sc.Counter("merge_probes")
 	sc.GaugeFunc("resident", func() int64 { return int64(pg.resident) })
 	sc.GaugeFunc("dirty", func() int64 { return int64(pg.dirtyN) })
 	return pg

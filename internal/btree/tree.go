@@ -104,6 +104,19 @@ func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
 
 // insert descends from f (pinned by the caller); on overflow the node
 // splits and the new right sibling's id plus its separator bubble up.
+//
+// A put fetches the pages on its root-to-leaf path and nothing else unless
+// a node on that path came back smaller (an update that shrank its entry,
+// or a merge one level down that took a separator out): only then can a
+// sibling pair newly satisfy maybeMerge's rule, because the rule is
+// monotone in both sizes. If every adjacent pair (a, b) under one parent
+// failed (a < minFill || b < minFill) && merged(a, b) <= limit before the
+// put — the occupancy floor CheckInvariants states — and a did not shrink,
+// the pair still fails it after: a side that was at or over minFill still
+// is, and the merged size did not fall. Probing the siblings of a node
+// that kept or gained size can therefore never find a merge, and skipping
+// the probe leaves page shape the same function of the operation history
+// (TestTreeLayoutPinned was recorded with the probe in place).
 func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (sep string, right uint64, split bool, err error) {
 	n := f.n
 	if n.kind == kindLeaf {
@@ -138,18 +151,21 @@ func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (se
 	if err != nil {
 		return "", 0, false, err
 	}
+	before := cf.n.size
 	csep, cright, csplit, err := t.insert(p, cf, key, it, lsn)
 	if err != nil {
 		t.pg.unpin(cf)
 		return "", 0, false, err
 	}
 	if !csplit {
-		// An update-in-place can shrink the child below the fill floor;
-		// restore occupancy exactly like the remove path does.
-		if err := t.maybeMerge(p, f, j, cf, lsn); err != nil {
-			return "", 0, false, err
+		if cf.n.size >= before {
+			t.pg.unpin(cf)
+			return "", 0, false, nil
 		}
-		return "", 0, false, nil
+		// The child shrank and may now sit below the fill floor or fit
+		// into a neighbor; restore occupancy exactly like the remove path
+		// does.
+		return "", 0, false, t.maybeMerge(p, f, j, cf, lsn)
 	}
 	t.pg.unpin(cf)
 	n.keys = append(n.keys, "")
@@ -323,6 +339,12 @@ func mergedSize(kind byte, left, right int, sep string) int {
 // mergeLimit — checking both directions from cf covers the node that
 // shrank and a neighbor that was already underfull and just became
 // absorbable. Merges cascade until cf's pairs are all settled.
+//
+// Callers reach it only for a child whose pairs may have changed standing:
+// one that shrank (remove, a shrinking put — see insert) or one new to its
+// position (the halves of a split, the seam of a branch merge). Each
+// sibling it fetches is a page read off the operation's own path and is
+// counted as a merge_probe.
 func (t *Tree) maybeMerge(p *sim.Proc, f *frame, j int, cf *frame, lsn int64) error {
 	minFill := t.pg.maxCell() / 4
 	limit := 3 * t.pg.maxCell() / 4
@@ -330,6 +352,7 @@ func (t *Tree) maybeMerge(p *sim.Proc, f *frame, j int, cf *frame, lsn int64) er
 	for {
 		merged := false
 		if j > 0 {
+			t.pg.mProbes.Inc()
 			lf, err := t.pg.fetch(p, n.children[j-1])
 			if err != nil {
 				t.pg.unpin(cf)
@@ -348,6 +371,7 @@ func (t *Tree) maybeMerge(p *sim.Proc, f *frame, j int, cf *frame, lsn int64) er
 			}
 		}
 		if j+1 < len(n.children) {
+			t.pg.mProbes.Inc()
 			rf, err := t.pg.fetch(p, n.children[j+1])
 			if err != nil {
 				t.pg.unpin(cf)

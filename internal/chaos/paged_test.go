@@ -13,9 +13,9 @@ import (
 // fuzzy checkpoints — through the full battery (I1-I5 plus the live I9
 // recovery check against the device's own page slots).
 func TestPagedSweepHoldsInvariants(t *testing.T) {
-	seeds, want := 8, uint64(0xd33461aea4461c04)
+	seeds, want := 8, uint64(0x25066d0012e94266)
 	if testing.Short() {
-		seeds, want = 4, 0x3f6620ba41cbf535
+		seeds, want = 4, 0x5dfdb3f221d3624a
 	}
 	results, err := SweepResults(DefaultPagedScenario, seeds, 0)
 	if err != nil {

@@ -147,12 +147,16 @@ func (s *DeviceStore) PageSize() int { return s.dev.BlockSize() }
 // Slots implements PageStore.
 func (s *DeviceStore) Slots() int64 { return s.slots }
 
-func (s *DeviceStore) acquire(p *sim.Proc) {
+// acquire takes the gate. Device commands spend virtual time, so unlike
+// MemStore a DeviceStore needs the calling process: without one the call
+// fails with ErrStore and the gate is not taken.
+func (s *DeviceStore) acquire(p *sim.Proc) error {
 	if p == nil {
-		panic("btree: DeviceStore operation without a process context")
+		return fmt.Errorf("%w: device operation without a process context", ErrStore)
 	}
 	p.WaitFor(s.free, func() bool { return !s.busy })
 	s.busy = true
+	return nil
 }
 
 func (s *DeviceStore) release() {
@@ -172,7 +176,9 @@ func (s *DeviceStore) Read(p *sim.Proc, slot int64, buf []byte) error {
 	if err := s.checkSlot(slot); err != nil {
 		return err
 	}
-	s.acquire(p)
+	if err := s.acquire(p); err != nil {
+		return err
+	}
 	defer s.release()
 	c := s.driver.Submit(p, nvme.Command{Opcode: nvme.OpRead, LBA: s.base + slot, Blocks: 1, PRP: s.scratch})
 	if c.Status != nvme.StatusSuccess {
@@ -201,7 +207,9 @@ func (s *DeviceStore) WriteBatch(p *sim.Proc, slots []int64, images [][]byte) er
 		// The gate is taken per window, not per batch: tree fetches from
 		// other processes interleave between windows, keeping the
 		// checkpoint walk fuzzy for readers too.
-		s.acquire(p)
+		if err := s.acquire(p); err != nil {
+			return err
+		}
 		toks := make([]nvme.Token, 0, end-start)
 		for i := start; i < end; i++ {
 			if err := s.checkSlot(slots[i]); err != nil {
@@ -237,7 +245,9 @@ func (s *DeviceStore) WriteBatch(p *sim.Proc, slots []int64, images [][]byte) er
 // writes only count errors, they never fail the original command, so the
 // delta is the one signal that an acknowledged page write was lost.
 func (s *DeviceStore) Sync(p *sim.Proc) error {
-	s.acquire(p)
+	if err := s.acquire(p); err != nil {
+		return err
+	}
 	defer s.release()
 	c := s.driver.Submit(p, nvme.Command{Opcode: nvme.OpFlush})
 	if c.Status != nvme.StatusSuccess {

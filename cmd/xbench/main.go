@@ -252,6 +252,9 @@ func runSuite(suite string, cells []bench.Cell, path string) error {
 		if best.NandPages != 0 {
 			fmt.Printf("  %d nand pages", best.NandPages)
 		}
+		if best.PageReads != 0 {
+			fmt.Printf("  %d page reads", best.PageReads)
+		}
 		fmt.Println()
 		if strings.HasPrefix(c.Name, "pargroup/") {
 			// The hand-off counters depend on the host, so they are printed
@@ -296,6 +299,7 @@ func timeCell(c bench.Cell) (bench.PerfResult, error) {
 		P999NS:    m.Lat.P999,
 		Commits:   m.Commits,
 		NandPages: m.NandPages,
+		PageReads: m.PageReads,
 	}
 	if wall > 0 {
 		r.EventsPerSec = float64(m.Events) / wall.Seconds()

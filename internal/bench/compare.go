@@ -33,6 +33,9 @@ type PerfResult struct {
 	// programmed: the NAND bill is virtual-deterministic too, and gated
 	// the same way.
 	NandPages int64 `json:"nand_pages,omitempty"`
+	// The perf suite's paged cell carries the pages its buffer pool read
+	// from the device — the tree's read amplification, exact like the rest.
+	PageReads int64 `json:"page_reads,omitempty"`
 }
 
 // WritePerfFile writes results as indented JSON with a trailing newline —
@@ -75,7 +78,8 @@ const compareAllocsTol = 0.05
 // Compare gates a new perf run against a baseline: it fails if any
 // baseline cell is missing from the new run, dispatched a different event
 // count (a determinism break — event counts are machine-independent),
-// moved a quantile, commit count or flash-page count its baseline recorded,
+// moved a quantile, commit count, flash-page count or page-read count its
+// baseline recorded,
 // allocated more than compareAllocsTol above the baseline's count (cells
 // whose baseline recorded no allocs are skipped), or regressed in
 // events/second by more than tol (a fraction, e.g. 0.15) on cells running
@@ -125,6 +129,11 @@ func Compare(baseline, current []PerfResult, tol float64) error {
 			problems = append(problems, fmt.Sprintf(
 				"%s: programmed %d flash pages, baseline %d (the destage policy changed?)",
 				b.Bench, c.NandPages, b.NandPages))
+		}
+		if b.PageReads != 0 && c.PageReads != b.PageReads {
+			problems = append(problems, fmt.Sprintf(
+				"%s: read %d pages from the device, baseline %d (the tree's read budget changed?)",
+				b.Bench, c.PageReads, b.PageReads))
 		}
 		if b.Allocs > 0 && float64(c.Allocs) > float64(b.Allocs)*(1+compareAllocsTol) {
 			problems = append(problems, fmt.Sprintf(

@@ -248,23 +248,33 @@ func TestCompareFlagsQuantileDrift(t *testing.T) {
 }
 
 // TestCompareFlagsNandPageDrift checks that Compare holds a cell that
-// recorded its flash-page count to exactly that count — in either
-// direction, it is a policy change — and gates nothing on a baseline
-// without one.
+// recorded a flash-page count or a device page-read count to exactly that
+// count — in either direction, it is a policy change — and gates nothing
+// on a baseline without one.
 func TestCompareFlagsNandPageDrift(t *testing.T) {
-	baseline := []PerfResult{{Bench: "destage/thinlog", Events: 100, NandPages: 255}}
-	for _, pages := range []int64{254, 1069} {
-		current := []PerfResult{{Bench: "destage/thinlog", Events: 100, NandPages: pages}}
-		if err := Compare(baseline, current, 0.15); err == nil || !strings.Contains(err.Error(), "flash pages") {
-			t.Fatalf("Compare(255 -> %d pages) = %v", pages, err)
+	for _, tc := range []struct {
+		bench, complaint string
+		with             func(n int64) PerfResult
+	}{
+		{"destage/thinlog", "flash pages", func(n int64) PerfResult { return PerfResult{Events: 100, NandPages: n} }},
+		{"paged/tpcc", "pages from the device", func(n int64) PerfResult { return PerfResult{Events: 100, Commits: 7, PageReads: n} }},
+	} {
+		cell := func(n int64) []PerfResult {
+			r := tc.with(n)
+			r.Bench = tc.bench
+			return []PerfResult{r}
 		}
-	}
-	if err := Compare(baseline, baseline, 0.15); err != nil {
-		t.Fatalf("Compare rejected an equal page count: %v", err)
-	}
-	noPages := []PerfResult{{Bench: "fig9", Events: 50}}
-	if err := Compare(noPages, []PerfResult{{Bench: "fig9", Events: 50, NandPages: 9}}, 0.15); err != nil {
-		t.Fatalf("Compare gated pages on a baseline without them: %v", err)
+		for _, n := range []int64{254, 1069} {
+			if err := Compare(cell(255), cell(n), 0.15); err == nil || !strings.Contains(err.Error(), tc.complaint) {
+				t.Fatalf("%s: Compare(255 -> %d) = %v", tc.bench, n, err)
+			}
+		}
+		if err := Compare(cell(255), cell(255), 0.15); err != nil {
+			t.Fatalf("%s: Compare rejected an equal count: %v", tc.bench, err)
+		}
+		if err := Compare(cell(0), cell(9), 0.15); err != nil {
+			t.Fatalf("%s: Compare gated a count its baseline lacks: %v", tc.bench, err)
+		}
 	}
 }
 
@@ -279,5 +289,27 @@ func TestThinLogCellPadsPerBoundNotPerLine(t *testing.T) {
 	}
 	if again := ThinLogCell(); again != m {
 		t.Fatalf("cell does not repeat: %+v then %+v", m, again)
+	}
+}
+
+// TestPagedCellShape pins what the paged/tpcc cell claims to be: a pool a
+// quarter of the loaded tree, misses that reach the device, commits, and
+// an exact repeat.
+func TestPagedCellShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two seconds of paged TPC-C, twice; skipped in -short mode")
+	}
+	m, loaded, err := pagedTPCCCell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quarter := loaded / 4; pagedCellPool < quarter*9/10 || pagedCellPool > quarter*11/10 {
+		t.Errorf("pool of %d pages against %d loaded, want a quarter (%d) within 10%%", pagedCellPool, loaded, quarter)
+	}
+	if m.Commits == 0 || m.PageReads == 0 {
+		t.Errorf("%d commits, %d device page reads; the cell must do both", m.Commits, m.PageReads)
+	}
+	if again, _, err := pagedTPCCCell(); err != nil || again != m {
+		t.Fatalf("cell does not repeat: %+v then %+v (%v)", m, again, err)
 	}
 }

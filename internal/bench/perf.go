@@ -30,13 +30,15 @@ type Cell struct {
 // Measurement is what a cell reports, every field virtual-time and so
 // exact: the simulator events it dispatched (the determinism anchor of
 // every suite), and where the suite gates them a latency digest (latency
-// suite), an aggregate committed-transaction count (shard suite) and the
-// flash pages programmed (the perf suite's destage cell).
+// suite), a committed-transaction count (shard suite, the perf suite's
+// paged cell), the flash pages programmed (the perf suite's destage cell)
+// and the pages a pager read from its device (the paged cell).
 type Measurement struct {
 	Events    int64
 	Lat       obs.Summary
 	Commits   int64
 	NandPages int64
+	PageReads int64
 }
 
 // PerfCells lists the suite in its canonical order. Each cell builds a
@@ -78,6 +80,10 @@ func PerfCells() []Cell {
 		}},
 		{Name: "destage/thinlog", Run: func() (Measurement, error) {
 			return ThinLogCell(), nil
+		}},
+		{Name: "paged/tpcc", Run: func() (Measurement, error) {
+			m, _, err := pagedTPCCCell()
+			return m, err
 		}},
 		// The /swN twins pin the engine explicitly (independent of
 		// -workers): same multi-device topology, different executor

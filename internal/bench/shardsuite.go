@@ -103,7 +103,7 @@ func ShardBenchCell(cell string, shards, simWorkers int, mix tpcc.RemoteMix) (Me
 	var (
 		bootErr error
 		stop    bool
-		clients []*tpcc.ShardedClient
+		clients []*tpcc.Client
 	)
 	cl.Shard(0).Env().Go("shard-bench-boot", func(p *sim.Proc) {
 		if bootErr = cl.Boot(p); bootErr != nil {

@@ -84,7 +84,7 @@ func runSharded(s Scenario) (*Result, error) {
 	var (
 		bootErr error
 		stop    bool
-		clients []*tpcc.ShardedClient
+		clients []*tpcc.Client
 	)
 	cl.Shard(0).Env().Go("chaos-shard-boot", func(p *sim.Proc) {
 		if bootErr = cl.Boot(p); bootErr != nil {

@@ -169,6 +169,10 @@ func (e *Engine) Table(name string) Table {
 	return Table{t: e.tables[name], name: name}
 }
 
+// Name returns the table's name: what a handle resolved on one engine
+// carries to another.
+func (t Table) Name() string { return t.name }
+
 // LookupTable returns the handle of an existing table and never creates
 // one: the resolver for reads that arrive by table name (an absent table
 // holds no rows).

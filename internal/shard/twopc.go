@@ -51,10 +51,17 @@ type partRef struct {
 	writes int // ops sent; the participant must have received exactly this many
 }
 
-// Begin starts a transaction homed on s. All methods must be called from
-// a process on s's Env.
-func (s *Shard) Begin() *Tx {
-	return &Tx{home: s, local: s.eng.Begin()}
+// Begin starts a transaction homed on s and owned by process p: the home
+// engine's reads and commit run on p, exactly as a single-engine
+// transaction's do. All methods must be called from a process on s's Env.
+func (s *Shard) Begin(p *sim.Proc) *Tx { return s.BeginIn(new(Tx), p) }
+
+// BeginIn is Begin into t, a Tx the caller owns that is new or finished,
+// and returns t: a terminal running one transaction at a time begins each
+// in the same Tx and allocates none for it.
+func (s *Shard) BeginIn(t *Tx, p *sim.Proc) *Tx {
+	*t = Tx{home: s, local: s.eng.BeginP(p)}
+	return t
 }
 
 // GID returns the transaction's global id (0 until a remote row is
@@ -95,18 +102,25 @@ func getByName(eng *db.Engine, tx *db.Tx, table, key string) ([]byte, bool) {
 	return tx.GetIn(tab, key)
 }
 
-// GetW reads a row owned by the given warehouse, routing to its shard.
-// Local reads hit the home engine directly; remote reads run inside the
-// owning shard's participant transaction (observing this transaction's
-// own earlier remote writes) and register in its read set, so prepare
-// validates them — OCC serializability spans shards. A peer that cannot
-// be reached returns ErrUnavailable.
-func (t *Tx) GetW(p *sim.Proc, warehouse int, table, key string) ([]byte, bool, error) {
-	sid := t.home.c.ShardOf(warehouse)
-	if sid == t.home.id {
-		v, ok := getByName(t.home.eng, t.local, table, key)
-		return v, ok, nil
+// GetW reads a row owned by the given warehouse, routing to its shard. tab
+// is the table's handle on the home engine. Local reads hit the home
+// engine directly; remote reads carry the table's name to the owning shard
+// and run inside its participant transaction (observing this
+// transaction's own earlier remote writes) and register in its read set,
+// so prepare validates them — OCC serializability spans shards. A peer
+// that cannot be reached returns ErrUnavailable.
+//
+//xssd:hotpath
+func (t *Tx) GetW(p *sim.Proc, warehouse int, tab db.Table, key string) ([]byte, bool, error) {
+	if sid := t.home.c.ShardOf(warehouse); sid != t.home.id {
+		return t.remoteGet(p, sid, tab.Name(), key)
 	}
+	v, ok := t.local.GetIn(tab, key)
+	return v, ok, nil
+}
+
+// remoteGet is GetW's remote arm: a read RPC into shard sid.
+func (t *Tx) remoteGet(p *sim.Proc, sid int, table, key string) ([]byte, bool, error) {
 	t.part(sid)
 	gid, coord := t.gid, t.home.id
 	var val []byte
@@ -125,38 +139,44 @@ func (t *Tx) GetW(p *sim.Proc, warehouse int, table, key string) ([]byte, bool, 
 	return val, ok, nil
 }
 
-// PutW buffers a row write routed by warehouse, taking ownership of val.
-// Remote writes are one-way messages; a lost one is caught at prepare by
-// the op-count check, so it aborts the transaction rather than committing
-// a hole.
-func (t *Tx) PutW(warehouse int, table, key string, val []byte) {
-	sid := t.home.c.ShardOf(warehouse)
-	if sid == t.home.id {
-		t.local.PutOwnedIn(t.home.eng.Table(table), key, val)
+// PutW buffers a row write routed by warehouse, taking ownership of val;
+// tab is the table's handle on the home engine. Remote writes are one-way
+// messages; a lost one is caught at prepare by the op-count check, so it
+// aborts the transaction rather than committing a hole.
+//
+//xssd:hotpath
+func (t *Tx) PutW(warehouse int, tab db.Table, key string, val []byte) {
+	if sid := t.home.c.ShardOf(warehouse); sid != t.home.id {
+		t.remoteWrite(sid, tab.Name(), key, val, false)
 		return
 	}
-	t.part(sid).writes++
-	gid, coord := t.gid, t.home.id
-	t.home.post(t.home.c.shards[sid], func(dst *Shard) {
-		pt := dst.partyFor(gid, coord)
-		pt.writes++
-		pt.tx.PutOwnedIn(dst.eng.Table(table), key, val)
-	})
+	t.local.PutOwnedIn(tab, key, val)
 }
 
 // DeleteW buffers a row deletion routed by warehouse.
-func (t *Tx) DeleteW(warehouse int, table, key string) {
-	sid := t.home.c.ShardOf(warehouse)
-	if sid == t.home.id {
-		t.local.DeleteIn(t.home.eng.Table(table), key)
+//
+//xssd:hotpath
+func (t *Tx) DeleteW(warehouse int, tab db.Table, key string) {
+	if sid := t.home.c.ShardOf(warehouse); sid != t.home.id {
+		t.remoteWrite(sid, tab.Name(), key, nil, true)
 		return
 	}
+	t.local.DeleteIn(tab, key)
+}
+
+// remoteWrite is PutW's and DeleteW's remote arm: one buffered op, sent to
+// shard sid's participant transaction by name.
+func (t *Tx) remoteWrite(sid int, table, key string, val []byte, del bool) {
 	t.part(sid).writes++
 	gid, coord := t.gid, t.home.id
 	t.home.post(t.home.c.shards[sid], func(dst *Shard) {
 		pt := dst.partyFor(gid, coord)
 		pt.writes++
-		pt.tx.DeleteIn(dst.eng.Table(table), key)
+		if del {
+			pt.tx.DeleteIn(dst.eng.Table(table), key)
+		} else {
+			pt.tx.PutOwnedIn(dst.eng.Table(table), key, val)
+		}
 	})
 }
 
@@ -165,13 +185,19 @@ func (t *Tx) DeleteW(warehouse int, table, key string) {
 // pins (it never prepared), and a prepared one resolves through the
 // coordinator's outcome table.
 func (t *Tx) Abort() {
-	if t.done {
-		return
+	if !t.done {
+		t.done = true
+		t.abort(nil)
 	}
-	t.done = true
+}
+
+// abort is the one abort path, Abort's and a failed Commit's (which has
+// already set done): drop the local transaction, record the outcome, and
+// notify every participant. It returns err for Commit to pass on.
+func (t *Tx) abort(err error) error {
 	t.local.Abort()
 	if len(t.parts) == 0 {
-		return
+		return err
 	}
 	t.home.outcomes[t.gid] = false
 	t.home.mAborts2PC.Inc()
@@ -179,6 +205,7 @@ func (t *Tx) Abort() {
 		gid := t.gid
 		t.home.post(t.home.c.shards[sid], func(dst *Shard) { dst.finish(gid, false) })
 	}
+	return err
 }
 
 // Commit finishes the transaction. With no remote participants it is
@@ -197,19 +224,9 @@ func (t *Tx) Commit(p *sim.Proc) error {
 	home := t.home
 	start := p.Now()
 	sort.Ints(t.order) // canonical participant order: the prepare fan-out schedule
-	abort := func(err error) error {
-		t.local.Abort()
-		home.outcomes[t.gid] = false
-		home.mAborts2PC.Inc()
-		for _, sid := range t.order {
-			gid := t.gid
-			home.post(home.c.shards[sid], func(dst *Shard) { dst.finish(gid, false) })
-		}
-		return err
-	}
 	// Phase 0: pin the home rows. Failing here is the cheap abort.
 	if err := t.local.Prepare(); err != nil {
-		return abort(err)
+		return t.abort(err)
 	}
 	// Phase 1: prepare every participant in shard order.
 	for _, sid := range t.order {
@@ -219,10 +236,10 @@ func (t *Tx) Commit(p *sim.Proc) error {
 			dst.startPrepare(gid, coord, nw, func(v bool) { reply(func() { vote = v }) })
 		})
 		if !reached {
-			return abort(ErrUnavailable)
+			return t.abort(ErrUnavailable)
 		}
 		if !vote {
-			return abort(db.ErrConflict)
+			return t.abort(db.ErrConflict)
 		}
 	}
 	home.mPrepareLat.Since(start)
@@ -237,7 +254,7 @@ func (t *Tx) Commit(p *sim.Proc) error {
 	if !home.lg.WaitDurableOrDead(p, lsn) {
 		// The coordinator's device died first: the decision never became
 		// durable, so recovery will presume abort — abort live too.
-		return abort(ErrUnavailable)
+		return t.abort(ErrUnavailable)
 	}
 	home.outcomes[t.gid] = true
 	t.local.CommitPrepared(t.gid)

@@ -52,7 +52,8 @@ type Config struct {
 	// path with this many commits in flight (a wal.Pipeline per client).
 	// 0, the default, keeps the classic synchronous tx.Commit —
 	// byte-identical to the pre-pipeline behavior. Ignored when the
-	// engine runs without a WAL.
+	// engine runs without a WAL, and by a sharded terminal
+	// (NewShardedClient), which always commits synchronously.
 	PipelineDepth int
 	// PipelineScope, when non-zero, registers the pipeline's instruments
 	// (submit→durable latency, in-flight depth) under this scope.

@@ -1,10 +1,12 @@
 package tpcc
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 
 	"xssd/internal/db"
+	"xssd/internal/shard"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
 )
@@ -42,11 +44,32 @@ func (t TxType) String() string {
 // ErrRollback is the intentional 1% NewOrder rollback (clause 2.4.1.4).
 var ErrRollback = errors.New("tpcc: intentional user rollback")
 
-// Client executes the TPC-C mix against an engine from one home
-// warehouse terminal.
+// RemoteMix sets how often NewOrder and Payment reach beyond the home
+// warehouse. The TPC-C spec values are {LinePct: 1, PayPct: 15}; the
+// shard benchmarks sweep it to dial cross-shard pressure.
+type RemoteMix struct {
+	// LinePct is the percent chance each order line's supply warehouse
+	// is remote (spec: 1).
+	LinePct int
+	// PayPct is the percent chance a payment goes through a remote
+	// customer warehouse (spec: 15).
+	PayPct int
+}
+
+// SpecMix is the standard remote mix (1% remote order lines, 15% remote
+// payments).
+func SpecMix() RemoteMix { return RemoteMix{LinePct: 1, PayPct: 15} }
+
+// Client executes the TPC-C mix from one home warehouse terminal, against
+// one engine (NewClient) or a shard cluster (NewShardedClient). Every
+// profile is written once, over a rowTx that routes each row by the
+// warehouse owning it.
 type Client struct {
 	cfg  Config
-	eng  *db.Engine
+	eng  *db.Engine   // the home engine
+	sh   *shard.Shard // the home shard; nil on a classic terminal
+	stx  shard.Tx     // the sharded terminal's transaction, begun anew each time
+	mix  RemoteMix
 	rng  *rand.Rand
 	home int
 
@@ -54,16 +77,15 @@ type Client struct {
 	aborts  int64
 	retries int64
 
-	// commitFn overrides the commit path (pipelined commit); nil means
-	// synchronous tx.Commit. asyncFn is the CommitAsync path RunMixAsync
-	// switches to; both are bound once, in NewClient.
-	commitFn func(*sim.Proc, *db.Tx) error
-	asyncFn  func(*sim.Proc, *db.Tx) error
-	lastLSN  int64
-	pipe     *wal.Pipeline // non-nil when Config.PipelineDepth > 0
+	// async is set while RunMixAsync runs: a classic terminal then commits
+	// through CommitAsync, recording the LSN to wait on in lastLSN.
+	async   bool
+	lastLSN int64
+	pipe    *wal.Pipeline // non-nil when Config.PipelineDepth > 0
 
-	// Resolved table handles: every row access in the transaction mix
-	// goes through these, skipping the engine's per-access name lookup.
+	// Resolved table handles on the home engine: every row access in the
+	// transaction mix goes through these, skipping the engine's
+	// per-access name lookup.
 	tabs tableSet
 
 	// Per-call scratch the terminal owns, cleared by the profile that
@@ -94,38 +116,51 @@ func resolveTables(eng *db.Engine) tableSet {
 	}
 }
 
-// NewClient creates a terminal bound to homeWID. With
-// Config.PipelineDepth > 0 (and a WAL-backed engine) the terminal
-// commits through a private wal.Pipeline, keeping that many
-// transactions in flight instead of stalling on each durability wait;
-// call DrainPipeline before reading final durable counts.
+// rowTx is the transaction a profile runs on: *shard.Tx on a sharded
+// terminal, localTx on a classic one. Every row names the warehouse that
+// owns it, and every table is a handle resolved on the home engine.
+type rowTx interface {
+	GetW(p *sim.Proc, warehouse int, tab db.Table, key string) ([]byte, bool, error)
+	PutW(warehouse int, tab db.Table, key string, val []byte)
+	DeleteW(warehouse int, tab db.Table, key string)
+	ID() int64
+	Abort()
+}
+
+// localTx is the classic terminal's rowTx: one engine owns every
+// warehouse, so the routing argument plays no part and no read fails.
+type localTx struct{ *db.Tx }
+
+//xssd:hotpath
+func (t localTx) GetW(_ *sim.Proc, _ int, tab db.Table, key string) ([]byte, bool, error) {
+	v, ok := t.GetIn(tab, key)
+	return v, ok, nil
+}
+
+//xssd:hotpath
+func (t localTx) PutW(_ int, tab db.Table, key string, val []byte) { t.PutOwnedIn(tab, key, val) }
+
+//xssd:hotpath
+func (t localTx) DeleteW(_ int, tab db.Table, key string) { t.DeleteIn(tab, key) }
+
+// NewClient creates a terminal bound to homeWID, drawing remote
+// warehouses at SpecMix. With Config.PipelineDepth > 0 (and a WAL-backed
+// engine) the terminal commits through a private wal.Pipeline, keeping
+// that many transactions in flight instead of stalling on each durability
+// wait; call DrainPipeline before reading final durable counts.
 func NewClient(eng *db.Engine, cfg Config, seed int64, homeWID int) *Client {
-	c := newTerminal(eng, cfg, seed, homeWID)
-	c.asyncFn = func(_ *sim.Proc, tx *db.Tx) error {
-		lsn, err := tx.CommitAsync()
-		if err == nil {
-			c.lastLSN = lsn
-		}
-		return err
-	}
+	c := newTerminal(eng, cfg, seed, homeWID, SpecMix())
 	if cfg.PipelineDepth > 0 && eng.Log() != nil {
 		c.pipe = wal.NewPipeline(eng.Log(), cfg.PipelineDepth, cfg.PipelineScope)
-		c.commitFn = func(p *sim.Proc, tx *db.Tx) error {
-			lsn, err := tx.CommitPipelined(p, c.pipe)
-			if err == nil {
-				c.lastLSN = lsn
-			}
-			return err
-		}
 	}
 	return c
 }
 
-// newTerminal builds the state every terminal has — the classic one and
-// the one inside a ShardedClient — with the synchronous commit path.
-func newTerminal(eng *db.Engine, cfg Config, seed int64, homeWID int) *Client {
+// newTerminal builds the state every terminal has, classic or sharded,
+// with the synchronous commit path.
+func newTerminal(eng *db.Engine, cfg Config, seed int64, homeWID int, mix RemoteMix) *Client {
 	return &Client{
-		cfg: cfg, eng: eng, rng: rand.New(rand.NewSource(seed)), home: homeWID,
+		cfg: cfg, eng: eng, mix: mix, rng: rand.New(rand.NewSource(seed)), home: homeWID,
 		tabs: resolveTables(eng), seen: map[int64]bool{},
 	}
 }
@@ -166,8 +201,11 @@ func (c *Client) PickType() TxType {
 }
 
 // RunOne executes one transaction of the given type, retrying OCC
-// conflicts up to three times. It returns the committed transaction's
-// type; intentional rollbacks count as completed NewOrders per the spec.
+// conflicts up to three times. An intentional rollback counts as a
+// completed NewOrder per the spec and returns nil; any other failure — a
+// conflict that outlived its retries, an unreachable shard
+// (shard.ErrUnavailable, never retried) — counts as an abort and is
+// returned.
 func (c *Client) RunOne(p *sim.Proc, t TxType) error {
 	var err error
 	for attempt := 0; attempt < 4; attempt++ {
@@ -205,25 +243,67 @@ func (c *Client) RunMix(p *sim.Proc) (TxType, error) {
 	return t, c.RunOne(p, t)
 }
 
-// commit finishes a transaction through the configured commit path.
-func (c *Client) commit(p *sim.Proc, tx *db.Tx) error {
-	if c.commitFn != nil {
-		return c.commitFn(p, tx)
+// begin starts a transaction on the terminal's process: on the home shard
+// for a sharded terminal, on the engine for a classic one.
+func (c *Client) begin(p *sim.Proc) rowTx {
+	if c.sh != nil {
+		return c.sh.BeginIn(&c.stx, p)
 	}
-	return tx.Commit(p)
+	return localTx{c.eng.BeginP(p)}
+}
+
+// commit finishes a transaction on the terminal's commit path. A sharded
+// transaction commits itself — locally, or through 2PC when it touched
+// another shard — and waits for durability. A classic one commits
+// asynchronously inside RunMixAsync, through the pipeline when
+// Config.PipelineDepth set one up, and synchronously otherwise.
+func (c *Client) commit(p *sim.Proc, tx rowTx) error {
+	if stx, ok := tx.(*shard.Tx); ok {
+		return stx.Commit(p)
+	}
+	ltx := tx.(localTx)
+	var lsn int64
+	var err error
+	switch {
+	case c.async:
+		lsn, err = ltx.CommitAsync()
+	case c.pipe != nil:
+		lsn, err = ltx.CommitPipelined(p, c.pipe)
+	default:
+		return ltx.Commit(p)
+	}
+	if err == nil {
+		c.lastLSN = lsn
+	}
+	return err
 }
 
 // RunMixAsync executes one mixed transaction with pipelined commit: the
 // write set is applied and appended to the log, and the LSN to wait on is
 // returned instead of blocking (0 for read-only transactions and
-// intentional rollbacks). Conflicts are retried like RunOne.
+// intentional rollbacks). Conflicts are retried like RunOne. A sharded
+// terminal commits synchronously here and always returns 0.
 func (c *Client) RunMixAsync(p *sim.Proc) (int64, error) {
 	c.lastLSN = 0
-	prev := c.commitFn // a pipelined terminal restores its commit path
-	c.commitFn = c.asyncFn
+	c.async = true
 	_, err := c.RunMix(p)
-	c.commitFn = prev
+	c.async = false
 	return c.lastLSN, err
+}
+
+// abort ends tx and passes err on: the one exit of a profile that gives up.
+func abort(tx rowTx, err error) error {
+	tx.Abort()
+	return err
+}
+
+// orErr returns err if set, otherwise a fresh error with msg (a missing
+// row on a reachable shard is a data bug, not an availability problem).
+func orErr(err error, msg string) error {
+	if err != nil {
+		return err
+	}
+	return errors.New(msg)
 }
 
 func (c *Client) randCID() int {
@@ -235,7 +315,9 @@ func (c *Client) randIID() int {
 }
 
 // newOrder implements clause 2.4: insert an order of 5-15 lines, updating
-// district and stock.
+// district and stock. An order line whose supply warehouse lives on
+// another shard reads and updates that shard's stock inside the same
+// transaction.
 func (c *Client) newOrder(p *sim.Proc) error {
 	w := c.home
 	d := c.rng.Intn(c.cfg.Districts) + 1
@@ -243,28 +325,25 @@ func (c *Client) newOrder(p *sim.Proc) error {
 	olCnt := c.rng.Intn(11) + 5
 	rollback := c.rng.Intn(100) == 0 // 1% pick an unused item id
 
-	tx := c.eng.BeginP(p)
-	wRow, ok := tx.GetIn(c.tabs.warehouse, WKey(w))
-	if !ok {
-		tx.Abort()
-		return errors.New("tpcc: missing warehouse")
+	tx := c.begin(p)
+	wRow, ok, err := tx.GetW(p, w, c.tabs.warehouse, WKey(w))
+	if err != nil || !ok {
+		return abort(tx, orErr(err, "tpcc: missing warehouse"))
 	}
 	wh := DecodeWarehouse(wRow)
 	dKey := DKey(w, d)
-	dRow, ok := tx.GetIn(c.tabs.district, dKey)
-	if !ok {
-		tx.Abort()
-		return errors.New("tpcc: missing district")
+	dRow, ok, err := tx.GetW(p, w, c.tabs.district, dKey)
+	if err != nil || !ok {
+		return abort(tx, orErr(err, "tpcc: missing district"))
 	}
 	dist := DecodeDistrict(dRow)
 	oid := int(dist.NextOID)
 	dist.NextOID++
-	tx.PutOwnedIn(c.tabs.district, dKey, dist.Encode())
+	tx.PutW(w, c.tabs.district, dKey, dist.Encode())
 
-	cRow, ok := tx.GetIn(c.tabs.customer, CKey(w, d, cid))
-	if !ok {
-		tx.Abort()
-		return errors.New("tpcc: missing customer")
+	cRow, ok, err := tx.GetW(p, w, c.tabs.customer, CKey(w, d, cid))
+	if err != nil || !ok {
+		return abort(tx, orErr(err, "tpcc: missing customer"))
 	}
 	cust := DecodeCustomer(cRow)
 
@@ -276,23 +355,22 @@ func (c *Client) newOrder(p *sim.Proc) error {
 			iid = c.cfg.Items + 1 // guaranteed miss
 		}
 		supplyW := w
-		if c.cfg.Warehouses > 1 && c.rng.Intn(100) == 0 { // 1% remote
+		if c.cfg.Warehouses > 1 && c.rng.Intn(100) < c.mix.LinePct {
 			for supplyW == w {
 				supplyW = c.rng.Intn(c.cfg.Warehouses) + 1
 			}
 			allLocal = false
 		}
-		iRow, ok := tx.GetIn(c.tabs.item, IKey(iid))
-		if !ok {
-			tx.Abort()
-			return ErrRollback // "unused item number" rollback
+		// The item catalog replicates to every shard: read it at home.
+		iRow, ok, err := tx.GetW(p, w, c.tabs.item, IKey(iid))
+		if err != nil || !ok {
+			return abort(tx, cmp.Or(err, ErrRollback)) // "unused item number" rollback
 		}
 		item := DecodeItem(iRow)
 		sKey := SKey(supplyW, iid)
-		sRow, ok := tx.GetIn(c.tabs.stock, sKey)
-		if !ok {
-			tx.Abort()
-			return errors.New("tpcc: missing stock")
+		sRow, ok, err := tx.GetW(p, supplyW, c.tabs.stock, sKey)
+		if err != nil || !ok {
+			return abort(tx, orErr(err, "tpcc: missing stock"))
 		}
 		stock := DecodeStock(sRow)
 		qty := int64(c.rng.Intn(10) + 1)
@@ -306,31 +384,33 @@ func (c *Client) newOrder(p *sim.Proc) error {
 		if supplyW != w {
 			stock.RemoteCnt++
 		}
-		tx.PutOwnedIn(c.tabs.stock, sKey, stock.Encode())
+		tx.PutW(supplyW, c.tabs.stock, sKey, stock.Encode())
 		amount := qty * item.Price
 		total += amount
-		tx.PutOwnedIn(c.tabs.orderLine, OLKey(w, d, oid, ln), OrderLine{
+		tx.PutW(w, c.tabs.orderLine, OLKey(w, d, oid, ln), OrderLine{
 			IID: int64(iid), SupplyW: int64(supplyW), Qty: qty,
 			Amount: amount, DistInfo: stock.Dist,
 		}.Encode())
 	}
 	_ = total * (10000 - cust.Discount) / 10000 * (10000 + wh.Tax + dist.Tax) / 10000
 
-	tx.PutOwnedIn(c.tabs.order, OKey(w, d, oid), Order{
+	tx.PutW(w, c.tabs.order, OKey(w, d, oid), Order{
 		CID: int64(cid), EntryD: int64(p.Now()), OLCnt: int64(olCnt), AllLocal: allLocal,
 	}.Encode())
-	tx.PutOwnedIn(c.tabs.newOrder, NOKey(w, d, oid), []byte{1})
+	tx.PutW(w, c.tabs.newOrder, NOKey(w, d, oid), []byte{1})
 	return c.commit(p, tx)
 }
 
 // payment implements clause 2.5: pay against warehouse/district/customer,
-// recording history. 60% select the customer by last name, 15% pay through
-// a remote warehouse.
+// recording history. 60% select the customer by last name; some pay
+// through a remote customer warehouse, whose balance lives on that
+// warehouse's shard while warehouse/district YTD and the history row stay
+// home.
 func (c *Client) payment(p *sim.Proc) error {
 	w := c.home
 	d := c.rng.Intn(c.cfg.Districts) + 1
 	cw, cd := w, d
-	if c.cfg.Warehouses > 1 && c.rng.Intn(100) < 15 {
+	if c.cfg.Warehouses > 1 && c.rng.Intn(100) < c.mix.PayPct {
 		for cw == w {
 			cw = c.rng.Intn(c.cfg.Warehouses) + 1
 		}
@@ -338,37 +418,33 @@ func (c *Client) payment(p *sim.Proc) error {
 	}
 	amount := int64(c.rng.Intn(499900) + 100)
 
-	tx := c.eng.BeginP(p)
+	tx := c.begin(p)
 	wKey := WKey(w)
-	wRow, ok := tx.GetIn(c.tabs.warehouse, wKey)
-	if !ok {
-		tx.Abort()
-		return errors.New("tpcc: missing warehouse")
+	wRow, ok, err := tx.GetW(p, w, c.tabs.warehouse, wKey)
+	if err != nil || !ok {
+		return abort(tx, orErr(err, "tpcc: missing warehouse"))
 	}
 	wh := DecodeWarehouse(wRow)
 	wh.YTD += amount
-	tx.PutOwnedIn(c.tabs.warehouse, wKey, wh.Encode())
+	tx.PutW(w, c.tabs.warehouse, wKey, wh.Encode())
 
 	dKey := DKey(w, d)
-	dRow, ok := tx.GetIn(c.tabs.district, dKey)
-	if !ok {
-		tx.Abort()
-		return errors.New("tpcc: missing district")
+	dRow, ok, err := tx.GetW(p, w, c.tabs.district, dKey)
+	if err != nil || !ok {
+		return abort(tx, orErr(err, "tpcc: missing district"))
 	}
 	dist := DecodeDistrict(dRow)
 	dist.YTD += amount
-	tx.PutOwnedIn(c.tabs.district, dKey, dist.Encode())
+	tx.PutW(w, c.tabs.district, dKey, dist.Encode())
 
-	cid, err := c.selectCustomer(tx, cw, cd)
+	cid, err := c.selectCustomer(p, tx, cw, cd)
 	if err != nil {
-		tx.Abort()
-		return err
+		return abort(tx, err)
 	}
 	cKey := CKey(cw, cd, cid)
-	cRow, ok := tx.GetIn(c.tabs.customer, cKey)
-	if !ok {
-		tx.Abort()
-		return errors.New("tpcc: missing customer")
+	cRow, ok, err := tx.GetW(p, cw, c.tabs.customer, cKey)
+	if err != nil || !ok {
+		return abort(tx, orErr(err, "tpcc: missing customer"))
 	}
 	cust := DecodeCustomer(cRow)
 	cust.Balance -= amount
@@ -377,8 +453,8 @@ func (c *Client) payment(p *sim.Proc) error {
 	if cust.Credit == "BC" {
 		cust.Data = randomFiller(c.rng, c.cfg.FillerLen)
 	}
-	tx.PutOwnedIn(c.tabs.customer, cKey, cust.Encode())
-	tx.PutOwnedIn(c.tabs.history, HKey(w, d, tx.ID()), History{
+	tx.PutW(cw, c.tabs.customer, cKey, cust.Encode())
+	tx.PutW(w, c.tabs.history, HKey(w, d, tx.ID()), History{
 		CID: int64(cid), Amount: amount, Date: int64(p.Now()),
 		Data: wh.Name + " " + dist.Name,
 	}.Encode())
@@ -386,11 +462,14 @@ func (c *Client) payment(p *sim.Proc) error {
 }
 
 // selectCustomer picks by last name 60% of the time (middle match, clause
-// 2.5.2.2), by id otherwise.
-func (c *Client) selectCustomer(tx *db.Tx, w, d int) (int, error) {
+// 2.5.2.2), by id otherwise, reading the name index of warehouse w.
+func (c *Client) selectCustomer(p *sim.Proc, tx rowTx, w, d int) (int, error) {
 	if c.rng.Intn(100) < 60 {
 		last := LastName(nuRand(c.rng, 255, cLast, 0, 999))
-		idxRow, ok := tx.GetIn(c.tabs.custIdx, CIdxKey(w, d, last))
+		idxRow, ok, err := tx.GetW(p, w, c.tabs.custIdx, CIdxKey(w, d, last))
+		if err != nil {
+			return 0, err
+		}
 		if !ok {
 			// Name not present at this scale: fall back to id selection.
 			return c.randCID(), nil
@@ -409,25 +488,25 @@ func (c *Client) selectCustomer(tx *db.Tx, w, d int) (int, error) {
 func (c *Client) orderStatus(p *sim.Proc) error {
 	w := c.home
 	d := c.rng.Intn(c.cfg.Districts) + 1
-	tx := c.eng.BeginP(p)
-	cid, err := c.selectCustomer(tx, w, d)
+	tx := c.begin(p)
+	cid, err := c.selectCustomer(p, tx, w, d)
 	if err != nil {
-		tx.Abort()
-		return err
+		return abort(tx, err)
 	}
-	if _, ok := tx.GetIn(c.tabs.customer, CKey(w, d, cid)); !ok {
-		tx.Abort()
-		return errors.New("tpcc: missing customer")
+	if _, ok, err := tx.GetW(p, w, c.tabs.customer, CKey(w, d, cid)); err != nil || !ok {
+		return abort(tx, orErr(err, "tpcc: missing customer"))
 	}
-	dRow, ok := tx.GetIn(c.tabs.district, DKey(w, d))
-	if !ok {
-		tx.Abort()
-		return errors.New("tpcc: missing district")
+	dRow, ok, err := tx.GetW(p, w, c.tabs.district, DKey(w, d))
+	if err != nil || !ok {
+		return abort(tx, orErr(err, "tpcc: missing district"))
 	}
 	dist := DecodeDistrict(dRow)
 	// Scan backwards for this customer's latest order (bounded walk).
 	for oid := int(dist.NextOID) - 1; oid >= 1 && oid > int(dist.NextOID)-50; oid-- {
-		oRow, ok := tx.GetIn(c.tabs.order, OKey(w, d, oid))
+		oRow, ok, err := tx.GetW(p, w, c.tabs.order, OKey(w, d, oid))
+		if err != nil {
+			return abort(tx, err)
+		}
 		if !ok {
 			continue
 		}
@@ -436,7 +515,9 @@ func (c *Client) orderStatus(p *sim.Proc) error {
 			continue
 		}
 		for ln := 1; ln <= int(order.OLCnt); ln++ {
-			tx.GetIn(c.tabs.orderLine, OLKey(w, d, oid, ln))
+			if _, _, err := tx.GetW(p, w, c.tabs.orderLine, OLKey(w, d, oid, ln)); err != nil {
+				return abort(tx, err)
+			}
 		}
 		break
 	}
@@ -448,10 +529,13 @@ func (c *Client) orderStatus(p *sim.Proc) error {
 func (c *Client) delivery(p *sim.Proc) error {
 	w := c.home
 	carrier := int64(c.rng.Intn(10) + 1)
-	tx := c.eng.BeginP(p)
+	tx := c.begin(p)
 	for d := 1; d <= c.cfg.Districts; d++ {
 		dKey := DKey(w, d)
-		dRow, ok := tx.GetIn(c.tabs.district, dKey)
+		dRow, ok, err := tx.GetW(p, w, c.tabs.district, dKey)
+		if err != nil {
+			return abort(tx, err)
+		}
 		if !ok {
 			continue
 		}
@@ -461,24 +545,30 @@ func (c *Client) delivery(p *sim.Proc) error {
 			continue // nothing to deliver in this district
 		}
 		noKey := NOKey(w, d, oid)
-		if _, ok := tx.GetIn(c.tabs.newOrder, noKey); !ok {
-			// Order consumed by a concurrent delivery; advance anyway.
-			dist.NextDelivery++
-			tx.PutOwnedIn(c.tabs.district, dKey, dist.Encode())
-			continue
+		_, ok, err = tx.GetW(p, w, c.tabs.newOrder, noKey)
+		if err != nil {
+			return abort(tx, err)
 		}
-		tx.DeleteIn(c.tabs.newOrder, noKey)
+		if ok {
+			tx.DeleteW(w, c.tabs.newOrder, noKey)
+		}
 		dist.NextDelivery++
-		tx.PutOwnedIn(c.tabs.district, dKey, dist.Encode())
+		tx.PutW(w, c.tabs.district, dKey, dist.Encode())
+		if !ok {
+			continue // order consumed by a concurrent delivery; advance anyway
+		}
 
 		oKey := OKey(w, d, oid)
-		oRow, ok := tx.GetIn(c.tabs.order, oKey)
+		oRow, ok, err := tx.GetW(p, w, c.tabs.order, oKey)
+		if err != nil {
+			return abort(tx, err)
+		}
 		if !ok {
 			continue
 		}
 		order := DecodeOrder(oRow)
 		order.Carrier = carrier
-		tx.PutOwnedIn(c.tabs.order, oKey, order.Encode())
+		tx.PutW(w, c.tabs.order, oKey, order.Encode())
 		// DeliveryD == 0 means "undelivered", so a delivery at virtual
 		// time zero must still stamp a nonzero instant.
 		stamp := int64(p.Now())
@@ -488,24 +578,30 @@ func (c *Client) delivery(p *sim.Proc) error {
 		var total int64
 		for ln := 1; ln <= int(order.OLCnt); ln++ {
 			olKey := OLKey(w, d, oid, ln)
-			olRow, ok := tx.GetIn(c.tabs.orderLine, olKey)
+			olRow, ok, err := tx.GetW(p, w, c.tabs.orderLine, olKey)
+			if err != nil {
+				return abort(tx, err)
+			}
 			if !ok {
 				continue
 			}
 			ol := DecodeOrderLine(olRow)
 			ol.DeliveryD = stamp
 			total += ol.Amount
-			tx.PutOwnedIn(c.tabs.orderLine, olKey, ol.Encode())
+			tx.PutW(w, c.tabs.orderLine, olKey, ol.Encode())
 		}
 		cKey := CKey(w, d, int(order.CID))
-		cRow, ok := tx.GetIn(c.tabs.customer, cKey)
+		cRow, ok, err := tx.GetW(p, w, c.tabs.customer, cKey)
+		if err != nil {
+			return abort(tx, err)
+		}
 		if !ok {
 			continue
 		}
 		cust := DecodeCustomer(cRow)
 		cust.Balance += total
 		cust.DeliveryCnt++
-		tx.PutOwnedIn(c.tabs.customer, cKey, cust.Encode())
+		tx.PutW(w, c.tabs.customer, cKey, cust.Encode())
 	}
 	return c.commit(p, tx)
 }
@@ -516,23 +612,28 @@ func (c *Client) stockLevel(p *sim.Proc) error {
 	w := c.home
 	d := c.rng.Intn(c.cfg.Districts) + 1
 	threshold := int64(c.rng.Intn(11) + 10)
-	tx := c.eng.BeginP(p)
-	dRow, ok := tx.GetIn(c.tabs.district, DKey(w, d))
-	if !ok {
-		tx.Abort()
-		return errors.New("tpcc: missing district")
+	tx := c.begin(p)
+	dRow, ok, err := tx.GetW(p, w, c.tabs.district, DKey(w, d))
+	if err != nil || !ok {
+		return abort(tx, orErr(err, "tpcc: missing district"))
 	}
 	dist := DecodeDistrict(dRow)
 	low := 0
 	clear(c.seen)
 	for oid := int(dist.NextOID) - 1; oid >= 1 && oid > int(dist.NextOID)-20; oid-- {
-		oRow, ok := tx.GetIn(c.tabs.order, OKey(w, d, oid))
+		oRow, ok, err := tx.GetW(p, w, c.tabs.order, OKey(w, d, oid))
+		if err != nil {
+			return abort(tx, err)
+		}
 		if !ok {
 			continue
 		}
 		order := DecodeOrder(oRow)
 		for ln := 1; ln <= int(order.OLCnt); ln++ {
-			olRow, ok := tx.GetIn(c.tabs.orderLine, OLKey(w, d, oid, ln))
+			olRow, ok, err := tx.GetW(p, w, c.tabs.orderLine, OLKey(w, d, oid, ln))
+			if err != nil {
+				return abort(tx, err)
+			}
 			if !ok {
 				continue
 			}
@@ -541,11 +642,11 @@ func (c *Client) stockLevel(p *sim.Proc) error {
 				continue
 			}
 			c.seen[ol.IID] = true
-			sRow, ok := tx.GetIn(c.tabs.stock, SKey(w, int(ol.IID)))
-			if !ok {
-				continue
+			sRow, ok, err := tx.GetW(p, w, c.tabs.stock, SKey(w, int(ol.IID)))
+			if err != nil {
+				return abort(tx, err)
 			}
-			if DecodeStock(sRow).Qty < threshold {
+			if ok && DecodeStock(sRow).Qty < threshold {
 				low++
 			}
 		}

@@ -1,7 +1,7 @@
 // Package maporder flags map iteration whose nondeterministic order can
-// leak into the simulation: calls into the sim/trace engines from inside a
-// range-over-map body, and slices accumulated in map order that the
-// function never sorts.
+// leak into the simulation: calls into the sim engine or the event tracer
+// from inside a range-over-map body, and slices accumulated in map order
+// that the function never sorts.
 package maporder
 
 import (
@@ -18,18 +18,28 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `forbid map-iteration order from feeding event scheduling
 
 Go randomizes map iteration order per run. A range over a map whose body
-schedules events (any call into xssd/internal/sim or xssd/internal/trace)
-makes the event sequence — and therefore the whole run — irreproducible.
-Likewise a slice appended to in map order and never sorted carries the
+schedules events (any call into xssd/internal/sim) or records them
+((*obs.Tracer).Record, whose fingerprint is order-sensitive) makes the
+event sequence — and therefore the whole run — irreproducible. Likewise a
+slice appended to in map order and never sorted carries the
 nondeterminism to whatever consumes it. Iterate sorted keys instead.`,
 	Run: run,
 }
 
-// taintedPkgs are the packages whose call graph is event-ordering
-// sensitive: calling into them in map order perturbs the run.
-var taintedPkgs = map[string]bool{
-	"xssd/internal/sim":   true,
-	"xssd/internal/trace": true,
+// tainted reports whether calling fn in map order perturbs the run: every
+// function of the sim engine, and the tracer's Record. The rest of obs
+// (counters, histograms) is commutative and stays untainted.
+func tainted(fn *types.Func) bool {
+	if fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() {
+	case "xssd/internal/sim":
+		return true
+	case "xssd/internal/obs":
+		return fn.FullName() == "(*xssd/internal/obs.Tracer).Record"
+	}
+	return false
 }
 
 func run(pass *analysis.Pass) error {
@@ -89,7 +99,7 @@ func checkMapRange(pass *analysis.Pass, fnBody *ast.BlockStmt, rng *ast.RangeStm
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if fn := analysis.Callee(pass.TypesInfo, n); fn != nil && fn.Pkg() != nil && taintedPkgs[fn.Pkg().Path()] {
+			if fn := analysis.Callee(pass.TypesInfo, n); fn != nil && tainted(fn) {
 				pass.Reportf(n.Pos(), "call to %s.%s inside map iteration: event order becomes map-iteration order, which is nondeterministic; iterate sorted keys", fn.Pkg().Name(), fn.Name())
 			}
 		case *ast.AssignStmt:

@@ -1,12 +1,13 @@
-// Package a exercises the maporder analyzer: sim calls and unsorted
-// accumulation inside range-over-map are reported; slice iteration and
-// sorted accumulation are not.
+// Package a exercises the maporder analyzer: sim calls, tracer records and
+// unsorted accumulation inside range-over-map are reported; slice
+// iteration, sorted accumulation and the rest of obs are not.
 package a
 
 import (
 	"sort"
 	"time"
 
+	"xssd/internal/obs"
 	"xssd/internal/sim"
 )
 
@@ -45,5 +46,21 @@ func sortedAccumulation(m map[string]int) []string {
 func sliceOrderIsDeterministic(env *sim.Env, names []string, fn func(*sim.Proc)) {
 	for _, n := range names {
 		env.Go(n, fn)
+	}
+}
+
+// recordInMapOrder: the tracer's fingerprint folds events in record order,
+// so map order would reach it.
+func recordInMapOrder(tr *obs.Tracer, pages map[string]int64) {
+	for name, n := range pages {
+		tr.Record(obs.DestagePage, name, n, 0) // want "call to obs.Record inside map iteration"
+	}
+}
+
+// countInMapOrder: counter adds commute, so map order cannot reach a
+// snapshot.
+func countInMapOrder(c *obs.Counter, pages map[string]int64) {
+	for _, n := range pages {
+		c.Add(n)
 	}
 }

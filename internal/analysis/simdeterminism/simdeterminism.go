@@ -21,9 +21,8 @@ The simulation engine serializes all processes and orders events by
 (virtual time, sequence number), so a run is a pure function of its seed.
 time.Now (and friends), the globally seeded math/rand top-level functions,
 and go statements that bypass (*sim.Env).Go all reintroduce host
-nondeterminism. internal/sim itself, the internal/obs metrics layer
-(whose instruments are driven entirely by sim virtual time), and the
-cmd/ entry points are exempt.`,
+nondeterminism. internal/sim itself and the cmd/ entry points are
+exempt.`,
 	Run: run,
 }
 
@@ -43,9 +42,7 @@ var randOK = map[string]bool{
 }
 
 func exempt(path string) bool {
-	return path == "xssd/internal/sim" ||
-		path == "xssd/internal/obs" ||
-		strings.HasPrefix(path, "xssd/cmd/")
+	return path == "xssd/internal/sim" || strings.HasPrefix(path, "xssd/cmd/")
 }
 
 func run(pass *analysis.Pass) error {

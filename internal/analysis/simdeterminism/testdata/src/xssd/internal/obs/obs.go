@@ -1,14 +1,15 @@
-// Package obs stands in for the metrics layer, which is sanctioned:
-// its instruments record sim virtual time only, and its snapshot code
-// may legitimately touch time helpers without breaking reproducibility.
+// Package obs stands in for the measurement layer, which gets no
+// exemption: its samples, histograms and tracer are driven by sim
+// virtual time, so a wall-clock read or a raw goroutine there breaks
+// reproducibility like anywhere else.
 package obs
 
 import "time"
 
 func Elapsed(start time.Time) time.Duration {
-	return time.Since(start) // deliberately no report: internal/obs is exempt
+	return time.Since(start) // want "time.Since reads the wall clock"
 }
 
 func Flush(fn func()) {
-	go fn() // deliberately no report: internal/obs is exempt
+	go fn() // want "raw go statement bypasses the sim scheduler"
 }

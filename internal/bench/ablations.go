@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"xssd/internal/core"
-	"xssd/internal/metrics"
 	"xssd/internal/nand"
 	"xssd/internal/ntb"
 	"xssd/internal/nvme"
+	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
 	"xssd/internal/sched"
@@ -48,7 +48,7 @@ func AblationScheme() *Table {
 	return t
 }
 
-func ablationSchemeCell(scheme core.ReplicationScheme) metrics.Candlestick {
+func ablationSchemeCell(scheme core.ReplicationScheme) obs.Candlestick {
 	c := newCellSim(5)
 	defer c.Close()
 	env := c.env
@@ -62,7 +62,7 @@ func ablationSchemeCell(scheme core.ReplicationScheme) metrics.Candlestick {
 		setRoles(c, prim, sec)
 	}
 	prim.Transport().SetScheme(scheme)
-	var sample metrics.Sample
+	var sample obs.Sample
 	env.Go("writer", func(p *sim.Proc) {
 		l := xapi.Open(p, prim, xapi.Options{})
 		buf := make([]byte, 256)
@@ -95,17 +95,18 @@ func AblationCredit() *Table {
 		if strat == xapi.CheckEveryChunk {
 			name = "check-every-chunk"
 		}
-		mbps, readsPerMB := ablationCreditCell(strat)
+		mbps, readsPerMB := ablationCreditCell(strat, name)
 		t.Add(name, fmt.Sprintf("%.0f", mbps), fmt.Sprintf("%.0f", readsPerMB))
 	}
 	return t
 }
 
-func ablationCreditCell(strat xapi.CreditStrategy) (mbps, readsPerMB float64) {
-	env := sim.NewEnv(1)
-	dev := fig10Device(env, pm.SRAMSpec)
+func ablationCreditCell(strat xapi.CreditStrategy, name string) (mbps, readsPerMB float64) {
+	c := newCellSim(1)
+	defer c.Close()
+	dev := fig10Device(c.env, pm.SRAMSpec)
 	var reads int64
-	env.Go("writer", func(p *sim.Proc) {
+	c.env.Go("writer", func(p *sim.Proc) {
 		l := xapi.Open(p, dev, xapi.Options{Strategy: strat})
 		buf := make([]byte, 4096)
 		for {
@@ -113,12 +114,9 @@ func ablationCreditCell(strat xapi.CreditStrategy) (mbps, readsPerMB float64) {
 			reads = l.CreditReads()
 		}
 	})
-	env.RunUntil(20 * time.Millisecond)
-	name := "use-all-credits"
-	if strat == xapi.CheckEveryChunk {
-		name = "check-every-chunk"
-	}
-	captureCell("ablation-credit/"+name, env)
+	c.Parallelize()
+	c.RunUntil(20 * time.Millisecond)
+	c.capture("ablation-credit/" + name)
 	bytes := float64(dev.CMB().Ring().Frontier())
 	mb := bytes / 1e6
 	if mb == 0 {
@@ -137,69 +135,77 @@ func AblationBacking() *Table {
 	}
 	// Villars fast side per backing.
 	for _, backing := range []pm.Spec{pm.SRAMSpec, pm.DRAMSpec} {
-		env := sim.NewEnv(1)
-		dev := fig10Device(env, backing)
-		var sample metrics.Sample
-		env.Go("writer", func(p *sim.Proc) {
-			l := xapi.Open(p, dev, xapi.Options{})
-			buf := make([]byte, 16<<10)
-			for {
-				t0 := p.Now()
-				l.XPwrite(p, buf)
-				if err := l.XFsync(p); err != nil {
-					return
+		p50 := ablationBackingCell(fmt.Sprintf("villars-%s", backing.Class), func(env *sim.Env) flushOpener {
+			dev := fig10Device(env, backing)
+			return func(p *sim.Proc) func() bool {
+				l := xapi.Open(p, dev, xapi.Options{})
+				buf := make([]byte, 16<<10)
+				return func() bool {
+					l.XPwrite(p, buf)
+					return l.XFsync(p) == nil
 				}
-				sample.Add(p.Now() - t0)
-				p.Sleep(50 * time.Microsecond)
 			}
 		})
-		env.RunUntil(20 * time.Millisecond)
-		captureCell(fmt.Sprintf("ablation-backing/villars-%s", backing.Class), env)
-		t.Add(fmt.Sprintf("Villars-%s", backing.Class), fmtDur(sample.Candlestick().P50))
+		t.Add(fmt.Sprintf("Villars-%s", backing.Class), fmtDur(p50))
 	}
 	// Host NVDIMM stores.
-	{
-		env := sim.NewEnv(1)
+	p50 := ablationBackingCell("nvdimm", func(env *sim.Env) flushOpener {
 		bank := pm.NewBank(env, pm.NVDIMMSpec)
-		var sample metrics.Sample
-		env.Go("writer", func(p *sim.Proc) {
-			for {
-				t0 := p.Now()
+		return func(p *sim.Proc) func() bool {
+			return func() bool {
 				bank.Write(p, 16<<10)
-				sample.Add(p.Now() - t0)
-				p.Sleep(50 * time.Microsecond)
+				return true
 			}
-		})
-		env.RunUntil(20 * time.Millisecond)
-		captureCell("ablation-backing/nvdimm", env)
-		t.Add("Memory (NVDIMM)", fmtDur(sample.Candlestick().P50))
-	}
+		}
+	})
+	t.Add("Memory (NVDIMM)", fmtDur(p50))
 	// Conventional NVMe write.
-	{
-		env := sim.NewEnv(1)
+	p50 = ablationBackingCell("nvme", func(env *sim.Env) flushOpener {
 		hostMem := pcie.NewHostMemory(1 << 20)
 		cfg := villars.DefaultConfig("abl")
 		cfg.Geometry = nand.Geometry{Channels: 8, WaysPerChan: 8, BlocksPerDie: 64, PagesPerBlock: 64, PageSize: 16 << 10}
 		dev := villars.New(env, cfg, hostMem)
-		var sample metrics.Sample
-		env.Go("writer", func(p *sim.Proc) {
+		return func(p *sim.Proc) func() bool {
 			lba := int64(0)
-			for {
-				t0 := p.Now()
+			return func() bool {
 				c := dev.HostDriver().Submit(p, nvmeWrite(lba, 1, 0))
-				if c.Status != 0 {
-					return
-				}
-				sample.Add(p.Now() - t0)
 				lba++
-				p.Sleep(50 * time.Microsecond)
+				return c.Status == 0
 			}
-		})
-		env.RunUntil(20 * time.Millisecond)
-		captureCell("ablation-backing/nvme", env)
-		t.Add("NVMe (conventional)", fmtDur(sample.Candlestick().P50))
-	}
+		}
+	})
+	t.Add("NVMe (conventional)", fmtDur(p50))
 	return t
+}
+
+// flushOpener opens one backing path on the writer's process and returns
+// its 16 KB flush, which reports whether the flush succeeded.
+type flushOpener func(p *sim.Proc) (flush func() (ok bool))
+
+// ablationBackingCell times a flush every 50 µs for 20 ms of virtual time
+// on a fresh single-member cell and returns the p50. mk builds the path
+// on the cell's Env before the writer starts; the writer stops at the
+// first failed flush.
+func ablationBackingCell(cell string, mk func(env *sim.Env) flushOpener) time.Duration {
+	c := newCellSim(1)
+	defer c.Close()
+	open := mk(c.env)
+	var sample obs.Sample
+	c.env.Go("writer", func(p *sim.Proc) {
+		flush := open(p)
+		for {
+			t0 := p.Now()
+			if !flush() {
+				return
+			}
+			sample.Add(p.Now() - t0)
+			p.Sleep(50 * time.Microsecond)
+		}
+	})
+	c.Parallelize()
+	c.RunUntil(20 * time.Millisecond)
+	c.capture("ablation-backing/" + cell)
+	return sample.Candlestick().P50
 }
 
 // nvmeWrite builds a one-block NVMe write command.

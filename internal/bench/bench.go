@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"xssd/internal/obs"
-	"xssd/internal/sim"
 )
 
 // Table is a printable experiment result.
@@ -107,17 +106,6 @@ var lastEvents int64
 // finished experiment cell dispatched. The perf suite divides this by wall
 // time to get events/second.
 func LastCellEvents() int64 { return lastEvents }
-
-// captureCell records env's metrics snapshot under the cell name; cells
-// call it once, right before returning their measurements.
-func captureCell(cell string, env *sim.Env) {
-	lastEvents = env.Events()
-	if activeCapture == nil {
-		return
-	}
-	activeCapture.cells = append(activeCapture.cells,
-		CellMetrics{Cell: cell, Snapshot: obs.For(env).Snapshot()})
-}
 
 // Len returns how many cells the capture holds.
 func (c *Capture) Len() int { return len(c.cells) }

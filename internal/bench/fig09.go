@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"xssd/internal/db"
-	"xssd/internal/metrics"
 	"xssd/internal/nand"
+	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
 	"xssd/internal/sim"
@@ -102,7 +102,7 @@ func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
 	cfg := tpcc.DefaultConfig()
 	tpcc.Load(eng, cfg, 7)
 
-	var sample metrics.Sample
+	var sample obs.Sample
 	committed := 0
 	type pendingTxn struct {
 		lsn   int64

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"xssd/internal/metrics"
 	"xssd/internal/nand"
+	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
 	"xssd/internal/sim"
@@ -40,7 +40,7 @@ func Fig11Cell(queueSize, groupSize int) (lat time.Duration, mbps float64) {
 	cfg.Geometry = nand.Geometry{Channels: 8, WaysPerChan: 8, BlocksPerDie: 64, PagesPerBlock: 64, PageSize: 16 << 10}
 	dev := villars.New(env, cfg, pcie.NewHostMemory(1<<20))
 
-	var sample metrics.Sample
+	var sample obs.Sample
 	var bytes int64
 	env.Go("writer", func(p *sim.Proc) {
 		l := xapi.Open(p, dev, xapi.Options{})

@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"xssd/internal/core"
-	"xssd/internal/metrics"
 	"xssd/internal/nand"
 	"xssd/internal/ntb"
 	"xssd/internal/nvme"
+	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
 	"xssd/internal/sim"
@@ -46,7 +46,7 @@ func fig13Device(env *sim.Env, name string, period time.Duration) *villars.Devic
 
 // Fig13Cell measures the shadow-counter confirmation delay distribution
 // and the counter-update bandwidth share for one period.
-func Fig13Cell(period time.Duration) (metrics.Candlestick, float64) {
+func Fig13Cell(period time.Duration) (obs.Candlestick, float64) {
 	c := newCellSim(5)
 	defer c.Close()
 	env := c.env
@@ -61,7 +61,7 @@ func Fig13Cell(period time.Duration) (metrics.Candlestick, float64) {
 	prim.Transport().AddPeer(sec, toSec, toPrim)
 	setRoles(c, prim, sec)
 
-	var sample metrics.Sample
+	var sample obs.Sample
 	target := int64(0)
 	env.Go("writer", func(p *sim.Proc) {
 		l := xapi.Open(p, prim, xapi.Options{})

@@ -42,7 +42,6 @@ import (
 	"xssd/internal/db"
 	"xssd/internal/failover"
 	"xssd/internal/fault"
-	"xssd/internal/metrics"
 	"xssd/internal/nand"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
@@ -243,32 +242,12 @@ type Result struct {
 	Backfilled     int64
 	DetectToLive   time.Duration
 
-	// MixLatency summarizes per-worker transaction-mix latency, sampled
-	// through a deterministic bounded reservoir (memory stays flat however
-	// long the window runs).
-	MixLatency metrics.Candlestick
-
 	// Metrics is the canonical JSON metrics snapshot of the whole run —
 	// the second I5 ingredient: a re-run must reproduce it byte for byte.
 	Metrics []byte
 
 	Fingerprint uint64
 	Violations  []string
-}
-
-// FNV-1a, for folding the per-device trace fingerprints into one digest.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func mix64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
 }
 
 // recordingSink wraps a sink and keeps the exact byte stream the host
@@ -373,15 +352,10 @@ func runSingle(s Scenario) (*Result, error) {
 
 	tcfg := tpcc.Config{Warehouses: 2, Districts: 2, CustomersPerDistrict: 8, Items: 40, FillerLen: 10}
 	load := func(e *db.Engine) { tpcc.Load(e, tcfg, loadSeed) }
-	// Mix-latency reservoir: seeded from the env's RNG (one draw, before
-	// any process runs) so eviction choices replay identically.
-	// (1) Kill runs seed it from the scenario seed instead: they never
-	// drew here, and one more draw shifts every later random choice.
-	mixSeed := s.Seed
+	// (1) Non-kill runs draw once here; every later draw and pinned fold depends on it.
 	if !kill {
-		mixSeed = env.Rand().Int63()
+		env.Rand().Int63()
 	}
-	mixLat := metrics.NewReservoir(256, rand.New(rand.NewSource(mixSeed)))
 	var (
 		written   []byte
 		lg        *wal.Log
@@ -478,9 +452,7 @@ func runSingle(s Scenario) (*Result, error) {
 					// stays well inside the destage LBA ring — the flash
 					// verifier needs the whole stream still resident.
 					p.Sleep(100 * time.Microsecond)
-					t0 := p.Now()
 					client.RunMixAsync(p)
-					mixLat.Add(p.Now() - t0)
 				}
 			})
 		}
@@ -659,17 +631,16 @@ func runSingle(s Scenario) (*Result, error) {
 	}
 
 	// ---- I5 ingredients: event-history fingerprint + metrics snapshot -
-	r.MixLatency = mixLat.Candlestick()
 	snap := obs.SnapshotOf(en.envs)
 	r.Metrics = snap.Encode()
-	fp := uint64(fnvOffset)
+	fp := obs.FNVOffset
 	for _, d := range devices {
-		fp = mix64(fp, d.Tracer().Fingerprint())
+		fp = obs.Mix64(fp, d.Tracer().Fingerprint())
 	}
 	if liveFPOK {
-		fp = mix64(fp, liveFP)
+		fp = obs.Mix64(fp, liveFP)
 	}
-	fp = mix64(fp, uint64(r.Commits))
+	fp = obs.Mix64(fp, uint64(r.Commits))
 	// (5) Kill runs fold the takeover record where the others fold the
 	// stream counters; one formula would re-pin one kind for nothing.
 	ingredients := []int64{r.Written, r.Destaged}
@@ -677,10 +648,10 @@ func runSingle(s Scenario) (*Result, error) {
 		ingredients = []int64{r.Durable, r.ResumeAt, r.Replayed, r.Backfilled, int64(r.DetectToLive)}
 	}
 	for _, x := range ingredients {
-		fp = mix64(fp, uint64(x))
+		fp = obs.Mix64(fp, uint64(x))
 	}
-	fp = mix64(fp, uint64(r.Firings))
-	fp = mix64(fp, snap.Fingerprint())
+	fp = obs.Mix64(fp, uint64(r.Firings))
+	fp = obs.Mix64(fp, snap.Fingerprint())
 	r.Fingerprint = fp
 	r.Events = en.group.Events()
 	r.Violations = v.list

@@ -37,12 +37,6 @@ func TestSameSeedAndPlanReproduceExactly(t *testing.T) {
 	if !bytes.Equal(r1.Metrics, r2.Metrics) {
 		t.Fatalf("same (seed, plan) produced different metrics snapshots:\n%s\nvs\n%s", r1.Metrics, r2.Metrics)
 	}
-	if r1.MixLatency != r2.MixLatency {
-		t.Fatalf("mix-latency reservoir diverged: %v vs %v", r1.MixLatency, r2.MixLatency)
-	}
-	if r1.MixLatency.N == 0 {
-		t.Fatal("mix-latency reservoir sampled nothing")
-	}
 	r3, err := Run(DefaultScenario(4))
 	if err != nil {
 		t.Fatalf("run 3: %v", err)

@@ -27,6 +27,7 @@ import (
 
 	"xssd/internal/db"
 	"xssd/internal/fault"
+	"xssd/internal/obs"
 	"xssd/internal/shard"
 	"xssd/internal/tpcc"
 	"xssd/internal/wal"
@@ -221,21 +222,21 @@ func runSharded(s Scenario) (*Result, error) {
 	// ---- I5 ingredients: fold, shard-major ----------------------------
 	snap := cl.Snapshot()
 	r.Metrics = snap.Encode()
-	fp := uint64(fnvOffset)
+	fp := obs.FNVOffset
 	for i, sh := range cl.Shards() {
-		fp = mix64(fp, sh.Device().Tracer().Fingerprint())
+		fp = obs.Mix64(fp, sh.Device().Tracer().Fingerprint())
 		for _, sec := range sh.Secondaries() {
-			fp = mix64(fp, sec.Tracer().Fingerprint())
+			fp = obs.Mix64(fp, sec.Tracer().Fingerprint())
 		}
-		fp = mix64(fp, sh.Engine().Fingerprint())
-		fp = mix64(fp, uint64(len(streams[i])))
+		fp = obs.Mix64(fp, sh.Engine().Fingerprint())
+		fp = obs.Mix64(fp, uint64(len(streams[i])))
 		for _, gid := range sh.AckedGIDs() {
-			fp = mix64(fp, uint64(gid))
+			fp = obs.Mix64(fp, uint64(gid))
 		}
 	}
-	fp = mix64(fp, uint64(r.Commits))
-	fp = mix64(fp, uint64(r.Firings))
-	fp = mix64(fp, snap.Fingerprint())
+	fp = obs.Mix64(fp, uint64(r.Commits))
+	fp = obs.Mix64(fp, uint64(r.Firings))
+	fp = obs.Mix64(fp, snap.Fingerprint())
 	r.Fingerprint = fp
 	r.Events = cl.Events()
 	r.Violations = v.list

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+
+	"xssd/internal/obs"
 )
 
 // SeedResult pairs the two runs of one seed in a sweep, with the
@@ -64,11 +66,11 @@ func SweepResults(gen func(seed int64) Scenario, seeds, simWorkers int) ([]SeedR
 // design — a sweep's identity includes its schedule, so the same results
 // visited in a different order produce a different digest.
 func Fold(results []SeedResult) uint64 {
-	h := uint64(fnvOffset)
+	h := obs.FNVOffset
 	for _, r := range results {
-		h = mix64(h, uint64(r.Seed))
+		h = obs.Mix64(h, uint64(r.Seed))
 		if r.First != nil {
-			h = mix64(h, r.First.Fingerprint)
+			h = obs.Mix64(h, r.First.Fingerprint)
 		}
 	}
 	return h

@@ -1,6 +1,10 @@
 package chaos
 
-import "testing"
+import (
+	"testing"
+
+	"xssd/internal/obs"
+)
 
 // TestFoldPinned pins the sweep fold's exact formula with synthetic
 // inputs: FNV-1a over the (seed, first-run fingerprint) sequence. CI and
@@ -16,7 +20,7 @@ func TestFoldPinned(t *testing.T) {
 	if got := Fold(rs); got != 0x2f715322a21d8256 {
 		t.Errorf("Fold = %#016x, want 0x2f715322a21d8256 (formula changed?)", got)
 	}
-	if got := Fold(nil); got != uint64(fnvOffset) {
+	if got := Fold(nil); got != obs.FNVOffset {
 		t.Errorf("Fold(nil) = %#016x, want the FNV offset basis", got)
 	}
 	// A nil First contributes only its seed.

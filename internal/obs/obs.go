@@ -1,6 +1,9 @@
 // Package obs is the deterministic observability layer: a per-environment
 // metrics registry holding counters, gauges and virtual-time histograms
-// with hierarchical names ("dev0/destage/pages", "dev0/transport/peer1/lag").
+// with hierarchical names ("dev0/destage/pages", "dev0/transport/peer1/lag"),
+// exact samples for the figures' printed latencies (Sample, Candlestick),
+// and the device's event history (Tracer). One FNV-1a mixer (Mix64,
+// MixBytes) backs every fingerprint.
 //
 // Everything is driven by sim.Env virtual time — never the wall clock — so
 // two runs with the same seed produce bit-identical snapshots; the snapshot

@@ -116,18 +116,7 @@ func (s *Snapshot) Encode() []byte {
 
 // Fingerprint returns the 64-bit FNV-1a hash of the canonical encoding —
 // a cheap handle for "same seed, same telemetry" regression checks.
-func (s *Snapshot) Fingerprint() uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for _, b := range s.Encode() {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	return h
-}
+func (s *Snapshot) Fingerprint() uint64 { return MixBytes(FNVOffset, s.Encode()) }
 
 // WriteJSON writes the canonical JSON encoding to w.
 func (s *Snapshot) WriteJSON(w io.Writer) error {

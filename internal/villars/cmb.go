@@ -8,7 +8,6 @@ import (
 	"xssd/internal/pm"
 	"xssd/internal/ring"
 	"xssd/internal/sim"
-	"xssd/internal/trace"
 )
 
 // cmbModule is the fast side's front end (paper §4.1, Fig 5): arriving TLP
@@ -116,7 +115,7 @@ func (m *cmbModule) MemWrite(off int64, data []byte) {
 		// The host overran the advisory flow-control protocol; the write
 		// is dropped and the guarantee void (paper §4.1).
 		m.mOverruns.Inc()
-		m.dev.tracer.Record(trace.QueueOverrun, m.fs.name, off, int64(len(data)))
+		m.dev.tracer.Record(obs.QueueOverrun, m.fs.name, off, int64(len(data)))
 		return
 	}
 	buf := m.getChunkBuf(len(data))
@@ -128,7 +127,7 @@ func (m *cmbModule) MemWrite(off int64, data []byte) {
 	m.queue = append(m.queue, cmbChunk{off: off, data: buf, at: m.dev.env.Now()})
 	m.queueUsed += len(buf)
 	m.mBytesIn.Add(int64(len(buf)))
-	m.dev.tracer.Record(trace.CMBWrite, m.fs.name, off, int64(len(buf)))
+	m.dev.tracer.Record(obs.CMBWrite, m.fs.name, off, int64(len(buf)))
 	m.kickDrain()
 }
 
@@ -223,7 +222,7 @@ func (m *cmbModule) persistOldest() {
 	}
 	m.mPersist.Since(c.at)
 	if m.ring.Frontier() != before {
-		m.dev.tracer.Record(trace.CMBPersist, m.fs.name, c.off, m.ring.Frontier())
+		m.dev.tracer.Record(obs.CMBPersist, m.fs.name, c.off, m.ring.Frontier())
 		m.CreditChanged.Broadcast()
 		m.fs.destage.frontierMoved()
 	}

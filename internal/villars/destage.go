@@ -8,7 +8,6 @@ import (
 	"xssd/internal/obs"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
-	"xssd/internal/trace"
 )
 
 // Destaged-page on-flash format: every page the Destage module writes to
@@ -390,7 +389,7 @@ func (m *destageModule) retire(cmb *cmbModule) {
 			continue
 		}
 		m.destagedStream = cmb.ring.Head()
-		m.dev.tracer.Record(trace.DestagePage, m.fs.name, m.destagedStream, e.n)
+		m.dev.tracer.Record(obs.DestagePage, m.fs.name, m.destagedStream, e.n)
 		m.mPageLat.Since(e.carvedAt)
 		m.Advanced.Broadcast()
 		m.mPages.Inc()

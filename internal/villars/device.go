@@ -29,7 +29,6 @@ import (
 	"xssd/internal/pm"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
-	"xssd/internal/trace"
 )
 
 // ErrFastSideBusy reports a TruncateToCredit on a fast side that still
@@ -202,7 +201,7 @@ type Device struct {
 	vfs       []*VirtualFunction
 	vfLBAUsed int64 // next free LBA above the primary destage ring
 
-	tracer    *trace.Tracer
+	tracer    *obs.Tracer
 	powerLost bool
 }
 
@@ -539,7 +538,7 @@ func (d *Device) TruncateToCredit() (int64, error) {
 
 // Admin implements hic.AdminHandler: the vendor-specific command set.
 func (d *Device) Admin(p *sim.Proc, cmd nvme.Command) nvme.Completion {
-	d.tracer.Record(trace.AdminCommand, d.cfg.Name, int64(cmd.Opcode), cmd.CDW)
+	d.tracer.Record(obs.AdminCommand, d.cfg.Name, int64(cmd.Opcode), cmd.CDW)
 	switch cmd.Opcode {
 	case nvme.OpXSetTransportMode:
 		mode := core.TransportMode(cmd.CDW)
@@ -587,13 +586,13 @@ func (d *Device) Admin(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 
 // EnableTracing attaches an event tracer retaining the last capacity
 // events; returns it for inspection. Call before driving traffic.
-func (d *Device) EnableTracing(capacity int) *trace.Tracer {
-	d.tracer = trace.New(capacity, func() time.Duration { return d.env.Now() })
+func (d *Device) EnableTracing(capacity int) *obs.Tracer {
+	d.tracer = obs.NewTracer(capacity, func() time.Duration { return d.env.Now() })
 	return d.tracer
 }
 
 // Tracer returns the attached tracer (nil when tracing is off).
-func (d *Device) Tracer() *trace.Tracer { return d.tracer }
+func (d *Device) Tracer() *obs.Tracer { return d.tracer }
 
 // InjectPowerLoss simulates a sudden power interruption (paper §4.1 crash
 // protocol): the device stops accepting fast-side writes and, on
@@ -604,7 +603,7 @@ func (d *Device) InjectPowerLoss() {
 		return
 	}
 	d.powerLost = true
-	d.tracer.Record(trace.PowerLoss, d.cfg.Name, 0, 0)
+	d.tracer.Record(obs.PowerLoss, d.cfg.Name, 0, 0)
 	for _, fs := range d.fastSides() {
 		fs.cmb.ring.DiscardGaps()
 		fs.cmb.kickDrain() // so an idle drain observes the flag

@@ -13,7 +13,6 @@ import (
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/sim"
-	"xssd/internal/trace"
 )
 
 // The multi-queue host interface's property test: for a RANDOM queue
@@ -288,7 +287,7 @@ func runTrickle(t *testing.T, seed int64) trickleRun {
 	if got := dst.DestagedStream(); !done || got != run.total {
 		t.Errorf("seed %d: destaged %d of %d bytes", seed, got, run.total)
 	}
-	for _, ev := range tr.Filter(trace.DestagePage) {
+	for _, ev := range tr.Filter(obs.DestagePage) {
 		off := ev.A - ev.B
 		c, ok := carvedAt[off]
 		if !ok {

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"xssd/internal/obs"
 	"xssd/internal/sim"
-	"xssd/internal/trace"
 )
 
 func TestDeviceTracingRecordsLifecycle(t *testing.T) {
@@ -17,17 +17,17 @@ func TestDeviceTracingRecordsLifecycle(t *testing.T) {
 		d.CMB().MemWrite(0, make([]byte, payloadLen))
 	})
 	env.RunUntil(50 * time.Millisecond)
-	if tr.Count(trace.CMBWrite) == 0 {
+	if tr.Count(obs.CMBWrite) == 0 {
 		t.Fatal("no CMB write events")
 	}
-	if tr.Count(trace.CMBPersist) == 0 {
+	if tr.Count(obs.CMBPersist) == 0 {
 		t.Fatal("no persist events")
 	}
-	if tr.Count(trace.DestagePage) == 0 {
+	if tr.Count(obs.DestagePage) == 0 {
 		t.Fatal("no destage events")
 	}
 	d.InjectPowerLoss()
-	if tr.Count(trace.PowerLoss) != 1 {
+	if tr.Count(obs.PowerLoss) != 1 {
 		t.Fatal("power loss not traced")
 	}
 	if d.Tracer() != tr {

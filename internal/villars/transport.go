@@ -9,7 +9,6 @@ import (
 	"xssd/internal/ntb"
 	"xssd/internal/obs"
 	"xssd/internal/sim"
-	"xssd/internal/trace"
 )
 
 // transportModule mirrors the fast-side write stream to peer devices over
@@ -262,7 +261,7 @@ func (t *transportModule) mirror(off int64, data []byte) {
 			pl.window.Write(off, buf, nil)
 		}
 	}
-	t.dev.tracer.Record(trace.Mirror, t.dev.cfg.Name, off, int64(len(data)))
+	t.dev.tracer.Record(obs.Mirror, t.dev.cfg.Name, off, int64(len(data)))
 	t.mMirroredBytes.Add(int64(len(data)) * int64(len(t.peers)))
 }
 
@@ -296,7 +295,7 @@ func (c counterPort) MemWrite(off int64, data []byte) {
 			pl.unackedPos++
 		}
 		c.t.counterUpdateObserved(pl)
-		c.t.dev.tracer.Record(trace.ShadowUpdate, c.t.dev.cfg.Name, int64(id), v)
+		c.t.dev.tracer.Record(obs.ShadowUpdate, c.t.dev.cfg.Name, int64(id), v)
 		c.t.ShadowAdvanced.Broadcast()
 	}
 }

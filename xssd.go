@@ -40,7 +40,6 @@ import (
 	"xssd/internal/repl"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
-	"xssd/internal/trace"
 	"xssd/internal/villars"
 	"xssd/internal/xapi"
 )
@@ -332,7 +331,7 @@ func (v *VF) system() *System         { return v.sys }
 
 // EnableTracing attaches an event tracer to the device, retaining the
 // last capacity events.
-func (d *Device) EnableTracing(capacity int) *trace.Tracer {
+func (d *Device) EnableTracing(capacity int) *obs.Tracer {
 	return d.dev.EnableTracing(capacity)
 }
 

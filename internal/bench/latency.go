@@ -103,6 +103,7 @@ func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 	hostMem := pcie.NewHostMemory(1 << 20)
 	dev := villars.New(env, latencyDeviceConfig(pairs, depth, coalesce), hostMem)
 	drv := dev.HostDriver()
+	drv.Observe(obs.For(env).Scope("lat/nvme"))
 	bs := int64(4 << 10)
 
 	// Each queue owns a private LBA stripe above the destage ring, wrapped

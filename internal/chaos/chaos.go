@@ -120,9 +120,6 @@ type Scenario struct {
 	// (invariants I6-I7, see failover.go). It needs at least one secondary
 	// and must fall inside the window, after boot (the first millisecond).
 	KillAt time.Duration
-	// Manager tunes the failover manager of a KillAt run; zero fields
-	// take defaults.
-	Manager failover.Config
 }
 
 func (s Scenario) withDefaults() Scenario {
@@ -412,7 +409,7 @@ func runSingle(s Scenario) (*Result, error) {
 			// order relative to the workers is part of the event history.
 			wcfg.Retain = true
 			lg = wal.NewLog(env, sink, wcfg)
-			fo = failover.New(env, cluster, lg, sink, s.Manager)
+			fo = failover.New(env, cluster, lg, sink)
 		} else {
 			lg = wal.NewLog(env, &recordingSink{inner: sink, buf: &written}, wcfg)
 		}

@@ -32,53 +32,29 @@ import (
 // errors.Is.
 var ErrTakeoverFailed = errors.New("failover: takeover failed")
 
-// Config tunes the failover manager.
-type Config struct {
-	// Period is the watchdog's poll interval: how often the primary's
+// The watchdog's timing, sized for the simulator's microsecond-scale
+// devices: a 50 µs poll with 3 misses detects death in ~150 µs, well under
+// any group-commit timeout, and the election budget comfortably outlasts
+// the bounded shadow freezes fault plans inject.
+const (
+	// period is the watchdog's poll interval: how often the primary's
 	// status register is read, and the granularity of every wait inside a
 	// takeover (election retry, fast-side drain).
-	Period time.Duration
-	// Misses is how many consecutive polls must observe StatusPowerLoss
+	period = 50 * time.Microsecond
+	// misses is how many consecutive polls must observe StatusPowerLoss
 	// before the primary is declared dead (debounces the detector against
 	// transient register states).
-	Misses int
-	// DrainWait is how long the manager waits after declaring the primary
+	misses = 3
+	// drainWait is how long the manager waits after declaring the primary
 	// dead before electing: the window for the dead device's supercap
 	// drain and for the WAL pipeline to observe the lost sink.
-	DrainWait time.Duration
-	// ElectWait bounds the election phase: how long the manager keeps
+	drainWait = 200 * time.Microsecond
+	// electWait bounds the election phase: how long the manager keeps
 	// retrying ErrNoCandidate (for example while the next chain link's
 	// shadow reporting is frozen) and waiting for the winner's fast side
 	// to go idle before the takeover fails.
-	ElectWait time.Duration
-}
-
-// DefaultConfig is sized for the simulator's microsecond-scale devices: a
-// 50 µs poll with 3 misses detects death in ~150 µs, well under any
-// group-commit timeout, and the election budget comfortably outlasts the
-// bounded shadow freezes fault plans inject.
-var DefaultConfig = Config{
-	Period:    50 * time.Microsecond,
-	Misses:    3,
-	DrainWait: 200 * time.Microsecond,
-	ElectWait: 50 * time.Millisecond,
-}
-
-func (c Config) withDefaults() Config {
-	if c.Period <= 0 {
-		c.Period = DefaultConfig.Period
-	}
-	if c.Misses <= 0 {
-		c.Misses = DefaultConfig.Misses
-	}
-	if c.DrainWait <= 0 {
-		c.DrainWait = DefaultConfig.DrainWait
-	}
-	if c.ElectWait <= 0 {
-		c.ElectWait = DefaultConfig.ElectWait
-	}
-	return c
-}
+	electWait = 50 * time.Millisecond
+)
 
 // Takeover records one completed failover.
 type Takeover struct {
@@ -110,7 +86,6 @@ type Manager struct {
 	cluster *repl.Cluster
 	lg      *wal.Log
 	sink    wal.RebindableSink
-	cfg     Config
 
 	ctl []*pcie.MMIO // per-device control windows, index-aligned with Devices()
 
@@ -131,13 +106,12 @@ type Manager struct {
 // the rebindable sink passed here (the manager re-points it at the new
 // primary during takeover). Watchdogging begins immediately; the manager
 // idles until the cluster has a primary.
-func New(env *sim.Env, cluster *repl.Cluster, lg *wal.Log, sink wal.RebindableSink, cfg Config) *Manager {
+func New(env *sim.Env, cluster *repl.Cluster, lg *wal.Log, sink wal.RebindableSink) *Manager {
 	m := &Manager{
 		env:     env,
 		cluster: cluster,
 		lg:      lg,
 		sink:    sink,
-		cfg:     cfg.withDefaults(),
 		ctl:     make([]*pcie.MMIO, len(cluster.Devices())),
 	}
 	sc := obs.For(env).Scope("cluster/failover")
@@ -191,11 +165,11 @@ func (m *Manager) readStatus(p *sim.Proc, i int) int64 {
 }
 
 // watch is the watchdog process: poll the primary's status register every
-// Period and run a takeover after Misses consecutive power-loss readings.
+// period and run a takeover after misses consecutive power-loss readings.
 func (m *Manager) watch(p *sim.Proc) {
-	misses := 0
+	missed := 0
 	for {
-		p.Sleep(m.cfg.Period)
+		p.Sleep(period)
 		if m.stopped {
 			return
 		}
@@ -204,14 +178,14 @@ func (m *Manager) watch(p *sim.Proc) {
 			continue // cluster not set up yet
 		}
 		if m.readStatus(p, m.index(prim))&core.StatusPowerLoss != 0 {
-			misses++
+			missed++
 		} else {
-			misses = 0
+			missed = 0
 		}
-		if misses < m.cfg.Misses {
+		if missed < misses {
 			continue
 		}
-		misses = 0
+		missed = 0
 		if err := m.takeover(p); err != nil {
 			m.err = fmt.Errorf("%w: %w", ErrTakeoverFailed, err)
 			return
@@ -242,13 +216,13 @@ func (m *Manager) takeover(p *sim.Proc) error {
 
 	// Let the dead device's supercap drain finish and give any in-flight
 	// flush time to observe the lost sink.
-	p.Sleep(m.cfg.DrainWait)
+	p.Sleep(drainWait)
 
 	// The takeover needs the log pipeline halted. A mid-flight flush must
 	// fail on its own (racing it would corrupt the buffer); with nothing
 	// in flight the flusher is parked and is halted explicitly.
 	for !m.lg.Dead() && m.lg.Backlog() > 0 {
-		p.Sleep(m.cfg.Period)
+		p.Sleep(period)
 	}
 	if !m.lg.Dead() {
 		m.lg.Halt()
@@ -257,7 +231,7 @@ func (m *Manager) takeover(p *sim.Proc) error {
 	// Election, retried while no survivor qualifies (a frozen next chain
 	// link un-freezes; a bounded budget keeps a dead cluster from hanging
 	// the watchdog).
-	deadline := p.Now() + m.cfg.ElectWait
+	deadline := p.Now() + electWait
 	var idx int
 	for {
 		var err error
@@ -269,9 +243,9 @@ func (m *Manager) takeover(p *sim.Proc) error {
 			return err
 		}
 		if p.Now() >= deadline {
-			return fmt.Errorf("election timed out after %v: %w", m.cfg.ElectWait, err)
+			return fmt.Errorf("election timed out after %v: %w", electWait, err)
 		}
-		p.Sleep(m.cfg.Period)
+		p.Sleep(period)
 	}
 	m.mElections.Inc()
 	winner := m.cluster.Devices()[idx]
@@ -282,7 +256,7 @@ func (m *Manager) takeover(p *sim.Proc) error {
 		if p.Now() >= deadline {
 			return fmt.Errorf("fast side of %s never went idle", winner.Name())
 		}
-		p.Sleep(m.cfg.Period)
+		p.Sleep(period)
 	}
 	fr, err := winner.TruncateToCredit()
 	if err != nil {

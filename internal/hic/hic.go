@@ -29,37 +29,20 @@ type AdminHandler interface {
 	Admin(p *sim.Proc, cmd nvme.Command) nvme.Completion
 }
 
-// Config tunes the controller.
-type Config struct {
-	// Workers is the number of concurrent command-handling processes
+// The controller's fixed shape: the Cosmos+ firmware the paper builds on.
+const (
+	// workers is the number of concurrent command-handling processes
 	// (models the device's internal parallelism).
-	Workers int
-	// WriteCacheBytes bounds how much acknowledged-but-unprogrammed data
-	// the Data Buffer may hold. 0 means 64 MB.
-	WriteCacheBytes int64
-	// FirmwareLatency is the fixed per-command firmware overhead added to
-	// the write-acknowledge path. 0 means 80 µs — prototype-grade firmware
-	// (the Cosmos+ the paper builds on is an FPGA platform, not a
-	// production controller; its conventional-side latency dominates the
-	// paper's Fig 9 NVMe series).
-	FirmwareLatency time.Duration
-}
-
-// DefaultConfig uses 8 command handlers, a 64 MB write cache and 80 µs of
-// firmware overhead.
-var DefaultConfig = Config{Workers: 8}
-
-func (c *Config) fill() {
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.WriteCacheBytes == 0 {
-		c.WriteCacheBytes = 64 << 20
-	}
-	if c.FirmwareLatency == 0 {
-		c.FirmwareLatency = 80 * time.Microsecond
-	}
-}
+	workers = 8
+	// writeCacheBytes bounds how much acknowledged-but-unprogrammed data
+	// the Data Buffer may hold.
+	writeCacheBytes = 64 << 20
+	// firmwareLatency is the fixed per-command firmware overhead added to
+	// the write-acknowledge path: prototype-grade firmware (the Cosmos+ is
+	// an FPGA platform, not a production controller; its conventional-side
+	// latency dominates the paper's Fig 9 NVMe series).
+	firmwareLatency = 80 * time.Microsecond
+)
 
 // fetched is a command pulled from an SQ, tagged with the queue it came
 // from so its completion lands on the matching CQ.
@@ -71,7 +54,6 @@ type fetched struct {
 // Controller is the host interface controller.
 type Controller struct {
 	env   *sim.Env
-	cfg   Config
 	qs    *nvme.QueueSet
 	link  *sim.Link
 	host  *pcie.HostMemory
@@ -92,22 +74,13 @@ type Controller struct {
 	reads, writes, flushes, admins, errors, cacheHits int64
 }
 
-// New starts a controller on a single classic queue pair — it wraps qp
-// into a one-queue set and delegates to NewMulti. Event-for-event
-// identical to the historical single-queue controller.
-func New(env *sim.Env, qp *nvme.QueuePair, link *sim.Link, host *pcie.HostMemory, f *ftl.FTL, admin AdminHandler, cfg Config) *Controller {
-	return NewMulti(env, nvme.WrapQueueSet(env, qp), link, host, f, admin, cfg)
-}
-
-// NewMulti starts a controller over a queue set: one fetcher process
-// round-robins over the armed SQs and Workers handler processes execute
-// commands, posting each completion to the CQ of the queue that carried
-// the command.
-func NewMulti(env *sim.Env, qs *nvme.QueueSet, link *sim.Link, host *pcie.HostMemory, f *ftl.FTL, admin AdminHandler, cfg Config) *Controller {
-	cfg.fill()
+// New starts a controller over a queue set: one fetcher process
+// round-robins over the armed SQs and the command-handler processes
+// execute commands, posting each completion to the CQ of the queue that
+// carried the command.
+func New(env *sim.Env, qs *nvme.QueueSet, link *sim.Link, host *pcie.HostMemory, f *ftl.FTL, admin AdminHandler) *Controller {
 	c := &Controller{
 		env:        env,
-		cfg:        cfg,
 		qs:         qs,
 		link:       link,
 		host:       host,
@@ -118,7 +91,7 @@ func NewMulti(env *sim.Env, qs *nvme.QueueSet, link *sim.Link, host *pcie.HostMe
 		cacheFreed: env.NewSignal(),
 	}
 	env.Go("hic-fetch", c.fetch)
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		env.Go("hic-worker", c.worker)
 	}
 	return c
@@ -216,7 +189,7 @@ func (c *Controller) executeWrite(p *sim.Proc, cmd nvme.Command) nvme.Completion
 		// Reserve Data Buffer space; stall when the cache is full (the
 		// device then runs at flash program speed).
 		p.WaitFor(c.cacheFreed, func() bool {
-			return c.cacheUsed+int64(bs) <= c.cfg.WriteCacheBytes
+			return c.cacheUsed+int64(bs) <= writeCacheBytes
 		})
 		lba := cmd.LBA + int64(i)
 		c.cacheUsed += int64(bs)
@@ -235,7 +208,7 @@ func (c *Controller) executeWrite(p *sim.Proc, cmd nvme.Command) nvme.Completion
 			c.cacheFreed.Broadcast()
 		})
 	}
-	p.Sleep(c.cfg.FirmwareLatency)
+	p.Sleep(firmwareLatency)
 	return nvme.Completion{ID: cmd.ID, Status: nvme.StatusSuccess}
 }
 

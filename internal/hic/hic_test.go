@@ -2,6 +2,7 @@ package hic
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -30,6 +31,12 @@ func (a *stubAdmin) Admin(_ *sim.Proc, cmd nvme.Command) nvme.Completion {
 }
 
 func newRig(admin AdminHandler) *rig {
+	r, _ := newMultiRig(1, admin)
+	return r
+}
+
+// newMultiRig builds a controller over n queue pairs.
+func newMultiRig(n int, admin AdminHandler) (*rig, *nvme.QueueSet) {
 	env := sim.NewEnv(1)
 	geo := nand.Geometry{Channels: 2, WaysPerChan: 2, BlocksPerDie: 16, PagesPerBlock: 16, PageSize: 1024}
 	timing := nand.Timing{TRead: 5 * time.Microsecond, TProg: 20 * time.Microsecond, TErase: 100 * time.Microsecond, BusRate: 1e9}
@@ -38,9 +45,9 @@ func newRig(admin AdminHandler) *rig {
 	f := ftl.New(env, arr, sch, ftl.DefaultConfig)
 	link := env.NewLink("pcie", 2e9, 200*time.Nanosecond)
 	host := pcie.NewHostMemory(1 << 20)
-	qp := nvme.NewQueuePair(env)
-	ctrl := New(env, qp, link, host, f, admin, DefaultConfig)
-	return &rig{env: env, host: host, driver: nvme.NewDriver(env, qp), ctrl: ctrl}
+	qs := nvme.NewQueueSet(env, n, nvme.Coalesce{})
+	ctrl := New(env, qs, link, host, f, admin)
+	return &rig{env: env, host: host, driver: nvme.NewDriver(env, qs, 0), ctrl: ctrl}, qs
 }
 
 func TestWriteThenReadThroughNVMe(t *testing.T) {
@@ -152,7 +159,7 @@ func TestConcurrentCommandsAllComplete(t *testing.T) {
 
 func TestQueuePairFIFO(t *testing.T) {
 	env := sim.NewEnv(1)
-	sq := nvme.NewSubmissionQueue(env)
+	sq := nvme.NewQueueSet(env, 1, nvme.Coalesce{}).Pair(0).SQ
 	sq.Push(nvme.Command{ID: 1})
 	sq.Push(nvme.Command{ID: 2})
 	if c, ok := sq.Pop(); !ok || c.ID != 1 {
@@ -171,27 +178,8 @@ func TestQueuePairFIFO(t *testing.T) {
 	}
 }
 
-// newMultiRig builds a controller over n queue pairs with a one-worker
-// execution stage, so completion order exposes the fetcher's round-robin
-// order directly.
-func newMultiRig(n int) (*rig, *nvme.QueueSet) {
-	env := sim.NewEnv(1)
-	geo := nand.Geometry{Channels: 2, WaysPerChan: 2, BlocksPerDie: 16, PagesPerBlock: 16, PageSize: 1024}
-	timing := nand.Timing{TRead: 5 * time.Microsecond, TProg: 20 * time.Microsecond, TErase: 100 * time.Microsecond, BusRate: 1e9}
-	arr := nand.New(env, geo, timing)
-	sch := sched.New(env, arr, sched.Neutral)
-	f := ftl.New(env, arr, sch, ftl.DefaultConfig)
-	link := env.NewLink("pcie", 2e9, 200*time.Nanosecond)
-	host := pcie.NewHostMemory(1 << 20)
-	qs := nvme.NewQueueSet(env, n, nvme.Coalesce{})
-	cfg := DefaultConfig
-	cfg.Workers = 1
-	ctrl := NewMulti(env, qs, link, host, f, nil, cfg)
-	return &rig{env: env, host: host, driver: nvme.NewMultiDriver(env, qs, 0), ctrl: ctrl}, qs
-}
-
 func TestMultiQueueCompletesOnOriginQueue(t *testing.T) {
-	r, qs := newMultiRig(3)
+	r, qs := newMultiRig(3, nil)
 	bs := r.ctrl.BlockSize()
 	var got [3]nvme.Completion
 	r.env.Go("host", func(p *sim.Proc) {
@@ -218,38 +206,43 @@ func TestMultiQueueCompletesOnOriginQueue(t *testing.T) {
 }
 
 func TestMultiQueueRoundRobinArbitration(t *testing.T) {
-	// Three commands on each of two queues, fetched by a single worker:
-	// strict round-robin must interleave them q0,q1,q0,q1,... rather than
-	// draining one queue first. Admin commands echo CDW through Value, so
-	// the completion values record execution order.
+	// Three commands on each of two queues: strict round-robin must
+	// interleave them q0,q1,q0,q1,... rather than draining one queue
+	// first. Then one command on q0 alone, and one on each queue, q0's
+	// pushed first: the rotation resumes after the last queue served, so
+	// q1 goes first. The stub admin records commands as handlers execute
+	// them, and handlers take fetched commands in fetch order.
 	admin := &stubAdmin{}
-	r, qs := newMultiRig(2)
-	r.ctrl.admin = admin
-	_ = qs
+	r, _ := newMultiRig(2, admin)
 	r.env.Go("host", func(p *sim.Proc) {
 		var toks []nvme.Token
-		for i := 0; i < 3; i++ {
-			for q := 0; q < 2; q++ {
-				toks = append(toks, r.driver.SubmitAsync(p, q, nvme.Command{
-					Opcode: nvme.OpXQueryStatus, CDW: int64(q*100 + i)}))
+		submit := func(q int, cdw int64) {
+			toks = append(toks, r.driver.SubmitAsync(p, q, nvme.Command{Opcode: nvme.OpXQueryStatus, CDW: cdw}))
+		}
+		drain := func() {
+			for _, tok := range toks {
+				r.driver.Wait(p, tok)
 			}
+			toks = toks[:0]
 		}
-		for _, tok := range toks {
-			r.driver.Wait(p, tok)
+		for i := int64(0); i < 3; i++ {
+			submit(0, i)
+			submit(1, 100+i)
 		}
+		drain()
+		submit(0, 3)
+		drain()
+		submit(0, 4)
+		submit(1, 104)
+		drain()
 	})
 	r.env.RunUntil(time.Second)
-	want := []int64{0, 100, 1, 101, 2, 102}
-	if len(admin.calls) != len(want) {
-		t.Fatalf("admin saw %d commands, want %d", len(admin.calls), len(want))
+	want := []int64{0, 100, 1, 101, 2, 102, 3, 104, 4}
+	got := make([]int64, len(admin.calls))
+	for j, c := range admin.calls {
+		got[j] = c.CDW
 	}
-	for i, c := range admin.calls {
-		if c.CDW != want[i] {
-			got := make([]int64, len(admin.calls))
-			for j, cc := range admin.calls {
-				got[j] = cc.CDW
-			}
-			t.Fatalf("execution order %v, want strict round-robin %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("execution order %v, want strict round-robin %v", got, want)
 	}
 }

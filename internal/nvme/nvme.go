@@ -71,31 +71,24 @@ type Completion struct {
 	Seq    uint64 // per-queue sequence number, stamped by CompletionQueue.Post
 }
 
-// SubmissionQueue is a host-side command ring with a doorbell the device
-// listens on. When the queue belongs to a QueueSet it additionally rings
-// the set's shared armed line, which is what a multi-queue fetcher sleeps
-// on (one waiter across N queues instead of N).
+// SubmissionQueue is a host-side command ring with a doorbell. Every SQ
+// belongs to a QueueSet and also rings the set's shared armed line, which
+// is what the controller's fetcher sleeps on (one waiter across N queues
+// instead of N).
 type SubmissionQueue struct {
 	entries  []Command
 	Doorbell *sim.Signal
-	armed    *sim.Signal // QueueSet aggregate; nil for a standalone queue
+	armed    *sim.Signal // the owning QueueSet's aggregate line
 }
 
-// NewSubmissionQueue creates an empty SQ in env.
-func NewSubmissionQueue(env *sim.Env) *SubmissionQueue {
-	return &SubmissionQueue{Doorbell: env.NewSignal()}
-}
-
-// Push enqueues a command and rings the doorbell (and the owning set's
-// armed line, when there is one).
+// Push enqueues a command and rings the doorbell and the owning set's
+// armed line.
 //
 //xssd:hotpath
 func (q *SubmissionQueue) Push(c Command) {
 	q.entries = append(q.entries, c)
 	q.Doorbell.Broadcast()
-	if q.armed != nil {
-		q.armed.Broadcast()
-	}
+	q.armed.Broadcast()
 }
 
 // Pop dequeues the oldest command; ok is false when empty.
@@ -211,15 +204,10 @@ type QueuePair struct {
 	CQ *CompletionQueue
 }
 
-// NewQueuePair creates a connected SQ/CQ pair.
-func NewQueuePair(env *sim.Env) *QueuePair {
-	return &QueuePair{SQ: NewSubmissionQueue(env), CQ: NewCompletionQueue(env)}
-}
-
-// QueueSet is the multi-queue host interface: N SQ/CQ pairs (one per
-// submitting core, in the usual deployment) sharing one armed line so a
-// controller fetcher can sleep on a single signal and round-robin over
-// whichever SQs hold commands.
+// QueueSet is the host interface: N SQ/CQ pairs (one per submitting core,
+// in the usual deployment) sharing one armed line so a controller fetcher
+// can sleep on a single signal and round-robin over whichever SQs hold
+// commands. A one-pair set is the classic single-queue interface.
 type QueueSet struct {
 	pairs []*QueuePair
 	armed *sim.Signal
@@ -233,20 +221,10 @@ func NewQueueSet(env *sim.Env, n int, co Coalesce) *QueueSet {
 	}
 	s := &QueueSet{armed: env.NewSignal(), pairs: make([]*QueuePair, n)}
 	for i := range s.pairs {
-		qp := NewQueuePair(env)
-		qp.SQ.armed = s.armed
-		qp.CQ.SetCoalesce(co)
-		s.pairs[i] = qp
+		cq := NewCompletionQueue(env)
+		cq.SetCoalesce(co)
+		s.pairs[i] = &QueuePair{SQ: &SubmissionQueue{Doorbell: env.NewSignal(), armed: s.armed}, CQ: cq}
 	}
-	return s
-}
-
-// WrapQueueSet adopts an existing pair as a one-queue set — the
-// compatibility path that lets a multi-queue controller serve a device
-// wired with the classic single QueuePair.
-func WrapQueueSet(env *sim.Env, qp *QueuePair) *QueueSet {
-	s := &QueueSet{armed: env.NewSignal(), pairs: []*QueuePair{qp}}
-	qp.SQ.armed = s.armed
 	return s
 }
 
@@ -285,8 +263,8 @@ type driverQueue struct {
 	cCmp      *obs.Counter
 }
 
-// Driver is the host-side NVMe driver: it issues commands on one or more
-// queue pairs and matches completions to callers. Submit is the classic
+// Driver is the host-side NVMe driver: it issues commands on the pairs of
+// a queue set and matches completions to callers. Submit is the classic
 // blocking call (queue 0); SubmitAsync/Poll/Wait are the async surface
 // that keeps up to the configured depth of commands in flight per queue.
 type Driver struct {
@@ -295,43 +273,31 @@ type Driver struct {
 	depth  int // max in-flight per queue for SubmitAsync; 0 = unbounded
 }
 
-// NewDriver binds a single-queue driver to qp and starts its
-// interrupt-service process — the classic wiring, byte-identical to the
-// pre-multi-queue driver.
-func NewDriver(env *sim.Env, qp *QueuePair) *Driver {
-	d := &Driver{env: env}
-	d.addQueue(qp, "nvme-isr")
-	return d
-}
-
-// NewMultiDriver binds a driver to every pair in qs with one ISR per CQ.
-// depth bounds SubmitAsync in-flight commands per queue (0 = unbounded).
-func NewMultiDriver(env *sim.Env, qs *QueueSet, depth int) *Driver {
+// NewDriver binds a driver to every pair in qs and starts one
+// interrupt-service process per CQ. depth bounds SubmitAsync in-flight
+// commands per queue (0 = unbounded); the blocking Submit never checks it.
+func NewDriver(env *sim.Env, qs *QueueSet, depth int) *Driver {
 	d := &Driver{env: env, depth: depth}
 	for i := 0; i < qs.Len(); i++ {
 		name := "nvme-isr"
 		if i > 0 {
 			name = fmt.Sprintf("nvme-isr-%d", i)
 		}
-		d.addQueue(qs.Pair(i), name)
+		qp := qs.Pair(i)
+		dq := &driverQueue{qp: qp, done: map[uint16]Completion{}, wake: env.NewSignal()}
+		// Built once here so a depth stall in SubmitAsync (a hot path) does
+		// not allocate a fresh closure per call.
+		dq.slotFree = func() bool { return dq.inflight < d.depth }
+		d.queues = append(d.queues, dq)
+		env.Go(name, func(p *sim.Proc) {
+			for {
+				d.drain(dq)
+				dq.wake.Broadcast()
+				p.Wait(qp.CQ.Interrupt)
+			}
+		})
 	}
 	return d
-}
-
-// addQueue registers a pair and starts its interrupt-service process.
-func (d *Driver) addQueue(qp *QueuePair, isrName string) {
-	dq := &driverQueue{qp: qp, done: map[uint16]Completion{}, wake: d.env.NewSignal()}
-	// Built once here so a depth stall in SubmitAsync (a hot path) does not
-	// allocate a fresh closure per call.
-	dq.slotFree = func() bool { return dq.inflight < d.depth }
-	d.queues = append(d.queues, dq)
-	d.env.Go(isrName, func(p *sim.Proc) {
-		for {
-			d.drain(dq)
-			dq.wake.Broadcast()
-			p.Wait(qp.CQ.Interrupt)
-		}
-	})
 }
 
 // drain moves every pending completion from the CQ into the queue's done

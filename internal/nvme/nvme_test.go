@@ -7,27 +7,11 @@ import (
 	"xssd/internal/sim"
 )
 
-// echoDevice is a minimal device: it pops commands and posts completions
-// after a fixed delay.
-func echoDevice(env *sim.Env, qp *QueuePair, delay time.Duration) {
-	env.Go("echo-device", func(p *sim.Proc) {
-		for {
-			cmd, ok := qp.SQ.Pop()
-			if !ok {
-				p.Wait(qp.SQ.Doorbell)
-				continue
-			}
-			p.Sleep(delay)
-			qp.CQ.Post(Completion{ID: cmd.ID, Status: StatusSuccess, Value: cmd.CDW * 2})
-		}
-	})
-}
-
 func TestDriverMatchesCompletionToCaller(t *testing.T) {
 	env := sim.NewEnv(1)
-	qp := NewQueuePair(env)
-	echoDevice(env, qp, 10*time.Microsecond)
-	drv := NewDriver(env, qp)
+	qs := NewQueueSet(env, 1, Coalesce{})
+	echoSet(env, qs, 10*time.Microsecond)
+	drv := NewDriver(env, qs, 0)
 	var got Completion
 	env.Go("host", func(p *sim.Proc) {
 		got = drv.Submit(p, Command{Opcode: OpXQueryStatus, CDW: 21})
@@ -40,9 +24,9 @@ func TestDriverMatchesCompletionToCaller(t *testing.T) {
 
 func TestDriverConcurrentSubmitters(t *testing.T) {
 	env := sim.NewEnv(1)
-	qp := NewQueuePair(env)
-	echoDevice(env, qp, 5*time.Microsecond)
-	drv := NewDriver(env, qp)
+	qs := NewQueueSet(env, 1, Coalesce{})
+	echoSet(env, qs, 5*time.Microsecond)
+	drv := NewDriver(env, qs, 0)
 	results := map[int]int64{}
 	for i := 0; i < 10; i++ {
 		i := i
@@ -64,7 +48,8 @@ func TestDriverConcurrentSubmitters(t *testing.T) {
 
 func TestDriverSubmitAssignsUniqueIDs(t *testing.T) {
 	env := sim.NewEnv(1)
-	qp := NewQueuePair(env)
+	qs := NewQueueSet(env, 1, Coalesce{})
+	qp := qs.Pair(0)
 	seen := map[uint16]bool{}
 	env.Go("device", func(p *sim.Proc) {
 		for len(seen) < 5 {
@@ -80,7 +65,7 @@ func TestDriverSubmitAssignsUniqueIDs(t *testing.T) {
 			qp.CQ.Post(Completion{ID: cmd.ID})
 		}
 	})
-	drv := NewDriver(env, qp)
+	drv := NewDriver(env, qs, 0)
 	env.Go("host", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			drv.Submit(p, Command{Opcode: OpFlush})
@@ -94,7 +79,7 @@ func TestDriverSubmitAssignsUniqueIDs(t *testing.T) {
 
 func TestQueueDoorbellWakesConsumer(t *testing.T) {
 	env := sim.NewEnv(1)
-	sq := NewSubmissionQueue(env)
+	sq := NewQueueSet(env, 1, Coalesce{}).Pair(0).SQ
 	var wokeAt time.Duration
 	env.Go("consumer", func(p *sim.Proc) {
 		p.Wait(sq.Doorbell)
@@ -123,8 +108,9 @@ func TestVendorOpcodeRange(t *testing.T) {
 	}
 }
 
-// echoSet starts one echo device per pair in the set, each popping from
-// its own SQ and completing onto its own CQ.
+// echoSet starts one minimal device per pair in the set, each popping
+// from its own SQ and posting completions onto its own CQ after a fixed
+// delay.
 func echoSet(env *sim.Env, qs *QueueSet, delay time.Duration) {
 	for i := 0; i < qs.Len(); i++ {
 		qp := qs.Pair(i)
@@ -236,7 +222,7 @@ func TestSubmitAsyncDepthBackpressure(t *testing.T) {
 	env := sim.NewEnv(1)
 	qs := NewQueueSet(env, 1, Coalesce{})
 	echoSet(env, qs, 10*time.Microsecond)
-	drv := NewMultiDriver(env, qs, 2)
+	drv := NewDriver(env, qs, 2)
 	var submitAt []time.Duration
 	env.Go("host", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
@@ -262,7 +248,7 @@ func TestPollConsumesCompletionOnce(t *testing.T) {
 	env := sim.NewEnv(1)
 	qs := NewQueueSet(env, 1, Coalesce{Ops: 64, Time: time.Second})
 	echoSet(env, qs, 5*time.Microsecond)
-	drv := NewMultiDriver(env, qs, 0)
+	drv := NewDriver(env, qs, 0)
 	env.Go("host", func(p *sim.Proc) {
 		tok := drv.SubmitAsync(p, 0, Command{Opcode: OpXQueryStatus, CDW: 7})
 		if _, ok := drv.Poll(tok); ok {
@@ -286,7 +272,7 @@ func TestMultiDriverPerQueueIsolation(t *testing.T) {
 	env := sim.NewEnv(1)
 	qs := NewQueueSet(env, 2, Coalesce{})
 	echoSet(env, qs, 5*time.Microsecond)
-	drv := NewMultiDriver(env, qs, 0)
+	drv := NewDriver(env, qs, 0)
 	env.Go("host", func(p *sim.Proc) {
 		t0 := drv.SubmitAsync(p, 0, Command{Opcode: OpRead, CDW: 10})
 		t1 := drv.SubmitAsync(p, 1, Command{Opcode: OpRead, CDW: 20})

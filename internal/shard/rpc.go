@@ -21,8 +21,19 @@ import (
 	"xssd/internal/sim"
 )
 
+// The RPC wire. rpcLatency is the one-way latency of a cross-shard
+// message: two group quanta, so posts are never clamped in practice.
+// rpcTimeout bounds every blocking cross-shard wait (prepare votes,
+// decision acks, remote reads); a peer that answers slower is treated as
+// unavailable and the transaction aborts — the presumed-abort side of the
+// protocol.
+const (
+	rpcLatency = 2 * time.Microsecond
+	rpcTimeout = 4 * time.Millisecond
+)
+
 // rpc runs handler on dst's Env and blocks until the reply lands back on
-// s's Env or timeout passes, reporting whether the reply arrived.
+// s's Env or rpcTimeout passes, reporting whether the reply arrived.
 // handler executes at delivery time in dst's event context; it must
 // invoke its reply closure exactly once — immediately, or later from a
 // process it spawned on dst's Env when the work blocks (prepare's
@@ -31,7 +42,7 @@ import (
 // data across members.
 //
 //xssd:conduit request and reply both travel by PostTo and run in the receiving member's own Env
-func (s *Shard) rpc(p *sim.Proc, dst *Shard, timeout time.Duration, handler func(dst *Shard, reply func(mut func()))) bool {
+func (s *Shard) rpc(p *sim.Proc, dst *Shard, handler func(dst *Shard, reply func(mut func()))) bool {
 	s.mRPCOut.Inc()
 	sig := s.env.NewSignal()
 	done := false
@@ -42,7 +53,7 @@ func (s *Shard) rpc(p *sim.Proc, dst *Shard, timeout time.Duration, handler func
 		if d.Fail() || d.Drop() {
 			return
 		}
-		dst.env.PostTo(s.env, dst.env.Now()+s.c.cfg.RPCLatency+d.Dur, func() {
+		dst.env.PostTo(s.env, dst.env.Now()+rpcLatency+d.Dur, func() {
 			if mut != nil {
 				mut()
 			}
@@ -52,12 +63,12 @@ func (s *Shard) rpc(p *sim.Proc, dst *Shard, timeout time.Duration, handler func
 	}
 	d := fault.CheckEnv(s.env, fault.ShardRPC, dst.name, 1)
 	if !d.Fail() && !d.Drop() {
-		s.env.PostTo(dst.env, s.env.Now()+s.c.cfg.RPCLatency+d.Dur, func() {
+		s.env.PostTo(dst.env, s.env.Now()+rpcLatency+d.Dur, func() {
 			dst.mRPCIn.Inc()
 			handler(dst, reply)
 		})
 	}
-	deadline := p.Now() + timeout
+	deadline := p.Now() + rpcTimeout
 	s.env.At(deadline, sig.Broadcast)
 	p.WaitFor(sig, func() bool { return done || p.Now() >= deadline })
 	return done
@@ -75,7 +86,7 @@ func (s *Shard) post(dst *Shard, fn func(dst *Shard)) {
 	if d.Fail() || d.Drop() {
 		return
 	}
-	s.env.PostTo(dst.env, s.env.Now()+s.c.cfg.RPCLatency+d.Dur, func() {
+	s.env.PostTo(dst.env, s.env.Now()+rpcLatency+d.Dur, func() {
 		dst.mRPCIn.Inc()
 		fn(dst)
 	})

@@ -25,7 +25,6 @@ import (
 
 	"xssd/internal/core"
 	"xssd/internal/db"
-	"xssd/internal/failover"
 	"xssd/internal/nand"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
@@ -70,14 +69,6 @@ type Config struct {
 	// chaos-style batching (4 KiB / 500 µs) rather than wal.DefaultConfig,
 	// which is sized for full-scale figure runs.
 	WAL wal.Config
-	// RPCLatency is the one-way latency of a cross-shard message; 0 means
-	// 2 µs (two group quanta, so posts are never clamped in practice).
-	RPCLatency time.Duration
-	// RPCTimeout bounds every blocking cross-shard wait (prepare votes,
-	// decision acks, remote reads); 0 means 4 ms. A peer that answers
-	// slower than this is treated as unavailable and the transaction
-	// aborts — the presumed-abort side of the protocol.
-	RPCTimeout time.Duration
 	// Device builds one device; nil means DefaultDevice. Harnesses
 	// override it to apply their own geometry or tracing setup.
 	Device func(env *sim.Env, name string) *villars.Device
@@ -88,33 +79,15 @@ type Config struct {
 	// rows; nil leaves engines empty. It runs during Boot, before any
 	// terminal starts.
 	Load func(eng *db.Engine, shardID int)
-	// Failover, when true, attaches a failover.Manager to every shard
-	// that has secondaries (WAL retention is forced on). Supported with
-	// every shard on one member only (SimWorkers == 0): a takeover
-	// serializes a multi-member group, which would stall every other
-	// shard's progress.
-	Failover bool
-	// FailoverConfig tunes the per-shard managers when Failover is set;
-	// the zero value uses failover.DefaultConfig.
-	FailoverConfig failover.Config
 }
 
 func (c Config) withDefaults() Config {
-	if c.RPCLatency <= 0 {
-		c.RPCLatency = 2 * time.Microsecond
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 4 * time.Millisecond
-	}
 	if c.WAL.GroupBytes == 0 && c.WAL.GroupTimeout == 0 {
 		c.WAL.GroupBytes = 4 << 10
 		c.WAL.GroupTimeout = 500 * time.Microsecond
 	}
 	if c.Device == nil {
 		c.Device = DefaultDevice
-	}
-	if c.Failover {
-		c.WAL.Retain = true
 	}
 	return c
 }
@@ -161,7 +134,6 @@ type Shard struct {
 	dev  *villars.Device
 	secs []*villars.Device
 	rc   *repl.Cluster
-	fo   *failover.Manager
 	sink wal.Sink
 	lg   *wal.Log
 	eng  *db.Engine
@@ -217,10 +189,6 @@ func (s *Shard) Engine() *db.Engine { return s.eng }
 // Repl returns the shard's replication cluster (nil without secondaries).
 func (s *Shard) Repl() *repl.Cluster { return s.rc }
 
-// Failover returns the shard's failover manager (nil unless
-// Config.Failover was set and the shard has secondaries).
-func (s *Shard) Failover() *failover.Manager { return s.fo }
-
 // AckedGIDs returns the cross-shard transactions this shard, as
 // coordinator, acknowledged as committed — in acknowledgement order. The
 // I8 oracle checks each against the durable streams.
@@ -243,9 +211,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Warehouses < cfg.Shards || cfg.Warehouses%cfg.Shards != 0 {
 		return nil, fmt.Errorf("shard: Warehouses (%d) must be a positive multiple of Shards (%d)", cfg.Warehouses, cfg.Shards)
-	}
-	if cfg.Failover && cfg.SimWorkers > 0 {
-		return nil, errors.New("shard: Failover requires every shard on one member (SimWorkers == 0)")
 	}
 	c := &Cluster{cfg: cfg, group: sim.NewGroup(sim.GroupConfig{Workers: cfg.SimWorkers, StartInline: true})}
 	for i := 0; i < cfg.Shards; i++ {
@@ -370,8 +335,7 @@ func (s *Shard) bringUp(p *sim.Proc, cfg Config) error {
 			return fmt.Errorf("replication setup: %w", err)
 		}
 	}
-	vsink := wal.NewVillarsSink(p, s.dev, s.name)
-	s.sink = wal.Sink(vsink)
+	s.sink = wal.NewVillarsSink(p, s.dev, s.name)
 	if cfg.WrapSink != nil {
 		s.sink = cfg.WrapSink(s.id, s.sink)
 	}
@@ -379,9 +343,6 @@ func (s *Shard) bringUp(p *sim.Proc, cfg Config) error {
 	s.eng = db.New(s.env, s.lg)
 	if cfg.Load != nil {
 		cfg.Load(s.eng, s.id)
-	}
-	if cfg.Failover && s.rc != nil {
-		s.fo = failover.New(s.env, s.rc, s.lg, vsink, cfg.FailoverConfig)
 	}
 	return nil
 }

@@ -125,7 +125,7 @@ func (t *Tx) remoteGet(p *sim.Proc, sid int, table, key string) ([]byte, bool, e
 	gid, coord := t.gid, t.home.id
 	var val []byte
 	var ok bool
-	reached := t.home.rpc(p, t.home.c.shards[sid], t.home.c.cfg.RPCTimeout, func(dst *Shard, reply func(mut func())) {
+	reached := t.home.rpc(p, t.home.c.shards[sid], func(dst *Shard, reply func(mut func())) {
 		pt := dst.partyFor(gid, coord)
 		v, o := getByName(dst.eng, pt.tx, table, key)
 		// Copy before crossing members: the engine's row buffer belongs
@@ -232,7 +232,7 @@ func (t *Tx) Commit(p *sim.Proc) error {
 	for _, sid := range t.order {
 		gid, coord, nw := t.gid, home.id, t.parts[sid].writes
 		var vote bool
-		reached := home.rpc(p, home.c.shards[sid], home.c.cfg.RPCTimeout, func(dst *Shard, reply func(mut func())) {
+		reached := home.rpc(p, home.c.shards[sid], func(dst *Shard, reply func(mut func())) {
 			dst.startPrepare(gid, coord, nw, func(v bool) { reply(func() { vote = v }) })
 		})
 		if !reached {
@@ -264,7 +264,7 @@ func (t *Tx) Commit(p *sim.Proc) error {
 	// misses it resolves through its own resolver process.
 	for _, sid := range t.order {
 		gid := t.gid
-		home.rpc(p, home.c.shards[sid], home.c.cfg.RPCTimeout, func(dst *Shard, reply func(mut func())) {
+		home.rpc(p, home.c.shards[sid], func(dst *Shard, reply func(mut func())) {
 			dst.finish(gid, true)
 			reply(nil)
 		})
@@ -347,12 +347,12 @@ func (s *Shard) doPrepare(p *sim.Proc, pt *party, gid int64, coord, expectWrites
 func (s *Shard) resolver(gid int64, coord int) func(*sim.Proc) {
 	return func(p *sim.Proc) {
 		for {
-			p.Sleep(2 * s.c.cfg.RPCTimeout)
+			p.Sleep(2 * rpcTimeout)
 			if s.remote[gid] == nil {
 				return // decision arrived while we slept
 			}
 			var commit, known bool
-			reached := s.rpc(p, s.c.shards[coord], s.c.cfg.RPCTimeout, func(dst *Shard, reply func(mut func())) {
+			reached := s.rpc(p, s.c.shards[coord], func(dst *Shard, reply func(mut func())) {
 				o, k := dst.outcomes[gid]
 				reply(func() { commit, known = o, k })
 			})

@@ -65,7 +65,7 @@ func TestCoordinatorDiesBeforeDecision(t *testing.T) {
 }
 
 // TestParticipantFrozenDuringPrepare freezes shard 1's RPC traffic so
-// the prepare exchange cannot complete inside RPCTimeout. The
+// the prepare exchange cannot complete inside rpcTimeout. The
 // coordinator must abort with ErrUnavailable, and the late-arriving
 // prepare on the participant must eventually abort through the
 // termination protocol — leaving no pins and no state change.
@@ -77,7 +77,7 @@ func TestParticipantFrozenDuringPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// Delay the first few messages touching p1 well past RPCTimeout
+	// Delay the first few messages touching p1 well past rpcTimeout
 	// (4 ms): the prepare request arrives late, its reply later still.
 	plan := &fault.Plan{Rules: []fault.Rule{{
 		Point: fault.ShardRPC + "@p1", Trigger: fault.TriggerProb, Prob: 1,

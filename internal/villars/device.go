@@ -66,16 +66,6 @@ type Config struct {
 	// DestageLatencyBound destages a partial page when data has waited
 	// this long; 0 means core.DefaultDestageLatencyBound.
 	DestageLatencyBound time.Duration
-	// PCIeLanes is the host link width; 0 means ×4 (with PCIeGen's zero
-	// value this is the paper's constrained ×4 Gen2 configuration).
-	PCIeLanes int
-	// PCIeGen is the host link generation; the zero value means Gen2.
-	PCIeGen pcie.Generation
-	// LinkLatency is the host-device propagation delay.
-	LinkLatency time.Duration
-	// SupercapBudget is how long the device can run after power loss to
-	// drain the fast side; 0 means 100 ms (ample).
-	SupercapBudget time.Duration
 	// ShadowUpdatePeriod is the secondary's counter-report interval;
 	// 0 means 0.4 µs (the paper's fastest setting).
 	ShadowUpdatePeriod time.Duration
@@ -86,26 +76,36 @@ type Config struct {
 	// peer's shadow counter before the transport resends it (recovery
 	// from lost or delayed mirror traffic); 0 means 5 ms.
 	RepairTimeout time.Duration
-	// HostQueues enables the multi-queue NVMe host interface: the number
-	// of per-core SQ/CQ pairs. 0 keeps the classic single queue pair with
-	// no coalescing and no per-queue telemetry — byte-identical to the
-	// historical wiring. Explicitly setting 1 still opts into the async
-	// driver surface and per-queue instruments.
+	// HostQueues is the number of per-core NVMe SQ/CQ pairs; 0 means one
+	// pair.
 	HostQueues int
-	// HostQueueDepth bounds async in-flight commands per queue;
-	// 0 means 32. Only meaningful with HostQueues > 0.
+	// HostQueueDepth bounds async in-flight commands per queue; 0 means 32.
+	// The blocking Submit never checks it.
 	HostQueueDepth int
 	// CoalesceOps raises a CQ interrupt only after this many completions
-	// (<= 1: every completion). Only meaningful with HostQueues > 0.
+	// (<= 1: every completion).
 	CoalesceOps int
 	// CoalesceTime bounds how long a completion may wait for its
 	// coalesced interrupt; 0 with CoalesceOps > 1 means 8 µs (a final
-	// sub-batch must never strand). Only meaningful with HostQueues > 0.
+	// sub-batch must never strand).
 	CoalesceTime time.Duration
 }
 
+// The device's fixed shape: the paper's experimental setup (§6).
+const (
+	// pcieLanes and pcieGen size the host link: the paper's constrained
+	// ×4 Gen2 configuration.
+	pcieLanes = 4
+	pcieGen   = pcie.Gen2
+	// linkLatency is the host-device propagation delay.
+	linkLatency = 300 * time.Nanosecond
+	// supercapBudget is how long the device runs after power loss to
+	// drain the fast side (ample).
+	supercapBudget = 100 * time.Millisecond
+)
+
 // DefaultConfig returns the paper's experimental setup: SRAM-backed CMB,
-// ×4 Gen2 host link, Cosmos+-class NAND.
+// Cosmos+-class NAND.
 func DefaultConfig(name string) Config {
 	return Config{
 		Name:     name,
@@ -136,18 +136,6 @@ func (c *Config) fillDefaults() {
 	if c.DestageLatencyBound == 0 {
 		c.DestageLatencyBound = core.DefaultDestageLatencyBound
 	}
-	if c.PCIeLanes == 0 {
-		c.PCIeLanes = 4
-	}
-	if c.PCIeGen == 0 {
-		c.PCIeGen = pcie.Gen2
-	}
-	if c.LinkLatency == 0 {
-		c.LinkLatency = 300 * time.Nanosecond
-	}
-	if c.SupercapBudget == 0 {
-		c.SupercapBudget = 100 * time.Millisecond
-	}
 	if c.ShadowUpdatePeriod == 0 {
 		c.ShadowUpdatePeriod = 400 * time.Nanosecond
 	}
@@ -157,13 +145,11 @@ func (c *Config) fillDefaults() {
 	if c.RepairTimeout == 0 {
 		c.RepairTimeout = 5 * time.Millisecond
 	}
-	if c.HostQueues > 0 {
-		if c.HostQueueDepth == 0 {
-			c.HostQueueDepth = 32
-		}
-		if c.CoalesceOps > 1 && c.CoalesceTime == 0 {
-			c.CoalesceTime = 8 * time.Microsecond
-		}
+	if c.HostQueueDepth == 0 {
+		c.HostQueueDepth = 32
+	}
+	if c.CoalesceOps > 1 && c.CoalesceTime == 0 {
+		c.CoalesceTime = 8 * time.Microsecond
 	}
 }
 
@@ -183,8 +169,7 @@ type Device struct {
 	arr    *nand.Array
 	sch    *sched.Scheduler
 	ftl    *ftl.FTL
-	qp     *nvme.QueuePair
-	qset   *nvme.QueueSet // nil under the classic single-pair wiring
+	qset   *nvme.QueueSet
 	ctrl   *hic.Controller
 	host   *pcie.HostMemory
 	driver *nvme.Driver
@@ -224,22 +209,14 @@ type fastSide struct {
 func New(env *sim.Env, cfg Config, host *pcie.HostMemory) *Device {
 	cfg.fillDefaults()
 	d := &Device{env: env, cfg: cfg, host: host}
-	bw := float64(cfg.PCIeLanes) * cfg.PCIeGen.LaneBandwidth()
-	d.link = env.NewLink("pcie-"+cfg.Name, bw, cfg.LinkLatency)
+	bw := float64(pcieLanes) * pcieGen.LaneBandwidth()
+	d.link = env.NewLink("pcie-"+cfg.Name, bw, linkLatency)
 	d.arr = nand.New(env, cfg.Geometry, cfg.Timing)
 	d.sch = sched.New(env, d.arr, cfg.Policy)
 	d.ftl = ftl.New(env, d.arr, d.sch, cfg.FTL)
-	if cfg.HostQueues > 0 {
-		d.qset = nvme.NewQueueSet(env, cfg.HostQueues,
-			nvme.Coalesce{Ops: cfg.CoalesceOps, Time: cfg.CoalesceTime})
-		d.qp = d.qset.Pair(0)
-		d.ctrl = hic.NewMulti(env, d.qset, d.link, host, d.ftl, d, hic.DefaultConfig)
-		d.driver = nvme.NewMultiDriver(env, d.qset, cfg.HostQueueDepth)
-	} else {
-		d.qp = nvme.NewQueuePair(env)
-		d.ctrl = hic.New(env, d.qp, d.link, host, d.ftl, d, hic.DefaultConfig)
-		d.driver = nvme.NewDriver(env, d.qp)
-	}
+	d.qset = nvme.NewQueueSet(env, cfg.HostQueues, nvme.Coalesce{Ops: cfg.CoalesceOps, Time: cfg.CoalesceTime})
+	d.ctrl = hic.New(env, d.qset, d.link, host, d.ftl, d)
+	d.driver = nvme.NewDriver(env, d.qset, cfg.HostQueueDepth)
 
 	if cfg.DestageLBAs == 0 {
 		cfg.DestageLBAs = d.ftl.LogicalPages() / 4
@@ -273,12 +250,6 @@ func New(env *sim.Env, cfg Config, host *pcie.HostMemory) *Device {
 	dsc.GaugeFunc("status", d.statusRegister)
 	dsc.GaugeFunc("pcie/bytes", func() int64 { b, _, _ := d.link.Stats(); return b })
 	dsc.GaugeFunc("pcie/transfers", func() int64 { _, _, x := d.link.Stats(); return x })
-	if d.qset != nil {
-		// Per-queue depth gauges and submit→complete histograms exist only
-		// under the explicit multi-queue wiring, keeping classic-config
-		// snapshots byte-identical to the single-queue era.
-		d.driver.Observe(dsc.Sub("nvme"))
-	}
 
 	// Fault plan: exact-time power-loss rules for this device fire as
 	// scheduled events (byte-counted rules fire from the CMB hook). The
@@ -366,16 +337,11 @@ func (d *Device) DataRegion() *pcie.Region { return d.bank }
 // ControlRegion returns the MMIO register file.
 func (d *Device) ControlRegion() *pcie.Region { return d.ctrlRgn }
 
-// Queues returns the first NVMe queue pair of the conventional side.
-func (d *Device) Queues() *nvme.QueuePair { return d.qp }
-
-// QueueSet returns the multi-queue host interface, nil under the classic
-// single-pair wiring (Config.HostQueues == 0).
-func (d *Device) QueueSet() *nvme.QueueSet { return d.qset }
-
 // HostDriver returns the shared host-side NVMe driver bound to the
-// device's queue pair. All host contexts must use this instance: a queue
-// pair has exactly one interrupt consumer.
+// device's queue pairs. All host contexts must use this instance: a queue
+// pair has exactly one interrupt consumer. The driver registers no
+// per-queue instruments by itself; a caller that reads them calls
+// Observe during bring-up.
 func (d *Device) HostDriver() *nvme.Driver { return d.driver }
 
 // FTL exposes the flash translation layer (used in tests and recovery
@@ -609,7 +575,7 @@ func (d *Device) InjectPowerLoss() {
 		fs.cmb.kickDrain() // so an idle drain observes the flag
 		fs.destage.kick.Broadcast()
 	}
-	deadline := d.env.Now() + d.cfg.SupercapBudget
+	deadline := d.env.Now() + supercapBudget
 	d.env.At(deadline, func() {
 		// Energy exhausted: whatever remains undrained is lost. With the
 		// default budget the rings are long drained by now.

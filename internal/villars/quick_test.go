@@ -69,6 +69,7 @@ func queueHistory(t *testing.T, seed int64, shape quickQueueShape, plan *fault.P
 	cfg.CoalesceTime = shape.coalesceTime
 	d := New(env, cfg, pcie.NewHostMemory(1<<20))
 	drv := d.HostDriver()
+	drv.Observe(obs.For(env).Scope("q/nvme"))
 
 	// One submitter per queue: a sliding window of depth tokens, sizes
 	// cycling 1-4 blocks, each queue on a private wrapped LBA stripe.

@@ -122,15 +122,14 @@ type DeviceStats struct {
 	NAND      NANDStats
 	FTL       FTLStats
 	VFs       []VFStats
-	// HostQueues is the per-queue view of the multi-queue NVMe interface;
-	// empty under the classic single-pair wiring.
+	// HostQueues is the per-queue view of the NVMe host interface, one
+	// entry per queue pair (at least one).
 	HostQueues []HostQueueStats
 }
 
 // HostQueueStats is one NVMe queue pair's counters plus the driver's
-// submit→complete latency digest (populated once traffic has used the
-// async surface; the digest needs the driver's per-queue instruments,
-// which only exist under Config.HostQueues > 0).
+// submit→complete latency digest. The digest is zero unless a reader
+// registered the driver's per-queue instruments (Driver.Observe).
 type HostQueueStats struct {
 	Queue     int
 	Submitted int64
@@ -237,19 +236,17 @@ func (d *Device) Stats() DeviceStats {
 	for _, vf := range d.vfs {
 		s.VFs = append(s.VFs, vf.Stats())
 	}
-	if d.qset != nil {
-		for i := 0; i < d.qset.Len(); i++ {
-			s.HostQueues = append(s.HostQueues, HostQueueStats{
-				Queue:     i,
-				Submitted: d.driver.Submitted(i),
-				Completed: d.driver.Completed(i),
-				Inflight:  d.driver.Inflight(i),
-				LastSeq:   d.driver.LastSeq(i),
-				SQDepth:   d.qset.Pair(i).SQ.Len(),
-				CQDepth:   d.qset.Pair(i).CQ.Len(),
-				Latency:   d.driver.Latency(i).Summary(),
-			})
-		}
+	for i := 0; i < d.qset.Len(); i++ {
+		s.HostQueues = append(s.HostQueues, HostQueueStats{
+			Queue:     i,
+			Submitted: d.driver.Submitted(i),
+			Completed: d.driver.Completed(i),
+			Inflight:  d.driver.Inflight(i),
+			LastSeq:   d.driver.LastSeq(i),
+			SQDepth:   d.qset.Pair(i).SQ.Len(),
+			CQDepth:   d.qset.Pair(i).CQ.Len(),
+			Latency:   d.driver.Latency(i).Summary(),
+		})
 	}
 	return s
 }

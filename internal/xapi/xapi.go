@@ -201,24 +201,12 @@ func (l *Logger) XPwrite(p *sim.Proc, buf []byte) int64 {
 
 // XFsync blocks until every byte issued by prior XPwrite calls is
 // persistent under the device's active replication scheme (paper §5.1,
-// Fig 8 bottom: read the counter until it covers the written total).
+// Fig 8 bottom: read the counter until it covers the written total). It
+// is XWait on a token covering everything written so far.
 func (l *Logger) XFsync(p *sim.Proc) error {
 	span := l.mFsync.Start()
-	l.data.Fence(p)
-	for !l.fc.Durable() {
-		l.refreshCredit(p)
-		if l.fc.Durable() {
-			break
-		}
-		if l.dev.PowerLost() {
-			return ErrPowerLoss
-		}
-		// The register read itself paces the loop (a PCIe round trip);
-		// checking the status register on suspicion of staleness is the
-		// paper's §7.1 recommendation.
-		if st := l.readReg(p, core.RegStatus); st&core.StatusReplicaStalled != 0 {
-			p.Sleep(time.Microsecond) // back off; replica recovering
-		}
+	if err := l.XWait(p, l.XToken()); err != nil {
+		return err
 	}
 	span.End() // only successful fsyncs enter the latency series
 	return nil
@@ -273,6 +261,9 @@ func (l *Logger) XWait(p *sim.Proc, tok Token) error {
 		if l.dev.PowerLost() {
 			return ErrPowerLoss
 		}
+		// The register read itself paces the loop (a PCIe round trip);
+		// checking the status register on suspicion of staleness is the
+		// paper's §7.1 recommendation.
 		if st := l.readReg(p, core.RegStatus); st&core.StatusReplicaStalled != 0 {
 			p.Sleep(time.Microsecond) // back off; replica recovering
 		}

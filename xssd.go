@@ -138,9 +138,10 @@ type DeviceOptions struct {
 	// ShadowUpdatePeriod is the replica counter-report interval
 	// (default 0.4 µs).
 	ShadowUpdatePeriod time.Duration
-	// Queues configures the multi-queue NVMe host interface. nil keeps
-	// the classic single queue pair with interrupt-per-completion —
-	// byte-identical to devices built before queue options existed.
+	// Queues configures the multi-queue NVMe host interface and registers
+	// its per-queue series in the metrics snapshot. nil keeps the classic
+	// single queue pair with interrupt-per-completion and no per-queue
+	// series.
 	Queues *QueueOptions
 }
 
@@ -252,14 +253,14 @@ func (s *System) NewDevice(opts DeviceOptions) (*Device, error) {
 	}
 	if q := opts.Queues; q != nil {
 		cfg.HostQueues = q.Pairs
-		if cfg.HostQueues == 0 {
-			cfg.HostQueues = 1
-		}
 		cfg.HostQueueDepth = q.Depth
 		cfg.CoalesceOps = q.CoalesceOps
 		cfg.CoalesceTime = q.CoalesceTime
 	}
 	d := &Device{sys: s, dev: villars.New(s.env, cfg, s.hostMem)}
+	if opts.Queues != nil {
+		d.dev.HostDriver().Observe(obs.For(s.env).Scope(opts.Name + "/nvme"))
+	}
 	s.devices = append(s.devices, d)
 	return d, nil
 }

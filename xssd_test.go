@@ -435,7 +435,7 @@ func TestPublicAsyncSubmitPollWait(t *testing.T) {
 func TestDefaultOptionsKeepClassicSingleQueue(t *testing.T) {
 	sys := NewSystem(15)
 	dev := sys.MustDevice(DeviceOptions{Name: "classic"})
-	if st := dev.Stats(); len(st.HostQueues) != 0 {
-		t.Fatalf("classic device reports %d host-queue entries, want none", len(st.HostQueues))
+	if st := dev.Stats(); len(st.HostQueues) != 1 {
+		t.Fatalf("classic device reports %d host-queue entries, want one pair", len(st.HostQueues))
 	}
 }

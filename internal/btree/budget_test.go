@@ -95,13 +95,18 @@ func (d *deepTree) leafOf(tb testing.TB, key string) (size, depth int) {
 func (d *deepTree) goCold(tb testing.TB) {
 	tb.Helper()
 	checkpointCycle(tb, d.pg)
-	pool := d.pg.pool
-	d.pg.pool = 0
-	d.pg.evict()
-	d.pg.pool = pool
+	evictAll(d.pg)
 	if d.pg.Resident() != 0 {
 		tb.Fatalf("%d frames resident after a checkpoint and a full eviction", d.pg.Resident())
 	}
+}
+
+// evictAll drops every clean, unpinned frame from the pool.
+func evictAll(pg *Pager) {
+	pool := pg.pool
+	pg.pool = 0
+	pg.evict()
+	pg.pool = pool
 }
 
 // TestPutReadsOnlyItsPath is the read budget of a put as a property over
@@ -224,4 +229,57 @@ func BenchmarkTreePut(b *testing.B) {
 	b.ResetTimer()
 	fetches, _ := sameSizePuts(b, d, rng, b.N)
 	b.ReportMetric(float64(fetches)/float64(b.N), "fetches/op")
+}
+
+// coldLeaf builds a one-page tree of n 40-byte entries on a 4 KB page,
+// checkpointed and evicted, and returns it with its middle key: a Get of
+// that key is one pool miss that decodes the whole leaf.
+func coldLeaf(tb testing.TB, n int) (*Tree, string) {
+	tb.Helper()
+	pg := NewPager(NewMemStore(4096, 16), Config{PoolPages: 4})
+	tr := New(pg)
+	for i := 0; i < n; i++ {
+		if err := tr.Put(nil, fmt.Sprintf("key-%03d", i), Item{Ver: int64(i + 1), Val: []byte("a value of 20 bytes.")}, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if depth := treeDepth(tb, tr); depth != 1 {
+		tb.Fatalf("%d entries built %d levels, want a single leaf", n, depth)
+	}
+	checkpointCycle(tb, pg)
+	evictAll(pg)
+	return tr, fmt.Sprintf("key-%03d", n/2)
+}
+
+// missGet evicts tr's one page and reads key back through the codec.
+func missGet(tb testing.TB, tr *Tree, key string) {
+	evictAll(tr.pg)
+	if _, ok, err := tr.Get(nil, key); err != nil || !ok {
+		tb.Fatalf("cold get %q: found %v, %v", key, ok, err)
+	}
+}
+
+// TestMissAllocsIndependentOfCellCount pins what a pool miss allocates:
+// the node, its cell slice, one copy of the page's cell area and the
+// frame — the same count for a leaf of 8 entries and one of 64.
+func TestMissAllocsIndependentOfCellCount(t *testing.T) {
+	var got [2]float64
+	for i, n := range []int{8, 64} {
+		tr, key := coldLeaf(t, n)
+		got[i] = testing.AllocsPerRun(100, func() { missGet(t, tr, key) })
+	}
+	if got[0] != got[1] || got[1] > 4 {
+		t.Errorf("a cold get allocates %v objects on an 8-entry leaf and %v on a 64-entry one, want the same count and at most 4", got[0], got[1])
+	}
+}
+
+// BenchmarkPagerMiss is the page-decode microbench: a cold Get of a 4 KB
+// leaf holding 64 entries, so every iteration is one pool miss.
+func BenchmarkPagerMiss(b *testing.B) {
+	tr, key := coldLeaf(b, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		missGet(b, tr, key)
+	}
 }

@@ -8,10 +8,13 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
+	"unsafe"
 )
 
 // Page header layout (little-endian), headerLen bytes:
@@ -41,30 +44,61 @@ var (
 	ErrTooLarge = errors.New("btree: entry too large for page")
 )
 
-// node is the decoded form of one page. A leaf holds parallel
-// keys/vers/vals/tombs slices; a branch holds keys as separators with
-// children[i] covering keys below keys[i] (children[i+1] holds keys >=
-// keys[i], the separator being the smallest key of its right subtree).
+// node is the decoded form of one page. A leaf holds its entries sorted
+// by key; a branch holds keys as separators with children[i] covering
+// keys below keys[i] (children[i+1] holds keys >= keys[i], the separator
+// being the smallest key of its right subtree).
 type node struct {
 	id   uint64
 	kind byte
 	lsn  int64
 	size int // cell-area bytes, maintained incrementally by the tree ops
 
-	keys []string
-
 	// leaf payload
-	vers  []int64
-	vals  [][]byte
-	tombs []bool
+	cells []cell
 
 	// branch payload: len(children) == len(keys)+1
+	keys     []string
 	children []uint64
+}
+
+// cell is one leaf entry.
+type cell struct {
+	key  string
+	ver  int64
+	val  []byte
+	tomb bool
+}
+
+// count is the number of keys n holds: entries in a leaf, separators in a
+// branch.
+func (n *node) count() int {
+	if n.kind == kindLeaf {
+		return len(n.cells)
+	}
+	return len(n.keys)
+}
+
+// key returns n's i-th key.
+func (n *node) key(i int) string {
+	if n.kind == kindLeaf {
+		return n.cells[i].key
+	}
+	return n.keys[i]
+}
+
+// search returns the index of key in leaf n, or where it would go.
+func (n *node) search(key string) (int, bool) {
+	i := sort.Search(len(n.cells), func(i int) bool { return n.cells[i].key >= key })
+	return i, i < len(n.cells) && n.cells[i].key == key
 }
 
 // leafCellSize is the encoded size of one leaf entry:
 // flags(1) + klen(2) + vlen(2) + ver(8) + key + val.
 func leafCellSize(key string, val []byte) int { return 13 + len(key) + len(val) }
+
+// size is c's encoded size.
+func (c *cell) size() int { return leafCellSize(c.key, c.val) }
 
 // branchCellSize is the encoded size of one branch entry past the first
 // child pointer: klen(2) + key + child(8).
@@ -89,22 +123,22 @@ func encodeNode(n *node, pageSize int) ([]byte, error) {
 	buf[6] = n.kind
 	le.PutUint64(buf[8:16], n.id)
 	le.PutUint64(buf[16:24], uint64(n.lsn))
-	le.PutUint16(buf[24:26], uint16(len(n.keys)))
+	le.PutUint16(buf[24:26], uint16(n.count()))
 	off := headerLen
 	switch n.kind {
 	case kindLeaf:
-		for i, k := range n.keys {
+		for _, c := range n.cells {
 			flags := byte(0)
-			if n.tombs[i] {
+			if c.tomb {
 				flags = 1
 			}
 			buf[off] = flags
-			le.PutUint16(buf[off+1:off+3], uint16(len(k)))
-			le.PutUint16(buf[off+3:off+5], uint16(len(n.vals[i])))
-			le.PutUint64(buf[off+5:off+13], uint64(n.vers[i]))
+			le.PutUint16(buf[off+1:off+3], uint16(len(c.key)))
+			le.PutUint16(buf[off+3:off+5], uint16(len(c.val)))
+			le.PutUint64(buf[off+5:off+13], uint64(c.ver))
 			off += 13
-			off += copy(buf[off:], k)
-			off += copy(buf[off:], n.vals[i])
+			off += copy(buf[off:], c.key)
+			off += copy(buf[off:], c.val)
 		}
 	case kindBranch:
 		le.PutUint64(buf[off:off+8], n.children[0])
@@ -130,8 +164,17 @@ func encodeNode(n *node, pageSize int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeNode parses one page, verifying magic, version, CRC, and every
-// cell bound. The returned node owns fresh copies of all byte content.
+// decodeNode parses one page, verifying magic, version, reserved byte,
+// CRC, every cell's bounds, key order and that no bytes trail the last
+// cell. It copies the cell area once, after the header and CRC checks,
+// and parses the cells out of that copy: a key is a string view of its
+// bytes there and a value a sub-slice capped at its own length, so an
+// append by a caller reallocates instead of writing over the next cell.
+// Nothing writes the copy again or recycles it — it lives as long as any
+// key or value still points into it — so the node shares nothing with
+// data, and a page costs the same handful of allocations whatever its
+// cell count (TestMissAllocsIndependentOfCellCount). A page that fails a
+// cell check drops the copy with the error.
 func decodeNode(data []byte) (*node, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrCorrupt, len(data), headerLen)
@@ -166,14 +209,11 @@ func decodeNode(data []byte) (*node, error) {
 		lsn:  int64(le.Uint64(data[16:24])),
 		size: used,
 	}
-	cells := data[headerLen : headerLen+used]
+	cells := bytes.Clone(data[headerLen : headerLen+used])
 	off := 0
 	switch kind {
 	case kindLeaf:
-		n.keys = make([]string, 0, nkeys)
-		n.vers = make([]int64, 0, nkeys)
-		n.vals = make([][]byte, 0, nkeys)
-		n.tombs = make([]bool, 0, nkeys)
+		n.cells = make([]cell, 0, nkeys)
 		for i := 0; i < nkeys; i++ {
 			if off+13 > used {
 				return nil, fmt.Errorf("%w: leaf cell %d header overruns cell area", ErrCorrupt, i)
@@ -184,22 +224,21 @@ func decodeNode(data []byte) (*node, error) {
 			}
 			kl := int(le.Uint16(cells[off+1 : off+3]))
 			vl := int(le.Uint16(cells[off+3 : off+5]))
-			ver := int64(le.Uint64(cells[off+5 : off+13]))
+			c := cell{ver: int64(le.Uint64(cells[off+5 : off+13])), tomb: flags == 1}
 			off += 13
 			if off+kl+vl > used {
 				return nil, fmt.Errorf("%w: leaf cell %d body overruns cell area", ErrCorrupt, i)
 			}
-			key := string(cells[off : off+kl])
+			c.key = view(cells[off : off+kl])
 			off += kl
-			val := append([]byte(nil), cells[off:off+vl]...)
+			if vl > 0 { // an empty value stays nil and pins nothing
+				c.val = cells[off : off+vl : off+vl]
+			}
 			off += vl
-			if i > 0 && key <= n.keys[i-1] {
+			if i > 0 && c.key <= n.cells[i-1].key {
 				return nil, fmt.Errorf("%w: leaf keys out of order at cell %d", ErrCorrupt, i)
 			}
-			n.keys = append(n.keys, key)
-			n.vers = append(n.vers, ver)
-			n.vals = append(n.vals, val)
-			n.tombs = append(n.tombs, flags == 1)
+			n.cells = append(n.cells, c)
 		}
 	case kindBranch:
 		if nkeys == 0 {
@@ -221,7 +260,7 @@ func decodeNode(data []byte) (*node, error) {
 			if off+kl+8 > used {
 				return nil, fmt.Errorf("%w: branch cell %d body overruns cell area", ErrCorrupt, i)
 			}
-			key := string(cells[off : off+kl])
+			key := view(cells[off : off+kl])
 			off += kl
 			child := le.Uint64(cells[off : off+8])
 			off += 8
@@ -237,3 +276,7 @@ func decodeNode(data []byte) (*node, error) {
 	}
 	return n, nil
 }
+
+// view returns b's bytes as a string without copying them. b must never
+// be written again: decodeNode's cell-area copy is the only caller.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }

@@ -4,26 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 )
 
 func sampleLeaf() *node {
 	n := &node{id: 9, kind: kindLeaf, lsn: 4242}
-	for _, e := range []struct {
-		k    string
-		v    []byte
-		ver  int64
-		tomb bool
-	}{
-		{"alpha", []byte("one"), 3, false},
-		{"beta", nil, 7, true},
-		{"gamma", bytes.Repeat([]byte{0x5A}, 40), 11, false},
+	for _, c := range []cell{
+		{"alpha", 3, []byte("one"), false},
+		{"beta", 7, nil, true},
+		{"gamma", 11, bytes.Repeat([]byte{0x5A}, 40), false},
 	} {
-		n.keys = append(n.keys, e.k)
-		n.vals = append(n.vals, e.v)
-		n.vers = append(n.vers, e.ver)
-		n.tombs = append(n.tombs, e.tomb)
-		n.size += leafCellSize(e.k, e.v)
+		n.cells = append(n.cells, c)
+		n.size += c.size()
 	}
 	return n
 }
@@ -42,25 +35,10 @@ func nodesEqual(a, b *node) bool {
 	if a.id != b.id || a.kind != b.kind || a.lsn != b.lsn || a.size != b.size {
 		return false
 	}
-	if len(a.keys) != len(b.keys) || len(a.children) != len(b.children) || len(a.vals) != len(b.vals) {
-		return false
-	}
-	for i := range a.keys {
-		if a.keys[i] != b.keys[i] {
-			return false
-		}
-	}
-	for i := range a.children {
-		if a.children[i] != b.children[i] {
-			return false
-		}
-	}
-	for i := range a.vals {
-		if !bytes.Equal(a.vals[i], b.vals[i]) || a.vers[i] != b.vers[i] || a.tombs[i] != b.tombs[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.keys, b.keys) && slices.Equal(a.children, b.children) &&
+		slices.EqualFunc(a.cells, b.cells, func(x, y cell) bool {
+			return x.key == y.key && x.ver == y.ver && bytes.Equal(x.val, y.val) && x.tomb == y.tomb
+		})
 }
 
 func TestPageRoundTrip(t *testing.T) {
@@ -128,7 +106,7 @@ func TestPageRejectsStructuralLies(t *testing.T) {
 	// A page whose CRC is valid but whose cells lie structurally: out of
 	// order keys. Build it by hand so the checksum passes.
 	n := sampleLeaf()
-	n.keys[0], n.keys[1] = n.keys[1], n.keys[0]
+	n.cells[0].key, n.cells[1].key = n.cells[1].key, n.cells[0].key
 	buf, err := encodeNode(n, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +131,9 @@ func TestPageRejectsStructuralLies(t *testing.T) {
 // FuzzBtreePageRoundTrip drives the codec both ways: arbitrary bytes must
 // never panic the decoder, and any page it accepts must re-encode to an
 // image that decodes to the same node. A second arm builds a leaf from the
-// fuzz input and checks the encode→decode round trip exactly.
+// fuzz input, checks the encode→decode round trip exactly, and then
+// overwrites the image: the decoded leaf's keys and values view its own
+// copy of the cell area, so they must not change.
 func FuzzBtreePageRoundTrip(f *testing.F) {
 	if leaf, err := encodeNode(sampleLeaf(), 128); err == nil {
 		f.Add(leaf)
@@ -185,22 +165,23 @@ func FuzzBtreePageRoundTrip(f *testing.F) {
 		// Arm two: interpret the input as leaf entries and round-trip them.
 		n := &node{id: 1, kind: kindLeaf}
 		prev := ""
-		for off := 0; off+2 <= len(data) && len(n.keys) < 64; {
+		for off := 0; off+2 <= len(data) && len(n.cells) < 64; {
 			kl := int(data[off]%8) + 1
 			vl := int(data[off+1] % 32)
 			off += 2
 			if off+kl+vl > len(data) {
 				break
 			}
-			key := prev + string(data[off:off+kl]) // strictly longer ⇒ strictly greater
-			val := append([]byte(nil), data[off+kl:off+kl+vl]...)
+			c := cell{
+				key: prev + string(data[off:off+kl]), // strictly longer ⇒ strictly greater
+				val: append([]byte(nil), data[off+kl:off+kl+vl]...),
+			}
 			off += kl + vl
-			n.keys = append(n.keys, key)
-			n.vals = append(n.vals, val)
-			n.vers = append(n.vers, int64(binary.LittleEndian.Uint16(data[off-2:off])))
-			n.tombs = append(n.tombs, kl%2 == 0)
-			n.size += leafCellSize(key, val)
-			prev = key
+			c.ver = int64(binary.LittleEndian.Uint16(data[off-2 : off]))
+			c.tomb = kl%2 == 0
+			n.cells = append(n.cells, c)
+			n.size += c.size()
+			prev = c.key
 		}
 		pageSize := headerLen + n.size + 16
 		img, err := encodeNode(n, pageSize)
@@ -213,6 +194,12 @@ func FuzzBtreePageRoundTrip(f *testing.F) {
 		}
 		if !nodesEqual(n, got) {
 			t.Fatalf("synthetic leaf drifted through codec")
+		}
+		for i := range img {
+			img[i] ^= 0xFF
+		}
+		if !nodesEqual(n, got) {
+			t.Fatalf("decoded leaf changed with the image it was decoded from")
 		}
 	})
 }

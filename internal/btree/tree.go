@@ -2,7 +2,9 @@ package btree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"xssd/internal/sim"
 )
@@ -19,7 +21,10 @@ type Item struct {
 // Tree is one B+tree keyed by string, rooted at a pager page. All
 // methods run on the calling simulated process; only pager misses and
 // checkpoint writes spend virtual time. Values returned by Get and Scan
-// alias the cached page — callers must treat them as read-only.
+// alias the cached page — callers must treat them as read-only. The tree
+// never writes them either: an update replaces a cell's value slice, and
+// a value decoded from a page is capped at its own length, so it keeps
+// its bytes after the page is updated or evicted.
 type Tree struct {
 	pg   *Pager
 	root uint64
@@ -60,21 +65,28 @@ func (t *Tree) Get(p *sim.Proc, key string) (Item, bool, error) {
 			t.pg.unpin(f)
 			continue
 		}
-		i := sort.SearchStrings(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			it := Item{Ver: n.vers[i], Val: n.vals[i], Tomb: n.tombs[i]}
-			t.pg.unpin(f)
-			return it, true, nil
-		}
+		i, ok := n.search(key)
 		t.pg.unpin(f)
-		return Item{}, false, nil
+		if !ok {
+			return Item{}, false, nil
+		}
+		c := &n.cells[i]
+		return Item{Ver: c.ver, Val: c.val, Tomb: c.tomb}, true, nil
 	}
 }
 
 // Put inserts or replaces key with it, stamping touched pages with lsn
 // (the end LSN of the redo record carrying this write).
 func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
-	if leafCellSize(key, it.Val) > t.pg.maxCell() || branchCellSize(key)*4 > t.pg.maxCell() {
+	if 3*leafCellSize(key, it.Val) > t.pg.maxCell() || 4*branchCellSize(key) > t.pg.maxCell() {
+		// A leaf cell of at most a third of the cell area A is what lets
+		// splitLeaf's byte midpoint place both halves. The leaf held at
+		// most A before this put, which adds (or grows) one cell of c
+		// bytes, so an overflowing leaf holds s <= A + c. The left half
+		// stops at the first cell that takes it to half = s/2 or more, so
+		// left < half + c <= (A + c)/2 + c <= A when c <= A/3; the right
+		// half is at most s - half, also under A.
+		//
 		// The branch bound guarantees every overflowing branch holds at
 		// least four separators, so a split always leaves a valid key on
 		// both sides.
@@ -120,24 +132,13 @@ func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
 func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (sep string, right uint64, split bool, err error) {
 	n := f.n
 	if n.kind == kindLeaf {
-		i := sort.SearchStrings(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			n.size += leafCellSize(key, it.Val) - leafCellSize(key, n.vals[i])
-			n.vers[i], n.vals[i], n.tombs[i] = it.Ver, it.Val, it.Tomb
+		c := cell{key: key, ver: it.Ver, val: it.Val, tomb: it.Tomb}
+		if i, ok := n.search(key); ok {
+			n.size += c.size() - n.cells[i].size()
+			n.cells[i] = c
 		} else {
-			n.keys = append(n.keys, "")
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = key
-			n.vers = append(n.vers, 0)
-			copy(n.vers[i+1:], n.vers[i:])
-			n.vers[i] = it.Ver
-			n.vals = append(n.vals, nil)
-			copy(n.vals[i+1:], n.vals[i:])
-			n.vals[i] = it.Val
-			n.tombs = append(n.tombs, false)
-			copy(n.tombs[i+1:], n.tombs[i:])
-			n.tombs[i] = it.Tomb
-			n.size += leafCellSize(key, it.Val)
+			n.cells = slices.Insert(n.cells, i, c)
+			n.size += c.size()
 		}
 		t.pg.markDirty(f, lsn)
 		if n.size > t.pg.maxCell() {
@@ -168,12 +169,8 @@ func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (se
 		return "", 0, false, t.maybeMerge(p, f, j, cf, lsn)
 	}
 	t.pg.unpin(cf)
-	n.keys = append(n.keys, "")
-	copy(n.keys[j+1:], n.keys[j:])
-	n.keys[j] = csep
-	n.children = append(n.children, 0)
-	copy(n.children[j+2:], n.children[j+1:])
-	n.children[j+1] = cright
+	n.keys = slices.Insert(n.keys, j, csep)
+	n.children = slices.Insert(n.children, j+1, cright)
 	n.size += branchCellSize(csep)
 	t.pg.markDirty(f, lsn)
 	// A byte-skewed split can leave an underfull half; settle the pairs at
@@ -193,13 +190,16 @@ func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (se
 }
 
 // splitLeaf moves the upper half (by bytes) of f into a fresh right
-// sibling; the separator is the right sibling's first key.
+// sibling; the separator is the right sibling's first key. Put's
+// admission rule is what makes both halves fit. The separator is cloned:
+// a decoded leaf's key is a view into its page's cell-area copy, which a
+// long-lived parent must not keep alive.
 func (t *Tree) splitLeaf(f *frame, lsn int64) (string, uint64, bool, error) {
 	n := f.n
 	half := n.size / 2
 	acc, sp := 0, 0
-	for sp = 0; sp < len(n.keys)-1; sp++ {
-		acc += leafCellSize(n.keys[sp], n.vals[sp])
+	for sp = 0; sp < len(n.cells)-1; sp++ {
+		acc += n.cells[sp].size()
 		if acc >= half {
 			sp++
 			break
@@ -210,21 +210,16 @@ func (t *Tree) splitLeaf(f *frame, lsn int64) (string, uint64, bool, error) {
 	}
 	rf := t.pg.alloc(kindLeaf)
 	r := rf.n
-	r.keys = append(r.keys, n.keys[sp:]...)
-	r.vers = append(r.vers, n.vers[sp:]...)
-	r.vals = append(r.vals, n.vals[sp:]...)
-	r.tombs = append(r.tombs, n.tombs[sp:]...)
-	for i := sp; i < len(n.keys); i++ {
-		r.size += leafCellSize(n.keys[i], n.vals[i])
+	r.cells = append(r.cells, n.cells[sp:]...)
+	for i := range r.cells {
+		r.size += r.cells[i].size()
 	}
-	n.keys = n.keys[:sp]
-	n.vers = n.vers[:sp]
-	n.vals = n.vals[:sp]
-	n.tombs = n.tombs[:sp]
+	clear(n.cells[sp:])
+	n.cells = n.cells[:sp]
 	n.size -= r.size
 	t.pg.markDirty(f, lsn)
 	t.pg.markDirty(rf, lsn)
-	sep := r.keys[0]
+	sep := strings.Clone(r.cells[0].key)
 	id := rf.id
 	t.pg.unpin(rf)
 	return sep, id, true, nil
@@ -233,7 +228,7 @@ func (t *Tree) splitLeaf(f *frame, lsn int64) (string, uint64, bool, error) {
 // splitBranch promotes the separator closest to the byte midpoint and
 // moves everything to its right into a fresh sibling — splitting by
 // bytes, not by count, keeps both halves above the fill floor even with
-// skewed key lengths.
+// skewed key lengths. The promoted separator is cloned, as in splitLeaf.
 func (t *Tree) splitBranch(f *frame, lsn int64) (string, uint64, bool, error) {
 	n := f.n
 	half := (n.size - branchBaseSize) / 2
@@ -247,7 +242,7 @@ func (t *Tree) splitBranch(f *frame, lsn int64) (string, uint64, bool, error) {
 	if m == 0 {
 		m = 1
 	}
-	sep := n.keys[m]
+	sep := strings.Clone(n.keys[m])
 	rf := t.pg.alloc(kindBranch)
 	r := rf.n
 	r.keys = append(r.keys, n.keys[m+1:]...)
@@ -255,6 +250,7 @@ func (t *Tree) splitBranch(f *frame, lsn int64) (string, uint64, bool, error) {
 	for _, k := range r.keys {
 		r.size += branchCellSize(k)
 	}
+	clear(n.keys[m:])
 	n.keys = n.keys[:m]
 	n.children = n.children[:m+1]
 	n.size -= r.size - branchBaseSize + branchCellSize(sep)
@@ -295,15 +291,12 @@ func (t *Tree) Remove(p *sim.Proc, key string, lsn int64) (bool, error) {
 func (t *Tree) remove(p *sim.Proc, f *frame, key string, lsn int64) (bool, error) {
 	n := f.n
 	if n.kind == kindLeaf {
-		i := sort.SearchStrings(n.keys, key)
-		if i >= len(n.keys) || n.keys[i] != key {
+		i, ok := n.search(key)
+		if !ok {
 			return false, nil
 		}
-		n.size -= leafCellSize(key, n.vals[i])
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vers = append(n.vers[:i], n.vers[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		n.tombs = append(n.tombs[:i], n.tombs[i+1:]...)
+		n.size -= n.cells[i].size()
+		n.cells = slices.Delete(n.cells, i, i+1)
 		t.pg.markDirty(f, lsn)
 		return true, nil
 	}
@@ -422,14 +415,11 @@ func (t *Tree) mergeInto(p *sim.Proc, f *frame, j int, left, right *frame, lsn i
 		l.children = append(l.children, r.children...)
 		l.size = mergedSize(kindBranch, l.size, r.size, sep)
 	} else {
-		l.keys = append(l.keys, r.keys...)
-		l.vers = append(l.vers, r.vers...)
-		l.vals = append(l.vals, r.vals...)
-		l.tombs = append(l.tombs, r.tombs...)
+		l.cells = append(l.cells, r.cells...)
 		l.size += r.size
 	}
-	f.n.keys = append(f.n.keys[:j], f.n.keys[j+1:]...)
-	f.n.children = append(f.n.children[:j+1], f.n.children[j+2:]...)
+	f.n.keys = slices.Delete(f.n.keys, j, j+1)
+	f.n.children = slices.Delete(f.n.children, j+1, j+2)
 	f.n.size -= branchCellSize(sep)
 	t.pg.markDirty(left, lsn)
 	t.pg.markDirty(f, lsn)
@@ -458,8 +448,8 @@ func (t *Tree) scan(p *sim.Proc, id uint64, fn func(key string, it Item) bool) (
 	}
 	n := f.n
 	if n.kind == kindLeaf {
-		for i, k := range n.keys {
-			if !fn(k, Item{Ver: n.vers[i], Val: n.vals[i], Tomb: n.tombs[i]}) {
+		for _, c := range n.cells {
+			if !fn(c.key, Item{Ver: c.ver, Val: c.val, Tomb: c.tomb}) {
 				t.pg.unpin(f)
 				return false, nil
 			}
@@ -495,8 +485,9 @@ func (t *Tree) check(p *sim.Proc, id uint64, depth int, leafDepth *int, lo strin
 	}
 	defer t.pg.unpin(f)
 	n := f.n
-	for i, k := range n.keys {
-		if i > 0 && k <= n.keys[i-1] {
+	for i := 0; i < n.count(); i++ {
+		k := n.key(i)
+		if i > 0 && k <= n.key(i-1) {
 			return 0, fmt.Errorf("btree: node %d keys out of order at %d", id, i)
 		}
 		if haveLo && k < lo {
@@ -513,8 +504,8 @@ func (t *Tree) check(p *sim.Proc, id uint64, depth int, leafDepth *int, lo strin
 		} else if depth != *leafDepth {
 			return 0, fmt.Errorf("btree: leaf %d at depth %d, want %d", id, depth, *leafDepth)
 		}
-		for i := range n.keys {
-			size += leafCellSize(n.keys[i], n.vals[i])
+		for i := range n.cells {
+			size += n.cells[i].size()
 		}
 	} else {
 		if len(n.children) != len(n.keys)+1 {

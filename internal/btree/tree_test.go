@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -150,6 +152,111 @@ func TestTreeQuickVsOracle(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: maxCount}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuickPutAdmission is Put's admission rule as a property: random puts
+// on 256-byte pages whose leaf cells range up to the whole cell area. A
+// cell over a third of the area must be refused with ErrTooLarge; every
+// other put must be accepted and leave a tree that passes CheckInvariants
+// and whose pages all encode (each put is followed by a checkpoint, so
+// the 8-frame pool also evicts and re-reads pages).
+func TestQuickPutAdmission(t *testing.T) {
+	const pageSize = 256
+	maxCell := pageSize - headerLen
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pg := NewPager(NewMemStore(pageSize, 1<<20), Config{PoolPages: 8})
+		tr := New(pg)
+		for i := 0; i < 300; i++ {
+			key := fmt.Sprintf("k%03d", rng.Intn(200))
+			vlen := rng.Intn(maxCell - leafCellSize(key, nil) + 1)
+			if rng.Intn(2) == 0 { // half the puts land within a few bytes of the limit
+				vlen = maxCell/3 - leafCellSize(key, nil) + rng.Intn(9) - 4
+			}
+			lsn := int64(i + 1)
+			err := tr.Put(nil, key, Item{Ver: lsn, Val: make([]byte, vlen)}, lsn)
+			if cell := leafCellSize(key, make([]byte, vlen)); 3*cell > maxCell {
+				if !errors.Is(err, ErrTooLarge) {
+					t.Logf("seed %d op %d: a %d-byte cell in a %d-byte area was admitted (%v)", seed, i, cell, maxCell, err)
+					return false
+				}
+			} else if err != nil {
+				t.Logf("seed %d op %d: put of a %d-byte cell: %v", seed, i, cell, err)
+				return false
+			}
+			if err := tr.CheckInvariants(nil); err != nil {
+				t.Logf("seed %d op %d: %v", seed, i, err)
+				return false
+			}
+			snap, err := pg.SnapshotCheckpoint()
+			if err != nil {
+				t.Logf("seed %d op %d: %v", seed, i, err)
+				return false
+			}
+			if err := pg.WriteImages(nil, snap.Images); err != nil {
+				t.Fatal(err)
+			}
+			pg.CommitCheckpoint(snap)
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCountScale: 0.25, Rand: rand.New(rand.NewSource(29))}
+	if testing.Short() {
+		cfg.MaxCountScale = 0.05
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValueOutlivesEviction holds the contract Get's values rest on
+// (DESIGN §9): a value decoded from a page views that page's cell-area
+// copy, which nothing writes again. It keeps its bytes after its frame is
+// evicted, the page is read back and a neighbouring key is updated, and
+// an append to it reallocates instead of writing over the next cell.
+func TestValueOutlivesEviction(t *testing.T) {
+	pg := NewPager(NewMemStore(512, 64), Config{PoolPages: 4})
+	tr := New(pg)
+	put := func(key, val string, lsn int64) {
+		t.Helper()
+		if err := tr.Put(nil, key, Item{Ver: lsn, Val: []byte(val)}, lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(key string) []byte {
+		t.Helper()
+		it, ok, err := tr.Get(nil, key)
+		if err != nil || !ok {
+			t.Fatalf("get %q: found %v, %v", key, ok, err)
+		}
+		return it.Val
+	}
+	put("a", "aaaaaaaaaaaaaaaa", 1)
+	put("b", "bbbbbbbbbbbbbbbb", 1)
+	put("c", "cccccccccccccccc", 1)
+	checkpointCycle(t, pg)
+	evictAll(pg)
+
+	b, c := get("b"), get("c") // both view the one copy the miss made
+	grown := append(b, bytes.Repeat([]byte{'X'}, 64)...)
+	if string(c) != "cccccccccccccccc" || string(get("c")) != "cccccccccccccccc" {
+		t.Fatalf("appending to b's value wrote over its neighbour: c reads %q", get("c"))
+	}
+	if string(grown[:16]) != "bbbbbbbbbbbbbbbb" {
+		t.Fatalf("append lost b's bytes: %q", grown)
+	}
+
+	evictAll(pg)
+	put("c", "CCCCCCCCCCCCCCCC", 2) // re-reads the page, then updates b's neighbour
+	put("a", "A", 2)
+	checkpointCycle(t, pg)
+	evictAll(pg)
+	if got := string(get("c")); got != "CCCCCCCCCCCCCCCC" {
+		t.Fatalf("c reads %q after its update", got)
+	}
+	if string(b) != "bbbbbbbbbbbbbbbb" || string(c) != "cccccccccccccccc" {
+		t.Fatalf("values read before eviction changed: b %q, c %q", b, c)
 	}
 }
 

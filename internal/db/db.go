@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"xssd/internal/btree"
 	"xssd/internal/sim"
@@ -66,7 +67,7 @@ type Engine struct {
 	pins map[hkey]*Tx
 
 	// spare holds the read/write sets of finished transactions, cleared
-	// but with their capacity, for BeginP to hand out again (DESIGN §9): a
+	// but with their capacity, for BeginIn to hand out again (DESIGN §9): a
 	// transaction's cost is then the rows it writes, not three containers
 	// grown from empty.
 	spare []txSets
@@ -242,7 +243,7 @@ type Tx struct {
 	// in-memory engine (nothing there ever yields).
 	p *sim.Proc
 
-	// The sets are on loan from the engine: BeginP takes them off
+	// The sets are on loan from the engine: BeginIn takes them off
 	// Engine.spare and release puts them back when the transaction
 	// finishes, after which it holds none and touches nothing.
 	txSets
@@ -252,10 +253,17 @@ type Tx struct {
 // looks a key up in it; validate, Prepare and pinned only walk it — so a
 // row read twice appears twice and is validated against every version it
 // was seen at.
+//
+// keys holds the bytes of every key in reads, which are views into it
+// (ownKey): GetIn keeps no key of its caller's. A view outlives the
+// buffer growing, since nothing writes an old backing array again, and the
+// bytes are only reused after release, when unpin has already dropped
+// every pin a Prepare keyed by them.
 type txSets struct {
 	reads  []readOp
 	writes []writeOp
 	wIndex map[hkey]int // read-your-writes index into writes
+	keys   []byte
 }
 
 // readOp is one observed row version: 0 for an absent row, the writer's
@@ -286,9 +294,16 @@ func (e *Engine) Begin() *Tx { return e.BeginP(nil) }
 
 // BeginP starts a transaction owned by process p. Paged reads and commits
 // run on p when they need the device.
-func (e *Engine) BeginP(p *sim.Proc) *Tx {
+func (e *Engine) BeginP(p *sim.Proc) *Tx { return e.BeginIn(new(Tx), p) }
+
+// BeginIn is BeginP into t, a Tx the caller owns that is new or finished,
+// and returns t: a terminal running one transaction at a time begins each
+// in the same Tx and allocates none for it. Only the caller may still
+// hold t — a late call through another reference would reach the new
+// transaction.
+func (e *Engine) BeginIn(t *Tx, p *sim.Proc) *Tx {
 	e.nextTx++
-	t := &Tx{eng: e, id: e.nextTx, p: p}
+	*t = Tx{eng: e, id: e.nextTx, p: p}
 	if n := len(e.spare); n > 0 {
 		t.txSets, e.spare[n-1] = e.spare[n-1], txSets{}
 		e.spare = e.spare[:n-1]
@@ -298,17 +313,26 @@ func (e *Engine) BeginP(p *sim.Proc) *Tx {
 	return t
 }
 
-// release hands a finished transaction's sets back to the engine. The Tx
-// itself is not recycled — callers keep the pointer — so from here on it
-// holds no set at all, and GetIn and addWrite check done before touching
-// one: a late call can neither assign into a nil map nor reach a set
-// another transaction now owns.
+// release hands a finished transaction's sets back to the engine. From
+// here on the Tx holds no set at all, and GetIn and addWrite check done
+// before touching one: a late call can neither assign into a nil map nor
+// reach a set another transaction now owns.
 func (t *Tx) release() {
 	clear(t.reads)
 	clear(t.writes)
 	clear(t.wIndex)
-	t.eng.spare = append(t.eng.spare, txSets{t.reads[:0], t.writes[:0], t.wIndex})
+	t.eng.spare = append(t.eng.spare, txSets{t.reads[:0], t.writes[:0], t.wIndex, t.keys[:0]})
 	t.txSets = txSets{}
+}
+
+// ownKey copies key into the read set's key bytes and returns a view of
+// the copy.
+//
+//xssd:hotpath
+func (t *Tx) ownKey(key string) string {
+	n := len(t.keys)
+	t.keys = append(t.keys, key...)
+	return unsafe.String(unsafe.SliceData(t.keys[n:]), len(key))
 }
 
 // ID returns the transaction id.
@@ -319,6 +343,11 @@ func (t *Tx) ID() int64 { return t.id }
 // process and records the observed version: 0 for an absent row, the
 // writer's id for a live row or a tombstone. On a finished transaction it
 // reads the store and records nothing.
+//
+// GetIn keeps no reference to key once it returns: the read set copies
+// the bytes it validates. key may be a view of a buffer the caller reuses
+// for its next key — which is how internal/tpcc names a row it only reads.
+// A write key is different: PutIn, PutOwnedIn and DeleteIn keep theirs.
 //
 // The returned bytes are the row as installed, not a copy, and they never
 // change: both stores replace a row's value whole (rowMap assigns the
@@ -344,7 +373,7 @@ func (t *Tx) GetIn(tab Table, key string) ([]byte, bool) {
 		t.eng.fault(t.p, fmt.Errorf("db: get %s/%q: %w", tab.name, key, err))
 	}
 	if !t.done {
-		t.reads = append(t.reads, readOp{k, it.Ver})
+		t.reads = append(t.reads, readOp{hkey{tab.t, t.ownKey(key)}, it.Ver})
 	}
 	if !found || it.Tomb {
 		return nil, false
@@ -353,7 +382,9 @@ func (t *Tx) GetIn(tab Table, key string) ([]byte, bool) {
 }
 
 // PutIn buffers a row write through a resolved handle. The value is
-// copied, so the caller may reuse the slice afterwards.
+// copied, so the caller may reuse the slice afterwards. The key is kept —
+// the write index, the redo record and the store hold it — so it must be
+// a string the caller never changes.
 func (t *Tx) PutIn(tab Table, key string, val []byte) {
 	t.addWrite(writeOp{tab: tab, key: key, val: append([]byte(nil), val...)})
 }
@@ -361,12 +392,14 @@ func (t *Tx) PutIn(tab Table, key string, val []byte) {
 // PutOwnedIn buffers a row write through a resolved handle and takes
 // ownership of val: the caller must not read or modify the slice
 // afterwards. Use it when the value was freshly built for this call
-// (e.g. a row Encode result) to skip the defensive copy.
+// (e.g. a row Encode result) to skip the defensive copy. The key is kept,
+// as PutIn's is: it must be owned, never a view of a reused buffer.
 func (t *Tx) PutOwnedIn(tab Table, key string, val []byte) {
 	t.addWrite(writeOp{tab: tab, key: key, val: val})
 }
 
-// DeleteIn buffers a row deletion through a resolved handle.
+// DeleteIn buffers a row deletion through a resolved handle; it keeps the
+// key, as PutIn does.
 func (t *Tx) DeleteIn(tab Table, key string) {
 	t.addWrite(writeOp{tab: tab, key: key, delete: true})
 }

@@ -30,16 +30,19 @@ package shard
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"xssd/internal/db"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
 )
 
-// Tx is one (possibly distributed) transaction homed on a shard.
+// Tx is one (possibly distributed) transaction homed on a shard. It holds
+// the home engine's transaction by value, so beginning one into a Tx the
+// caller owns (BeginIn) allocates neither.
 type Tx struct {
 	home  *Shard
-	local *db.Tx
+	local db.Tx
 	gid   int64
 	parts map[int]*partRef
 	order []int // participant ids, first-touch order until Commit sorts it
@@ -60,7 +63,8 @@ func (s *Shard) Begin(p *sim.Proc) *Tx { return s.BeginIn(new(Tx), p) }
 // and returns t: a terminal running one transaction at a time begins each
 // in the same Tx and allocates none for it.
 func (s *Shard) BeginIn(t *Tx, p *sim.Proc) *Tx {
-	*t = Tx{home: s, local: s.eng.BeginP(p)}
+	*t = Tx{home: s}
+	s.eng.BeginIn(&t.local, p)
 	return t
 }
 
@@ -108,7 +112,9 @@ func getByName(eng *db.Engine, tx *db.Tx, table, key string) ([]byte, bool) {
 // and run inside its participant transaction (observing this
 // transaction's own earlier remote writes) and register in its read set,
 // so prepare validates them — OCC serializability spans shards. A peer
-// that cannot be reached returns ErrUnavailable.
+// that cannot be reached returns ErrUnavailable. GetW keeps no reference
+// to key once it returns, as db.Tx.GetIn keeps none: key may be a view of
+// a buffer the caller reuses.
 //
 //xssd:hotpath
 func (t *Tx) GetW(p *sim.Proc, warehouse int, tab db.Table, key string) ([]byte, bool, error) {
@@ -123,6 +129,10 @@ func (t *Tx) GetW(p *sim.Proc, warehouse int, tab db.Table, key string) ([]byte,
 func (t *Tx) remoteGet(p *sim.Proc, sid int, table, key string) ([]byte, bool, error) {
 	t.part(sid)
 	gid, coord := t.gid, t.home.id
+	// The handler may run after this call has returned: a request that
+	// outlives rpcTimeout still reaches the peer, and registers the read
+	// there, once the caller has moved on and rewritten a scratch key.
+	key = strings.Clone(key)
 	var val []byte
 	var ok bool
 	reached := t.home.rpc(p, t.home.c.shards[sid], func(dst *Shard, reply func(mut func())) {

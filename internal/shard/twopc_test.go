@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"xssd/internal/db"
 	"xssd/internal/fault"
@@ -147,6 +148,90 @@ func TestDuplicatePrepareDelivery(t *testing.T) {
 	views := parseAll(t, streams)
 	if n := len(views[1].Records); countPrepares(views[1]) != 1 {
 		t.Fatalf("participant logged %d PREPARE records (of %d records), want exactly 1", countPrepares(views[1]), n)
+	}
+}
+
+// TestRemoteReadKeyOutlivesTimeout: a remote read whose request outlives
+// rpcTimeout still reaches the participant, after GetW has returned
+// ErrUnavailable and the caller has rewritten the scratch buffer its key
+// was a view of. The read must register the key the caller asked for.
+// Shard 1 then commits a write to w3, the row read, or to w4, the row the
+// buffer names by the time the request lands, and prepares the late
+// participant: it must vote no over w3 and yes over w4. Each shard runs on
+// its own member, so under -race the detector sees the post cross members.
+func TestRemoteReadKeyOutlivesTimeout(t *testing.T) {
+	cases := []struct {
+		name  string
+		write int // warehouse shard 1 writes before the participant prepares
+		vote  bool
+	}{
+		{"write-to-the-row-read", 3, false},
+		{"write-to-what-the-buffer-says-now", 4, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			streams := make([][]byte, 2)
+			cl, err := New(testConfig(2, 2, 23, streams))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			// The read request, and only it, arrives 10 ms late: past
+			// rpcTimeout (4 ms).
+			plan := &fault.Plan{Rules: []fault.Rule{{
+				Point: fault.ShardRPC + "@p1", Trigger: fault.TriggerProb, Prob: 1,
+				Action: fault.ActionDelay, Dur: 10 * time.Millisecond, Times: 1,
+			}}}
+			for _, env := range cl.Envs() {
+				fault.Attach(env, fault.New(env, plan))
+			}
+			cl.Build()
+			var voted, vote bool
+			check := func(p *sim.Proc) {
+				part := cl.Shard(1)
+				for i := 0; len(part.remote) == 0; i++ {
+					if i == 1000 {
+						t.Error("the late read never reached the participant")
+						return
+					}
+					p.Sleep(100 * time.Microsecond)
+				}
+				tx := part.Begin(p)
+				tx.PutW(c.write, part.Engine().Table("kv"), balKey(c.write), encBal(1))
+				if err := tx.Commit(p); err != nil {
+					t.Errorf("write to w%d: %v", c.write, err)
+				}
+				for gid := range part.remote {
+					part.startPrepare(gid, 0, 0, func(v bool) { voted, vote = true, v })
+				}
+			}
+			read := func(p *sim.Proc) {
+				home := cl.Shard(0)
+				tx := home.Begin(p)
+				buf := []byte(balKey(3))
+				if _, _, err := tx.GetW(p, 3, home.Engine().Table("kv"), unsafe.String(&buf[0], len(buf))); !errors.Is(err, ErrUnavailable) {
+					t.Errorf("remote read past the timeout: err = %v, want ErrUnavailable", err)
+				}
+				copy(buf, balKey(4))
+				tx.Abort()
+			}
+			cl.Shard(0).Env().Go("test-boot", func(p *sim.Proc) {
+				if err := cl.Boot(p); err != nil {
+					t.Errorf("Boot: %v", err)
+					return
+				}
+				cl.Shard(1).Env().Go("check", check) // the group is still inline
+				cl.Release()
+				read(p)
+			})
+			cl.RunUntil(cl.Now() + 100*time.Millisecond)
+			if !voted {
+				t.Fatal("the late participant never voted")
+			}
+			if vote != c.vote {
+				t.Errorf("participant that read w3 votes %v after a write to w%d, want %v", vote, c.write, c.vote)
+			}
+		})
 	}
 }
 

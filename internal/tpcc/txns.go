@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"math/rand"
+	"unsafe"
 
 	"xssd/internal/db"
 	"xssd/internal/shard"
@@ -68,7 +69,8 @@ type Client struct {
 	cfg  Config
 	eng  *db.Engine   // the home engine
 	sh   *shard.Shard // the home shard; nil on a classic terminal
-	stx  shard.Tx     // the sharded terminal's transaction, begun anew each time
+	ltx  db.Tx        // the classic terminal's transaction, begun anew each time
+	stx  shard.Tx     // the sharded terminal's, likewise
 	mix  RemoteMix
 	rng  *rand.Rand
 	home int
@@ -89,10 +91,12 @@ type Client struct {
 	tabs tableSet
 
 	// Per-call scratch the terminal owns, cleared by the profile that
-	// uses it: the customer ids of one name-index row, and the item ids
-	// Stock-Level has already counted.
+	// uses it: the customer ids of one name-index row, the item ids
+	// Stock-Level has already counted, and the key of the row about to be
+	// read (tmp).
 	ids  []int64
 	seen map[int64]bool
+	kb   []byte
 }
 
 type tableSet struct {
@@ -118,7 +122,10 @@ func resolveTables(eng *db.Engine) tableSet {
 
 // rowTx is the transaction a profile runs on: *shard.Tx on a sharded
 // terminal, localTx on a classic one. Every row names the warehouse that
-// owns it, and every table is a handle resolved on the home engine.
+// owns it, and every table is a handle resolved on the home engine. Keys
+// follow db.Tx's contract: GetW keeps no key once it returns, so a read
+// may name its row with a view of a buffer the terminal reuses (tmp);
+// PutW and DeleteW keep theirs, so a written row's key must be owned.
 type rowTx interface {
 	GetW(p *sim.Proc, warehouse int, tab db.Table, key string) ([]byte, bool, error)
 	PutW(warehouse int, tab db.Table, key string, val []byte)
@@ -249,7 +256,20 @@ func (c *Client) begin(p *sim.Proc) rowTx {
 	if c.sh != nil {
 		return c.sh.BeginIn(&c.stx, p)
 	}
-	return localTx{c.eng.BeginP(p)}
+	return localTx{c.eng.BeginIn(&c.ltx, p)}
+}
+
+// tmp returns a view of key, which the caller has just built into the
+// terminal's scratch (an append form into c.kb[:0]), and keeps the
+// scratch's capacity for the next key. The view is valid until that next
+// key is built, so it names only a row the transaction reads and never
+// writes: GetW keeps no key, while a write's key lives on in the write set
+// and the store.
+//
+//xssd:hotpath
+func (c *Client) tmp(key []byte) string {
+	c.kb = key
+	return unsafe.String(unsafe.SliceData(key), len(key))
 }
 
 // commit finishes a transaction on the terminal's commit path. A sharded
@@ -326,7 +346,7 @@ func (c *Client) newOrder(p *sim.Proc) error {
 	rollback := c.rng.Intn(100) == 0 // 1% pick an unused item id
 
 	tx := c.begin(p)
-	wRow, ok, err := tx.GetW(p, w, c.tabs.warehouse, WKey(w))
+	wRow, ok, err := tx.GetW(p, w, c.tabs.warehouse, c.tmp(appendWKey(c.kb[:0], w)))
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing warehouse"))
 	}
@@ -341,7 +361,7 @@ func (c *Client) newOrder(p *sim.Proc) error {
 	dist.NextOID++
 	tx.PutW(w, c.tabs.district, dKey, dist.Encode())
 
-	cRow, ok, err := tx.GetW(p, w, c.tabs.customer, CKey(w, d, cid))
+	cRow, ok, err := tx.GetW(p, w, c.tabs.customer, c.tmp(appendCKey(c.kb[:0], w, d, cid)))
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing customer"))
 	}
@@ -362,7 +382,7 @@ func (c *Client) newOrder(p *sim.Proc) error {
 			allLocal = false
 		}
 		// The item catalog replicates to every shard: read it at home.
-		iRow, ok, err := tx.GetW(p, w, c.tabs.item, IKey(iid))
+		iRow, ok, err := tx.GetW(p, w, c.tabs.item, c.tmp(appendIKey(c.kb[:0], iid)))
 		if err != nil || !ok {
 			return abort(tx, cmp.Or(err, ErrRollback)) // "unused item number" rollback
 		}
@@ -466,7 +486,7 @@ func (c *Client) payment(p *sim.Proc) error {
 func (c *Client) selectCustomer(p *sim.Proc, tx rowTx, w, d int) (int, error) {
 	if c.rng.Intn(100) < 60 {
 		last := LastName(nuRand(c.rng, 255, cLast, 0, 999))
-		idxRow, ok, err := tx.GetW(p, w, c.tabs.custIdx, CIdxKey(w, d, last))
+		idxRow, ok, err := tx.GetW(p, w, c.tabs.custIdx, c.tmp(appendCIdxKey(c.kb[:0], w, d, last)))
 		if err != nil {
 			return 0, err
 		}
@@ -493,17 +513,17 @@ func (c *Client) orderStatus(p *sim.Proc) error {
 	if err != nil {
 		return abort(tx, err)
 	}
-	if _, ok, err := tx.GetW(p, w, c.tabs.customer, CKey(w, d, cid)); err != nil || !ok {
+	if _, ok, err := tx.GetW(p, w, c.tabs.customer, c.tmp(appendCKey(c.kb[:0], w, d, cid))); err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing customer"))
 	}
-	dRow, ok, err := tx.GetW(p, w, c.tabs.district, DKey(w, d))
+	dRow, ok, err := tx.GetW(p, w, c.tabs.district, c.tmp(appendDKey(c.kb[:0], w, d)))
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing district"))
 	}
 	dist := DecodeDistrict(dRow)
 	// Scan backwards for this customer's latest order (bounded walk).
 	for oid := int(dist.NextOID) - 1; oid >= 1 && oid > int(dist.NextOID)-50; oid-- {
-		oRow, ok, err := tx.GetW(p, w, c.tabs.order, OKey(w, d, oid))
+		oRow, ok, err := tx.GetW(p, w, c.tabs.order, c.tmp(appendOKey(c.kb[:0], w, d, oid)))
 		if err != nil {
 			return abort(tx, err)
 		}
@@ -515,7 +535,7 @@ func (c *Client) orderStatus(p *sim.Proc) error {
 			continue
 		}
 		for ln := 1; ln <= int(order.OLCnt); ln++ {
-			if _, _, err := tx.GetW(p, w, c.tabs.orderLine, OLKey(w, d, oid, ln)); err != nil {
+			if _, _, err := tx.GetW(p, w, c.tabs.orderLine, c.tmp(appendOLKey(c.kb[:0], w, d, oid, ln))); err != nil {
 				return abort(tx, err)
 			}
 		}
@@ -613,7 +633,7 @@ func (c *Client) stockLevel(p *sim.Proc) error {
 	d := c.rng.Intn(c.cfg.Districts) + 1
 	threshold := int64(c.rng.Intn(11) + 10)
 	tx := c.begin(p)
-	dRow, ok, err := tx.GetW(p, w, c.tabs.district, DKey(w, d))
+	dRow, ok, err := tx.GetW(p, w, c.tabs.district, c.tmp(appendDKey(c.kb[:0], w, d)))
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing district"))
 	}
@@ -621,7 +641,7 @@ func (c *Client) stockLevel(p *sim.Proc) error {
 	low := 0
 	clear(c.seen)
 	for oid := int(dist.NextOID) - 1; oid >= 1 && oid > int(dist.NextOID)-20; oid-- {
-		oRow, ok, err := tx.GetW(p, w, c.tabs.order, OKey(w, d, oid))
+		oRow, ok, err := tx.GetW(p, w, c.tabs.order, c.tmp(appendOKey(c.kb[:0], w, d, oid)))
 		if err != nil {
 			return abort(tx, err)
 		}
@@ -630,7 +650,7 @@ func (c *Client) stockLevel(p *sim.Proc) error {
 		}
 		order := DecodeOrder(oRow)
 		for ln := 1; ln <= int(order.OLCnt); ln++ {
-			olRow, ok, err := tx.GetW(p, w, c.tabs.orderLine, OLKey(w, d, oid, ln))
+			olRow, ok, err := tx.GetW(p, w, c.tabs.orderLine, c.tmp(appendOLKey(c.kb[:0], w, d, oid, ln)))
 			if err != nil {
 				return abort(tx, err)
 			}
@@ -642,7 +662,7 @@ func (c *Client) stockLevel(p *sim.Proc) error {
 				continue
 			}
 			c.seen[ol.IID] = true
-			sRow, ok, err := tx.GetW(p, w, c.tabs.stock, SKey(w, int(ol.IID)))
+			sRow, ok, err := tx.GetW(p, w, c.tabs.stock, c.tmp(appendSKey(c.kb[:0], w, int(ol.IID))))
 			if err != nil {
 				return abort(tx, err)
 			}

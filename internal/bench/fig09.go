@@ -139,8 +139,8 @@ func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
 				}
 				start := p.Now()
 				p.Sleep(fig9Compute)
-				lsn, ok := runAsyncTxn(p, client)
-				if !ok {
+				lsn, err := client.RunMixAsync(p) // conflicts retry inside the client
+				if err != nil {
 					continue
 				}
 				if log == nil || lsn == 0 {
@@ -160,14 +160,6 @@ func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
 	c.capture(fmt.Sprintf("fig9/%s/w%d", setup, workers))
 	window := (fig9Window - fig9Warmup).Seconds()
 	return sample.Mean(), float64(committed) / window / 1000
-}
-
-// runAsyncTxn executes one mixed TPC-C transaction with pipelined commit
-// (conflict retries happen inside the client). ok is false if the
-// transaction ultimately aborted.
-func runAsyncTxn(p *sim.Proc, client *tpcc.Client) (int64, bool) {
-	lsn, err := client.RunMixAsync(p)
-	return lsn, err == nil
 }
 
 // Fig09 regenerates the paper's Figure 9.

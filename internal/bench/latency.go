@@ -169,9 +169,9 @@ func latencyNVMeCellPinned(pairs, depth, coalesce, sw int) Measurement {
 	return LatencyNVMeCell(pairs, depth, coalesce)
 }
 
-// LatencyTPCCCell runs TPC-C terminals on the pipelined CommitAsync path
-// (tpcc.Config.PipelineDepth) against a Villars-SRAM log device and
-// digests the pipelines' submit→durable histograms.
+// LatencyTPCCCell runs TPC-C terminals against a Villars-SRAM log device,
+// each feeding the LSNs RunMixAsync returns into its own depth-pipeDepth
+// wal.Pipeline, and digests the pipelines' submit→durable histograms.
 func LatencyTPCCCell(pipeDepth int) Measurement {
 	c := newCellSim(latSeed)
 	defer c.Close()
@@ -191,20 +191,20 @@ func LatencyTPCCCell(pipeDepth int) Measurement {
 
 	eng := db.New(env, log)
 	cfg := tpcc.DefaultConfig()
-	cfg.PipelineDepth = pipeDepth
 	tpcc.Load(eng, cfg, 7)
 
-	clients := make([]*tpcc.Client, latTPCCJobs)
+	hists := make([]*obs.Histogram, latTPCCJobs)
 	sc := obs.For(env).Scope("lattpcc/pipe")
 	for w := 0; w < latTPCCJobs; w++ {
-		wcfg := cfg
-		wcfg.PipelineScope = sc.Sub(fmt.Sprintf("w%d", w))
-		clients[w] = tpcc.NewClient(eng, wcfg, int64(100+w), w%cfg.Warehouses+1)
-		client := clients[w]
+		client := tpcc.NewClient(eng, cfg, int64(100+w), w%cfg.Warehouses+1)
+		pl := wal.NewPipeline(log, pipeDepth, sc.Sub(fmt.Sprintf("w%d", w)))
+		hists[w] = pl.Latency()
 		env.Go(fmt.Sprintf("lat-term-%d", w), func(p *sim.Proc) {
 			for {
 				p.Sleep(fig9Compute)
-				_, _ = client.RunMix(p) // conflicts retry inside the client
+				if lsn, err := client.RunMixAsync(p); err == nil { // conflicts retry inside the client
+					pl.Submit(p, lsn)
+				}
 			}
 		})
 	}
@@ -212,9 +212,5 @@ func LatencyTPCCCell(pipeDepth int) Measurement {
 	c.RunUntil(latTPCCWindow)
 	c.capture(fmt.Sprintf("lat/tpcc/pipe%d", pipeDepth))
 
-	hists := make([]*obs.Histogram, latTPCCJobs)
-	for w, cl := range clients {
-		hists[w] = cl.Pipeline().Latency()
-	}
 	return Measurement{Events: c.Events(), Lat: obs.SummaryOf(hists...)}
 }

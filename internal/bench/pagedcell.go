@@ -88,13 +88,9 @@ func pagedTPCCCell() (m Measurement, loaded int, err error) {
 			env.Go(fmt.Sprintf("terminal-%d", w), func(p *sim.Proc) {
 				for {
 					p.Sleep(fig9Compute)
-					lsn, err := client.RunMixAsync(p) // conflicts retry inside the client
-					if err != nil {
+					if _, err := client.RunMix(p); err != nil { // conflicts retry inside the client
 						failed++
 						continue
-					}
-					if lsn > 0 {
-						log.WaitDurable(p, lsn)
 					}
 					commits++
 				}

@@ -14,7 +14,6 @@ import (
 	"unsafe"
 
 	"xssd/internal/db"
-	"xssd/internal/obs"
 )
 
 // Table names.
@@ -48,27 +47,12 @@ type Config struct {
 	// FillerLen sizes the free-text fields (spec uses 24-50 chars); it is
 	// the main knob for WAL record size.
 	FillerLen int
-	// PipelineDepth switches the terminal onto the pipelined CommitAsync
-	// path with this many commits in flight (a wal.Pipeline per client).
-	// 0, the default, keeps the classic synchronous tx.Commit —
-	// byte-identical to the pre-pipeline behavior. Ignored when the
-	// engine runs without a WAL, and by a sharded terminal
-	// (NewShardedClient), which always commits synchronously.
-	PipelineDepth int
-	// PipelineScope, when non-zero, registers the pipeline's instruments
-	// (submit→durable latency, in-flight depth) under this scope.
-	PipelineScope obs.Scope
 }
 
 // DefaultConfig is the scaled-down configuration used by tests and the
 // benchmark harness (16 warehouses like the paper, reduced rows).
 func DefaultConfig() Config {
 	return Config{Warehouses: 16, Districts: 10, CustomersPerDistrict: 60, Items: 200, FillerLen: 12}
-}
-
-// SpecConfig is the full TPC-C scale (memory hungry; documentation value).
-func SpecConfig() Config {
-	return Config{Warehouses: 16, Districts: 10, CustomersPerDistrict: 3000, Items: 100000, FillerLen: 24}
 }
 
 // --- key construction -------------------------------------------------------

@@ -16,8 +16,8 @@ type ShardedClient = Client
 
 // NewShardedClient creates a terminal homed on warehouse homeWID of cl,
 // drawing remote warehouses at mix. All its methods must run on the home
-// shard's Env. It commits every transaction synchronously: it ignores
-// Config.PipelineDepth.
+// shard's Env. Every commit waits for its own durability, so RunMixAsync
+// returns 0 here.
 func NewShardedClient(cl *shard.Cluster, cfg Config, seed int64, homeWID int, mix RemoteMix) *Client {
 	home := cl.Shard(cl.ShardOf(homeWID))
 	c := newTerminal(home.Engine(), cfg, seed, homeWID, mix)

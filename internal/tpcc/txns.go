@@ -9,7 +9,6 @@ import (
 	"xssd/internal/db"
 	"xssd/internal/shard"
 	"xssd/internal/sim"
-	"xssd/internal/wal"
 )
 
 // TxType identifies a TPC-C transaction profile.
@@ -79,11 +78,10 @@ type Client struct {
 	aborts  int64
 	retries int64
 
-	// async is set while RunMixAsync runs: a classic terminal then commits
-	// through CommitAsync, recording the LSN to wait on in lastLSN.
-	async   bool
+	// lastLSN is the LSN the last transaction's acknowledgement waits on:
+	// set by a classic commit, 0 for a read-only or rolled-back one and on
+	// a sharded terminal, whose commit waits for itself.
 	lastLSN int64
-	pipe    *wal.Pipeline // non-nil when Config.PipelineDepth > 0
 
 	// Resolved table handles on the home engine: every row access in the
 	// transaction mix goes through these, skipping the engine's
@@ -151,36 +149,16 @@ func (t localTx) PutW(_ int, tab db.Table, key string, val []byte) { t.PutOwnedI
 func (t localTx) DeleteW(_ int, tab db.Table, key string) { t.DeleteIn(tab, key) }
 
 // NewClient creates a terminal bound to homeWID, drawing remote
-// warehouses at SpecMix. With Config.PipelineDepth > 0 (and a WAL-backed
-// engine) the terminal commits through a private wal.Pipeline, keeping
-// that many transactions in flight instead of stalling on each durability
-// wait; call DrainPipeline before reading final durable counts.
+// warehouses at SpecMix.
 func NewClient(eng *db.Engine, cfg Config, seed int64, homeWID int) *Client {
-	c := newTerminal(eng, cfg, seed, homeWID, SpecMix())
-	if cfg.PipelineDepth > 0 && eng.Log() != nil {
-		c.pipe = wal.NewPipeline(eng.Log(), cfg.PipelineDepth, cfg.PipelineScope)
-	}
-	return c
+	return newTerminal(eng, cfg, seed, homeWID, SpecMix())
 }
 
-// newTerminal builds the state every terminal has, classic or sharded,
-// with the synchronous commit path.
+// newTerminal builds the state every terminal has, classic or sharded.
 func newTerminal(eng *db.Engine, cfg Config, seed int64, homeWID int, mix RemoteMix) *Client {
 	return &Client{
 		cfg: cfg, eng: eng, mix: mix, rng: rand.New(rand.NewSource(seed)), home: homeWID,
 		tabs: resolveTables(eng), seen: map[int64]bool{},
-	}
-}
-
-// Pipeline returns the terminal's commit pipeline (nil on the classic
-// synchronous path).
-func (c *Client) Pipeline() *wal.Pipeline { return c.pipe }
-
-// DrainPipeline blocks until every in-flight commit is durable; a no-op
-// on the classic path.
-func (c *Client) DrainPipeline(p *sim.Proc) {
-	if c.pipe != nil {
-		c.pipe.Drain(p)
 	}
 }
 
@@ -208,12 +186,24 @@ func (c *Client) PickType() TxType {
 }
 
 // RunOne executes one transaction of the given type, retrying OCC
-// conflicts up to three times. An intentional rollback counts as a
-// completed NewOrder per the spec and returns nil; any other failure — a
-// conflict that outlived its retries, an unreachable shard
+// conflicts up to three times, and returns once it is acknowledged: a
+// committed write transaction is durable by then. An intentional rollback
+// counts as a completed NewOrder per the spec and returns nil; any other
+// failure — a conflict that outlived its retries, an unreachable shard
 // (shard.ErrUnavailable, never retried) — counts as an abort and is
 // returned.
 func (c *Client) RunOne(p *sim.Proc, t TxType) error {
+	err := c.run(p, t)
+	if log := c.eng.Log(); err == nil && c.lastLSN > 0 && log != nil {
+		log.WaitDurable(p, c.lastLSN)
+	}
+	return err
+}
+
+// run is RunOne up to the acknowledgement: it leaves the LSN to wait on
+// in lastLSN.
+func (c *Client) run(p *sim.Proc, t TxType) error {
+	c.lastLSN = 0
 	var err error
 	for attempt := 0; attempt < 4; attempt++ {
 		switch t {
@@ -272,29 +262,16 @@ func (c *Client) tmp(key []byte) string {
 	return unsafe.String(unsafe.SliceData(key), len(key))
 }
 
-// commit finishes a transaction on the terminal's commit path. A sharded
-// transaction commits itself — locally, or through 2PC when it touched
-// another shard — and waits for durability. A classic one commits
-// asynchronously inside RunMixAsync, through the pipeline when
-// Config.PipelineDepth set one up, and synchronously otherwise.
+// commit finishes a transaction, the last step of every profile. A
+// sharded transaction commits itself — locally, or through 2PC when it
+// touched another shard — and waits for durability. A classic one commits
+// without waiting and leaves its LSN in lastLSN for the caller to wait on.
 func (c *Client) commit(p *sim.Proc, tx rowTx) error {
 	if stx, ok := tx.(*shard.Tx); ok {
 		return stx.Commit(p)
 	}
-	ltx := tx.(localTx)
-	var lsn int64
-	var err error
-	switch {
-	case c.async:
-		lsn, err = ltx.CommitAsync()
-	case c.pipe != nil:
-		lsn, err = ltx.CommitPipelined(p, c.pipe)
-	default:
-		return ltx.Commit(p)
-	}
-	if err == nil {
-		c.lastLSN = lsn
-	}
+	lsn, err := tx.(localTx).CommitAsync()
+	c.lastLSN = lsn
 	return err
 }
 
@@ -304,10 +281,7 @@ func (c *Client) commit(p *sim.Proc, tx rowTx) error {
 // intentional rollbacks). Conflicts are retried like RunOne. A sharded
 // terminal commits synchronously here and always returns 0.
 func (c *Client) RunMixAsync(p *sim.Proc) (int64, error) {
-	c.lastLSN = 0
-	c.async = true
-	_, err := c.RunMix(p)
-	c.async = false
+	err := c.run(p, c.PickType())
 	return c.lastLSN, err
 }
 

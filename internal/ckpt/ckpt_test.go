@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -382,7 +383,7 @@ func recordsEqual(a, b Record) bool {
 func TestCheckpointRecordRoundTrip(t *testing.T) {
 	r := sampleRecord()
 	enc := r.Encode()
-	if !IsCheckpointPayload(enc) {
+	if binary.LittleEndian.Uint16(enc) != db.CheckpointOps || !IsCheckpointPayload(enc) || !db.IsControlPayload(enc) {
 		t.Fatal("encoded record not recognized as checkpoint payload")
 	}
 	got, err := Decode(enc)

@@ -19,10 +19,6 @@ import (
 	"xssd/internal/db"
 )
 
-// Marker is the impossible redo-op-count that flags a checkpoint record
-// payload (the 2PC control records own 0xFFFF; see db.ControlOpMark).
-const Marker = 0xFFFE
-
 const recordVersion = 1
 
 // ErrBadRecord wraps every checkpoint-record decode rejection.
@@ -42,13 +38,11 @@ type Record struct {
 
 // IsCheckpointPayload reports whether a WAL record payload is a
 // checkpoint record.
-func IsCheckpointPayload(payload []byte) bool {
-	return len(payload) >= 3 && binary.LittleEndian.Uint16(payload) == Marker
-}
+func IsCheckpointPayload(payload []byte) bool { return db.ControlOps(payload) == db.CheckpointOps }
 
 // Encode serializes the record:
 //
-//	[marker u16][version u8][startLSN i64][nextID u64]
+//	[db.CheckpointOps u16][version u8][startLSN i64][nextID u64]
 //	[nTables u32] then per table (sorted): [nameLen u16][name][root u64]
 //	[nFree u32][free u64...]
 //	[parity bitmap, ceil(NextID/8) bytes]
@@ -67,7 +61,7 @@ func (r Record) Encode() []byte {
 	u32 := func(v uint32) { le.PutUint32(scratch[:4], v); buf = append(buf, scratch[:4]...) }
 	u64 := func(v uint64) { le.PutUint64(scratch[:8], v); buf = append(buf, scratch[:8]...) }
 
-	u16(Marker)
+	u16(db.CheckpointOps)
 	buf = append(buf, recordVersion)
 	u64(uint64(r.StartLSN))
 	u64(r.NextID)
@@ -98,7 +92,7 @@ func Decode(payload []byte) (Record, error) {
 	if len(payload) < 31 { // marker+version+startLSN+nextID+counts+crc
 		return Record{}, fmt.Errorf("%w: %d bytes", ErrBadRecord, len(payload))
 	}
-	if le.Uint16(payload[0:2]) != Marker {
+	if le.Uint16(payload[0:2]) != db.CheckpointOps {
 		return Record{}, fmt.Errorf("%w: marker %#x", ErrBadRecord, le.Uint16(payload[0:2]))
 	}
 	if payload[2] != recordVersion {

@@ -5,10 +5,10 @@
 // why recovery and the chaos invariants extend to the cluster for free.
 //
 // A control payload is distinguished from a redo payload by its first two
-// bytes: redo payloads start with their op count (u16), and no real
-// transaction carries 0xFFFF ops, so that value marks a control record.
+// bytes: redo payloads start with their op count (u16), and a control
+// record starts with db.TwoPCOps, a count no transaction carries.
 //
-//	[0xFF 0xFF] [kind u8] [gid i64] [coord u16] [nShards u16] [shards u16...] [writes ...]
+//	[db.TwoPCOps u16] [kind u8] [gid i64] [coord u16] [nShards u16] [shards u16...] [writes ...]
 //
 // kindPrepare embeds the participant's own write set (the redo bytes it
 // will apply on commit); kindDecision embeds the coordinator's local
@@ -20,10 +20,9 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
-)
 
-// controlMark is the impossible redo-op-count that flags a control record.
-const controlMark = 0xFFFF
+	"xssd/internal/db"
+)
 
 // Control record kinds.
 const (
@@ -53,7 +52,8 @@ type Control struct {
 // encodeControl renders a control record payload.
 func encodeControl(kind byte, gid int64, coord int, shards []int, writes []byte) []byte {
 	buf := make([]byte, 0, 2+1+8+2+2+2*len(shards)+len(writes))
-	buf = append(buf, 0xFF, 0xFF, kind)
+	buf = binary.LittleEndian.AppendUint16(buf, db.TwoPCOps)
+	buf = append(buf, kind)
 	var g [8]byte
 	binary.LittleEndian.PutUint64(g[:], uint64(gid))
 	buf = append(buf, g[:]...)
@@ -70,9 +70,7 @@ func encodeControl(kind byte, gid int64, coord int, shards []int, writes []byte)
 }
 
 // IsControl reports whether a WAL record payload is a 2PC control record.
-func IsControl(payload []byte) bool {
-	return len(payload) >= 3 && binary.LittleEndian.Uint16(payload) == controlMark
-}
+func IsControl(payload []byte) bool { return db.ControlOps(payload) == db.TwoPCOps }
 
 // DecodeControl parses a control record payload. Callers should gate on
 // IsControl first; a malformed control payload is an error (it was

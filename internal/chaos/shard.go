@@ -206,9 +206,11 @@ func runSharded(s Scenario) (*Result, error) {
 
 	// ---- I9: checkpoint-bounded recovery, per shard -------------------
 	// Synthetic schedule: each shard's durable redo stream replays into a
-	// paged engine with fuzzy checkpoints and a randomized crash point
-	// (2PC control records are replay-inert on a single shard, so the
-	// paged and classic replays see the identical record set).
+	// paged engine with fuzzy checkpoints and a randomized crash point. The
+	// paged and classic replays both skip 2PC control records, so they see
+	// the same redo set and must agree. Neither holds the shard's
+	// cross-shard writes, which live in DECISION and COMMITP records that
+	// only shard.Replay applies; I2 above checks those.
 	for i := range prefixes {
 		if prefixes[i] == nil {
 			continue

@@ -31,6 +31,10 @@ type Stats struct {
 // WAL) into a fresh memory-backed pager — the device pages are not
 // trustworthy before the first complete checkpoint — and the whole
 // stream replays.
+//
+// Replay goes through db.ApplyRecordIn, which skips every control record.
+// A shard's stream therefore loses its cross-shard writes here: they live
+// in 2PC DECISION and COMMITP records, and only shard.Replay applies them.
 func Recover(p *sim.Proc, env *sim.Env, store btree.PageStore, poolPages int, records []wal.Record, load func(*db.Engine)) (*db.Engine, Stats, error) {
 	var st Stats
 	for _, r := range records {
@@ -54,32 +58,24 @@ func Recover(p *sim.Proc, env *sim.Env, store btree.PageStore, poolPages int, re
 		}
 	}
 
-	if !st.Found {
+	var eng *db.Engine
+	if st.Found {
+		pg := btree.NewPager(store, btree.Config{PoolPages: poolPages})
+		pg.Restore(rec.NextID, rec.Free, rec.Parity)
+		eng = db.NewPaged(env, nil, pg)
+		for name, root := range rec.Tables {
+			eng.OpenPagedTable(name, root)
+		}
+	} else {
 		mem := btree.NewMemStore(store.PageSize(), int64(1)<<32)
-		eng := db.NewPaged(env, nil, btree.NewPager(mem, btree.Config{PoolPages: poolPages}))
+		eng = db.NewPaged(env, nil, btree.NewPager(mem, btree.Config{PoolPages: poolPages}))
 		if load != nil {
 			load(eng)
 		}
-		for _, r := range records {
-			if err := eng.ApplyRecordIn(p, r); err != nil {
-				return nil, st, fmt.Errorf("ckpt: recover: %w", err)
-			}
-			if !db.IsControlPayload(r.Payload) {
-				st.Tail++
-			}
-		}
-		return eng, st, nil
 	}
-
-	pg := btree.NewPager(store, btree.Config{PoolPages: poolPages})
-	pg.Restore(rec.NextID, rec.Free, rec.Parity)
-	eng := db.NewPaged(env, nil, pg)
-	for name, root := range rec.Tables {
-		eng.OpenPagedTable(name, root)
-	}
-	for _, r := range wal.TailRecords(records, rec.StartLSN) {
+	for _, r := range wal.TailRecords(records, st.StartLSN) {
 		if err := eng.ApplyRecordIn(p, r); err != nil {
-			return nil, st, fmt.Errorf("ckpt: recover tail: %w", err)
+			return nil, st, fmt.Errorf("ckpt: recover: %w", err)
 		}
 		if !db.IsControlPayload(r.Payload) {
 			st.Tail++

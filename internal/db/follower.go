@@ -11,7 +11,6 @@ import (
 type Follower struct {
 	eng     *Engine
 	pending []byte
-	applied int64 // stream bytes fully applied
 	txns    int64
 }
 
@@ -35,12 +34,8 @@ func (f *Follower) Feed(chunk []byte) error {
 		f.txns++
 	}
 	f.pending = f.pending[off:]
-	f.applied += int64(off)
 	return nil
 }
-
-// Applied returns the number of log bytes fully applied.
-func (f *Follower) Applied() int64 { return f.applied }
 
 // Transactions returns the number of transactions replayed.
 func (f *Follower) Transactions() int64 { return f.txns }

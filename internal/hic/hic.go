@@ -71,7 +71,7 @@ type Controller struct {
 	inflight   int64 // blocks being programmed
 
 	// stats
-	reads, writes, flushes, admins, errors, cacheHits int64
+	reads, writes, flushes, admins, errors int64
 }
 
 // New starts a controller over a queue set: one fetcher process
@@ -149,9 +149,6 @@ func (c *Controller) worker(p *sim.Proc) {
 // namespace with one block per flash page.
 func (c *Controller) BlockSize() int { return c.ftl.PageSize() }
 
-// CacheUsed returns the bytes currently held in the write cache.
-func (c *Controller) CacheUsed() int64 { return c.cacheUsed }
-
 func (c *Controller) execute(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 	if cmd.Opcode >= 0xC0 {
 		c.admins++
@@ -218,7 +215,6 @@ func (c *Controller) executeRead(p *sim.Proc, cmd nvme.Command) nvme.Completion 
 		lba := cmd.LBA + int64(i)
 		var data []byte
 		if buffered, ok := c.cacheData[lba]; ok {
-			c.cacheHits++
 			data = buffered
 		} else {
 			var err error
@@ -237,6 +233,3 @@ func (c *Controller) executeRead(p *sim.Proc, cmd nvme.Command) nvme.Completion 
 func (c *Controller) Stats() (reads, writes, flushes, admins, errors int64) {
 	return c.reads, c.writes, c.flushes, c.admins, c.errors
 }
-
-// CacheHits returns how many block reads were served from the Data Buffer.
-func (c *Controller) CacheHits() int64 { return c.cacheHits }

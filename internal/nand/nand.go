@@ -46,9 +46,6 @@ func (g Geometry) PagesPerDie() int { return g.BlocksPerDie * g.PagesPerBlock }
 // TotalPages returns the number of physical pages in the array.
 func (g Geometry) TotalPages() int { return g.Dies() * g.PagesPerDie() }
 
-// TotalBytes returns the raw capacity.
-func (g Geometry) TotalBytes() int64 { return int64(g.TotalPages()) * int64(g.PageSize) }
-
 // Timing holds NAND operation latencies and channel bus speed.
 type Timing struct {
 	TRead   time.Duration

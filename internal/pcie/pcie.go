@@ -154,9 +154,6 @@ func (r *Region) deliverNext() {
 	}
 }
 
-// Size returns the region size in bytes.
-func (r *Region) Size() int64 { return r.size }
-
 // Link returns the PCIe link the region is reached through.
 func (r *Region) Link() *sim.Link { return r.link }
 

@@ -121,8 +121,6 @@ func (rq *reqQueue) removeAt(i int) *Request {
 	return r
 }
 
-func (rq *reqQueue) depth() int { return len(rq.q) - rq.pos }
-
 // Scheduler dispatches requests onto a nand.Array, one dispatcher process
 // per channel.
 type Scheduler struct {
@@ -195,12 +193,6 @@ func (s *Scheduler) Submit(r *Request) {
 	r.enqueued = s.env.Now()
 	s.queues[r.Addr.Channel][r.Source].push(r)
 	s.signal.Broadcast()
-}
-
-// QueueDepth returns the number of requests waiting on a channel.
-func (s *Scheduler) QueueDepth(ch int) int {
-	q := &s.queues[ch]
-	return q[0].depth() + q[1].depth() + q[2].depth()
 }
 
 // classOrder returns source classes in dispatch-priority order for the

@@ -133,7 +133,6 @@ type Shard struct {
 
 	dev  *villars.Device
 	secs []*villars.Device
-	rc   *repl.Cluster
 	sink wal.Sink
 	lg   *wal.Log
 	eng  *db.Engine
@@ -185,9 +184,6 @@ func (s *Shard) Log() *wal.Log { return s.lg }
 
 // Engine returns the shard's database engine.
 func (s *Shard) Engine() *db.Engine { return s.eng }
-
-// Repl returns the shard's replication cluster (nil without secondaries).
-func (s *Shard) Repl() *repl.Cluster { return s.rc }
 
 // AckedGIDs returns the cross-shard transactions this shard, as
 // coordinator, acknowledged as committed — in acknowledgement order. The
@@ -325,7 +321,6 @@ func (s *Shard) bringUp(p *sim.Proc, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		s.rc = rc
 		if cfg.Scheme == core.Chain {
 			err = rc.SetupChain(p)
 		} else {

@@ -540,9 +540,6 @@ func (e *Env) NewLink(name string, bytesPerSec float64, latency time.Duration) *
 // Name returns the link's name.
 func (l *Link) Name() string { return l.name }
 
-// BytesPerSec returns the link's configured bandwidth.
-func (l *Link) BytesPerSec() float64 { return l.bytesPerSec }
-
 // SerializationTime returns how long n bytes occupy the link, excluding the
 // propagation latency: at least a nanosecond for any payload, so every
 // transfer moves the clock. It is the one definition of that quantum — a

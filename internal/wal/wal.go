@@ -380,9 +380,6 @@ func (l *Log) Halt() {
 	l.flushed.Broadcast()
 }
 
-// SinkRetries returns how many flush attempts a fault plan failed.
-func (l *Log) SinkRetries() int64 { return l.mSinkRetries.Value() }
-
 // Resume restarts a halted pipeline on a fresh sink whose stream frontier
 // is fr (a promoted secondary's persisted prefix, see failover). It
 // reconciles the log with the frontier before the flusher restarts:

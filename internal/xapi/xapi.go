@@ -88,7 +88,6 @@ type Logger struct {
 
 	// per-logger stats
 	creditReads int64
-	stallTime   time.Duration
 
 	// metrics (<endpoint>/xapi/...): shared across loggers on the same
 	// endpoint — the registry deduplicates by name.
@@ -182,7 +181,6 @@ func (l *Logger) XPwrite(p *sim.Proc, buf []byte) int64 {
 			if budget <= 0 && l.dev.PowerLost() {
 				return start
 			}
-			l.stallTime += p.Now() - t0
 			l.mStall.Since(t0)
 		}
 		n := int(budget)
@@ -277,9 +275,6 @@ func (l *Logger) Written() int64 { return l.fc.Written() }
 // CreditReads returns how many credit-register reads were issued (the
 // ablation metric for CreditStrategy).
 func (l *Logger) CreditReads() int64 { return l.creditReads }
-
-// StallTime returns cumulative time spent blocked on back-pressure.
-func (l *Logger) StallTime() time.Duration { return l.stallTime }
 
 // XPread implements tail-read semantics (paper §5.1): it fills buf with
 // the next adjacent bytes of the destaged log, blocking until the

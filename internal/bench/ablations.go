@@ -6,11 +6,11 @@ import (
 
 	"xssd/internal/core"
 	"xssd/internal/nand"
-	"xssd/internal/ntb"
 	"xssd/internal/nvme"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
+	"xssd/internal/repl"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
 	"xssd/internal/villars"
@@ -34,36 +34,46 @@ func AblationPolicy() *Table {
 }
 
 // AblationScheme compares the commit latency the database observes under
-// the three replication schemes with two secondaries: eager waits for the
-// slowest replica, lazy only for local persistence, chain for the tail.
+// the three replication schemes with two secondaries: lazy waits for local
+// persistence only, eager for the slower of two replicas one hop away, and
+// chain for the tail two hops away.
 func AblationScheme() *Table {
 	t := &Table{
 		Title:  "Ablation — replication scheme vs XPwrite+XFsync latency (two secondaries)",
 		Header: []string{"scheme", "p50 latency", "p75 latency"},
 	}
 	for _, scheme := range []core.ReplicationScheme{core.Lazy, core.Chain, core.Eager} {
-		c := ablationSchemeCell(scheme)
+		c, err := ablationSchemeCell(scheme)
+		if err != nil {
+			t.Add(scheme.String(), err.Error(), "")
+			continue
+		}
 		t.Add(scheme.String(), fmtDur(c.P50), fmtDur(c.P75))
 	}
 	return t
 }
 
-func ablationSchemeCell(scheme core.ReplicationScheme) obs.Candlestick {
+// ablationSchemeCell wires a primary and two secondaries the way every
+// replicated harness does, through repl.Setup, and times XPwrite+XFsync.
+func ablationSchemeCell(scheme core.ReplicationScheme) (obs.Candlestick, error) {
 	c := newCellSim(5)
 	defer c.Close()
 	env := c.env
 	prim := fig13Device(env, "prim", 400*time.Nanosecond)
 	sec1 := fig13Device(c.member("sec1", 6), "sec1", 400*time.Nanosecond)
 	sec2 := fig13Device(c.member("sec2", 7), "sec2", 400*time.Nanosecond)
-	for i, sec := range []*villars.Device{sec1, sec2} {
-		prim.Transport().AddPeer(sec,
-			ntb.NewDefaultBridgeTo(env, sec.Env(), fmt.Sprintf("p-s%d", i)),
-			ntb.NewDefaultBridgeTo(sec.Env(), env, fmt.Sprintf("s%d-p", i)))
-		setRoles(c, prim, sec)
+	cluster, err := repl.New(env, []*villars.Device{prim, sec1, sec2})
+	if err != nil {
+		return obs.Candlestick{}, err
 	}
-	prim.Transport().SetScheme(scheme)
 	var sample obs.Sample
 	env.Go("writer", func(p *sim.Proc) {
+		// Setup drives the secondaries' queues directly, which is legal
+		// while the group is still inline.
+		if err = cluster.Setup(p, 0, scheme); err != nil {
+			return
+		}
+		c.Parallelize()
 		l := xapi.Open(p, prim, xapi.Options{})
 		buf := make([]byte, 256)
 		for {
@@ -76,10 +86,9 @@ func ablationSchemeCell(scheme core.ReplicationScheme) obs.Candlestick {
 			p.Sleep(2 * time.Microsecond)
 		}
 	})
-	c.Parallelize()
 	c.RunUntil(c.Now() + 4*time.Millisecond)
 	c.capture("ablation-scheme/" + scheme.String())
-	return sample.Candlestick()
+	return sample.Candlestick(), err
 }
 
 // AblationCredit compares the two credit-check strategies of §5.1: the

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"xssd/internal/core"
 	"xssd/internal/pm"
 	"xssd/internal/sched"
 )
@@ -94,6 +95,31 @@ func TestFig13BandwidthShareInverseToPeriod(t *testing.T) {
 }
 
 func iqr(c interface{ IQR() time.Duration }) time.Duration { return c.IQR() }
+
+// TestAblationSchemeCostOrder: with two secondaries, lazy acknowledges on
+// local persistence, eager once both replicas one hop away have persisted,
+// and chain once the tail two hops away has, so the p50s are strictly
+// ordered.
+func TestAblationSchemeCostOrder(t *testing.T) {
+	prev := EngineWorkers()
+	SetEngineWorkers(0)
+	defer SetEngineWorkers(prev)
+	p50 := map[core.ReplicationScheme]time.Duration{}
+	for _, scheme := range []core.ReplicationScheme{core.Lazy, core.Eager, core.Chain} {
+		c, err := ablationSchemeCell(scheme)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if c.N == 0 {
+			t.Fatalf("%s: no samples", scheme)
+		}
+		p50[scheme] = c.P50
+	}
+	if !(p50[core.Lazy] < p50[core.Eager] && p50[core.Eager] < p50[core.Chain]) {
+		t.Fatalf("p50 lazy %v, eager %v, chain %v; want lazy < eager < chain",
+			p50[core.Lazy], p50[core.Eager], p50[core.Chain])
+	}
+}
 
 func TestFig09CellNoLogFastest(t *testing.T) {
 	if testing.Short() {

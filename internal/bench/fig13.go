@@ -98,6 +98,13 @@ func Fig13Cell(period time.Duration) (obs.Candlestick, float64) {
 // It runs during bring-up (the group is still inline), so the admin proc
 // may drive the secondary's queues directly even when it lives on another
 // member.
+//
+// Fig 13 and the pargroup/repl3 cells wire by hand rather than through
+// repl.Setup on purpose. Here AddPeer runs before the role command, so the
+// secondary starts reporting the moment it turns secondary; under
+// repl.Setup it starts when its AddPeer lands, after the role command
+// completes. That shifts the counter-update phase, which would move Fig
+// 13's quantiles and the event counts the perf gate holds by equality.
 func setRoles(c *cellSim, prim, sec *villars.Device) {
 	c.env.Go("set-roles", func(p *sim.Proc) {
 		submitMode(p, sec, core.Secondary)

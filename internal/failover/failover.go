@@ -194,8 +194,8 @@ func (m *Manager) watch(p *sim.Proc) {
 }
 
 // takeover runs the full sequence: drain, halt the log, elect, truncate,
-// reconfigure, backfill the other survivors, rebind the sink, resume the
-// host stream.
+// promote, backfill the other survivors, rebind the sink, resume the host
+// stream.
 //
 //xssd:conduit runs at the takeover barrier: the old primary is dead and the log halted, so touching every survivor's state races nothing
 func (m *Manager) takeover(p *sim.Proc) error {
@@ -262,11 +262,11 @@ func (m *Manager) takeover(p *sim.Proc) error {
 	if err != nil {
 		return fmt.Errorf("truncate %s: %w", winner.Name(), err)
 	}
-	if err := m.cluster.Reconfigure(p, idx); err != nil {
-		return fmt.Errorf("reconfigure around %s: %w", winner.Name(), err)
+	if err := m.cluster.Promote(p, idx); err != nil {
+		return fmt.Errorf("promote %s: %w", winner.Name(), err)
 	}
 
-	// Star schemes rebuild the peer set from scratch, so survivors lagging
+	// Promote rebuilds a star's peer set from scratch, so survivors lagging
 	// the new primary have holes no retransmission window covers: backfill
 	// them from the database's retained stream before the host resumes
 	// (the catch-up transfer the paper assigns to the database, §7.1). A

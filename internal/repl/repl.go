@@ -8,6 +8,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"xssd/internal/core"
 	"xssd/internal/ntb"
@@ -46,8 +47,8 @@ type Cluster struct {
 	bridges [][]*ntb.Bridge
 
 	// order is the chain topology as device indices, head first (nil for
-	// star schemes). Election and reconfiguration walk it so takeovers
-	// preserve the chain's prefix ordering.
+	// star schemes). Election and promotion walk it so takeovers preserve
+	// the chain's prefix ordering.
 	order []int
 
 	promotions int
@@ -147,51 +148,51 @@ func setMode(p *sim.Proc, d *villars.Device, mode core.TransportMode) error {
 	return nil
 }
 
-// Setup elects devices[primaryIdx] primary with the given scheme and turns
-// the rest into secondaries. Must run in process context.
+// Setup elects devices[primaryIdx] primary under scheme and wires the
+// topology the scheme needs. Eager and lazy get a star: the primary
+// mirrors to every other device. Chain gets a chain (paper §4.2): the
+// primary heads it, the other devices follow in index order, each link
+// mirrors to its successor and reports whole-chain persistence upstream,
+// and the head reports the chain-combined counter to the database. A
+// chain needs at least two devices (ErrChainTooShort). Must run in
+// process context.
 //
 //xssd:conduit cluster bring-up: devices are quiescent until roles are assigned
 func (c *Cluster) Setup(p *sim.Proc, primaryIdx int, scheme core.ReplicationScheme) error {
 	if primaryIdx < 0 || primaryIdx >= len(c.devices) {
 		return fmt.Errorf("%w: primary %d of %d devices", ErrIndexRange, primaryIdx, len(c.devices))
 	}
+	if scheme == core.Chain && len(c.devices) < 2 {
+		return fmt.Errorf("%w: have %d", ErrChainTooShort, len(c.devices))
+	}
 	c.primary = primaryIdx
 	c.scheme = scheme
 	c.order = nil
 	prim := c.devices[primaryIdx]
-	prim.Transport().ClearPeers()
-	prim.Transport().SetScheme(scheme)
-	for i, d := range c.devices {
-		if i == primaryIdx {
-			continue
+	if scheme != core.Chain {
+		prim.Transport().ClearPeers()
+		prim.Transport().SetScheme(scheme)
+		for i, d := range c.devices {
+			if i == primaryIdx {
+				continue
+			}
+			if err := setMode(p, d, core.Secondary); err != nil {
+				return err
+			}
+			prim.Transport().AddPeer(d, c.bridges[primaryIdx][i], c.bridges[i][primaryIdx])
 		}
-		if err := setMode(p, d, core.Secondary); err != nil {
-			return err
+		return setMode(p, prim, core.Primary)
+	}
+	c.order = []int{primaryIdx}
+	for i := range c.devices {
+		if i != primaryIdx {
+			c.order = append(c.order, i)
 		}
-		prim.Transport().AddPeer(d, c.bridges[primaryIdx][i], c.bridges[i][primaryIdx])
 	}
-	return setMode(p, prim, core.Primary)
-}
-
-// SetupChain wires the devices as a replication chain (paper §4.2):
-// devices[0] is the head (primary), each member mirrors to its successor
-// and reports whole-chain persistence upstream, and the head reports the
-// chain-combined counter to the database.
-//
-//xssd:conduit cluster bring-up: devices are quiescent until roles are assigned
-func (c *Cluster) SetupChain(p *sim.Proc) error {
-	if len(c.devices) < 2 {
-		return fmt.Errorf("%w: have %d", ErrChainTooShort, len(c.devices))
-	}
-	c.primary = 0
-	c.scheme = core.Chain
-	c.order = make([]int, len(c.devices))
-	for i := range c.order {
-		c.order[i] = i
-	}
-	for i, d := range c.devices {
+	for k, i := range c.order {
+		d := c.devices[i]
 		d.Transport().ClearPeers()
-		if i == 0 {
+		if k == 0 {
 			d.Transport().SetScheme(core.Chain)
 			continue
 		}
@@ -201,16 +202,22 @@ func (c *Cluster) SetupChain(p *sim.Proc) error {
 	}
 	// Wire links head -> ... -> tail; AddPeer also installs the reverse
 	// counter-report window.
-	for i := 0; i < len(c.devices)-1; i++ {
-		c.devices[i].Transport().AddPeer(c.devices[i+1], c.bridges[i][i+1], c.bridges[i+1][i])
+	for k := 0; k+1 < len(c.order); k++ {
+		from, to := c.order[k], c.order[k+1]
+		c.devices[from].Transport().AddPeer(c.devices[to], c.bridges[from][to], c.bridges[to][from])
 	}
-	return setMode(p, c.devices[0], core.Primary)
+	return setMode(p, prim, core.Primary)
 }
 
-// Promote fails over to devices[newPrimary]: the old primary (if alive) is
-// demoted to secondary and the peer set is rebuilt around the new primary.
-// The paper (§7.1) leaves catch-up data transfer to the database; Promote
-// only performs the role changes.
+// Promote fails over to devices[newPrimary]. The old primary, if alive,
+// is demoted to a secondary with no peers. A star (eager, lazy) is rebuilt
+// around the new primary from the live devices. A chain promotes the link
+// in place: it keeps its downstream links and their retransmission
+// windows, so holes below it heal through the ordinary repair path, and
+// the chain above it is cut off. A device that is not a link of the
+// current chain is rejected with ErrIndexRange. The paper (§7.1) leaves
+// catch-up data transfer to the database; Promote only performs the role
+// changes.
 //
 //xssd:conduit role change at the failover barrier: no host traffic flows while peers are re-wired
 func (c *Cluster) Promote(p *sim.Proc, newPrimary int) error {
@@ -220,6 +227,10 @@ func (c *Cluster) Promote(p *sim.Proc, newPrimary int) error {
 	if newPrimary == c.primary {
 		return nil
 	}
+	pos := slices.Index(c.order, newPrimary)
+	if c.order != nil && pos < 0 {
+		return fmt.Errorf("%w: device %d is not a chain link", ErrIndexRange, newPrimary)
+	}
 	old := c.primary
 	if old >= 0 && !c.devices[old].PowerLost() {
 		if err := setMode(p, c.devices[old], core.Secondary); err != nil {
@@ -228,11 +239,14 @@ func (c *Cluster) Promote(p *sim.Proc, newPrimary int) error {
 		c.devices[old].Transport().ClearPeers()
 	}
 	c.promotions++
-	// Rebuild peers around the new primary, skipping dead devices. The
-	// result is a star regardless of scheme, so any chain order is void.
-	c.order = nil
 	c.primary = newPrimary
 	prim := c.devices[newPrimary]
+	if c.order != nil {
+		c.order = c.order[pos:]
+		prim.Transport().SetScheme(core.Chain)
+		return setMode(p, prim, core.Primary)
+	}
+	// Rebuild the star around the new primary, skipping dead devices.
 	prim.Transport().ClearPeers()
 	prim.Transport().SetScheme(c.scheme)
 	for i, d := range c.devices {
@@ -265,15 +279,8 @@ func (c *Cluster) Promotions() int { return c.promotions }
 // Devices that are power-lost or advertising StatusShadowFrozen are
 // never elected. Returns ErrNoCandidate when no survivor qualifies.
 func (c *Cluster) Elect() (int, error) {
-	if c.scheme == core.Chain && c.order != nil {
-		pos := 0
-		for i, idx := range c.order {
-			if idx == c.primary {
-				pos = i + 1
-				break
-			}
-		}
-		for _, idx := range c.order[pos:] {
+	if c.order != nil {
+		for _, idx := range c.order[slices.Index(c.order, c.primary)+1:] {
 			d := c.devices[idx]
 			if d.PowerLost() {
 				continue
@@ -300,53 +307,9 @@ func (c *Cluster) Elect() (int, error) {
 	return best, nil
 }
 
-// Reconfigure fails over to devices[newPrimary] with the topology rebuilt
-// per scheme. Star schemes (eager/lazy) delegate to Promote. For a chain,
-// the new head must be a link of the current chain: every link below it
-// stays wired — preserving each link's retransmission window, so holes
-// downstream heal through the ordinary repair path — and the dead prefix
-// of the chain is simply cut off. As with Promote, catch-up data transfer
-// is the database's job (paper §7.1; see the failover manager).
-//
-//xssd:conduit role change at the failover barrier: no host traffic flows while peers are re-wired
-func (c *Cluster) Reconfigure(p *sim.Proc, newPrimary int) error {
-	if c.scheme != core.Chain || c.order == nil {
-		return c.Promote(p, newPrimary)
-	}
-	if newPrimary < 0 || newPrimary >= len(c.devices) {
-		return fmt.Errorf("%w: promote %d of %d devices", ErrIndexRange, newPrimary, len(c.devices))
-	}
-	if newPrimary == c.primary {
-		return nil
-	}
-	pos := -1
-	for i, idx := range c.order {
-		if idx == newPrimary {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		return fmt.Errorf("%w: device %d is not a chain link", ErrIndexRange, newPrimary)
-	}
-	old := c.primary
-	if old >= 0 && !c.devices[old].PowerLost() {
-		// Planned handoff: the old head leaves the chain entirely.
-		if err := setMode(p, c.devices[old], core.Secondary); err != nil {
-			return err
-		}
-		c.devices[old].Transport().ClearPeers()
-	}
-	c.primary = newPrimary
-	c.order = c.order[pos:]
-	c.promotions++
-	head := c.devices[newPrimary]
-	head.Transport().SetScheme(core.Chain)
-	return setMode(p, head, core.Primary)
-}
-
 // Lag returns, for each secondary peer of the current primary, how many
-// stream bytes its shadow counter trails the primary's local counter.
+// stream bytes its shadow counter trails the primary's local counter. A
+// chain's head has one peer, its successor, so Lag has one entry.
 func (c *Cluster) Lag() []int64 {
 	prim := c.Primary()
 	if prim == nil {

@@ -321,12 +321,7 @@ func (s *Shard) bringUp(p *sim.Proc, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		if cfg.Scheme == core.Chain {
-			err = rc.SetupChain(p)
-		} else {
-			err = rc.Setup(p, 0, cfg.Scheme)
-		}
-		if err != nil {
+		if err := rc.Setup(p, 0, cfg.Scheme); err != nil {
 			return fmt.Errorf("replication setup: %w", err)
 		}
 	}

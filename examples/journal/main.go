@@ -13,7 +13,6 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"xssd"
 )
@@ -26,11 +25,11 @@ func main() {
 	dev, err := sys.NewDevice(xssd.DeviceOptions{
 		Name:    "jbd",
 		Backing: xssd.SRAM,
-		// Opt into the multi-queue host interface: four SQ/CQ pairs with
-		// eight commands in flight each, completion interrupts coalesced
-		// four at a time (or every 8 µs, whichever comes first). Leaving
-		// Queues nil keeps the classic single-pair interface.
-		Queues: &xssd.QueueOptions{Pairs: 4, Depth: 8, CoalesceOps: 4, CoalesceTime: 8 * time.Microsecond},
+		// Opt into the multi-queue host interface: four SQ/CQ pairs,
+		// completion interrupts coalesced four at a time (or 8 µs after the
+		// first pending completion, whichever comes first). Leaving Queues
+		// nil keeps the classic single-pair interface.
+		Queues: &xssd.QueueOptions{Pairs: 4, CoalesceOps: 4},
 	})
 	if err != nil {
 		panic(err)

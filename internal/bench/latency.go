@@ -83,12 +83,11 @@ func LatencyCells() []Cell {
 // latencyDeviceConfig builds the sweep's device: a small 4×4 array of
 // 4 KB pages so per-command costs, not array parallelism, dominate the
 // tail, with the multi-queue host interface under test.
-func latencyDeviceConfig(pairs, depth, coalesce int) villars.Config {
+func latencyDeviceConfig(pairs, coalesce int) villars.Config {
 	cfg := villars.DefaultConfig("lat")
 	cfg.Geometry = nand.Geometry{Channels: 4, WaysPerChan: 4, BlocksPerDie: 64, PagesPerBlock: 64, PageSize: 4 << 10}
 	cfg.HostQueues = pairs
-	cfg.HostQueueDepth = depth
-	cfg.CoalesceOps = coalesce // fillDefaults supplies the 8 µs time bound
+	cfg.CoalesceOps = coalesce // nvme bounds a coalesced batch at 8 µs
 	return cfg
 }
 
@@ -101,7 +100,7 @@ func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 	defer c.Close()
 	env := c.env
 	hostMem := pcie.NewHostMemory(1 << 20)
-	dev := villars.New(env, latencyDeviceConfig(pairs, depth, coalesce), hostMem)
+	dev := villars.New(env, latencyDeviceConfig(pairs, coalesce), hostMem)
 	drv := dev.HostDriver()
 	drv.Observe(obs.For(env).Scope("lat/nvme"))
 	bs := int64(4 << 10)
@@ -126,7 +125,7 @@ func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 				}
 				lba := base + int64(q)*stripe + off
 				off = (off + int64(blocks)) % (stripe - 16)
-				tok := drv.SubmitAsync(p, q, nvme.Command{
+				tok := drv.SubmitAsync(q, nvme.Command{
 					Opcode: nvme.OpWrite, LBA: lba, Blocks: blocks, PRP: int64(q) * 16 * bs,
 				})
 				window = append(window, tok)

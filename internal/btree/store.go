@@ -222,7 +222,7 @@ func (s *DeviceStore) WriteBatch(p *sim.Proc, slots []int64, images [][]byte) er
 			}
 			stage := s.scratch + int64(i-start)*ps
 			copy(s.dev.HostMemory().Bytes()[stage:], images[i])
-			toks = append(toks, s.driver.SubmitAsync(p, 0, nvme.Command{
+			toks = append(toks, s.driver.SubmitAsync(0, nvme.Command{
 				Opcode: nvme.OpWrite, LBA: s.base + slots[i], Blocks: 1, PRP: stage,
 			}))
 		}

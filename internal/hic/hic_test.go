@@ -45,9 +45,9 @@ func newMultiRig(n int, admin AdminHandler) (*rig, *nvme.QueueSet) {
 	f := ftl.New(env, arr, sch, ftl.DefaultConfig)
 	link := env.NewLink("pcie", 2e9, 200*time.Nanosecond)
 	host := pcie.NewHostMemory(1 << 20)
-	qs := nvme.NewQueueSet(env, n, nvme.Coalesce{})
+	qs := nvme.NewQueueSet(env, n, 0)
 	ctrl := New(env, qs, link, host, f, admin)
-	return &rig{env: env, host: host, driver: nvme.NewDriver(env, qs, 0), ctrl: ctrl}, qs
+	return &rig{env: env, host: host, driver: nvme.NewDriver(env, qs), ctrl: ctrl}, qs
 }
 
 func TestWriteThenReadThroughNVMe(t *testing.T) {
@@ -159,7 +159,7 @@ func TestConcurrentCommandsAllComplete(t *testing.T) {
 
 func TestQueuePairFIFO(t *testing.T) {
 	env := sim.NewEnv(1)
-	sq := nvme.NewQueueSet(env, 1, nvme.Coalesce{}).Pair(0).SQ
+	sq := nvme.NewQueueSet(env, 1, 0).Pair(0).SQ
 	sq.Push(nvme.Command{ID: 1})
 	sq.Push(nvme.Command{ID: 2})
 	if c, ok := sq.Pop(); !ok || c.ID != 1 {
@@ -187,7 +187,7 @@ func TestMultiQueueCompletesOnOriginQueue(t *testing.T) {
 		for q := 0; q < 3; q++ {
 			prp := int64(q * bs)
 			r.host.Bytes()[prp] = byte(q + 1)
-			toks[q] = r.driver.SubmitAsync(p, q, nvme.Command{Opcode: nvme.OpWrite, LBA: int64(10 + q), Blocks: 1, PRP: prp})
+			toks[q] = r.driver.SubmitAsync(q, nvme.Command{Opcode: nvme.OpWrite, LBA: int64(10 + q), Blocks: 1, PRP: prp})
 		}
 		for q := 0; q < 3; q++ {
 			got[q] = r.driver.Wait(p, toks[q])
@@ -217,7 +217,7 @@ func TestMultiQueueRoundRobinArbitration(t *testing.T) {
 	r.env.Go("host", func(p *sim.Proc) {
 		var toks []nvme.Token
 		submit := func(q int, cdw int64) {
-			toks = append(toks, r.driver.SubmitAsync(p, q, nvme.Command{Opcode: nvme.OpXQueryStatus, CDW: cdw}))
+			toks = append(toks, r.driver.SubmitAsync(q, nvme.Command{Opcode: nvme.OpXQueryStatus, CDW: cdw}))
 		}
 		drain := func() {
 			for _, tok := range toks {

@@ -9,9 +9,9 @@ import (
 
 func TestDriverMatchesCompletionToCaller(t *testing.T) {
 	env := sim.NewEnv(1)
-	qs := NewQueueSet(env, 1, Coalesce{})
+	qs := NewQueueSet(env, 1, 0)
 	echoSet(env, qs, 10*time.Microsecond)
-	drv := NewDriver(env, qs, 0)
+	drv := NewDriver(env, qs)
 	var got Completion
 	env.Go("host", func(p *sim.Proc) {
 		got = drv.Submit(p, Command{Opcode: OpXQueryStatus, CDW: 21})
@@ -24,9 +24,9 @@ func TestDriverMatchesCompletionToCaller(t *testing.T) {
 
 func TestDriverConcurrentSubmitters(t *testing.T) {
 	env := sim.NewEnv(1)
-	qs := NewQueueSet(env, 1, Coalesce{})
+	qs := NewQueueSet(env, 1, 0)
 	echoSet(env, qs, 5*time.Microsecond)
-	drv := NewDriver(env, qs, 0)
+	drv := NewDriver(env, qs)
 	results := map[int]int64{}
 	for i := 0; i < 10; i++ {
 		i := i
@@ -48,7 +48,7 @@ func TestDriverConcurrentSubmitters(t *testing.T) {
 
 func TestDriverSubmitAssignsUniqueIDs(t *testing.T) {
 	env := sim.NewEnv(1)
-	qs := NewQueueSet(env, 1, Coalesce{})
+	qs := NewQueueSet(env, 1, 0)
 	qp := qs.Pair(0)
 	seen := map[uint16]bool{}
 	env.Go("device", func(p *sim.Proc) {
@@ -65,7 +65,7 @@ func TestDriverSubmitAssignsUniqueIDs(t *testing.T) {
 			qp.CQ.Post(Completion{ID: cmd.ID})
 		}
 	})
-	drv := NewDriver(env, qs, 0)
+	drv := NewDriver(env, qs)
 	env.Go("host", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			drv.Submit(p, Command{Opcode: OpFlush})
@@ -79,7 +79,7 @@ func TestDriverSubmitAssignsUniqueIDs(t *testing.T) {
 
 func TestQueueDoorbellWakesConsumer(t *testing.T) {
 	env := sim.NewEnv(1)
-	sq := NewQueueSet(env, 1, Coalesce{}).Pair(0).SQ
+	sq := NewQueueSet(env, 1, 0).Pair(0).SQ
 	var wokeAt time.Duration
 	env.Go("consumer", func(p *sim.Proc) {
 		p.Wait(sq.Doorbell)
@@ -130,7 +130,7 @@ func echoSet(env *sim.Env, qs *QueueSet, delay time.Duration) {
 
 func TestQueueSetSharedArmedLine(t *testing.T) {
 	env := sim.NewEnv(1)
-	qs := NewQueueSet(env, 3, Coalesce{})
+	qs := NewQueueSet(env, 3, 0)
 	var wakes int
 	env.Go("fetcher", func(p *sim.Proc) {
 		for {
@@ -153,7 +153,7 @@ func TestQueueSetSharedArmedLine(t *testing.T) {
 func TestCoalescingFiresAtOpsThreshold(t *testing.T) {
 	env := sim.NewEnv(1)
 	cq := NewCompletionQueue(env)
-	cq.SetCoalesce(Coalesce{Ops: 4, Time: time.Millisecond})
+	cq.SetCoalesce(4)
 	var interrupts []time.Duration
 	env.Go("isr", func(p *sim.Proc) {
 		for {
@@ -167,7 +167,7 @@ func TestCoalescingFiresAtOpsThreshold(t *testing.T) {
 			cq.Post(Completion{ID: uint16(i)})
 		}
 	})
-	env.RunUntil(100 * time.Microsecond) // below the 1ms time bound
+	env.RunUntil(100 * time.Microsecond) // the bound's timer finds nothing pending
 	if len(interrupts) != 1 || interrupts[0] != 4*time.Microsecond {
 		t.Fatalf("interrupts at %v, want exactly one at the 4th post (4µs)", interrupts)
 	}
@@ -176,7 +176,7 @@ func TestCoalescingFiresAtOpsThreshold(t *testing.T) {
 func TestCoalescingTimerFiresFinalSubBatch(t *testing.T) {
 	env := sim.NewEnv(1)
 	cq := NewCompletionQueue(env)
-	cq.SetCoalesce(Coalesce{Ops: 8, Time: 20 * time.Microsecond})
+	cq.SetCoalesce(8)
 	var interrupts []time.Duration
 	env.Go("isr", func(p *sim.Proc) {
 		for {
@@ -190,8 +190,8 @@ func TestCoalescingTimerFiresFinalSubBatch(t *testing.T) {
 		cq.Post(Completion{ID: 2})
 	})
 	env.RunUntil(time.Millisecond)
-	if len(interrupts) != 1 || interrupts[0] != 25*time.Microsecond {
-		t.Fatalf("interrupts at %v, want exactly one 20µs after the first post (25µs)", interrupts)
+	if want := 5*time.Microsecond + coalesceWait; len(interrupts) != 1 || interrupts[0] != want {
+		t.Fatalf("interrupts at %v, want exactly one %v after the first post (%v)", interrupts, coalesceWait, want)
 	}
 }
 
@@ -218,45 +218,20 @@ func TestCompletionSeqMonotone(t *testing.T) {
 	}
 }
 
-func TestSubmitAsyncDepthBackpressure(t *testing.T) {
-	env := sim.NewEnv(1)
-	qs := NewQueueSet(env, 1, Coalesce{})
-	echoSet(env, qs, 10*time.Microsecond)
-	drv := NewDriver(env, qs, 2)
-	var submitAt []time.Duration
-	env.Go("host", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			drv.SubmitAsync(p, 0, Command{Opcode: OpFlush})
-			submitAt = append(submitAt, p.Now())
-		}
-	})
-	env.RunUntil(time.Millisecond)
-	if len(submitAt) != 4 {
-		t.Fatalf("submitted %d commands, want 4", len(submitAt))
-	}
-	// The first two slots are free; the third submission must block until
-	// the first completion frees one (the echo device's 10µs delay).
-	if submitAt[0] != 0 || submitAt[1] != 0 {
-		t.Fatalf("first two submissions at %v, want both immediate", submitAt[:2])
-	}
-	if submitAt[2] < 10*time.Microsecond {
-		t.Fatalf("third submission at %v, want blocked until a completion (>= 10µs)", submitAt[2])
-	}
-}
-
 func TestPollConsumesCompletionOnce(t *testing.T) {
 	env := sim.NewEnv(1)
-	qs := NewQueueSet(env, 1, Coalesce{Ops: 64, Time: time.Second})
+	qs := NewQueueSet(env, 1, 64)
 	echoSet(env, qs, 5*time.Microsecond)
-	drv := NewDriver(env, qs, 0)
+	drv := NewDriver(env, qs)
 	env.Go("host", func(p *sim.Proc) {
-		tok := drv.SubmitAsync(p, 0, Command{Opcode: OpXQueryStatus, CDW: 7})
+		tok := drv.SubmitAsync(0, Command{Opcode: OpXQueryStatus, CDW: 7})
 		if _, ok := drv.Poll(tok); ok {
 			t.Error("Poll reported completion before the device ran")
 		}
-		p.Sleep(20 * time.Microsecond)
-		// Coalescing would hold the interrupt for a full second, but Poll
-		// is the polled-mode path: it drains the CQ directly.
+		p.Sleep(10 * time.Microsecond)
+		// The completion posted at 5µs; coalescing holds its interrupt
+		// until coalesceWait later, but Poll is the polled-mode path: it
+		// drains the CQ directly.
 		c, ok := drv.Poll(tok)
 		if !ok || c.Value != 14 {
 			t.Errorf("Poll after completion = %+v ok=%v, want value 14", c, ok)
@@ -270,12 +245,12 @@ func TestPollConsumesCompletionOnce(t *testing.T) {
 
 func TestMultiDriverPerQueueIsolation(t *testing.T) {
 	env := sim.NewEnv(1)
-	qs := NewQueueSet(env, 2, Coalesce{})
+	qs := NewQueueSet(env, 2, 0)
 	echoSet(env, qs, 5*time.Microsecond)
-	drv := NewDriver(env, qs, 0)
+	drv := NewDriver(env, qs)
 	env.Go("host", func(p *sim.Proc) {
-		t0 := drv.SubmitAsync(p, 0, Command{Opcode: OpRead, CDW: 10})
-		t1 := drv.SubmitAsync(p, 1, Command{Opcode: OpRead, CDW: 20})
+		t0 := drv.SubmitAsync(0, Command{Opcode: OpRead, CDW: 10})
+		t1 := drv.SubmitAsync(1, Command{Opcode: OpRead, CDW: 20})
 		if c := drv.Wait(p, t1); c.Value != 40 {
 			t.Errorf("queue 1 completion value %d, want 40", c.Value)
 		}

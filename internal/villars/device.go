@@ -79,16 +79,10 @@ type Config struct {
 	// HostQueues is the number of per-core NVMe SQ/CQ pairs; 0 means one
 	// pair.
 	HostQueues int
-	// HostQueueDepth bounds async in-flight commands per queue; 0 means 32.
-	// The blocking Submit never checks it.
-	HostQueueDepth int
 	// CoalesceOps raises a CQ interrupt only after this many completions
-	// (<= 1: every completion).
+	// (<= 1: every completion); a final sub-batch interrupts 8 µs after
+	// its first completion.
 	CoalesceOps int
-	// CoalesceTime bounds how long a completion may wait for its
-	// coalesced interrupt; 0 with CoalesceOps > 1 means 8 µs (a final
-	// sub-batch must never strand).
-	CoalesceTime time.Duration
 }
 
 // The device's fixed shape: the paper's experimental setup (§6).
@@ -144,12 +138,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.RepairTimeout == 0 {
 		c.RepairTimeout = 5 * time.Millisecond
-	}
-	if c.HostQueueDepth == 0 {
-		c.HostQueueDepth = 32
-	}
-	if c.CoalesceOps > 1 && c.CoalesceTime == 0 {
-		c.CoalesceTime = 8 * time.Microsecond
 	}
 }
 
@@ -214,9 +202,9 @@ func New(env *sim.Env, cfg Config, host *pcie.HostMemory) *Device {
 	d.arr = nand.New(env, cfg.Geometry, cfg.Timing)
 	d.sch = sched.New(env, d.arr, cfg.Policy)
 	d.ftl = ftl.New(env, d.arr, d.sch, cfg.FTL)
-	d.qset = nvme.NewQueueSet(env, cfg.HostQueues, nvme.Coalesce{Ops: cfg.CoalesceOps, Time: cfg.CoalesceTime})
+	d.qset = nvme.NewQueueSet(env, cfg.HostQueues, cfg.CoalesceOps)
 	d.ctrl = hic.New(env, d.qset, d.link, host, d.ftl, d)
-	d.driver = nvme.NewDriver(env, d.qset, cfg.HostQueueDepth)
+	d.driver = nvme.NewDriver(env, d.qset)
 
 	if cfg.DestageLBAs == 0 {
 		cfg.DestageLBAs = d.ftl.LogicalPages() / 4

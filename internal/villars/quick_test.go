@@ -16,7 +16,7 @@ import (
 )
 
 // The multi-queue host interface's property test: for a RANDOM queue
-// shape (pair count, in-flight depth, coalescing parameters) and a
+// shape (pair count, in-flight window, coalescing op count) and a
 // RANDOM fault plan, a fixed async write workload must end with
 //
 //   - per-queue completion sequence numbers equal to the per-queue
@@ -30,17 +30,15 @@ import (
 
 // quickQueueShape is one sampled point of the queue-configuration space.
 type quickQueueShape struct {
-	pairs        int
-	depth        int
-	coalesceOps  int
-	coalesceTime time.Duration
+	pairs       int
+	depth       int // the submitter's in-flight window
+	coalesceOps int
 }
 
 func shapeFrom(pb, db, cb uint8) quickQueueShape {
 	s := quickQueueShape{pairs: 1 + int(pb)%8, depth: 1 + int(db)%32}
 	if cb%3 != 0 { // two thirds of samples coalesce
 		s.coalesceOps = 2 + int(cb)%7
-		s.coalesceTime = time.Duration(4+int(cb)%13) * time.Microsecond
 	}
 	return s
 }
@@ -64,9 +62,7 @@ func queueHistory(t *testing.T, seed int64, shape quickQueueShape, plan *fault.P
 
 	cfg := testConfig("q")
 	cfg.HostQueues = shape.pairs
-	cfg.HostQueueDepth = shape.depth
 	cfg.CoalesceOps = shape.coalesceOps
-	cfg.CoalesceTime = shape.coalesceTime
 	d := New(env, cfg, pcie.NewHostMemory(1<<20))
 	drv := d.HostDriver()
 	drv.Observe(obs.For(env).Scope("q/nvme"))
@@ -84,7 +80,7 @@ func queueHistory(t *testing.T, seed int64, shape quickQueueShape, plan *fault.P
 				blocks := 1 + (i+q)%4
 				lba := base + int64(q)*stripe + off
 				off = (off + int64(blocks)) % (stripe - 4)
-				tok := drv.SubmitAsync(p, q, nvme.Command{Opcode: nvme.OpWrite, LBA: lba, Blocks: blocks})
+				tok := drv.SubmitAsync(q, nvme.Command{Opcode: nvme.OpWrite, LBA: lba, Blocks: blocks})
 				window = append(window, tok)
 				if len(window) >= shape.depth {
 					drv.Wait(p, window[0])

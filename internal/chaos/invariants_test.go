@@ -8,6 +8,7 @@ import (
 
 	"xssd/internal/core"
 	"xssd/internal/repl"
+	"xssd/internal/shard"
 	"xssd/internal/sim"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
@@ -30,7 +31,7 @@ func newPrefixRig(t *testing.T) *prefixRig {
 	t.Helper()
 	rg := &prefixRig{env: sim.NewEnv(5)}
 	t.Cleanup(rg.env.Close)
-	rg.prim, rg.sec = chaosDevice(rg.env, PrimaryName), chaosDevice(rg.env, "s0")
+	rg.prim, rg.sec = shard.DefaultDevice(rg.env, PrimaryName), shard.DefaultDevice(rg.env, "s0")
 	cluster, err := repl.New(rg.env, []*villars.Device{rg.prim, rg.sec})
 	if err != nil {
 		t.Fatal(err)

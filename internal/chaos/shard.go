@@ -54,7 +54,6 @@ func runSharded(s Scenario) (*Result, error) {
 		SimWorkers:  s.SimWorkers,
 		Seed:        s.Seed,
 		WAL:         wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond},
-		Device:      chaosDevice,
 		WrapSink: func(id int, inner wal.Sink) wal.Sink {
 			return &recordingSink{inner: inner, buf: &streams[id]}
 		},

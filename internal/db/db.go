@@ -18,6 +18,7 @@ import (
 	"unsafe"
 
 	"xssd/internal/btree"
+	"xssd/internal/obs"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
 )
@@ -917,22 +918,11 @@ func (e *Engine) Fingerprint() uint64 { return e.FingerprintIn(nil) }
 // identical across stores: a paged engine holding the same rows as an
 // in-memory one fingerprints to the same value.
 func (e *Engine) FingerprintIn(p *sim.Proc) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(s []byte) {
-		for _, b := range s {
-			h ^= uint64(b)
-			h *= prime
-		}
-	}
+	h := obs.FNVOffset
 	for _, n := range e.Tables() {
-		mix([]byte(n))
+		h = obs.MixBytes(h, n)
 		e.scanLive(p, e.tables[n], func(k string, v []byte) {
-			mix([]byte(k))
-			mix(v)
+			h = obs.MixBytes(obs.MixBytes(h, k), v)
 		})
 	}
 	return h

@@ -20,10 +20,12 @@
 // gives each device a member of its own and the group N quantum executors.
 // Same-seed results are byte-identical for every N >= 1.
 //
-// Performance modes:
+// Performance modes (-suite needs -o, the file the results go to):
 //
-//	xbench -suite perf -workers 8 -o BENCH_PR7.json   # time one cell per figure + a chaos seed + the pargroup twins
-//	xbench -suite shard -o BENCH_PR9.json  # sharded-cluster throughput scaling + remote-mix sweep + engine twins
+//	xbench -suite perf -o BENCH_PR4.json               # time one cell per figure + a chaos seed + the pargroup twins
+//	xbench -suite perf -workers 8 -o BENCH_PR7.json    # the same cells on the parallel engine
+//	xbench -suite latency -o BENCH_PR8.json            # virtual-time latency quantiles + serial/parallel twins
+//	xbench -suite shard -o BENCH_PR9.json              # sharded-cluster throughput scaling + remote-mix sweep + engine twins
 //	xbench -compare baseline.json new.json # gate: fail on >15% events/sec regression or serial/parallel event drift
 package main
 
@@ -54,7 +56,7 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write per-cell metrics snapshots to this file as JSON")
 	workers := flag.Int("workers", 0, "device placement on the simulation group: 0 = every device on one member, n >= 1 = one member per device and n quantum executors (figures, sweeps, and the perf suite)")
 	suite := flag.String("suite", "", "run a timed suite (\"perf\", \"latency\", or \"shard\")")
-	out := flag.String("o", "BENCH_PR4.json", "output file for -suite")
+	out := flag.String("o", "", "output file for -suite (required with it)")
 	compare := flag.Bool("compare", false, "compare two perf result files: -compare baseline.json new.json")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed events/sec regression fraction for -compare")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -117,6 +119,12 @@ func main() {
 		cells := suiteCells(*suite)
 		if cells == nil {
 			fmt.Fprintf(os.Stderr, "xbench: unknown suite %q (\"perf\", \"latency\", or \"shard\")\n", *suite)
+			os.Exit(2)
+		}
+		// Each suite has its own baseline file; a default would let one
+		// suite's cells overwrite another's.
+		if *out == "" {
+			fmt.Fprintln(os.Stderr, "usage: xbench -suite name -o results.json")
 			os.Exit(2)
 		}
 		if err := runSuite(*suite, cells, *out); err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xssd/internal/core"
+	"xssd/internal/obs"
 	"xssd/internal/pm"
 	"xssd/internal/sched"
 )
@@ -94,14 +95,14 @@ func TestFig13BandwidthShareInverseToPeriod(t *testing.T) {
 	}
 }
 
-func iqr(c interface{ IQR() time.Duration }) time.Duration { return c.IQR() }
+func iqr(c obs.Candlestick) time.Duration { return c.P75 - c.P25 }
 
 // TestAblationSchemeCostOrder: with two secondaries, lazy acknowledges on
 // local persistence, eager once both replicas one hop away have persisted,
 // and chain once the tail two hops away has, so the p50s are strictly
 // ordered.
 func TestAblationSchemeCostOrder(t *testing.T) {
-	prev := EngineWorkers()
+	prev := engineWorkers
 	SetEngineWorkers(0)
 	defer SetEngineWorkers(prev)
 	p50 := map[core.ReplicationScheme]time.Duration{}

@@ -24,7 +24,7 @@ type cellRun struct {
 // runCellDifferential executes cell under each mode and returns the runs.
 func runCellDifferential(t *testing.T, modes []int, cell func() []float64) []cellRun {
 	t.Helper()
-	prev := EngineWorkers()
+	prev := engineWorkers
 	defer SetEngineWorkers(prev)
 	out := make([]cellRun, 0, len(modes))
 	for _, mode := range modes {

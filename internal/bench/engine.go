@@ -20,9 +20,6 @@ var engineWorkers int
 // one experiment cell runs at a time.
 func SetEngineWorkers(n int) { engineWorkers = n }
 
-// EngineWorkers reports the current placement.
-func EngineWorkers() int { return engineWorkers }
-
 // cellSim is the per-cell simulation: a group started inline for bring-up.
 // Cells build their topology against env and member(), call Parallelize once
 // setup is done, drive time through RunUntil, and defer Close so

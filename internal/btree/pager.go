@@ -121,14 +121,8 @@ func NewPager(store PageStore, cfg Config) *Pager {
 	return pg
 }
 
-// PageSize returns the store's page size.
-func (pg *Pager) PageSize() int { return pg.store.PageSize() }
-
 // maxCell is the usable cell-area budget per page.
 func (pg *Pager) maxCell() int { return pg.store.PageSize() - headerLen }
-
-// DirtyPages returns the current dirty-frame count (tests and gauges).
-func (pg *Pager) DirtyPages() int { return pg.dirtyN }
 
 // Resident returns the resident-frame count.
 func (pg *Pager) Resident() int { return pg.resident }
@@ -408,15 +402,6 @@ func (pg *Pager) CommitCheckpoint(snap Snapshot) {
 	// pool back toward its cap now instead of waiting for the next miss.
 	pg.evict()
 }
-
-// AbortCheckpoint abandons an incomplete checkpoint. The snapshot's
-// images were registered in pendingRewrite at capture time and stay
-// there: fetches keep serving the pages from memory instead of the
-// half-written (or silently lost) slots, and the next snapshot carries
-// every one forward — re-encoding pages dirtied again since, reusing
-// the captured image otherwise — until a checkpoint finally commits.
-// Pages freed since the snapshot already dropped their entries.
-func (pg *Pager) AbortCheckpoint(snap Snapshot) {}
 
 // Restore installs recovered allocation state: the checkpoint record's
 // NextID, free list, and parity map (committed == live at recovery).

@@ -15,21 +15,17 @@ var ErrStore = errors.New("btree: page store")
 
 // PageStore is the backing medium the Pager reads and writes page slots
 // against. Slot s holds one page image; the shadow-slot scheme above maps
-// page id p to slots 2p and 2p+1. Read and Write take the calling
+// page id p to slots 2p and 2p+1. Read and WriteBatch take the calling
 // simulated process for stores that spend virtual time (DeviceStore);
 // MemStore accepts a nil proc.
 type PageStore interface {
 	// PageSize returns the fixed image size in bytes.
 	PageSize() int
-	// Slots returns the store capacity in page slots.
-	Slots() int64
 	// Read fills buf (PageSize bytes) with slot's image.
 	Read(p *sim.Proc, slot int64, buf []byte) error
-	// Write persists data (PageSize bytes) as slot's image.
-	Write(p *sim.Proc, slot int64, data []byte) error
-	// WriteBatch persists images[i] at slots[i]. Stores with an async
-	// command interface pipeline the writes; the call returns when all
-	// are acknowledged.
+	// WriteBatch persists images[i] (PageSize bytes) at slots[i]. Stores
+	// with an async command interface pipeline the writes; the call
+	// returns when all are acknowledged.
 	WriteBatch(p *sim.Proc, slots []int64, images [][]byte) error
 	// Sync makes every acknowledged write durable on the medium and
 	// fails if any earlier write was silently lost.
@@ -52,9 +48,6 @@ func NewMemStore(pageSize int, cap int64) *MemStore {
 // PageSize implements PageStore.
 func (s *MemStore) PageSize() int { return s.pageSize }
 
-// Slots implements PageStore.
-func (s *MemStore) Slots() int64 { return s.cap }
-
 // Read implements PageStore.
 func (s *MemStore) Read(_ *sim.Proc, slot int64, buf []byte) error {
 	img, ok := s.slots[slot]
@@ -65,24 +58,16 @@ func (s *MemStore) Read(_ *sim.Proc, slot int64, buf []byte) error {
 	return nil
 }
 
-// Write implements PageStore.
-func (s *MemStore) Write(_ *sim.Proc, slot int64, data []byte) error {
-	if slot < 0 || slot >= s.cap {
-		return fmt.Errorf("%w: write slot %d out of range %d", ErrStore, slot, s.cap)
-	}
-	if len(data) != s.pageSize {
-		return fmt.Errorf("%w: write of %d bytes, page size %d", ErrStore, len(data), s.pageSize)
-	}
-	s.slots[slot] = append([]byte(nil), data...)
-	return nil
-}
-
 // WriteBatch implements PageStore.
-func (s *MemStore) WriteBatch(p *sim.Proc, slots []int64, images [][]byte) error {
+func (s *MemStore) WriteBatch(_ *sim.Proc, slots []int64, images [][]byte) error {
 	for i, slot := range slots {
-		if err := s.Write(p, slot, images[i]); err != nil {
-			return err
+		if slot < 0 || slot >= s.cap {
+			return fmt.Errorf("%w: write slot %d out of range %d", ErrStore, slot, s.cap)
 		}
+		if len(images[i]) != s.pageSize {
+			return fmt.Errorf("%w: write of %d bytes, page size %d", ErrStore, len(images[i]), s.pageSize)
+		}
+		s.slots[slot] = append([]byte(nil), images[i]...)
 	}
 	return nil
 }
@@ -144,9 +129,6 @@ func NewDeviceStore(dev *villars.Device, base, slots, scratch int64) *DeviceStor
 // PageSize implements PageStore: one page per device block.
 func (s *DeviceStore) PageSize() int { return s.dev.BlockSize() }
 
-// Slots implements PageStore.
-func (s *DeviceStore) Slots() int64 { return s.slots }
-
 // acquire takes the gate. Device commands spend virtual time, so unlike
 // MemStore a DeviceStore needs the calling process: without one the call
 // fails with ErrStore and the gate is not taken.
@@ -186,11 +168,6 @@ func (s *DeviceStore) Read(p *sim.Proc, slot int64, buf []byte) error {
 	}
 	copy(buf, s.dev.HostMemory().Bytes()[s.scratch:s.scratch+int64(s.PageSize())])
 	return nil
-}
-
-// Write implements PageStore: one NVMe write from the staging area.
-func (s *DeviceStore) Write(p *sim.Proc, slot int64, data []byte) error {
-	return s.WriteBatch(p, []int64{slot}, [][]byte{data})
 }
 
 // WriteBatch implements PageStore: up to deviceBatchWindow writes ride

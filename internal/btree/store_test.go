@@ -25,7 +25,6 @@ func TestDeviceStoreWithoutProcIsAnError(t *testing.T) {
 	page := make([]byte, s.PageSize())
 	for name, call := range map[string]func() error{
 		"Read":       func() error { return s.Read(nil, 0, page) },
-		"Write":      func() error { return s.Write(nil, 0, page) },
 		"WriteBatch": func() error { return s.WriteBatch(nil, []int64{0, 1}, [][]byte{page, page}) },
 		"Sync":       func() error { return s.Sync(nil) },
 	} {

@@ -335,8 +335,8 @@ func TestPagerEvictionTinyPool(t *testing.T) {
 		}
 	}
 	checkpointCycle(t, pg)
-	if pg.DirtyPages() != 0 {
-		t.Fatalf("%d dirty pages after checkpoint", pg.DirtyPages())
+	if pg.dirtyN != 0 {
+		t.Fatalf("%d dirty pages after checkpoint", pg.dirtyN)
 	}
 	// A full scan touches every page; the pool may transiently hold a
 	// pinned root path above the cap but must come back down to it.
@@ -382,9 +382,9 @@ func TestPagerAbortRequeuesImages(t *testing.T) {
 	if len(snap.Images) == 0 {
 		t.Fatal("no dirty pages captured")
 	}
-	// Crash before the record lands: abort. One page gets re-dirtied, the
-	// rest must ride pendingRewrite into the next snapshot.
-	pg.AbortCheckpoint(snap)
+	// Crash before the record lands: the snapshot never commits. One page
+	// gets re-dirtied, the rest must ride pendingRewrite into the next
+	// snapshot.
 	if err := tr.Put(nil, "k000", Item{Ver: 2, Val: []byte("fresh")}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +469,8 @@ func TestConcurrentMissesShareOneFrame(t *testing.T) {
 	if it, _, _ := tr.Get(nil, "k"); it.Ver != 2 {
 		t.Errorf("later read sees ver %d: the update went to an orphaned frame", it.Ver)
 	}
-	if pg.Resident() != 1 || pg.DirtyPages() != 1 {
-		t.Errorf("resident %d, dirty %d frames; want one frame for the one page", pg.Resident(), pg.DirtyPages())
+	if pg.Resident() != 1 || pg.dirtyN != 1 {
+		t.Errorf("resident %d, dirty %d frames; want one frame for the one page", pg.Resident(), pg.dirtyN)
 	}
 	snap, err := pg.SnapshotCheckpoint()
 	if err != nil {

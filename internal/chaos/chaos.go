@@ -83,14 +83,9 @@ type Scenario struct {
 	Secondaries int
 	// Scheme selects the replication scheme when Secondaries > 0.
 	Scheme core.ReplicationScheme
-	// Workers is the number of TPC-C worker processes; 0 means 2.
-	Workers int
 	// Window is how long the workload runs before it is stopped; 0 means
 	// 30 ms. At-triggered fault rules should fire inside the window.
 	Window time.Duration
-	// Settle is how long the stack gets to quiesce after the workload
-	// stops (flush, destage, repair, catch-up); 0 means 20 ms.
-	Settle time.Duration
 	// SimWorkers places the devices on the scenario's sim.Group; the
 	// engine is the same either way. 0 puts every device and the host
 	// workload on member 0 (one event loop). n >= 1 keeps the primary and
@@ -123,18 +118,20 @@ type Scenario struct {
 	KillAt time.Duration
 }
 
+// Every scenario runs scenarioWorkers TPC-C worker processes, and gives
+// the stack settleTime to quiesce after the workload stops (flush,
+// destage, repair, catch-up).
+const (
+	scenarioWorkers = 2
+	settleTime      = 20 * time.Millisecond
+)
+
 func (s Scenario) withDefaults() Scenario {
 	if s.Plan == nil {
 		s.Plan = &fault.Plan{}
 	}
-	if s.Workers <= 0 {
-		s.Workers = 2
-	}
 	if s.Window <= 0 {
 		s.Window = 30 * time.Millisecond
-	}
-	if s.Settle <= 0 {
-		s.Settle = 20 * time.Millisecond
 	}
 	return s
 }
@@ -414,7 +411,7 @@ func runSingle(s Scenario) (*Result, error) {
 		// while the pipeline is down and resume once the takeover restarts
 		// it.
 		done := func() bool { return stop || (!kill && lg.Dead()) }
-		for w := 0; w < s.Workers; w++ {
+		for w := 0; w < scenarioWorkers; w++ {
 			w := w
 			env.Go(fmt.Sprintf("chaos-worker-%d", w), func(p *sim.Proc) {
 				client := tpcc.NewClient(eng, tcfg, s.Seed*97+int64(w)+1, w%tcfg.Warehouses+1)
@@ -507,7 +504,7 @@ func runSingle(s Scenario) (*Result, error) {
 		// I1 checks demand a drained WAL at the cut.
 		ckptMgr.Stop()
 	}
-	en.group.RunUntil(s.Window + s.Settle)
+	en.group.RunUntil(s.Window + settleTime)
 	if fo != nil {
 		fo.Stop()
 	}

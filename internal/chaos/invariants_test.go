@@ -44,7 +44,7 @@ func newPrefixRig(t *testing.T) *prefixRig {
 		sink := &recordingSink{inner: wal.NewVillarsSink(p, rg.prim, "rig"), buf: &rg.written}
 		rg.lg = wal.NewLog(rg.env, sink, wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond})
 		for i := 0; i < 24; i++ {
-			rg.lg.Commit(p, wal.Record{TxID: int64(i + 1), Payload: bytes.Repeat([]byte{byte(i + 1)}, 200+i)})
+			rg.lg.WaitDurable(p, rg.lg.Append(wal.Record{TxID: int64(i + 1), Payload: bytes.Repeat([]byte{byte(i + 1)}, 200+i)}))
 		}
 		done = true
 	})

@@ -56,9 +56,6 @@ type ftlStore struct {
 // PageSize implements btree.PageStore.
 func (s *ftlStore) PageSize() int { return s.dev.BlockSize() }
 
-// Slots implements btree.PageStore.
-func (s *ftlStore) Slots() int64 { return s.slots }
-
 // Read implements btree.PageStore.
 func (s *ftlStore) Read(p *sim.Proc, slot int64, buf []byte) error {
 	if slot < 0 || slot >= s.slots {
@@ -70,11 +67,6 @@ func (s *ftlStore) Read(p *sim.Proc, slot int64, buf []byte) error {
 	}
 	copy(buf, page)
 	return nil
-}
-
-// Write implements btree.PageStore.
-func (s *ftlStore) Write(*sim.Proc, int64, []byte) error {
-	return fmt.Errorf("%w: post-mortem store is read-only", btree.ErrStore)
 }
 
 // WriteBatch implements btree.PageStore.

@@ -92,7 +92,7 @@ func runSharded(s Scenario) (*Result, error) {
 		}
 		for _, sh := range cl.Shards() {
 			sh := sh
-			for w := 0; w < s.Workers; w++ {
+			for w := 0; w < scenarioWorkers; w++ {
 				home := sh.ID()*2 + 1 + w%2
 				c := tpcc.NewShardedClient(cl, tcfg, s.Seed*97+int64(sh.ID())*1000+int64(w)+1, home, tpcc.SpecMix())
 				clients = append(clients, c)
@@ -117,7 +117,7 @@ func runSharded(s Scenario) (*Result, error) {
 		return nil, fmt.Errorf("chaos: boot: %w", bootErr)
 	}
 	stop = true
-	cl.RunUntil(s.Window + s.Settle)
+	cl.RunUntil(s.Window + settleTime)
 
 	r := &Result{Seed: s.Seed, Secondaries: s.Secondaries, Scheme: s.Scheme}
 	v := &violations{}

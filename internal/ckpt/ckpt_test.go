@@ -56,7 +56,7 @@ func (h *harness) runCommitter(t *testing.T, n int, done *bool) {
 		for i := 0; i < n; i++ {
 			tx := h.eng.BeginP(p)
 			key := fmt.Sprintf("k%04d", i%50)
-			tx.PutIn(h.eng.Table("kv"), key, []byte(fmt.Sprintf("v-%06d", i)))
+			tx.PutOwnedIn(h.eng.Table("kv"), key, []byte(fmt.Sprintf("v-%06d", i)))
 			if err := tx.Commit(p); err != nil {
 				t.Errorf("commit %d: %v", i, err)
 				return
@@ -232,7 +232,7 @@ func TestCrashMidCheckpointFallsBack(t *testing.T) {
 	h.env.Go("driver", func(p *sim.Proc) {
 		commit := func(i int) {
 			tx := h.eng.BeginP(p)
-			tx.PutIn(h.eng.Table("kv"), fmt.Sprintf("k%04d", i%50), []byte(fmt.Sprintf("v-%06d", i)))
+			tx.PutOwnedIn(h.eng.Table("kv"), fmt.Sprintf("k%04d", i%50), []byte(fmt.Sprintf("v-%06d", i)))
 			if err := tx.Commit(p); err != nil {
 				t.Errorf("commit %d: %v", i, err)
 			}
@@ -343,7 +343,7 @@ func TestManagerRunLoop(t *testing.T) {
 		t.Fatal("committer did not finish")
 	}
 	if m.Completed() < 2 {
-		t.Fatalf("expected several checkpoints, got %d (aborted %d)", m.Completed(), m.Aborted())
+		t.Fatalf("expected several checkpoints, got %d (aborted %d)", m.Completed(), m.mAborted.Value())
 	}
 }
 

@@ -31,7 +31,7 @@ type Manager struct {
 	inFlight bool
 	idle     *sim.Signal
 
-	completed, aborted int64
+	completed int64
 
 	mCompleted, mAborted, mPages *obs.Counter
 	mDur                         *obs.Histogram
@@ -57,10 +57,6 @@ func NewManager(eng *db.Engine, log *wal.Log, cfg Config) *Manager {
 // Completed returns the number of checkpoints that reached their durable
 // record.
 func (m *Manager) Completed() int64 { return m.completed }
-
-// Aborted returns the number of checkpoint attempts that rolled back
-// (device error or lost durability race).
-func (m *Manager) Aborted() int64 { return m.aborted }
 
 // Stop asks the manager to exit after the current attempt (if any).
 func (m *Manager) Stop() { m.stop = true }
@@ -107,23 +103,24 @@ func (m *Manager) RunOnce(p *sim.Proc) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	// An abort leaves the snapshot's images where capture registered them,
+	// in the pager's pendingRewrite: fetches keep serving those pages from
+	// memory instead of the half-written (or silently lost) slots, and the
+	// next snapshot carries every one forward — re-encoding pages dirtied
+	// again since, reusing the captured image otherwise — until a
+	// checkpoint commits. Pages freed since the snapshot already dropped
+	// their entries.
 	pg := m.eng.Pager()
 	if err := pg.WriteImages(p, ck.Snap.Images); err != nil {
-		pg.AbortCheckpoint(ck.Snap)
-		m.aborted++
 		m.mAborted.Inc()
 		return false, fmt.Errorf("ckpt: write images: %w", err)
 	}
 	if err := pg.Sync(p); err != nil {
-		pg.AbortCheckpoint(ck.Snap)
-		m.aborted++
 		m.mAborted.Inc()
 		return false, fmt.Errorf("ckpt: sync: %w", err)
 	}
 	lsn := m.log.Append(wal.Record{Payload: FromCheckpoint(ck).Encode()})
 	if !m.log.WaitDurableOrDead(p, lsn) {
-		pg.AbortCheckpoint(ck.Snap)
-		m.aborted++
 		m.mAborted.Inc()
 		return false, fmt.Errorf("ckpt: record lost: log dead before lsn %d", lsn)
 	}

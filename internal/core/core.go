@@ -146,9 +146,6 @@ func NewFlowControl(queueSize int64) *FlowControl {
 	return &FlowControl{queueSize: queueSize}
 }
 
-// QueueSize returns the negotiated queue size.
-func (f *FlowControl) QueueSize() int64 { return f.queueSize }
-
 // Written returns the total stream bytes issued so far.
 func (f *FlowControl) Written() int64 { return f.written }
 
@@ -170,13 +167,9 @@ func (f *FlowControl) Observe(credit int64) int64 {
 	return f.Budget()
 }
 
-// Durable reports whether everything issued so far has been persisted
-// according to the last observed credit value (the x_fsync condition).
-func (f *FlowControl) Durable() bool { return f.lastCredit >= f.written }
-
 // Covered reports whether the last observed credit value vouches for
-// every stream byte below off — the async-token durability condition
-// (Durable is Covered(Written())).
+// every stream byte below off — the async-token durability condition;
+// Covered(Written()) is the x_fsync condition.
 func (f *FlowControl) Covered(off int64) bool { return f.lastCredit >= off }
 
 // Resume positions the cursor at a takeover point: the host continues an

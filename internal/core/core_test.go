@@ -11,10 +11,10 @@ func TestFlowControlInitialBudget(t *testing.T) {
 	if fc.Budget() != 4096 {
 		t.Fatalf("initial budget = %d", fc.Budget())
 	}
-	if fc.QueueSize() != 4096 {
-		t.Fatalf("queue size = %d", fc.QueueSize())
+	if fc.queueSize != 4096 {
+		t.Fatalf("queue size = %d", fc.queueSize)
 	}
-	if !fc.Durable() {
+	if !fc.Covered(fc.Written()) {
 		t.Fatal("empty log not durable")
 	}
 }
@@ -31,11 +31,11 @@ func TestFlowControlPaperExample(t *testing.T) {
 	if got := fc.Observe(4000); got != 4000 {
 		t.Fatalf("budget after credit 4000 = %d, want 4000", got)
 	}
-	if fc.Durable() {
+	if fc.Covered(fc.Written()) {
 		t.Fatal("96 in-flight bytes reported durable")
 	}
 	fc.Observe(4096)
-	if !fc.Durable() {
+	if !fc.Covered(fc.Written()) {
 		t.Fatal("fully persisted log not durable")
 	}
 }
@@ -85,7 +85,7 @@ func TestQuickFlowControlInvariant(t *testing.T) {
 			if fc.Budget() < 0 {
 				return false
 			}
-			if fc.Durable() != (credit >= fc.Written()) && fc.Durable() {
+			if fc.Covered(fc.Written()) != (credit >= fc.Written()) && fc.Covered(fc.Written()) {
 				return false
 			}
 		}

@@ -196,13 +196,6 @@ func (e *Engine) Tables() []string {
 	return out
 }
 
-// RowCount returns the number of live rows in a table (tombstones are
-// excluded; 0 if the table is absent). On a paged engine this walks the
-// table's tree on the calling goroutine — fine for memory-backed stores
-// and fully resident pools; use RowCountIn from a process when pages may
-// need device reads.
-func (e *Engine) RowCount(name string) int { return e.RowCountIn(nil, name) }
-
 // RowCountIn is RowCount running on a simulated process (paged engines
 // may fetch pages from the device).
 func (e *Engine) RowCountIn(p *sim.Proc, name string) int {
@@ -348,7 +341,7 @@ func (t *Tx) ID() int64 { return t.id }
 // GetIn keeps no reference to key once it returns: the read set copies
 // the bytes it validates. key may be a view of a buffer the caller reuses
 // for its next key — which is how internal/tpcc names a row it only reads.
-// A write key is different: PutIn, PutOwnedIn and DeleteIn keep theirs.
+// A write key is different: PutOwnedIn and DeleteIn keep theirs.
 //
 // The returned bytes are the row as installed, not a copy, and they never
 // change: both stores replace a row's value whole (rowMap assigns the
@@ -382,25 +375,18 @@ func (t *Tx) GetIn(tab Table, key string) ([]byte, bool) {
 	return it.Val, true
 }
 
-// PutIn buffers a row write through a resolved handle. The value is
-// copied, so the caller may reuse the slice afterwards. The key is kept —
-// the write index, the redo record and the store hold it — so it must be
-// a string the caller never changes.
-func (t *Tx) PutIn(tab Table, key string, val []byte) {
-	t.addWrite(writeOp{tab: tab, key: key, val: append([]byte(nil), val...)})
-}
-
 // PutOwnedIn buffers a row write through a resolved handle and takes
 // ownership of val: the caller must not read or modify the slice
-// afterwards. Use it when the value was freshly built for this call
-// (e.g. a row Encode result) to skip the defensive copy. The key is kept,
-// as PutIn's is: it must be owned, never a view of a reused buffer.
+// afterwards, so the value must be freshly built for this call (e.g. a
+// row Encode result). The key is kept too — the write index, the redo
+// record and the store hold it — so it must be a string the caller never
+// changes, never a view of a reused buffer.
 func (t *Tx) PutOwnedIn(tab Table, key string, val []byte) {
 	t.addWrite(writeOp{tab: tab, key: key, val: val})
 }
 
 // DeleteIn buffers a row deletion through a resolved handle; it keeps the
-// key, as PutIn does.
+// key, as PutOwnedIn does.
 func (t *Tx) DeleteIn(tab Table, key string) {
 	t.addWrite(writeOp{tab: tab, key: key, delete: true})
 }

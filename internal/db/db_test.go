@@ -61,7 +61,7 @@ func TestPutGetCommit(t *testing.T) {
 		eng.CreateTable("acct")
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.PutIn(eng.Table("acct"), "alice", []byte("100"))
+			tx.PutOwnedIn(eng.Table("acct"), "alice", []byte("100"))
 			if err := tx.Commit(p); err != nil {
 				t.Errorf("commit: %v", err)
 			}
@@ -83,7 +83,7 @@ func TestReadYourWrites(t *testing.T) {
 		eng.CreateTable("t")
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.PutIn(eng.Table("t"), "k", []byte("v1"))
+			tx.PutOwnedIn(eng.Table("t"), "k", []byte("v1"))
 			if v, ok := tx.GetIn(eng.Table("t"), "k"); !ok || string(v) != "v1" {
 				t.Error("did not see own write")
 			}
@@ -105,15 +105,15 @@ func TestConflictAborts(t *testing.T) {
 		var errA, errB error
 		env.Go("setup", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.PutIn(eng.Table("t"), "hot", []byte("v0"))
+			tx.PutOwnedIn(eng.Table("t"), "hot", []byte("v0"))
 			tx.Commit(p)
 
 			a := eng.Begin()
 			b := eng.Begin()
 			a.GetIn(eng.Table("t"), "hot")
 			b.GetIn(eng.Table("t"), "hot")
-			a.PutIn(eng.Table("t"), "hot", []byte("a"))
-			b.PutIn(eng.Table("t"), "hot", []byte("b"))
+			a.PutOwnedIn(eng.Table("t"), "hot", []byte("a"))
+			b.PutOwnedIn(eng.Table("t"), "hot", []byte("b"))
 			errA = a.Commit(p) // commits first: ok
 			errB = b.Commit(p) // observed the pre-a version: conflict
 		})
@@ -141,9 +141,9 @@ func TestConflictOnPhantomInsert(t *testing.T) {
 				t.Error("phantom row exists")
 			}
 			b := eng.Begin()
-			b.PutIn(eng.Table("t"), "new", []byte("x"))
+			b.PutOwnedIn(eng.Table("t"), "new", []byte("x"))
 			b.Commit(p)
-			a.PutIn(eng.Table("t"), "other", []byte("y"))
+			a.PutOwnedIn(eng.Table("t"), "other", []byte("y"))
 			if err := a.Commit(p); err != ErrConflict {
 				t.Errorf("read-of-absent-then-inserted err = %v, want conflict", err)
 			}
@@ -158,7 +158,7 @@ func TestDoubleCommitRejected(t *testing.T) {
 		eng, _ := newEngine(env, mk)
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.PutIn(eng.Table("t"), "k", []byte("v"))
+			tx.PutOwnedIn(eng.Table("t"), "k", []byte("v"))
 			tx.Commit(p)
 			if err := tx.Commit(p); err != ErrTxDone {
 				t.Errorf("second commit: %v", err)
@@ -175,7 +175,7 @@ func TestDeleteAndTombstoneConflict(t *testing.T) {
 		eng.CreateTable("t")
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.PutIn(eng.Table("t"), "k", []byte("v"))
+			tx.PutOwnedIn(eng.Table("t"), "k", []byte("v"))
 			tx.Commit(p)
 
 			del := eng.Begin()
@@ -190,9 +190,9 @@ func TestDeleteAndTombstoneConflict(t *testing.T) {
 				t.Error("tx read deleted row")
 			}
 			w := eng.Begin()
-			w.PutIn(eng.Table("t"), "k", []byte("v2"))
+			w.PutOwnedIn(eng.Table("t"), "k", []byte("v2"))
 			w.Commit(p)
-			r.PutIn(eng.Table("t"), "x", []byte("y"))
+			r.PutOwnedIn(eng.Table("t"), "x", []byte("y"))
 			if err := r.Commit(p); err != ErrConflict {
 				t.Errorf("stale tombstone read committed: %v", err)
 			}
@@ -215,7 +215,7 @@ func TestRecoveryRebuildsIdenticalState(t *testing.T) {
 				case 0, 1:
 					val := make([]byte, rng.Intn(50)+1)
 					rng.Read(val)
-					tx.PutIn(eng.Table("t"), key, val)
+					tx.PutOwnedIn(eng.Table("t"), key, val)
 				case 2:
 					tx.DeleteIn(eng.Table("t"), key)
 				}
@@ -244,7 +244,7 @@ func TestRecoveryOfTruncatedLogIsPrefix(t *testing.T) {
 		env.Go("load", func(p *sim.Proc) {
 			for i := 0; i < 10; i++ {
 				tx := eng.Begin()
-				tx.PutIn(eng.Table("t"), string(rune('a'+i)), []byte{byte(i)})
+				tx.PutOwnedIn(eng.Table("t"), string(rune('a'+i)), []byte{byte(i)})
 				tx.Commit(p)
 			}
 		})
@@ -255,7 +255,7 @@ func TestRecoveryOfTruncatedLogIsPrefix(t *testing.T) {
 		if err := recovered.Recover(wal.DecodeAll(cut)); err != nil {
 			t.Fatalf("recover: %v", err)
 		}
-		if got, want := recovered.RowCount("t"), 9; got != want {
+		if got, want := recovered.RowCountIn(nil, "t"), 9; got != want {
 			t.Fatalf("recovered rows = %d, want %d (last record lost)", got, want)
 		}
 	})
@@ -273,7 +273,7 @@ func TestFollowerConvergesAcrossArbitraryChunking(t *testing.T) {
 					tx := eng.Begin()
 					val := make([]byte, rng.Intn(80))
 					rng.Read(val)
-					tx.PutIn(eng.Table("t"), string(rune('a'+rng.Intn(10))), val)
+					tx.PutOwnedIn(eng.Table("t"), string(rune('a'+rng.Intn(10))), val)
 					tx.Commit(p)
 				}
 			})
@@ -328,10 +328,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 		b.CreateTable("t")
 		env.Go("tx", func(p *sim.Proc) {
 			ta := a.Begin()
-			ta.PutIn(a.Table("t"), "k", []byte("v1"))
+			ta.PutOwnedIn(a.Table("t"), "k", []byte("v1"))
 			ta.Commit(p)
 			tb := b.Begin()
-			tb.PutIn(b.Table("t"), "k", []byte("v2"))
+			tb.PutOwnedIn(b.Table("t"), "k", []byte("v2"))
 			tb.Commit(p)
 		})
 		env.RunUntil(time.Second)
@@ -433,7 +433,7 @@ func sameOnBothStores(t *testing.T, scenario func(t *testing.T, mk mkEngine) *En
 		t.Errorf("fingerprint: row map %016x, tree %016x", fa, fb)
 	}
 	for _, n := range a.Tables() {
-		if ra, rb := a.RowCount(n), b.RowCount(n); ra != rb {
+		if ra, rb := a.RowCountIn(nil, n), b.RowCountIn(nil, n); ra != rb {
 			t.Errorf("live rows in %q: row map %d, tree %d", n, ra, rb)
 		}
 	}
@@ -454,7 +454,7 @@ func TestPrepareFencesThenCommitPrepared(t *testing.T) {
 			tab := eng.Table("t")
 			dist := eng.BeginP(p)
 			dist.GetIn(tab, "k03")
-			dist.PutIn(tab, "k07", []byte("prepared"))
+			dist.PutOwnedIn(tab, "k07", []byte("prepared"))
 			dist.DeleteIn(tab, "k11")
 			if err := dist.Prepare(); err != nil {
 				t.Errorf("prepare: %v", err)
@@ -464,27 +464,27 @@ func TestPrepareFencesThenCommitPrepared(t *testing.T) {
 			// pinned read; a foreign reader of a pinned row commits.
 			for _, k := range []string{"k07", "k03"} {
 				w := eng.BeginP(p)
-				w.PutIn(tab, k, []byte("foreign"))
+				w.PutOwnedIn(tab, k, []byte("foreign"))
 				if err := w.Commit(p); err != ErrConflict {
 					t.Errorf("foreign write to pinned %s: err = %v, want ErrConflict", k, err)
 				}
 			}
 			r := eng.BeginP(p)
 			r.GetIn(tab, "k07")
-			r.PutIn(tab, "k20", []byte("reader"))
+			r.PutOwnedIn(tab, "k20", []byte("reader"))
 			if err := r.Commit(p); err != nil {
 				t.Errorf("foreign read of a pinned row: %v", err)
 			}
 			other := eng.BeginP(p)
 			other.GetIn(tab, "k03")
-			other.PutIn(tab, "k30", []byte("x"))
+			other.PutOwnedIn(tab, "k30", []byte("x"))
 			if err := other.Prepare(); err != ErrConflict {
 				t.Errorf("second prepare sharing a pinned read: err = %v, want ErrConflict", err)
 			}
 
 			dist.CommitPrepared(9001)
 			w := eng.BeginP(p)
-			w.PutIn(tab, "k03", []byte("after"))
+			w.PutOwnedIn(tab, "k03", []byte("after"))
 			if err := w.Commit(p); err != nil {
 				t.Errorf("write after the pins were released: %v", err)
 			}
@@ -519,13 +519,13 @@ func TestWriteSetAndStreamReplayAgree(t *testing.T) {
 			} else {
 				val := make([]byte, rng.Intn(40)) // length 0 included
 				rng.Read(val)
-				tx.PutIn(src.Table("t"), key, val)
+				tx.PutOwnedIn(src.Table("t"), key, val)
 			}
 			tx.Commit(p)
 		}
 		tx := src.Begin()
-		tx.PutIn(src.Table("t"), "k05", []byte("decided"))
-		tx.PutIn(src.Table("u"), "fresh-table", nil)
+		tx.PutOwnedIn(src.Table("t"), "k05", []byte("decided"))
+		tx.PutOwnedIn(src.Table("u"), "fresh-table", nil)
 		tx.DeleteIn(src.Table("t"), "k06")
 		writeSet = tx.EncodedWrites()
 		tx.Prepare()
@@ -557,7 +557,7 @@ func TestEmptyValueIsALiveRow(t *testing.T) {
 		eng.LoadRow("t", "loaded", nil)
 		env.Go("tx", func(p *sim.Proc) {
 			tx := eng.Begin()
-			tx.PutIn(eng.Table("t"), "put", []byte{})
+			tx.PutOwnedIn(eng.Table("t"), "put", []byte{})
 			tx.PutOwnedIn(eng.Table("t"), "owned", nil)
 			tx.DeleteIn(eng.Table("t"), "gone")
 			tx.Commit(p)
@@ -573,7 +573,7 @@ func TestEmptyValueIsALiveRow(t *testing.T) {
 				t.Errorf("empty row %q reads %q ok=%v", k, v, ok)
 			}
 		}
-		if got := eng.RowCount("t"); got != 3 {
+		if got := eng.RowCountIn(nil, "t"); got != 3 {
 			t.Errorf("live rows = %d, want 3 (the empty rows are not tombstones)", got)
 		}
 		// valLen == 0 on the redo stream decodes to the same live row.
@@ -582,9 +582,9 @@ func TestEmptyValueIsALiveRow(t *testing.T) {
 		if err := replayed.Recover(wal.DecodeAll(sink.data)); err != nil {
 			t.Fatalf("recover: %v", err)
 		}
-		if replayed.Fingerprint() != eng.Fingerprint() || replayed.RowCount("t") != 3 {
+		if replayed.Fingerprint() != eng.Fingerprint() || replayed.RowCountIn(nil, "t") != 3 {
 			t.Errorf("replay of empty values: %d live rows, fingerprint match %v",
-				replayed.RowCount("t"), replayed.Fingerprint() == eng.Fingerprint())
+				replayed.RowCountIn(nil, "t"), replayed.Fingerprint() == eng.Fingerprint())
 		}
 		return eng
 	})
@@ -607,7 +607,7 @@ func TestFinishedTxTouchesNothing(t *testing.T) {
 		}},
 		{"conflict", func(p *sim.Proc, tx *Tx) {
 			w := tx.eng.BeginP(p)
-			w.PutIn(tx.eng.Table("t"), "seen", []byte("newer"))
+			w.PutOwnedIn(tx.eng.Table("t"), "seen", []byte("newer"))
 			if err := w.Commit(p); err != nil {
 				t.Errorf("setting up the conflict: %v", err)
 			}
@@ -640,7 +640,7 @@ func TestFinishedTxTouchesNothing(t *testing.T) {
 				env.Go("tx", func(p *sim.Proc) {
 					dead := eng.BeginP(p)
 					dead.GetIn(tab, "seen")
-					dead.PutIn(tab, "mine", []byte("x"))
+					dead.PutOwnedIn(tab, "mine", []byte("x"))
 					fin.end(p, dead)
 					if dead.reads != nil || dead.writes != nil || dead.wIndex != nil || dead.keys != nil {
 						t.Errorf("finished transaction still holds sets: %d reads, %d writes, index %v, %d key bytes",
@@ -650,7 +650,7 @@ func TestFinishedTxTouchesNothing(t *testing.T) {
 					// live takes over the sets dead handed back.
 					live := eng.BeginP(p)
 					live.GetIn(tab, "a")
-					live.PutIn(tab, "b", []byte("live"))
+					live.PutOwnedIn(tab, "b", []byte("live"))
 
 					if v, ok := dead.GetIn(tab, "c"); !ok || string(v) != "v0" {
 						t.Errorf("finished GetIn reads %q ok=%v, want the stored row", v, ok)
@@ -658,7 +658,7 @@ func TestFinishedTxTouchesNothing(t *testing.T) {
 					if v, ok := dead.GetIn(tab, "b"); !ok || string(v) != "v0" {
 						t.Errorf("finished GetIn of a row the live transaction wrote reads %q ok=%v, want the stored row", v, ok)
 					}
-					dead.PutIn(tab, "a", []byte("late"))
+					dead.PutOwnedIn(tab, "a", []byte("late"))
 					dead.PutOwnedIn(tab, "b", []byte("late"))
 					dead.DeleteIn(tab, "c")
 					if got := len(dead.EncodedWrites()); got != 2 {
@@ -718,7 +718,7 @@ func TestReadTwiceValidatesEveryVersion(t *testing.T) {
 			same := eng.BeginP(p)
 			same.GetIn(tab, "k")
 			same.GetIn(tab, "k")
-			same.PutIn(tab, "x", []byte("1"))
+			same.PutOwnedIn(tab, "x", []byte("1"))
 			if err := same.Commit(p); err != nil {
 				t.Errorf("two reads at one version: %v", err)
 			}
@@ -726,12 +726,12 @@ func TestReadTwiceValidatesEveryVersion(t *testing.T) {
 			r := eng.BeginP(p)
 			r.GetIn(tab, "k")
 			w := eng.BeginP(p)
-			w.PutIn(tab, "k", []byte("v1"))
+			w.PutOwnedIn(tab, "k", []byte("v1"))
 			if err := w.Commit(p); err != nil {
 				t.Errorf("writer: %v", err)
 			}
 			r.GetIn(tab, "k")
-			r.PutIn(tab, "y", []byte("2"))
+			r.PutOwnedIn(tab, "y", []byte("2"))
 			if err := r.Commit(p); err != ErrConflict {
 				t.Errorf("reads at two versions of one row: err = %v, want ErrConflict", err)
 			}
@@ -771,11 +771,11 @@ func TestGetInKeepsNoCallerKey(t *testing.T) {
 					}
 					buf[1] = '2'
 					b := eng.BeginP(p)
-					b.PutIn(tab, c.write, []byte("b"))
+					b.PutOwnedIn(tab, c.write, []byte("b"))
 					if err := b.Commit(p); err != nil {
 						t.Errorf("writer: %v", err)
 					}
-					a.PutIn(tab, "x", []byte("a"))
+					a.PutOwnedIn(tab, "x", []byte("a"))
 					if err := a.Commit(p); err != c.want {
 						t.Errorf("reader of k1 after a write to %s: err = %v, want %v", c.write, err, c.want)
 					}
@@ -811,7 +811,7 @@ func TestPreparedPinsSurviveSetRecycling(t *testing.T) {
 			a := eng.BeginP(p)
 			read(a, 3)
 			read(a, 5)
-			a.PutIn(tab, "k07", []byte("prepared"))
+			a.PutOwnedIn(tab, "k07", []byte("prepared"))
 			if err := a.Prepare(); err != nil {
 				t.Errorf("prepare: %v", err)
 				return
@@ -824,14 +824,14 @@ func TestPreparedPinsSurviveSetRecycling(t *testing.T) {
 					tx.Abort()
 					continue
 				}
-				tx.PutIn(tab, fmt.Sprintf("k%02d", 10+i%30), []byte("x"))
+				tx.PutOwnedIn(tab, fmt.Sprintf("k%02d", 10+i%30), []byte("x"))
 				if err := tx.Commit(p); err != nil {
 					t.Errorf("transaction %d: %v", i, err)
 				}
 			}
 			for _, k := range []string{"k03", "k05", "k07"} {
 				w := eng.BeginP(p)
-				w.PutIn(tab, k, []byte("foreign"))
+				w.PutOwnedIn(tab, k, []byte("foreign"))
 				if err := w.Commit(p); err != ErrConflict {
 					t.Errorf("write to %s, pinned by the prepared transaction: err = %v, want ErrConflict", k, err)
 				}

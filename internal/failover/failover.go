@@ -85,7 +85,7 @@ type Manager struct {
 	env     *sim.Env
 	cluster *repl.Cluster
 	lg      *wal.Log
-	sink    wal.RebindableSink
+	sink    *wal.VillarsSink
 
 	ctl []*pcie.MMIO // per-device control windows, index-aligned with Devices()
 
@@ -103,10 +103,10 @@ type Manager struct {
 }
 
 // New starts a failover manager over the cluster. The log's sink must be
-// the rebindable sink passed here (the manager re-points it at the new
+// the Villars sink passed here (the manager re-points it at the new
 // primary during takeover). Watchdogging begins immediately; the manager
 // idles until the cluster has a primary.
-func New(env *sim.Env, cluster *repl.Cluster, lg *wal.Log, sink wal.RebindableSink) *Manager {
+func New(env *sim.Env, cluster *repl.Cluster, lg *wal.Log, sink *wal.VillarsSink) *Manager {
 	m := &Manager{
 		env:     env,
 		cluster: cluster,

@@ -20,9 +20,6 @@ func (d Decision) Fail() bool { return d.Act == ActionFail }
 // Drop reports whether the operation should be silently discarded.
 func (d Decision) Drop() bool { return d.Act == ActionDrop }
 
-// None reports whether no fault fired.
-func (d Decision) None() bool { return d.Act == ActionNone }
-
 // Firing records one fired rule, in firing order.
 type Firing struct {
 	At     time.Duration // virtual time of the check
@@ -205,22 +202,6 @@ func (i *Injector) Firings() []Firing {
 	out := make([]Firing, len(i.firings))
 	copy(out, i.firings)
 	return out
-}
-
-// Fired counts firings whose bare point matches point. Safe on a nil
-// receiver.
-func (i *Injector) Fired(point string) int {
-	if i == nil {
-		return 0
-	}
-	n := 0
-	for _, f := range i.firings {
-		bare, _ := splitPoint(f.Point)
-		if bare == point {
-			n++
-		}
-	}
-	return n
 }
 
 // RandomPlan draws a randomized chaos plan from rng: a handful of

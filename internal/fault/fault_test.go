@@ -98,8 +98,8 @@ func TestOnCountTrigger(t *testing.T) {
 	if fails != 2 {
 		t.Fatalf("fired %d times, want 2 (Times budget)", fails)
 	}
-	if got := inj.Fired(NANDProgram); got != 2 {
-		t.Fatalf("Fired = %d, want 2", got)
+	if got := len(inj.Firings()); got != 2 {
+		t.Fatalf("firings = %d, want 2", got)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestAtTimeViaCheckAndOnTime(t *testing.T) {
 	})
 	env.RunUntil(5 * time.Millisecond)
 
-	if !early.None() {
+	if early.Act != ActionNone {
 		t.Fatalf("at-rule fired before its time: %+v", early)
 	}
 	if !late.Fail() {
@@ -166,10 +166,16 @@ func TestAtTimeViaCheckAndOnTime(t *testing.T) {
 		t.Fatal("OnTime-armed rule did not fire")
 	}
 	// The armed rule must not double-fire through Check.
-	if inj.Fired(DevicePower) != 1 {
-		t.Fatalf("device.power fired %d times, want 1", inj.Fired(DevicePower))
-	}
 	fs := inj.Firings()
+	power := 0
+	for _, f := range fs {
+		if f.Point == DevicePower+"@p" {
+			power++
+		}
+	}
+	if power != 1 {
+		t.Fatalf("device.power fired %d times, want 1", power)
+	}
 	if len(fs) != 2 {
 		t.Fatalf("firings = %+v, want 2", fs)
 	}
@@ -206,15 +212,15 @@ func TestProbDeterministicPerSeed(t *testing.T) {
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var inj *Injector
-	if !inj.Check("x", "", 1).None() {
+	if inj.Check("x", "", 1).Act != ActionNone {
 		t.Fatal("nil injector fired")
 	}
 	inj.OnTime("x", "", func() { t.Fatal("nil injector armed a rule") })
-	if inj.Firings() != nil || inj.Fired("x") != 0 {
+	if inj.Firings() != nil {
 		t.Fatal("nil injector has firings")
 	}
 	env := sim.NewEnv(1)
-	if !CheckEnv(env, "x", "", 1).None() {
+	if CheckEnv(env, "x", "", 1).Act != ActionNone {
 		t.Fatal("unattached env fired")
 	}
 }
@@ -229,7 +235,7 @@ func TestAttachDetach(t *testing.T) {
 		t.Fatal("attached injector did not fire")
 	}
 	Detach(env)
-	if !CheckEnv(env, WALSink, "", 1).None() {
+	if CheckEnv(env, WALSink, "", 1).Act != ActionNone {
 		t.Fatal("detached env still fired")
 	}
 	if For(env) != nil {
@@ -250,14 +256,14 @@ func TestDetachLeavesNothingBehind(t *testing.T) {
 	first, second := New(env, plan), New(env, plan)
 	Attach(env, first)
 	Detach(env)
-	if For(env) != nil || !CheckEnv(env, WALSink, "", 1).None() {
+	if For(env) != nil || CheckEnv(env, WALSink, "", 1).Act != ActionNone {
 		t.Fatal("detached Env still has an injector")
 	}
 	Attach(env, second)
 	if For(env) != second || !CheckEnv(env, WALSink, "", 1).Fail() {
 		t.Fatal("re-attached injector is not the one in use")
 	}
-	if For(other) != nil || !CheckEnv(other, WALSink, "", 1).None() {
+	if For(other) != nil || CheckEnv(other, WALSink, "", 1).Act != ActionNone {
 		t.Fatal("one Env's injector is visible from another")
 	}
 	if len(first.Firings()) != 0 || len(second.Firings()) != 1 {

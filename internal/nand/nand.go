@@ -214,9 +214,6 @@ func (a *Array) DieBusy(ch, way int) bool {
 	return a.dies[a.dieIndex(ch, way)].busyUntil > a.env.Now()
 }
 
-// Bus returns the data bus of a channel.
-func (a *Array) Bus(ch int) *sim.Link { return a.buses[ch] }
-
 func (a *Array) occupyDie(ch, way int, d time.Duration, fn func()) {
 	die := &a.dies[a.dieIndex(ch, way)]
 	now := a.env.Now()
@@ -352,9 +349,6 @@ func (a *Array) PeekPage(addr PageAddr) (data []byte, ok bool) {
 	d := a.data[a.pageIndex(addr)]
 	return d, d != nil
 }
-
-// EraseCount returns how many times a block has been erased (wear).
-func (a *Array) EraseCount(b BlockAddr) int64 { return a.blocks[a.blockIndex(b)].erases }
 
 // Stats returns cumulative operation counts.
 func (a *Array) Stats() (reads, programs, erases int64) { return a.reads, a.progs, a.erases }

@@ -131,8 +131,8 @@ func TestEraseResetsBlock(t *testing.T) {
 		})
 	})
 	env.Run()
-	if a.EraseCount(addr.BlockAddr()) != 1 {
-		t.Fatalf("erase count = %d", a.EraseCount(addr.BlockAddr()))
+	if a.blocks[a.blockIndex(addr.BlockAddr())].erases != 1 {
+		t.Fatalf("erase count = %d", a.blocks[a.blockIndex(addr.BlockAddr())].erases)
 	}
 }
 

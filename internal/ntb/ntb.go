@@ -119,16 +119,11 @@ func (b *Bridge) deliverNext() {
 	}
 }
 
-// NewBridge creates a bridge with the given bandwidth and per-hop latency
-// over hops daisy-chained adapters (hops >= 1).
-func NewBridge(env *sim.Env, name string, bandwidth float64, hopLatency time.Duration, hops int) *Bridge {
-	return NewBridgeTo(env, env, name, bandwidth, hopLatency, hops)
-}
-
-// NewBridgeTo creates a bridge whose window targets live in remote — a
-// different member of the sender's sim.Group. With remote == env it is
-// exactly NewBridge. The bridge and its link, buffers, and metrics belong
-// to env (the sender); only the final chunk landing crosses to remote.
+// NewBridgeTo creates a bridge with the given bandwidth and per-hop latency
+// over hops daisy-chained adapters (hops >= 1), whose window targets live in
+// remote — a different member of the sender's sim.Group, or env itself. The
+// bridge and its link, buffers, and metrics belong to env (the sender); only
+// the final chunk landing crosses to remote.
 func NewBridgeTo(env, remote *sim.Env, name string, bandwidth float64, hopLatency time.Duration, hops int) *Bridge {
 	if hops < 1 {
 		hops = 1
@@ -148,17 +143,8 @@ func NewBridgeTo(env, remote *sim.Env, name string, bandwidth float64, hopLatenc
 	return b
 }
 
-// Dropped returns how many TLP chunks a fault plan has discarded on this
-// bridge.
-func (b *Bridge) Dropped() int64 { return b.mDropped.Value() }
-
-// NewDefaultBridge creates a single-hop bridge with the default fabric
-// parameters.
-func NewDefaultBridge(env *sim.Env, name string) *Bridge {
-	return NewBridge(env, name, DefaultBandwidth, DefaultHopLatency, 1)
-}
-
-// NewDefaultBridgeTo is NewDefaultBridge with a remote-Env far end.
+// NewDefaultBridgeTo creates a single-hop bridge to remote with the default
+// fabric parameters.
 func NewDefaultBridgeTo(env, remote *sim.Env, name string) *Bridge {
 	return NewBridgeTo(env, remote, name, DefaultBandwidth, DefaultHopLatency, 1)
 }
@@ -219,9 +205,9 @@ func (b *Bridge) growSlots() *crossSlot {
 // arrival is posted through the group mailbox in a slot of the bridge's
 // ring, which the remote target copies from. done, if non-nil, fires in
 // the *sender's* Env at the instant the chunk lands: completion callbacks
-// drive sender-side state (retransmission windows, WriteBlocking signals)
-// and must not run remotely. A post to a closed member is dropped by the
-// mailbox; its slot comes back by the same rule as any other.
+// drive sender-side state (retransmission windows) and must not run
+// remotely. A post to a closed member is dropped by the mailbox; its slot
+// comes back by the same rule as any other.
 //
 //xssd:hotpath
 //xssd:conduit NTB delivery is the wire itself: bytes land at the remote Env's target at the barrier-merged arrival time, from a slot buffer that, having crossed, is not rewritten until the settled horizon has passed its arrival
@@ -235,8 +221,8 @@ func (b *Bridge) sendCross(target pcie.Target, dst int64, data []byte, wireBytes
 	}
 }
 
-// Link exposes the bridge's link for bandwidth accounting (Fig 13 reports
-// the share of fabric bandwidth consumed by shadow-counter updates).
+// Link exposes the bridge's link, whose serialization time tests add into
+// the wire time of a chunk.
 func (b *Bridge) Link() *sim.Link { return b.link }
 
 // Window maps a range of the remote host's address space — in this model,
@@ -328,16 +314,4 @@ func (w *Window) WriteRaw(off int64, data []byte, wireBytes int, done func()) {
 	copy(buf, data)
 	b.pend(w.target, w.base+off, buf, done)
 	b.link.Send(wireBytes, b.deliver)
-}
-
-// WriteBlocking forwards data and blocks the calling process until the last
-// packet has been delivered remotely.
-func (w *Window) WriteBlocking(p *sim.Proc, off int64, data []byte) {
-	sig := p.Env().NewSignal()
-	doneFlag := false
-	w.Write(off, data, func() {
-		doneFlag = true
-		sig.Broadcast()
-	})
-	p.WaitFor(sig, func() bool { return doneFlag })
 }

@@ -26,7 +26,7 @@ func (s *sink) MemRead(off int64, n int) []byte {
 
 func TestWindowWriteDelivers(t *testing.T) {
 	env := sim.NewEnv(1)
-	br := NewDefaultBridge(env, "a-b")
+	br := NewDefaultBridgeTo(env, env, "a-b")
 	target := &sink{mem: make([]byte, 8192)}
 	win := br.NewWindow(target, 1024)
 	payload := make([]byte, 700)
@@ -52,7 +52,7 @@ func TestWindowWriteDelivers(t *testing.T) {
 func TestDaisyChainAddsLatency(t *testing.T) {
 	delivery := func(hops int) time.Duration {
 		env := sim.NewEnv(1)
-		br := NewBridge(env, "chain", DefaultBandwidth, DefaultHopLatency, hops)
+		br := NewBridgeTo(env, env, "chain", DefaultBandwidth, DefaultHopLatency, hops)
 		target := &sink{mem: make([]byte, 1024)}
 		win := br.NewWindow(target, 0)
 		var at time.Duration
@@ -68,31 +68,9 @@ func TestDaisyChainAddsLatency(t *testing.T) {
 	}
 }
 
-func TestWriteBlockingWaitsForDelivery(t *testing.T) {
-	env := sim.NewEnv(1)
-	br := NewDefaultBridge(env, "a-b")
-	target := &sink{mem: make([]byte, 1024)}
-	win := br.NewWindow(target, 0)
-	var took time.Duration
-	env.Go("m", func(p *sim.Proc) {
-		start := p.Now()
-		win.WriteBlocking(p, 0, make([]byte, 512))
-		took = p.Now() - start
-	})
-	if blocked := env.Run(); blocked != 0 {
-		t.Fatalf("blocked = %d", blocked)
-	}
-	if took < DefaultHopLatency {
-		t.Fatalf("blocking write returned after %v, before delivery", took)
-	}
-	if target.writes != 2 {
-		t.Fatalf("TLPs = %d, want 2", target.writes)
-	}
-}
-
 func TestHopsFloorAtOne(t *testing.T) {
 	env := sim.NewEnv(1)
-	br := NewBridge(env, "x", DefaultBandwidth, DefaultHopLatency, 0)
+	br := NewBridgeTo(env, env, "x", DefaultBandwidth, DefaultHopLatency, 0)
 	if br.hops != 1 {
 		t.Fatalf("hops = %d, want clamped to 1", br.hops)
 	}

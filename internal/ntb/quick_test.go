@@ -265,9 +265,9 @@ func runDenseRing(seed int64, k, bursts, workers int) denseResult {
 				for n := 1 + src.Rand().Intn(200); n > 0; n-- {
 					denseChunk(buf, i, seq)
 					off := int64(seq) * quickPayload
-					dropped := br.Dropped()
+					dropped := br.mDropped.Value()
 					w.Write(off, buf, nil)
-					if br.Dropped() == dropped {
+					if br.mDropped.Value() == dropped {
 						sent[i] += chunkSum(off, buf)
 						nSent[i]++
 					}

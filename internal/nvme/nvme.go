@@ -11,8 +11,8 @@
 // and each CQ stamps completions with a per-queue sequence number and can
 // coalesce interrupts — fire after K completions or coalesceWait after the
 // first pending one, whichever comes first. The Driver matches: Submit
-// keeps the classic blocking call on queue 0, while SubmitAsync/Poll/Wait
-// expose tokens for callers that keep many commands in flight per queue.
+// keeps the classic blocking call on queue 0, while SubmitAsync/Wait expose
+// tokens for callers that keep many commands in flight per queue.
 package nvme
 
 import (
@@ -38,7 +38,6 @@ const (
 	OpXSetDestagePolicy Opcode = 0xC1 // CDW: scheduling policy
 	OpXConfigureRing    Opcode = 0xC2 // CDW: destage LBA ring base/len
 	OpXQueryStatus      Opcode = 0xC3 // returns transport status register
-	OpXAddPeer          Opcode = 0xC4 // attach a secondary peer
 	OpXAlloc            Opcode = 0xC5 // advanced API: reserve a fast-side area (CDW: size)
 	OpXFree             Opcode = 0xC6 // advanced API: release an area (CDW: start offset)
 )
@@ -238,7 +237,7 @@ type Token struct {
 }
 
 // driverQueue is the driver's per-queue state: ID allocation, the
-// completion stash Wait/Poll match against, and optional instruments.
+// completion stash Wait matches against, and optional instruments.
 type driverQueue struct {
 	qp        *QueuePair
 	nextID    uint16
@@ -256,7 +255,7 @@ type driverQueue struct {
 
 // Driver is the host-side NVMe driver: it issues commands on the pairs of
 // a queue set and matches completions to callers. Submit is the classic
-// blocking call (queue 0); SubmitAsync/Poll/Wait are the async surface. The
+// blocking call (queue 0); SubmitAsync/Wait are the async surface. The
 // driver puts no bound on commands in flight: an async caller keeps its
 // own window.
 type Driver struct {
@@ -310,9 +309,6 @@ func (d *Driver) drain(dq *driverQueue) {
 		}
 	}
 }
-
-// Queues returns the number of queue pairs the driver serves.
-func (d *Driver) Queues() int { return len(d.queues) }
 
 // Inflight returns the number of commands submitted on queue q whose
 // completions have not yet been drained.
@@ -386,21 +382,6 @@ func (d *Driver) SubmitOn(p *sim.Proc, q int, cmd Command) Completion {
 //xssd:hotpath
 func (d *Driver) SubmitAsync(q int, cmd Command) Token {
 	return Token{Queue: q, ID: d.submit(d.queues[q], cmd)}
-}
-
-// Poll drains queue q's CQ and reports whether tok's completion has
-// arrived, consuming it if so. It never blocks — this is the polled-mode
-// path that bypasses interrupt coalescing.
-//
-//xssd:hotpath
-func (d *Driver) Poll(tok Token) (Completion, bool) {
-	dq := d.queues[tok.Queue]
-	d.drain(dq)
-	c, ok := dq.done[tok.ID]
-	if ok {
-		delete(dq.done, tok.ID)
-	}
-	return c, ok
 }
 
 // Wait blocks the calling process until tok's completion arrives and

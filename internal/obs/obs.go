@@ -105,9 +105,6 @@ func (r *Registry) newHistogram() *Histogram {
 	return h
 }
 
-// Env returns the environment whose virtual clock drives the registry.
-func (r *Registry) Env() *sim.Env { return r.env }
-
 // Counter returns the counter registered under name, creating it if new.
 func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
@@ -241,13 +238,6 @@ type Gauge struct{ v int64 }
 func (g *Gauge) Set(v int64) {
 	if g != nil {
 		g.v = v
-	}
-}
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v += delta
 	}
 }
 

@@ -86,7 +86,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Add(5)
 	c.Inc()
 	g.Set(7)
-	g.Add(1)
 	h.Observe(3)
 	h.ObserveDuration(time.Second)
 	h.Since(0)

@@ -94,10 +94,6 @@ func (s *Sample) Candlestick() Candlestick {
 	}
 }
 
-// IQR returns the interquartile range (P75 - P25), the spread measure the
-// replication-delay experiment compares across update periods.
-func (c Candlestick) IQR() time.Duration { return c.P75 - c.P25 }
-
 // String implements fmt.Stringer.
 func (c Candlestick) String() string {
 	return fmt.Sprintf("n=%d min=%v p25=%v p50=%v p75=%v max=%v mean=%v",

@@ -56,12 +56,6 @@ func (g Generation) LaneBandwidth() float64 {
 	}
 }
 
-// TLP is a transaction-layer packet delivered to a device.
-type TLP struct {
-	Addr int64  // target address within the device's BAR
-	Data []byte // payload for memory writes; nil for reads
-}
-
 // WireBytes returns the on-wire size of a TLP with an n-byte payload.
 func WireBytes(n int) int { return HeaderBytes + n }
 
@@ -154,9 +148,6 @@ func (r *Region) deliverNext() {
 	}
 }
 
-// Link returns the PCIe link the region is reached through.
-func (r *Region) Link() *sim.Link { return r.link }
-
 // post puts one posted-write TLP (payload ≤ MaxPayload) on the wire.
 // Delivery to the target happens when the packet fully arrives.
 //
@@ -193,16 +184,6 @@ func (r *Region) writeBlocking(p *sim.Proc, off int64, data []byte) {
 	r.link.Transfer(p, WireBytes(len(buf)))
 	r.target.MemWrite(off, buf)
 	r.putBuf(buf)
-}
-
-// writeAsync sends a posted write without blocking the caller beyond
-// scheduling; used for device-to-device mirroring where a hardware engine,
-// not a CPU, feeds the wire.
-func (r *Region) writeAsync(off int64, data []byte, done func()) {
-	buf := r.getBuf(len(data))
-	copy(buf, data)
-	r.pend(off, buf, done)
-	r.link.Send(WireBytes(len(buf)), r.deliver)
 }
 
 // Read performs a non-posted read: a request TLP travels to the device,
@@ -267,9 +248,6 @@ func NewMMIO(region *Region, mode MMIOMode) *MMIO {
 	m.trainNext = m.trainStep
 	return m
 }
-
-// Mode returns the caching mode.
-func (m *MMIO) Mode() MMIOMode { return m.mode }
 
 // Store writes data at region offset off with store-width semantics of the
 // region's mode. WriteCombining stores may linger in the WC buffer until
@@ -408,26 +386,4 @@ func (h *HostMemory) DMAWrite(p *sim.Proc, link *sim.Link, addr int64, data []by
 	packets := (len(data) + MaxPayload - 1) / MaxPayload
 	link.Transfer(p, len(data)+packets*HeaderBytes)
 	copy(h.buf[addr:], data)
-}
-
-// MirrorWrite is the device-to-device posted-write path used by the
-// Transport module: it pushes data at off into region without a CPU in the
-// loop. done (may be nil) runs in scheduler context on arrival of the last
-// packet.
-func MirrorWrite(region *Region, off int64, data []byte, done func()) {
-	for len(data) > 0 {
-		n := MaxPayload
-		last := false
-		if n >= len(data) {
-			n = len(data)
-			last = true
-		}
-		var cb func()
-		if last {
-			cb = done
-		}
-		region.writeAsync(off, data[:n], cb)
-		off += int64(n)
-		data = data[n:]
-	}
 }

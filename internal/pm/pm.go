@@ -98,15 +98,6 @@ func (b *Bank) backgroundStep() {
 	b.env.After(b.bgPeriod, b.bgNext)
 }
 
-// Spec returns the bank's configuration.
-func (b *Bank) Spec() Spec { return b.spec }
-
-// Capacity returns the bank size in bytes.
-func (b *Bank) Capacity() int64 { return b.spec.Capacity }
-
-// Persistent reports whether contents survive power loss.
-func (b *Bank) Persistent() bool { return b.spec.Persistent }
-
 // Write occupies the bus for an n-byte store and blocks the caller until
 // the data is in the array (serialization + access latency).
 func (b *Bank) Write(p *sim.Proc, n int) {

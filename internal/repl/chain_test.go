@@ -163,7 +163,8 @@ func TestChainMidLinkDropRepairResends(t *testing.T) {
 	})
 	env.RunUntil(env.Now() + 100*time.Millisecond)
 
-	drops, _, resends, _ := c.devices[1].Transport().FaultStats()
+	ts := c.devices[1].Stats().Transport
+	drops, resends := ts.MirrorDrops, ts.RepairResends
 	if drops == 0 {
 		t.Fatal("mid-link drop never fired")
 	}
@@ -325,8 +326,8 @@ func TestPromoteChainCutsDeadPrefix(t *testing.T) {
 	if peers := c.devices[1].Transport().Peers(); peers != 1 {
 		t.Fatalf("new head peers = %d, want its preserved downstream link", peers)
 	}
-	if c.Promotions() != 1 {
-		t.Fatalf("promotions = %d", c.Promotions())
+	if c.Stats().Promotions != 1 {
+		t.Fatalf("promotions = %d", c.Stats().Promotions)
 	}
 	// The preserved link still replicates: new head writes reach the tail.
 	env.Go("db2", func(p *sim.Proc) {

@@ -122,17 +122,6 @@ func (c *Cluster) Primary() *villars.Device {
 	return c.devices[c.primary]
 }
 
-// Secondaries returns the non-primary members in peer order.
-func (c *Cluster) Secondaries() []*villars.Device {
-	var out []*villars.Device
-	for i, d := range c.devices {
-		if i != c.primary {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Scheme returns the active replication scheme.
 func (c *Cluster) Scheme() core.ReplicationScheme { return c.scheme }
 
@@ -260,9 +249,6 @@ func (c *Cluster) Promote(p *sim.Proc, newPrimary int) error {
 	}
 	return setMode(p, prim, core.Primary)
 }
-
-// Promotions returns how many failovers the cluster has performed.
-func (c *Cluster) Promotions() int { return c.promotions }
 
 // Elect picks the secondary to promote after the primary's death,
 // per scheme (paper §4.2: the shadow counters exist precisely so a

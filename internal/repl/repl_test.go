@@ -51,7 +51,7 @@ func TestSetupAssignsRoles(t *testing.T) {
 	if got := c.Primary().Transport().Mode(); got != core.Primary {
 		t.Fatalf("primary mode = %v", got)
 	}
-	secs := c.Secondaries()
+	secs := c.Devices()[1:]
 	if len(secs) != 2 {
 		t.Fatalf("secondaries = %d", len(secs))
 	}
@@ -72,7 +72,7 @@ func TestWritesReachAllSecondaries(t *testing.T) {
 		c.Primary().CMB().MemWrite(0, make([]byte, 512))
 	})
 	env.RunUntil(env.Now() + 50*time.Millisecond)
-	for _, s := range c.Secondaries() {
+	for _, s := range c.Devices()[1:] {
 		if s.CMB().Ring().Frontier() != 512 {
 			t.Fatalf("%s frontier = %d", s.Name(), s.CMB().Ring().Frontier())
 		}
@@ -126,8 +126,8 @@ func TestPromoteAfterPrimaryFailure(t *testing.T) {
 	if c.Primary().Transport().Peers() != 1 {
 		t.Fatalf("peer count after failover = %d", c.Primary().Transport().Peers())
 	}
-	if c.Promotions() != 1 {
-		t.Fatalf("promotions = %d", c.Promotions())
+	if c.Stats().Promotions != 1 {
+		t.Fatalf("promotions = %d", c.Stats().Promotions)
 	}
 	// New primary replicates onward to the surviving secondary.
 	env.Go("db2", func(p *sim.Proc) {
@@ -149,7 +149,7 @@ func TestPromoteSamePrimaryNoop(t *testing.T) {
 		}
 	})
 	env.RunUntil(env.Now() + time.Millisecond)
-	if c.Promotions() != 0 {
+	if c.Stats().Promotions != 0 {
 		t.Fatal("noop promote counted")
 	}
 }

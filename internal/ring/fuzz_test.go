@@ -56,8 +56,8 @@ func FuzzRingFold(f *testing.F) {
 			case 0: // Append
 				data := genData(int(next()) % (capacity + 4))
 				want := r.highWater()
-				off, err := r.Append(data)
-				wantErr := len(data) > 0 && want+int64(len(data))-r.Head() > r.Capacity()
+				off, err := appendData(r, data)
+				wantErr := len(data) > 0 && want+int64(len(data))-r.Head() > r.capacity
 				if (err != nil) != wantErr {
 					t.Fatalf("Append(%d bytes): err=%v, want error=%v", len(data), err, wantErr)
 				}
@@ -76,7 +76,7 @@ func FuzzRingFold(f *testing.F) {
 				case len(data) == 0:
 				case off < r.Head():
 					wantErr = ErrStale
-				case off+int64(len(data))-r.Head() > r.Capacity():
+				case off+int64(len(data))-r.Head() > r.capacity:
 					wantErr = ErrFull
 				}
 				if !errors.Is(err, wantErr) {
@@ -125,8 +125,8 @@ func checkInvariants(t *testing.T, r *Ring, prevHead, prevFrontier int64) {
 	if r.Head() > r.Frontier() {
 		t.Fatalf("head %d above frontier %d", r.Head(), r.Frontier())
 	}
-	if free := r.Free(); free < 0 || free > r.Capacity() {
-		t.Fatalf("free %d outside [0, %d]", free, r.Capacity())
+	if free := r.Free(); free < 0 || free > r.capacity {
+		t.Fatalf("free %d outside [0, %d]", free, r.capacity)
 	}
 	gaps := r.Gaps()
 	for i, g := range gaps {

@@ -27,9 +27,6 @@ var (
 // Interval is a half-open [Start, End) range of stream offsets.
 type Interval struct{ Start, End int64 }
 
-// Len returns the interval's length in bytes.
-func (iv Interval) Len() int64 { return iv.End - iv.Start }
-
 // Ring is a byte ring over a fixed capacity with contiguous-prefix credit
 // accounting. It is not safe for concurrent use; in this codebase all
 // access is serialized by the simulation scheduler.
@@ -49,9 +46,6 @@ func New(capacity int) *Ring {
 	}
 	return &Ring{data: make([]byte, capacity), capacity: int64(capacity)}
 }
-
-// Capacity returns the ring capacity in bytes.
-func (r *Ring) Capacity() int64 { return r.capacity }
 
 // Head returns the lowest live stream offset (everything below has been
 // consumed/destaged and released).
@@ -151,16 +145,6 @@ func (r *Ring) merge(iv Interval) {
 		n := copy(r.pending, r.pending[k:])
 		r.pending = r.pending[:n]
 	}
-}
-
-// Append writes data at the current high-water mark (strictly sequential
-// append) and returns the stream offset it was placed at.
-func (r *Ring) Append(data []byte) (int64, error) {
-	off := r.highWater()
-	if err := r.Write(off, data); err != nil {
-		return 0, err
-	}
-	return off, nil
 }
 
 // Read copies n bytes starting at stream offset off into a fresh slice.

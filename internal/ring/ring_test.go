@@ -7,10 +7,20 @@ import (
 	"testing/quick"
 )
 
+// appendData writes data at the ring's high-water mark (strictly
+// sequential append) and returns the stream offset it was placed at.
+func appendData(r *Ring, data []byte) (int64, error) {
+	off := r.highWater()
+	if err := r.Write(off, data); err != nil {
+		return 0, err
+	}
+	return off, nil
+}
+
 func TestSequentialAppendAdvancesFrontier(t *testing.T) {
 	r := New(64)
 	for i := 0; i < 4; i++ {
-		if _, err := r.Append([]byte("abcd")); err != nil {
+		if _, err := appendData(r, []byte("abcd")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,23 +62,23 @@ func TestOutOfOrderWriteHoldsCredit(t *testing.T) {
 
 func TestWriteBeyondCapacityFails(t *testing.T) {
 	r := New(16)
-	if _, err := r.Append(make([]byte, 16)); err != nil {
+	if _, err := appendData(r, make([]byte, 16)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Append([]byte{1}); err != ErrFull {
+	if _, err := appendData(r, []byte{1}); err != ErrFull {
 		t.Fatalf("err = %v, want ErrFull", err)
 	}
 	if err := r.Release(8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Append(make([]byte, 8)); err != nil {
+	if _, err := appendData(r, make([]byte, 8)); err != nil {
 		t.Fatalf("append after release: %v", err)
 	}
 }
 
 func TestStaleWriteRejected(t *testing.T) {
 	r := New(16)
-	r.Append(make([]byte, 8))
+	appendData(r, make([]byte, 8))
 	r.Release(8)
 	if err := r.Write(4, []byte{1}); err != ErrStale {
 		t.Fatalf("err = %v, want ErrStale", err)
@@ -77,7 +87,7 @@ func TestStaleWriteRejected(t *testing.T) {
 
 func TestReadOutsidePersistedWindow(t *testing.T) {
 	r := New(32)
-	r.Append([]byte("abcdefgh"))
+	appendData(r, []byte("abcdefgh"))
 	if _, err := r.Read(4, 8); err != ErrOutOfRange {
 		t.Fatalf("read past frontier: err = %v, want ErrOutOfRange", err)
 	}
@@ -106,7 +116,7 @@ func TestWrapAroundPreservesData(t *testing.T) {
 
 func TestReleaseBeyondFrontierFails(t *testing.T) {
 	r := New(16)
-	r.Append([]byte("abcd"))
+	appendData(r, []byte("abcd"))
 	if err := r.Release(5); err == nil {
 		t.Fatal("release beyond frontier succeeded")
 	}
@@ -114,8 +124,8 @@ func TestReleaseBeyondFrontierFails(t *testing.T) {
 
 func TestDiscardGapsDropsOnlyUncreditedData(t *testing.T) {
 	r := New(64)
-	r.Append([]byte("durable!"))  // [0,8) credited
-	r.Write(16, []byte("orphan")) // [16,22) beyond a gap
+	appendData(r, []byte("durable!")) // [0,8) credited
+	r.Write(16, []byte("orphan"))     // [16,22) beyond a gap
 	r.DiscardGaps()
 	if r.Frontier() != 8 {
 		t.Fatalf("frontier = %d, want 8", r.Frontier())
@@ -193,7 +203,7 @@ func TestQuickSpaceAccounting(t *testing.T) {
 				}
 				chunk := make([]byte, size)
 				rng.Read(chunk)
-				if _, err := r.Append(chunk); err != nil {
+				if _, err := appendData(r, chunk); err != nil {
 					return false
 				}
 				shadow = append(shadow, chunk...)
@@ -203,7 +213,7 @@ func TestQuickSpaceAccounting(t *testing.T) {
 					return false
 				}
 			}
-			if r.Free()+(r.Frontier()-r.Head()) != r.Capacity() {
+			if r.Free()+(r.Frontier()-r.Head()) != r.capacity {
 				return false
 			}
 			// spot-check live window content against the shadow stream

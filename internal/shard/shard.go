@@ -246,9 +246,6 @@ func (c *Cluster) Shards() []*Shard { return append([]*Shard(nil), c.shards...) 
 // Shard returns shard i.
 func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 
-// Config returns the cluster's (defaulted) configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // ShardOf maps a warehouse id to its owning shard.
 func (c *Cluster) ShardOf(warehouse int) int {
 	return OwnerOf(warehouse, c.cfg.Shards, c.cfg.Warehouses)

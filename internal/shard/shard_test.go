@@ -78,7 +78,7 @@ func bankLoad(shards, warehouses int) func(*db.Engine, int) {
 func transfer(p *sim.Proc, cl *Cluster, src, dst int, amount int64) error {
 	home := cl.Shard(cl.ShardOf(src))
 	kv := home.Engine().Table("kv")
-	tx := home.Begin(p)
+	tx := home.BeginIn(new(Tx), p)
 	sRow, ok, err := tx.GetW(p, src, kv, balKey(src))
 	if err != nil || !ok {
 		tx.Abort()
@@ -140,7 +140,7 @@ func checkCluster(t *testing.T, cl *Cluster, streams [][]byte, deadShard int) {
 	if bad := CheckAtomicity(views, acked); len(bad) != 0 {
 		t.Fatalf("atomicity violations: %v", bad)
 	}
-	cfg := cl.Config()
+	cfg := cl.cfg
 	engines, err := Replay(sim.NewEnv(1), views, bankLoad(cfg.Shards, cfg.Warehouses))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)

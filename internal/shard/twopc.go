@@ -54,11 +54,6 @@ type partRef struct {
 	writes int // ops sent; the participant must have received exactly this many
 }
 
-// Begin starts a transaction homed on s and owned by process p: the home
-// engine's reads and commit run on p, exactly as a single-engine
-// transaction's do. All methods must be called from a process on s's Env.
-func (s *Shard) Begin(p *sim.Proc) *Tx { return s.BeginIn(new(Tx), p) }
-
 // BeginIn is Begin into t, a Tx the caller owns that is new or finished,
 // and returns t: a terminal running one transaction at a time begins each
 // in the same Tx and allocates none for it.
@@ -67,10 +62,6 @@ func (s *Shard) BeginIn(t *Tx, p *sim.Proc) *Tx {
 	s.eng.BeginIn(&t.local, p)
 	return t
 }
-
-// GID returns the transaction's global id (0 until a remote row is
-// touched — purely local transactions never allocate one).
-func (t *Tx) GID() int64 { return t.gid }
 
 // ID returns the home engine's local transaction id (unique per home
 // engine; usable as a key disambiguator for home-owned rows).

@@ -196,7 +196,7 @@ func TestRemoteReadKeyOutlivesTimeout(t *testing.T) {
 					}
 					p.Sleep(100 * time.Microsecond)
 				}
-				tx := part.Begin(p)
+				tx := part.BeginIn(new(Tx), p)
 				tx.PutW(c.write, part.Engine().Table("kv"), balKey(c.write), encBal(1))
 				if err := tx.Commit(p); err != nil {
 					t.Errorf("write to w%d: %v", c.write, err)
@@ -207,7 +207,7 @@ func TestRemoteReadKeyOutlivesTimeout(t *testing.T) {
 			}
 			read := func(p *sim.Proc) {
 				home := cl.Shard(0)
-				tx := home.Begin(p)
+				tx := home.BeginIn(new(Tx), p)
 				buf := []byte(balKey(3))
 				if _, _, err := tx.GetW(p, 3, home.Engine().Table("kv"), unsafe.String(&buf[0], len(buf))); !errors.Is(err, ErrUnavailable) {
 					t.Errorf("remote read past the timeout: err = %v, want ErrUnavailable", err)

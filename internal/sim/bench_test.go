@@ -31,7 +31,7 @@ func BenchmarkProcYield(b *testing.B) {
 	env := NewEnv(1)
 	env.Go("yielder", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	b.ReportAllocs()

@@ -78,11 +78,11 @@ func TestCloseEveryCarrierState(t *testing.T) {
 	env.Go("done-1", func(p *Proc) {})
 	env.Go("done-2", func(p *Proc) {})
 	env.Go("sleeper", func(p *Proc) {
-		defer func() { unwound = append(unwound, p.Name()) }()
+		defer func() { unwound = append(unwound, p.name) }()
 		p.Sleep(time.Second)
 	})
 	env.Go("waiter", func(p *Proc) {
-		defer func() { unwound = append(unwound, p.Name()) }()
+		defer func() { unwound = append(unwound, p.name) }()
 		p.Wait(sig)
 	})
 	env.RunUntil(time.Microsecond)

@@ -152,9 +152,6 @@ func (g *Group) Now() time.Duration { return time.Duration(g.now) }
 // Quantum returns the configured barrier interval.
 func (g *Group) Quantum() time.Duration { return time.Duration(g.quantum) }
 
-// Workers returns the configured worker count.
-func (g *Group) Workers() int { return g.cfg.Workers }
-
 // GroupStats counts the quantum hand-off. Quanta repeats exactly for a
 // seed. Shared, Helped and Wakes depend on the host — how many CPUs there
 // are and which goroutine got to a member first — so they must never be
@@ -190,9 +187,6 @@ func (g *Group) Events() int64 {
 
 // Group returns the group e belongs to, or nil for a standalone Env.
 func (e *Env) Group() *Group { return e.grp }
-
-// Index returns e's member index within its group (0 for a standalone Env).
-func (e *Env) Index() int { return e.gidx }
 
 // Serialize permanently switches the group to inline execution at the next
 // barrier. Once inline, quanta run every member on the coordinator

@@ -125,10 +125,6 @@ func NewEnv(seed int64) *Env {
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return time.Duration(e.now) }
 
-// Name returns the member name given to Group.NewEnv, or "" for a
-// standalone environment.
-func (e *Env) Name() string { return e.name }
-
 // Events returns the number of events dispatched so far — process resumes
 // plus scheduler callbacks. It is the denominator-free workload measure the
 // perf suite divides by wall time to get events/second.
@@ -192,9 +188,6 @@ type Proc struct {
 	name string
 	c    *carrier // the coroutine running this process
 }
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
 
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
@@ -358,10 +351,6 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	p.env.schedule(int64(t), p, nil)
 	p.yieldToScheduler()
 }
-
-// Yield reschedules the process at the current instant, letting any other
-// event due now run first.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Park suspends the process with no wake-up of its own: the caller has
 // armed a chain of scheduler callbacks whose last step calls WakeAfter.
@@ -536,9 +525,6 @@ func (e *Env) NewLink(name string, bytesPerSec float64, latency time.Duration) *
 	}
 	return &Link{env: e, name: name, bytesPerSec: bytesPerSec, latency: latency}
 }
-
-// Name returns the link's name.
-func (l *Link) Name() string { return l.name }
 
 // SerializationTime returns how long n bytes occupy the link, excluding the
 // propagation latency: at least a nanosecond for any payload, so every

@@ -258,7 +258,7 @@ func TestYieldLetsPeersRun(t *testing.T) {
 	var order []string
 	env.Go("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	env.Go("b", func(p *Proc) {

@@ -38,19 +38,19 @@ func TestLoadPopulatesAllTables(t *testing.T) {
 	env := sim.NewEnv(1)
 	cfg := smallConfig()
 	eng, _ := loadedEngine(env, cfg)
-	if got := eng.RowCount(TWarehouse); got != cfg.Warehouses {
+	if got := eng.RowCountIn(nil, TWarehouse); got != cfg.Warehouses {
 		t.Fatalf("warehouses = %d", got)
 	}
-	if got := eng.RowCount(TDistrict); got != cfg.Warehouses*cfg.Districts {
+	if got := eng.RowCountIn(nil, TDistrict); got != cfg.Warehouses*cfg.Districts {
 		t.Fatalf("districts = %d", got)
 	}
-	if got := eng.RowCount(TCustomer); got != cfg.Warehouses*cfg.Districts*cfg.CustomersPerDistrict {
+	if got := eng.RowCountIn(nil, TCustomer); got != cfg.Warehouses*cfg.Districts*cfg.CustomersPerDistrict {
 		t.Fatalf("customers = %d", got)
 	}
-	if got := eng.RowCount(TItem); got != cfg.Items {
+	if got := eng.RowCountIn(nil, TItem); got != cfg.Items {
 		t.Fatalf("items = %d", got)
 	}
-	if got := eng.RowCount(TStock); got != cfg.Warehouses*cfg.Items {
+	if got := eng.RowCountIn(nil, TStock); got != cfg.Warehouses*cfg.Items {
 		t.Fatalf("stock = %d", got)
 	}
 }
@@ -137,7 +137,7 @@ func TestNewOrderCreatesOrderRows(t *testing.T) {
 	if !ok {
 		t.Fatal("terminal did not finish")
 	}
-	if eng.RowCount(TOrder) == 0 || eng.RowCount(TOrderLine) == 0 {
+	if eng.RowCountIn(nil, TOrder) == 0 || eng.RowCountIn(nil, TOrderLine) == 0 {
 		t.Fatal("no orders created")
 	}
 	if sink.bytes == 0 {
@@ -166,7 +166,7 @@ func TestPaymentUpdatesBalances(t *testing.T) {
 	if DecodeWarehouse(wRow).YTD == 0 {
 		t.Fatal("warehouse YTD unchanged after payments")
 	}
-	if eng.RowCount(THistory) == 0 {
+	if eng.RowCountIn(nil, THistory) == 0 {
 		t.Fatal("no history rows")
 	}
 }
@@ -182,13 +182,13 @@ func TestDeliveryConsumesNewOrders(t *testing.T) {
 				t.Errorf("new-order: %v", err)
 			}
 		}
-		before := eng.RowCount(TNewOrder)
+		before := eng.RowCountIn(nil, TNewOrder)
 		for i := 0; i < 5; i++ {
 			if err := client.RunOne(p, DeliveryTx); err != nil {
 				t.Errorf("delivery: %v", err)
 			}
 		}
-		after := eng.RowCount(TNewOrder)
+		after := eng.RowCountIn(nil, TNewOrder)
 		if after >= before {
 			t.Errorf("new_order rows %d -> %d: delivery consumed nothing", before, after)
 		}

@@ -108,7 +108,7 @@ func BenchmarkChunkChain(b *testing.B) {
 		mallocs = ms.Mallocs - mallocs
 	})
 	env.RunUntil(time.Duration(appends+16) * time.Millisecond)
-	if got := d.CMB().BytesIn(); got < int64(appends*append16K) {
+	if got := d.Stats().CMB.BytesIn; got < int64(appends*append16K) {
 		b.Fatalf("device took %d bytes, want at least %d", got, appends*append16K)
 	}
 	perLine := float64(mallocs) / float64(appends*linesPerAppend)
@@ -160,7 +160,7 @@ func TestPowerLossMidTrain(t *testing.T) {
 		if !d.Drained() {
 			t.Fatalf("oneByOne=%v: crash protocol did not finish", oneByOne)
 		}
-		o.bytesIn, o.rejected = d.CMB().BytesIn(), d.CMB().Rejected()
+		o.bytesIn, o.rejected = d.Stats().CMB.BytesIn, d.Stats().CMB.Rejected
 		o.destaged = d.Destage().DestagedStream()
 
 		var got []byte

@@ -296,18 +296,5 @@ func (m *cmbModule) destageFloor() int64 {
 	return floor
 }
 
-// QueueUsed returns the bytes currently sitting in the intake queue.
-func (m *cmbModule) QueueUsed() int { return m.queueUsed }
-
 // Ring exposes the backing ring (tests and the destage module).
 func (m *cmbModule) Ring() *ring.Ring { return m.ring }
-
-// Overruns returns how many TLPs were dropped due to queue overrun.
-func (m *cmbModule) Overruns() int64 { return m.mOverruns.Value() }
-
-// Rejected returns how many writes were dropped for reasons other than
-// overrun (power loss, stale offsets).
-func (m *cmbModule) Rejected() int64 { return m.mRejected.Value() }
-
-// BytesIn returns the total payload bytes accepted on the CMB interface.
-func (m *cmbModule) BytesIn() int64 { return m.mBytesIn.Value() }

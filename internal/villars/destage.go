@@ -141,21 +141,6 @@ func newDestageModule(d *Device, fs *fastSide, baseLBA, lbaCount int64) *destage
 // DestagedStream returns the number of stream bytes destaged so far.
 func (m *destageModule) DestagedStream() int64 { return m.destagedStream }
 
-// Retries returns how many failed page writes were retried.
-func (m *destageModule) Retries() int64 { return m.mRetries.Value() }
-
-// Pages returns how many flash pages the module has written, and how many
-// of those were padded partial pages.
-func (m *destageModule) Pages() (total, partial int64) {
-	return m.mPages.Value(), m.mPartialPages.Value()
-}
-
-// FillerBytes returns the padding written in partial pages.
-func (m *destageModule) FillerBytes() int64 { return m.mFillerBytes.Value() }
-
-// Errors returns how many pages hit carve or retire errors.
-func (m *destageModule) Errors() int64 { return m.mErrors.Value() }
-
 // TailLBA returns the ring slot the next page will be written to.
 func (m *destageModule) TailLBA() int64 { return m.tail }
 

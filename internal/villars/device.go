@@ -304,12 +304,6 @@ func (v *VirtualFunction) BlockSize() int { return v.dev.BlockSize() }
 // PowerLost reports the underlying device's power state.
 func (v *VirtualFunction) PowerLost() bool { return v.dev.PowerLost() }
 
-// CMB exposes the VF's fast-side module.
-func (v *VirtualFunction) CMB() *cmbModule { return v.fs.cmb }
-
-// Destage exposes the VF's destage module.
-func (v *VirtualFunction) Destage() *destageModule { return v.fs.destage }
-
 // Env returns the simulation environment.
 func (d *Device) Env() *sim.Env { return d.env }
 

@@ -233,7 +233,7 @@ func runTrickle(t *testing.T, seed int64) trickleRun {
 			if rng.Intn(16) == 0 {
 				n = int(run.maxPage) + 64*rng.Intn(8) // a burst of a page or more
 			}
-			for cmb.QueueUsed()+n > cfg.QueueSize { // the host's flow control
+			for cmb.queueUsed+n > cfg.QueueSize { // the host's flow control
 				p.Sleep(200 * time.Nanosecond)
 			}
 			cmb.MemWrite(off, make([]byte, n))

@@ -66,7 +66,9 @@ type TransportStats struct {
 	// CounterUpdates counts accepted shadow updates (primary role);
 	// UpdatesSent counts updates emitted (secondary role).
 	MirroredBytes, CounterUpdates, UpdatesSent int64
-	// Fault-path counters: see transportModule.FaultStats.
+	// Fault-path counters: mirror chunks the fault plan dropped or
+	// delayed, chunks the repair process resent, and shadow updates
+	// suppressed.
 	MirrorDrops, MirrorDelays, RepairResends, UpdatesSuppressed int64
 	// Stalled reports whether any peer currently trips the stall detector.
 	Stalled bool
@@ -144,10 +146,10 @@ type HostQueueStats struct {
 func (fs *fastSide) cmbStats() CMBStats {
 	m := fs.cmb
 	return CMBStats{
-		BytesIn:   m.BytesIn(),
-		Overruns:  m.Overruns(),
-		Rejected:  m.Rejected(),
-		QueueUsed: m.QueueUsed(),
+		BytesIn:   m.mBytesIn.Value(),
+		Overruns:  m.mOverruns.Value(),
+		Rejected:  m.mRejected.Value(),
+		QueueUsed: m.queueUsed,
 		Credit:    m.ring.Frontier(),
 		Live:      m.ring.Live(),
 	}
@@ -155,15 +157,14 @@ func (fs *fastSide) cmbStats() CMBStats {
 
 func (fs *fastSide) destageStats() DestageStats {
 	m := fs.destage
-	pages, partial := m.Pages()
 	return DestageStats{
 		Stream:       m.DestagedStream(),
-		Pages:        pages,
-		PartialPages: partial,
-		FillerBytes:  m.FillerBytes(),
+		Pages:        m.mPages.Value(),
+		PartialPages: m.mPartialPages.Value(),
+		FillerBytes:  m.mFillerBytes.Value(),
 		PayloadBytes: m.carved,
-		Retries:      m.Retries(),
-		Errors:       m.Errors(),
+		Retries:      m.mRetries.Value(),
+		Errors:       m.mErrors.Value(),
 		TailLBA:      m.tail,
 		BaseLBA:      m.baseLBA,
 		LBACount:     m.lbaCount,
@@ -171,17 +172,16 @@ func (fs *fastSide) destageStats() DestageStats {
 }
 
 func (t *transportModule) stats() TransportStats {
-	drops, delays, resends, suppressed := t.FaultStats()
 	s := TransportStats{
 		Mode:              t.mode.String(),
 		Scheme:            t.scheme.String(),
-		MirroredBytes:     t.MirroredBytes(),
-		CounterUpdates:    t.CounterUpdates(),
-		UpdatesSent:       t.UpdatesSent(),
-		MirrorDrops:       drops,
-		MirrorDelays:      delays,
-		RepairResends:     resends,
-		UpdatesSuppressed: suppressed,
+		MirroredBytes:     t.mMirroredBytes.Value(),
+		CounterUpdates:    t.mCounterUpdates.Value(),
+		UpdatesSent:       t.mUpdatesSent.Value(),
+		MirrorDrops:       t.mMirrorDrops.Value(),
+		MirrorDelays:      t.mMirrorDelays.Value(),
+		RepairResends:     t.mRepairResends.Value(),
+		UpdatesSuppressed: t.mUpdatesSuppressed.Value(),
 		Stalled:           t.stalled(),
 	}
 	local := t.dev.fs.cmb.ring.Frontier()

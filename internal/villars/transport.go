@@ -413,20 +413,6 @@ func (t *transportModule) effectiveCredit(local int64) int64 {
 // device's secondary role has emitted.
 func (t *transportModule) UpdatesSent() int64 { return t.mUpdatesSent.Value() }
 
-// MirroredBytes returns the bytes forwarded to peers (counted per peer).
-func (t *transportModule) MirroredBytes() int64 { return t.mMirroredBytes.Value() }
-
-// CounterUpdates returns how many shadow-counter updates this device's
-// primary role has accepted.
-func (t *transportModule) CounterUpdates() int64 { return t.mCounterUpdates.Value() }
-
-// FaultStats returns the transport's injected-fault counters: mirror
-// chunks dropped/delayed by the plan, chunks resent by the repair
-// process, and shadow updates suppressed.
-func (t *transportModule) FaultStats() (drops, delays, resends, suppressed int64) {
-	return t.mMirrorDrops.Value(), t.mMirrorDelays.Value(), t.mRepairResends.Value(), t.mUpdatesSuppressed.Value()
-}
-
 // ShadowFrozen reports whether this device's own shadow-counter reporting
 // is currently suppressed by a freeze (fault plan, transport.shadow
 // point). A frozen secondary's upstream view of its persisted prefix is
@@ -545,5 +531,4 @@ func (t *transportModule) stalled() bool {
 const (
 	Lazy  = core.Lazy
 	Chain = core.Chain
-	Eager = core.Eager
 )

@@ -100,7 +100,7 @@ func TestQueueOverrunDropsWrites(t *testing.T) {
 		}
 	})
 	env.RunUntil(10 * time.Millisecond)
-	if d.CMB().Overruns() == 0 {
+	if d.Stats().CMB.Overruns == 0 {
 		t.Fatal("no overruns recorded despite 3x queue burst")
 	}
 }
@@ -150,7 +150,8 @@ func TestLatencyBoundDestagesPartialPage(t *testing.T) {
 		d.CMB().MemWrite(0, []byte("tiny record"))
 	})
 	env.RunUntil(50 * time.Millisecond)
-	total, partial := d.Destage().Pages()
+	ds := d.Stats().Destage
+	total, partial := ds.Pages, ds.PartialPages
 	if total != 1 || partial != 1 {
 		t.Fatalf("pages = (%d,%d), want one padded page", total, partial)
 	}
@@ -203,7 +204,7 @@ func TestWritesRejectedAfterPowerLoss(t *testing.T) {
 		d.CMB().MemWrite(0, []byte("too late"))
 	})
 	env.RunUntil(10 * time.Millisecond)
-	if d.CMB().BytesIn() != 0 {
+	if d.Stats().CMB.BytesIn != 0 {
 		t.Fatal("write accepted after power loss")
 	}
 }
@@ -212,8 +213,8 @@ func TestWritesRejectedAfterPowerLoss(t *testing.T) {
 func cluster(env *sim.Env) (*Device, *Device) {
 	prim := newDevice(env, "prim")
 	sec := newDevice(env, "sec")
-	toSec := ntb.NewDefaultBridge(env, "p->s")
-	toPrim := ntb.NewDefaultBridge(env, "s->p")
+	toSec := ntb.NewDefaultBridgeTo(env, env, "p->s")
+	toPrim := ntb.NewDefaultBridgeTo(env, env, "s->p")
 	sec.Transport().setMode(core.Secondary)
 	prim.Transport().AddPeer(sec, toSec, toPrim)
 	prim.Transport().setMode(core.Primary)
@@ -427,8 +428,8 @@ func TestStallDetection(t *testing.T) {
 	env := sim.NewEnv(1)
 	prim := newDevice(env, "prim")
 	sec := newDevice(env, "sec")
-	toSec := ntb.NewDefaultBridge(env, "p->s")
-	toPrim := ntb.NewDefaultBridge(env, "s->p")
+	toSec := ntb.NewDefaultBridgeTo(env, env, "p->s")
+	toPrim := ntb.NewDefaultBridgeTo(env, env, "s->p")
 	// Peer added but the secondary never enters Secondary mode: it will
 	// receive data but never report its counter.
 	prim.Transport().AddPeer(sec, toSec, toPrim)
@@ -458,7 +459,7 @@ func TestLBARingWrapsAround(t *testing.T) {
 		}
 	})
 	env.RunUntil(time.Second)
-	if total, _ := d.Destage().Pages(); total != 6 {
+	if total := d.Stats().Destage.Pages; total != 6 {
 		t.Fatalf("pages destaged = %d, want 6", total)
 	}
 	if d.Destage().TailLBA() != 6 {
@@ -547,8 +548,8 @@ func TestLatencyBoundArmsOneTimerPerDeadline(t *testing.T) {
 		events := env.Events() - quiet
 
 		env.RunUntil(deadline + 10*time.Millisecond)
-		if total, partial := d.Destage().Pages(); total != 1 || partial != 1 {
-			t.Fatalf("n=%d: pages = (%d,%d), want one padded page", n, total, partial)
+		if ds := d.Stats().Destage; ds.Pages != 1 || ds.PartialPages != 1 {
+			t.Fatalf("n=%d: pages = (%d,%d), want one padded page", n, ds.Pages, ds.PartialPages)
 		}
 		if got := d.Destage().DestagedStream(); got != int64(n*chunk) {
 			t.Fatalf("n=%d: destaged stream = %d, want %d", n, got, n*chunk)
@@ -624,7 +625,7 @@ func TestCarveReadFailureBacksOff(t *testing.T) {
 	if env.Now() != horizon {
 		t.Fatalf("virtual time stopped at %v", env.Now())
 	}
-	errs := d.Destage().Errors()
+	errs := d.Stats().Destage.Errors
 	if errs == 0 {
 		t.Fatal("failed ring read not counted")
 	}
@@ -632,7 +633,7 @@ func TestCarveReadFailureBacksOff(t *testing.T) {
 	if most := int64(horizon/destageRetryBackoff) + 1; errs > most {
 		t.Fatalf("%d failed reads in %v, want at most one per %v back-off", errs, horizon, destageRetryBackoff)
 	}
-	if total, _ := d.Destage().Pages(); total != 0 {
+	if total := d.Stats().Destage.Pages; total != 0 {
 		t.Fatalf("%d pages written from a ring that no longer holds the bytes", total)
 	}
 }

@@ -84,16 +84,6 @@ func (pl *Pipeline) retire() {
 	pl.mDepth.Set(int64(len(pl.toks)))
 }
 
-// Drain blocks until every in-flight token is durable — the pipeline's
-// fsync, called at checkpoint or shutdown boundaries.
-func (pl *Pipeline) Drain(p *sim.Proc) {
-	if len(pl.toks) == 0 {
-		return
-	}
-	pl.log.WaitDurable(p, pl.toks[len(pl.toks)-1].lsn)
-	pl.retire()
-}
-
 // Inflight returns the number of submitted-but-not-yet-durable tokens.
 func (pl *Pipeline) Inflight() int { return len(pl.toks) }
 

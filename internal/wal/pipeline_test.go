@@ -22,7 +22,8 @@ func TestPipelineBoundsInflightAtDepth(t *testing.T) {
 				maxInflight = pl.Inflight()
 			}
 		}
-		pl.Drain(p)
+		log.WaitDurable(p, log.AppendedLSN())
+		pl.Submit(p, 0) // retires what the wait made durable
 	})
 	env.RunUntil(time.Second)
 	if maxInflight > 4 {
@@ -59,7 +60,8 @@ func TestPipelineLatencyHistogramCountsRetirements(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			pl.Submit(p, log.Append(Record{TxID: int64(i), Payload: make([]byte, 32)}))
 		}
-		pl.Drain(p)
+		log.WaitDurable(p, log.AppendedLSN())
+		pl.Submit(p, 0) // retires what the wait made durable
 	})
 	env.RunUntil(time.Second)
 	s := pl.Latency().Summary()

@@ -46,22 +46,10 @@ func (s *VillarsSink) Write(p *sim.Proc, data []byte) error {
 // Name implements Sink.
 func (s *VillarsSink) Name() string { return s.name }
 
-// Logger exposes the underlying drop-in API handle.
-func (s *VillarsSink) Logger() *xapi.Logger { return s.logger }
-
-// RebindableSink is a Sink that can be pointed at a different device
-// mid-stream — the failover path: after a secondary is promoted, the
-// host rebinds its log sink to the new primary and continues the stream
-// at the promoted device's persisted frontier.
-type RebindableSink interface {
-	Sink
-	// Rebind reopens the sink against dev with the stream cursor at off.
-	Rebind(p *sim.Proc, dev *villars.Device, off int64)
-}
-
-// Rebind implements RebindableSink: reopen the drop-in API against the
-// promoted device, resuming the stream at off (its credit counter already
-// vouches for every byte below).
+// Rebind points the sink at a different device mid-stream — the failover
+// path: after a secondary is promoted, the host reopens the drop-in API
+// against it, resuming the stream at off, the promoted device's persisted
+// frontier (its credit counter already vouches for every byte below).
 func (s *VillarsSink) Rebind(p *sim.Proc, dev *villars.Device, off int64) {
 	s.logger = xapi.Open(p, dev, xapi.Options{ResumeAt: off})
 }
@@ -136,12 +124,3 @@ func (s *NVMeSink) Write(p *sim.Proc, data []byte) error {
 
 // Name implements Sink.
 func (s *NVMeSink) Name() string { return "NVMe" }
-
-// NullSink discards everything instantly (the "No Log" baseline).
-type NullSink struct{}
-
-// Write implements Sink.
-func (NullSink) Write(*sim.Proc, []byte) error { return nil }
-
-// Name implements Sink.
-func (NullSink) Name() string { return "NoLog" }

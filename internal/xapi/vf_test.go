@@ -42,10 +42,10 @@ func TestVFIndependentStreams(t *testing.T) {
 	})
 	env.RunUntil(100 * time.Millisecond)
 	// Each VF's counter reflects only its own stream.
-	if got := vf1.CMB().Ring().Frontier(); got != int64(len(msg1)) {
+	if got := vf1.Stats().CMB.Credit; got != int64(len(msg1)) {
 		t.Fatalf("vf1 frontier = %d, want %d", got, len(msg1))
 	}
-	if got := vf2.CMB().Ring().Frontier(); got != int64(len(msg2)) {
+	if got := vf2.Stats().CMB.Credit; got != int64(len(msg2)) {
 		t.Fatalf("vf2 frontier = %d, want %d", got, len(msg2))
 	}
 	// And the primary fast side is untouched.
@@ -59,8 +59,9 @@ func TestVFDestageRangesDisjoint(t *testing.T) {
 	dev, _ := testDevice(env, "pf")
 	vf1, _ := dev.CreateVF("a", 32<<10, 4096, 64)
 	vf2, _ := dev.CreateVF("b", 32<<10, 4096, 64)
-	b1, c1 := vf1.Destage().LBARing()
-	b2, c2 := vf2.Destage().LBARing()
+	d1, d2 := vf1.Stats().Destage, vf2.Stats().Destage
+	b1, c1 := d1.BaseLBA, d1.LBACount
+	b2, c2 := d2.BaseLBA, d2.LBACount
 	pb, pc := dev.Destage().LBARing()
 	if b1 < pb+pc {
 		t.Fatalf("vf1 ring [%d,%d) overlaps primary [%d,%d)", b1, b1+c1, pb, pb+pc)
@@ -123,7 +124,7 @@ func TestVFCrashDrainsAllFastSides(t *testing.T) {
 	vf, _ := dev.CreateVF("tenant", 32<<10, 4096, 64)
 	env.Go("writers", func(p *sim.Proc) {
 		dev.CMB().MemWrite(0, make([]byte, 600))
-		vf.CMB().MemWrite(0, make([]byte, 800))
+		Open(p, vf, Options{}).XPwrite(p, make([]byte, 800))
 		p.Sleep(10 * time.Microsecond)
 		dev.InjectPowerLoss()
 	})
@@ -134,8 +135,8 @@ func TestVFCrashDrainsAllFastSides(t *testing.T) {
 	if dev.Destage().DestagedStream() != 600 {
 		t.Fatalf("primary destaged %d, want 600", dev.Destage().DestagedStream())
 	}
-	if vf.Destage().DestagedStream() != 800 {
-		t.Fatalf("vf destaged %d, want 800", vf.Destage().DestagedStream())
+	if got := vf.Stats().Destage.Stream; got != 800 {
+		t.Fatalf("vf destaged %d, want 800", got)
 	}
 }
 
@@ -193,7 +194,7 @@ func TestVFPerWriterCountersNoInterference(t *testing.T) {
 		t.Fatalf("only %d/4 writers completed", done)
 	}
 	for _, vf := range vfs {
-		if got := vf.CMB().Ring().Frontier(); got != perWriter {
+		if got := vf.Stats().CMB.Credit; got != perWriter {
 			t.Fatalf("%s frontier = %d", vf.Name(), got)
 		}
 	}

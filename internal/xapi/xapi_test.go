@@ -67,11 +67,11 @@ func TestXPwriteLargerThanQueuePaced(t *testing.T) {
 		}
 	})
 	env.RunUntil(500 * time.Millisecond)
-	if dev.CMB().Overruns() != 0 {
-		t.Fatalf("flow control failed: %d overruns", dev.CMB().Overruns())
+	if dev.Stats().CMB.Overruns != 0 {
+		t.Fatalf("flow control failed: %d overruns", dev.Stats().CMB.Overruns)
 	}
-	if dev.CMB().BytesIn() != 20000 {
-		t.Fatalf("device received %d bytes, want 20000", dev.CMB().BytesIn())
+	if dev.Stats().CMB.BytesIn != 20000 {
+		t.Fatalf("device received %d bytes, want 20000", dev.Stats().CMB.BytesIn)
 	}
 }
 
@@ -214,8 +214,8 @@ func TestFsyncUnderEagerReplicationWaitsForSecondary(t *testing.T) {
 	env := sim.NewEnv(1)
 	prim, hostP := testDevice(env, "prim")
 	sec, _ := testDevice(env, "sec")
-	toSec := ntb.NewDefaultBridge(env, "p-s")
-	toPrim := ntb.NewDefaultBridge(env, "s-p")
+	toSec := ntb.NewDefaultBridgeTo(env, env, "p-s")
+	toPrim := ntb.NewDefaultBridgeTo(env, env, "s-p")
 	prim.Transport().AddPeer(sec, toSec, toPrim)
 	prim.Transport().SetScheme(core.Eager)
 	// Set transport roles through the vendor admin command path.

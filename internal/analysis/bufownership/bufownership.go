@@ -36,8 +36,10 @@ private copy — the timer can fire after the pool reclaims the buffer;
 (4) an alias into pooled storage must not be used across a blocking call
 — the pool may compact or recycle under the yield. Borrowed parameters
 (pcie.Target.MemWrite, wal.Sink.Write, ntb window writes) are tracked
-like pooled values for rules 2 and 3. The analysis is per-function and
-textual in statement order; loop back edges are not modeled.`,
+like pooled values for rules 2 and 3. A fifo.Queue field is storage like
+a slice: Push stores into it, and Pop, Peek and Items read an alias out
+of it. The analysis is per-function and textual in statement order; loop
+back edges are not modeled.`,
 	Run: run,
 }
 
@@ -208,10 +210,12 @@ func (s *state) seedBorrowedParams(fd *ast.FuncDecl) {
 	}
 }
 
-func isSimProc(t types.Type) bool { return isSimType(t, "Proc") }
-func isSimEnv(t types.Type) bool  { return isSimType(t, "Env") }
+func isSimProc(t types.Type) bool { return isPtrTo(t, "sim", "Proc") }
+func isSimEnv(t types.Type) bool  { return isPtrTo(t, "sim", "Env") }
 
-func isSimType(t types.Type, name string) bool {
+// isPtrTo reports whether t points to the named type name of a package
+// whose import path is pkg or ends in /pkg.
+func isPtrTo(t types.Type, pkg, name string) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -221,7 +225,19 @@ func isSimType(t types.Type, name string) bool {
 		return false
 	}
 	path := n.Obj().Pkg().Path()
-	return path == "sim" || strings.HasSuffix(path, "/sim")
+	return path == pkg || strings.HasSuffix(path, "/"+pkg)
+}
+
+// queueMethod returns fn's name when fn is a method of fifo.Queue, and ""
+// otherwise.
+func queueMethod(fn *types.Func) string {
+	if fn == nil {
+		return ""
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isPtrTo(recv.Type(), "fifo", "Queue") {
+		return fn.Name()
+	}
+	return ""
 }
 
 // ---- statement walk ---------------------------------------------------
@@ -344,11 +360,11 @@ func (s *state) assignRange(n *ast.RangeStmt) {
 
 // assign handles taint introduction, puts, and retention checks.
 func (s *state) assign(n *ast.AssignStmt) {
-	// Evaluate RHS uses first (reads happen before the store).
-	oneToOne := len(n.Lhs) == len(n.Rhs)
+	// Evaluate RHS uses first (reads happen before the store). A call
+	// with several results (`v, ok := q.Pop()`) classes the first target.
 	for i, rhs := range n.Rhs {
 		var target ast.Expr
-		if oneToOne {
+		if len(n.Lhs) == len(n.Rhs) || len(n.Rhs) == 1 {
 			target = n.Lhs[i]
 		}
 		s.assignOne(target, rhs, n.Tok == token.DEFINE)
@@ -431,9 +447,15 @@ func (s *state) taintFromRHS(rhs ast.Expr) *taintInfo {
 			if s.an.aliasFuncs[fn] {
 				return &taintInfo{class: aliased, defPos: rhs.Pos()}
 			}
+			// Reading a pooled queue field, like indexing a pooled slice.
+			if m := queueMethod(fn); m == "Pop" || m == "Peek" || m == "Items" {
+				if sel, ok := analysis.Unparen(e.Fun).(*ast.SelectorExpr); ok && s.pooledField(sel.X) {
+					return &taintInfo{class: aliased, defPos: rhs.Pos()}
+				}
+			}
 		}
 	case *ast.IndexExpr:
-		if f := s.fieldOf(e.X); f != nil && (s.an.putFields[f] || s.an.retFields[f]) {
+		if s.pooledField(e.X) {
 			return &taintInfo{class: aliased, defPos: rhs.Pos()}
 		}
 		if id, ok := analysis.Unparen(e.X).(*ast.Ident); ok {
@@ -442,7 +464,7 @@ func (s *state) taintFromRHS(rhs ast.Expr) *taintInfo {
 			}
 		}
 	case *ast.SliceExpr:
-		if f := s.fieldOf(e.X); f != nil && (s.an.putFields[f] || s.an.retFields[f]) {
+		if s.pooledField(e.X) {
 			return &taintInfo{class: aliased, defPos: rhs.Pos()}
 		}
 		if id, ok := analysis.Unparen(e.X).(*ast.Ident); ok {
@@ -453,7 +475,7 @@ func (s *state) taintFromRHS(rhs ast.Expr) *taintInfo {
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
 			if inner, ok := analysis.Unparen(e.X).(*ast.IndexExpr); ok {
-				if f := s.fieldOf(inner.X); f != nil && (s.an.putFields[f] || s.an.retFields[f]) {
+				if s.pooledField(inner.X) {
 					return &taintInfo{class: aliased, defPos: rhs.Pos()}
 				}
 				if id, ok := analysis.Unparen(inner.X).(*ast.Ident); ok && s.taintOf(id) != nil {
@@ -516,7 +538,7 @@ func (s *state) checkRetention(target, rhs ast.Expr) {
 				return
 			}
 		}
-		if f := s.fieldObjHolding(t.X); f != nil && !s.an.putFields[f] && !s.an.retFields[f] {
+		if f := s.fieldOf(t.X); f != nil && !s.an.putFields[f] && !s.an.retFields[f] {
 			s.pass.Reportf(target.Pos(), "%s buffer %s retained in field %s, which is not marked //xssd:pool retain; take a private copy (DESIGN.md §9)",
 				tainted[0].class, tainted[0].name, f.Name())
 		}
@@ -690,10 +712,18 @@ func (s *state) call(call *ast.CallExpr) {
 		}
 	}
 
+	sel, isSel := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
+	// Rule 2 through a queue: x.f.Push(v) stores v into field f.
+	if isSel && queueMethod(fn) == "Push" {
+		for _, arg := range call.Args {
+			s.checkRetention(sel.X, arg)
+		}
+	}
+
 	for _, arg := range call.Args {
 		s.expr(arg)
 	}
-	if sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if isSel {
 		s.expr(sel.X)
 	}
 
@@ -787,6 +817,12 @@ func (s *state) fieldOf(e ast.Expr) types.Object {
 	return s.fieldObjOf(sel)
 }
 
+// pooledField reports whether e is a field marked //xssd:pool put or retain.
+func (s *state) pooledField(e ast.Expr) bool {
+	f := s.fieldOf(e)
+	return f != nil && (s.an.putFields[f] || s.an.retFields[f])
+}
+
 func (s *state) fieldObjOf(sel *ast.SelectorExpr) types.Object {
 	if selInfo, ok := s.pass.TypesInfo.Selections[sel]; ok {
 		if v, ok := selInfo.Obj().(*types.Var); ok && v.IsField() {
@@ -795,12 +831,6 @@ func (s *state) fieldObjOf(sel *ast.SelectorExpr) types.Object {
 		return nil
 	}
 	return nil
-}
-
-// fieldObjHolding resolves the field behind an index target like
-// x.field[i].
-func (s *state) fieldObjHolding(e ast.Expr) types.Object {
-	return s.fieldOf(e)
 }
 
 // rhsMentions reports whether obj appears anywhere in e.

@@ -7,6 +7,7 @@ package a
 import (
 	"time"
 
+	"xssd/internal/fifo"
 	"xssd/internal/sim"
 )
 
@@ -18,8 +19,12 @@ type module struct {
 	//xssd:pool put
 	free [][]byte
 
-	stash  [][]byte // not an annotated retention point
-	byName map[string][]byte
+	//xssd:pool retain
+	inflight fifo.Queue[[]byte]
+
+	stash   [][]byte // not an annotated retention point
+	backlog fifo.Queue[[]byte]
+	byName  map[string][]byte
 }
 
 // getBuf hands out a pooled buffer.
@@ -59,6 +64,12 @@ func (m *module) retainInPlainField() {
 	m.stash = append(m.stash, b) // want "pooled buffer b retained in field stash"
 }
 
+// A push stores into the queue's field like an append does.
+func (m *module) pushIntoPlainQueue() {
+	b := m.getBuf(8)
+	m.backlog.Push(b) // want "pooled buffer b retained in field backlog"
+}
+
 func (m *module) retainInMap(key string) {
 	b := m.getBuf(8)
 	m.byName[key] = b // want "pooled buffer b retained in a map"
@@ -85,6 +96,19 @@ func (m *module) aliasFuncAcrossYield(p *sim.Proc) byte {
 	return head[0] // want "alias head into pooled storage is used across a blocking call"
 }
 
+// A queue's Items and Peek are views into the retained storage.
+func (m *module) queueItemsAcrossYield(p *sim.Proc) byte {
+	waiting := m.inflight.Items()
+	p.Sleep(time.Microsecond)
+	return waiting[0][0] // want "alias waiting into pooled storage is used across a blocking call"
+}
+
+func (m *module) queuePeekAcrossYield(p *sim.Proc) byte {
+	head, _ := m.inflight.Peek()
+	p.Sleep(time.Microsecond)
+	return head[0] // want "alias head into pooled storage is used across a blocking call"
+}
+
 // Borrowed structural contract: MemWrite may read data synchronously but
 // not keep it.
 func (m *module) MemWrite(off int64, data []byte) {
@@ -96,6 +120,13 @@ func (m *module) MemWrite(off int64, data []byte) {
 func (m *module) retainAnnotated() {
 	b := m.getBuf(8)
 	m.pending = append(m.pending, b)
+}
+
+// pushIntoRetainQueue parks a pooled buffer in an annotated queue; no
+// report.
+func (m *module) pushIntoRetainQueue() {
+	b := m.getBuf(8)
+	m.inflight.Push(b)
 }
 
 // privateCopy is the DESIGN.md §9 idiom: the copy is owned by nobody

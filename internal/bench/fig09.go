@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xssd/internal/db"
+	"xssd/internal/fifo"
 	"xssd/internal/nand"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
@@ -108,18 +109,17 @@ func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
 		lsn   int64
 		start time.Duration
 	}
-	var fifo []pendingTxn
+	var pending fifo.Queue[pendingTxn]
 	arrived := env.NewSignal()
 
 	if log != nil {
 		env.Go("latency-tracker", func(p *sim.Proc) {
 			for {
-				if len(fifo) == 0 {
+				e, ok := pending.Pop()
+				if !ok {
 					p.Wait(arrived)
 					continue
 				}
-				e := fifo[0]
-				fifo = fifo[1:]
 				log.WaitDurable(p, e.lsn)
 				if e.start >= fig9Warmup {
 					sample.Add(p.Now() - e.start)
@@ -150,7 +150,7 @@ func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
 					committed++
 					continue
 				}
-				fifo = append(fifo, pendingTxn{lsn: lsn, start: start})
+				pending.Push(pendingTxn{lsn: lsn, start: start})
 				arrived.Broadcast()
 			}
 		})

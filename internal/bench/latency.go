@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xssd/internal/db"
+	"xssd/internal/fifo"
 	"xssd/internal/nand"
 	"xssd/internal/nvme"
 	"xssd/internal/obs"
@@ -114,7 +115,7 @@ func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 	for q := 0; q < pairs; q++ {
 		q := q
 		env.Go(fmt.Sprintf("lat-submit-%d", q), func(p *sim.Proc) {
-			var window []nvme.Token
+			var window fifo.Queue[nvme.Token]
 			var off int64
 			for i := int64(0); ; i++ {
 				blocks := 1 + int((i+int64(q*3))%4)
@@ -128,20 +129,19 @@ func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 				tok := drv.SubmitAsync(q, nvme.Command{
 					Opcode: nvme.OpWrite, LBA: lba, Blocks: blocks, PRP: int64(q) * 16 * bs,
 				})
-				window = append(window, tok)
-				if len(window) >= depth {
-					drv.Wait(p, window[0])
-					window = window[1:]
+				window.Push(tok)
+				if window.Len() >= depth {
+					oldest, _ := window.Pop()
+					drv.Wait(p, oldest)
 				}
 				if i%12 == 11 {
 					// Periodic think time long enough to drain the queue:
 					// the next few submissions see an idle device while the
 					// rest see full queueing, spreading the histogram over
 					// several buckets instead of one saturated mode.
-					for _, t := range window {
+					for t, ok := window.Pop(); ok; t, ok = window.Pop() {
 						drv.Wait(p, t)
 					}
-					window = window[:0]
 					p.Sleep(150 * time.Microsecond)
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 
+	"xssd/internal/fifo"
 	"xssd/internal/nand"
 	"xssd/internal/obs"
 	"xssd/internal/sched"
@@ -51,9 +52,9 @@ type writePoint struct {
 }
 
 type dieState struct {
-	free   []int         // erased blocks ready for allocation
-	points [3]writePoint // per sched.Source write points
-	sealed []int         // fully written blocks (GC victim candidates)
+	free   fifo.Queue[int] // erased blocks ready for allocation, oldest first
+	points [3]writePoint   // per sched.Source write points
+	sealed []int           // fully written blocks (GC victim candidates)
 }
 
 // FTL maps logical pages onto a nand.Array through a sched.Scheduler.
@@ -177,8 +178,9 @@ func New(env *sim.Env, arr *nand.Array, sch *sched.Scheduler, cfg Config) *FTL {
 		for c := range f.dies[d].points {
 			f.dies[d].points[c].active = -1
 		}
+		f.dies[d].free = fifo.Make[int](geo.BlocksPerDie)
 		for b := 0; b < geo.BlocksPerDie; b++ {
-			f.dies[d].free = append(f.dies[d].free, b)
+			f.dies[d].free.Push(b)
 		}
 	}
 	env.Go("ftl-gc", f.gcLoop)
@@ -246,13 +248,12 @@ func (f *FTL) allocateOn(die int, class sched.Source, minFree int) int64 {
 			d.sealed = append(d.sealed, wp.active)
 			wp.active = -1
 		}
-		if len(d.free) <= minFree {
+		if d.free.Len() <= minFree {
 			return -1
 		}
-		wp.active = d.free[0]
-		d.free = d.free[1:]
+		wp.active, _ = d.free.Pop()
 		wp.nextPage = 0
-		if len(d.free) <= f.cfg.GCThreshold {
+		if d.free.Len() <= f.cfg.GCThreshold {
 			f.gcKick.Broadcast()
 		}
 	}
@@ -386,7 +387,7 @@ func (f *FTL) gcLoop(p *sim.Proc) {
 		worked := false
 		for die := range f.dies {
 			d := &f.dies[die]
-			if len(d.free) > f.cfg.GCThreshold {
+			if d.free.Len() > f.cfg.GCThreshold {
 				continue
 			}
 			if f.collectOne(p, die) {
@@ -449,7 +450,7 @@ func (f *FTL) collectOne(p *sim.Proc, die int) bool {
 		return true
 	}
 	f.gcErases++
-	d.free = append(d.free, block)
+	d.free.Push(block)
 	f.spaceFreed.Broadcast()
 	return true
 }
@@ -484,7 +485,7 @@ func (f *FTL) Stats() Stats {
 func (f *FTL) FreeBlocks() int {
 	n := 0
 	for d := range f.dies {
-		n += len(f.dies[d].free)
+		n += f.dies[d].free.Len()
 	}
 	return n
 }

@@ -16,6 +16,7 @@ package hic
 import (
 	"time"
 
+	"xssd/internal/fifo"
 	"xssd/internal/ftl"
 	"xssd/internal/nvme"
 	"xssd/internal/pcie"
@@ -60,8 +61,7 @@ type Controller struct {
 	ftl   *ftl.FTL
 	admin AdminHandler
 
-	pending []fetched // fetched commands, taken by head index
-	pendPos int       // pending[:pendPos] already taken by a worker
+	pending fifo.Queue[fetched] // fetched commands, oldest first
 	work    *sim.Signal
 	rr      int // round-robin arbitration position
 
@@ -116,7 +116,7 @@ func (c *Controller) fetch(p *sim.Proc) {
 				if !ok {
 					continue
 				}
-				c.enqueue(fetched{cmd: cmd, q: qi})
+				c.pending.Push(fetched{cmd: cmd, q: qi})
 				moved, any = true, true
 				// The rotation resumes after the last queue served —
 				// NVMe round-robin, so back-to-back sweeps do not
@@ -134,32 +134,17 @@ func (c *Controller) fetch(p *sim.Proc) {
 	}
 }
 
-// enqueue appends a fetched command, reusing the backing array once the
-// workers have drained it (or sliding the waiting commands down when it is
-// full), as the NVMe queues do.
-//
-//xssd:hotpath
-func (c *Controller) enqueue(f fetched) {
-	if c.pendPos > 0 && (c.pendPos == len(c.pending) || len(c.pending) == cap(c.pending)) {
-		n := copy(c.pending, c.pending[c.pendPos:])
-		c.pending = c.pending[:n]
-		c.pendPos = 0
-	}
-	c.pending = append(c.pending, f)
-}
-
 // worker is one command-handling process: take the oldest fetched
 // command, execute it, post its completion on the queue it came from.
 //
 //xssd:hotpath
 func (c *Controller) worker(p *sim.Proc) {
 	for {
-		if c.pendPos == len(c.pending) {
+		f, ok := c.pending.Pop()
+		if !ok {
 			p.Wait(c.work)
 			continue
 		}
-		f := c.pending[c.pendPos]
-		c.pendPos++
 		c.qs.Pair(f.q).CQ.Post(c.execute(p, f.cmd))
 	}
 }

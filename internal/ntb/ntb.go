@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"xssd/internal/fault"
+	"xssd/internal/fifo"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/sim"
@@ -53,8 +54,7 @@ type Bridge struct {
 	// deliver func — no per-chunk closure, and payload buffers recycle
 	// through bufs.
 	//xssd:pool retain
-	pendq   []ntbDelivery
-	pendPos int
+	pendq   fifo.Queue[ntbDelivery]
 	deliver func()
 	//xssd:pool put
 	bufs [][]byte
@@ -93,15 +93,6 @@ func (b *Bridge) getBuf(n int) []byte {
 	return make([]byte, n, pcie.MaxPayload)
 }
 
-// pend queues a chunk for in-order delivery by the next completion.
-func (b *Bridge) pend(target pcie.Target, dst int64, buf []byte, done func()) {
-	if b.pendPos > 0 && b.pendPos == len(b.pendq) {
-		b.pendq = b.pendq[:0]
-		b.pendPos = 0
-	}
-	b.pendq = append(b.pendq, ntbDelivery{target: target, dst: dst, buf: buf, done: done})
-}
-
 // deliverNext lands the oldest pending chunk at its remote target
 // (scheduler context, link completion order) and recycles the buffer.
 // The target must copy: the buffer is reused for later chunks.
@@ -109,9 +100,7 @@ func (b *Bridge) pend(target pcie.Target, dst int64, buf []byte, done func()) {
 //xssd:hotpath
 //xssd:conduit NTB delivery is the wire itself: it lands bytes at the remote Env's MMIO target, which copies on arrival
 func (b *Bridge) deliverNext() {
-	d := b.pendq[b.pendPos]
-	b.pendq[b.pendPos] = ntbDelivery{}
-	b.pendPos++
+	d, _ := b.pendq.Pop()
 	d.target.MemWrite(d.dst, d.buf)
 	b.bufs = append(b.bufs, d.buf)
 	if d.done != nil {
@@ -292,7 +281,7 @@ func (w *Window) Write(off int64, data []byte, done func()) {
 			}
 			buf := b.getBuf(n)
 			copy(buf, data[:n])
-			b.pend(w.target, dst, buf, cb)
+			b.pendq.Push(ntbDelivery{target: w.target, dst: dst, buf: buf, done: cb})
 			b.link.Send(pcie.WireBytes(n), b.deliver)
 		}
 		data = data[n:]
@@ -312,6 +301,6 @@ func (w *Window) WriteRaw(off int64, data []byte, wireBytes int, done func()) {
 	}
 	buf := b.getBuf(len(data))
 	copy(buf, data)
-	b.pend(w.target, w.base+off, buf, done)
+	b.pendq.Push(ntbDelivery{target: w.target, dst: w.base + off, buf: buf, done: done})
 	b.link.Send(wireBytes, b.deliver)
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"xssd/internal/fifo"
 	"xssd/internal/obs"
 	"xssd/internal/sim"
 )
@@ -70,44 +71,12 @@ type Completion struct {
 	Seq    uint64 // per-queue sequence number, stamped by CompletionQueue.Post
 }
 
-// fifo is a queue consumed by head index, the shape of a real SQ or CQ
-// ring: popping is a pointer bump, the backing array is reused once
-// drained, and a push that finds it full with a consumed prefix slides the
-// live entries down instead of growing it.
-type fifo[T any] struct {
-	q   []T
-	pos int // q[:pos] already popped
-}
-
-//xssd:hotpath
-func (f *fifo[T]) push(v T) {
-	if f.pos > 0 && (f.pos == len(f.q) || len(f.q) == cap(f.q)) {
-		n := copy(f.q, f.q[f.pos:])
-		f.q = f.q[:n]
-		f.pos = 0
-	}
-	f.q = append(f.q, v)
-}
-
-//xssd:hotpath
-func (f *fifo[T]) pop() (T, bool) {
-	var v T
-	if f.pos == len(f.q) {
-		return v, false
-	}
-	v = f.q[f.pos]
-	f.pos++
-	return v, true
-}
-
-func (f *fifo[T]) len() int { return len(f.q) - f.pos }
-
 // SubmissionQueue is a host-side command ring with a doorbell. Every SQ
 // belongs to a QueueSet and also rings the set's shared armed line, which
 // is what the controller's fetcher sleeps on (one waiter across N queues
 // instead of N).
 type SubmissionQueue struct {
-	entries  fifo[Command]
+	entries  fifo.Queue[Command]
 	Doorbell *sim.Signal
 	armed    *sim.Signal // the owning QueueSet's aggregate line
 }
@@ -117,7 +86,7 @@ type SubmissionQueue struct {
 //
 //xssd:hotpath
 func (q *SubmissionQueue) Push(c Command) {
-	q.entries.push(c)
+	q.entries.Push(c)
 	q.Doorbell.Broadcast()
 	q.armed.Broadcast()
 }
@@ -125,10 +94,10 @@ func (q *SubmissionQueue) Push(c Command) {
 // Pop dequeues the oldest command; ok is false when empty.
 //
 //xssd:hotpath
-func (q *SubmissionQueue) Pop() (Command, bool) { return q.entries.pop() }
+func (q *SubmissionQueue) Pop() (Command, bool) { return q.entries.Pop() }
 
 // Len returns the number of queued commands.
-func (q *SubmissionQueue) Len() int { return q.entries.len() }
+func (q *SubmissionQueue) Len() int { return q.entries.Len() }
 
 // coalesceWait bounds how long a completion may wait for its coalesced
 // interrupt, so a final sub-batch never strands.
@@ -142,7 +111,7 @@ const coalesceWait = 8 * time.Microsecond
 // it is raised per completion.
 type CompletionQueue struct {
 	env       *sim.Env
-	entries   fifo[Completion]
+	entries   fifo.Queue[Completion]
 	Interrupt *sim.Signal
 	seq       uint64
 	coalesce  int    // completions per interrupt; <= 1 interrupts on each
@@ -174,7 +143,7 @@ func (q *CompletionQueue) SetCoalesce(ops int) { q.coalesce = ops }
 func (q *CompletionQueue) Post(c Completion) {
 	q.seq++
 	c.Seq = q.seq
-	q.entries.push(c)
+	q.entries.Push(c)
 	if q.coalesce <= 1 {
 		q.Interrupt.Broadcast()
 		return
@@ -199,10 +168,10 @@ func (q *CompletionQueue) fire() {
 // Pop dequeues the oldest completion; ok is false when empty.
 //
 //xssd:hotpath
-func (q *CompletionQueue) Pop() (Completion, bool) { return q.entries.pop() }
+func (q *CompletionQueue) Pop() (Completion, bool) { return q.entries.Pop() }
 
 // Len returns the number of pending completions.
-func (q *CompletionQueue) Len() int { return q.entries.len() }
+func (q *CompletionQueue) Len() int { return q.entries.Len() }
 
 // Seq returns the sequence number of the last posted completion.
 func (q *CompletionQueue) Seq() uint64 { return q.seq }

@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"reflect"
 	"testing"
 
 	"xssd/internal/sim"
@@ -69,7 +70,7 @@ func TestQueueReuseKeepsOrder(t *testing.T) {
 	var sqCap, cqCap int
 	for step := 0; step < 5000; step++ {
 		if step == 160 {
-			sqCap, cqCap = cap(sq.entries.q), cap(cq.entries.q)
+			sqCap, cqCap = backingCap(&sq.entries), backingCap(&cq.entries)
 		}
 		if step%16 < 8 {
 			pop()
@@ -78,8 +79,12 @@ func TestQueueReuseKeepsOrder(t *testing.T) {
 		}
 		check()
 	}
-	if cap(sq.entries.q) > sqCap || cap(cq.entries.q) > cqCap {
+	if backingCap(&sq.entries) > sqCap || backingCap(&cq.entries) > cqCap {
 		t.Fatalf("backing arrays grew %d -> %d (SQ), %d -> %d (CQ) at a depth they already held",
-			sqCap, cap(sq.entries.q), cqCap, cap(cq.entries.q))
+			sqCap, backingCap(&sq.entries), cqCap, backingCap(&cq.entries))
 	}
 }
+
+// backingCap reads the capacity of a fifo.Queue's backing array, which the
+// queue does not export.
+func backingCap(q any) int { return reflect.ValueOf(q).Elem().FieldByName("q").Cap() }

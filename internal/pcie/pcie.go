@@ -12,6 +12,7 @@ package pcie
 import (
 	"fmt"
 
+	"xssd/internal/fifo"
 	"xssd/internal/sim"
 )
 
@@ -73,11 +74,10 @@ type Target interface {
 	MemRead(off int64, dst []byte)
 }
 
-// delivery is one in-flight posted write: payload plus completion hook.
+// delivery is one in-flight posted write.
 type delivery struct {
-	off  int64
-	buf  []byte
-	done func()
+	off int64
+	buf []byte
 }
 
 // Region is a device memory window (BAR mapping) reachable from a host
@@ -93,8 +93,7 @@ type Region struct {
 	size   int64
 
 	//xssd:pool retain
-	pendq   []delivery
-	pendPos int    // pendq[:pendPos] already delivered
+	pendq   fifo.Queue[delivery]
 	deliver func() // method value, bound once
 	//xssd:pool put
 	bufs [][]byte // free payload buffers, cap MaxPayload each
@@ -124,30 +123,15 @@ func (r *Region) getBuf(n int) []byte {
 //xssd:pool put
 func (r *Region) putBuf(b []byte) { r.bufs = append(r.bufs, b) }
 
-// pend enqueues an in-flight posted write, reusing the queue's backing
-// array once the delivered prefix has been fully consumed.
-func (r *Region) pend(off int64, buf []byte, done func()) {
-	if r.pendPos > 0 && r.pendPos == len(r.pendq) {
-		r.pendq = r.pendq[:0]
-		r.pendPos = 0
-	}
-	r.pendq = append(r.pendq, delivery{off: off, buf: buf, done: done})
-}
-
 // deliverNext completes the oldest in-flight posted write: hand the
-// payload to the target, recycle the buffer, run the completion hook.
-// Runs in scheduler context on every arriving TLP.
+// payload to the target and recycle the buffer. Runs in scheduler context
+// on every arriving TLP.
 //
 //xssd:hotpath
 func (r *Region) deliverNext() {
-	d := r.pendq[r.pendPos]
-	r.pendq[r.pendPos] = delivery{}
-	r.pendPos++
+	d, _ := r.pendq.Pop()
 	r.target.MemWrite(d.off, d.buf)
 	r.putBuf(d.buf)
-	if d.done != nil {
-		d.done()
-	}
 }
 
 // post puts one posted-write TLP (payload ≤ MaxPayload) on the wire.
@@ -161,7 +145,7 @@ func (r *Region) post(off int64, data []byte) {
 	}
 	buf := r.getBuf(len(data))
 	copy(buf, data)
-	r.pend(off, buf, nil)
+	r.pendq.Push(delivery{off: off, buf: buf})
 	r.link.Send(WireBytes(len(buf)), r.deliver)
 }
 

@@ -9,6 +9,7 @@ package sched
 import (
 	"time"
 
+	"xssd/internal/fifo"
 	"xssd/internal/nand"
 	"xssd/internal/obs"
 	"xssd/internal/sim"
@@ -88,40 +89,6 @@ type Request struct {
 	enqueued time.Duration
 }
 
-// reqQueue is a FIFO with head-index consumption: popping the head is a
-// pointer bump, not a memmove, and the backing array is reused once
-// drained.
-type reqQueue struct {
-	q   []*Request
-	pos int // q[:pos] already dispatched
-}
-
-func (rq *reqQueue) push(r *Request) {
-	if rq.pos > 0 && rq.pos == len(rq.q) {
-		rq.q = rq.q[:0]
-		rq.pos = 0
-	}
-	rq.q = append(rq.q, r)
-}
-
-// items returns the waiting requests in FIFO order.
-func (rq *reqQueue) items() []*Request { return rq.q[rq.pos:] }
-
-// removeAt removes the i-th waiting request (an index into items()).
-func (rq *reqQueue) removeAt(i int) *Request {
-	idx := rq.pos + i
-	r := rq.q[idx]
-	if i == 0 {
-		rq.q[idx] = nil
-		rq.pos++
-	} else {
-		copy(rq.q[idx:], rq.q[idx+1:])
-		rq.q[len(rq.q)-1] = nil
-		rq.q = rq.q[:len(rq.q)-1]
-	}
-	return r
-}
-
 // Scheduler dispatches requests onto a nand.Array, one dispatcher process
 // per channel.
 type Scheduler struct {
@@ -129,7 +96,7 @@ type Scheduler struct {
 	array  *nand.Array
 	policy Policy
 
-	queues [][3]reqQueue // [channel][source class] FIFO
+	queues [][3]fifo.Queue[*Request] // [channel][source class]
 	signal *sim.Signal
 
 	// stats
@@ -162,7 +129,7 @@ func New(env *sim.Env, array *nand.Array, policy Policy) *Scheduler {
 		env:    env,
 		array:  array,
 		policy: policy,
-		queues: make([][3]reqQueue, array.Geometry().Channels),
+		queues: make([][3]fifo.Queue[*Request], array.Geometry().Channels),
 		signal: env.NewSignal(),
 	}
 	// Forward die-completion events into the scheduler's wake-up signal so
@@ -192,7 +159,7 @@ func (s *Scheduler) SetPolicy(p Policy) { s.policy = p }
 //xssd:hotpath
 func (s *Scheduler) Submit(r *Request) {
 	r.enqueued = s.env.Now()
-	s.queues[r.Addr.Channel][r.Source].push(r)
+	s.queues[r.Addr.Channel][r.Source].Push(r)
 	s.signal.Broadcast()
 }
 
@@ -222,7 +189,7 @@ func (s *Scheduler) pick(ch int) *Request {
 		bestClass, bestIdx := -1, -1
 		var bestAt time.Duration
 		for c := 0; c < 3; c++ {
-			for i, r := range q[c].items() {
+			for i, r := range q[c].Items() {
 				if s.array.DieBusy(r.Addr.Channel, r.Addr.Way) {
 					continue
 				}
@@ -235,14 +202,14 @@ func (s *Scheduler) pick(ch int) *Request {
 		if bestClass == -1 {
 			return nil
 		}
-		return q[bestClass].removeAt(bestIdx)
+		return q[bestClass].RemoveAt(bestIdx)
 	}
 	for _, class := range s.classOrder() {
-		for i, r := range q[class].items() {
+		for i, r := range q[class].Items() {
 			if s.array.DieBusy(r.Addr.Channel, r.Addr.Way) {
 				continue
 			}
-			return q[class].removeAt(i)
+			return q[class].RemoveAt(i)
 		}
 	}
 	return nil

@@ -257,9 +257,9 @@ func (e *Env) Settled() time.Duration {
 // nextEventAt returns the earliest pending event time of e, if any.
 func (e *Env) nextEventAt() (int64, bool) {
 	at := int64(math.MaxInt64)
-	ok := false
-	if e.nowqPos < len(e.nowq) {
-		at, ok = e.nowq[e.nowqPos].at, true
+	h, ok := e.nowq.Peek()
+	if ok {
+		at = h.at
 	}
 	if len(e.heap) > 0 && (!ok || e.heap[0].at < at) {
 		at, ok = e.heap[0].at, true
@@ -269,7 +269,7 @@ func (e *Env) nextEventAt() (int64, bool) {
 
 // hasEventBefore reports whether e has work due at or before t.
 func (e *Env) hasEventBefore(t int64) bool {
-	if e.nowqPos < len(e.nowq) {
+	if e.nowq.Len() > 0 {
 		return true
 	}
 	return len(e.heap) > 0 && e.heap[0].at <= t

@@ -17,6 +17,8 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"time"
+
+	"xssd/internal/fifo"
 )
 
 // Env is a simulation environment: a virtual clock plus an event queue.
@@ -25,7 +27,7 @@ import (
 //
 // The event queue is split in two. Events due strictly after the current
 // instant live in a typed binary min-heap ordered by (time, seq). Events
-// due now — Yield, After(0), Signal wake-ups — go to a plain FIFO slice
+// due now — Yield, After(0), Signal wake-ups — go to a fifo.Queue
 // instead, skipping the heap entirely; both containers reuse their backing
 // arrays, so steady-state scheduling does not allocate. Dispatching heap
 // events due at the current instant before FIFO events preserves the
@@ -39,8 +41,7 @@ type Env struct {
 	events  int64 // dispatched events, for throughput accounting
 	resumes int64 // those of them that resumed a process
 	heap    []event
-	nowq    []event // FIFO of events due at the current instant
-	nowqPos int     // nowq[:nowqPos] already dispatched
+	nowq    fifo.Queue[event] // events due at the current instant
 	rng     *rand.Rand
 	blocked int // processes waiting on a Signal (no pending event)
 	running bool
@@ -161,13 +162,8 @@ func (e *Env) schedule(at int64, p *Proc, fn func()) {
 	e.seq++
 	if at <= e.now {
 		// Due at the current instant: FIFO order is seq order, no heap
-		// traffic. Reuse the backing array once the dispatched prefix is
-		// fully consumed.
-		if e.nowqPos > 0 && e.nowqPos == len(e.nowq) {
-			e.nowq = e.nowq[:0]
-			e.nowqPos = 0
-		}
-		e.nowq = append(e.nowq, event{at: e.now, seq: e.seq, proc: p, fn: fn})
+		// traffic.
+		e.nowq.Push(event{at: e.now, seq: e.seq, proc: p, fn: fn})
 		return
 	}
 	e.heapPush(event{at: at, seq: e.seq, proc: p, fn: fn})
@@ -333,8 +329,7 @@ func (e *Env) Close() {
 	e.carriers = nil
 	e.idle = nil
 	e.heap = nil
-	e.nowq = nil
-	e.nowqPos = 0
+	e.nowq = fifo.Queue[event]{}
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -461,13 +456,11 @@ func (e *Env) run(until int64) int {
 				goto out
 			}
 			ev = e.heapPop()
-		case e.nowqPos < len(e.nowq):
-			if until >= 0 && e.nowq[e.nowqPos].at > until {
+		case e.nowq.Len() > 0:
+			if h, _ := e.nowq.Peek(); until >= 0 && h.at > until {
 				goto out
 			}
-			ev = e.nowq[e.nowqPos]
-			e.nowq[e.nowqPos] = event{} // drop fn/proc references
-			e.nowqPos++
+			ev, _ = e.nowq.Pop()
 		case len(e.heap) > 0:
 			if until >= 0 && e.heap[0].at > until {
 				goto out

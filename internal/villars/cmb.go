@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"xssd/internal/fault"
+	"xssd/internal/fifo"
 	"xssd/internal/obs"
 	"xssd/internal/pm"
 	"xssd/internal/ring"
@@ -23,8 +24,7 @@ type cmbModule struct {
 	ring *ring.Ring
 
 	//xssd:pool retain
-	queue     []cmbChunk
-	queuePos  int // queue[:queuePos] already drained
+	queue     fifo.Queue[cmbChunk]
 	queueUsed int
 	draining  bool   // a drainStep is scheduled
 	drainNext func() // drainStep, bound once
@@ -34,8 +34,7 @@ type cmbModule struct {
 	// closure. chunkBufs recycles payload buffers between intake and
 	// persist.
 	//xssd:pool retain
-	persistq    []cmbChunk
-	persistPos  int
+	persistq    fifo.Queue[cmbChunk]
 	persistNext func()
 	//xssd:pool put
 	chunkBufs [][]byte
@@ -120,11 +119,7 @@ func (m *cmbModule) MemWrite(off int64, data []byte) {
 	}
 	buf := m.getChunkBuf(len(data))
 	copy(buf, data)
-	if m.queuePos > 0 && m.queuePos == len(m.queue) {
-		m.queue = m.queue[:0]
-		m.queuePos = 0
-	}
-	m.queue = append(m.queue, cmbChunk{off: off, data: buf, at: m.dev.env.Now()})
+	m.queue.Push(cmbChunk{off: off, data: buf, at: m.dev.env.Now()})
 	m.queueUsed += len(buf)
 	m.mBytesIn.Add(int64(len(buf)))
 	m.dev.tracer.Record(obs.CMBWrite, m.fs.name, off, int64(len(buf)))
@@ -165,7 +160,8 @@ func (m *cmbModule) kickDrain() {
 //
 //xssd:hotpath
 func (m *cmbModule) drainStep() {
-	if m.queuePos == len(m.queue) {
+	c, ok := m.queue.Pop()
+	if !ok {
 		m.draining = false
 		if m.dev.powerLost {
 			// Crash protocol: the queue is empty; nothing more will
@@ -174,14 +170,7 @@ func (m *cmbModule) drainStep() {
 		}
 		return
 	}
-	c := m.queue[m.queuePos]
-	m.queue[m.queuePos] = cmbChunk{}
-	m.queuePos++
-	if m.persistPos > 0 && m.persistPos == len(m.persistq) {
-		m.persistq = m.persistq[:0]
-		m.persistPos = 0
-	}
-	m.persistq = append(m.persistq, c)
+	m.persistq.Push(c)
 	m.bank.WriteAsync(len(c.data), m.persistNext)
 	m.dev.env.After(m.bank.SerializationTime(len(c.data)), m.drainNext)
 }
@@ -205,9 +194,7 @@ func (m *cmbModule) getChunkBuf(n int) []byte {
 //
 //xssd:hotpath
 func (m *cmbModule) persistOldest() {
-	c := m.persistq[m.persistPos]
-	m.persistq[m.persistPos] = cmbChunk{}
-	m.persistPos++
+	c, _ := m.persistq.Pop()
 	before := m.ring.Frontier()
 	err := m.ring.Write(c.off, c.data)
 	m.queueUsed -= len(c.data)

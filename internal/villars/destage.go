@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xssd/internal/fault"
+	"xssd/internal/fifo"
 	"xssd/internal/obs"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
@@ -55,18 +56,16 @@ type destageModule struct {
 	// pipeline state
 	carved int64 // stream offset carved into in-flight pages
 
-	// The latency bound's clock: a circular FIFO in which entry k is the
-	// instant destageFloor() first passed carved + k*maxPayload(). Its head
-	// is when the oldest uncarved byte became eligible; a full-page carve
-	// pops it and the next entry — when the floor crossed that page's end —
-	// takes over, so the remainder keeps its own age. floor - carved never
-	// exceeds the PM ring, which bounds the entries at ring/page + 1.
-	since    []time.Duration
-	sincePos int
-	sinceLen int
+	// The latency bound's clock: a FIFO in which entry k is the instant
+	// destageFloor() first passed carved + k*maxPayload(). Its head is when
+	// the oldest uncarved byte became eligible; a full-page carve pops it
+	// and the next entry — when the floor crossed that page's end — takes
+	// over, so the remainder keeps its own age. floor - carved never
+	// exceeds the PM ring, which bounds the entries at ring/page + 1: the
+	// queue is made that size, so it never grows.
+	since fifo.Queue[time.Duration]
 	//xssd:pool retain
-	inflight    []*destagePage
-	inflightPos int // inflight[:inflightPos] already retired
+	inflight fifo.Queue[*destagePage]
 
 	// recycled buffers: flash-page payloads and pipeline entries. A page
 	// buffer is free once its program completed (nand copies the payload
@@ -117,7 +116,7 @@ func newDestageModule(d *Device, fs *fastSide, baseLBA, lbaCount int64) *destage
 		Advanced: d.env.NewSignal(),
 		procName: "destage-page-" + fs.name,
 	}
-	m.since = make([]time.Duration, fs.cmbSize/int64(m.maxPayload())+1)
+	m.since = fifo.Make[time.Duration](int(fs.cmbSize/int64(m.maxPayload())) + 1)
 	m.kickFn = m.kick.Broadcast
 	sc := obs.For(d.env).Scope(fs.name + "/destage")
 	m.mPages = sc.Counter("pages")
@@ -132,7 +131,7 @@ func newDestageModule(d *Device, fs *fastSide, baseLBA, lbaCount int64) *destage
 	// the NAND bill.
 	sc.GaugeFunc("payload_bytes", func() int64 { return m.carved })
 	sc.GaugeFunc("stream", func() int64 { return m.destagedStream })
-	sc.GaugeFunc("inflight", func() int64 { return int64(len(m.inflight) - m.inflightPos) })
+	sc.GaugeFunc("inflight", func() int64 { return int64(m.inflight.Len()) })
 	sc.GaugeFunc("tail_lba", func() int64 { return m.tail })
 	d.env.Go("destage-"+fs.name, m.loop)
 	return m
@@ -178,7 +177,7 @@ func (m *destageModule) loop(p *sim.Proc) {
 //
 //xssd:hotpath
 func (m *destageModule) carvable() int64 {
-	if len(m.inflight)-m.inflightPos >= m.maxInflight() {
+	if m.inflight.Len() >= m.maxInflight() {
 		return 0
 	}
 	eligible := m.fs.cmb.destageFloor() - m.carved
@@ -203,7 +202,10 @@ func (m *destageModule) carvable() int64 {
 // destage-eligible. Only meaningful while destageFloor() > carved.
 //
 //xssd:hotpath
-func (m *destageModule) eligibleSince() time.Duration { return m.since[m.sincePos] }
+func (m *destageModule) eligibleSince() time.Duration {
+	t, _ := m.since.Peek()
+	return t
+}
 
 // floorMoved stamps this instant on every page boundary past the carve
 // point that destageFloor() has crossed since the last call — the carve
@@ -213,9 +215,8 @@ func (m *destageModule) eligibleSince() time.Duration { return m.since[m.sincePo
 //xssd:hotpath
 func (m *destageModule) floorMoved() {
 	floor, max := m.fs.cmb.destageFloor(), int64(m.maxPayload())
-	for next := m.carved + int64(m.sinceLen)*max; next < floor; next += max {
-		m.since[(m.sincePos+m.sinceLen)%len(m.since)] = m.dev.env.Now()
-		m.sinceLen++
+	for next := m.carved + int64(m.since.Len())*max; next < floor; next += max {
+		m.since.Push(m.dev.env.Now())
 	}
 }
 
@@ -227,10 +228,9 @@ func (m *destageModule) floorMoved() {
 func (m *destageModule) carveTo(n int64) {
 	m.carved += n
 	if n == int64(m.maxPayload()) {
-		m.sincePos = (m.sincePos + 1) % len(m.since)
-		m.sinceLen--
+		m.since.Pop()
 	} else {
-		m.sinceLen = 0
+		m.since.Clear()
 	}
 }
 
@@ -254,8 +254,7 @@ func (m *destageModule) frontierMoved() {
 	if !m.kick.Waiting() {
 		return
 	}
-	headDone := m.inflightPos < len(m.inflight) && m.inflight[m.inflightPos].done
-	if headDone || m.carvable() > 0 {
+	if h, ok := m.inflight.Peek(); ok && h.done || m.carvable() > 0 {
 		m.kick.Broadcast()
 	}
 }
@@ -295,11 +294,7 @@ func (m *destageModule) carveOne(p *sim.Proc, n int64) {
 	entry := m.getEntry()
 	entry.n = n
 	entry.carvedAt = m.dev.env.Now()
-	if m.inflightPos > 0 && m.inflightPos == len(m.inflight) {
-		m.inflight = m.inflight[:0]
-		m.inflightPos = 0
-	}
-	m.inflight = append(m.inflight, entry)
+	m.inflight.Push(entry)
 	lba := m.baseLBA + m.tail%m.lbaCount
 	m.tail++
 	//xssd:ignore hotpathalloc the per-page worker closure is the pipeline's unit of work
@@ -357,10 +352,8 @@ func (m *destageModule) getEntry() *destagePage {
 //
 //xssd:hotpath
 func (m *destageModule) retire(cmb *cmbModule) {
-	for m.inflightPos < len(m.inflight) && m.inflight[m.inflightPos].done {
-		e := m.inflight[m.inflightPos]
-		m.inflight[m.inflightPos] = nil
-		m.inflightPos++
+	for e, ok := m.inflight.Peek(); ok && e.done; e, ok = m.inflight.Peek() {
+		m.inflight.Pop()
 		if e.err != nil {
 			// The page proc already retried with backoff; a persistent
 			// failure surfacing here is fatal for this page. Drop it but

@@ -467,7 +467,7 @@ func (d *Device) statusRegister() int64 {
 // Only then does the ring's frontier reflect every byte the device has
 // accepted — the precondition for TruncateToCredit.
 func (d *Device) FastSideIdle() bool {
-	return d.fs.cmb.queueUsed == 0 && d.fs.cmb.persistPos == len(d.fs.cmb.persistq)
+	return d.fs.cmb.queueUsed == 0 && d.fs.cmb.persistq.Len() == 0
 }
 
 // TruncateToCredit drops every fast-side byte beyond the contiguous

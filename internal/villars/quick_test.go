@@ -210,7 +210,7 @@ func runTrickle(t *testing.T, seed int64) trickleRun {
 	env.Go("pipeline-watch", func(p *sim.Proc) {
 		for {
 			off := cmb.ring.Head()
-			for _, e := range dst.inflight[dst.inflightPos:] {
+			for _, e := range dst.inflight.Items() {
 				if _, seen := carvedAt[off]; !seen {
 					carvedAt[off] = e.carvedAt
 				}

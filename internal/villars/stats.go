@@ -190,7 +190,7 @@ func (t *transportModule) stats() TransportStats {
 			ID:      pl.id,
 			Shadow:  pl.shadow,
 			Lag:     local - pl.shadow,
-			Unacked: len(pl.unacked),
+			Unacked: pl.unacked.Len(),
 		})
 	}
 	return s

@@ -6,6 +6,7 @@ import (
 
 	"xssd/internal/core"
 	"xssd/internal/fault"
+	"xssd/internal/fifo"
 	"xssd/internal/ntb"
 	"xssd/internal/obs"
 	"xssd/internal/sim"
@@ -65,8 +66,7 @@ type peerLink struct {
 	shadow   int64       // last reported secondary credit counter
 	lastSeen time.Duration
 	//xssd:pool retain
-	unacked    []mirrorChunk // sent but not yet covered by the shadow counter
-	unackedPos int           // unacked[:unackedPos] already covered
+	unacked fifo.Queue[mirrorChunk] // sent but not yet covered by the shadow counter
 	//xssd:pool put
 	bufFree [][]byte // recycled chunk payloads
 }
@@ -74,7 +74,7 @@ type peerLink struct {
 // pending returns the not-yet-covered retransmission window.
 //
 //xssd:pool alias
-func (pl *peerLink) pending() []mirrorChunk { return pl.unacked[pl.unackedPos:] }
+func (pl *peerLink) pending() []mirrorChunk { return pl.unacked.Items() }
 
 // getBuf returns a pooled chunk buffer of length n.
 //
@@ -239,11 +239,7 @@ func (t *transportModule) mirror(off int64, data []byte) {
 	for _, pl := range t.peers {
 		buf := pl.getBuf(len(data))
 		copy(buf, data)
-		if pl.unackedPos > 0 && pl.unackedPos == len(pl.unacked) {
-			pl.unacked = pl.unacked[:0]
-			pl.unackedPos = 0
-		}
-		pl.unacked = append(pl.unacked, mirrorChunk{off: off, data: buf, sentAt: now})
+		pl.unacked.Push(mirrorChunk{off: off, data: buf, sentAt: now})
 		switch d := fault.CheckEnv(t.dev.env, fault.TransportMirror, t.dev.cfg.Name, 1); d.Act {
 		case fault.ActionDrop, fault.ActionFail:
 			// Lost on the fabric; the repair process will resend.
@@ -285,14 +281,9 @@ func (c counterPort) MemWrite(off int64, data []byte) {
 		pl.shadow = v
 		// Everything below the reported frontier is persisted remotely;
 		// drop it from the retransmission buffer and recycle its payload.
-		for pl.unackedPos < len(pl.unacked) {
-			c := &pl.unacked[pl.unackedPos]
-			if c.off+int64(len(c.data)) > v {
-				break
-			}
+		for c, ok := pl.unacked.Peek(); ok && c.off+int64(len(c.data)) <= v; c, ok = pl.unacked.Peek() {
+			pl.unacked.Pop()
 			pl.bufFree = append(pl.bufFree, c.data)
-			*c = mirrorChunk{}
-			pl.unackedPos++
 		}
 		c.t.counterUpdateObserved(pl)
 		c.t.dev.tracer.Record(obs.ShadowUpdate, c.t.dev.cfg.Name, int64(id), v)
@@ -476,7 +467,7 @@ func (t *transportModule) Backfill(p *sim.Proc, sec *Device, off int64, data []b
 		}
 		buf := pl.getBuf(n)
 		copy(buf, data[:n])
-		pl.unacked = append(pl.unacked, mirrorChunk{off: off, data: buf, sentAt: p.Now()})
+		pl.unacked.Push(mirrorChunk{off: off, data: buf, sentAt: p.Now()})
 		pl.window.Write(off, buf, nil)
 		t.mMirroredBytes.Add(int64(n))
 		off += int64(n)

@@ -2,6 +2,7 @@ package villars
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -637,3 +638,39 @@ func TestCarveReadFailureBacksOff(t *testing.T) {
 		t.Fatalf("%d pages written from a ring that no longer holds the bytes", total)
 	}
 }
+
+// TestDestagePipelineStaysBounded streams into the CMB fast enough that
+// the destage pipeline wraps many times without draining, and checks that
+// the in-flight queue's backing array stays within twice the pipeline's
+// depth: a queue reused only once drained would grow with every page
+// carved while another was still in flight.
+func TestDestagePipelineStaysBounded(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	d := newDevice(env, "a")
+	const chunk = 512
+	env.Go("host", func(p *sim.Proc) {
+		for off := int64(0); ; off += chunk {
+			for d.CMB().Ring().Free() < 2*chunk {
+				p.Sleep(time.Microsecond)
+			}
+			d.CMB().MemWrite(off, make([]byte, chunk))
+			p.Sleep(1500 * time.Nanosecond)
+		}
+	})
+	m := d.Destage()
+	limit := 2 * m.maxInflight()
+	for step := 0; step < 200; step++ {
+		env.RunUntil(env.Now() + 100*time.Microsecond)
+		if c := backingCap(&m.inflight); c > limit {
+			t.Fatalf("after %d pages the in-flight queue holds %d slots, want at most %d", d.Stats().Destage.Pages, c, limit)
+		}
+	}
+	if pages := d.Stats().Destage.Pages; pages < int64(50*m.maxInflight()) {
+		t.Fatalf("only %d pages destaged: the pipeline did not wrap often enough to test its bound", pages)
+	}
+}
+
+// backingCap reads the capacity of a fifo.Queue's backing array, which the
+// queue does not export.
+func backingCap(q any) int { return reflect.ValueOf(q).Elem().FieldByName("q").Cap() }

@@ -3,6 +3,7 @@ package wal
 import (
 	"time"
 
+	"xssd/internal/fifo"
 	"xssd/internal/obs"
 	"xssd/internal/sim"
 )
@@ -21,7 +22,7 @@ import (
 type Pipeline struct {
 	log     *Log
 	depth   int
-	toks    []pipeEntry
+	toks    fifo.Queue[pipeEntry]
 	retired int64
 	mLat    *obs.Histogram // submit→durable, ns
 	mDepth  *obs.Gauge
@@ -60,12 +61,13 @@ func (pl *Pipeline) Submit(p *sim.Proc, lsn int64) {
 	if lsn <= 0 {
 		return
 	}
-	if len(pl.toks) >= pl.depth {
-		pl.log.WaitDurable(p, pl.toks[0].lsn)
+	if pl.toks.Len() >= pl.depth {
+		oldest, _ := pl.toks.Peek()
+		pl.log.WaitDurable(p, oldest.lsn)
 		pl.retire()
 	}
-	pl.toks = append(pl.toks, pipeEntry{lsn: lsn, at: p.Now()})
-	pl.mDepth.Set(int64(len(pl.toks)))
+	pl.toks.Push(pipeEntry{lsn: lsn, at: p.Now()})
+	pl.mDepth.Set(int64(pl.toks.Len()))
 }
 
 // retire pops every token the WAL's durable frontier already covers.
@@ -73,19 +75,18 @@ func (pl *Pipeline) Submit(p *sim.Proc, lsn int64) {
 //xssd:hotpath
 func (pl *Pipeline) retire() {
 	durable := pl.log.DurableLSN()
-	for len(pl.toks) > 0 && pl.toks[0].lsn <= durable {
-		e := pl.toks[0]
-		pl.toks = pl.toks[1:]
+	for e, ok := pl.toks.Peek(); ok && e.lsn <= durable; e, ok = pl.toks.Peek() {
+		pl.toks.Pop()
 		pl.retired++
 		if pl.mLat != nil {
 			pl.mLat.ObserveDuration(pl.log.env.Now() - e.at)
 		}
 	}
-	pl.mDepth.Set(int64(len(pl.toks)))
+	pl.mDepth.Set(int64(pl.toks.Len()))
 }
 
 // Inflight returns the number of submitted-but-not-yet-durable tokens.
-func (pl *Pipeline) Inflight() int { return len(pl.toks) }
+func (pl *Pipeline) Inflight() int { return pl.toks.Len() }
 
 // Retired returns how many tokens have become durable.
 func (pl *Pipeline) Retired() int64 { return pl.retired }

@@ -38,8 +38,10 @@ private copy — the timer can fire after the pool reclaims the buffer;
 (pcie.Target.MemWrite, wal.Sink.Write, ntb window writes) are tracked
 like pooled values for rules 2 and 3. A fifo.Queue field is storage like
 a slice: Push stores into it, and Pop, Peek and Items read an alias out
-of it. The analysis is per-function and textual in statement order; loop
-back edges are not modeled.`,
+of it. A pool.Free is a free list: Get hands out a pooled value, and Put
+stores its argument into the list's field and ends the argument's lease.
+The analysis is per-function and textual in statement order; loop back
+edges are not modeled.`,
 	Run: run,
 }
 
@@ -228,13 +230,13 @@ func isPtrTo(t types.Type, pkg, name string) bool {
 	return path == pkg || strings.HasSuffix(path, "/"+pkg)
 }
 
-// queueMethod returns fn's name when fn is a method of fifo.Queue, and ""
-// otherwise.
-func queueMethod(fn *types.Func) string {
+// methodOf returns fn's name when fn is a method of the generic type
+// pkg.name (fifo.Queue, pool.Free), and "" otherwise.
+func methodOf(fn *types.Func, pkg, name string) string {
 	if fn == nil {
 		return ""
 	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isPtrTo(recv.Type(), "fifo", "Queue") {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isPtrTo(recv.Type(), pkg, name) {
 		return fn.Name()
 	}
 	return ""
@@ -387,21 +389,6 @@ func (s *state) assign(n *ast.AssignStmt) {
 func (s *state) assignOne(target, rhs ast.Expr, define bool) {
 	newTaint := s.taintFromRHS(rhs)
 
-	// A put via append-to-free-list: x.putField = append(x.putField, V...)
-	if call, ok := analysis.Unparen(rhs).(*ast.CallExpr); ok && s.isAppend(call) && len(call.Args) > 0 {
-		if fieldObj := s.fieldOf(call.Args[0]); fieldObj != nil && s.an.putFields[fieldObj] {
-			for _, arg := range call.Args[1:] {
-				if id, ok := analysis.Unparen(arg).(*ast.Ident); ok {
-					if ti := s.taintOf(id); ti != nil && ti.class != borrowed {
-						s.putPos[s.pass.TypesInfo.Uses[id]] = call.End()
-					}
-				}
-			}
-			s.expr(rhs)
-			return
-		}
-	}
-
 	// Retention check on the target.
 	s.checkRetention(target, rhs)
 
@@ -441,14 +428,14 @@ func (s *state) taintFromRHS(rhs ast.Expr) *taintInfo {
 			return nil
 		}
 		if fn := analysis.Callee(s.pass.TypesInfo, e); fn != nil {
-			if s.an.getFuncs[fn] {
+			if s.an.getFuncs[fn] || methodOf(fn, "pool", "Free") == "Get" {
 				return &taintInfo{class: owned, defPos: rhs.Pos()}
 			}
 			if s.an.aliasFuncs[fn] {
 				return &taintInfo{class: aliased, defPos: rhs.Pos()}
 			}
 			// Reading a pooled queue field, like indexing a pooled slice.
-			if m := queueMethod(fn); m == "Pop" || m == "Peek" || m == "Items" {
+			if m := methodOf(fn, "fifo", "Queue"); m == "Pop" || m == "Peek" || m == "Items" {
 				if sel, ok := analysis.Unparen(e.Fun).(*ast.SelectorExpr); ok && s.pooledField(sel.X) {
 					return &taintInfo{class: aliased, defPos: rhs.Pos()}
 				}
@@ -701,11 +688,16 @@ func (s *state) call(call *ast.CallExpr) {
 		}
 	}
 
-	// Put functions: their tainted arguments die here.
-	if fn != nil && s.an.putFuncs[fn] {
+	// A put function or a free list's Put ends its arguments' leases,
+	// whatever their history.
+	put := methodOf(fn, "pool", "Free") == "Put"
+	if put || s.an.putFuncs[fn] {
 		for _, arg := range call.Args {
 			if id, ok := analysis.Unparen(arg).(*ast.Ident); ok {
-				if obj := s.pass.TypesInfo.Uses[id]; obj != nil && s.taint[obj] != nil {
+				if obj := s.pass.TypesInfo.Uses[id]; obj != nil {
+					if s.taint[obj] == nil {
+						s.taint[obj] = &taintInfo{class: owned, defPos: id.Pos()}
+					}
 					s.putPos[obj] = call.End()
 				}
 			}
@@ -713,8 +705,9 @@ func (s *state) call(call *ast.CallExpr) {
 	}
 
 	sel, isSel := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
-	// Rule 2 through a queue: x.f.Push(v) stores v into field f.
-	if isSel && queueMethod(fn) == "Push" {
+	// Rule 2 through a queue or a free list: x.f.Push(v) and x.f.Put(v)
+	// store v into field f.
+	if isSel && (put || methodOf(fn, "fifo", "Queue") == "Push") {
 		for _, arg := range call.Args {
 			s.checkRetention(sel.X, arg)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xssd/internal/fifo"
+	"xssd/internal/pool"
 	"xssd/internal/sim"
 )
 
@@ -17,13 +18,14 @@ type module struct {
 	//xssd:pool retain
 	pending [][]byte
 	//xssd:pool put
-	free [][]byte
+	free pool.Free[[]byte]
 
 	//xssd:pool retain
 	inflight fifo.Queue[[]byte]
 
 	stash   [][]byte // not an annotated retention point
 	backlog fifo.Queue[[]byte]
+	spares  pool.Free[[]byte]
 	byName  map[string][]byte
 }
 
@@ -31,18 +33,16 @@ type module struct {
 //
 //xssd:pool get
 func (m *module) getBuf(n int) []byte {
-	if len(m.free) == 0 {
-		return make([]byte, n)
+	if b := m.free.Get(); cap(b) >= n {
+		return b[:n]
 	}
-	b := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	return b[:n]
+	return make([]byte, n)
 }
 
 // putBuf recycles a pooled buffer.
 //
 //xssd:pool put
-func (m *module) putBuf(b []byte) { m.free = append(m.free, b) }
+func (m *module) putBuf(b []byte) { m.free.Put(b) }
 
 // oldest returns a view into pooled storage without transferring
 // ownership.
@@ -58,10 +58,33 @@ func (m *module) useAfterPut() byte {
 	return b[0] // want "pooled buffer b used after it was returned to the pool"
 }
 
+// A free list's Put ends the lease like a put function does, and so does
+// putting back a buffer the function did not take from the list.
+func (m *module) useAfterFreePut(out []byte) byte {
+	b := m.free.Get()
+	m.free.Put(b)
+	m.free.Put(out)
+	copy(out, "x") // want "pooled buffer out used after it was returned to the pool"
+	return b[0]    // want "pooled buffer b used after it was returned to the pool"
+}
+
 // Rule 2: only annotated fields may keep a pooled buffer.
 func (m *module) retainInPlainField() {
 	b := m.getBuf(8)
 	m.stash = append(m.stash, b) // want "pooled buffer b retained in field stash"
+}
+
+// What a free list's Get hands out is pooled.
+func (m *module) retainFreeGetInPlainField() {
+	b := m.free.Get()
+	m.stash = append(m.stash, b) // want "pooled buffer b retained in field stash"
+}
+
+// A Put stores into the list's field: a list not marked put is a plain
+// retention point.
+func (m *module) putIntoPlainFree() {
+	b := m.getBuf(8)
+	m.spares.Put(b) // want "pooled buffer b retained in field spares"
 }
 
 // A push stores into the queue's field like an append does.
@@ -119,6 +142,13 @@ func (m *module) MemWrite(off int64, data []byte) {
 // field; no report.
 func (m *module) retainAnnotated() {
 	b := m.getBuf(8)
+	m.pending = append(m.pending, b)
+}
+
+// retainFreeGetAnnotated parks a buffer from a free list in the
+// sanctioned retention field; no report.
+func (m *module) retainFreeGetAnnotated() {
+	b := m.free.Get()
 	m.pending = append(m.pending, b)
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"xssd/internal/btree"
 	"xssd/internal/obs"
+	"xssd/internal/pool"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
 )
@@ -71,7 +72,8 @@ type Engine struct {
 	// but with their capacity, for BeginIn to hand out again (DESIGN §9): a
 	// transaction's cost is then the rows it writes, not three containers
 	// grown from empty.
-	spare []txSets
+	//xssd:pool put
+	spare pool.Free[txSets]
 
 	commits, aborts int64
 }
@@ -297,11 +299,8 @@ func (e *Engine) BeginP(p *sim.Proc) *Tx { return e.BeginIn(new(Tx), p) }
 // transaction.
 func (e *Engine) BeginIn(t *Tx, p *sim.Proc) *Tx {
 	e.nextTx++
-	*t = Tx{eng: e, id: e.nextTx, p: p}
-	if n := len(e.spare); n > 0 {
-		t.txSets, e.spare[n-1] = e.spare[n-1], txSets{}
-		e.spare = e.spare[:n-1]
-	} else {
+	*t = Tx{eng: e, id: e.nextTx, p: p, txSets: e.spare.Get()}
+	if t.wIndex == nil { // no spare: a fresh set
 		t.wIndex = map[hkey]int{}
 	}
 	return t
@@ -315,7 +314,7 @@ func (t *Tx) release() {
 	clear(t.reads)
 	clear(t.writes)
 	clear(t.wIndex)
-	t.eng.spare = append(t.eng.spare, txSets{t.reads[:0], t.writes[:0], t.wIndex, t.keys[:0]})
+	t.eng.spare.Put(txSets{t.reads[:0], t.writes[:0], t.wIndex, t.keys[:0]})
 	t.txSets = txSets{}
 }
 

@@ -113,13 +113,15 @@ func TestOpFreeListIsBounded(t *testing.T) {
 		})
 	}
 	env.Run()
-	if len(f.ops) != maxFreeOps {
-		t.Fatalf("free list holds %d records after %d concurrent writes, want %d", len(f.ops), 3*maxFreeOps, maxFreeOps)
-	}
-	for _, o := range f.ops {
+	n := 0
+	for o := f.ops.Get(); o != nil; o = f.ops.Get() {
 		if o.req.Data != nil || o.data != nil || o.done {
 			t.Fatal("a free record still holds a page or a result")
 		}
+		n++
+	}
+	if n != maxFreeOps {
+		t.Fatalf("free list holds %d records after %d concurrent writes, want %d", n, 3*maxFreeOps, maxFreeOps)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"xssd/internal/fault"
 	"xssd/internal/obs"
+	"xssd/internal/pool"
 	"xssd/internal/sim"
 )
 
@@ -122,9 +123,9 @@ type Array struct {
 	//xssd:pool retain
 	data [][]byte
 	//xssd:pool put
-	freePages [][]byte
+	freePages pool.Free[[]byte]
 	//xssd:pool put
-	ops []*dieOp // recycled operation records
+	ops pool.Free[*dieOp] // recycled operation records
 
 	// Freed broadcasts whenever a die finishes an operation; dispatchers
 	// wait on it.
@@ -193,12 +194,10 @@ func (a *Array) pageIndex(p PageAddr) int {
 //
 //xssd:pool get
 func (a *Array) getPageBuf() []byte {
-	if len(a.freePages) == 0 {
-		return make([]byte, a.geo.PageSize)
+	if b := a.freePages.Get(); b != nil {
+		return b
 	}
-	b := a.freePages[len(a.freePages)-1]
-	a.freePages = a.freePages[:len(a.freePages)-1]
-	return b
+	return make([]byte, a.geo.PageSize)
 }
 
 func (a *Array) checkAddr(p PageAddr) error {
@@ -246,26 +245,14 @@ type dieOp struct {
 //
 //xssd:pool get
 func (a *Array) getOp(kind opKind, done func([]byte, error)) *dieOp {
-	var o *dieOp
-	if n := len(a.ops); n > 0 {
-		o = a.ops[n-1]
-		a.ops[n-1] = nil
-		a.ops = a.ops[:n-1]
-	} else {
+	o := a.ops.Get()
+	if o == nil {
 		o = &dieOp{a: a}
 		o.fire = o.dieDone
 		o.land = o.landed
 	}
 	o.kind, o.done, o.start = kind, done, a.env.Now()
 	return o
-}
-
-// putOp recycles a record whose completion has been delivered.
-//
-//xssd:pool put
-func (a *Array) putOp(o *dieOp) {
-	o.buf, o.out, o.done = nil, nil, nil
-	a.ops = append(a.ops, o)
 }
 
 //xssd:hotpath
@@ -300,7 +287,7 @@ func (o *dieOp) dieDone() {
 		base := a.blockIndex(o.block) * a.geo.PagesPerBlock
 		for page := 0; page < a.geo.PagesPerBlock; page++ {
 			if buf := a.data[base+page]; buf != nil {
-				a.freePages = append(a.freePages, buf)
+				a.freePages.Put(buf)
 				a.data[base+page] = nil
 			}
 		}
@@ -322,12 +309,14 @@ func (o *dieOp) landed() {
 	o.a.finish(o, o.out)
 }
 
-// finish recycles o, then delivers its completion.
+// finish recycles o, dropping its pages and callback, then delivers its
+// completion.
 //
 //xssd:hotpath
 func (a *Array) finish(o *dieOp, data []byte) {
 	done := o.done
-	a.putOp(o)
+	o.buf, o.out, o.done = nil, nil, nil
+	a.ops.Put(o)
 	done(data, nil)
 }
 

@@ -21,6 +21,7 @@ import (
 	"xssd/internal/fifo"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
+	"xssd/internal/pool"
 	"xssd/internal/sim"
 )
 
@@ -57,7 +58,7 @@ type Bridge struct {
 	pendq   fifo.Queue[ntbDelivery]
 	deliver func()
 	//xssd:pool put
-	bufs [][]byte
+	bufs pool.Free[[]byte] // cap pcie.MaxPayload each
 
 	// slots holds every chunk slot this bridge has made for cross-member
 	// deliveries, as a ring in arrival order with the oldest at slotHead
@@ -79,16 +80,12 @@ type ntbDelivery struct {
 	done   func()
 }
 
-// getBuf returns a pooled chunk buffer of length n.
+// getBuf returns a pooled chunk buffer of length n (n ≤ pcie.MaxPayload).
 //
 //xssd:pool get
 func (b *Bridge) getBuf(n int) []byte {
-	for len(b.bufs) > 0 {
-		buf := b.bufs[len(b.bufs)-1]
-		b.bufs = b.bufs[:len(b.bufs)-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
+	if buf := b.bufs.Get(); buf != nil {
+		return buf[:n]
 	}
 	return make([]byte, n, pcie.MaxPayload)
 }
@@ -102,7 +99,7 @@ func (b *Bridge) getBuf(n int) []byte {
 func (b *Bridge) deliverNext() {
 	d, _ := b.pendq.Pop()
 	d.target.MemWrite(d.dst, d.buf)
-	b.bufs = append(b.bufs, d.buf)
+	b.bufs.Put(d.buf)
 	if d.done != nil {
 		d.done()
 	}

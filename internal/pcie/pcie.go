@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"xssd/internal/fifo"
+	"xssd/internal/pool"
 	"xssd/internal/sim"
 )
 
@@ -96,7 +97,7 @@ type Region struct {
 	pendq   fifo.Queue[delivery]
 	deliver func() // method value, bound once
 	//xssd:pool put
-	bufs [][]byte // free payload buffers, cap MaxPayload each
+	bufs pool.Free[[]byte] // free payload buffers, cap MaxPayload each
 }
 
 // NewRegion maps target behind link as a region of the given size.
@@ -110,18 +111,11 @@ func NewRegion(env *sim.Env, link *sim.Link, target Target, size int64) *Region 
 //
 //xssd:pool get
 func (r *Region) getBuf(n int) []byte {
-	if len(r.bufs) == 0 {
-		return make([]byte, n, MaxPayload)
+	if b := r.bufs.Get(); b != nil {
+		return b[:n]
 	}
-	b := r.bufs[len(r.bufs)-1]
-	r.bufs = r.bufs[:len(r.bufs)-1]
-	return b[:n]
+	return make([]byte, n, MaxPayload)
 }
-
-// putBuf recycles a payload buffer obtained from getBuf.
-//
-//xssd:pool put
-func (r *Region) putBuf(b []byte) { r.bufs = append(r.bufs, b) }
 
 // deliverNext completes the oldest in-flight posted write: hand the
 // payload to the target and recycle the buffer. Runs in scheduler context
@@ -131,7 +125,7 @@ func (r *Region) putBuf(b []byte) { r.bufs = append(r.bufs, b) }
 func (r *Region) deliverNext() {
 	d, _ := r.pendq.Pop()
 	r.target.MemWrite(d.off, d.buf)
-	r.putBuf(d.buf)
+	r.bufs.Put(d.buf)
 }
 
 // post puts one posted-write TLP (payload ≤ MaxPayload) on the wire.
@@ -169,7 +163,7 @@ func (r *Region) writeBlocking(p *sim.Proc, off int64, data []byte) {
 	copy(buf, data)
 	r.link.Transfer(p, WireBytes(len(buf)))
 	r.target.MemWrite(off, buf)
-	r.putBuf(buf)
+	r.bufs.Put(buf)
 }
 
 // read performs a non-posted read into dst: a request TLP travels to the

@@ -5,7 +5,22 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"xssd/internal/pool"
 )
+
+// idleCount returns how many carriers are on e's idle list, leaving the
+// list as it was.
+func idleCount(e *Env) int {
+	var held []*carrier
+	for c := e.idle.Get(); c != nil; c = e.idle.Get() {
+		held = append(held, c)
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		e.idle.Put(held[i])
+	}
+	return len(held)
+}
 
 // TestShortLivedProcsReuseCarriers is the recycling contract: processes
 // that start, run and finish one batch after another are all served by as
@@ -32,9 +47,9 @@ func TestShortLivedProcsReuseCarriers(t *testing.T) {
 	if ran != peak*cycles {
 		t.Fatalf("ran %d processes, want %d", ran, peak*cycles)
 	}
-	if len(env.carriers) != peak || len(env.idle) != peak {
+	if len(env.carriers) != peak || idleCount(env) != peak {
 		t.Fatalf("%d carriers (%d idle) after %d processes, want %d, all idle",
-			len(env.carriers), len(env.idle), ran, peak)
+			len(env.carriers), idleCount(env), ran, peak)
 	}
 	if g := runtime.NumGoroutine(); g > before+peak {
 		t.Fatalf("goroutines %d -> %d, want at most %d more (the peak concurrency)", before, g, peak)
@@ -86,17 +101,17 @@ func TestCloseEveryCarrierState(t *testing.T) {
 		p.Wait(sig)
 	})
 	env.RunUntil(time.Microsecond)
-	if len(env.carriers) != 4 || len(env.idle) != 2 {
-		t.Fatalf("%d carriers, %d idle; want 4 and 2", len(env.carriers), len(env.idle))
+	if len(env.carriers) != 4 || idleCount(env) != 2 {
+		t.Fatalf("%d carriers, %d idle; want 4 and 2", len(env.carriers), idleCount(env))
 	}
 	undispatchedRan := false
 	env.Go("recycled-undispatched", func(p *Proc) { undispatchedRan = true })
 	idle := env.idle
-	env.idle = nil // an empty stack makes Go start a carrier of its own
+	env.idle = pool.Free[*carrier]{} // an empty list makes Go start a carrier of its own
 	env.Go("fresh-undispatched", func(p *Proc) { undispatchedRan = true })
 	env.idle = idle
-	if len(env.carriers) != 5 || len(env.idle) != 1 {
-		t.Fatalf("%d carriers, %d idle before Close; want 5 and 1", len(env.carriers), len(env.idle))
+	if len(env.carriers) != 5 || idleCount(env) != 1 {
+		t.Fatalf("%d carriers, %d idle before Close; want 5 and 1", len(env.carriers), idleCount(env))
 	}
 
 	env.Close()

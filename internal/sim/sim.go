@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"xssd/internal/fifo"
+	"xssd/internal/pool"
 )
 
 // Env is a simulation environment: a virtual clock plus an event queue.
@@ -48,7 +49,8 @@ type Env struct {
 	closed  bool
 
 	carriers []*carrier // every coroutine made for this Env (see Close)
-	idle     []*carrier // stack of carriers whose process has finished
+	//xssd:pool put
+	idle pool.Free[*carrier] // carriers whose process has finished
 
 	name string     // member name within a Group ("" for a standalone Env)
 	fail *ProcPanic // first captured process/callback panic (see ProcPanic)
@@ -239,11 +241,8 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Go on closed Env")
 	}
-	var c *carrier
-	if n := len(e.idle); n > 0 {
-		c = e.idle[n-1]
-		e.idle = e.idle[:n-1]
-	} else {
+	c := e.idle.Get()
+	if c == nil {
 		c = &carrier{env: e}
 		// The coroutine starts at its first next, which is the process's
 		// first dispatch.
@@ -263,7 +262,7 @@ func (c *carrier) loop(yield func(struct{}) bool) {
 	for {
 		c.run()
 		c.p, c.fn = nil, nil
-		c.env.idle = append(c.env.idle, c)
+		c.env.idle.Put(c)
 		if !yield(struct{}{}) {
 			return
 		}
@@ -327,7 +326,7 @@ func (e *Env) Close() {
 		c.stop()
 	}
 	e.carriers = nil
-	e.idle = nil
+	e.idle = pool.Free[*carrier]{}
 	e.heap = nil
 	e.nowq = fifo.Queue[event]{}
 }

@@ -6,7 +6,9 @@ import (
 	"xssd/internal/fault"
 	"xssd/internal/fifo"
 	"xssd/internal/obs"
+	"xssd/internal/pcie"
 	"xssd/internal/pm"
+	"xssd/internal/pool"
 	"xssd/internal/ring"
 	"xssd/internal/sim"
 )
@@ -37,7 +39,7 @@ type cmbModule struct {
 	persistq    fifo.Queue[cmbChunk]
 	persistNext func()
 	//xssd:pool put
-	chunkBufs [][]byte
+	chunkBufs pool.Free[[]byte]
 
 	CreditChanged *sim.Signal // frontier advanced
 
@@ -117,7 +119,7 @@ func (m *cmbModule) MemWrite(off int64, data []byte) {
 		m.dev.tracer.Record(obs.QueueOverrun, m.fs.name, off, int64(len(data)))
 		return
 	}
-	buf := m.getChunkBuf(len(data))
+	buf := tlpBuf(&m.chunkBufs, len(data))
 	copy(buf, data)
 	m.queue.Push(cmbChunk{off: off, data: buf, at: m.dev.env.Now()})
 	m.queueUsed += len(buf)
@@ -175,18 +177,17 @@ func (m *cmbModule) drainStep() {
 	m.dev.env.After(m.bank.SerializationTime(len(c.data)), m.drainNext)
 }
 
-// getChunkBuf returns a pooled intake buffer of length n.
+// tlpBuf returns a buffer of length n from free, the CMB intake's or a
+// peer's mirror chunks. Buffers are made to hold a TLP; a longer request (a
+// backfill chunk, or a MemWrite that did not come off the fabric) drops a
+// buffer too small for it.
 //
 //xssd:pool get
-func (m *cmbModule) getChunkBuf(n int) []byte {
-	for len(m.chunkBufs) > 0 {
-		b := m.chunkBufs[len(m.chunkBufs)-1]
-		m.chunkBufs = m.chunkBufs[:len(m.chunkBufs)-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
+func tlpBuf(free *pool.Free[[]byte], n int) []byte {
+	if b := free.Get(); cap(b) >= n {
+		return b[:n]
 	}
-	return make([]byte, n)
+	return make([]byte, n, max(n, pcie.MaxPayload))
 }
 
 // persistOldest lands the oldest in-flight chunk in the backing ring
@@ -198,7 +199,7 @@ func (m *cmbModule) persistOldest() {
 	before := m.ring.Frontier()
 	err := m.ring.Write(c.off, c.data)
 	m.queueUsed -= len(c.data)
-	m.chunkBufs = append(m.chunkBufs, c.data)
+	m.chunkBufs.Put(c.data)
 	if err != nil {
 		// Stale or overrunning write: drop it. The host's flow control
 		// should prevent this.

@@ -7,6 +7,7 @@ import (
 	"xssd/internal/fault"
 	"xssd/internal/fifo"
 	"xssd/internal/obs"
+	"xssd/internal/pool"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
 )
@@ -71,9 +72,9 @@ type destageModule struct {
 	// buffer is free once its program completed (nand copies the payload
 	// at program time); an entry once it retired.
 	//xssd:pool put
-	pageBufs [][]byte
+	pageBufs pool.Free[[]byte]
 	//xssd:pool put
-	freeEntries []*destagePage
+	freeEntries pool.Free[*destagePage]
 	procName    string // per-page worker name, built once
 
 	kick     *sim.Signal
@@ -272,7 +273,7 @@ func (m *destageModule) carveOne(p *sim.Proc, n int64) {
 		// bytes again: back off like the page worker does, or it would spin
 		// at this instant forever.
 		m.mErrors.Inc()
-		m.pageBufs = append(m.pageBufs, page)
+		m.pageBufs.Put(page)
 		p.Sleep(destageRetryBackoff)
 		return
 	}
@@ -316,7 +317,7 @@ func (m *destageModule) carveOne(p *sim.Proc, n int64) {
 		}
 		// The array copied the payload when the program was issued; the
 		// page buffer can serve the next carve.
-		m.pageBufs = append(m.pageBufs, page)
+		m.pageBufs.Put(page)
 		entry.done = true
 		m.kick.Broadcast()
 	})
@@ -326,25 +327,21 @@ func (m *destageModule) carveOne(p *sim.Proc, n int64) {
 //
 //xssd:pool get
 func (m *destageModule) getPage() []byte {
-	if len(m.pageBufs) == 0 {
-		return make([]byte, m.dev.cfg.Geometry.PageSize)
+	if b := m.pageBufs.Get(); b != nil {
+		return b
 	}
-	b := m.pageBufs[len(m.pageBufs)-1]
-	m.pageBufs = m.pageBufs[:len(m.pageBufs)-1]
-	return b
+	return make([]byte, m.dev.cfg.Geometry.PageSize)
 }
 
 // getEntry returns a recycled pipeline entry.
 //
 //xssd:pool get
 func (m *destageModule) getEntry() *destagePage {
-	if len(m.freeEntries) == 0 {
-		return &destagePage{}
+	if e := m.freeEntries.Get(); e != nil {
+		*e = destagePage{}
+		return e
 	}
-	e := m.freeEntries[len(m.freeEntries)-1]
-	m.freeEntries = m.freeEntries[:len(m.freeEntries)-1]
-	*e = destagePage{}
-	return e
+	return &destagePage{}
 }
 
 // retire releases completed pages from the head of the pipeline, in order,
@@ -363,7 +360,7 @@ func (m *destageModule) retire(cmb *cmbModule) {
 		}
 		if err := cmb.ring.Release(e.n); err != nil {
 			m.mErrors.Inc()
-			m.freeEntries = append(m.freeEntries, e)
+			m.freeEntries.Put(e)
 			continue
 		}
 		m.destagedStream = cmb.ring.Head()
@@ -372,7 +369,7 @@ func (m *destageModule) retire(cmb *cmbModule) {
 		m.Advanced.Broadcast()
 		m.mPages.Inc()
 		// Recycle the entry only after its last field read: bufownership
-		// treats the free-list append as the end of this side's lease.
-		m.freeEntries = append(m.freeEntries, e)
+		// treats the Put as the end of this side's lease.
+		m.freeEntries.Put(e)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"xssd/internal/fifo"
 	"xssd/internal/ntb"
 	"xssd/internal/obs"
+	"xssd/internal/pool"
 	"xssd/internal/sim"
 )
 
@@ -68,27 +69,13 @@ type peerLink struct {
 	//xssd:pool retain
 	unacked fifo.Queue[mirrorChunk] // sent but not yet covered by the shadow counter
 	//xssd:pool put
-	bufFree [][]byte // recycled chunk payloads
+	bufs pool.Free[[]byte] // recycled chunk payloads
 }
 
 // pending returns the not-yet-covered retransmission window.
 //
 //xssd:pool alias
 func (pl *peerLink) pending() []mirrorChunk { return pl.unacked.Items() }
-
-// getBuf returns a pooled chunk buffer of length n.
-//
-//xssd:pool get
-func (pl *peerLink) getBuf(n int) []byte {
-	for len(pl.bufFree) > 0 {
-		b := pl.bufFree[len(pl.bufFree)-1]
-		pl.bufFree = pl.bufFree[:len(pl.bufFree)-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
 
 // mirrorChunk is one mirrored TLP retained for retransmission until the
 // peer's shadow counter passes it.
@@ -237,7 +224,7 @@ func (t *transportModule) mirror(off int64, data []byte) {
 	}
 	now := t.dev.env.Now()
 	for _, pl := range t.peers {
-		buf := pl.getBuf(len(data))
+		buf := tlpBuf(&pl.bufs, len(data))
 		copy(buf, data)
 		pl.unacked.Push(mirrorChunk{off: off, data: buf, sentAt: now})
 		switch d := fault.CheckEnv(t.dev.env, fault.TransportMirror, t.dev.cfg.Name, 1); d.Act {
@@ -283,7 +270,7 @@ func (c counterPort) MemWrite(off int64, data []byte) {
 		// drop it from the retransmission buffer and recycle its payload.
 		for c, ok := pl.unacked.Peek(); ok && c.off+int64(len(c.data)) <= v; c, ok = pl.unacked.Peek() {
 			pl.unacked.Pop()
-			pl.bufFree = append(pl.bufFree, c.data)
+			pl.bufs.Put(c.data)
 		}
 		c.t.counterUpdateObserved(pl)
 		c.t.dev.tracer.Record(obs.ShadowUpdate, c.t.dev.cfg.Name, int64(id), v)
@@ -465,7 +452,7 @@ func (t *transportModule) Backfill(p *sim.Proc, sec *Device, off int64, data []b
 		if n > len(data) {
 			n = len(data)
 		}
-		buf := pl.getBuf(n)
+		buf := tlpBuf(&pl.bufs, n)
 		copy(buf, data[:n])
 		pl.unacked.Push(mirrorChunk{off: off, data: buf, sentAt: p.Now()})
 		pl.window.Write(off, buf, nil)

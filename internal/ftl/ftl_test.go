@@ -318,3 +318,50 @@ func TestObserveSplitsHostPagesBySource(t *testing.T) {
 		t.Fatalf("waf_milli = %d, want %d (> 1000 with the collector running)", got, want)
 	}
 }
+
+// TestCollectorSkipsBlocksWithProgramsInFlight: a sealed block whose last
+// program is still queued is no victim. Two writers start at one instant on
+// a one-die array. The first takes the last page of the open block, whose
+// other page is stale; the second seals that block and opens a new one,
+// which leaves the die at its GC threshold and wakes the collector while
+// the first program is still queued. The sealed block holds no valid page
+// yet, so a collector that took it would erase it behind the program, and
+// the first write would map into an erased block.
+func TestCollectorSkipsBlocksWithProgramsInFlight(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	geo := nand.Geometry{Channels: 1, WaysPerChan: 1, BlocksPerDie: 5, PagesPerBlock: 2, PageSize: 256}
+	arr := nand.New(env, geo, fastTiming)
+	f := New(env, arr, sched.New(env, arr, sched.Neutral), DefaultConfig)
+	env.Go("stale", func(p *sim.Proc) {
+		if err := f.Write(p, 0, fill(f, 0, 1), sched.Conventional); err != nil {
+			t.Error(err)
+		}
+		if err := f.Trim(0); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run()
+	for lpn := int64(1); lpn <= 2; lpn++ {
+		env.Go("writer", func(p *sim.Proc) {
+			if err := f.Write(p, lpn, fill(f, lpn, 2), sched.Conventional); err != nil {
+				t.Errorf("write %d: %v", lpn, err)
+			}
+		})
+	}
+	env.Run()
+	if f.Stats().GCErases == 0 {
+		t.Fatal("the collector never ran")
+	}
+	env.Go("reader", func(p *sim.Proc) {
+		for lpn := int64(1); lpn <= 2; lpn++ {
+			got, err := f.Read(p, lpn)
+			if err != nil {
+				t.Errorf("read %d: %v", lpn, err)
+			} else if !bytes.Equal(got, fill(f, lpn, 2)) {
+				t.Errorf("read %d: stale image (tag %d, lpn %d)", lpn, got[0], int(got[1])|int(got[2])<<8)
+			}
+		}
+	})
+	env.Run()
+}

@@ -325,5 +325,9 @@ func runCompare(baselinePath, newPath string, tol float64) error {
 	if err != nil {
 		return err
 	}
-	return bench.Compare(baseline, current, tol)
+	warnings, err := bench.Compare(baseline, current, tol)
+	for _, w := range warnings {
+		fmt.Fprintln(os.Stderr, "compare: warning:", w)
+	}
+	return err
 }

@@ -75,6 +75,11 @@ const compareWallFloorNS = int64(500_000_000)
 // every cell that recorded it, however short.
 const compareAllocsTol = 0.05
 
+// compareAllocsStale: a cell whose allocation count falls more than this
+// fraction under its baseline's draws a warning. Its pin no longer bites: a
+// regression back up to it would pass the compareAllocsTol gate unseen.
+const compareAllocsStale = 0.10
+
 // Compare gates a new perf run against a baseline: it fails if any
 // baseline cell is missing from the new run, dispatched a different event
 // count (a determinism break — event counts are machine-independent),
@@ -84,8 +89,10 @@ const compareAllocsTol = 0.05
 // whose baseline recorded no allocs are skipped), or regressed in
 // events/second by more than tol (a fraction, e.g. 0.15) on cells running
 // past compareWallFloorNS. Cells present only in the new run are ignored,
-// so adding cells does not require regenerating history.
-func Compare(baseline, current []PerfResult, tol float64) error {
+// so adding cells does not require regenerating history. A cell that
+// allocates more than compareAllocsStale below its baseline passes with a
+// warning: the baseline wants re-pinning.
+func Compare(baseline, current []PerfResult, tol float64) (warnings []string, err error) {
 	byName := make(map[string]PerfResult, len(current))
 	for _, r := range current {
 		byName[r.Bench] = r
@@ -140,6 +147,11 @@ func Compare(baseline, current []PerfResult, tol float64) error {
 				"%s: %d allocs, >%.0f%% above baseline %d",
 				b.Bench, c.Allocs, compareAllocsTol*100, b.Allocs))
 		}
+		if float64(c.Allocs) < float64(b.Allocs)*(1-compareAllocsStale) {
+			warnings = append(warnings, fmt.Sprintf(
+				"%s: %d allocs, >%.0f%% below baseline %d; re-pin the baseline",
+				b.Bench, c.Allocs, compareAllocsStale*100, b.Allocs))
+		}
 		if b.WallNS >= compareWallFloorNS && b.EventsPerSec > 0 && c.EventsPerSec < b.EventsPerSec*(1-tol) {
 			problems = append(problems, fmt.Sprintf(
 				"%s: %.0f events/s, >%.0f%% below baseline %.0f",
@@ -148,9 +160,9 @@ func Compare(baseline, current []PerfResult, tol float64) error {
 	}
 	problems = append(problems, workerParityProblems(current)...)
 	if len(problems) > 0 {
-		return fmt.Errorf("bench: perf regression vs baseline:\n  %s", strings.Join(problems, "\n  "))
+		return warnings, fmt.Errorf("bench: perf regression vs baseline:\n  %s", strings.Join(problems, "\n  "))
 	}
-	return nil
+	return warnings, nil
 }
 
 // swSuffix marks cells that run the same topology under different numbers

@@ -163,7 +163,7 @@ func TestCompareFlagsWorkerTwinDrift(t *testing.T) {
 		{Bench: "pargroup/d8/sw1", Events: 100, EventsPerSec: 1},
 		{Bench: "pargroup/d8/sw8", Events: 101, EventsPerSec: 1},
 	}
-	err := Compare(baseline, current, 0.99)
+	_, err := Compare(baseline, current, 0.99)
 	if err == nil {
 		t.Fatal("Compare accepted serial/parallel event drift")
 	}
@@ -171,7 +171,7 @@ func TestCompareFlagsWorkerTwinDrift(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	current[1].Events = 100
-	if err := Compare(baseline, current, 0.99); err != nil {
+	if _, err := Compare(baseline, current, 0.99); err != nil {
 		t.Fatalf("Compare rejected matching twins: %v", err)
 	}
 }
@@ -183,41 +183,46 @@ func TestCompareWallFloor(t *testing.T) {
 	short := []PerfResult{{Bench: "c", WallNS: compareWallFloorNS - 1, Events: 10, EventsPerSec: 1000}}
 	long := []PerfResult{{Bench: "c", WallNS: compareWallFloorNS, Events: 10, EventsPerSec: 1000}}
 	slow := []PerfResult{{Bench: "c", WallNS: compareWallFloorNS, Events: 10, EventsPerSec: 100}}
-	if err := Compare(short, slow, 0.15); err != nil {
+	if _, err := Compare(short, slow, 0.15); err != nil {
 		t.Fatalf("Compare gated throughput on a sub-floor cell: %v", err)
 	}
-	if err := Compare(long, slow, 0.15); err == nil {
+	if _, err := Compare(long, slow, 0.15); err == nil {
 		t.Fatal("Compare ignored a real regression on a cell past the floor")
 	}
 	slow[0].Events = 11
-	if err := Compare(short, slow, 0.15); err == nil {
+	if _, err := Compare(short, slow, 0.15); err == nil {
 		t.Fatal("Compare ignored an event-count drift on a sub-floor cell")
 	}
 }
 
 // TestCompareGatesAllocs checks the allocation gate: growth past 5 % of
 // the baseline's count fails whatever the cell's duration, anything up to
-// it passes, and a baseline that recorded no count gates nothing.
+// it passes, and a baseline that recorded no count gates nothing. A count
+// more than 10 % under the baseline passes with a warning to re-pin it.
 func TestCompareGatesAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		base, current int64
-		fails         bool
+		fails, warns  bool
 	}{
-		{"+6% fails", 100_000, 106_000, true},
-		{"+4% passes", 100_000, 104_000, false},
-		{"exactly +5% passes", 100_000, 105_000, false},
-		{"fewer passes", 100_000, 50_000, false},
-		{"baseline without allocs is skipped", 0, 1_000_000, false},
+		{"+6% fails", 100_000, 106_000, true, false},
+		{"+4% passes", 100_000, 104_000, false, false},
+		{"exactly +5% passes", 100_000, 105_000, false, false},
+		{"-10% passes quietly", 100_000, 90_000, false, false},
+		{"-11% passes with a warning", 100_000, 89_000, false, true},
+		{"baseline without allocs is skipped", 0, 1_000_000, false, false},
 	} {
 		baseline := []PerfResult{{Bench: "c", Events: 10, Allocs: tc.base}}
 		current := []PerfResult{{Bench: "c", Events: 10, Allocs: tc.current}}
-		err := Compare(baseline, current, 0.15)
+		warnings, err := Compare(baseline, current, 0.15)
 		if tc.fails != (err != nil) {
 			t.Errorf("%s: Compare(%d -> %d allocs) = %v", tc.name, tc.base, tc.current, err)
 		}
 		if err != nil && !strings.Contains(err.Error(), "allocs") {
 			t.Errorf("%s: unexpected error: %v", tc.name, err)
+		}
+		if tc.warns != (len(warnings) > 0) || tc.warns && !strings.Contains(warnings[0], "re-pin") {
+			t.Errorf("%s: Compare(%d -> %d allocs) warned %q", tc.name, tc.base, tc.current, warnings)
 		}
 	}
 }
@@ -228,7 +233,7 @@ func TestCompareGatesAllocs(t *testing.T) {
 func TestCompareFlagsQuantileDrift(t *testing.T) {
 	baseline := []PerfResult{{Bench: "lat/nvme/q4/d8/c1", Events: 100, P50NS: 1000, P99NS: 2000, P999NS: 3000}}
 	current := []PerfResult{{Bench: "lat/nvme/q4/d8/c1", Events: 100, P50NS: 1000, P99NS: 2001, P999NS: 3000}}
-	err := Compare(baseline, current, 0.15)
+	_, err := Compare(baseline, current, 0.15)
 	if err == nil {
 		t.Fatal("Compare accepted a p99 drift on a latency cell")
 	}
@@ -236,13 +241,13 @@ func TestCompareFlagsQuantileDrift(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	current[0].P99NS = 2000
-	if err := Compare(baseline, current, 0.15); err != nil {
+	if _, err := Compare(baseline, current, 0.15); err != nil {
 		t.Fatalf("Compare rejected equal quantiles: %v", err)
 	}
 	// A perf-suite cell (no baseline quantiles) ignores the new run's.
 	noQ := []PerfResult{{Bench: "fig9", Events: 50}}
 	withQ := []PerfResult{{Bench: "fig9", Events: 50, P50NS: 7}}
-	if err := Compare(noQ, withQ, 0.15); err != nil {
+	if _, err := Compare(noQ, withQ, 0.15); err != nil {
 		t.Fatalf("Compare gated quantiles on a quantile-free baseline: %v", err)
 	}
 }
@@ -265,14 +270,14 @@ func TestCompareFlagsNandPageDrift(t *testing.T) {
 			return []PerfResult{r}
 		}
 		for _, n := range []int64{254, 1069} {
-			if err := Compare(cell(255), cell(n), 0.15); err == nil || !strings.Contains(err.Error(), tc.complaint) {
+			if _, err := Compare(cell(255), cell(n), 0.15); err == nil || !strings.Contains(err.Error(), tc.complaint) {
 				t.Fatalf("%s: Compare(255 -> %d) = %v", tc.bench, n, err)
 			}
 		}
-		if err := Compare(cell(255), cell(255), 0.15); err != nil {
+		if _, err := Compare(cell(255), cell(255), 0.15); err != nil {
 			t.Fatalf("%s: Compare rejected an equal count: %v", tc.bench, err)
 		}
-		if err := Compare(cell(0), cell(9), 0.15); err != nil {
+		if _, err := Compare(cell(0), cell(9), 0.15); err != nil {
 			t.Fatalf("%s: Compare gated a count its baseline lacks: %v", tc.bench, err)
 		}
 	}

@@ -816,10 +816,13 @@ func (s *state) pooledField(e ast.Expr) bool {
 	return f != nil && (s.an.putFields[f] || s.an.retFields[f])
 }
 
+// fieldObjOf returns the field sel selects, as declared: a field of an
+// instantiated generic type is its own object, and its annotation sits on
+// the generic declaration's.
 func (s *state) fieldObjOf(sel *ast.SelectorExpr) types.Object {
 	if selInfo, ok := s.pass.TypesInfo.Selections[sel]; ok {
 		if v, ok := selInfo.Obj().(*types.Var); ok && v.IsField() {
-			return v
+			return v.Origin()
 		}
 		return nil
 	}

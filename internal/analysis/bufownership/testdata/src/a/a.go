@@ -191,3 +191,37 @@ func (m *module) memWriteCopy(off int64, data []byte) {
 	copy(buf, data)
 	m.pending = append(m.pending, buf)
 }
+
+// crew is a generic type: its fields' annotations hold in every
+// instantiation, inside its methods and outside them.
+type crew[T any] struct {
+	//xssd:pool put
+	idle  pool.Free[*T]
+	spare pool.Free[*T] // not marked put
+}
+
+// park returns a member to the annotated list; no report.
+func (c *crew[T]) park() {
+	v := c.spare.Get()
+	c.idle.Put(v)
+}
+
+// parkPlain stores a pooled member into the unmarked list.
+func (c *crew[T]) parkPlain() {
+	v := c.idle.Get()
+	c.spare.Put(v) // want "pooled buffer v retained in field spare"
+}
+
+// useAfterPark touches a member after its put.
+func (c *crew[T]) useAfterPark(v *T) *T {
+	c.idle.Put(v)
+	return v // want "pooled buffer v used after it was returned to the pool"
+}
+
+// parkInt uses an instantiation from outside the type's methods.
+func parkInt(c *crew[int]) {
+	v := c.idle.Get()
+	c.idle.Put(v)
+	w := c.idle.Get()
+	c.spare.Put(w) // want "pooled buffer w retained in field spare"
+}

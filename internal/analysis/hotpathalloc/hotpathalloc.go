@@ -22,8 +22,8 @@ through pools and queues reuse their backing arrays. A single fmt call,
 escaping closure, interface boxing, or append that grows a fresh slice on
 every invocation undoes that invisibly — benchmarks drift, no test fails.
 Functions annotated //xssd:hotpath are held to the contract mechanically.
-Sanctioned allocations (a delayed-fault path's mandatory private copy, a
-pipeline's per-page worker) carry //xssd:ignore hotpathalloc <reason>.`,
+Sanctioned allocations (a delayed-fault path's mandatory private copy, the
+message of a panic) carry //xssd:ignore hotpathalloc <reason>.`,
 	Run: run,
 }
 

@@ -61,7 +61,8 @@ func rewriter(t testing.TB, f *FTL) func(p *sim.Proc) {
 }
 
 // TestFTLOpAllocations pins the op-record rule: a steady-state Write
-// allocates nothing, and a Read allocates one object, the page it returns.
+// allocates nothing, and neither does a ReadInto, which fills the caller's
+// page.
 func TestFTLOpAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own schedule")
@@ -81,20 +82,20 @@ func TestFTLOpAllocations(t *testing.T) {
 			f.Stats().GCErases-erases0, f.Stats().GCPages)
 	}
 
-	var got []byte
+	page := make([]byte, f.PageSize())
 	r := newResident(env, func(p *sim.Proc) {
-		var err error
-		if got, err = f.Read(p, 3); err != nil {
+		page[0] = 0xFF
+		if err := f.ReadInto(p, 3, page); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 	})
 	r.round()
 	reads, _, _ := arr.Stats()
-	if n := testing.AllocsPerRun(500, r.round); n != 1 {
-		t.Errorf("Read allocates %v objects, want 1 (the page it returns)", n)
+	if n := testing.AllocsPerRun(500, r.round); n != 0 {
+		t.Errorf("ReadInto allocates %v objects, want 0", n)
 	}
-	if now, _, _ := arr.Stats(); now-reads != 501 || len(got) != f.PageSize() {
-		t.Fatalf("measured rounds issued %d flash reads and returned %d bytes", now-reads, len(got))
+	if now, _, _ := arr.Stats(); now-reads != 501 || page[0] != 0 {
+		t.Fatalf("measured rounds issued %d flash reads, and the page's first byte reads %#x, want the stored 0", now-reads, page[0])
 	}
 }
 
@@ -131,9 +132,10 @@ func BenchmarkFTLReadWrite(b *testing.B) {
 	env, _, f := budgetSetup()
 	defer env.Close()
 	write := rewriter(b, f)
+	page := make([]byte, f.PageSize())
 	w := newResident(env, func(p *sim.Proc) {
 		write(p)
-		if _, err := f.Read(p, 0); err != nil {
+		if err := f.ReadInto(p, 0, page); err != nil {
 			b.Fatalf("read: %v", err)
 		}
 	})

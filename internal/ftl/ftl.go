@@ -76,6 +76,10 @@ type FTL struct {
 
 	spaceFreed *sim.Signal // broadcast when GC returns blocks
 	gcKick     *sim.Signal
+	// gcPage is the collector's migration buffer: a read fills it, and the
+	// program that follows is free to reuse it at once, since the array
+	// copies a program's payload when the program is issued.
+	gcPage []byte
 
 	//xssd:pool put
 	ops pool.Free[*op] // recycled operation records, at most maxFreeOps
@@ -126,8 +130,7 @@ func (f *FTL) getOp() *op {
 }
 
 // do issues one flash operation on a recycled record and blocks the calling
-// process until it completes. A read returns the caller's own copy of the
-// page.
+// process until it completes. A read fills data, the caller's page.
 //
 //xssd:hotpath
 func (f *FTL) do(p *sim.Proc, kind sched.OpKind, addr nand.PageAddr, data []byte, src sched.Source) ([]byte, error) {
@@ -158,6 +161,7 @@ func New(env *sim.Env, arr *nand.Array, sch *sched.Scheduler, cfg Config) *FTL {
 		dies:       make([]dieState, geo.Dies()),
 		spaceFreed: env.NewSignal(),
 		gcKick:     env.NewSignal(),
+		gcPage:     make([]byte, geo.PageSize),
 		ops:        pool.Bounded[*op](maxFreeOps),
 	}
 	for i := range f.l2p {
@@ -352,16 +356,28 @@ func (f *FTL) commitMapping(lpn, ppn int64, src sched.Source) {
 	f.pagesBy[src]++
 }
 
-// Read returns the page stored at lpn, blocking for the flash read.
-func (f *FTL) Read(p *sim.Proc, lpn int64) ([]byte, error) {
+// ReadInto reads the page stored at lpn into dst, which must be exactly
+// one page, blocking for the flash read.
+func (f *FTL) ReadInto(p *sim.Proc, lpn int64, dst []byte) error {
 	if lpn < 0 || lpn >= f.LogicalPages() {
-		return nil, ErrRange
+		return ErrRange
 	}
 	ppn := f.l2p[lpn]
 	if ppn == unmapped {
-		return nil, ErrUnmapped
+		return ErrUnmapped
 	}
-	return f.do(p, sched.OpRead, f.addr(ppn), nil, sched.Conventional)
+	_, err := f.do(p, sched.OpRead, f.addr(ppn), dst, sched.Conventional)
+	return err
+}
+
+// Read returns the page stored at lpn in a buffer of its own, blocking for
+// the flash read. It is ReadInto for a caller that keeps the page.
+func (f *FTL) Read(p *sim.Proc, lpn int64) ([]byte, error) {
+	page := make([]byte, f.geo.PageSize)
+	if err := f.ReadInto(p, lpn, page); err != nil {
+		return nil, err
+	}
+	return page, nil
 }
 
 // Trim unmaps a logical page, invalidating its physical copy.
@@ -433,7 +449,7 @@ func (f *FTL) collectOne(p *sim.Proc, die int) bool {
 		if lpn == unmapped {
 			continue
 		}
-		data, err := f.do(p, sched.OpRead, f.addr(src), nil, sched.GC)
+		data, err := f.do(p, sched.OpRead, f.addr(src), f.gcPage, sched.GC)
 		if err != nil {
 			continue
 		}

@@ -52,7 +52,7 @@ func TestCommandRangeChecked(t *testing.T) {
 
 // TestConventionalReadAllocations: a one-block read through the whole
 // conventional path — driver, SQ, controller, FTL, scheduler, flash, CQ —
-// allocates one object, the page the flash read hands back.
+// allocates nothing: the flash read fills the command worker's scratch.
 func TestConventionalReadAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own schedule")
@@ -91,7 +91,51 @@ func TestConventionalReadAllocations(t *testing.T) {
 	if rd, _, _, _, _ := r.ctrl.Stats(); rd != 601 {
 		t.Fatalf("controller executed %d reads, want 601", rd)
 	}
-	if n > 1 {
-		t.Errorf("a read command allocates %v objects, want at most 1", n)
+	if n != 0 {
+		t.Errorf("a read command allocates %v objects, want 0", n)
+	}
+}
+
+// TestConventionalWriteAllocations: a one-block write command — its DMA
+// into the Data Buffer, its acknowledgement and the background program of
+// the block — allocates nothing once the write-back records and workers
+// have grown: the record carries the block and a recycled worker programs
+// it. The writes cycle over one flash block's worth of LBAs, so the
+// collector erases wholly stale blocks and never migrates.
+func TestConventionalWriteAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own schedule")
+	}
+	r := newRig(nil)
+	defer r.env.Close()
+	kick := r.env.NewSignal()
+	writes := int64(0)
+	var status nvme.Status
+	r.env.Go("host", func(p *sim.Proc) {
+		for {
+			p.Wait(kick)
+			lba := writes % 16
+			status = r.driver.Submit(p, nvme.Command{Opcode: nvme.OpWrite, LBA: lba, Blocks: 1, PRP: 0}).Status
+			writes++
+		}
+	})
+	round := func() {
+		kick.Broadcast()
+		r.env.Run()
+	}
+	r.env.Run()
+	for i := 0; i < 4000; i++ { // warm-up: free lists, maps and erased pages grow here
+		round()
+	}
+	erases0 := r.ctrl.ftl.Stats().GCErases
+	n := testing.AllocsPerRun(500, round)
+	if status != nvme.StatusSuccess || r.ctrl.inflight != 0 || len(r.ctrl.cacheData) != 0 {
+		t.Fatalf("last status %v, %d blocks still in the Data Buffer", status, r.ctrl.inflight)
+	}
+	if st := r.ctrl.ftl.Stats(); st.GCErases == erases0 || st.GCPages != 0 {
+		t.Fatalf("measured writes ran %d erases and %d migrations, want erases and no migration", st.GCErases-erases0, st.GCPages)
+	}
+	if n != 0 {
+		t.Errorf("a write command and its write-back allocate %v objects, want 0", n)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"xssd/internal/ftl"
 	"xssd/internal/nvme"
 	"xssd/internal/pcie"
+	"xssd/internal/pool"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
 )
@@ -67,12 +68,32 @@ type Controller struct {
 
 	// Data Buffer write cache: acknowledged blocks not yet on flash.
 	cacheUsed  int64
-	cacheData  map[int64][]byte // LBA -> buffered content
+	cacheData  map[int64]*writeBack // LBA -> its newest acknowledged block
 	cacheFreed *sim.Signal
-	inflight   int64 // blocks being programmed
+	inflight   int64 // acknowledged blocks not yet on flash, chained ones included
+	writeBacks *sim.Workers[*writeBack]
+	//xssd:pool put
+	records pool.Free[*writeBack] // at most maxFreeRecords
 
 	// stats
 	reads, writes, flushes, admins, errors int64
+}
+
+// maxFreeRecords bounds the free list of write-back records. A burst of
+// acknowledged writes can hold a Data Buffer's worth of records at once,
+// and a list that kept them all would hold that high-water mark for the
+// life of the device; the steady state needs a few dozen.
+const maxFreeRecords = 64
+
+// writeBack is one acknowledged block on its way to flash: the Data
+// Buffer's copy of the block, recycled through Controller.records. A write
+// of an LBA whose previous block is still in flight waits behind it in
+// next, so the blocks of one LBA reach flash in acknowledgement order.
+type writeBack struct {
+	lba int64
+	buf []byte // the block, one flash page
+	//xssd:pool retain
+	next *writeBack // the LBA's next acknowledged block, started when this one lands
 }
 
 // New starts a controller over a queue set: one fetcher process
@@ -88,12 +109,17 @@ func New(env *sim.Env, qs *nvme.QueueSet, link *sim.Link, host *pcie.HostMemory,
 		ftl:        f,
 		admin:      admin,
 		work:       env.NewSignal(),
-		cacheData:  map[int64][]byte{},
+		cacheData:  map[int64]*writeBack{},
 		cacheFreed: env.NewSignal(),
+		records:    pool.Bounded[*writeBack](maxFreeRecords),
 	}
+	c.writeBacks = sim.NewWorkers(env, "hic-bgwrite", c.writeBack)
 	env.Go("hic-fetch", c.fetch)
 	for i := 0; i < workers; i++ {
-		env.Go("hic-worker", c.worker)
+		// Each worker owns one block of scratch space for the reads it
+		// serves.
+		scratch := make([]byte, f.PageSize())
+		env.Go("hic-worker", func(p *sim.Proc) { c.worker(p, scratch) })
 	}
 	return c
 }
@@ -138,14 +164,14 @@ func (c *Controller) fetch(p *sim.Proc) {
 // command, execute it, post its completion on the queue it came from.
 //
 //xssd:hotpath
-func (c *Controller) worker(p *sim.Proc) {
+func (c *Controller) worker(p *sim.Proc, scratch []byte) {
 	for {
 		f, ok := c.pending.Pop()
 		if !ok {
 			p.Wait(c.work)
 			continue
 		}
-		c.qs.Pair(f.q).CQ.Post(c.execute(p, f.cmd))
+		c.qs.Pair(f.q).CQ.Post(c.execute(p, f.cmd, scratch))
 	}
 }
 
@@ -153,7 +179,7 @@ func (c *Controller) worker(p *sim.Proc) {
 // namespace with one block per flash page.
 func (c *Controller) BlockSize() int { return c.ftl.PageSize() }
 
-func (c *Controller) execute(p *sim.Proc, cmd nvme.Command) nvme.Completion {
+func (c *Controller) execute(p *sim.Proc, cmd nvme.Command, scratch []byte) nvme.Completion {
 	if cmd.Opcode >= 0xC0 {
 		c.admins++
 		if c.admin == nil {
@@ -173,7 +199,7 @@ func (c *Controller) execute(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 		return c.executeWrite(p, cmd)
 	case nvme.OpRead:
 		c.reads++
-		return c.executeRead(p, cmd)
+		return c.executeRead(p, cmd, scratch)
 	case nvme.OpFlush:
 		// Drain the write cache: everything acknowledged is on flash.
 		c.flushes++
@@ -201,49 +227,85 @@ func (c *Controller) inRange(cmd nvme.Command) bool {
 func (c *Controller) executeWrite(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 	bs := c.BlockSize()
 	for i := 0; i < cmd.Blocks; i++ {
-		data := c.host.DMARead(p, c.link, cmd.PRP+int64(i*bs), bs)
+		wb := c.getRecord()
+		c.host.DMAReadInto(p, c.link, cmd.PRP+int64(i*bs), wb.buf)
 		// Reserve Data Buffer space; stall when the cache is full (the
 		// device then runs at flash program speed).
 		p.WaitFor(c.cacheFreed, func() bool {
 			return c.cacheUsed+int64(bs) <= writeCacheBytes
 		})
-		lba := cmd.LBA + int64(i)
+		wb.lba = cmd.LBA + int64(i)
 		c.cacheUsed += int64(bs)
-		c.cacheData[lba] = data
 		c.inflight++
-		c.env.Go("hic-bgwrite", func(w *sim.Proc) {
-			err := c.ftl.Write(w, lba, data, sched.Conventional)
-			c.cacheUsed -= int64(bs)
-			c.inflight--
-			if cur, ok := c.cacheData[lba]; ok && &cur[0] == &data[0] {
-				delete(c.cacheData, lba)
-			}
-			if err != nil {
-				c.errors++
-			}
-			c.cacheFreed.Broadcast()
-		})
+		c.enqueue(wb)
 	}
 	p.Sleep(firmwareLatency)
 	return nvme.Completion{ID: cmd.ID, Status: nvme.StatusSuccess}
 }
 
-func (c *Controller) executeRead(p *sim.Proc, cmd nvme.Command) nvme.Completion {
+// getRecord returns a recycled (or fresh) write-back record.
+//
+//xssd:pool get
+func (c *Controller) getRecord() *writeBack {
+	if wb := c.records.Get(); wb != nil {
+		return wb
+	}
+	return &writeBack{buf: make([]byte, c.BlockSize())}
+}
+
+// enqueue makes wb its LBA's newest block in the Data Buffer and starts its
+// write-back, or, when an older block of the LBA is still on its way to
+// flash, chains it behind that block.
+//
+//xssd:hotpath
+func (c *Controller) enqueue(wb *writeBack) {
+	if prev, ok := c.cacheData[wb.lba]; ok {
+		prev.next = wb
+	} else {
+		c.writeBacks.Start(wb)
+	}
+	c.cacheData[wb.lba] = wb
+}
+
+// writeBack programs one acknowledged block, frees its Data Buffer space,
+// starts the next block of its LBA if one is chained behind it, and
+// recycles the record.
+//
+//xssd:hotpath
+func (c *Controller) writeBack(w *sim.Proc, wb *writeBack) {
+	err := c.ftl.Write(w, wb.lba, wb.buf, sched.Conventional)
+	c.cacheUsed -= int64(len(wb.buf))
+	c.inflight--
+	// Comparing records is sound because wb goes back to the list only
+	// below: until then no newer block can be carried by this record.
+	if c.cacheData[wb.lba] == wb {
+		delete(c.cacheData, wb.lba)
+	}
+	if err != nil {
+		c.errors++
+	}
+	c.cacheFreed.Broadcast()
+	if next := wb.next; next != nil {
+		wb.next = nil
+		c.writeBacks.Start(next)
+	}
+	c.records.Put(wb)
+}
+
+func (c *Controller) executeRead(p *sim.Proc, cmd nvme.Command, scratch []byte) nvme.Completion {
 	bs := c.BlockSize()
 	for i := 0; i < cmd.Blocks; i++ {
 		lba := cmd.LBA + int64(i)
-		var data []byte
-		if buffered, ok := c.cacheData[lba]; ok {
-			data = buffered
-		} else {
-			var err error
-			data, err = c.ftl.Read(p, lba)
-			if err != nil {
-				c.errors++
-				return nvme.Completion{ID: cmd.ID, Status: nvme.StatusError}
-			}
+		if wb, ok := c.cacheData[lba]; ok {
+			// A Data Buffer hit is copied now: the DMA below sleeps, and
+			// meanwhile the record can land on flash and carry another
+			// block.
+			copy(scratch, wb.buf)
+		} else if err := c.ftl.ReadInto(p, lba, scratch); err != nil {
+			c.errors++
+			return nvme.Completion{ID: cmd.ID, Status: nvme.StatusError}
 		}
-		c.host.DMAWrite(p, c.link, cmd.PRP+int64(i*bs), data)
+		c.host.DMAWrite(p, c.link, cmd.PRP+int64(i*bs), scratch)
 	}
 	return nvme.Completion{ID: cmd.ID, Status: nvme.StatusSuccess}
 }

@@ -234,7 +234,7 @@ type dieOp struct {
 	block BlockAddr // erase: the block wiped
 	//xssd:pool retain
 	buf   []byte // program: the page to install; read: the page snapshotted at issue
-	out   []byte // read: the caller's copy, on the channel bus
+	out   []byte // read: the caller's buffer, filled at die completion
 	start time.Duration
 	done  func([]byte, error)
 	fire  func() // dieDone, bound once
@@ -268,8 +268,9 @@ func (a *Array) occupyDie(ch, way int, d time.Duration, o *dieOp) {
 }
 
 // dieDone runs when the die finishes the operation: a program installs its
-// page, an erase recycles the block's pages, and a read puts its owned copy
-// of the page on the channel bus. Then the die is free.
+// page, an erase recycles the block's pages, and a read copies the page
+// into the caller's buffer and puts it on the channel bus. Then the die is
+// free.
 //
 //xssd:hotpath
 func (o *dieOp) dieDone() {
@@ -293,8 +294,7 @@ func (o *dieOp) dieDone() {
 		}
 		a.finish(o, nil)
 	case opRead:
-		//xssd:ignore hotpathalloc a read hands its caller an owned copy of the page
-		o.out = append([]byte(nil), o.buf...)
+		copy(o.out, o.buf)
 		o.buf = nil
 		a.buses[o.block.Channel].Send(a.geo.PageSize, o.land)
 	}
@@ -373,15 +373,19 @@ func (a *Array) Program(p *sim.Proc, addr PageAddr, data []byte, done func([]byt
 	a.occupyDie(addr.Channel, addr.Way, a.timing.TProg, o)
 }
 
-// Read fetches one page: the die seizes for TRead, then the page moves out
-// over the channel bus; done(data, err) fires when the transfer lands. The
-// page is the one stored when the read was issued, and data is the
-// caller's own copy of it.
+// Read fetches one page into dst: the die seizes for TRead, the page is
+// copied into dst as the die finishes, and done(dst, err) fires when the
+// transfer over the channel bus lands. The page is the one stored when the
+// read was issued. dst must be exactly one page.
 //
 //xssd:hotpath
-func (a *Array) Read(addr PageAddr, done func([]byte, error)) {
+func (a *Array) Read(addr PageAddr, dst []byte, done func([]byte, error)) {
 	if err := a.checkAddr(addr); err != nil {
 		done(nil, err)
+		return
+	}
+	if len(dst) != a.geo.PageSize {
+		done(nil, ErrWrongSize)
 		return
 	}
 	data := a.data[a.pageIndex(addr)]
@@ -392,7 +396,7 @@ func (a *Array) Read(addr PageAddr, done func([]byte, error)) {
 	a.reads++
 	o := a.getOp(opRead, done)
 	o.block = addr.BlockAddr()
-	o.buf = data
+	o.buf, o.out = data, dst
 	a.occupyDie(addr.Channel, addr.Way, a.timing.TRead, o)
 }
 

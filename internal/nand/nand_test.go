@@ -48,7 +48,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 			sig.Broadcast()
 		})
 		p.WaitFor(sig, func() bool { return done })
-		a.Read(addr, func(d []byte, err error) {
+		a.Read(addr, make([]byte, len(want)), func(d []byte, err error) {
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
@@ -223,11 +223,28 @@ func TestAddressValidation(t *testing.T) {
 	var errProg, errRead error
 	env.Go("io", func(p *sim.Proc) {
 		a.Program(p, PageAddr{9, 0, 0, 0}, page(a, 1), func(_ []byte, err error) { errProg = err })
-		a.Read(PageAddr{0, 0, 0, 99}, func(_ []byte, err error) { errRead = err })
+		a.Read(PageAddr{0, 0, 0, 99}, page(a, 0), func(_ []byte, err error) { errRead = err })
 	})
 	env.Run()
 	if errProg != ErrAddrRange || errRead != ErrAddrRange {
 		t.Fatalf("errs = %v / %v, want ErrAddrRange", errProg, errRead)
+	}
+}
+
+// TestReadBufferMustBeOnePage: a read fills the caller's buffer, so a
+// buffer that is not exactly one page fails before the die is touched.
+func TestReadBufferMustBeOnePage(t *testing.T) {
+	env := sim.NewEnv(1)
+	a := New(env, smallGeo(), DefaultTiming)
+	var err error
+	env.Go("io", func(p *sim.Proc) {
+		a.Program(p, PageAddr{0, 0, 0, 0}, page(a, 1), func([]byte, error) {})
+		p.Sleep(time.Millisecond)
+		a.Read(PageAddr{0, 0, 0, 0}, make([]byte, a.Geometry().PageSize-1), func(_ []byte, e error) { err = e })
+	})
+	env.Run()
+	if reads, _, _ := a.Stats(); err != ErrWrongSize || reads != 0 {
+		t.Fatalf("err = %v after %d reads, want ErrWrongSize and none", err, reads)
 	}
 }
 
@@ -236,7 +253,7 @@ func TestReadUnwrittenPage(t *testing.T) {
 	a := New(env, smallGeo(), DefaultTiming)
 	var err error
 	env.Go("io", func(p *sim.Proc) {
-		a.Read(PageAddr{0, 0, 0, 0}, func(_ []byte, e error) { err = e })
+		a.Read(PageAddr{0, 0, 0, 0}, page(a, 0), func(_ []byte, e error) { err = e })
 	})
 	env.Run()
 	if err != ErrUnwritten {

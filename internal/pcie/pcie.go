@@ -358,14 +358,15 @@ func NewHostMemory(size int) *HostMemory { return &HostMemory{buf: make([]byte, 
 // Bytes exposes the backing buffer for host-side (zero-cost) access.
 func (h *HostMemory) Bytes() []byte { return h.buf }
 
-// DMARead moves n bytes from host memory at addr into the device across
-// link, blocking the calling (device) process for the transfer.
-func (h *HostMemory) DMARead(p *sim.Proc, link *sim.Link, addr int64, n int) []byte {
-	out := make([]byte, n)
-	copy(out, h.buf[addr:addr+int64(n)])
+// DMAReadInto moves len(dst) bytes from host memory at addr into the
+// device buffer dst across link, blocking the calling (device) process for
+// the transfer. The bytes are the ones host memory held when the transfer
+// began.
+func (h *HostMemory) DMAReadInto(p *sim.Proc, link *sim.Link, addr int64, dst []byte) {
+	n := len(dst)
+	copy(dst, h.buf[addr:addr+int64(n)])
 	packets := (n + MaxPayload - 1) / MaxPayload
 	link.Transfer(p, n+packets*HeaderBytes)
-	return out
 }
 
 // DMAWrite moves data from the device into host memory at addr across

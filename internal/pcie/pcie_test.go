@@ -195,14 +195,14 @@ func TestDMAReadWrite(t *testing.T) {
 	link := env.NewLink("pcie", 2e9, 200*time.Nanosecond)
 	host := NewHostMemory(8192)
 	copy(host.Bytes()[1000:], []byte("log record payload"))
-	var fetched []byte
+	fetched := make([]byte, 18)
 	env.Go("device", func(p *sim.Proc) {
-		fetched = host.DMARead(p, link, 1000, 18)
+		host.DMAReadInto(p, link, 1000, fetched)
 		host.DMAWrite(p, link, 4000, []byte("completion data"))
 	})
 	env.Run()
 	if string(fetched) != "log record payload" {
-		t.Fatalf("DMARead got %q", fetched)
+		t.Fatalf("DMAReadInto got %q", fetched)
 	}
 	if string(host.Bytes()[4000:4015]) != "completion data" {
 		t.Fatalf("DMAWrite result %q", host.Bytes()[4000:4015])

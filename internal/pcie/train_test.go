@@ -90,7 +90,7 @@ func trainRun(seed int64, oneByOne bool) (log []string, switches int64, ties int
 			case 0:
 				region.read(p, 0, make([]byte, 8))
 			case 1:
-				host.DMARead(p, link, 0, 1+nr.Intn(600))
+				host.DMAReadInto(p, link, 0, make([]byte, 1+nr.Intn(600)))
 			default:
 				host.DMAWrite(p, link, 0, make([]byte, 1+nr.Intn(600)))
 			}

@@ -79,11 +79,11 @@ const (
 type Request struct {
 	Kind   OpKind
 	Addr   nand.PageAddr // page for program/read; block via Addr.BlockAddr() for erase
-	Data   []byte        // program payload
+	Data   []byte        // program: the payload; read: the caller's page the read fills
 	Source Source
 	// Done fires in scheduler context at completion (for a validation
-	// error, at dispatch). For OpRead, data carries the caller's own copy
-	// of the page; it is nil otherwise.
+	// error, at dispatch). For OpRead, data is Data, filled with the page;
+	// it is nil otherwise.
 	Done func(data []byte, err error)
 
 	enqueued time.Duration
@@ -238,7 +238,7 @@ func (s *Scheduler) dispatch(p *sim.Proc, ch int) {
 			s.bytesBySource[r.Source] += int64(len(r.Data))
 			s.array.Program(p, r.Addr, r.Data, r.Done)
 		case OpRead:
-			s.array.Read(r.Addr, r.Done)
+			s.array.Read(r.Addr, r.Data, r.Done)
 		case OpErase:
 			s.array.Erase(r.Addr.BlockAddr(), r.Done)
 		}

@@ -127,7 +127,7 @@ func TestReadAndEraseThroughScheduler(t *testing.T) {
 		s.Submit(&Request{Kind: OpProgram, Addr: addr, Data: want, Source: Conventional,
 			Done: func(_ []byte, err error) { step = 1; sig.Broadcast() }})
 		p.WaitFor(sig, func() bool { return step == 1 })
-		s.Submit(&Request{Kind: OpRead, Addr: addr, Source: Conventional,
+		s.Submit(&Request{Kind: OpRead, Addr: addr, Data: make([]byte, geo.PageSize), Source: Conventional,
 			Done: func(d []byte, err error) {
 				if err != nil {
 					t.Errorf("read: %v", err)

@@ -61,7 +61,7 @@ func TestShardTransferAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own schedule")
 	}
-	want := map[string]float64{"local": 24, "cross": 85}
+	want := map[string]float64{"local": 22, "cross": 81}
 	for _, k := range transferKinds {
 		onTransferCluster(t, k.dst, func(p *sim.Proc, cl *Cluster) {
 			got := testing.AllocsPerRun(100, func() {

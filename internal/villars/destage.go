@@ -68,14 +68,11 @@ type destageModule struct {
 	//xssd:pool retain
 	inflight fifo.Queue[*destagePage]
 
-	// recycled buffers: flash-page payloads and pipeline entries. A page
-	// buffer is free once its program completed (nand copies the payload
-	// at program time); an entry once it retired.
-	//xssd:pool put
-	pageBufs pool.Free[[]byte]
+	// Pipeline entries, each with the page buffer it owns for life, are
+	// recycled once retired; the page workers program them.
 	//xssd:pool put
 	freeEntries pool.Free[*destagePage]
-	procName    string // per-page worker name, built once
+	workers     *sim.Workers[*destagePage]
 
 	kick     *sim.Signal
 	kickFn   func()        // kick.Broadcast, bound once for the latency-bound timer
@@ -100,8 +97,12 @@ const (
 	destageRetryBackoff = 50 * time.Microsecond
 )
 
+// destagePage is one page in the destage pipeline, from carve to in-order
+// retire.
 type destagePage struct {
-	n        int64 // payload bytes
+	page     []byte // header + payload + filler; owned by the entry for life
+	lba      int64  // the ring slot the page is written to
+	n        int64  // payload bytes
 	done     bool
 	err      error
 	carvedAt time.Duration
@@ -115,8 +116,8 @@ func newDestageModule(d *Device, fs *fastSide, baseLBA, lbaCount int64) *destage
 		lbaCount: lbaCount,
 		kick:     d.env.NewSignal(),
 		Advanced: d.env.NewSignal(),
-		procName: "destage-page-" + fs.name,
 	}
+	m.workers = sim.NewWorkers(d.env, "destage-page-"+fs.name, m.writePage)
 	m.since = fifo.Make[time.Duration](int(fs.cmbSize/int64(m.maxPayload())) + 1)
 	m.kickFn = m.kick.Broadcast
 	sc := obs.For(d.env).Scope(fs.name + "/destage")
@@ -261,19 +262,20 @@ func (m *destageModule) frontierMoved() {
 }
 
 // carveOne bundles n bytes at the carve point into one flash page and
-// issues its program; completion is retired in order by retire().
+// hands it to a page worker; completion is retired in order by retire().
 //
 //xssd:hotpath
 func (m *destageModule) carveOne(p *sim.Proc, n int64) {
 	cmb := m.fs.cmb
-	page := m.getPage()
+	entry := m.getEntry()
+	page := entry.page
 	EncodePageHeader(page, m.carved, int(n))
 	if err := cmb.ring.ReadInto(page[PageHeaderLen:PageHeaderLen+n], m.carved); err != nil {
 		// The carve point did not move, so the loop will ask for the same
 		// bytes again: back off like the page worker does, or it would spin
 		// at this instant forever.
 		m.mErrors.Inc()
-		m.pageBufs.Put(page)
+		m.freeEntries.Put(entry)
 		p.Sleep(destageRetryBackoff)
 		return
 	}
@@ -292,56 +294,47 @@ func (m *destageModule) carveOne(p *sim.Proc, n int64) {
 		m.mPartialPages.Inc()
 	}
 
-	entry := m.getEntry()
 	entry.n = n
 	entry.carvedAt = m.dev.env.Now()
+	entry.lba = m.baseLBA + m.tail%m.lbaCount
 	m.inflight.Push(entry)
-	lba := m.baseLBA + m.tail%m.lbaCount
 	m.tail++
-	//xssd:ignore hotpathalloc the per-page worker closure is the pipeline's unit of work
-	m.dev.env.Go(m.procName, func(w *sim.Proc) {
-		for attempt := 0; ; attempt++ {
-			if d := fault.CheckEnv(m.dev.env, fault.DestageWrite, m.fs.name, 1); d.Fail() {
-				entry.err = fault.ErrInjected
-			} else {
-				if d.Act == fault.ActionDelay {
-					w.Sleep(d.Dur)
-				}
-				entry.err = m.dev.ftl.Write(w, lba, page, sched.Destage)
-			}
-			if entry.err == nil || attempt >= destageMaxRetries {
-				break
-			}
-			m.mRetries.Inc()
-			w.Sleep(destageRetryBackoff)
-		}
-		// The array copied the payload when the program was issued; the
-		// page buffer can serve the next carve.
-		m.pageBufs.Put(page)
-		entry.done = true
-		m.kick.Broadcast()
-	})
+	m.workers.Start(entry)
 }
 
-// getPage returns a pooled page-sized buffer.
+// writePage is a page worker's body: program one carved page, retrying a
+// failed program with backoff, then mark it done for retire().
 //
-//xssd:pool get
-func (m *destageModule) getPage() []byte {
-	if b := m.pageBufs.Get(); b != nil {
-		return b
+//xssd:hotpath
+func (m *destageModule) writePage(w *sim.Proc, e *destagePage) {
+	for attempt := 0; ; attempt++ {
+		if d := fault.CheckEnv(m.dev.env, fault.DestageWrite, m.fs.name, 1); d.Fail() {
+			e.err = fault.ErrInjected
+		} else {
+			if d.Act == fault.ActionDelay {
+				w.Sleep(d.Dur)
+			}
+			e.err = m.dev.ftl.Write(w, e.lba, e.page, sched.Destage)
+		}
+		if e.err == nil || attempt >= destageMaxRetries {
+			break
+		}
+		m.mRetries.Inc()
+		w.Sleep(destageRetryBackoff)
 	}
-	return make([]byte, m.dev.cfg.Geometry.PageSize)
+	e.done = true
+	m.kick.Broadcast()
 }
 
-// getEntry returns a recycled pipeline entry.
+// getEntry returns a recycled pipeline entry, its page buffer kept.
 //
 //xssd:pool get
 func (m *destageModule) getEntry() *destagePage {
 	if e := m.freeEntries.Get(); e != nil {
-		*e = destagePage{}
+		*e = destagePage{page: e.page}
 		return e
 	}
-	return &destagePage{}
+	return &destagePage{page: make([]byte, m.dev.cfg.Geometry.PageSize)}
 }
 
 // retire releases completed pages from the head of the pipeline, in order,

@@ -674,3 +674,53 @@ func TestDestagePipelineStaysBounded(t *testing.T) {
 // backingCap reads the capacity of a fifo.Queue's backing array, which the
 // queue does not export.
 func backingCap(q any) int { return reflect.ValueOf(q).Elem().FieldByName("q").Cap() }
+
+// TestDestagePageAllocations: once the pipeline's entries and page workers
+// have grown, a page's whole destage — carve, program on a recycled page
+// worker, in-order retire — allocates nothing. Each round writes one
+// page's payload into the CMB and waits until it is destaged. The ring
+// is short and the array small, so the warm-up wraps the array and the
+// collector recycles erased flash pages for the measured programs.
+func TestDestagePageAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own schedule")
+	}
+	env := sim.NewEnv(1)
+	defer env.Close()
+	cfg := testConfig("a")
+	cfg.Geometry.BlocksPerDie = 8
+	cfg.DestageLBAs = 64
+	d := New(env, cfg, pcie.NewHostMemory(1<<20))
+	m := d.Destage()
+	payload := make([]byte, m.maxPayload())
+	kick := env.NewSignal()
+	var off int64
+	destaged := func() bool { return m.DestagedStream() == off }
+	env.Go("host", func(p *sim.Proc) {
+		for {
+			p.Wait(kick)
+			d.CMB().MemWrite(off, payload)
+			off += int64(len(payload))
+			p.WaitFor(m.Advanced, destaged)
+		}
+	})
+	round := func() {
+		kick.Broadcast()
+		env.RunUntil(env.Now() + time.Millisecond)
+	}
+	env.RunUntil(time.Millisecond)
+	for i := 0; i < 4*cfg.Geometry.TotalPages(); i++ { // warm-up: free lists, queues, workers and erased pages grow here
+		round()
+	}
+	pages, erases := d.Stats().Destage.Pages, d.FTL().Stats().GCErases
+	n := testing.AllocsPerRun(200, round)
+	if got := d.Stats().Destage.Pages - pages; got != 201 || !destaged() {
+		t.Fatalf("measured rounds destaged %d pages, want 201", got)
+	}
+	if d.FTL().Stats().GCErases == erases {
+		t.Fatal("the collector erased no block while the rounds were measured")
+	}
+	if n != 0 {
+		t.Errorf("a destaged page allocates %v objects, want 0", n)
+	}
+}

@@ -238,6 +238,15 @@ type carrier struct {
 
 // Go starts fn as a new simulated process at the current virtual time.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
+	p := &Proc{}
+	e.start(p, name, fn)
+	return p
+}
+
+// start runs fn as the new process p, which the caller allocated, from the
+// current virtual time: a carrier takes it, and its first dispatch is
+// scheduled at (now, next seq).
+func (e *Env) start(p *Proc, name string, fn func(p *Proc)) {
 	if e.closed {
 		panic("sim: Go on closed Env")
 	}
@@ -249,10 +258,9 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		c.next, c.stop = iter.Pull(c.loop)
 		e.carriers = append(e.carriers, c)
 	}
-	p := &Proc{env: e, name: name, c: c}
+	*p = Proc{env: e, name: name, c: c}
 	c.p, c.fn = p, fn
 	e.schedule(e.now, p, nil)
-	return p
 }
 
 // loop is the carrier's body: run the assigned process, go idle, wait to be

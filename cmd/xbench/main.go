@@ -15,10 +15,10 @@
 // Add -metrics out.json to any experiment run to also dump a per-cell
 // metrics snapshot (canonical JSON, byte-identical across same-seed runs).
 //
-// Every simulation runs on a sim.Group. -workers N places the devices on
-// it: 0 (the default) puts all of a run's devices on one member, N >= 1
-// gives each device a member of its own and the group N quantum executors.
-// Same-seed results are byte-identical for every N >= 1.
+// Every simulation runs on a sim.Group with each device on a member of its
+// own. -workers N (default 1, the serial runner) is how many quantum
+// executors run the members; same-seed results are byte-identical for
+// every N.
 //
 // Performance modes (-suite needs -o, the file the results go to):
 //
@@ -54,7 +54,7 @@ func main() {
 	shards := flag.Int("shards", 0, "with -chaos: run the sharded-cluster sweep with this many shards per seed (invariants I1-I5 + I8); 0 = classic single-primary sweep")
 	paged := flag.Bool("paged", false, "with -chaos: store tables in B+tree pages destaged to the conventional side, with background fuzzy checkpoints (invariants I1-I5 + I9)")
 	metricsOut := flag.String("metrics", "", "write per-cell metrics snapshots to this file as JSON")
-	workers := flag.Int("workers", 0, "device placement on the simulation group: 0 = every device on one member, n >= 1 = one member per device and n quantum executors (figures, sweeps, and the perf suite)")
+	workers := flag.Int("workers", 1, "quantum executors running the simulation group (>= 1; figures, sweeps, and the perf suite); results do not depend on it")
 	suite := flag.String("suite", "", "run a timed suite (\"perf\", \"latency\", or \"shard\")")
 	out := flag.String("o", "", "output file for -suite (required with it)")
 	compare := flag.Bool("compare", false, "compare two perf result files: -compare baseline.json new.json")
@@ -68,6 +68,10 @@ func main() {
 	// collector pacing can never leak into event order or metrics.
 	debug.SetGCPercent(*gogc)
 
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "xbench: -workers must be at least 1, got %d\n", *workers)
+		os.Exit(2)
+	}
 	bench.SetEngineWorkers(*workers)
 
 	if *memprofile != "" {

@@ -60,8 +60,8 @@ func ablationSchemeCell(scheme core.ReplicationScheme) (obs.Candlestick, error) 
 	defer c.Close()
 	env := c.env
 	prim := fig13Device(env, "prim", 400*time.Nanosecond)
-	sec1 := fig13Device(c.member("sec1", 6), "sec1", 400*time.Nanosecond)
-	sec2 := fig13Device(c.member("sec2", 7), "sec2", 400*time.Nanosecond)
+	sec1 := fig13Device(c.NewEnv("sec1", 6), "sec1", 400*time.Nanosecond)
+	sec2 := fig13Device(c.NewEnv("sec2", 7), "sec2", 400*time.Nanosecond)
 	cluster, err := repl.New(env, []*villars.Device{prim, sec1, sec2})
 	if err != nil {
 		return obs.Candlestick{}, err

@@ -102,9 +102,6 @@ func iqr(c obs.Candlestick) time.Duration { return c.P75 - c.P25 }
 // and chain once the tail two hops away has, so the p50s are strictly
 // ordered.
 func TestAblationSchemeCostOrder(t *testing.T) {
-	prev := engineWorkers
-	SetEngineWorkers(0)
-	defer SetEngineWorkers(prev)
 	p50 := map[core.ReplicationScheme]time.Duration{}
 	for _, scheme := range []core.ReplicationScheme{core.Lazy, core.Eager, core.Chain} {
 		c, err := ablationSchemeCell(scheme)

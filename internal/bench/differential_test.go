@@ -62,10 +62,9 @@ func checkRunsIdentical(t *testing.T, name string, modes []int, runs []cellRun) 
 
 // TestFig13WorkerCountInvariant runs the genuinely multi-member figure with
 // the secondary on its own member: all pair traffic crosses at barriers, so
-// the executor count must not be observable. (Workers 0 is a different
-// topology — one member for both devices — and is not compared.)
+// the executor count must not be observable.
 func TestFig13WorkerCountInvariant(t *testing.T) {
-	modes := []int{1, 2, 8}
+	modes := []int{0, 1, 2, 8}
 	runs := runCellDifferential(t, modes, func() []float64 {
 		c, share := Fig13Cell(400 * time.Nanosecond)
 		return []float64{float64(c.Min), float64(c.P50), float64(c.Max), float64(c.N), share}

@@ -51,10 +51,10 @@ func Fig13Cell(period time.Duration) (obs.Candlestick, float64) {
 	defer c.Close()
 	env := c.env
 	prim := fig13Device(env, "prim", period)
-	// At -workers >= 1 the secondary lives on its own member and
-	// all pair traffic — mirrored writes one way, counter updates the
-	// other — crosses at barriers through the bridges.
-	secEnv := c.member("sec", 6)
+	// The secondary lives on its own member, so all pair traffic —
+	// mirrored writes one way, counter updates the other — crosses at
+	// barriers through the bridges.
+	secEnv := c.NewEnv("sec", 6)
 	sec := fig13Device(secEnv, "sec", period)
 	toSec := ntb.NewDefaultBridgeTo(env, secEnv, "p-s")
 	toPrim := ntb.NewDefaultBridgeTo(secEnv, env, "s-p")

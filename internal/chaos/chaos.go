@@ -86,17 +86,14 @@ type Scenario struct {
 	// Window is how long the workload runs before it is stopped; 0 means
 	// 30 ms. At-triggered fault rules should fire inside the window.
 	Window time.Duration
-	// SimWorkers places the devices on the scenario's sim.Group; the
-	// engine is the same either way. 0 puts every device and the host
-	// workload on member 0 (one event loop). n >= 1 keeps the primary and
-	// the host side on member 0, gives each secondary a member of its own,
-	// and runs quanta on n executors — n == 1 being the serial runner over
-	// that topology. Runs with the same (Seed, Plan, shape) and any
-	// SimWorkers >= 1 are byte-identical to each other; they are a
-	// different topology (hence different fingerprints) than
-	// SimWorkers == 0. A takeover on a multi-member group serializes it
-	// permanently at its barrier, so promotion rewiring and the re-bound
-	// host stream are race-free under any worker count.
+	// SimWorkers is how many quantum executors run the scenario's
+	// sim.Group; values below 1 mean 1, the serial runner. The placement
+	// does not depend on it: the primary and the host side live on
+	// member 0 and each secondary on a member of its own, so runs with the
+	// same (Seed, Plan, shape) are byte-identical at every SimWorkers. A
+	// takeover serializes the group permanently at its barrier, so
+	// promotion rewiring and the re-bound host stream are race-free under
+	// any worker count.
 	SimWorkers int
 	// Shards, when > 0, runs the sharded-cluster scenario instead of the
 	// single-primary one: Shards primary devices partitioning 2*Shards
@@ -316,7 +313,7 @@ func runSingle(s Scenario) (*Result, error) {
 	prim := shard.DefaultDevice(env, PrimaryName)
 	devices := []*villars.Device{prim}
 	for i := 0; i < s.Secondaries; i++ {
-		devices = append(devices, shard.DefaultDevice(en.deviceEnv(i+1), fmt.Sprintf("s%d", i)))
+		devices = append(devices, shard.DefaultDevice(en.envs[i+1], fmt.Sprintf("s%d", i)))
 	}
 	var cluster *repl.Cluster
 	if len(devices) > 1 {

@@ -9,12 +9,10 @@ import (
 
 // engine is the group a scenario runs on plus the fault injectors hooked
 // into its members. The primary and the whole host side — WAL, database,
-// TPC-C workers, monitor, watchdog — live on member 0; SimWorkers only
-// decides where the secondaries go: 0 puts them on member 0 too (one event
-// loop for everything), >= 1 gives each a member of its own and that many
-// quantum executors. SimWorkers == 1 is the serial runner over the
-// multi-member topology: same barriers, same mailbox merge, no helper — the
-// differential suite's baseline.
+// TPC-C workers, monitor, watchdog — live on member 0, and secondary i on
+// member i+1. SimWorkers only sizes the executor pool; 1 (or less) is the
+// serial runner over the same members: same barriers, same mailbox merge,
+// no helper — the differential suite's baseline.
 type engine struct {
 	group *sim.Group
 	host  *sim.Env   // member 0
@@ -28,10 +26,8 @@ type engine struct {
 func newEngine(seed int64, simWorkers, secondaries int, plan *fault.Plan) *engine {
 	en := &engine{group: sim.NewGroup(sim.GroupConfig{Workers: simWorkers, StartInline: true})}
 	en.host = en.group.NewEnv("host", seed)
-	if simWorkers > 0 {
-		for i := 0; i < secondaries; i++ {
-			en.group.NewEnv(fmt.Sprintf("s%d", i), sim.MemberSeed(seed, i+1))
-		}
+	for i := 0; i < secondaries; i++ {
+		en.group.NewEnv(fmt.Sprintf("s%d", i), sim.MemberSeed(seed, i+1))
 	}
 	en.envs = en.group.Envs()
 	for _, e := range en.envs {
@@ -40,14 +36,6 @@ func newEngine(seed int64, simWorkers, secondaries int, plan *fault.Plan) *engin
 		en.injs = append(en.injs, inj)
 	}
 	return en
-}
-
-// deviceEnv returns the Env that owns device i (0 = primary).
-func (en *engine) deviceEnv(i int) *sim.Env {
-	if i >= len(en.envs) {
-		return en.host
-	}
-	return en.envs[i]
 }
 
 // firings sums fired fault rules across members in index order.

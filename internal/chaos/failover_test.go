@@ -8,14 +8,20 @@ import (
 )
 
 // TestRunFailoverCleanKill is the harness smoke test: one kill per scheme
-// with no background faults must promote exactly once and hold I6. With
-// every device on one member (SimWorkers == 0) the takeover has nobody to
-// serialize against and sleeps no group quanta: detection to promotion is
-// the latency this seed had when the run was a bare Env.
+// with no background faults must promote exactly once and hold I6. Each
+// secondary lives on a member of its own, so the takeover serializes the
+// group and waits out two quanta before it drains the log: detection to
+// promotion is pinned per scheme at this seed.
 func TestRunFailoverCleanKill(t *testing.T) {
-	const loneMemberTakeover = 200624 * time.Nanosecond
-	for _, scheme := range []core.ReplicationScheme{core.Eager, core.Lazy, core.Chain} {
-		scheme := scheme
+	for _, tc := range []struct {
+		scheme             core.ReplicationScheme
+		serializedTakeover time.Duration
+	}{
+		{core.Eager, 200624 * time.Nanosecond},
+		{core.Lazy, 200624 * time.Nanosecond},
+		{core.Chain, 200624 * time.Nanosecond},
+	} {
+		scheme := tc.scheme
 		t.Run(scheme.String(), func(t *testing.T) {
 			r, err := Run(Scenario{
 				Seed:        1,
@@ -33,8 +39,8 @@ func TestRunFailoverCleanKill(t *testing.T) {
 			if r.Promoted == "" {
 				t.Fatalf("no promotion recorded")
 			}
-			if r.DetectToLive != loneMemberTakeover {
-				t.Errorf("takeover took %v, want %v (a lone member waits out no quantum)", r.DetectToLive, loneMemberTakeover)
+			if r.DetectToLive != tc.serializedTakeover {
+				t.Errorf("takeover took %v, want %v", r.DetectToLive, tc.serializedTakeover)
 			}
 			if r.Commits <= r.PreKillCommits {
 				t.Errorf("no post-takeover commits: %d total, %d pre-kill", r.Commits, r.PreKillCommits)

@@ -46,14 +46,14 @@ func TestPagedSweepHoldsInvariants(t *testing.T) {
 }
 
 // TestPagedWorkerCountParity pins that a paged run is a pure function of
-// (seed, plan, shape): the group engine at 1 and 8 quantum executors must
-// produce bit-identical fingerprints and metric snapshots, checkpoint
+// (seed, plan, shape): the group engine at 0, 1 and 8 quantum executors
+// must produce bit-identical fingerprints and metric snapshots, checkpoint
 // traffic and all.
 func TestPagedWorkerCountParity(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		sc := DefaultPagedScenario(seed)
 		var ref *Result
-		for _, sw := range []int{1, 8} {
+		for _, sw := range []int{0, 1, 8} {
 			s := sc
 			s.SimWorkers = sw
 			r, err := Run(s)

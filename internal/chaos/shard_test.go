@@ -35,14 +35,14 @@ func TestShardSweepHoldsInvariants(t *testing.T) {
 }
 
 // TestShardWorkerCountParity pins that the sharded scenario is a pure
-// function of (seed, plan, shape): one member for everything and a member
-// per device at 1, 2, and 8 quantum executors must produce bit-identical
-// fingerprints and metric snapshots.
+// function of (seed, plan, shape): the serial runner (0 and 1 executors)
+// and 2 and 8 quantum executors must produce bit-identical fingerprints
+// and metric snapshots.
 func TestShardWorkerCountParity(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		sc := DefaultShardScenario(seed, 4)
 		var ref *Result
-		for _, sw := range []int{1, 2, 8} {
+		for _, sw := range []int{0, 1, 2, 8} {
 			s := sc
 			s.SimWorkers = sw
 			r, err := Run(s)

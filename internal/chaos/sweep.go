@@ -27,10 +27,9 @@ type SeedResult struct {
 // callers that post-process them (the CLI prints them; tests pin the
 // sweep's Fold). gen is one of the Default*Scenario generators or a
 // closure over one. simWorkers is copied into every scenario
-// (Scenario.SimWorkers: 0 = every device on one member, n >= 1 = a member
-// per device and n quantum executors); both runs of a pair use the same
-// placement — equivalence across worker counts is the differential suite's
-// job.
+// (Scenario.SimWorkers, the number of quantum executors); both runs of a
+// pair use the same count — equivalence across worker counts is the
+// differential suite's job.
 func SweepResults(gen func(seed int64) Scenario, seeds, simWorkers int) ([]SeedResult, error) {
 	out := make([]SeedResult, 0, seeds)
 	for seed := int64(0); seed < int64(seeds); seed++ {

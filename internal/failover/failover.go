@@ -202,14 +202,13 @@ func (m *Manager) takeover(p *sim.Proc) error {
 	detected := p.Now()
 	m.mDetections.Inc()
 
-	// On a group of several members the survivors run in their own Envs;
-	// the takeover reads and rewires all of them, and afterwards the host
-	// stream crosses to the winner's Env on every write — far too hot for
-	// mailboxes. Serialize the group permanently (effective at the next
-	// barrier, deterministic for any worker count) and wait out the
-	// current quantum so every member is parked before touching them. A
-	// lone member has nobody to wait for.
-	if g := p.Env().Group(); g != nil && len(g.Envs()) > 1 {
+	// The survivors run in their own group members; the takeover reads
+	// and rewires all of them, and afterwards the host stream crosses to
+	// the winner's Env on every write — far too hot for mailboxes.
+	// Serialize the group permanently (effective at the next barrier,
+	// deterministic for any worker count) and wait out the current quantum
+	// so every member is parked before touching them.
+	if g := p.Env().Group(); g != nil {
 		g.Serialize()
 		p.Sleep(2 * g.Quantum())
 	}

@@ -13,9 +13,7 @@
 // terminals all live on member Env "sh<i>"; each of its secondaries gets
 // its own member. The only cross-shard channel is the RPC conduit in
 // rpc.go, built on Env.PostTo, so runs are byte-identical for every
-// worker count — and SimWorkers == 0 runs the identical code with every
-// shard on member 0 (PostTo degrades to a local timer), which is the
-// single-scheduler baseline.
+// worker count.
 package shard
 
 import (
@@ -56,11 +54,10 @@ type Config struct {
 	Secondaries int
 	// Scheme selects the replication scheme when Secondaries > 0.
 	Scheme core.ReplicationScheme
-	// SimWorkers places the devices on the cluster's sim.Group: 0 puts
-	// every shard and secondary on member 0; n >= 1 gives each shard (and
-	// each secondary) a member of its own and the group n quantum
-	// executors. All n >= 1 runs of one config are byte-identical to each
-	// other.
+	// SimWorkers is how many quantum executors run the cluster's
+	// sim.Group; values below 1 mean 1, the serial runner. Every shard and
+	// every secondary has a member of its own whatever the count, so all
+	// runs of one config are byte-identical to each other.
 	SimWorkers int
 	// Seed seeds shard 0's Env; further members derive theirs with a
 	// splitmix64 finalizer, so (Seed, shape) fixes the whole run.
@@ -223,18 +220,13 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// place returns the Env the next device goes on: member 0 for every device
-// at SimWorkers == 0, a new member otherwise.
+// place returns a new member for the next device, seeded by its index.
 func (c *Cluster) place(name string) *sim.Env {
-	envs := c.group.Envs()
-	if len(envs) > 0 && c.cfg.SimWorkers == 0 {
-		return envs[0]
-	}
-	return c.group.NewEnv(name, sim.MemberSeed(c.cfg.Seed, len(envs)))
+	return c.group.NewEnv(name, sim.MemberSeed(c.cfg.Seed, len(c.group.Envs())))
 }
 
-// Envs returns the member environments in index order (one at
-// SimWorkers == 0). Attach fault injectors here, before Build.
+// Envs returns the member environments in index order. Attach fault
+// injectors here, before Build.
 func (c *Cluster) Envs() []*sim.Env { return c.group.Envs() }
 
 // Group returns the group the cluster runs on; never nil.

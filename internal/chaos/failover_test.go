@@ -17,9 +17,9 @@ func TestRunFailoverCleanKill(t *testing.T) {
 		scheme             core.ReplicationScheme
 		serializedTakeover time.Duration
 	}{
-		{core.Eager, 200624 * time.Nanosecond},
-		{core.Lazy, 200624 * time.Nanosecond},
-		{core.Chain, 200624 * time.Nanosecond},
+		{core.Eager, 254324 * time.Nanosecond},
+		{core.Lazy, 254324 * time.Nanosecond},
+		{core.Chain, 253324 * time.Nanosecond},
 	} {
 		scheme := tc.scheme
 		t.Run(scheme.String(), func(t *testing.T) {

@@ -16,8 +16,8 @@ func TestShardSweepHoldsInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Fold(results); got != 0x93ce6a130f4bc854 {
-		t.Errorf("sharded 6-seed fold = %016x, want 93ce6a130f4bc854 (a sharded run's event history changed)", got)
+	if got := Fold(results); got != 0x559bd99b81d5a859 {
+		t.Errorf("sharded 6-seed fold = %016x, want 559bd99b81d5a859 (a sharded run's event history changed)", got)
 	}
 	crashes := 0
 	for _, sr := range results {

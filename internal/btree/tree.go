@@ -76,7 +76,8 @@ func (t *Tree) Get(p *sim.Proc, key string) (Item, bool, error) {
 }
 
 // Put inserts or replaces key with it, stamping touched pages with lsn
-// (the end LSN of the redo record carrying this write).
+// (the end LSN of the redo record carrying this write). It keeps no
+// reference to key: an insert stores a copy.
 func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
 	if 3*leafCellSize(key, it.Val) > t.pg.maxCell() || 4*branchCellSize(key) > t.pg.maxCell() {
 		// A leaf cell of at most a third of the cell area A is what lets
@@ -132,11 +133,16 @@ func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
 func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (sep string, right uint64, split bool, err error) {
 	n := f.n
 	if n.kind == kindLeaf {
-		c := cell{key: key, ver: it.Ver, val: it.Val, tomb: it.Tomb}
+		// The tree owns its keys: an update keeps the cell's key, and only
+		// an insert clones the caller's, which may be a view of a buffer
+		// the caller reuses.
+		c := cell{ver: it.Ver, val: it.Val, tomb: it.Tomb}
 		if i, ok := n.search(key); ok {
+			c.key = n.cells[i].key
 			n.size += c.size() - n.cells[i].size()
 			n.cells[i] = c
 		} else {
+			c.key = strings.Clone(key)
 			n.cells = slices.Insert(n.cells, i, c)
 			n.size += c.size()
 		}

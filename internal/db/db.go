@@ -98,41 +98,84 @@ type table struct {
 	rows store
 }
 
-// rowMap is the memory-only store. Cells stay at 32 bytes (a btree.Item
-// is 40) and convert at Get and Scan: the map is most of a loaded
-// engine's heap.
-type rowMap map[string]row
+// rowMap is the memory-only store: a map from key to a row slot. It owns
+// every key it holds, so a caller's key is only read. An update rewrites
+// the row's slot and never assigns the map — assigning would make Go
+// replace the stored key string with the caller's. A new row takes the
+// next slot of a fixed-size chunk, and its key is copied into an
+// append-only key arena, which the map key is a view of. Rows never leave
+// a row map (a delete is a tombstone), so neither wastes more than the
+// unused tail of a chunk. Slots stay at 32 bytes (a btree.Item is 40) and
+// convert at Get and Scan: the map is most of a loaded engine's heap.
+type rowMap struct {
+	m     map[string]*row
+	slots []row  // the current slot chunk's unused slots
+	arena []byte // the current key chunk; keys are views of its bytes
+}
+
+// Chunk sizes of a row map: slots per slot chunk, and bytes per key chunk
+// (a longer key gets a chunk of its own).
+const (
+	rowChunk = 256
+	keyChunk = 4 << 10
+)
 
 type row struct {
 	val []byte // nil: tombstone
 	ver int64  // transaction id of the writer
 }
 
-func (m rowMap) Get(_ *sim.Proc, key string) (btree.Item, bool, error) {
-	r, ok := m[key]
-	return btree.Item{Ver: r.ver, Val: r.val, Tomb: ok && r.val == nil}, ok, nil
+func newRowMap() *rowMap { return &rowMap{m: map[string]*row{}} }
+
+func (m *rowMap) Get(_ *sim.Proc, key string) (btree.Item, bool, error) {
+	r := m.m[key]
+	if r == nil {
+		return btree.Item{}, false, nil
+	}
+	return btree.Item{Ver: r.ver, Val: r.val, Tomb: r.val == nil}, true, nil
 }
 
-func (m rowMap) Put(_ *sim.Proc, key string, it btree.Item, _ int64) error {
-	r := row{ver: it.Ver}
+func (m *rowMap) Put(_ *sim.Proc, key string, it btree.Item, _ int64) error {
+	r := m.m[key]
+	if r == nil {
+		r = m.insert(key)
+	}
+	r.ver, r.val = it.Ver, nil
 	if !it.Tomb {
 		// A live row with no bytes must not read back as a tombstone.
 		if r.val = it.Val; r.val == nil {
 			r.val = []byte{}
 		}
 	}
-	m[key] = r
 	return nil
 }
 
-func (m rowMap) Scan(_ *sim.Proc, fn func(key string, it btree.Item) bool) error {
-	keys := make([]string, 0, len(m))
-	for k := range m {
+// insert adds a row for key, which the map does not hold yet, and returns
+// its slot: the next one of the current chunk, keyed by a copy of key in
+// the arena.
+func (m *rowMap) insert(key string) *row {
+	if len(m.slots) == 0 {
+		m.slots = make([]row, rowChunk)
+	}
+	r := &m.slots[0]
+	m.slots = m.slots[1:]
+	if len(key) > cap(m.arena)-len(m.arena) {
+		m.arena = make([]byte, 0, max(keyChunk, len(key)))
+	}
+	n := len(m.arena)
+	m.arena = append(m.arena, key...)
+	m.m[view(m.arena[n:])] = r
+	return r
+}
+
+func (m *rowMap) Scan(_ *sim.Proc, fn func(key string, it btree.Item) bool) error {
+	keys := make([]string, 0, len(m.m))
+	for k := range m.m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if r := m[k]; !fn(k, btree.Item{Ver: r.ver, Val: r.val, Tomb: r.val == nil}) {
+		if r := m.m[k]; !fn(k, btree.Item{Ver: r.ver, Val: r.val, Tomb: r.val == nil}) {
 			break
 		}
 	}
@@ -151,10 +194,11 @@ func (e *Engine) CreateTable(name string) {
 	if _, ok := e.tables[name]; ok {
 		return
 	}
-	var rows store = rowMap{}
+	var rows store = newRowMap()
 	if e.pager != nil {
 		rows = btree.New(e.pager)
 	}
+	name = strings.Clone(name) // a replayed record names its table by a view
 	e.tables[name] = &table{name: name, rows: rows}
 }
 
@@ -170,7 +214,8 @@ type Table struct {
 // Table returns a handle for name, creating the table if needed.
 func (e *Engine) Table(name string) Table {
 	e.CreateTable(name)
-	return Table{t: e.tables[name], name: name}
+	t := e.tables[name]
+	return Table{t: t, name: t.name}
 }
 
 // Name returns the table's name: what a handle resolved on one engine
@@ -250,11 +295,12 @@ type Tx struct {
 // row read twice appears twice and is validated against every version it
 // was seen at.
 //
-// keys holds the bytes of every key in reads, which are views into it
-// (ownKey): GetIn keeps no key of its caller's. A view outlives the
-// buffer growing, since nothing writes an old backing array again, and the
-// bytes are only reused after release, when unpin has already dropped
-// every pin a Prepare keyed by them.
+// keys holds the bytes of every key in reads, writes and wIndex, which are
+// views into it (ownKey): no method keeps a key of its caller's. A view
+// outlives the buffer growing, since nothing writes an old backing array
+// again, and the bytes are only reused after release, when unpin has
+// already dropped every pin a Prepare keyed by them and the stores have
+// copied every key they keep.
 type txSets struct {
 	reads  []readOp
 	writes []writeOp
@@ -269,8 +315,11 @@ type readOp struct {
 	ver int64
 }
 
+// writeOp is one buffered or replayed row write. On the live path key is
+// a view into the transaction's keys; on the replay path tab.name and key
+// are views into the payload being applied.
 type writeOp struct {
-	tab    Table // tab.t is nil on the recovery path (decoded records)
+	tab    Table // tab.t is nil on the replay path (decoded records)
 	key    string
 	val    []byte
 	delete bool
@@ -318,14 +367,14 @@ func (t *Tx) release() {
 	t.txSets = txSets{}
 }
 
-// ownKey copies key into the read set's key bytes and returns a view of
-// the copy.
+// ownKey copies key into the sets' key bytes and returns a view of the
+// copy.
 //
 //xssd:hotpath
 func (t *Tx) ownKey(key string) string {
 	n := len(t.keys)
 	t.keys = append(t.keys, key...)
-	return unsafe.String(unsafe.SliceData(t.keys[n:]), len(key))
+	return view(t.keys[n:])
 }
 
 // ID returns the transaction id.
@@ -339,12 +388,12 @@ func (t *Tx) ID() int64 { return t.id }
 //
 // GetIn keeps no reference to key once it returns: the read set copies
 // the bytes it validates. key may be a view of a buffer the caller reuses
-// for its next key — which is how internal/tpcc names a row it only reads.
-// A write key is different: PutOwnedIn and DeleteIn keep theirs.
+// for its next key — which is how internal/tpcc names every row. The write
+// methods borrow their keys the same way.
 //
 // The returned bytes are the row as installed, not a copy, and they never
-// change: both stores replace a row's value whole (rowMap assigns the
-// cell, a tree leaf swaps the slice, and page decode gives every value
+// change: both stores replace a row's value whole (a rowMap slot and a
+// tree leaf cell swap the slice, and page decode gives every value
 // its own slice), so callers may keep views into them — internal/tpcc
 // decodes string fields as views — and must never write through them.
 //
@@ -375,38 +424,41 @@ func (t *Tx) GetIn(tab Table, key string) ([]byte, bool) {
 }
 
 // PutOwnedIn buffers a row write through a resolved handle and takes
-// ownership of val: the caller must not read or modify the slice
-// afterwards, so the value must be freshly built for this call (e.g. a
-// row Encode result). The key is kept too — the write index, the redo
-// record and the store hold it — so it must be a string the caller never
-// changes, never a view of a reused buffer.
+// ownership of val: the store installs the slice as the row, so nobody may
+// write through it afterwards — it is freshly built for this call (e.g. a
+// row Encode result) or a value nothing ever modifies. The key is
+// borrowed, as GetIn's is: the write set copies its bytes, the stores copy
+// the keys they keep, and key may be a view of a buffer the caller
+// rewrites once the call returns.
 func (t *Tx) PutOwnedIn(tab Table, key string, val []byte) {
-	t.addWrite(writeOp{tab: tab, key: key, val: val})
+	t.addWrite(tab, key, val, false)
 }
 
-// DeleteIn buffers a row deletion through a resolved handle; it keeps the
-// key, as PutOwnedIn does.
+// DeleteIn buffers a row deletion through a resolved handle; it borrows
+// the key, as PutOwnedIn does.
 func (t *Tx) DeleteIn(tab Table, key string) {
-	t.addWrite(writeOp{tab: tab, key: key, delete: true})
+	t.addWrite(tab, key, nil, true)
 }
 
-// addWrite buffers one write, replacing an earlier write to the same row.
-// A finished transaction drops it.
+// addWrite buffers one write, replacing an earlier write to the same row,
+// which keeps the key it already copied. A finished transaction drops it.
 //
 //xssd:hotpath
-func (t *Tx) addWrite(w writeOp) {
+func (t *Tx) addWrite(tab Table, key string, val []byte, del bool) {
 	if t.done {
 		return
 	}
-	k := hkey{w.tab.t, w.key}
+	k := hkey{tab.t, key}
 	if len(t.writes) > 0 {
 		if i, ok := t.wIndex[k]; ok {
-			t.writes[i] = w
+			w := &t.writes[i]
+			w.val, w.delete = val, del
 			return
 		}
 	}
+	k.key = t.ownKey(key)
 	t.wIndex[k] = len(t.writes)
-	t.writes = append(t.writes, w)
+	t.writes = append(t.writes, writeOp{tab: tab, key: k.key, val: val, delete: del})
 }
 
 // Abort discards the transaction, releasing any pins a Prepare took.
@@ -717,6 +769,8 @@ func (e *Engine) Env() *sim.Env { return e.env }
 // this way carry version 0, exactly like rows recovered from a snapshot.
 // On a paged engine the load happens before any checkpoint, so every
 // touched page is fresh and resident — no device I/O, no process needed.
+// LoadRow keeps neither key nor val: the store copies the key, and the row
+// gets a copy of val.
 func (e *Engine) LoadRow(tableName, key string, val []byte) {
 	it := btree.Item{Val: append([]byte(nil), val...)}
 	if err := e.Table(tableName).t.rows.Put(nil, key, it, 0); err != nil {
@@ -778,7 +832,11 @@ func appendWrites(buf []byte, ws []writeOp) []byte {
 	return buf
 }
 
-// decodeWrites parses a redo payload.
+// decodeWrites parses a redo payload. An op's table name and key are
+// views into buf, which the stores copy when they keep them; only the
+// value, which a store installs as is, gets its own copy. So the ops are
+// valid as long as buf is, and replay allocates the op slice and one
+// value per op.
 func decodeWrites(buf []byte) ([]writeOp, error) {
 	if len(buf) < 2 {
 		return nil, errors.New("db: short redo payload")
@@ -795,14 +853,14 @@ func decodeWrites(buf []byte) ([]writeOp, error) {
 		if len(buf) < tl+2 {
 			return nil, errors.New("db: truncated table name")
 		}
-		tableName := string(buf[:tl])
+		tableName := view(buf[:tl])
 		buf = buf[tl:]
 		kl := int(binary.LittleEndian.Uint16(buf[:2]))
 		buf = buf[2:]
 		if len(buf) < kl+4 {
 			return nil, errors.New("db: truncated key")
 		}
-		key := string(buf[:kl])
+		key := view(buf[:kl])
 		buf = buf[kl:]
 		vl := int(binary.LittleEndian.Uint32(buf[:4]))
 		buf = buf[4:]
@@ -815,6 +873,9 @@ func decodeWrites(buf []byte) ([]writeOp, error) {
 	}
 	return out, nil
 }
+
+// view returns b's bytes as a string without copying them.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // The op counts reserved for control records riding the WAL. A redo
 // payload starts with its op count (u16), and no transaction carries this

@@ -786,6 +786,103 @@ func TestGetInKeepsNoCallerKey(t *testing.T) {
 	})
 }
 
+// TestPutInKeepsNoCallerKey holds the write methods' key contract: like
+// GetIn, PutOwnedIn and DeleteIn borrow their key, so a terminal may name
+// a row it writes with a view of a scratch buffer it rewrites for the
+// next key. One transaction inserts k3, updates k1 and deletes k2 through
+// one buffer and a second updates k1 and inserts k4 across Prepare and
+// CommitPrepared; the buffer is rewritten after every call, before and
+// after each commit and between the two phases. The store must hold
+// exactly the rows named, read-your-writes must find them under fresh
+// names, a pin must fence k4, and the redo record and the encoded write
+// set must carry the keys as they were when written.
+func TestPutInKeepsNoCallerKey(t *testing.T) {
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		env := sim.NewEnv(1)
+		eng, sink := newEngine(env, mk)
+		eng.LoadRow("t", "k1", []byte("v0"))
+		eng.LoadRow("t", "k2", []byte("v0"))
+		tab := eng.Table("t")
+		buf := make([]byte, 2)
+		name := func(k string) string {
+			copy(buf, k)
+			return unsafe.String(&buf[0], len(buf))
+		}
+		keysOf := func(payload []byte) (keys []string) {
+			ws, err := decodeWrites(payload)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			for _, w := range ws {
+				keys = append(keys, w.key)
+			}
+			return keys
+		}
+		var encoded []byte
+		var first int64
+		env.Go("tx", func(p *sim.Proc) {
+			a := eng.BeginP(p)
+			first = a.ID()
+			a.PutOwnedIn(tab, name("k3"), []byte("new"))
+			name("zz")
+			a.PutOwnedIn(tab, name("k1"), []byte("upd"))
+			name("zz")
+			a.DeleteIn(tab, name("k2"))
+			name("zz")
+			for k, want := range map[string]string{"k3": "new", "k1": "upd", "k2": ""} {
+				if v, ok := a.GetIn(tab, name(k)); ok != (want != "") || string(v) != want {
+					t.Errorf("read-your-writes of %s: %q ok=%v, want %q", k, v, ok, want)
+				}
+			}
+			if _, ok := a.GetIn(tab, name("zz")); ok {
+				t.Error("a row named only by the rewritten buffer reads back")
+			}
+			name("zz")
+			if err := a.Commit(p); err != nil {
+				t.Errorf("commit: %v", err)
+			}
+			name("zz")
+
+			b := eng.BeginP(p)
+			b.PutOwnedIn(tab, name("k1"), []byte("prep"))
+			b.PutOwnedIn(tab, name("k4"), []byte("prep"))
+			name("zz")
+			if err := b.Prepare(); err != nil {
+				t.Errorf("prepare: %v", err)
+				return
+			}
+			name("zz")
+			w := eng.BeginP(p)
+			w.PutOwnedIn(tab, name("k4"), []byte("foreign"))
+			name("zz")
+			if err := w.Commit(p); err != ErrConflict {
+				t.Errorf("write to k4, pinned by the prepared transaction: err = %v, want ErrConflict", err)
+			}
+			name("zz")
+			encoded = b.EncodedWrites()
+			b.CommitPrepared(9001)
+			name("zz")
+		})
+		env.RunUntil(time.Second)
+
+		want := fmt.Sprintf("t/k1 v9001 tomb=false %x\nt/k2 v%d tomb=true \nt/k3 v%d tomb=false %x\nt/k4 v9001 tomb=false %x\n",
+			"prep", first, first, "new", "prep")
+		if got := dump(t, eng); got != want {
+			t.Errorf("store holds\n%swant\n%s", got, want)
+		}
+		recs := wal.DecodeAll(sink.data)
+		if len(recs) != 1 || recs[0].TxID != first {
+			t.Fatalf("%d redo records, want one, by transaction %d", len(recs), first)
+		}
+		if got := fmt.Sprint(keysOf(recs[0].Payload)); got != "[k3 k1 k2]" {
+			t.Errorf("redo record keys %s, want [k3 k1 k2]", got)
+		}
+		if got := fmt.Sprint(keysOf(encoded)); got != "[k1 k4]" {
+			t.Errorf("prepared write set keys %s, want [k1 k4]", got)
+		}
+	})
+}
+
 // TestPreparedPinsSurviveSetRecycling: a prepared transaction's pins are
 // keyed by its read set, whose key bytes live in its own sets, so they
 // must stay put while other transactions cycle through Engine.spare. The
@@ -852,7 +949,9 @@ func TestPreparedPinsSurviveSetRecycling(t *testing.T) {
 // engine, so the store interface cannot start boxing unnoticed: a repeat
 // read allocates nothing (the read set grows by doubling, which rounds to
 // zero per read), and a 4-read/2-write transaction on recycled sets
-// allocates nothing either — here even the Tx stays on the stack.
+// allocates nothing either — its keys are copied into the recycled key
+// bytes, an update rewrites the row's slot without touching the map's
+// key, and here even the Tx stays on the stack.
 func TestRowMapAllocations(t *testing.T) {
 	eng := New(sim.NewEnv(1), nil)
 	tab := eng.Table("t")
@@ -887,3 +986,37 @@ func TestRowMapAllocations(t *testing.T) {
 // steady state. It was 6 while every transaction made its own two maps and
 // grew its write slice from empty (PR 11 to PR 17).
 const commitAllocs = 0
+
+// TestApplyRecordAllocations pins what replaying a redo record allocates
+// — recovery, Follower.Feed and ApplyWriteSet all decode this way: the op
+// slice and a copy of each value, since a store installs the value as is.
+// Table names and keys are views into the payload, and a store copies a
+// key only when it inserts the row; here every op updates or deletes a row
+// the store already holds. With a string per table name and per key,
+// replay allocated three objects per op (24 here).
+func TestApplyRecordAllocations(t *testing.T) {
+	eachStore(t, func(t *testing.T, mk mkEngine) {
+		eng := mk(sim.NewEnv(1), nil)
+		var ws []writeOp
+		for i := 0; i < 8; i++ {
+			k := fmt.Sprintf("k%d", i)
+			eng.LoadRow("rows", k, []byte("v0"))
+			w := writeOp{tab: Table{name: "rows"}, key: k, val: []byte("value")}
+			if i == 7 {
+				w.val, w.delete = nil, true
+			}
+			ws = append(ws, w)
+		}
+		payload := encodeWrites(ws)
+		lsn := int64(0)
+		n := testing.AllocsPerRun(100, func() {
+			if err := eng.ApplyRecord(wal.Record{TxID: 1, LSN: lsn, Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+			lsn += 100
+		})
+		if want := float64(1 + 7); n != want {
+			t.Errorf("replaying 7 updates and a delete: %v allocs, want %v", n, want)
+		}
+	})
+}

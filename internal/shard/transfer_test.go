@@ -53,15 +53,16 @@ func onTransferCluster(tb testing.TB, dst int, fn func(p *sim.Proc, cl *Cluster)
 // the shard, db, wal and sim layers together, test helpers included
 // (balance keys and values go through fmt). The cross-shard count carries
 // the protocol: the participant transaction, the RPC closures, the control
-// records and the prepare and resolver processes — and remoteGet's copy of
-// the key, which the read handler may use after a timed-out call returned.
+// records and the prepare and resolver processes — and remoteGet's and
+// remoteWrite's copies of the key, which the handler may use after the
+// caller has moved on.
 // A credit-register poll allocates nothing: the value is read into the
 // logger's MMIO handle.
 func TestShardTransferAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own schedule")
 	}
-	want := map[string]float64{"local": 22, "cross": 81}
+	want := map[string]float64{"local": 22, "cross": 82}
 	for _, k := range transferKinds {
 		onTransferCluster(t, k.dst, func(p *sim.Proc, cl *Cluster) {
 			got := testing.AllocsPerRun(100, func() {

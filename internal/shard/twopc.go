@@ -143,7 +143,9 @@ func (t *Tx) remoteGet(p *sim.Proc, sid int, table, key string) ([]byte, bool, e
 // PutW buffers a row write routed by warehouse, taking ownership of val;
 // tab is the table's handle on the home engine. Remote writes are one-way
 // messages; a lost one is caught at prepare by the op-count check, so it
-// aborts the transaction rather than committing a hole.
+// aborts the transaction rather than committing a hole. PutW and DeleteW
+// borrow key, as GetW does: key may be a view of a buffer the caller
+// reuses.
 //
 //xssd:hotpath
 func (t *Tx) PutW(warehouse int, tab db.Table, key string, val []byte) {
@@ -170,6 +172,9 @@ func (t *Tx) DeleteW(warehouse int, tab db.Table, key string) {
 func (t *Tx) remoteWrite(sid int, table, key string, val []byte, del bool) {
 	t.part(sid).writes++
 	gid, coord := t.gid, t.home.id
+	// The op runs on the peer after this call has returned, by when the
+	// caller may have rewritten a scratch key.
+	key = strings.Clone(key)
 	t.home.post(t.home.c.shards[sid], func(dst *Shard) {
 		pt := dst.partyFor(gid, coord)
 		pt.writes++

@@ -235,6 +235,54 @@ func TestRemoteReadKeyOutlivesTimeout(t *testing.T) {
 	}
 }
 
+// TestRemoteWriteKeyOutlivesScratch: a remote write's op runs on the
+// participant after PutW has returned, by when the coordinator has
+// rewritten the scratch buffer its key was a view of. The coordinator
+// names every row through one buffer — a remote write to w3, then a local
+// write to w1 — rewrites it to w4 before and after committing, and the
+// cross-shard commit must install w3, not whatever the buffer says when
+// the op lands. Each shard runs on its own member, so under -race the
+// detector sees the post cross members.
+func TestRemoteWriteKeyOutlivesScratch(t *testing.T) {
+	streams := make([][]byte, 2)
+	cl, err := New(testConfig(2, 2, 29, streams))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Build()
+	done := false
+	boot(t, cl, func(p *sim.Proc) {
+		home := cl.Shard(0)
+		kv := home.Engine().Table("kv")
+		buf := make([]byte, len(balKey(1)))
+		name := func(w int) string {
+			copy(buf, balKey(w))
+			return unsafe.String(&buf[0], len(buf))
+		}
+		tx := home.BeginIn(new(Tx), p)
+		tx.PutW(3, kv, name(3), encBal(777))
+		tx.PutW(1, kv, name(1), encBal(223))
+		name(4)
+		if err := tx.Commit(p); err != nil {
+			t.Errorf("commit: %v", err)
+		}
+		name(4)
+		done = true
+	})
+	for step := 0; !done && step < 100; step++ {
+		cl.RunUntil(cl.Now() + 10*time.Millisecond)
+	}
+	if !done {
+		t.Fatal("the transaction did not finish")
+	}
+	for w, want := range map[int]int64{1: 223, 2: testBalance, 3: 777, 4: testBalance} {
+		if got := balance(cl, w); got != want {
+			t.Errorf("w%d balance %d, want %d", w, got, want)
+		}
+	}
+}
+
 func countPrepares(v *View) int {
 	n := 0
 	for _, r := range v.Records {

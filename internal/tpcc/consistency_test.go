@@ -129,14 +129,14 @@ func TestConsistencyDistrictNextOID(t *testing.T) {
 			}
 			dist := DecodeDistrict(dRow)
 			for oid := 1; oid < int(dist.NextOID); oid++ {
-				if _, ok := eng.Read(TOrder, OKey(w, d, oid)); !ok {
+				if _, ok := eng.Read(TOrder, string(appendOKey(nil, w, d, oid))); !ok {
 					t.Fatalf("district %d:%d: order %d missing below NextOID %d", w, d, oid, dist.NextOID)
 				}
 			}
-			if _, ok := eng.Read(TOrder, OKey(w, d, int(dist.NextOID))); ok {
+			if _, ok := eng.Read(TOrder, string(appendOKey(nil, w, d, int(dist.NextOID)))); ok {
 				t.Fatalf("district %d:%d: order exists at NextOID %d", w, d, dist.NextOID)
 			}
-			if _, ok := eng.Read(TNewOrder, NOKey(w, d, int(dist.NextOID))); ok {
+			if _, ok := eng.Read(TNewOrder, string(appendNOKey(nil, w, d, int(dist.NextOID)))); ok {
 				t.Fatalf("district %d:%d: new-order row at NextOID %d", w, d, dist.NextOID)
 			}
 			if dist.NextDelivery > dist.NextOID {
@@ -154,13 +154,13 @@ func TestConsistencyOrderLines(t *testing.T) {
 			dRow, _ := eng.Read(TDistrict, DKey(w, d))
 			dist := DecodeDistrict(dRow)
 			for oid := 1; oid < int(dist.NextOID); oid++ {
-				oRow, _ := eng.Read(TOrder, OKey(w, d, oid))
+				oRow, _ := eng.Read(TOrder, string(appendOKey(nil, w, d, oid)))
 				order := DecodeOrder(oRow)
 				if order.OLCnt < 5 || order.OLCnt > 15 {
 					t.Fatalf("order %d:%d:%d has %d lines", w, d, oid, order.OLCnt)
 				}
 				for ln := 1; ln <= int(order.OLCnt); ln++ {
-					olRow, ok := eng.Read(TOrderLine, OLKey(w, d, oid, ln))
+					olRow, ok := eng.Read(TOrderLine, string(appendOLKey(nil, w, d, oid, ln)))
 					if !ok {
 						t.Fatalf("order %d:%d:%d missing line %d", w, d, oid, ln)
 					}
@@ -172,7 +172,7 @@ func TestConsistencyOrderLines(t *testing.T) {
 						t.Fatalf("undelivered order %d:%d:%d has delivered line %d", w, d, oid, ln)
 					}
 				}
-				if _, ok := eng.Read(TOrderLine, OLKey(w, d, oid, int(order.OLCnt)+1)); ok {
+				if _, ok := eng.Read(TOrderLine, string(appendOLKey(nil, w, d, oid, int(order.OLCnt)+1))); ok {
 					t.Fatalf("order %d:%d:%d has extra line", w, d, oid)
 				}
 			}
@@ -188,7 +188,7 @@ func TestConsistencyNewOrderRows(t *testing.T) {
 			dRow, _ := eng.Read(TDistrict, DKey(w, d))
 			dist := DecodeDistrict(dRow)
 			for oid := 1; oid < int(dist.NextOID); oid++ {
-				_, hasNO := eng.Read(TNewOrder, NOKey(w, d, oid))
+				_, hasNO := eng.Read(TNewOrder, string(appendNOKey(nil, w, d, oid)))
 				if int64(oid) < dist.NextDelivery && hasNO {
 					t.Fatalf("delivered order %d:%d:%d still in new_order", w, d, oid)
 				}
@@ -213,7 +213,7 @@ func TestConsistencyPaymentAccounting(t *testing.T) {
 			dRow, _ := eng.Read(TDistrict, DKey(w, d))
 			districtSum += DecodeDistrict(dRow).YTD
 			for txid := int64(1); txid < 100000; txid++ {
-				if hRow, ok := eng.Read(THistory, HKey(w, d, txid)); ok {
+				if hRow, ok := eng.Read(THistory, string(appendHKey(nil, w, d, txid))); ok {
 					historySum += DecodeHistory(hRow).Amount
 				}
 			}

@@ -62,11 +62,12 @@ func DefaultConfig() Config {
 // in the Fig 9 workload. Each builder produces the exact byte sequence
 // the old Sprintf form did.
 //
-// Every key a terminal reads has an append form that builds it into a
-// caller's buffer, and the string forms copy that into the one string a
-// stored row keeps. A terminal names a row it only reads with the append
-// form, into its scratch (Client.tmp): db.Tx.GetIn keeps no key, so such a
-// read allocates nothing.
+// Every key has an append form that builds it into a caller's buffer. A
+// terminal names every row it reads or writes with the append form, into
+// its scratch (Client.tmp): db.Tx keeps no key of its caller's — the write
+// set copies the bytes and the stores own the keys they keep — so naming a
+// row allocates nothing. The loader builds its keys the same way. The
+// string forms are for callers outside the package.
 
 // appendKey appends prefix and then ids, decimal and colon-separated: the
 // layout of every composite key.
@@ -98,30 +99,26 @@ func appendOKey(b []byte, w, d, o int) []byte {
 func appendOLKey(b []byte, w, d, o, n int) []byte {
 	return appendKey(b, "ol:", int64(w), int64(d), int64(o), int64(n))
 }
+func appendNOKey(b []byte, w, d, o int) []byte {
+	return appendKey(b, "no:", int64(w), int64(d), int64(o))
+}
+func appendHKey(b []byte, w, d int, tx int64) []byte {
+	return appendKey(b, "h:", int64(w), int64(d), tx)
+}
 
 // keyCap sizes the buffer a string form builds in, on the stack: a key
 // that outgrows it still comes out right, through one more allocation.
 const keyCap = 40
 
-// WKey..HKey build the composite row keys.
+// WKey..SKey build the composite row keys as strings.
 func WKey(w int) string       { return string(appendWKey(make([]byte, 0, keyCap), w)) }
 func DKey(w, d int) string    { return string(appendDKey(make([]byte, 0, keyCap), w, d)) }
 func CKey(w, d, c int) string { return string(appendCKey(make([]byte, 0, keyCap), w, d, c)) }
 func CIdxKey(w, d int, last string) string {
 	return string(appendCIdxKey(make([]byte, 0, keyCap), w, d, last))
 }
-func IKey(i int) string       { return string(appendIKey(make([]byte, 0, keyCap), i)) }
-func SKey(w, i int) string    { return string(appendSKey(make([]byte, 0, keyCap), w, i)) }
-func OKey(w, d, o int) string { return string(appendOKey(make([]byte, 0, keyCap), w, d, o)) }
-func OLKey(w, d, o, n int) string {
-	return string(appendOLKey(make([]byte, 0, keyCap), w, d, o, n))
-}
-func NOKey(w, d, o int) string {
-	return string(appendKey(make([]byte, 0, keyCap), "no:", int64(w), int64(d), int64(o)))
-}
-func HKey(w, d int, tx int64) string {
-	return string(appendKey(make([]byte, 0, keyCap), "h:", int64(w), int64(d), tx))
-}
+func IKey(i int) string    { return string(appendIKey(make([]byte, 0, keyCap), i)) }
+func SKey(w, i int) string { return string(appendSKey(make([]byte, 0, keyCap), w, i)) }
 
 // --- binary codec -----------------------------------------------------------
 
@@ -494,11 +491,18 @@ func Load(eng *db.Engine, cfg Config, seed int64) {
 // everywhere.
 func LoadWarehouses(eng *db.Engine, cfg Config, seed int64, owns func(w int) bool) {
 	rng := rand.New(rand.NewSource(seed))
+	// Every key is built into kb and loaded through a view of it:
+	// LoadRow keeps no key.
+	var kb []byte
+	loadKey := func(b []byte) string {
+		kb = b
+		return unsafe.String(unsafe.SliceData(b), len(b))
+	}
 	for _, t := range []string{TWarehouse, TDistrict, TCustomer, TCustIdx, THistory, TNewOrder, TOrder, TOrderLine, TItem, TStock} {
 		eng.CreateTable(t)
 	}
 	for i := 1; i <= cfg.Items; i++ {
-		eng.LoadRow(TItem, IKey(i), Item{
+		eng.LoadRow(TItem, loadKey(appendIKey(kb[:0], i)), Item{
 			Name:  randomFiller(rng, cfg.FillerLen),
 			Price: int64(rng.Intn(9900) + 100),
 			Data:  randomFiller(rng, cfg.FillerLen),
@@ -511,19 +515,19 @@ func LoadWarehouses(eng *db.Engine, cfg Config, seed int64, owns func(w int) boo
 				eng.LoadRow(table, key, val)
 			}
 		}
-		put(TWarehouse, WKey(w), Warehouse{
+		put(TWarehouse, loadKey(appendWKey(kb[:0], w)), Warehouse{
 			Name: fmt.Sprintf("wh-%d", w),
 			Tax:  int64(rng.Intn(2000)),
 		}.Encode())
 		for i := 1; i <= cfg.Items; i++ {
-			put(TStock, SKey(w, i), Stock{
+			put(TStock, loadKey(appendSKey(kb[:0], w, i)), Stock{
 				Qty:  int64(rng.Intn(91) + 10),
 				Dist: randomFiller(rng, cfg.FillerLen),
 				Data: randomFiller(rng, cfg.FillerLen),
 			}.Encode())
 		}
 		for d := 1; d <= cfg.Districts; d++ {
-			put(TDistrict, DKey(w, d), District{
+			put(TDistrict, loadKey(appendDKey(kb[:0], w, d)), District{
 				Name:         fmt.Sprintf("dist-%d-%d", w, d),
 				Tax:          int64(rng.Intn(2000)),
 				NextOID:      1,
@@ -540,7 +544,7 @@ func LoadWarehouses(eng *db.Engine, cfg Config, seed int64, owns func(w int) boo
 				if rng.Intn(10) == 0 {
 					credit = "BC"
 				}
-				put(TCustomer, CKey(w, d, c), Customer{
+				put(TCustomer, loadKey(appendCKey(kb[:0], w, d, c)), Customer{
 					First:    randomFiller(rng, cfg.FillerLen),
 					Last:     last,
 					Credit:   credit,
@@ -559,7 +563,7 @@ func LoadWarehouses(eng *db.Engine, cfg Config, seed int64, owns func(w int) boo
 			}
 			sort.Strings(lasts)
 			for _, last := range lasts {
-				put(TCustIdx, CIdxKey(w, d, last), encodeIDList(byName[last]))
+				put(TCustIdx, loadKey(appendCIdxKey(kb[:0], w, d, last)), encodeIDList(byName[last]))
 			}
 		}
 	}

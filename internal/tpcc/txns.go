@@ -41,6 +41,11 @@ func (t TxType) String() string {
 	return "unknown"
 }
 
+// newOrderRow is every new-order row's value. The row is only a marker,
+// and no one writes through an installed value (db.Tx.GetIn's contract),
+// so every order shares this one slice.
+var newOrderRow = []byte{1}
+
 // ErrRollback is the intentional 1% NewOrder rollback (clause 2.4.1.4).
 var ErrRollback = errors.New("tpcc: intentional user rollback")
 
@@ -91,7 +96,7 @@ type Client struct {
 	// Per-call scratch the terminal owns, cleared by the profile that
 	// uses it: the customer ids of one name-index row, the item ids
 	// Stock-Level has already counted, and the key of the row about to be
-	// read (tmp).
+	// read or written (tmp).
 	ids  []int64
 	seen map[int64]bool
 	kb   []byte
@@ -121,9 +126,11 @@ func resolveTables(eng *db.Engine) tableSet {
 // rowTx is the transaction a profile runs on: *shard.Tx on a sharded
 // terminal, localTx on a classic one. Every row names the warehouse that
 // owns it, and every table is a handle resolved on the home engine. Keys
-// follow db.Tx's contract: GetW keeps no key once it returns, so a read
-// may name its row with a view of a buffer the terminal reuses (tmp);
-// PutW and DeleteW keep theirs, so a written row's key must be owned.
+// follow db.Tx's contract: no method keeps a key once it returns — the
+// write set copies a written row's key, and the store owns the keys it
+// keeps — so every row is named with a view of a buffer the terminal
+// reuses (tmp). A value handed to PutW is the row from then on and is
+// never written again.
 type rowTx interface {
 	GetW(p *sim.Proc, warehouse int, tab db.Table, key string) ([]byte, bool, error)
 	PutW(warehouse int, tab db.Table, key string, val []byte)
@@ -252,9 +259,8 @@ func (c *Client) begin(p *sim.Proc) rowTx {
 // tmp returns a view of key, which the caller has just built into the
 // terminal's scratch (an append form into c.kb[:0]), and keeps the
 // scratch's capacity for the next key. The view is valid until that next
-// key is built, so it names only a row the transaction reads and never
-// writes: GetW keeps no key, while a write's key lives on in the write set
-// and the store.
+// key is built — long enough for a read and the write of the same row,
+// since rowTx keeps no key.
 //
 //xssd:hotpath
 func (c *Client) tmp(key []byte) string {
@@ -325,7 +331,7 @@ func (c *Client) newOrder(p *sim.Proc) error {
 		return abort(tx, orErr(err, "tpcc: missing warehouse"))
 	}
 	wh := DecodeWarehouse(wRow)
-	dKey := DKey(w, d)
+	dKey := c.tmp(appendDKey(c.kb[:0], w, d))
 	dRow, ok, err := tx.GetW(p, w, c.tabs.district, dKey)
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing district"))
@@ -361,7 +367,7 @@ func (c *Client) newOrder(p *sim.Proc) error {
 			return abort(tx, cmp.Or(err, ErrRollback)) // "unused item number" rollback
 		}
 		item := DecodeItem(iRow)
-		sKey := SKey(supplyW, iid)
+		sKey := c.tmp(appendSKey(c.kb[:0], supplyW, iid))
 		sRow, ok, err := tx.GetW(p, supplyW, c.tabs.stock, sKey)
 		if err != nil || !ok {
 			return abort(tx, orErr(err, "tpcc: missing stock"))
@@ -381,17 +387,17 @@ func (c *Client) newOrder(p *sim.Proc) error {
 		tx.PutW(supplyW, c.tabs.stock, sKey, stock.Encode())
 		amount := qty * item.Price
 		total += amount
-		tx.PutW(w, c.tabs.orderLine, OLKey(w, d, oid, ln), OrderLine{
+		tx.PutW(w, c.tabs.orderLine, c.tmp(appendOLKey(c.kb[:0], w, d, oid, ln)), OrderLine{
 			IID: int64(iid), SupplyW: int64(supplyW), Qty: qty,
 			Amount: amount, DistInfo: stock.Dist,
 		}.Encode())
 	}
 	_ = total * (10000 - cust.Discount) / 10000 * (10000 + wh.Tax + dist.Tax) / 10000
 
-	tx.PutW(w, c.tabs.order, OKey(w, d, oid), Order{
+	tx.PutW(w, c.tabs.order, c.tmp(appendOKey(c.kb[:0], w, d, oid)), Order{
 		CID: int64(cid), EntryD: int64(p.Now()), OLCnt: int64(olCnt), AllLocal: allLocal,
 	}.Encode())
-	tx.PutW(w, c.tabs.newOrder, NOKey(w, d, oid), []byte{1})
+	tx.PutW(w, c.tabs.newOrder, c.tmp(appendNOKey(c.kb[:0], w, d, oid)), newOrderRow)
 	return c.commit(p, tx)
 }
 
@@ -413,7 +419,7 @@ func (c *Client) payment(p *sim.Proc) error {
 	amount := int64(c.rng.Intn(499900) + 100)
 
 	tx := c.begin(p)
-	wKey := WKey(w)
+	wKey := c.tmp(appendWKey(c.kb[:0], w))
 	wRow, ok, err := tx.GetW(p, w, c.tabs.warehouse, wKey)
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing warehouse"))
@@ -422,7 +428,7 @@ func (c *Client) payment(p *sim.Proc) error {
 	wh.YTD += amount
 	tx.PutW(w, c.tabs.warehouse, wKey, wh.Encode())
 
-	dKey := DKey(w, d)
+	dKey := c.tmp(appendDKey(c.kb[:0], w, d))
 	dRow, ok, err := tx.GetW(p, w, c.tabs.district, dKey)
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing district"))
@@ -435,7 +441,7 @@ func (c *Client) payment(p *sim.Proc) error {
 	if err != nil {
 		return abort(tx, err)
 	}
-	cKey := CKey(cw, cd, cid)
+	cKey := c.tmp(appendCKey(c.kb[:0], cw, cd, cid))
 	cRow, ok, err := tx.GetW(p, cw, c.tabs.customer, cKey)
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing customer"))
@@ -448,7 +454,7 @@ func (c *Client) payment(p *sim.Proc) error {
 		cust.Data = randomFiller(c.rng, c.cfg.FillerLen)
 	}
 	tx.PutW(cw, c.tabs.customer, cKey, cust.Encode())
-	tx.PutW(w, c.tabs.history, HKey(w, d, tx.ID()), History{
+	tx.PutW(w, c.tabs.history, c.tmp(appendHKey(c.kb[:0], w, d, tx.ID())), History{
 		CID: int64(cid), Amount: amount, Date: int64(p.Now()),
 		Data: wh.Name + " " + dist.Name,
 	}.Encode())
@@ -525,8 +531,7 @@ func (c *Client) delivery(p *sim.Proc) error {
 	carrier := int64(c.rng.Intn(10) + 1)
 	tx := c.begin(p)
 	for d := 1; d <= c.cfg.Districts; d++ {
-		dKey := DKey(w, d)
-		dRow, ok, err := tx.GetW(p, w, c.tabs.district, dKey)
+		dRow, ok, err := tx.GetW(p, w, c.tabs.district, c.tmp(appendDKey(c.kb[:0], w, d)))
 		if err != nil {
 			return abort(tx, err)
 		}
@@ -538,7 +543,7 @@ func (c *Client) delivery(p *sim.Proc) error {
 		if int64(oid) >= dist.NextOID {
 			continue // nothing to deliver in this district
 		}
-		noKey := NOKey(w, d, oid)
+		noKey := c.tmp(appendNOKey(c.kb[:0], w, d, oid))
 		_, ok, err = tx.GetW(p, w, c.tabs.newOrder, noKey)
 		if err != nil {
 			return abort(tx, err)
@@ -547,12 +552,13 @@ func (c *Client) delivery(p *sim.Proc) error {
 			tx.DeleteW(w, c.tabs.newOrder, noKey)
 		}
 		dist.NextDelivery++
-		tx.PutW(w, c.tabs.district, dKey, dist.Encode())
+		// The new-order key took the scratch: name the district again.
+		tx.PutW(w, c.tabs.district, c.tmp(appendDKey(c.kb[:0], w, d)), dist.Encode())
 		if !ok {
 			continue // order consumed by a concurrent delivery; advance anyway
 		}
 
-		oKey := OKey(w, d, oid)
+		oKey := c.tmp(appendOKey(c.kb[:0], w, d, oid))
 		oRow, ok, err := tx.GetW(p, w, c.tabs.order, oKey)
 		if err != nil {
 			return abort(tx, err)
@@ -571,7 +577,7 @@ func (c *Client) delivery(p *sim.Proc) error {
 		}
 		var total int64
 		for ln := 1; ln <= int(order.OLCnt); ln++ {
-			olKey := OLKey(w, d, oid, ln)
+			olKey := c.tmp(appendOLKey(c.kb[:0], w, d, oid, ln))
 			olRow, ok, err := tx.GetW(p, w, c.tabs.orderLine, olKey)
 			if err != nil {
 				return abort(tx, err)
@@ -584,7 +590,7 @@ func (c *Client) delivery(p *sim.Proc) error {
 			total += ol.Amount
 			tx.PutW(w, c.tabs.orderLine, olKey, ol.Encode())
 		}
-		cKey := CKey(w, d, int(order.CID))
+		cKey := c.tmp(appendCKey(c.kb[:0], w, d, int(order.CID)))
 		cRow, ok, err := tx.GetW(p, w, c.tabs.customer, cKey)
 		if err != nil {
 			return abort(tx, err)

@@ -162,7 +162,7 @@ type state struct {
 // seedBorrowedParams marks []byte parameters whose ownership stays with
 // the caller per the repo's structural contracts: pcie.Target.MemWrite
 // (off int64, data []byte), wal.Sink.Write (p *sim.Proc, data []byte),
-// and the ntb window Write (off int64, data []byte, done func()).
+// and the ntb window Write (off int64, data []byte).
 func (s *state) seedBorrowedParams(fd *ast.FuncDecl) {
 	if fd.Type.Params == nil {
 		return
@@ -191,7 +191,6 @@ func (s *state) seedBorrowedParams(fd *ast.FuncDecl) {
 		b, ok := sl.Elem().(*types.Basic)
 		return ok && b.Kind() == types.Uint8
 	}
-	isFunc := func(t types.Type) bool { _, ok := t.Underlying().(*types.Signature); return ok }
 	var borrowedIdx = -1
 	switch fd.Name.Name {
 	case "MemWrite":
@@ -199,10 +198,7 @@ func (s *state) seedBorrowedParams(fd *ast.FuncDecl) {
 			borrowedIdx = 1
 		}
 	case "Write":
-		if len(params) == 2 && match(0, isSimProc) && match(1, isBytes) {
-			borrowedIdx = 1
-		}
-		if len(params) == 3 && match(0, isInt64) && match(1, isBytes) && match(2, isFunc) {
+		if len(params) == 2 && (match(0, isSimProc) || match(0, isInt64)) && match(1, isBytes) {
 			borrowedIdx = 1
 		}
 	}

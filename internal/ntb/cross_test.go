@@ -1,6 +1,7 @@
 package ntb
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -30,8 +31,8 @@ func newCrossPair(workers int, hop time.Duration) *crossPair {
 // TestCrossBridgeSteadyStateZeroAlloc pins the slot rule's point: once the
 // ring covers what one hop plus a quantum keeps in flight, a chunk crossing
 // members allocates nothing — no payload copy, no closure — whether it is
-// one line, a multi-chunk write with a completion, or a raw counter update.
-// The bursts are issued from inside the run, so they take the mailbox path.
+// one line, a multi-chunk write, or a raw counter update. The bursts are
+// issued from inside the run, so they take the mailbox path.
 func TestCrossBridgeSteadyStateZeroAlloc(t *testing.T) {
 	line := make([]byte, 64)
 	big := make([]byte, 700) // three chunks
@@ -47,14 +48,17 @@ func TestCrossBridgeSteadyStateZeroAlloc(t *testing.T) {
 			var busy func()
 			busy = func() { cp.b.After(250*time.Nanosecond, busy) }
 			cp.b.After(0, busy)
-			dones := 0
-			done := func() { dones++ }
+			// The multi-chunk write lands in a target that times each chunk,
+			// its log sized for the whole run.
+			landed := newLandingTarget(cp.b, len(big))
+			landed.at = make([]time.Duration, 0, 1024)
+			bigWin := cp.br.NewWindow(landed, 0)
 			burst := func() {
-				cp.win.Write(0, line, nil)
-				cp.win.Write(1024, big, done)
-				cp.win.WriteRaw(4096, line[:8], 16, nil)
+				cp.win.Write(0, line)
+				bigWin.Write(0, big)
+				cp.win.WriteRaw(4096, line[:8], 16)
 				for i := 0; i < 20; i++ {
-					cp.win.Write(int64(64*i), line, nil)
+					cp.win.Write(int64(64*i), line)
 				}
 			}
 			const chunksPerBurst = 1 + 3 + 1 + 20
@@ -66,14 +70,19 @@ func TestCrossBridgeSteadyStateZeroAlloc(t *testing.T) {
 				round()
 			}
 			slots := len(cp.br.slots)
-			writes, dones0 := cp.target.writes, dones
+			writes, bigs := cp.target.writes, len(landed.at)
 			const rounds = 200
 			allocs := testing.AllocsPerRun(rounds, round)
-			if got := cp.target.writes - writes; got != (rounds+1)*chunksPerBurst {
+			if got := cp.target.writes - writes + len(landed.at) - bigs; got != (rounds+1)*chunksPerBurst {
 				t.Fatalf("measured rounds landed %d chunks, want %d", got, (rounds+1)*chunksPerBurst)
 			}
-			if dones-dones0 != rounds+1 {
-				t.Fatalf("completions = %d, want %d", dones-dones0, rounds+1)
+			if !bytes.Equal(landed.mem, big) {
+				t.Fatal("the multi-chunk write landed corrupted")
+			}
+			for i := 3; i < len(landed.at); i += 3 {
+				if gap := landed.at[i] - landed.at[i-3]; gap != 4*time.Microsecond {
+					t.Fatalf("multi-chunk writes 4µs apart landed %v apart", gap)
+				}
 			}
 			if allocs != 0 {
 				t.Errorf("a burst of %d crossing chunks allocates %.1f objects, want 0", chunksPerBurst, allocs)
@@ -88,12 +97,11 @@ func TestCrossBridgeSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCrossDoneFiresAtLanding covers a hop shorter than the quantum: the
-// mailbox clamps the landing to the quantum's end, and the sender-side
-// completion must fire at that instant — not at the link's own arrival time,
-// before the target has seen the bytes. With the default 1.1µs hop over the
-// 1µs quantum nothing clamps and the two agree.
-func TestCrossDoneFiresAtLanding(t *testing.T) {
+// TestCrossLandsAtClampedArrival covers a hop shorter than the quantum:
+// the mailbox clamps the landing to the quantum's end, later than the
+// link's own arrival time. With the default 1.1µs hop over the 1µs quantum
+// nothing clamps and the chunk lands at its link arrival.
+func TestCrossLandsAtClampedArrival(t *testing.T) {
 	for _, tc := range []struct {
 		hop     time.Duration
 		clamped bool
@@ -102,38 +110,25 @@ func TestCrossDoneFiresAtLanding(t *testing.T) {
 		{DefaultHopLatency, false},
 	} {
 		cp := newCrossPair(2, tc.hop)
-		landed := &landingTarget{env: cp.b}
+		landed := newLandingTarget(cp.b, 128)
 		win := cp.br.NewWindow(landed, 0)
-		var sent, doneAt, rawDoneAt time.Duration
+		var sent time.Duration
 		cp.a.At(10*time.Microsecond, func() {
 			sent = cp.a.Now()
-			win.Write(0, make([]byte, 64), func() { doneAt = cp.a.Now() })
-			win.WriteRaw(64, make([]byte, 8), 16, func() { rawDoneAt = cp.a.Now() })
+			win.Write(0, make([]byte, 64))
+			win.WriteRaw(64, make([]byte, 8), 16)
 		})
 		cp.g.RunUntil(20 * time.Microsecond)
 		cp.g.Close()
 		if len(landed.at) != 2 {
 			t.Fatalf("hop %v: %d chunks landed, want 2", tc.hop, len(landed.at))
 		}
-		if doneAt != landed.at[0] || rawDoneAt != landed.at[1] {
-			t.Errorf("hop %v: done fired at %v / %v, the target saw the bytes at %v / %v",
-				tc.hop, doneAt, rawDoneAt, landed.at[0], landed.at[1])
-		}
 		wire := sent + tc.hop + cp.br.Link().SerializationTime(pcie.WireBytes(64))
-		if clamped := landed.at[0] > wire; clamped != tc.clamped {
-			t.Errorf("hop %v: landed at %v, link arrival %v: clamped = %v, want %v", tc.hop, landed.at[0], wire, clamped, tc.clamped)
+		if got := landed.at[0]; (got > wire) != tc.clamped || got < wire {
+			t.Errorf("hop %v: landed at %v, link arrival %v: want clamped = %v", tc.hop, got, wire, tc.clamped)
 		}
 	}
 }
-
-// landingTarget records when each write reached it, on its own Env's clock.
-type landingTarget struct {
-	env *sim.Env
-	at  []time.Duration
-}
-
-func (l *landingTarget) MemWrite(off int64, data []byte) { l.at = append(l.at, l.env.Now()) }
-func (l *landingTarget) MemRead(off int64, dst []byte)   { clear(dst) }
 
 // TestSlotReclaimedAfterDroppedPost: the mailbox drops posts to a closed
 // member, so their slots never land — they must still come back once the
@@ -146,7 +141,7 @@ func TestSlotReclaimedAfterDroppedPost(t *testing.T) {
 	var tick func()
 	tick = func() {
 		for i := 0; i < 4; i++ {
-			cp.win.Write(int64(64*i), line, nil)
+			cp.win.Write(int64(64*i), line)
 		}
 		cp.a.After(500*time.Nanosecond, tick)
 	}
@@ -175,8 +170,8 @@ func TestUngroupedCrossBridgeNeverRecycles(t *testing.T) {
 	target := &sink{mem: make([]byte, 1024)}
 	win := NewDefaultBridgeTo(a, b, "a-b").NewWindow(target, 0)
 	for i := 0; i < 8; i++ {
-		win.Write(int64(64*i), []byte{byte(i + 1)}, nil)
-		a.RunFor(10 * time.Microsecond) // the sender's clock moves; b has not run
+		win.Write(int64(64*i), []byte{byte(i + 1)})
+		a.RunUntil(a.Now() + 10*time.Microsecond) // the sender's clock moves; b has not run
 	}
 	b.Run()
 	for i := 0; i < 8; i++ {

@@ -91,7 +91,7 @@ func runRing(seed int64, k, msgs, workers int) uint64 {
 			for m := 0; m < msgs; m++ {
 				p.Sleep(time.Duration(1+src.Rand().Intn(int(quickWindow/time.Microsecond/2))) * time.Microsecond / 4)
 				binary.LittleEndian.PutUint64(buf, uint64(i)<<32|uint64(m))
-				w.Write(int64(m)*quickPayload, buf, nil)
+				w.Write(int64(m)*quickPayload, buf)
 			}
 		})
 	}
@@ -266,7 +266,7 @@ func runDenseRing(seed int64, k, bursts, workers int) denseResult {
 					denseChunk(buf, i, seq)
 					off := int64(seq) * quickPayload
 					dropped := br.mDropped.Value()
-					w.Write(off, buf, nil)
+					w.Write(off, buf)
 					if br.mDropped.Value() == dropped {
 						sent[i] += chunkSum(off, buf)
 						nSent[i]++

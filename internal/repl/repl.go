@@ -76,10 +76,10 @@ func NewScoped(env *sim.Env, devices []*villars.Device, scope string) (*Cluster,
 			if i == j {
 				continue
 			}
-			// Each bridge belongs to the sending device's Env: in a
-			// multi-env group the far end is a different member and
-			// deliveries cross through the group mailbox; with every device
-			// on one Env this reduces to the classic intra-env bridge.
+			// Each bridge belongs to the sending device's Env and delivers
+			// through the group mailbox: in a multi-env group the far end is
+			// a different member; with every device on one Env the bridge
+			// posts to itself.
 			c.bridges[i][j] = ntb.NewDefaultBridgeTo(devices[i].Env(), devices[j].Env(), fmt.Sprintf("%s->%s", devices[i].Name(), devices[j].Name()))
 		}
 	}

@@ -73,8 +73,8 @@ func TestYieldZeroAlloc(t *testing.T) {
 			p.Sleep(time.Nanosecond)
 		}
 	})
-	env.RunFor(time.Microsecond)
-	allocs := testing.AllocsPerRun(200, func() { env.RunFor(16 * time.Nanosecond) })
+	env.RunUntil(env.Now() + time.Microsecond)
+	allocs := testing.AllocsPerRun(200, func() { env.RunUntil(env.Now() + 16*time.Nanosecond) })
 	if allocs != 0 {
 		t.Fatalf("16 resume/yield pairs allocate %.1f objects, want 0", allocs)
 	}

@@ -275,6 +275,27 @@ func (e *Env) hasEventBefore(t int64) bool {
 	return len(e.heap) > 0 && e.heap[0].at <= t
 }
 
+// next returns the earliest pending event time across the live members,
+// or math.MaxInt64 when none has an event.
+func (g *Group) next() int64 {
+	next := int64(math.MaxInt64)
+	for _, e := range g.envs {
+		if e.closed {
+			continue
+		}
+		if at, ok := e.nextEventAt(); ok && at < next {
+			next = at
+		}
+	}
+	return next
+}
+
+// Idle reports whether no live member has an event pending, so running the
+// group any further changes nothing: a process blocked on a Signal stays
+// blocked, since only an event can broadcast it. Call it between runs, from
+// the driving goroutine; RunUntil leaves no post undelivered.
+func (g *Group) Idle() bool { return g.next() == math.MaxInt64 }
+
 // RunUntil drives every member until virtual time t, barrier by barrier.
 // It returns the number of processes blocked on Signals across all
 // members. Quanta are not grid-aligned: each barrier fast-forwards to one
@@ -298,15 +319,7 @@ func (g *Group) RunUntil(t time.Duration) int {
 	for {
 		g.deliverPosts()
 		g.applyModeRequests()
-		next := int64(math.MaxInt64)
-		for _, e := range g.envs {
-			if e.closed {
-				continue
-			}
-			if at, ok := e.nextEventAt(); ok && at < next {
-				next = at
-			}
-		}
+		next := g.next()
 		if next > until {
 			break
 		}

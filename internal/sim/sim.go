@@ -23,8 +23,8 @@ import (
 )
 
 // Env is a simulation environment: a virtual clock plus an event queue.
-// Create one with NewEnv, add processes with Go, and drive it with Run,
-// RunFor or RunUntil.
+// Create one with NewEnv, add processes with Go, and drive it with Run or
+// RunUntil.
 //
 // The event queue is split in two. Events due strictly after the current
 // instant live in a typed binary min-heap ordered by (time, seq). Events
@@ -429,9 +429,6 @@ func (e *Env) Run() int { n := e.run(-1); e.rethrow(); return n }
 // RunUntil drives the simulation until virtual time t; events due later
 // stay queued. It returns the number of processes blocked on Signals.
 func (e *Env) RunUntil(t time.Duration) int { n := e.run(int64(t)); e.rethrow(); return n }
-
-// RunFor drives the simulation for d of virtual time from now.
-func (e *Env) RunFor(d time.Duration) int { return e.RunUntil(e.Now() + d) }
 
 // rethrow surfaces a captured process panic on the caller's goroutine.
 func (e *Env) rethrow() {

@@ -13,8 +13,8 @@ import (
 )
 
 // TestLoneMemberGroupMatchesBareEnv keeps the two engines in the tree the
-// same simulator. Every harness (figures, chaos, shards) drives a sim.Group,
-// while xssd.System and cmd/stackbench's single-device workloads drive a
+// same simulator. Every harness (figures, chaos, shards) and xssd.System
+// drive a sim.Group, while cmd/stackbench's single-device workloads drive a
 // bare sim.Env; this runs one full device — an xapi writer under load,
 // destaging behind it, a power loss in mid-stream and the supercapacitor
 // drain after it — on both, and demands the same event count, the same

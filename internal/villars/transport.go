@@ -191,7 +191,7 @@ func (t *transportModule) startRepair() {
 					if now-c.sentAt < t.dev.cfg.RepairTimeout {
 						continue
 					}
-					pl.window.Write(c.off, c.data, nil)
+					pl.window.Write(c.off, c.data)
 					c.sentAt = now
 					t.mRepairResends.Inc()
 				}
@@ -239,9 +239,9 @@ func (t *transportModule) mirror(off int64, data []byte) {
 			delayed := append([]byte(nil), data...)
 			pl := pl
 			//xssd:ignore hotpathalloc delayed-fault timer fires off the fast path
-			t.dev.env.After(d.Dur, func() { pl.window.Write(off, delayed, nil) })
+			t.dev.env.After(d.Dur, func() { pl.window.Write(off, delayed) })
 		default:
-			pl.window.Write(off, buf, nil)
+			pl.window.Write(off, buf)
 		}
 	}
 	t.dev.tracer.Record(obs.Mirror, t.dev.cfg.Name, off, int64(len(data)))
@@ -343,7 +343,7 @@ func (t *transportModule) reportStep() {
 		for i := 0; i < 8; i++ {
 			t.reportMsg[i] = byte(v >> (8 * i))
 		}
-		t.reportTo.WriteRaw(int64(t.reportPeerID), t.reportMsg[:8], core.CounterUpdateBytes, nil)
+		t.reportTo.WriteRaw(int64(t.reportPeerID), t.reportMsg[:8], core.CounterUpdateBytes)
 		t.mUpdatesSent.Inc()
 	}
 	env.After(t.dev.cfg.ShadowUpdatePeriod, t.reportNext)
@@ -455,7 +455,7 @@ func (t *transportModule) Backfill(p *sim.Proc, sec *Device, off int64, data []b
 		buf := tlpBuf(&pl.bufs, n)
 		copy(buf, data[:n])
 		pl.unacked.Push(mirrorChunk{off: off, data: buf, sentAt: p.Now()})
-		pl.window.Write(off, buf, nil)
+		pl.window.Write(off, buf)
 		t.mMirroredBytes.Add(int64(n))
 		off += int64(n)
 		sent += int64(n)

@@ -81,8 +81,12 @@ const (
 )
 
 // System is a simulation universe: a virtual clock plus any number of
-// hosts and devices. All devices in one System can be clustered.
+// hosts and devices. All devices in one System can be clustered. It runs
+// on a lone-member sim.Group, which is byte-identical to a bare sim.Env and
+// gives the NTB bridges between its devices the settled horizon that lets
+// them reuse their chunk slots.
 type System struct {
+	group   *sim.Group
 	env     *sim.Env
 	hostMem *pcie.HostMemory
 	devices []*Device
@@ -91,14 +95,17 @@ type System struct {
 
 // NewSystem creates an empty system with a deterministic seed.
 func NewSystem(seed int64) *System {
+	g := sim.NewGroup(sim.GroupConfig{})
 	return &System{
-		env:     sim.NewEnv(seed),
+		group:   g,
+		env:     g.NewEnv("host", seed),
 		hostMem: pcie.NewHostMemory(16 << 20),
 	}
 }
 
 // Env exposes the underlying simulation environment for advanced use
-// (custom processes, time control).
+// (custom processes, events, metrics). Drive time through Run and RunFor,
+// not the Env's own run methods: the Env is a member of the System's group.
 func (s *System) Env() *sim.Env { return s.env }
 
 // Now returns the current virtual time.
@@ -108,20 +115,26 @@ func (s *System) Now() time.Duration { return s.env.Now() }
 func (s *System) Go(name string, fn func(p *Proc)) { s.env.Go(name, fn) }
 
 // Run starts fn as a process and drives the simulation until fn returns
-// (device background processes keep running and do not hold Run open).
-func (s *System) Run(fn func(p *Proc)) {
+// (device background processes keep running and do not hold Run open). It
+// returns an error if fn can never return: it is still blocked and no
+// event is pending anywhere in the System to wake it.
+func (s *System) Run(fn func(p *Proc)) error {
 	done := false
 	s.env.Go("main", func(p *sim.Proc) {
 		fn(p)
 		done = true
 	})
 	for !done {
-		s.env.RunFor(time.Millisecond)
+		if s.group.Idle() {
+			return fmt.Errorf("xssd: Run stalled at %v: fn is blocked and no event is pending", s.Now())
+		}
+		s.RunFor(time.Millisecond)
 	}
+	return nil
 }
 
 // RunFor drives the simulation for a span of virtual time.
-func (s *System) RunFor(d time.Duration) { s.env.RunFor(d) }
+func (s *System) RunFor(d time.Duration) { s.group.RunUntil(s.group.Now() + d) }
 
 // DeviceOptions configure a new Villars device. Zero values select the
 // paper's defaults.

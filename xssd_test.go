@@ -470,3 +470,36 @@ func TestDefaultOptionsKeepClassicSingleQueue(t *testing.T) {
 		t.Fatalf("classic device reports %d host-queue entries, want one pair", len(st.HostQueues))
 	}
 }
+
+// TestRunReturnsWhenFnCannotFinish: a Run whose fn waits on a Signal that
+// nothing will broadcast must come back with an error once no event is left
+// to wake it, instead of advancing virtual time for ever. A completing Run
+// on the same System still returns nil.
+func TestRunReturnsWhenFnCannotFinish(t *testing.T) {
+	sys := NewSystem(17)
+	dev := sys.MustDevice(DeviceOptions{Name: "stuck"})
+	never := sys.Env().NewSignal()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- sys.Run(func(p *Proc) {
+			log := dev.OpenLog(p)
+			log.Pwrite(p, []byte("record"))
+			if err := log.Fsync(p); err != nil {
+				t.Errorf("fsync: %v", err)
+			}
+			p.Wait(never)
+		})
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("Run returned nil while fn is still blocked")
+		}
+		t.Logf("Run: %v", err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("Run did not return within 20 s of wall time while fn waits on a Signal nobody broadcasts")
+	}
+	if err := sys.Run(func(p *Proc) { p.Sleep(time.Microsecond) }); err != nil {
+		t.Fatalf("a completing Run returned %v", err)
+	}
+}

@@ -99,6 +99,38 @@ func TestFTLOpAllocations(t *testing.T) {
 	}
 }
 
+// TestFTLFreshBlockAllocations: the writes that open the array's last
+// never-programmed blocks, with the collector erasing beside them,
+// allocate nothing. The page table has a 4-byte entry for every page from
+// the start, and a first program takes a buffer an erase returned.
+func TestFTLFreshBlockAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own schedule")
+	}
+	env, _, f := budgetSetup()
+	defer env.Close()
+	w := newResident(env, rewriter(t, f))
+	for f.Stats().GCErases < int64(budgetGeo.Dies()) { // warm-up: the first erases return page buffers
+		w.round()
+	}
+	// Each die's free list hands out blocks oldest first, and the dies
+	// take writes in turn: once every die has opened more blocks than it
+	// has, every never-programmed block has been opened.
+	blocks := budgetGeo.Dies() * budgetGeo.BlocksPerDie
+	opened := func() int { return blocks - f.FreeBlocks() + int(f.Stats().GCErases) }
+	before := opened()
+	if before >= blocks {
+		t.Fatalf("warm-up opened %d blocks of %d, leaving none never programmed", before, blocks)
+	}
+	rounds := (blocks + budgetGeo.Dies() - before + 1) * budgetGeo.PagesPerBlock
+	if n := testing.AllocsPerRun(rounds, w.round); n != 0 {
+		t.Errorf("writes into never-programmed blocks allocate %v objects, want 0", n)
+	}
+	if after := opened(); after < blocks+budgetGeo.Dies() {
+		t.Fatalf("measured writes opened blocks %d to %d, want past %d", before, after, blocks+budgetGeo.Dies())
+	}
+}
+
 // TestOpFreeListIsBounded: many writers waiting on flash at once take a
 // record each, and the free list keeps at most maxFreeOps of them after.
 func TestOpFreeListIsBounded(t *testing.T) {

@@ -41,7 +41,8 @@ type Config struct {
 // DefaultConfig matches a typical 20% over-provisioned SSD.
 var DefaultConfig = Config{OverProvision: 0.2, GCThreshold: 3, GCReserve: 1}
 
-const unmapped = int64(-1)
+// unmapped marks an l2p or p2l entry with no page behind it.
+const unmapped = -1
 
 // writePoint is an open block being filled by one traffic class. Each
 // class (conventional/destage/GC) owns its own write point per die — the
@@ -67,8 +68,10 @@ type FTL struct {
 	geo nand.Geometry
 	cfg Config
 
-	l2p        []int64 // logical -> physical page number
-	p2l        []int64 // physical -> logical (unmapped for invalid/free)
+	// l2p and p2l hold page numbers in 4 bytes: nand.Geometry bounds an
+	// array at nand.MaxPages pages.
+	l2p        []int32 // logical -> physical page number
+	p2l        []int32 // physical -> logical (unmapped for invalid/free)
 	validCount []int   // per block: number of valid pages
 	programs   []int   // per block: pages handed out whose program has not returned
 	dies       []dieState
@@ -154,8 +157,8 @@ func New(env *sim.Env, arr *nand.Array, sch *sched.Scheduler, cfg Config) *FTL {
 		sch:        sch,
 		geo:        geo,
 		cfg:        cfg,
-		l2p:        make([]int64, logicalPages(geo, cfg)),
-		p2l:        make([]int64, geo.TotalPages()),
+		l2p:        make([]int32, logicalPages(geo, cfg)),
+		p2l:        make([]int32, geo.TotalPages()),
 		validCount: make([]int, geo.Dies()*geo.BlocksPerDie),
 		programs:   make([]int, geo.Dies()*geo.BlocksPerDie),
 		dies:       make([]dieState, geo.Dies()),
@@ -346,12 +349,12 @@ func (f *FTL) retireActive(die, block int) {
 
 // commitMapping installs lpn->ppn and invalidates the previous location.
 func (f *FTL) commitMapping(lpn, ppn int64, src sched.Source) {
-	if old := f.l2p[lpn]; old != unmapped {
+	if old := int64(f.l2p[lpn]); old != unmapped {
 		f.p2l[old] = unmapped
 		f.validCount[f.blockIndex(f.dieOf(old), f.blockOf(old))]--
 	}
-	f.l2p[lpn] = ppn
-	f.p2l[ppn] = lpn
+	f.l2p[lpn] = int32(ppn)
+	f.p2l[ppn] = int32(lpn)
 	f.validCount[f.blockIndex(f.dieOf(ppn), f.blockOf(ppn))]++
 	f.pagesBy[src]++
 }
@@ -362,7 +365,7 @@ func (f *FTL) ReadInto(p *sim.Proc, lpn int64, dst []byte) error {
 	if lpn < 0 || lpn >= f.LogicalPages() {
 		return ErrRange
 	}
-	ppn := f.l2p[lpn]
+	ppn := int64(f.l2p[lpn])
 	if ppn == unmapped {
 		return ErrUnmapped
 	}
@@ -385,7 +388,7 @@ func (f *FTL) Trim(lpn int64) error {
 	if lpn < 0 || lpn >= f.LogicalPages() {
 		return ErrRange
 	}
-	if old := f.l2p[lpn]; old != unmapped {
+	if old := int64(f.l2p[lpn]); old != unmapped {
 		f.p2l[old] = unmapped
 		f.validCount[f.blockIndex(f.dieOf(old), f.blockOf(old))]--
 		f.l2p[lpn] = unmapped
@@ -470,7 +473,7 @@ func (f *FTL) collectOne(p *sim.Proc, die int) bool {
 			continue
 		}
 		if f.p2l[src] == lpn { // still current after the program
-			f.commitMapping(lpn, dst, sched.GC)
+			f.commitMapping(int64(lpn), dst, sched.GC)
 		}
 	}
 	// Erase and return to the free pool.

@@ -11,6 +11,7 @@ package nand
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"xssd/internal/fault"
@@ -19,7 +20,8 @@ import (
 	"xssd/internal/sim"
 )
 
-// Geometry describes the array shape.
+// Geometry describes the array shape. An array holds at most MaxPages
+// pages, so that a page number fits in 4 bytes; Validate checks the bound.
 type Geometry struct {
 	Channels      int
 	WaysPerChan   int // dies per channel
@@ -36,6 +38,26 @@ var DefaultGeometry = Geometry{
 	BlocksPerDie:  64,
 	PagesPerBlock: 256,
 	PageSize:      16 << 10,
+}
+
+// MaxPages bounds an array's physical page count: the array's page table
+// and the FTL's maps hold page numbers as int32.
+const MaxPages = math.MaxInt32
+
+// Validate reports a geometry an array cannot be built on: a dimension
+// below 1, or more than MaxPages pages.
+func (g Geometry) Validate() error {
+	if g.Channels <= 0 || g.WaysPerChan <= 0 || g.BlocksPerDie <= 0 || g.PagesPerBlock <= 0 || g.PageSize <= 0 {
+		return errors.New("nand: geometry has a zero or negative dimension")
+	}
+	pages := int64(1)
+	for _, n := range []int{g.Channels, g.WaysPerChan, g.BlocksPerDie, g.PagesPerBlock} {
+		if pages > MaxPages/int64(n) {
+			return fmt.Errorf("nand: geometry has more than %d pages", MaxPages)
+		}
+		pages *= int64(n)
+	}
+	return nil
 }
 
 // Dies returns the total number of dies.
@@ -117,13 +139,17 @@ type Array struct {
 	buses  []*sim.Link
 	dies   []dieState
 	blocks []blockState
-	// data holds page contents in a flat slice indexed by physical page
-	// number (nil = unwritten); freePages recycles page buffers from
-	// erased blocks into new programs.
+	// page maps each physical page number to its contents: 0 for an
+	// unwritten page, else 1 + the index in bufs of the buffer holding
+	// it. bufs grows only to the most pages ever programmed at once; an
+	// erase returns its block's indices to freeBufs, and a program takes
+	// one from there before it grows bufs.
 	//xssd:pool retain
-	data [][]byte
+	page []int32
+	//xssd:pool retain
+	bufs [][]byte
 	//xssd:pool put
-	freePages pool.Free[[]byte]
+	freeBufs pool.Free[int32]
 	//xssd:pool put
 	ops pool.Free[*dieOp] // recycled operation records
 
@@ -164,7 +190,7 @@ func New(env *sim.Env, geo Geometry, timing Timing) *Array {
 		timing: timing,
 		dies:   make([]dieState, geo.Dies()),
 		blocks: make([]blockState, geo.Dies()*geo.BlocksPerDie),
-		data:   make([][]byte, geo.TotalPages()),
+		page:   make([]int32, geo.TotalPages()),
 		Freed:  env.NewSignal(),
 	}
 	a.buses = make([]*sim.Link, geo.Channels)
@@ -190,14 +216,24 @@ func (a *Array) pageIndex(p PageAddr) int {
 	return a.blockIndex(p.BlockAddr())*a.geo.PagesPerBlock + p.Page
 }
 
-// getPageBuf returns a recycled (or fresh) page buffer.
+// getBuf returns the page-table entry of a recycled (or fresh) page
+// buffer: 1 + its index in bufs.
 //
 //xssd:pool get
-func (a *Array) getPageBuf() []byte {
-	if b := a.freePages.Get(); b != nil {
+func (a *Array) getBuf() int32 {
+	if b := a.freeBufs.Get(); b != 0 {
 		return b
 	}
-	return make([]byte, a.geo.PageSize)
+	a.bufs = append(a.bufs, make([]byte, a.geo.PageSize))
+	return int32(len(a.bufs))
+}
+
+// stored returns the contents of physical page pi, nil if unwritten.
+func (a *Array) stored(pi int) []byte {
+	if b := a.page[pi]; b != 0 {
+		return a.bufs[b-1]
+	}
+	return nil
 }
 
 func (a *Array) checkAddr(p PageAddr) error {
@@ -233,7 +269,9 @@ type dieOp struct {
 	page  int       // program: page index the buffer is installed at
 	block BlockAddr // erase: the block wiped
 	//xssd:pool retain
-	buf   []byte // program: the page to install; read: the page snapshotted at issue
+	slot int32 // program: the page-table entry of the buffer to install
+	//xssd:pool retain
+	buf   []byte // read: the page snapshotted at issue
 	out   []byte // read: the caller's buffer, filled at die completion
 	start time.Duration
 	done  func([]byte, error)
@@ -277,7 +315,7 @@ func (o *dieOp) dieDone() {
 	a := o.a
 	switch o.kind {
 	case opProgram:
-		a.data[o.page] = o.buf
+		a.page[o.page] = o.slot
 		a.mProgLat.Since(o.start)
 		a.finish(o, nil)
 	case opErase:
@@ -286,10 +324,10 @@ func (o *dieOp) dieDone() {
 		blk.nextPage = 0
 		blk.erases++
 		base := a.blockIndex(o.block) * a.geo.PagesPerBlock
-		for page := 0; page < a.geo.PagesPerBlock; page++ {
-			if buf := a.data[base+page]; buf != nil {
-				a.freePages.Put(buf)
-				a.data[base+page] = nil
+		for pi := base; pi < base+a.geo.PagesPerBlock; pi++ {
+			if b := a.page[pi]; b != 0 {
+				a.freeBufs.Put(b)
+				a.page[pi] = 0
 			}
 		}
 		a.finish(o, nil)
@@ -366,8 +404,8 @@ func (a *Array) Program(p *sim.Proc, addr PageAddr, data []byte, done func([]byt
 	blk.nextPage++
 	o := a.getOp(opProgram, done)
 	o.page = a.pageIndex(addr)
-	o.buf = a.getPageBuf()
-	copy(o.buf, data)
+	o.slot = a.getBuf()
+	copy(a.bufs[o.slot-1], data)
 	a.buses[addr.Channel].Transfer(p, a.geo.PageSize)
 	a.progs++
 	a.occupyDie(addr.Channel, addr.Way, a.timing.TProg, o)
@@ -388,7 +426,7 @@ func (a *Array) Read(addr PageAddr, dst []byte, done func([]byte, error)) {
 		done(nil, ErrWrongSize)
 		return
 	}
-	data := a.data[a.pageIndex(addr)]
+	data := a.stored(a.pageIndex(addr))
 	if data == nil {
 		done(nil, ErrUnwritten)
 		return
@@ -428,7 +466,7 @@ func (a *Array) Erase(b BlockAddr, done func([]byte, error)) {
 // PeekPage returns the stored contents of a page without simulation cost
 // (used by recovery scans and tests). ok is false for unwritten pages.
 func (a *Array) PeekPage(addr PageAddr) (data []byte, ok bool) {
-	d := a.data[a.pageIndex(addr)]
+	d := a.stored(a.pageIndex(addr))
 	return d, d != nil
 }
 

@@ -273,3 +273,59 @@ func TestWrongPayloadSize(t *testing.T) {
 		t.Fatalf("err = %v, want ErrWrongSize", err)
 	}
 }
+
+// TestProgramEraseAllocations: once one block's pages have been erased,
+// programming a never-programmed block and erasing it allocate nothing,
+// and the buffer table grows no further: a program takes the buffer an
+// erase returned.
+func TestProgramEraseAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own schedule")
+	}
+	geo := Geometry{Channels: 1, WaysPerChan: 1, BlocksPerDie: 128, PagesPerBlock: 4, PageSize: 512}
+	env := sim.NewEnv(1)
+	defer env.Close()
+	a := New(env, geo, DefaultTiming)
+	data := page(a, 7)
+	pending := 0
+	sig := env.NewSignal()
+	done := func(_ []byte, err error) {
+		if err != nil {
+			t.Fatalf("flash op: %v", err)
+		}
+		pending--
+		sig.Broadcast()
+	}
+	idle := func() bool { return pending == 0 }
+	kick := env.NewSignal()
+	block := 0
+	env.Go("cycler", func(p *sim.Proc) {
+		for {
+			p.Wait(kick)
+			for pg := 0; pg < geo.PagesPerBlock; pg++ {
+				pending++
+				a.Program(p, PageAddr{Block: block, Page: pg}, data, done)
+			}
+			p.WaitFor(sig, idle)
+			pending++
+			a.Erase(BlockAddr{Block: block}, done)
+			p.WaitFor(sig, idle)
+			block++
+		}
+	})
+	env.Run()
+	round := func() {
+		kick.Broadcast()
+		env.Run()
+	}
+	round() // warm-up: the first block's buffers, and the free list's room for them
+	if n := testing.AllocsPerRun(geo.BlocksPerDie-2, round); n != 0 {
+		t.Errorf("programming a fresh block and erasing it allocates %v objects, want 0", n)
+	}
+	if block != geo.BlocksPerDie {
+		t.Fatalf("cycled %d blocks, want all %d", block, geo.BlocksPerDie)
+	}
+	if len(a.bufs) != geo.PagesPerBlock {
+		t.Fatalf("buffer table holds %d buffers after cycling one block at a time, want %d", len(a.bufs), geo.PagesPerBlock)
+	}
+}

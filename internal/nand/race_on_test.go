@@ -1,0 +1,7 @@
+//go:build race
+
+package nand
+
+// raceEnabled reports a -race build, whose instrumented runtime allocates
+// on its own schedule: allocation pins do not hold there.
+const raceEnabled = true

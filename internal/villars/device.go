@@ -49,6 +49,9 @@ type Config struct {
 	// Backing selects the CMB backing memory (pm.SRAMSpec / pm.DRAMSpec).
 	Backing pm.Spec
 	// CMBSize is the fast-side ring capacity; 0 means the backing size.
+	// A negative size is API misuse and New panics on it: no caller in the
+	// module sets one, the xssd facade does not expose the field, and
+	// CreateVF refuses a virtual function's size below 1 with an error.
 	CMBSize int64
 	// QueueSize is the CMB intake queue; 0 means core.DefaultQueueSize.
 	QueueSize int

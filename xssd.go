@@ -146,7 +146,7 @@ type DeviceOptions struct {
 	// Policy is the initial destage scheduling policy.
 	Policy DestagePolicy
 	// Geometry overrides the NAND array shape (default: 8×8 dies of
-	// 16 KB pages).
+	// 16 KB pages); it may hold at most nand.MaxPages pages.
 	Geometry *nand.Geometry
 	// ShadowUpdatePeriod is the replica counter-report interval
 	// (default 0.4 µs).
@@ -204,8 +204,8 @@ func (opts DeviceOptions) validate() error {
 		return fmt.Errorf("%w: QueueSize %d is odd; the intake queue is managed as two halves", ErrBadOptions, opts.QueueSize)
 	}
 	if g := opts.Geometry; g != nil {
-		if g.Channels <= 0 || g.WaysPerChan <= 0 || g.BlocksPerDie <= 0 || g.PagesPerBlock <= 0 || g.PageSize <= 0 {
-			return fmt.Errorf("%w: Geometry %+v has a zero or negative dimension", ErrBadOptions, *g)
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("%w: Geometry %+v: %w", ErrBadOptions, *g, err)
 		}
 	}
 	if opts.ShadowUpdatePeriod < 0 {
@@ -226,8 +226,9 @@ type Device struct {
 }
 
 // NewDevice validates opts, then creates and attaches a device. Rejected
-// options (negative or odd QueueSize, a Geometry with a zero dimension,
-// an empty Name) return an error wrapping ErrBadOptions.
+// options (negative or odd QueueSize, a Geometry with a zero dimension or
+// more than nand.MaxPages pages, an empty Name) return an error wrapping
+// ErrBadOptions.
 func (s *System) NewDevice(opts DeviceOptions) (*Device, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

@@ -270,6 +270,8 @@ func TestNewDeviceValidation(t *testing.T) {
 		{"negative queue", DeviceOptions{Name: "d", QueueSize: -4096}},
 		{"odd queue", DeviceOptions{Name: "d", QueueSize: 4097}},
 		{"zero geometry", DeviceOptions{Name: "d", Geometry: &nand.Geometry{Channels: 8}}},
+		{"geometry past the page bound", DeviceOptions{Name: "d", Geometry: &nand.Geometry{
+			Channels: 1 << 10, WaysPerChan: 1 << 10, BlocksPerDie: 1 << 10, PagesPerBlock: 4, PageSize: 512}}},
 		{"negative shadow period", DeviceOptions{Name: "d", ShadowUpdatePeriod: -time.Microsecond}},
 	}
 	for _, c := range cases {

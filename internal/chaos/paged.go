@@ -137,7 +137,7 @@ func livePagedI9(prim *villars.Device, base int64, completed int64, records []wa
 
 	oracle := db.NewPaged(sim.NewEnv(1), nil, btree.NewPager(btree.NewMemStore(prim.BlockSize(), 1<<30), btree.Config{PoolPages: pagedPool}))
 	load(oracle)
-	if err := oracle.RecoverIn(nil, records); err != nil {
+	if err := oracle.Recover(records); err != nil {
 		return append(out, fmt.Sprintf("I9: full-stream paged replay: %v", err))
 	}
 	classic := db.New(sim.NewEnv(1), nil)
@@ -158,14 +158,15 @@ func livePagedI9(prim *villars.Device, base int64, completed int64, records []wa
 	return out
 }
 
-// syntheticPagedI9 checks I9 against any recovered redo stream without a
-// live paged device: replay it into a memory-backed paged engine with
-// fuzzy checkpoints every few records (cut points and the crash record
-// drawn from the seed), crash, recover from (last checkpoint + tail),
-// and demand bit-identical state versus a full replay into both a fresh
-// paged engine and the classic engine. Everything runs on nil procs
-// against MemStores — zero virtual time, so callers' event schedules
-// and fingerprints are untouched.
+// syntheticPagedI9 checks I9 against any recovered stream without a live
+// paged device: replay it into a memory-backed paged engine in segments
+// of a few records, with a fuzzy checkpoint after each (segment lengths
+// and the crash record drawn from the seed), crash, recover from (last
+// checkpoint + tail), and demand bit-identical state versus the replayed
+// engine and a full classic replay. Every replay is db.Engine.Replay, so
+// a shard's DECISION and COMMITP records apply on all three. Everything
+// runs on nil procs against MemStores — zero virtual time, so callers'
+// event schedules and fingerprints are untouched.
 func syntheticPagedI9(seed int64, records []wal.Record, load func(*db.Engine)) []string {
 	if len(records) == 0 {
 		return nil
@@ -184,18 +185,18 @@ func syntheticPagedI9(seed int64, records []wal.Record, load func(*db.Engine)) [
 
 	spliced := make([]wal.Record, 0, cut+8)
 	ckpts, applied, preTail := 0, 0, 0
-	countdown := 3 + rng.Intn(6)
-	for _, r := range records[:cut] {
-		spliced = append(spliced, r)
-		if err := eng.ApplyRecordIn(nil, r); err != nil {
+	for lo, n := 0, 3+rng.Intn(6); lo < cut; lo, n = lo+n, 3+rng.Intn(6) {
+		// The walk re-reads records[:lo] only to index their PREPAREs: a
+		// COMMITP in this segment may close one from an earlier segment.
+		hi := min(lo+n, cut)
+		spliced = append(spliced, records[lo:hi]...)
+		st, err := eng.Replay(nil, records[:hi], records[lo].LSN, nil)
+		if err != nil {
 			return fail("I9: synthetic replay: %v", err)
 		}
-		if !db.IsControlPayload(r.Payload) {
-			applied++
-			countdown--
-		}
-		if countdown > 0 {
-			continue
+		applied += st.Replayed
+		if hi < lo+n {
+			break // the crash lands mid-segment
 		}
 		ck, err := eng.BeginCheckpoint(nil)
 		if err != nil {
@@ -214,7 +215,6 @@ func syntheticPagedI9(seed int64, records []wal.Record, load func(*db.Engine)) [
 		pg.CommitCheckpoint(ck.Snap)
 		ckpts++
 		preTail = applied
-		countdown = 3 + rng.Intn(6)
 	}
 
 	recovered, st, err := ckpt.Recover(nil, sim.NewEnv(seed+29), store, pool, spliced, load)
@@ -230,10 +230,8 @@ func syntheticPagedI9(seed int64, records []wal.Record, load func(*db.Engine)) [
 
 	classic := db.New(sim.NewEnv(seed+31), nil)
 	load(classic)
-	for _, r := range records[:cut] {
-		if err := classic.ApplyRecord(r); err != nil {
-			return fail("I9: synthetic classic replay: %v", err)
-		}
+	if err := classic.Recover(records[:cut]); err != nil {
+		return fail("I9: synthetic classic replay: %v", err)
 	}
 	var out []string
 	recFP, liveFP, cFP := recovered.FingerprintIn(nil), eng.FingerprintIn(nil), classic.Fingerprint()

@@ -204,12 +204,13 @@ func runSharded(s Scenario) (*Result, error) {
 	}
 
 	// ---- I9: checkpoint-bounded recovery, per shard -------------------
-	// Synthetic schedule: each shard's durable redo stream replays into a
-	// paged engine with fuzzy checkpoints and a randomized crash point. The
-	// paged and classic replays both skip 2PC control records, so they see
-	// the same redo set and must agree. Neither holds the shard's
-	// cross-shard writes, which live in DECISION and COMMITP records that
-	// only shard.Replay applies; I2 above checks those.
+	// Synthetic schedule: each shard's durable stream replays into a paged
+	// engine with fuzzy checkpoints and a randomized crash point. The
+	// paged, checkpoint and classic replays are all db.Engine.Replay, so
+	// all three apply the shard's cross-shard writes from its DECISION and
+	// COMMITP records, a COMMITP past a checkpoint finding its PREPARE
+	// before it. In-doubt prepares are presumed aborted on all three; I2
+	// above checks them against the coordinators' decisions.
 	for i := range prefixes {
 		if prefixes[i] == nil {
 			continue

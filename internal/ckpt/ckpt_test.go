@@ -89,16 +89,14 @@ func (h *harness) oracleFingerprints(t *testing.T) uint64 {
 
 	penv := sim.NewEnv(2)
 	paged := db.NewPaged(penv, nil, btree.NewPager(btree.NewMemStore(testPageSize, 1<<20), btree.Config{PoolPages: 64}))
-	if err := paged.RecoverIn(nil, records); err != nil {
+	if err := paged.Recover(records); err != nil {
 		t.Fatalf("paged oracle replay: %v", err)
 	}
 
 	cenv := sim.NewEnv(3)
 	classic := db.New(cenv, nil)
-	for _, r := range records {
-		if err := classic.ApplyRecord(r); err != nil {
-			t.Fatalf("classic oracle replay: %v", err)
-		}
+	if err := classic.Recover(records); err != nil {
+		t.Fatalf("classic oracle replay: %v", err)
 	}
 
 	pf, cf := paged.FingerprintIn(nil), classic.Fingerprint()
@@ -344,6 +342,24 @@ func TestManagerRunLoop(t *testing.T) {
 	}
 	if m.Completed() < 2 {
 		t.Fatalf("expected several checkpoints, got %d (aborted %d)", m.Completed(), m.mAborted.Value())
+	}
+}
+
+// TestMalformedTwoPCRecordFailsRecovery feeds recovery a well-framed WAL
+// record whose payload is a 2PC control record of an unknown kind. It was
+// durable, so it is corruption: classic and checkpoint recovery both
+// return an error instead of skipping it.
+func TestMalformedTwoPCRecordFailsRecovery(t *testing.T) {
+	bad := wal.Record{TxID: 1, Payload: db.EncodeControl(77, 1, 0, nil, nil)}
+	records := wal.DecodeAll(bad.Encode(nil))
+	if len(records) != 1 || db.ControlOps(records[0].Payload) != db.TwoPCOps {
+		t.Fatalf("stream decodes to %d records, want one 2PC record", len(records))
+	}
+	if err := db.New(sim.NewEnv(1), nil).Recover(records); err == nil {
+		t.Error("db.Engine.Recover accepted an unknown 2PC kind")
+	}
+	if _, _, err := Recover(nil, sim.NewEnv(1), btree.NewMemStore(testPageSize, 1<<20), 8, records, nil); err == nil {
+		t.Error("ckpt.Recover accepted an unknown 2PC kind")
 	}
 }
 

@@ -38,6 +38,11 @@ type Manager struct {
 }
 
 // NewManager builds a manager over eng (which must be paged) and its WAL.
+//
+// A non-paged eng is API misuse, and the panic says so: a row map has no
+// pages to checkpoint. Every caller builds eng with db.NewPaged in the
+// statement before — the paged chaos scenario, the paged perf cell and
+// the paged stack benchmark.
 func NewManager(eng *db.Engine, log *wal.Log, cfg Config) *Manager {
 	if !eng.Paged() {
 		panic("ckpt: manager over a non-paged engine")

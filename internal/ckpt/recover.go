@@ -26,23 +26,14 @@ type Stats struct {
 
 // Recover rebuilds a paged engine from a durable log stream. With a
 // checkpoint on the stream, the pager restores onto store (the device's
-// page slots) and only the tail past Record.StartLSN replays. Without
-// one, load rebuilds the pre-log state (bulk-loaded rows never hit the
-// WAL) into a fresh memory-backed pager — the device pages are not
-// trustworthy before the first complete checkpoint — and the whole
-// stream replays.
-//
-// Replay goes through db.ApplyRecordIn, which skips every control record.
-// A shard's stream therefore loses its cross-shard writes here: they live
-// in 2PC DECISION and COMMITP records, and only shard.Replay applies them.
+// page slots) and db.Engine.Replay walks the stream from Record.StartLSN.
+// Without one, load rebuilds the pre-log state (bulk-loaded rows never
+// hit the WAL) into a fresh memory-backed pager — the device pages are
+// not trustworthy before the first complete checkpoint — and the whole
+// stream replays. Either way a shard's DECISION and COMMITP records apply;
+// an in-doubt PREPARE is presumed aborted.
 func Recover(p *sim.Proc, env *sim.Env, store btree.PageStore, poolPages int, records []wal.Record, load func(*db.Engine)) (*db.Engine, Stats, error) {
 	var st Stats
-	for _, r := range records {
-		if !db.IsControlPayload(r.Payload) {
-			st.Total++
-		}
-	}
-
 	var rec Record
 	for i := len(records) - 1; i >= 0; i-- {
 		if IsCheckpointPayload(records[i].Payload) {
@@ -73,13 +64,10 @@ func Recover(p *sim.Proc, env *sim.Env, store btree.PageStore, poolPages int, re
 			load(eng)
 		}
 	}
-	for _, r := range wal.TailRecords(records, st.StartLSN) {
-		if err := eng.ApplyRecordIn(p, r); err != nil {
-			return nil, st, fmt.Errorf("ckpt: recover: %w", err)
-		}
-		if !db.IsControlPayload(r.Payload) {
-			st.Tail++
-		}
+	rs, err := eng.Replay(p, records, st.StartLSN, nil)
+	st.Total, st.Tail = rs.Total, rs.Replayed
+	if err != nil {
+		return nil, st, fmt.Errorf("ckpt: recover: %w", err)
 	}
 	return eng, st, nil
 }

@@ -472,10 +472,13 @@ func (t *Tx) Abort() {
 }
 
 // lockCommits enters the engine-wide commit/checkpoint critical section.
+// A nil p finding it held is API misuse: contention needs a process parked
+// inside the section, on a page fetch, so a paged engine. The nil-process
+// callers are a shard participant's Prepare and CommitPrepared (shards
+// build row maps only), bulk load and synthetic checkpoints (alone on
+// their engine), and tests; replay takes no lock.
 func (e *Engine) lockCommits(p *sim.Proc) {
 	if e.busy {
-		// No process context is legal only when nothing can contend
-		// (single-threaded tests, bulk load, recovery).
 		if p == nil {
 			panic("db: commit lock contended without a process context")
 		}
@@ -592,9 +595,9 @@ func (t *Tx) commit(p *sim.Proc) (int64, error) {
 }
 
 // apply installs a write set, stamping rows with ver and pages with lsn:
-// the one apply behind live commits, CommitPrepared, ApplyWriteSet and
-// record replay. Deletes leave a versioned tombstone so OCC still detects
-// conflicts against a read of the now-absent row. Decoded ops carry no
+// the one apply behind live commits, CommitPrepared and replay. Deletes
+// leave a versioned tombstone so OCC still detects conflicts against a
+// read of the now-absent row. Decoded ops carry no
 // resolved handle; they resolve against this engine, creating tables on
 // first touch.
 //
@@ -733,21 +736,6 @@ func (t *Tx) CommitPrepared(ver int64) {
 // scratch).
 func (t *Tx) EncodedWrites() []byte { return encodeWrites(t.writes) }
 
-// ApplyWriteSet replays an encoded write set — the body of a 2PC control
-// record — stamping every row with ver and counting one committed
-// transaction. The recovery twin of CommitPrepared.
-func (e *Engine) ApplyWriteSet(payload []byte, ver int64) error {
-	ws, err := decodeWrites(payload)
-	if err == nil {
-		err = e.apply(nil, ws, ver, e.frontier())
-	}
-	if err != nil {
-		return fmt.Errorf("db: apply write set ver %d: %w", ver, err)
-	}
-	e.commits++
-	return nil
-}
-
 // frontier returns the WAL append frontier: the log's when there is one
 // (control and checkpoint records are appended around the engine), else
 // the end of the last record committed or replayed.
@@ -771,6 +759,9 @@ func (e *Engine) Env() *sim.Env { return e.env }
 // touched page is fresh and resident — no device I/O, no process needed.
 // LoadRow keeps neither key nor val: the store copies the key, and the row
 // gets a copy of val.
+// A store error is API misuse: a tree put fails only on a page miss (none
+// before the first checkpoint — the pager never evicts a dirty page) or
+// an oversize row (the loaders' fixed schemas write none).
 func (e *Engine) LoadRow(tableName, key string, val []byte) {
 	it := btree.Item{Val: append([]byte(nil), val...)}
 	if err := e.Table(tableName).t.rows.Put(nil, key, it, 0); err != nil {
@@ -832,7 +823,9 @@ func appendWrites(buf []byte, ws []writeOp) []byte {
 	return buf
 }
 
-// decodeWrites parses a redo payload. An op's table name and key are
+// decodeWrites parses a redo payload. It accepts exactly what
+// encodeWrites produces: a flags byte of 0 or 1, and nothing past the
+// last op. An op's table name and key are
 // views into buf, which the stores copy when they keep them; only the
 // value, which a store installs as is, gets its own copy. So the ops are
 // valid as long as buf is, and replay allocates the op slice and one
@@ -849,6 +842,9 @@ func decodeWrites(buf []byte) ([]writeOp, error) {
 			return nil, errors.New("db: truncated redo op")
 		}
 		flags, tl := buf[0], int(buf[1])
+		if flags > 1 {
+			return nil, fmt.Errorf("db: redo op flags %#x", flags)
+		}
 		buf = buf[2:]
 		if len(buf) < tl+2 {
 			return nil, errors.New("db: truncated table name")
@@ -869,88 +865,16 @@ func decodeWrites(buf []byte) ([]writeOp, error) {
 		}
 		val := append([]byte(nil), buf[:vl]...)
 		buf = buf[vl:]
-		out = append(out, writeOp{tab: Table{name: tableName}, key: key, val: val, delete: flags&1 != 0})
+		out = append(out, writeOp{tab: Table{name: tableName}, key: key, val: val, delete: flags == 1})
+	}
+	if len(buf) > 0 {
+		return nil, fmt.Errorf("db: %d bytes past the last redo op", len(buf))
 	}
 	return out, nil
 }
 
 // view returns b's bytes as a string without copying them.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
-
-// The op counts reserved for control records riding the WAL. A redo
-// payload starts with its op count (u16), and no transaction carries this
-// many ops, so the first two payload bytes tell a redo record from a
-// control record, and which control record it is. A control payload has
-// at least one byte after its count (a version or a kind). Replay skips
-// control records: they describe protocol state, and only their owners
-// decode them.
-const (
-	// CheckpointOps marks a checkpoint record (internal/ckpt).
-	CheckpointOps = 0xFFFE
-	// TwoPCOps marks a 2PC control record (internal/shard).
-	TwoPCOps = 0xFFFF
-)
-
-// ControlOps returns the reserved op count a control payload starts with,
-// CheckpointOps or TwoPCOps, and 0 for a redo payload.
-func ControlOps(payload []byte) uint16 {
-	if len(payload) < 3 {
-		return 0
-	}
-	if ops := binary.LittleEndian.Uint16(payload); ops >= CheckpointOps {
-		return ops
-	}
-	return 0
-}
-
-// IsControlPayload reports whether a WAL record payload is a control
-// record rather than a redo write set.
-func IsControlPayload(payload []byte) bool { return ControlOps(payload) != 0 }
-
-// ApplyRecord replays one redo record (recovery and secondary apply);
-// control records are skipped. The no-process form of ApplyRecordIn.
-func (e *Engine) ApplyRecord(r wal.Record) error { return e.ApplyRecordIn(nil, r) }
-
-// ApplyRecordIn replays one redo record on process p (a paged engine may
-// fetch pages during tail replay). Control records advance the frontier
-// without touching rows, so a shard's cross-shard writes, which ride 2PC
-// control records, replay only through shard.Replay. Rows are stamped
-// with the record's TxID and pages with its end LSN — bit-identical to
-// what the live engine produced, because the live commit used exactly the
-// same stamps.
-func (e *Engine) ApplyRecordIn(p *sim.Proc, r wal.Record) error {
-	end := r.LSN + int64(wal.EncodedLen(len(r.Payload)))
-	if end > e.lastLSN {
-		e.lastLSN = end
-	}
-	if IsControlPayload(r.Payload) {
-		return nil
-	}
-	ws, err := decodeWrites(r.Payload)
-	if err == nil {
-		err = e.apply(p, ws, r.TxID, end)
-	}
-	if err != nil {
-		return fmt.Errorf("db: apply tx %d: %w", r.TxID, err)
-	}
-	e.commits++
-	return nil
-}
-
-// Recover replays a decoded log stream in order (crash restart). The
-// no-process form of RecoverIn.
-func (e *Engine) Recover(records []wal.Record) error { return e.RecoverIn(nil, records) }
-
-// RecoverIn replays a decoded log stream on process p (control records
-// skip themselves).
-func (e *Engine) RecoverIn(p *sim.Proc, records []wal.Record) error {
-	for _, r := range records {
-		if err := e.ApplyRecordIn(p, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Fingerprint folds every table's contents into a deterministic hash, for
 // equivalence checks between a recovered or replicated engine and its

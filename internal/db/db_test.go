@@ -505,7 +505,7 @@ func TestPrepareFencesThenCommitPrepared(t *testing.T) {
 
 func TestWriteSetAndStreamReplayAgree(t *testing.T) {
 	// One source history on a row-map engine: a redo stream plus a 2PC
-	// write set that never rode it as a redo record.
+	// write set that rides a DECISION record, not a redo record.
 	env := sim.NewEnv(1)
 	src, sink := newEngine(env, New)
 	var writeSet []byte
@@ -533,13 +533,12 @@ func TestWriteSetAndStreamReplayAgree(t *testing.T) {
 	})
 	env.RunUntil(time.Minute)
 
+	decision := wal.Record{TxID: 7000, Payload: EncodeControl(KindDecision, 7000, 0, []int{1}, writeSet)}
+	stream := decision.Encode(append([]byte(nil), sink.data...))
 	recovered := sameOnBothStores(t, func(t *testing.T, mk mkEngine) *Engine {
 		eng := mk(sim.NewEnv(1), nil)
-		if err := eng.Recover(wal.DecodeAll(sink.data)); err != nil {
+		if err := eng.Recover(wal.DecodeAll(stream)); err != nil {
 			t.Fatalf("recover: %v", err)
-		}
-		if err := eng.ApplyWriteSet(writeSet, 7000); err != nil {
-			t.Fatalf("apply write set: %v", err)
 		}
 		return eng
 	})
@@ -988,7 +987,7 @@ func TestRowMapAllocations(t *testing.T) {
 const commitAllocs = 0
 
 // TestApplyRecordAllocations pins what replaying a redo record allocates
-// — recovery, Follower.Feed and ApplyWriteSet all decode this way: the op
+// — every replay, Follower.Feed included, decodes this way: the op
 // slice and a copy of each value, since a store installs the value as is.
 // Table names and keys are views into the payload, and a store copies a
 // key only when it inserts the row; here every op updates or deletes a row
@@ -1007,13 +1006,12 @@ func TestApplyRecordAllocations(t *testing.T) {
 			}
 			ws = append(ws, w)
 		}
-		payload := encodeWrites(ws)
-		lsn := int64(0)
+		recs := []wal.Record{{TxID: 1, Payload: encodeWrites(ws)}}
 		n := testing.AllocsPerRun(100, func() {
-			if err := eng.ApplyRecord(wal.Record{TxID: 1, LSN: lsn, Payload: payload}); err != nil {
+			if _, err := eng.Replay(nil, recs, 0, nil); err != nil {
 				t.Fatal(err)
 			}
-			lsn += 100
+			recs[0].LSN += 100
 		})
 		if want := float64(1 + 7); n != want {
 			t.Errorf("replaying 7 updates and a delete: %v allocs, want %v", n, want)

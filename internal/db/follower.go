@@ -7,15 +7,16 @@ import (
 // Follower incrementally applies a primary's log stream to a secondary
 // engine (the paper's Fig 1 right, step 3: the remote database reads the
 // shipped log and updates its own memory). Feed it raw log bytes in
-// arrival order — chunk boundaries need not align with records.
+// arrival order — chunk boundaries need not align with records. It walks
+// records by the rule Replay applies, one walk across every chunk.
 type Follower struct {
-	eng     *Engine
+	w       replayer
 	pending []byte
 	txns    int64
 }
 
 // NewFollower wraps eng.
-func NewFollower(eng *Engine) *Follower { return &Follower{eng: eng} }
+func NewFollower(eng *Engine) *Follower { return &Follower{w: replayer{e: eng}} }
 
 // Feed consumes the next chunk of the log stream, applying every complete
 // record it completes. Partial records are buffered for the next call.
@@ -27,7 +28,7 @@ func (f *Follower) Feed(chunk []byte) error {
 		if err != nil {
 			break // incomplete tail record: wait for more bytes
 		}
-		if err := f.eng.ApplyRecord(r); err != nil {
+		if err := f.w.walk(r); err != nil {
 			return err
 		}
 		off += n
@@ -41,4 +42,4 @@ func (f *Follower) Feed(chunk []byte) error {
 func (f *Follower) Transactions() int64 { return f.txns }
 
 // Engine returns the secondary engine.
-func (f *Follower) Engine() *Engine { return f.eng }
+func (f *Follower) Engine() *Engine { return f.w.e }

@@ -1,25 +1,14 @@
 // Cluster recovery and the cross-shard atomicity invariant (I8).
 //
-// Each shard recovers from its own durable stream exactly like a
-// single-shard engine, except that 2PC control records steer which write
-// sets apply:
-//
-//   - redo records replay as always;
-//   - a DECISION applies the coordinator's local write set (the decision
-//     IS the coordinator's commit);
-//   - a COMMITP applies the write set stashed in that gid's earlier
-//     PREPARE (prefix durability guarantees the prepare is present);
-//   - a PREPARE with no COMMITP is in doubt: it applies iff the
-//     coordinator's durable stream holds a DECISION for the gid,
-//     otherwise presumed abort.
-//
-// In-doubt transactions are resolved after the sequential pass, in
-// sorted-gid order. That is safe: a prepared transaction's rows are
-// pinned from prepare to decision, so no later durable record on this
-// shard can touch them — if one did, the COMMITP that released the pins
-// preceded it in the log and the gid was not in doubt at all. Applying
-// the write set late therefore lands on rows untouched since the
-// prepare.
+// 2PC control records (PREPARE, DECISION, COMMITP; the codec is in
+// internal/db) are ordinary WAL entries on the shard that emits them:
+// they flow through the same group-commit batches, ring, mirroring and
+// destage path as redo records. So each shard recovers from its own
+// durable stream through db.Engine.Replay, the walker every engine
+// recovers through, which applies DECISION and COMMITP write sets as it
+// meets them. What the cluster adds is the decision table: a PREPARE with
+// no COMMITP is in doubt, and applies iff the coordinator's durable
+// stream holds a DECISION for the gid — otherwise presumed abort.
 //
 // I8 — no single crash, anywhere, may break cross-shard atomicity — is
 // checked post-mortem from the durable streams plus the coordinators'
@@ -28,7 +17,8 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"xssd/internal/db"
 	"xssd/internal/sim"
@@ -43,10 +33,10 @@ type View struct {
 	// Records is the full decoded stream in log order.
 	Records []wal.Record
 	// Prepares indexes the durable PREPARE control record by gid.
-	Prepares map[int64]Control
+	Prepares map[int64]db.Control
 	// Decisions indexes the durable DECISION control record by gid
 	// (transactions this shard coordinated and committed).
-	Decisions map[int64]Control
+	Decisions map[int64]db.Control
 	// CommitPs marks gids whose COMMITP marker is durable here.
 	CommitPs map[int64]bool
 }
@@ -56,49 +46,55 @@ func ParseStream(shardID int, stream []byte) (*View, error) {
 	v := &View{
 		Shard:     shardID,
 		Records:   wal.DecodeAll(stream),
-		Prepares:  map[int64]Control{},
-		Decisions: map[int64]Control{},
+		Prepares:  map[int64]db.Control{},
+		Decisions: map[int64]db.Control{},
 		CommitPs:  map[int64]bool{},
 	}
-	for _, r := range v.Records {
-		if !IsControl(r.Payload) {
-			continue
-		}
-		c, err := DecodeControl(r.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d lsn %d: %w", shardID, r.LSN, err)
-		}
+	cs, err := db.Controls(v.Records)
+	if err != nil {
+		return nil, fmt.Errorf("shard %d %w", shardID, err)
+	}
+	for _, c := range cs {
 		switch c.Kind {
-		case kindPrepare:
+		case db.KindPrepare:
 			v.Prepares[c.GID] = c
-		case kindDecision:
+		case db.KindDecision:
 			v.Decisions[c.GID] = c
-		case kindCommitP:
+		case db.KindCommitP:
 			v.CommitPs[c.GID] = true
 		}
 	}
 	return v, nil
 }
 
-// decisionFor reports whether gid's coordinator (per the prepare record)
-// durably decided commit. A missing coordinator view means its stream
-// was lost whole — presumed abort, like any undecided gid.
-func decisionFor(views []*View, prep Control) bool {
-	for _, cv := range views {
-		if cv != nil && cv.Shard == prep.Coord {
-			_, ok := cv.Decisions[prep.GID]
-			return ok
+// viewOf returns shard sid's view; nil means its stream was lost whole.
+func viewOf(views []*View, sid int) *View {
+	for _, v := range views {
+		if v != nil && v.Shard == sid {
+			return v
 		}
 	}
-	return false
+	return nil
 }
 
-// Replay recovers one engine per view, honoring cross-shard decisions as
-// described in the package comment for this file. load seeds each fresh
-// engine exactly as the live cluster was seeded (same closure as
-// Config.Load). The env only provides clocks for the replay engines; no
-// simulated time passes.
+// decisionFor reports whether gid's coordinator durably decided commit.
+// A lost coordinator stream is presumed abort, like any undecided gid.
+func decisionFor(views []*View, gid int64, coord int) bool {
+	cv := viewOf(views, coord)
+	if cv == nil {
+		return false
+	}
+	_, ok := cv.Decisions[gid]
+	return ok
+}
+
+// Replay recovers one engine per view, with the coordinators' durable
+// decisions resolving in-doubt prepares. load seeds each fresh engine
+// exactly as the live cluster was seeded (same closure as Config.Load).
+// The env only provides clocks for the replay engines; no simulated time
+// passes.
 func Replay(env *sim.Env, views []*View, load func(eng *db.Engine, shardID int)) ([]*db.Engine, error) {
+	decided := func(gid int64, coord int) bool { return decisionFor(views, gid, coord) }
 	engines := make([]*db.Engine, len(views))
 	for i, v := range views {
 		if v == nil {
@@ -108,44 +104,8 @@ func Replay(env *sim.Env, views []*View, load func(eng *db.Engine, shardID int))
 		if load != nil {
 			load(eng, v.Shard)
 		}
-		for _, r := range v.Records {
-			if !IsControl(r.Payload) {
-				if err := eng.ApplyRecord(r); err != nil {
-					return nil, fmt.Errorf("shard %d: %w", v.Shard, err)
-				}
-				continue
-			}
-			c, _ := DecodeControl(r.Payload) // validated by ParseStream
-			switch c.Kind {
-			case kindDecision:
-				if err := eng.ApplyWriteSet(c.Writes, c.GID); err != nil {
-					return nil, fmt.Errorf("shard %d decision gid %d: %w", v.Shard, c.GID, err)
-				}
-			case kindCommitP:
-				prep, ok := v.Prepares[c.GID]
-				if !ok {
-					return nil, fmt.Errorf("shard %d: COMMITP gid %d without durable PREPARE", v.Shard, c.GID)
-				}
-				if err := eng.ApplyWriteSet(prep.Writes, c.GID); err != nil {
-					return nil, fmt.Errorf("shard %d commit gid %d: %w", v.Shard, c.GID, err)
-				}
-			}
-		}
-		// In-doubt prepares: consult the coordinator's durable stream.
-		doubt := make([]int64, 0, len(v.Prepares))
-		for gid := range v.Prepares {
-			if !v.CommitPs[gid] {
-				doubt = append(doubt, gid)
-			}
-		}
-		sort.Slice(doubt, func(a, b int) bool { return doubt[a] < doubt[b] })
-		for _, gid := range doubt {
-			prep := v.Prepares[gid]
-			if decisionFor(views, prep) {
-				if err := eng.ApplyWriteSet(prep.Writes, gid); err != nil {
-					return nil, fmt.Errorf("shard %d in-doubt gid %d: %w", v.Shard, gid, err)
-				}
-			}
+		if _, err := eng.Replay(nil, v.Records, 0, decided); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", v.Shard, err)
 		}
 		engines[i] = eng
 	}
@@ -166,50 +126,32 @@ func CheckAtomicity(views []*View, acked [][]int64) []string {
 		}
 		// (a) COMMITP implies a durable coordinator decision: a
 		// participant must never apply without a durable commit point.
-		gids := sortedGIDs(v.CommitPs)
-		for _, gid := range gids {
+		for _, gid := range slices.Sorted(maps.Keys(v.CommitPs)) {
 			prep, ok := v.Prepares[gid]
 			if !ok {
 				bad = append(bad, fmt.Sprintf("I8: shard %d: COMMITP gid %d without durable PREPARE", v.Shard, gid))
 				continue
 			}
-			if !decisionFor(views, prep) {
+			if !decisionFor(views, gid, prep.Coord) {
 				bad = append(bad, fmt.Sprintf("I8: shard %d applied gid %d but coordinator %d has no durable decision", v.Shard, gid, prep.Coord))
 			}
 		}
 		// (b) a durable decision implies every listed participant's
-		// prepare is durable — otherwise the commit could lose writes.
-		dgids := make([]int64, 0, len(v.Decisions))
-		for gid := range v.Decisions {
-			dgids = append(dgids, gid)
-		}
-		sort.Slice(dgids, func(a, b int) bool { return dgids[a] < dgids[b] })
-		for _, gid := range dgids {
-			c := v.Decisions[gid]
-			for _, sid := range c.Shards {
-				var pv *View
-				for _, w := range views {
-					if w != nil && w.Shard == sid {
-						pv = w
+		// prepare is durable — otherwise the commit could lose writes. A
+		// participant whose stream was lost whole has nothing to check.
+		for _, gid := range slices.Sorted(maps.Keys(v.Decisions)) {
+			for _, sid := range v.Decisions[gid].Shards {
+				if pv := viewOf(views, sid); pv != nil {
+					if _, ok := pv.Prepares[gid]; !ok {
+						bad = append(bad, fmt.Sprintf("I8: decision for gid %d on shard %d, but participant %d has no durable PREPARE", gid, v.Shard, sid))
 					}
-				}
-				if pv == nil {
-					continue // stream lost whole; nothing to check against
-				}
-				if _, ok := pv.Prepares[gid]; !ok {
-					bad = append(bad, fmt.Sprintf("I8: decision for gid %d on shard %d, but participant %d has no durable PREPARE", gid, v.Shard, sid))
 				}
 			}
 		}
 	}
 	// (c) every client-acknowledged commit has a durable decision.
 	for i, gids := range acked {
-		var cv *View
-		for _, w := range views {
-			if w != nil && w.Shard == i {
-				cv = w
-			}
-		}
+		cv := viewOf(views, i)
 		if cv == nil {
 			continue
 		}
@@ -220,15 +162,4 @@ func CheckAtomicity(views []*View, acked [][]int64) []string {
 		}
 	}
 	return bad
-}
-
-// sortedGIDs returns a map's keys in ascending order (deterministic
-// iteration for invariant reports).
-func sortedGIDs(m map[int64]bool) []int64 {
-	out := make([]int64, 0, len(m))
-	for gid := range m {
-		out = append(out, gid)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

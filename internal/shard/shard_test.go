@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"xssd/internal/btree"
+	"xssd/internal/ckpt"
 	"xssd/internal/db"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
@@ -258,9 +261,9 @@ func TestCrossShardCommit(t *testing.T) {
 }
 
 // TestShardStreamNeedsShardReplay pins what single-engine replay does with
-// a shard's stream: db.Recover skips 2PC control records, so after one
-// cross-shard transfer it loses the coordinator's half, which rides the
-// DECISION record. Only shard.Replay rebuilds the live engine.
+// a shard's stream: db.Recover applies the coordinator's half of a
+// cross-shard transfer, which rides the DECISION record, so with nothing
+// in doubt it rebuilds the live engine exactly as shard.Replay does.
 func TestShardStreamNeedsShardReplay(t *testing.T) {
 	streams := make([][]byte, 2)
 	cl, err := New(testConfig(2, 0, 42, streams))
@@ -284,8 +287,8 @@ func TestShardStreamNeedsShardReplay(t *testing.T) {
 	if err := plain.Recover(wal.DecodeAll(streams[0])); err != nil {
 		t.Fatalf("db.Recover: %v", err)
 	}
-	if plain.Fingerprint() == live {
-		t.Fatal("db.Recover of shard 0's stream equals the live engine; want it to miss the write the DECISION record carries")
+	if got := plain.Fingerprint(); got != live {
+		t.Fatalf("db.Recover of shard 0's stream %#x != live %#x: the DECISION record's write is missing", got, live)
 	}
 
 	engines, err := Replay(sim.NewEnv(1), parseAll(t, streams), load)
@@ -409,25 +412,92 @@ func TestWorkerCountParity(t *testing.T) {
 
 func TestControlRecordRoundTrip(t *testing.T) {
 	writes := []byte{9, 8, 7, 6}
-	for _, kind := range []byte{kindPrepare, kindDecision, kindCommitP} {
-		payload := encodeControl(kind, 0x123456789a, 3, []int{1, 4}, writes)
-		if binary.LittleEndian.Uint16(payload) != db.TwoPCOps || !IsControl(payload) || !db.IsControlPayload(payload) {
+	for _, kind := range []byte{db.KindPrepare, db.KindDecision, db.KindCommitP} {
+		payload := db.EncodeControl(kind, 0x123456789a, 3, []int{1, 4}, writes)
+		if binary.LittleEndian.Uint16(payload) != db.TwoPCOps || db.ControlOps(payload) != db.TwoPCOps {
 			t.Fatalf("kind %d: not recognized as a 2PC control record", kind)
 		}
-		c, err := DecodeControl(payload)
-		if err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
+		cs, err := db.Controls([]wal.Record{{Payload: payload}})
+		if err != nil || len(cs) != 1 {
+			t.Fatalf("kind %d: %d records, %v", kind, len(cs), err)
 		}
-		if c.Kind != kind || c.GID != 0x123456789a || c.Coord != 3 ||
+		if c := cs[0]; c.Kind != kind || c.GID != 0x123456789a || c.Coord != 3 ||
 			len(c.Shards) != 2 || c.Shards[0] != 1 || c.Shards[1] != 4 || string(c.Writes) != string(writes) {
 			t.Fatalf("kind %d: round trip mismatch: %+v", kind, c)
 		}
 	}
-	if IsControl([]byte{0, 1, 2}) {
-		t.Fatal("redo payload misread as control record")
+	if cs, err := db.Controls([]wal.Record{{Payload: []byte{0, 1, 2}}}); err != nil || len(cs) != 0 {
+		t.Fatalf("redo payload misread as control record: %v, %v", cs, err)
 	}
-	if _, err := DecodeControl(encodeControl(77, 1, 0, nil, nil)); err == nil {
+	if _, err := db.Controls([]wal.Record{{Payload: db.EncodeControl(77, 1, 0, nil, nil)}}); err == nil {
 		t.Fatal("unknown control kind decoded without error")
+	}
+}
+
+// TestCheckpointBetweenPrepareAndCommitP recovers each shard of a 2-shard
+// cluster through ckpt.Recover from a checkpoint spliced right after the
+// shard's PREPARE, so its COMMITP is in the replayed tail and its PREPARE
+// is not. Transfers run both ways, so each shard coordinates one gid
+// (DECISION) and takes part in the other (PREPARE, COMMITP). Recovery
+// must come back equal to the live engine: the tail's COMMITP applies the
+// write set of the PREPARE before the cut, and a DECISION lands in the
+// checkpoint's images or in the tail, wherever the cut puts it.
+func TestCheckpointBetweenPrepareAndCommitP(t *testing.T) {
+	streams := make([][]byte, 2)
+	cl, err := New(testConfig(2, 0, 42, streams))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Build()
+	var errOut, errBack error
+	boot(t, cl, func(p *sim.Proc) {
+		if errOut = transfer(p, cl, 1, 3, 200); errOut == nil {
+			cl.Shard(1).Env().Go("transfer-back", func(p *sim.Proc) { errBack = transfer(p, cl, 3, 1, 50) })
+		}
+	})
+	if errOut != nil || errBack != nil {
+		t.Fatalf("transfers: %v, %v", errOut, errBack)
+	}
+	load := bankLoad(2, 4)
+	for i, v := range parseAll(t, streams) {
+		prep := -1
+		for k := range v.Records {
+			if cs, _ := db.Controls(v.Records[k : k+1]); len(cs) == 1 && cs[0].Kind == db.KindPrepare {
+				prep = k
+			}
+		}
+		if prep < 0 || prep == len(v.Records)-1 {
+			t.Fatalf("shard %d: PREPARE at %d of %d records; want one with a record after it", i, prep, len(v.Records))
+		}
+
+		store := btree.NewMemStore(512, 1<<20)
+		eng := db.NewPaged(sim.NewEnv(1), nil, btree.NewPager(store, btree.Config{PoolPages: 16}))
+		load(eng, i)
+		if _, err := eng.Replay(nil, v.Records[:prep+1], 0, nil); err != nil {
+			t.Fatalf("shard %d: replay to the PREPARE: %v", i, err)
+		}
+		ck, err := eng.BeginCheckpoint(nil)
+		if err != nil {
+			t.Fatalf("shard %d: checkpoint: %v", i, err)
+		}
+		if err := eng.Pager().WriteImages(nil, ck.Snap.Images); err != nil {
+			t.Fatalf("shard %d: write images: %v", i, err)
+		}
+		eng.Pager().CommitCheckpoint(ck.Snap)
+		spliced := append(slices.Clone(v.Records[:prep+1]), wal.Record{LSN: ck.StartLSN, Payload: ckpt.FromCheckpoint(ck).Encode()})
+		spliced = append(spliced, v.Records[prep+1:]...)
+
+		rec, st, err := ckpt.Recover(nil, sim.NewEnv(2), store, 16, spliced, func(e *db.Engine) { load(e, i) })
+		if err != nil {
+			t.Fatalf("shard %d: ckpt.Recover: %v", i, err)
+		}
+		if !st.Found || st.StartLSN != v.Records[prep+1].LSN {
+			t.Fatalf("shard %d: recovered from %+v, want the checkpoint at LSN %d", i, st, v.Records[prep+1].LSN)
+		}
+		if got, want := rec.FingerprintIn(nil), cl.Shard(i).Engine().Fingerprint(); got != want {
+			t.Errorf("shard %d: ckpt.Recover fingerprint %#x != live %#x", i, got, want)
+		}
 	}
 }
 

@@ -255,7 +255,7 @@ func (t *Tx) Commit(p *sim.Proc) error {
 	// The commit point: the decision record, durable on the coordinator's
 	// own WAL. Everything before it aborts cleanly; everything after it
 	// must (and can) go forward.
-	payload := encodeControl(kindDecision, t.gid, home.id, t.order, t.local.EncodedWrites())
+	payload := db.EncodeControl(db.KindDecision, t.gid, home.id, t.order, t.local.EncodedWrites())
 	lsn := home.lg.Append(wal.Record{TxID: t.gid, Payload: payload})
 	if !home.lg.WaitDurableOrDead(p, lsn) {
 		// The coordinator's device died first: the decision never became
@@ -328,7 +328,7 @@ func (s *Shard) doPrepare(p *sim.Proc, pt *party, gid int64, coord, expectWrites
 		// hole. The count check turns a lossy conduit into an abort.
 		pt.tx.Abort()
 	} else if pt.tx.Prepare() == nil {
-		rec := encodeControl(kindPrepare, gid, coord, nil, pt.tx.EncodedWrites())
+		rec := db.EncodeControl(db.KindPrepare, gid, coord, nil, pt.tx.EncodedWrites())
 		lsn := s.lg.Append(wal.Record{TxID: gid, Payload: rec})
 		if s.lg.WaitDurableOrDead(p, lsn) {
 			v = true
@@ -384,7 +384,7 @@ func (s *Shard) finish(gid int64, commit bool) {
 	delete(s.remote, gid)
 	if commit && pt.prepared && pt.vote {
 		pt.tx.CommitPrepared(gid)
-		s.lg.Append(wal.Record{TxID: gid, Payload: encodeControl(kindCommitP, gid, pt.coord, nil, nil)})
+		s.lg.Append(wal.Record{TxID: gid, Payload: db.EncodeControl(db.KindCommitP, gid, pt.coord, nil, nil)})
 		s.mCommits2PC.Inc()
 	} else {
 		pt.tx.Abort()

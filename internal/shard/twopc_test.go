@@ -284,12 +284,11 @@ func TestRemoteWriteKeyOutlivesScratch(t *testing.T) {
 }
 
 func countPrepares(v *View) int {
+	cs, _ := db.Controls(v.Records)
 	n := 0
-	for _, r := range v.Records {
-		if IsControl(r.Payload) {
-			if c, err := DecodeControl(r.Payload); err == nil && c.Kind == kindPrepare {
-				n++
-			}
+	for _, c := range cs {
+		if c.Kind == db.KindPrepare {
+			n++
 		}
 	}
 	return n

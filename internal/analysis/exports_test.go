@@ -34,7 +34,6 @@ var kept = map[string]string{
 	"obs.Tracer.Total":               "tests read how many events a bounded tracer has seen, retained or not",
 	"pm.Bank.Bus":                    "tests count bank bus operations to see whether a write reached the bank",
 	"sim.Env.Switches":               "tests count the coroutine switches a chunk chain or a write-combining train costs",
-	"sim.Group.Inline":               "tests read whether a group runs its quanta inline, which Serialize and Parallelize switch",
 	"tpcc.DecodeHistory":             "the consistency checks read history rows back; the workload only writes them",
 	"villars.Device.Link":            "tests compute wire time from the device's PCIe link",
 	"villars.transportModule.Mode":   "tests read a device's replication role after setup and promotion",

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xssd/internal/core"
+	"xssd/internal/tpcc"
 )
 
 // The figure-cell differential suite: every cell must produce the same
@@ -315,5 +318,39 @@ func TestPagedCellShape(t *testing.T) {
 	}
 	if again, _, err := pagedTPCCCell(); err != nil || again != m {
 		t.Fatalf("cell does not repeat: %+v then %+v (%v)", m, again, err)
+	}
+}
+
+// TestGroupedCellsTouchNoStrayMember holds the multi-member perf and shard
+// cells to the determinism contract at run time: after bring-up no member
+// schedules an event or occupies a Link on another except through PostTo
+// and the NTB slot ring. Each cell runs on the serial executor, which
+// counts such touches (sim.GroupStats.Stray).
+func TestGroupedCellsTouchNoStrayMember(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy simulation; skipped in -short mode")
+	}
+	SetEngineWorkers(1)
+	defer SetEngineWorkers(0)
+	for _, tc := range []struct {
+		cell string
+		run  func() error
+	}{
+		{"fig13/400ns", func() error { Fig13Cell(400 * time.Nanosecond); return nil }},
+		{"ablation-scheme/chain", func() error { _, err := ablationSchemeCell(core.Chain); return err }},
+		{"pargroup/d8/sw1", func() error { PargroupCell(pargroupDevices, 1); return nil }},
+		{"pargroup/repl3/sw1", func() error { PargroupReplCell(1); return nil }},
+		{"shard/s2", func() error { _, err := ShardBenchCell("shard/s2", 2, 1, tpcc.SpecMix()); return err }},
+		{"shard/s4/remote50", func() error {
+			_, err := ShardBenchCell("shard/s4/remote50", 4, 1, tpcc.RemoteMix{LinePct: 5, PayPct: 50})
+			return err
+		}},
+	} {
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.cell, err)
+		}
+		if st := LastGroupStats(); st.Stray != 0 {
+			t.Errorf("%s: %d stray touches, want 0", tc.cell, st.Stray)
+		}
 	}
 }

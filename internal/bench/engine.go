@@ -35,10 +35,11 @@ func newCellSim(seed int64) *cellSim {
 	return &cellSim{Group: g, env: g.NewEnv("m0", seed)}
 }
 
-// capture records the cell's event count and, under -metrics, its merged
-// metrics snapshot.
+// capture records the cell's event count and group counters and, under
+// -metrics, its merged metrics snapshot.
 func (c *cellSim) capture(cell string) {
 	lastEvents = c.Events()
+	lastGroupStats = c.Stats()
 	if activeCapture == nil {
 		return
 	}

@@ -26,13 +26,14 @@ const (
 	pargroupQuantum = 100 * time.Microsecond
 )
 
-// lastGroupStats holds the hand-off counters of the most recently finished
-// pargroup cell, for the perf harness to print beside its timing. Host
+// lastGroupStats holds the group counters of the most recently finished
+// grouped cell — a figure, pargroup or shard cell — for the perf harness
+// to print beside a pargroup cell's timing. The hand-off counters are host
 // dependent: never written to a baseline file.
 var lastGroupStats sim.GroupStats
 
-// LastGroupStats returns the hand-off counters of the most recently
-// finished pargroup cell.
+// LastGroupStats returns the group counters of the most recently finished
+// grouped cell.
 func LastGroupStats() sim.GroupStats { return lastGroupStats }
 
 // PargroupCell runs devices independent members under simWorkers quantum

@@ -98,6 +98,7 @@ func ShardBenchCell(cell string, shards, simWorkers int, mix tpcc.RemoteMix) (Me
 		return Measurement{}, err
 	}
 	defer cl.Close()
+	defer func() { lastGroupStats = cl.Group().Stats() }()
 	cl.Build()
 
 	var (

@@ -91,9 +91,10 @@ type Scenario struct {
 	// does not depend on it: the primary and the host side live on
 	// member 0 and each secondary on a member of its own, so runs with the
 	// same (Seed, Plan, shape) are byte-identical at every SimWorkers. A
-	// takeover serializes the group permanently at its barrier, so
-	// promotion rewiring and the re-bound host stream are race-free under
-	// any worker count.
+	// KillAt run keeps the group inline to the end, one instant per
+	// quantum on one clock, so the takeover's rewiring and the re-bound
+	// host stream are race-free and exact at any count; SimWorkers then
+	// changes nothing.
 	SimWorkers int
 	// Shards, when > 0, runs the sharded-cluster scenario instead of the
 	// single-primary one: Shards primary devices partitioning 2*Shards
@@ -214,6 +215,7 @@ type Result struct {
 	Durable  int64 // final durable horizon of the WAL
 	Firings  int   // fault rules that fired
 	Events   int64 // simulator events dispatched (perf-suite accounting)
+	Stray    int64 // cross-member touches around the conduits (sim.GroupStats.Stray); counted at SimWorkers 1 only
 
 	// Checkpoints counts the fuzzy checkpoints that reached their durable
 	// record (paged runs only; always 0 for the classic engine).
@@ -290,10 +292,8 @@ func Run(s Scenario) (*Result, error) {
 // one host-side WAL + engine + TPC-C workers, with the boot taking the
 // kill, paged or classic arm.
 //
-// Every pinned fingerprint digests the exact event history, and a kill
-// run's differs from the others' in five places. Those stay, as the
-// `kill` branches marked (1)-(5): folding any of them would re-pin every
-// failover fingerprint for no change in what is checked.
+// A kill run differs from the others in the four places marked (1)-(4),
+// each one something the takeover needs.
 func runSingle(s Scenario) (*Result, error) {
 	kill := s.KillAt > 0
 	plan := s.Plan
@@ -326,10 +326,6 @@ func runSingle(s Scenario) (*Result, error) {
 
 	tcfg := tpcc.Config{Warehouses: 2, Districts: 2, CustomersPerDistrict: 8, Items: 40, FillerLen: 10}
 	load := func(e *db.Engine) { tpcc.Load(e, tcfg, loadSeed) }
-	// (1) Non-kill runs draw once here; every later draw and pinned fold depends on it.
-	if !kill {
-		env.Rand().Int63()
-	}
 	var (
 		written   []byte
 		lg        *wal.Log
@@ -373,7 +369,7 @@ func runSingle(s Scenario) (*Result, error) {
 		sink := wal.NewVillarsSink(p, prim, "chaos")
 		wcfg := wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond}
 		if kill {
-			// (2) No host recording — two sinks will see traffic. The log
+			// (1) No host recording — two sinks will see traffic. The log
 			// retains the flushed stream instead: the takeover's backfill
 			// and tail replay are served from that copy (paper §7.1 assigns
 			// catch-up transfer to the database), and so is the oracle. The
@@ -381,7 +377,9 @@ func runSingle(s Scenario) (*Result, error) {
 			// order relative to the workers is part of the event history.
 			wcfg.Retain = true
 			lg = wal.NewLog(env, sink, wcfg)
-			fo = failover.New(env, cluster, lg, sink)
+			if fo, bootErr = failover.New(env, cluster, lg, sink); bootErr != nil {
+				return
+			}
 		} else {
 			lg = wal.NewLog(env, &recordingSink{inner: sink, buf: &written}, wcfg)
 		}
@@ -403,7 +401,7 @@ func runSingle(s Scenario) (*Result, error) {
 			eng = db.New(env, lg)
 		}
 		load(eng)
-		// (3) Workers exit with a dead log — except on kill runs, where
+		// (2) Workers exit with a dead log — except on kill runs, where
 		// they outlive the primary: they block on backlog back-pressure
 		// while the pipeline is down and resume once the takeover restarts
 		// it.
@@ -426,8 +424,11 @@ func runSingle(s Scenario) (*Result, error) {
 			})
 		}
 		// Bring-up walked every member's state directly (role commands,
-		// peer wiring); only now may members run concurrently.
-		en.group.Parallelize()
+		// peer wiring); only now may members run concurrently. (3) A kill
+		// run stays inline: its takeover walks them again (failover.New).
+		if !kill {
+			en.group.Parallelize()
+		}
 	})
 
 	mon := &stallMonitor{}
@@ -610,19 +611,15 @@ func runSingle(s Scenario) (*Result, error) {
 		fp = obs.Mix64(fp, liveFP)
 	}
 	fp = obs.Mix64(fp, uint64(r.Commits))
-	// (5) Kill runs fold the takeover record where the others fold the
-	// stream counters; one formula would re-pin one kind for nothing.
-	ingredients := []int64{r.Written, r.Destaged}
-	if kill {
-		ingredients = []int64{r.Durable, r.ResumeAt, r.Replayed, r.Backfilled, int64(r.DetectToLive)}
-	}
-	for _, x := range ingredients {
+	// The stream counters and the takeover record (zero without a kill).
+	for _, x := range []int64{r.Written, r.Destaged, r.Durable, r.ResumeAt, r.Replayed, r.Backfilled, int64(r.DetectToLive)} {
 		fp = obs.Mix64(fp, uint64(x))
 	}
 	fp = obs.Mix64(fp, uint64(r.Firings))
 	fp = obs.Mix64(fp, snap.Fingerprint())
 	r.Fingerprint = fp
 	r.Events = en.group.Events()
+	r.Stray = en.group.Stats().Stray
 	r.Violations = v.list
 	return r, nil
 }

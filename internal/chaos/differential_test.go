@@ -167,3 +167,33 @@ func waitGoroutinesBelow(t *testing.T, limit int) int {
 	}
 	return n
 }
+
+// TestNoStrayTouches holds every scenario kind to the determinism
+// contract at run time: once bring-up has released the group, no member
+// schedules an event or occupies a Link on another member except through
+// PostTo and the NTB slot ring. The serial runner counts such touches
+// (sim.GroupStats.Stray); a kill run stays inline to the end, so its count
+// is zero by construction and the check is that it stays so.
+func TestNoStrayTouches(t *testing.T) {
+	seeds := []int64{0, 1, 2}
+	if testing.Short() {
+		seeds = seeds[:2]
+	}
+	for _, seed := range seeds {
+		for _, sc := range []Scenario{
+			DefaultScenario(seed),
+			DefaultPagedScenario(seed),
+			DefaultShardScenario(seed, 0),
+			DefaultFailoverScenario(seed),
+		} {
+			r, err := Run(sc)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if r.Stray != 0 {
+				t.Errorf("seed %d (shards=%d paged=%v kill=%v): %d stray touches, want 0",
+					seed, sc.Shards, sc.Paged, sc.KillAt > 0, r.Stray)
+			}
+		}
+	}
+}

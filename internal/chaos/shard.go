@@ -241,6 +241,7 @@ func runSharded(s Scenario) (*Result, error) {
 	fp = obs.Mix64(fp, snap.Fingerprint())
 	r.Fingerprint = fp
 	r.Events = cl.Events()
+	r.Stray = cl.Group().Stats().Stray
 	r.Violations = v.list
 	return r, nil
 }

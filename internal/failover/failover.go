@@ -16,6 +16,7 @@ package failover
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"xssd/internal/core"
@@ -23,7 +24,6 @@ import (
 	"xssd/internal/pcie"
 	"xssd/internal/repl"
 	"xssd/internal/sim"
-	"xssd/internal/villars"
 	"xssd/internal/wal"
 )
 
@@ -31,6 +31,11 @@ import (
 // watchdog halts and surfaces it through Manager.Err. Match with
 // errors.Is.
 var ErrTakeoverFailed = errors.New("failover: takeover failed")
+
+// ErrParallelGroup is New's refusal of a group that is not inline. A
+// takeover rewires every survivor directly, which is race-free and exact
+// only while all members share one clock. Match with errors.Is.
+var ErrParallelGroup = errors.New("failover: group is not inline")
 
 // The watchdog's timing, sized for the simulator's microsecond-scale
 // devices: a 50 µs poll with 3 misses detects death in ~150 µs, well under
@@ -104,9 +109,13 @@ type Manager struct {
 
 // New starts a failover manager over the cluster. The log's sink must be
 // the Villars sink passed here (the manager re-points it at the new
-// primary during takeover). Watchdogging begins immediately; the manager
-// idles until the cluster has a primary.
-func New(env *sim.Env, cluster *repl.Cluster, lg *wal.Log, sink *wal.VillarsSink) *Manager {
+// primary during takeover). env's group, if any, must be inline and stay
+// inline: New refuses one that is not with ErrParallelGroup. Watchdogging
+// begins immediately; the manager idles until the cluster has a primary.
+func New(env *sim.Env, cluster *repl.Cluster, lg *wal.Log, sink *wal.VillarsSink) (*Manager, error) {
+	if g := env.Group(); g != nil && !g.Inline() {
+		return nil, fmt.Errorf("%w: start it with StartInline and do not call Parallelize", ErrParallelGroup)
+	}
 	m := &Manager{
 		env:     env,
 		cluster: cluster,
@@ -122,7 +131,7 @@ func New(env *sim.Env, cluster *repl.Cluster, lg *wal.Log, sink *wal.VillarsSink
 	m.mBackfilled = sc.Counter("backfilled_bytes")
 	m.mPromoteLat = sc.Histogram("promotion_ns")
 	env.Go("failover-watchdog", m.watch)
-	return m
+	return m, nil
 }
 
 // Takeovers returns the completed failovers, oldest first.
@@ -142,16 +151,6 @@ func (m *Manager) mmio(i int) *pcie.MMIO {
 		m.ctl[i] = pcie.NewMMIO(m.cluster.Devices()[i].ControlRegion(), pcie.Uncached)
 	}
 	return m.ctl[i]
-}
-
-// index returns the cluster index of dev.
-func (m *Manager) index(dev *villars.Device) int {
-	for i, d := range m.cluster.Devices() {
-		if d == dev {
-			return i
-		}
-	}
-	return -1
 }
 
 // readStatus polls device i's status register (a non-posted MMIO load).
@@ -177,7 +176,7 @@ func (m *Manager) watch(p *sim.Proc) {
 		if prim == nil {
 			continue // cluster not set up yet
 		}
-		if m.readStatus(p, m.index(prim))&core.StatusPowerLoss != 0 {
+		if m.readStatus(p, slices.Index(m.cluster.Devices(), prim))&core.StatusPowerLoss != 0 {
 			missed++
 		} else {
 			missed = 0
@@ -197,21 +196,10 @@ func (m *Manager) watch(p *sim.Proc) {
 // promote, backfill the other survivors, rebind the sink, resume the host
 // stream.
 //
-//xssd:conduit runs at the takeover barrier: the old primary is dead and the log halted, so touching every survivor's state races nothing
+//xssd:conduit runs on an inline group (New): every member reads one clock, so touching every survivor's state races nothing and lands at the caller's time
 func (m *Manager) takeover(p *sim.Proc) error {
 	detected := p.Now()
 	m.mDetections.Inc()
-
-	// The survivors run in their own group members; the takeover reads
-	// and rewires all of them, and afterwards the host stream crosses to
-	// the winner's Env on every write — far too hot for mailboxes.
-	// Serialize the group permanently (effective at the next barrier,
-	// deterministic for any worker count) and wait out the current quantum
-	// so every member is parked before touching them.
-	if g := p.Env().Group(); g != nil {
-		g.Serialize()
-		p.Sleep(2 * g.Quantum())
-	}
 
 	// Let the dead device's supercap drain finish and give any in-flight
 	// flush time to observe the lost sink.

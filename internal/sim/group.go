@@ -35,13 +35,12 @@ type Group struct {
 	envs    []*Env
 	now     int64
 	qEnd    int64 // end of the executing quantum; read-only while members run
+	cur     *Env  // the member the coordinator runs alone, else nil: the stray-touch reference
 	running bool
 	closed  bool
 	inline  bool // run quanta on the coordinator goroutine, env-index order
-	sticky  bool // Serialize called: inline is permanent
 
-	reqSerial   atomic.Bool // mode switches requested from process context,
-	reqParallel atomic.Bool // applied at the next barrier
+	reqParallel atomic.Bool // Parallelize, requested from process context and applied at the next barrier
 
 	posts  []post // merge scratch, reused across barriers
 	active []int  // members with work this quantum, reused; read-only while members run
@@ -74,9 +73,12 @@ type GroupConfig struct {
 	// are clamped to the next barrier (delivered late but still
 	// deterministically).
 	Quantum time.Duration
-	// StartInline starts the group serialized. Bring-up code (cluster
-	// Setup, role assignment) may touch several members' state directly
-	// while inline, then release concurrency with Parallelize.
+	// StartInline starts the group inline: each quantum is one instant,
+	// every member reads it as now, and the coordinator runs the members
+	// in index order. Bring-up code (cluster Setup, role assignment) may
+	// touch several members' state directly while inline, then release
+	// concurrency with Parallelize; a run whose takeover rewires members
+	// directly stays inline to the end.
 	StartInline bool
 }
 
@@ -112,6 +114,9 @@ func NewGroup(cfg GroupConfig) *Group {
 // explicit seeds so a single-member group can reproduce a standalone
 // NewEnv(seed) run bit-for-bit). Member order is creation order and is the
 // first mailbox merge tie-breaker, so create members in a fixed order.
+// A NewEnv on a closed group or during a run is API misuse and panics; no
+// caller reaches it, for each adds members from the driving goroutine while
+// it builds the topology, before the first run and any deferred Close.
 func (g *Group) NewEnv(name string, seed int64) *Env {
 	if g.closed {
 		panic("sim: Group.NewEnv on closed Group")
@@ -149,19 +154,18 @@ func MemberSeed(seed int64, idx int) int64 {
 // Now returns the group's virtual time (the last barrier reached).
 func (g *Group) Now() time.Duration { return time.Duration(g.now) }
 
-// Quantum returns the configured barrier interval.
-func (g *Group) Quantum() time.Duration { return time.Duration(g.quantum) }
-
-// GroupStats counts the quantum hand-off. Quanta repeats exactly for a
-// seed. Shared, Helped and Wakes depend on the host — how many CPUs there
-// are and which goroutine got to a member first — so they must never be
-// registered in obs, folded into a fingerprint or compared across runs;
-// they exist for tests and benchmarks of the hand-off itself.
+// GroupStats counts the quantum hand-off and stray touches. Quanta and
+// Stray repeat exactly for a seed. Shared, Helped and Wakes depend on the
+// host — how many CPUs there are and which goroutine got to a member first
+// — so they must never be registered in obs, folded into a fingerprint or
+// compared across runs; they exist for tests and benchmarks of the
+// hand-off itself.
 type GroupStats struct {
 	Quanta int64 // barriers crossed
 	Shared int64 // quanta published for helpers to claim from
 	Helped int64 // member-quanta a helper ran
 	Wakes  int64 // wake tokens sent to parked helpers
+	Stray  int64 // schedules and Link occupations around the conduits (Env.touched)
 }
 
 // Stats returns the hand-off counters. Call it between runs, from the
@@ -172,8 +176,8 @@ func (g *Group) Stats() GroupStats {
 	return st
 }
 
-// Inline reports whether quanta currently run serialized on the
-// coordinator goroutine.
+// Inline reports whether quanta currently run inline: one instant each, on
+// the coordinator goroutine.
 func (g *Group) Inline() bool { return g.inline }
 
 // Events returns the total events dispatched across all members.
@@ -188,19 +192,22 @@ func (g *Group) Events() int64 {
 // Group returns the group e belongs to, or nil for a standalone Env.
 func (e *Env) Group() *Group { return e.grp }
 
-// Serialize permanently switches the group to inline execution at the next
-// barrier. Once inline, quanta run every member on the coordinator
-// goroutine in env-index order, so direct cross-env access is race-free and
-// deterministic — this is the takeover mode: a failover rewires devices and
-// re-binds the host stream across members, and the post-promotion host
-// stream touches the winner's env on every write, far too hot for
-// mailboxes. Callable from process context; the switch lands at the barrier
-// ending the quantum that requested it.
-func (g *Group) Serialize() { g.reqSerial.Store(true) }
+// touched counts a schedule or Link occupation on e made while a Workers-1
+// group runs another of its members in a parallel quantum: state reached
+// around PostTo and the NTB slot ring, which at more executors would race
+// (DESIGN §11). Inline quanta, where such a touch is exact, do not count.
+//
+//xssd:hotpath
+func (e *Env) touched() {
+	if g := e.grp; g != nil && g.cur != nil && g.cur != e && !g.inline && g.cfg.Workers < 2 {
+		g.stats.Stray++
+	}
+}
 
 // Parallelize releases a StartInline group to concurrent execution at the
-// next barrier, once bring-up no longer needs direct cross-env access. It
-// is a no-op after Serialize.
+// next barrier, once bring-up no longer needs direct cross-env access. The
+// switch is one way: a run that touches members directly after bring-up (a
+// failover takeover) never calls it.
 func (g *Group) Parallelize() { g.reqParallel.Store(true) }
 
 // PostTo hands fn to dst's scheduler at absolute virtual time at: the group
@@ -304,6 +311,10 @@ func (g *Group) Idle() bool { return g.next() == math.MaxInt64 }
 // (releasing every parked goroutine and the helpers) and the
 // lowest-index member's *ProcPanic is rethrown here — the same failure
 // regardless of worker count.
+// A RunUntil on a closed group or from process context is API misuse and
+// panics; no caller reaches it, for owners drive a group from the goroutine
+// that built it and close it in deferred teardown (none recovers a rethrown
+// *ProcPanic to run on), and processes call only Parallelize and Inline.
 func (g *Group) RunUntil(t time.Duration) int {
 	if g.closed {
 		panic("sim: Run on closed Group")
@@ -318,14 +329,23 @@ func (g *Group) RunUntil(t time.Duration) int {
 	until := int64(t)
 	for {
 		g.deliverPosts()
-		g.applyModeRequests()
+		// Parallelize lands here; a request is rare, so load before swapping.
+		if g.reqParallel.Load() && g.reqParallel.Swap(false) {
+			g.inline = false
+		}
 		next := g.next()
 		if next > until {
 			break
 		}
-		qEnd := until
-		if q := next + g.quantum; q < qEnd {
-			qEnd = q
+		qEnd := min(until, next+g.quantum)
+		if g.inline {
+			// One clock: the quantum is the earliest pending instant and
+			// every member reads it, so a direct touch across members
+			// schedules, and occupies a Link, at the caller's time.
+			qEnd = next
+			for _, e := range g.envs {
+				e.now = next
+			}
 		}
 		g.qEnd = qEnd
 		g.active = g.active[:0]
@@ -337,8 +357,10 @@ func (g *Group) RunUntil(t time.Duration) int {
 		if g.inline || g.executors < 2 || len(g.active) == 1 {
 			g.dense = 0
 			for _, i := range g.active {
-				g.envs[i].runQuantum(qEnd)
+				g.cur = g.envs[i]
+				g.cur.runQuantum(qEnd)
 			}
+			g.cur = nil
 		} else {
 			g.shareQuantum()
 		}
@@ -417,18 +439,6 @@ func mergeOrder(a, b post) int {
 		return cmp.Compare(a.src, b.src)
 	}
 	return cmp.Compare(a.seq, b.seq)
-}
-
-// applyModeRequests lands Serialize/Parallelize requests at a barrier. It
-// runs at every barrier and a request is rare, so it loads before it swaps.
-func (g *Group) applyModeRequests() {
-	if g.reqSerial.Load() && g.reqSerial.Swap(false) {
-		g.inline = true
-		g.sticky = true
-	}
-	if g.reqParallel.Load() && g.reqParallel.Swap(false) && !g.sticky {
-		g.inline = false
-	}
 }
 
 // firstFailure returns the lowest-index member's captured panic, if any.
@@ -602,7 +612,8 @@ func (p *parker) unpark() bool {
 // Close closes every member (releasing all parked process goroutines) and
 // returns once the helpers, spinning or parked, have exited. Like Env.Close
 // it is terminal and must be called from the driving goroutine, never from
-// process context.
+// process context: a Close during a run is API misuse and panics, which no
+// caller reaches (owners close in deferred teardown).
 func (g *Group) Close() {
 	if g.closed {
 		return

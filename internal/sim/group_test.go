@@ -166,8 +166,9 @@ func TestGroupMergeOrder(t *testing.T) {
 	}
 }
 
-// TestGroupModeSwitches drives inline -> concurrent -> serialized and
-// checks each switch lands at a barrier, with Serialize sticky.
+// TestGroupModeSwitches starts a group inline and releases it with
+// Parallelize from process context: the switch lands at the barrier that
+// ends the requesting quantum, not inside it.
 func TestGroupModeSwitches(t *testing.T) {
 	g := NewGroup(GroupConfig{Workers: 4, StartInline: true})
 	a := g.NewEnv("a", 1)
@@ -183,16 +184,83 @@ func TestGroupModeSwitches(t *testing.T) {
 		}
 		p.Sleep(5 * time.Microsecond)
 		g.Parallelize()
-		p.Sleep(5 * time.Microsecond)
-		g.Serialize()
-		p.Sleep(5 * time.Microsecond)
-		g.Parallelize() // must be a no-op after Serialize
+		if !g.Inline() {
+			t.Error("Parallelize took effect inside the quantum that requested it")
+		}
+		p.Sleep(time.Nanosecond)
+		if g.Inline() {
+			t.Error("Parallelize did not land at the next barrier")
+		}
 	})
 	g.RunUntil(30 * time.Microsecond)
-	if !g.Inline() {
-		t.Error("Serialize was not sticky")
+	if g.Inline() {
+		t.Error("group still inline after the run")
 	}
 	g.Close()
+}
+
+// TestInlineGroupRunsOnOneClock: while a group is inline every member reads
+// the quantum's instant as now. A transfer member b starts on member a's
+// Link starts at b's instant, though a has nothing due then; and a callback
+// b schedules on a for the same instant — a is the lower index and has
+// already run there — runs at that instant, not a quantum later.
+func TestInlineGroupRunsOnOneClock(t *testing.T) {
+	const touchAt = 5 * time.Microsecond
+	for _, workers := range []int{1, 2} {
+		g := NewGroup(GroupConfig{Workers: workers, StartInline: true})
+		a := g.NewEnv("a", 1)
+		b := g.NewEnv("b", 2)
+		link := a.NewLink("a-bus", 1e9, 0) // a byte a nanosecond
+		a.Go("wake", func(p *Proc) { p.SleepUntil(touchAt) })
+		var arrived, sentAt, ranAt time.Duration
+		b.Go("touch", func(p *Proc) {
+			p.Sleep(2500 * time.Nanosecond)
+			sentAt = p.Now()
+			arrived = link.SendTimed(100)
+			p.SleepUntil(touchAt)
+			a.At(p.Now(), func() { ranAt = a.Now() })
+		})
+		g.RunUntil(10 * time.Microsecond)
+		g.Close()
+		if want := sentAt + 100*time.Nanosecond; arrived != want {
+			t.Errorf("workers=%d: transfer started at %v arrived %v, want %v", workers, sentAt, arrived, want)
+		}
+		if ranAt != touchAt {
+			t.Errorf("workers=%d: same-instant touch on a member that already ran ran at %v, want %v", workers, ranAt, touchAt)
+		}
+	}
+}
+
+// TestGroupCountsStrayTouches: a Workers-1 group counts schedules and Link
+// occupations one member makes on another while its quanta run parallel.
+// Touches while inline, on the member's own queue and through PostTo are
+// not stray, and a group with more workers does not count.
+func TestGroupCountsStrayTouches(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		want    int64
+	}{{1, 2}, {2, 0}} {
+		g := NewGroup(GroupConfig{Workers: tc.workers, StartInline: true})
+		a := g.NewEnv("a", 1)
+		b := g.NewEnv("b", 2)
+		link := a.NewLink("a-bus", 1e9, 0)
+		nop := func() {}
+		b.Go("touch", func(p *Proc) {
+			a.After(0, nop)
+			link.SendTimed(8)
+			g.Parallelize()
+			p.Sleep(time.Microsecond)
+			b.After(0, nop)
+			b.PostTo(a, p.Now()+time.Microsecond, nop)
+			a.After(0, nop)
+			link.SendTimed(8)
+		})
+		g.RunUntil(10 * time.Microsecond)
+		g.Close()
+		if got := g.Stats().Stray; got != tc.want {
+			t.Errorf("workers=%d: %d stray touches, want %d", tc.workers, got, tc.want)
+		}
+	}
 }
 
 // waitGoroutines polls until the goroutine count drops back to base.
@@ -370,7 +438,7 @@ func TestPostToReturnsDeliveryInstant(t *testing.T) {
 	var far, near *obs
 	var qEnd time.Duration
 	a.At(10*time.Microsecond, func() {
-		qEnd = a.Now() + g.Quantum()
+		qEnd = a.Now() + time.Duration(g.quantum)
 		far = post(b, a.Now()+3*time.Microsecond)
 		near = post(b, a.Now()+200*time.Nanosecond)
 	})
@@ -819,11 +887,15 @@ func TestGroupCloseReleasesHelpers(t *testing.T) {
 		g := NewGroup(GroupConfig{Workers: 2})
 		denseChains(g, 3)
 		g.RunUntil(100 * denseSpan)
-		g.Serialize()
+		// With one member left live, no later quantum has two to share.
+		for _, e := range g.Envs()[1:] {
+			e.Close()
+		}
+		shared := g.Stats().Shared
 		g.RunUntil(g.Now() + 5000*denseSpan)
 		waitParked(t, g)
-		if st := g.Stats(); st.Shared > 101 {
-			t.Errorf("serialized group kept sharing quanta: %+v", st)
+		if st := g.Stats(); st.Shared != shared {
+			t.Errorf("group with one live member kept sharing quanta: %d before, %+v", shared, st)
 		}
 		g.Close()
 		waitGoroutines(t, base)

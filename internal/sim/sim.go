@@ -161,6 +161,7 @@ func (e *Env) Attachment(key string) interface{} { return e.attachments[key] }
 
 //xssd:hotpath
 func (e *Env) schedule(at int64, p *Proc, fn func()) {
+	e.touched()
 	e.seq++
 	if at <= e.now {
 		// Due at the current instant: FIFO order is seq order, no heap
@@ -539,6 +540,7 @@ func (l *Link) SerializationTime(n int) time.Duration {
 // occupy reserves the link for n bytes starting no earlier than now and
 // returns the completion time of the transfer (excluding latency).
 func (l *Link) occupy(n int) (start, end int64) {
+	l.env.touched()
 	start = l.env.now
 	if l.busyUntil > start {
 		start = l.busyUntil

@@ -79,9 +79,9 @@ at 14ms device.power@p fail
 // stays exercised in CI — and pin its fold, so a drift in any classic
 // fingerprint fails here instead of waiting for someone to diff sweeps.
 func TestSweepSmall(t *testing.T) {
-	seeds, want := 3, uint64(0x3283defb81510faa)
+	seeds, want := 3, uint64(0x05358cdb896cecf1)
 	if testing.Short() {
-		seeds, want = 2, 0xf27996015029e7ea
+		seeds, want = 2, 0x28c28cea5ebecdbd
 	}
 	var buf bytes.Buffer
 	if err := Sweep(&buf, DefaultScenario, seeds, 0); err != nil {

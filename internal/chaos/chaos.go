@@ -215,7 +215,7 @@ type Result struct {
 	Durable  int64 // final durable horizon of the WAL
 	Firings  int   // fault rules that fired
 	Events   int64 // simulator events dispatched (perf-suite accounting)
-	Stray    int64 // cross-member touches around the conduits (sim.GroupStats.Stray); counted at SimWorkers 1 only
+	Stray    int64 // cross-member touches around the conduits (sim.GroupStats.Stray); counted by the serial runner only
 
 	// Checkpoints counts the fuzzy checkpoints that reached their durable
 	// record (paged runs only; always 0 for the classic engine).

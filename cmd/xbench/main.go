@@ -22,11 +22,8 @@
 //
 // Performance modes (-suite needs -o, the file the results go to):
 //
-//	xbench -suite perf -o BENCH_PR4.json               # time one cell per figure + a chaos seed + the pargroup twins
-//	xbench -suite perf -workers 8 -o BENCH_PR7.json    # the same cells on the parallel engine
-//	xbench -suite latency -o BENCH_PR8.json            # virtual-time latency quantiles + serial/parallel twins
-//	xbench -suite shard -o BENCH_PR9.json              # sharded-cluster throughput scaling + remote-mix sweep + engine twins
-//	xbench -compare baseline.json new.json # gate: fail on >15% events/sec regression or serial/parallel event drift
+//	xbench -suite -o new.json               # time every cell: perf, latency quantiles, shard scaling
+//	xbench -compare BENCH.json new.json     # gate: fail on virtual-time drift, >5% alloc growth or >15% events/sec regression
 package main
 
 import (
@@ -54,11 +51,10 @@ func main() {
 	shards := flag.Int("shards", 0, "with -chaos: run the sharded-cluster sweep with this many shards per seed (invariants I1-I5 + I8); 0 = classic single-primary sweep")
 	paged := flag.Bool("paged", false, "with -chaos: store tables in B+tree pages destaged to the conventional side, with background fuzzy checkpoints (invariants I1-I5 + I9)")
 	metricsOut := flag.String("metrics", "", "write per-cell metrics snapshots to this file as JSON")
-	workers := flag.Int("workers", 1, "quantum executors running the simulation group (>= 1; figures, sweeps, and the perf suite); results do not depend on it")
-	suite := flag.String("suite", "", "run a timed suite (\"perf\", \"latency\", or \"shard\")")
+	workers := flag.Int("workers", 1, "quantum executors running the simulation group (>= 1; figures, sweeps, and the timed suite); results do not depend on it")
+	suite := flag.Bool("suite", false, "run the timed suite (needs -o)")
 	out := flag.String("o", "", "output file for -suite (required with it)")
-	compare := flag.Bool("compare", false, "compare two perf result files: -compare baseline.json new.json")
-	tolerance := flag.Float64("tolerance", 0.15, "allowed events/sec regression fraction for -compare")
+	compare := flag.Bool("compare", false, "compare two suite result files: -compare baseline.json new.json")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	gogc := flag.Int("gogc", 400, "GC target percentage (runtime/debug.SetGCPercent); simulations are short-lived and allocation-heavy, so trading heap headroom for fewer GC cycles is the right default here")
@@ -114,24 +110,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: xbench -compare baseline.json new.json")
 			os.Exit(2)
 		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1), *tolerance); err != nil {
+		if err := runCompare(flag.Arg(0), flag.Arg(1)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("compare: %s within %.0f%% of %s on every cell\n", flag.Arg(1), *tolerance*100, flag.Arg(0))
-	case *suite != "":
-		cells := suiteCells(*suite)
-		if cells == nil {
-			fmt.Fprintf(os.Stderr, "xbench: unknown suite %q (\"perf\", \"latency\", or \"shard\")\n", *suite)
+		fmt.Printf("compare: %s passes against %s on every cell\n", flag.Arg(1), flag.Arg(0))
+	case *suite:
+		// No default output: a bare -suite must not overwrite BENCH.json.
+		if *out == "" || flag.NArg() != 0 {
+			fmt.Fprintln(os.Stderr, "usage: xbench -suite -o results.json")
 			os.Exit(2)
 		}
-		// Each suite has its own baseline file; a default would let one
-		// suite's cells overwrite another's.
-		if *out == "" {
-			fmt.Fprintln(os.Stderr, "usage: xbench -suite name -o results.json")
-			os.Exit(2)
-		}
-		if err := runSuite(*suite, cells, *out); err != nil {
+		if err := runSuite(*out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -205,47 +195,29 @@ func main() {
 // that; best-of-N clips the one-sided slow tail.
 const repeatBelow = 2 * time.Second
 
-// shardScalingFloor: the 4-shard cell must commit at least this multiple
-// of the 1-shard cell's aggregate — the headline scaling claim of the
-// sharded cluster, gated at generation time so a regressing tree cannot
-// even produce a BENCH_PR9.json.
-const shardScalingFloor = 3.0
-
-// suiteCells lists the cells of a timed suite, or nil for an unknown name.
-func suiteCells(suite string) []bench.Cell {
-	switch suite {
-	case "perf":
-		return bench.PerfCells()
-	case "latency":
-		return bench.LatencyCells()
-	case "shard":
-		return bench.ShardCells()
-	}
-	return nil
-}
-
-// runSuite times every cell of a suite against the wall clock and writes the
-// canonical results file. Timing lives here, not in internal/bench: the
+// runSuite times every cell of the suite against the wall clock and writes
+// the canonical results file. Timing lives here, not in internal/bench: the
 // simulation packages are virtual-time only (the simdeterminism analyzer
 // enforces it), while a command may consult real clocks. Events, quantiles
 // and commit counts are virtual time — deterministic — so the compare gate
-// holds them to exact equality; wall time, events/sec and allocations
-// describe the machine and the code.
-func runSuite(suite string, cells []bench.Cell, path string) error {
+// and every repetition hold them to exact equality; wall time, events/sec
+// and allocations describe the machine and the code.
+func runSuite(path string) error {
+	cells := bench.SuiteCells()
 	results := make([]bench.PerfResult, 0, len(cells))
 	for _, c := range cells {
 		best, err := timeCell(c)
 		if err != nil {
-			return fmt.Errorf("%s suite: %s: %w", suite, c.Name, err)
+			return fmt.Errorf("suite: %s: %w", c.Name, err)
 		}
 		for rep := 1; rep < 3 && best.WallNS < int64(repeatBelow); rep++ {
 			again, err := timeCell(c)
 			if err != nil {
-				return fmt.Errorf("%s suite: %s (rep %d): %w", suite, c.Name, rep, err)
+				return fmt.Errorf("suite: %s (rep %d): %w", c.Name, rep, err)
 			}
-			if again.Events != best.Events {
-				return fmt.Errorf("%s suite: %s: event count drifted across repeats: %d vs %d",
-					suite, c.Name, again.Events, best.Events)
+			if drift := bench.VirtualDrift(best, again); len(drift) > 0 {
+				return fmt.Errorf("suite: %s (rep %d) did not repeat its first run:\n  %s",
+					c.Name, rep, strings.Join(drift, "\n  "))
 			}
 			if again.WallNS < best.WallNS {
 				best = again
@@ -277,15 +249,13 @@ func runSuite(suite string, cells []bench.Cell, path string) error {
 		}
 		results = append(results, best)
 	}
-	if suite == "shard" {
-		if err := bench.CheckShardScaling(results, shardScalingFloor); err != nil {
-			return err
-		}
+	if err := bench.CheckShardScaling(results); err != nil {
+		return err
 	}
 	if err := bench.WritePerfFile(path, results); err != nil {
 		return err
 	}
-	fmt.Printf("%s: wrote %d cells to %s\n", suite, len(results), path)
+	fmt.Printf("suite: wrote %d cells to %s\n", len(results), path)
 	return nil
 }
 
@@ -319,8 +289,8 @@ func timeCell(c bench.Cell) (bench.PerfResult, error) {
 	return r, nil
 }
 
-// runCompare gates new against baseline with the given tolerance.
-func runCompare(baselinePath, newPath string, tol float64) error {
+// runCompare gates new against baseline.
+func runCompare(baselinePath, newPath string) error {
 	baseline, err := bench.ReadPerfFile(baselinePath)
 	if err != nil {
 		return err
@@ -329,7 +299,7 @@ func runCompare(baselinePath, newPath string, tol float64) error {
 	if err != nil {
 		return err
 	}
-	warnings, err := bench.Compare(baseline, current, tol)
+	warnings, err := bench.Compare(baseline, current)
 	for _, w := range warnings {
 		fmt.Fprintln(os.Stderr, "compare: warning:", w)
 	}

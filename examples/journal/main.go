@@ -54,7 +54,9 @@ func main() {
 				binary.LittleEndian.PutUint32(block[0:4], uint32(txn))
 				binary.LittleEndian.PutUint32(block[4:8], uint32(b))
 				copy(block[8:], fmt.Sprintf("inode-update tx=%d block=%d", txn, b))
-				log.WriteAt(p, start+int64(b*journalBlock), block)
+				if err := log.WriteAt(p, start+int64(b*journalBlock), block); err != nil {
+					panic(err)
+				}
 			}
 			// Commit record: freeing the area seals the transaction and
 			// lets the device destage (checkpoint) it.

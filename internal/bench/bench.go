@@ -103,7 +103,7 @@ func StopCapture() { activeCapture = nil }
 var lastEvents int64
 
 // LastCellEvents reports how many simulator events the most recently
-// finished experiment cell dispatched. The perf suite divides this by wall
+// finished experiment cell dispatched. The timed suite divides it by wall
 // time to get events/second.
 func LastCellEvents() int64 { return lastEvents }
 

@@ -9,32 +9,31 @@ import (
 	"strings"
 )
 
-// PerfResult is one row of the perf suite's canonical output
-// (BENCH_PR4.json): a cell name, its wall-clock cost, the simulator events
-// it dispatched, and the heap allocations the run charged.
+// PerfResult is one row of the suite's canonical output (BENCH.json): a
+// cell name, its wall-clock cost, the simulator events it dispatched, and
+// the heap allocations the run charged.
 type PerfResult struct {
 	Bench        string  `json:"bench"`
 	WallNS       int64   `json:"wall_ns"`
 	Events       int64   `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	Allocs       int64   `json:"allocs"`
-	// Latency-suite cells also carry their virtual-time quantiles
-	// (BENCH_PR8.json). Virtual time makes them exact, so the compare
-	// gate demands equality, like event counts. Perf-suite cells leave
-	// them zero and the fields stay out of their JSON.
+	// Latency cells also carry their virtual-time quantiles. Virtual time
+	// makes them exact, so the compare gate demands equality, like event
+	// counts. Other cells leave them zero and the fields stay out of
+	// their JSON.
 	P50NS  int64 `json:"p50_ns,omitempty"`
 	P99NS  int64 `json:"p99_ns,omitempty"`
 	P999NS int64 `json:"p999_ns,omitempty"`
-	// Shard-suite cells carry their aggregate committed-transaction
-	// count (BENCH_PR9.json). Commits are virtual-deterministic, so the
-	// compare gate demands equality, like event counts.
+	// Shard cells carry their aggregate committed-transaction count.
+	// Commits are virtual-deterministic, so the compare gate demands
+	// equality, like event counts.
 	Commits int64 `json:"commits,omitempty"`
-	// The perf suite's destage cell carries the flash pages its device
-	// programmed: the NAND bill is virtual-deterministic too, and gated
-	// the same way.
+	// The destage cell carries the flash pages its device programmed: the
+	// NAND bill is virtual-deterministic too, and gated the same way.
 	NandPages int64 `json:"nand_pages,omitempty"`
-	// The perf suite's paged cell carries the pages its buffer pool read
-	// from the device — the tree's read amplification, exact like the rest.
+	// The paged cell carries the pages its buffer pool read from the
+	// device — the tree's read amplification, exact like the rest.
 	PageReads int64 `json:"page_reads,omitempty"`
 }
 
@@ -61,6 +60,10 @@ func ReadPerfFile(path string) ([]PerfResult, error) {
 	return out, nil
 }
 
+// compareEventsTol: the fraction by which a cell's events/second may fall
+// below its baseline's before Compare fails it.
+const compareEventsTol = 0.15
+
 // compareWallFloorNS: the events/second tolerance only applies to cells
 // whose baseline run lasted at least this long. Below it, scheduler and
 // timer noise on a shared CI host routinely exceeds any reasonable
@@ -80,19 +83,63 @@ const compareAllocsTol = 0.05
 // regression back up to it would pass the compareAllocsTol gate unseen.
 const compareAllocsStale = 0.10
 
-// Compare gates a new perf run against a baseline: it fails if any
-// baseline cell is missing from the new run, dispatched a different event
-// count (a determinism break — event counts are machine-independent),
-// moved a quantile, commit count, flash-page count or page-read count its
-// baseline recorded,
-// allocated more than compareAllocsTol above the baseline's count (cells
-// whose baseline recorded no allocs are skipped), or regressed in
-// events/second by more than tol (a fraction, e.g. 0.15) on cells running
-// past compareWallFloorNS. Cells present only in the new run are ignored,
-// so adding cells does not require regenerating history. A cell that
-// allocates more than compareAllocsStale below its baseline passes with a
-// warning: the baseline wants re-pinning.
-func Compare(baseline, current []PerfResult, tol float64) (warnings []string, err error) {
+// VirtualDrift lists every virtual-time field of got that differs from
+// want's: the event count, and where want recorded them the quantiles,
+// commit count, flash-page count and page-read count. For one program
+// these repeat exactly, so any entry is a behavior change or a
+// determinism break, never machine noise. An event-count drift is
+// reported alone: the rest follow from it.
+func VirtualDrift(want, got PerfResult) []string {
+	if got.Events != want.Events {
+		return []string{fmt.Sprintf(
+			"%s: dispatched %d events, expected %d (determinism break?)", want.Bench, got.Events, want.Events)}
+	}
+	var problems []string
+	if want.P50NS != 0 || want.P99NS != 0 || want.P999NS != 0 {
+		// One line per drifting quantile, expected-then-got, so a CI
+		// log names the exact series that moved.
+		for _, q := range []struct {
+			name     string
+			exp, got int64
+		}{
+			{"p50", want.P50NS, got.P50NS},
+			{"p99", want.P99NS, got.P99NS},
+			{"p999", want.P999NS, got.P999NS},
+		} {
+			if q.got != q.exp {
+				problems = append(problems, fmt.Sprintf(
+					"%s: %s expected %dns, got %dns (virtual-time drift — determinism break?)",
+					want.Bench, q.name, q.exp, q.got))
+			}
+		}
+	}
+	if want.Commits != 0 && got.Commits != want.Commits {
+		problems = append(problems, fmt.Sprintf(
+			"%s: committed %d transactions, expected %d (virtual-time drift — determinism break?)",
+			want.Bench, got.Commits, want.Commits))
+	}
+	if want.NandPages != 0 && got.NandPages != want.NandPages {
+		problems = append(problems, fmt.Sprintf(
+			"%s: programmed %d flash pages, expected %d (the destage policy changed?)",
+			want.Bench, got.NandPages, want.NandPages))
+	}
+	if want.PageReads != 0 && got.PageReads != want.PageReads {
+		problems = append(problems, fmt.Sprintf(
+			"%s: read %d pages from the device, expected %d (the tree's read budget changed?)",
+			want.Bench, got.PageReads, want.PageReads))
+	}
+	return problems
+}
+
+// Compare gates a new suite run against a baseline: it fails if any
+// baseline cell is missing from the new run or drifted in a virtual-time
+// field (VirtualDrift), allocated more than compareAllocsTol above the
+// baseline's count (cells whose baseline recorded no allocs are skipped),
+// or regressed in events/second by more than compareEventsTol on cells
+// running past compareWallFloorNS. A cell that allocates more than
+// compareAllocsStale below its baseline passes with a warning: the
+// baseline wants re-pinning.
+func Compare(baseline, current []PerfResult) (warnings []string, err error) {
 	byName := make(map[string]PerfResult, len(current))
 	for _, r := range current {
 		byName[r.Bench] = r
@@ -104,43 +151,9 @@ func Compare(baseline, current []PerfResult, tol float64) (warnings []string, er
 			problems = append(problems, fmt.Sprintf("%s: missing from new results", b.Bench))
 			continue
 		}
+		problems = append(problems, VirtualDrift(b, c)...)
 		if c.Events != b.Events {
-			problems = append(problems, fmt.Sprintf(
-				"%s: dispatched %d events, baseline %d (determinism break?)", b.Bench, c.Events, b.Events))
-			continue
-		}
-		if b.P50NS != 0 || b.P99NS != 0 || b.P999NS != 0 {
-			// One line per drifting quantile, expected-then-got, so a CI
-			// log names the exact series that moved.
-			for _, q := range []struct {
-				name     string
-				exp, got int64
-			}{
-				{"p50", b.P50NS, c.P50NS},
-				{"p99", b.P99NS, c.P99NS},
-				{"p999", b.P999NS, c.P999NS},
-			} {
-				if q.got != q.exp {
-					problems = append(problems, fmt.Sprintf(
-						"%s: %s expected %dns, got %dns (virtual-time drift — determinism break?)",
-						b.Bench, q.name, q.exp, q.got))
-				}
-			}
-		}
-		if b.Commits != 0 && c.Commits != b.Commits {
-			problems = append(problems, fmt.Sprintf(
-				"%s: committed %d transactions, baseline %d (virtual-time drift — determinism break?)",
-				b.Bench, c.Commits, b.Commits))
-		}
-		if b.NandPages != 0 && c.NandPages != b.NandPages {
-			problems = append(problems, fmt.Sprintf(
-				"%s: programmed %d flash pages, baseline %d (the destage policy changed?)",
-				b.Bench, c.NandPages, b.NandPages))
-		}
-		if b.PageReads != 0 && c.PageReads != b.PageReads {
-			problems = append(problems, fmt.Sprintf(
-				"%s: read %d pages from the device, baseline %d (the tree's read budget changed?)",
-				b.Bench, c.PageReads, b.PageReads))
+			continue // a different program: its allocations and speed say nothing
 		}
 		if b.Allocs > 0 && float64(c.Allocs) > float64(b.Allocs)*(1+compareAllocsTol) {
 			problems = append(problems, fmt.Sprintf(
@@ -152,10 +165,10 @@ func Compare(baseline, current []PerfResult, tol float64) (warnings []string, er
 				"%s: %d allocs, >%.0f%% below baseline %d; re-pin the baseline",
 				b.Bench, c.Allocs, compareAllocsStale*100, b.Allocs))
 		}
-		if b.WallNS >= compareWallFloorNS && b.EventsPerSec > 0 && c.EventsPerSec < b.EventsPerSec*(1-tol) {
+		if b.WallNS >= compareWallFloorNS && b.EventsPerSec > 0 && c.EventsPerSec < b.EventsPerSec*(1-compareEventsTol) {
 			problems = append(problems, fmt.Sprintf(
 				"%s: %.0f events/s, >%.0f%% below baseline %.0f",
-				b.Bench, c.EventsPerSec, tol*100, b.EventsPerSec))
+				b.Bench, c.EventsPerSec, compareEventsTol*100, b.EventsPerSec))
 		}
 	}
 	problems = append(problems, workerParityProblems(current)...)
@@ -166,7 +179,7 @@ func Compare(baseline, current []PerfResult, tol float64) (warnings []string, er
 }
 
 // swSuffix marks cells that run the same topology under different numbers
-// of simulation workers (the /swN twins of the perf suite).
+// of simulation workers (the /swN twins of the suite).
 var swSuffix = regexp.MustCompile(`/sw\d+$`)
 
 // workerParityProblems enforces the differential-determinism contract on a

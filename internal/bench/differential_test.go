@@ -134,7 +134,7 @@ func TestPargroupReplCellWorkerParity(t *testing.T) {
 }
 
 // BenchmarkPargroup prints what the executor pool buys on the host that
-// runs it (CI's "Go benchmarks" step): the perf suite's two pargroup
+// runs it (CI's "Go benchmarks" step): the suite's two pargroup
 // topologies at 1, 2 and 4 executors. Information, not a gate — read sw2
 // and sw4 against the sw1 of the same run.
 func BenchmarkPargroup(b *testing.B) {
@@ -158,14 +158,14 @@ func BenchmarkPargroup(b *testing.B) {
 }
 
 // TestCompareFlagsWorkerTwinDrift checks that Compare hard-fails when two
-// /swN twins disagree on events, independent of the tolerance.
+// /swN twins disagree on events, whatever their speed.
 func TestCompareFlagsWorkerTwinDrift(t *testing.T) {
 	baseline := []PerfResult{{Bench: "pargroup/d8/sw1", Events: 100, EventsPerSec: 1}}
 	current := []PerfResult{
 		{Bench: "pargroup/d8/sw1", Events: 100, EventsPerSec: 1},
 		{Bench: "pargroup/d8/sw8", Events: 101, EventsPerSec: 1},
 	}
-	_, err := Compare(baseline, current, 0.99)
+	_, err := Compare(baseline, current)
 	if err == nil {
 		t.Fatal("Compare accepted serial/parallel event drift")
 	}
@@ -173,7 +173,7 @@ func TestCompareFlagsWorkerTwinDrift(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	current[1].Events = 100
-	if _, err := Compare(baseline, current, 0.99); err != nil {
+	if _, err := Compare(baseline, current); err != nil {
 		t.Fatalf("Compare rejected matching twins: %v", err)
 	}
 }
@@ -185,14 +185,14 @@ func TestCompareWallFloor(t *testing.T) {
 	short := []PerfResult{{Bench: "c", WallNS: compareWallFloorNS - 1, Events: 10, EventsPerSec: 1000}}
 	long := []PerfResult{{Bench: "c", WallNS: compareWallFloorNS, Events: 10, EventsPerSec: 1000}}
 	slow := []PerfResult{{Bench: "c", WallNS: compareWallFloorNS, Events: 10, EventsPerSec: 100}}
-	if _, err := Compare(short, slow, 0.15); err != nil {
+	if _, err := Compare(short, slow); err != nil {
 		t.Fatalf("Compare gated throughput on a sub-floor cell: %v", err)
 	}
-	if _, err := Compare(long, slow, 0.15); err == nil {
+	if _, err := Compare(long, slow); err == nil {
 		t.Fatal("Compare ignored a real regression on a cell past the floor")
 	}
 	slow[0].Events = 11
-	if _, err := Compare(short, slow, 0.15); err == nil {
+	if _, err := Compare(short, slow); err == nil {
 		t.Fatal("Compare ignored an event-count drift on a sub-floor cell")
 	}
 }
@@ -216,7 +216,7 @@ func TestCompareGatesAllocs(t *testing.T) {
 	} {
 		baseline := []PerfResult{{Bench: "c", Events: 10, Allocs: tc.base}}
 		current := []PerfResult{{Bench: "c", Events: 10, Allocs: tc.current}}
-		warnings, err := Compare(baseline, current, 0.15)
+		warnings, err := Compare(baseline, current)
 		if tc.fails != (err != nil) {
 			t.Errorf("%s: Compare(%d -> %d allocs) = %v", tc.name, tc.base, tc.current, err)
 		}
@@ -235,7 +235,7 @@ func TestCompareGatesAllocs(t *testing.T) {
 func TestCompareFlagsQuantileDrift(t *testing.T) {
 	baseline := []PerfResult{{Bench: "lat/nvme/q4/d8/c1", Events: 100, P50NS: 1000, P99NS: 2000, P999NS: 3000}}
 	current := []PerfResult{{Bench: "lat/nvme/q4/d8/c1", Events: 100, P50NS: 1000, P99NS: 2001, P999NS: 3000}}
-	_, err := Compare(baseline, current, 0.15)
+	_, err := Compare(baseline, current)
 	if err == nil {
 		t.Fatal("Compare accepted a p99 drift on a latency cell")
 	}
@@ -243,13 +243,13 @@ func TestCompareFlagsQuantileDrift(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	current[0].P99NS = 2000
-	if _, err := Compare(baseline, current, 0.15); err != nil {
+	if _, err := Compare(baseline, current); err != nil {
 		t.Fatalf("Compare rejected equal quantiles: %v", err)
 	}
 	// A perf-suite cell (no baseline quantiles) ignores the new run's.
 	noQ := []PerfResult{{Bench: "fig9", Events: 50}}
 	withQ := []PerfResult{{Bench: "fig9", Events: 50, P50NS: 7}}
-	if _, err := Compare(noQ, withQ, 0.15); err != nil {
+	if _, err := Compare(noQ, withQ); err != nil {
 		t.Fatalf("Compare gated quantiles on a quantile-free baseline: %v", err)
 	}
 }
@@ -272,14 +272,14 @@ func TestCompareFlagsNandPageDrift(t *testing.T) {
 			return []PerfResult{r}
 		}
 		for _, n := range []int64{254, 1069} {
-			if _, err := Compare(cell(255), cell(n), 0.15); err == nil || !strings.Contains(err.Error(), tc.complaint) {
+			if _, err := Compare(cell(255), cell(n)); err == nil || !strings.Contains(err.Error(), tc.complaint) {
 				t.Fatalf("%s: Compare(255 -> %d) = %v", tc.bench, n, err)
 			}
 		}
-		if _, err := Compare(cell(255), cell(255), 0.15); err != nil {
+		if _, err := Compare(cell(255), cell(255)); err != nil {
 			t.Fatalf("%s: Compare rejected an equal count: %v", tc.bench, err)
 		}
-		if _, err := Compare(cell(0), cell(9), 0.15); err != nil {
+		if _, err := Compare(cell(0), cell(9)); err != nil {
 			t.Fatalf("%s: Compare gated a count its baseline lacks: %v", tc.bench, err)
 		}
 	}

@@ -17,9 +17,9 @@ import (
 	"xssd/internal/wal"
 )
 
-// The latency suite (xbench -suite latency): where the perf suite asks
-// "how many events per second", this suite asks "where is the tail". Two
-// cell families sweep the multi-queue host interface:
+// The latency cells of the suite: where the perf cells ask "how many
+// events per second", these ask "where is the tail". Two cell families
+// sweep the multi-queue host interface:
 //
 //   - lat/nvme/qP/dD/cK: P queue pairs, D async writes in flight per
 //     queue, completion interrupts coalesced K-at-a-time (c1 = off). The
@@ -30,12 +30,11 @@ import (
 //     pipeline's submit→durable series merged across terminals.
 //
 // Everything runs on virtual time, so every quantile is deterministic:
-// the compare gate demands exact equality against BENCH_PR8.json, the
-// same way it demands exact event counts. The /swN twins pin the
-// parallel engine at 1 and 8 workers over the same topology — their
-// event counts and quantiles must match bit-for-bit.
+// the compare gate demands exact equality against BENCH.json, the same
+// way it demands exact event counts. Each cell builds one device on one
+// group member, so it runs the serial runner at any executor count.
 
-// latency suite tuning constants.
+// Latency cell tuning constants.
 const (
 	latWindow     = 40 * time.Millisecond // raw NVMe sweep window
 	latTPCCWindow = 60 * time.Millisecond // TPC-C pipeline window
@@ -43,10 +42,10 @@ const (
 	latSeed       = 42
 )
 
-// LatencyCells lists the suite in canonical order: a queue-count sweep,
-// an in-flight-depth sweep, a coalescing ablation, the serial/parallel
-// twins, and the TPC-C pipelined-commit pair.
-func LatencyCells() []Cell {
+// latencyCells lists the latency cells in canonical order: a queue-count
+// sweep, an in-flight-depth sweep, a coalescing ablation, and the TPC-C
+// pipelined-commit pair.
+func latencyCells() []Cell {
 	cells := []Cell{}
 	add := func(name string, run func() (Measurement, error)) {
 		cells = append(cells, Cell{Name: name, Run: run})
@@ -66,12 +65,6 @@ func LatencyCells() []Cell {
 	add("lat/nvme/q4/d8/c8", func() (Measurement, error) {
 		return LatencyNVMeCell(4, 8, 8), nil
 	})
-	for _, sw := range []int{1, 8} {
-		sw := sw
-		add(fmt.Sprintf("lat/nvme/q4/d8/c1/sw%d", sw), func() (Measurement, error) {
-			return latencyNVMeCellPinned(4, 8, 1, sw), nil
-		})
-	}
 	for _, depth := range []int{1, 16} {
 		depth := depth
 		add(fmt.Sprintf("lat/tpcc/pipe%d", depth), func() (Measurement, error) {
@@ -156,16 +149,6 @@ func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 		hists[q] = drv.Latency(q)
 	}
 	return Measurement{Events: c.Events(), Lat: obs.SummaryOf(hists...)}
-}
-
-// latencyNVMeCellPinned runs the cell with the engine pinned to sw
-// quantum executors regardless of the -workers flag — the /swN twins the
-// compare gate holds to bit-identical results.
-func latencyNVMeCellPinned(pairs, depth, coalesce, sw int) Measurement {
-	prev := engineWorkers
-	SetEngineWorkers(sw)
-	defer SetEngineWorkers(prev)
-	return LatencyNVMeCell(pairs, depth, coalesce)
 }
 
 // LatencyTPCCCell runs TPC-C terminals against a Villars-SRAM log device,

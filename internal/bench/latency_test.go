@@ -2,7 +2,7 @@ package bench
 
 import "testing"
 
-// The latency suite's determinism contract: a cell re-run dispatches the
+// The latency cells' determinism contract: a cell re-run dispatches the
 // same events and reports the same virtual-time quantiles, and the
 // serial/parallel engines agree bit-for-bit.
 
@@ -21,8 +21,12 @@ func TestLatencyNVMeCellWorkerParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full latency cells")
 	}
-	sw1 := latencyNVMeCellPinned(4, 8, 1, 1)
-	sw8 := latencyNVMeCellPinned(4, 8, 1, 8)
+	prev := engineWorkers
+	defer SetEngineWorkers(prev)
+	SetEngineWorkers(1)
+	sw1 := LatencyNVMeCell(4, 8, 1)
+	SetEngineWorkers(8)
+	sw8 := LatencyNVMeCell(4, 8, 1)
 	if sw1.Events != sw8.Events || sw1.Lat != sw8.Lat {
 		t.Fatalf("serial/parallel drift: sw1 %+v vs sw8 %+v", sw1, sw8)
 	}

@@ -10,18 +10,18 @@ import (
 	"xssd/internal/sched"
 )
 
-// The perf suite: one representative cell per figure plus one chaos seed,
-// each returning the number of simulator events it dispatched. The harness
-// in cmd/xbench times these against the wall clock (this package stays
-// virtual-time only) and writes the canonical BENCH_PR4.json.
+// The timed suite (xbench -suite): the perf cells, then the latency cells,
+// then the shard cells. Each returns what it measured in virtual time; the
+// harness in cmd/xbench times them against the wall clock (this package
+// stays virtual-time only) and writes one results file, checked in as
+// BENCH.json.
 
 // perfChaosSeed picks a chaos scenario with replication enabled so the
 // timed cell exercises the transport and fault paths, not just local
 // logging. Seed 7 draws two secondaries under DefaultScenario.
 const perfChaosSeed = 7
 
-// Cell is one timed unit of a suite (perf, latency or shard). Run executes
-// the cell to completion.
+// Cell is one timed unit of the suite. Run executes the cell to completion.
 type Cell struct {
 	Name string
 	Run  func() (Measurement, error)
@@ -29,10 +29,10 @@ type Cell struct {
 
 // Measurement is what a cell reports, every field virtual-time and so
 // exact: the simulator events it dispatched (the determinism anchor of
-// every suite), and where the suite gates them a latency digest (latency
-// suite), a committed-transaction count (shard suite, the perf suite's
-// paged cell), the flash pages programmed (the perf suite's destage cell)
-// and the pages a pager read from its device (the paged cell).
+// every cell), and where the suite gates them a latency digest (the lat/
+// cells), a committed-transaction count (the shard/ cells and the paged
+// cell), the flash pages programmed (the destage cell) and the pages a
+// pager read from its device (the paged cell).
 type Measurement struct {
 	Events    int64
 	Lat       obs.Summary
@@ -41,10 +41,19 @@ type Measurement struct {
 	PageReads int64
 }
 
-// PerfCells lists the suite in its canonical order. Each cell builds a
-// fresh environment with the same fixed seed its figure uses, so event
-// counts are reproducible across runs and machines.
-func PerfCells() []Cell {
+// SuiteCells lists the suite in its canonical order, the order of
+// BENCH.json's rows: the perf cells, the latency cells and the shard cells.
+// Each cell builds a fresh environment with a fixed seed, so everything it
+// measures in virtual time repeats across runs and machines.
+func SuiteCells() []Cell {
+	cells := perfCells()
+	cells = append(cells, latencyCells()...)
+	return append(cells, shardCells()...)
+}
+
+// perfCells: one representative cell per figure, one chaos seed, the
+// destage and paged cells, and the pargroup executor twins.
+func perfCells() []Cell {
 	return []Cell{
 		{Name: "fig9/Villars-SRAM/w8", Run: func() (Measurement, error) {
 			Fig09Cell("Villars-SRAM", 8)

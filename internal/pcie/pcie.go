@@ -43,6 +43,9 @@ const (
 )
 
 // LaneBandwidth returns the usable per-lane bandwidth in bytes/second.
+// An unknown generation is API misuse and panics: the only caller,
+// villars.New, passes the constant Gen2, and no config field or facade
+// option carries a generation.
 func (g Generation) LaneBandwidth() float64 {
 	switch g {
 	case Gen1:
@@ -131,6 +134,14 @@ func (r *Region) deliverNext() {
 // post puts one posted-write TLP (payload ≤ MaxPayload) on the wire.
 // Delivery to the target happens when the packet fully arrives.
 //
+// A write outside the region is API misuse and panics, here and in
+// writeBlocking and read. Data regions are the 1 TiB CMB window, addressed
+// by stream offset: XPwrite's offsets are bytes already written, which no
+// run comes near 1 TiB of, and XWriteAt, whose offset is caller input,
+// refuses one outside the window with an error before it stores. Control
+// regions are addressed by the constant register offsets of package core,
+// all inside core.ControlSize.
+//
 //xssd:hotpath
 func (r *Region) post(off int64, data []byte) {
 	if off < 0 || off+int64(len(data)) > r.size {
@@ -154,7 +165,8 @@ func (r *Region) write(p *sim.Proc, off int64, data []byte) {
 // writeBlocking sends one write TLP and stalls the calling process until
 // it is delivered at the device — the Uncached store semantics: the CPU
 // serializes on each store instead of posting it, which is what makes UC
-// MMIO so much slower than WC (paper §6.2).
+// MMIO so much slower than WC (paper §6.2). An out-of-region write panics
+// as in post.
 func (r *Region) writeBlocking(p *sim.Proc, off int64, data []byte) {
 	if off < 0 || off+int64(len(data)) > r.size {
 		panic(fmt.Sprintf("pcie: write [%d,%d) outside region of %d", off, off+int64(len(data)), r.size))
@@ -168,7 +180,7 @@ func (r *Region) writeBlocking(p *sim.Proc, off int64, data []byte) {
 
 // read performs a non-posted read into dst: a request TLP travels to the
 // device, the completion TLP returns the data. The caller blocks for the
-// round trip.
+// round trip. An out-of-region read panics as a write does in post.
 func (r *Region) read(p *sim.Proc, off int64, dst []byte) {
 	if off < 0 || off+int64(len(dst)) > r.size {
 		panic(fmt.Sprintf("pcie: read [%d,%d) outside region of %d", off, off+int64(len(dst)), r.size))
@@ -289,7 +301,11 @@ func (m *MMIO) Store(p *sim.Proc, off int64, data []byte) {
 // one per line. A single line gains nothing from it and keeps the loop.
 //
 // The lines are copied out of data as each one leaves, as the loop did, so
-// the caller's slice stays borrowed until Store returns.
+// the caller's slice stays borrowed until Store returns. A second Store
+// while a train is out is API misuse and panics: every handle in the module
+// is opened and used by one process (an xapi.Logger is one simulated core's,
+// and the facade's Log is opened once per worker), so no other process can
+// reach a handle parked here.
 func (m *MMIO) storeLines(p *sim.Proc, off int64, data []byte) {
 	if m.trainProc != nil {
 		panic("pcie: concurrent Store on one MMIO handle")

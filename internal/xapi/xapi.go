@@ -51,6 +51,9 @@ var (
 	ErrAllocFailed = errors.New("xapi: alloc failed")
 	// ErrFreeFailed reports a rejected XFree command.
 	ErrFreeFailed = errors.New("xapi: free failed")
+	// ErrOutOfWindow reports an XWriteAt whose bytes fall outside the CMB
+	// data window.
+	ErrOutOfWindow = errors.New("xapi: write outside the CMB window")
 )
 
 // Endpoint is anything a Logger can bind to: a whole Villars device or
@@ -343,10 +346,16 @@ func (l *Logger) XAlloc(p *sim.Proc, size int) (int64, error) {
 
 // XWriteAt stores data inside an allocated area at the given stream
 // offset, in any order. The caller owns pacing (allocated areas are pinned
-// on the ring, so the intake queue is the only limit).
-func (l *Logger) XWriteAt(p *sim.Proc, off int64, data []byte) {
+// on the ring, so the intake queue is the only limit). The offset is the
+// caller's: a write reaching outside the CMB data window stores nothing
+// and returns ErrOutOfWindow.
+func (l *Logger) XWriteAt(p *sim.Proc, off int64, data []byte) error {
+	if off < 0 || off > villars.CMBWindowSize-int64(len(data)) {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfWindow, off, off+int64(len(data)), villars.CMBWindowSize)
+	}
 	l.data.Store(p, off, data)
 	l.data.Fence(p)
+	return nil
 }
 
 // XFree releases an allocated area, making it destage-eligible.

@@ -190,9 +190,11 @@ func TestAllocWriteFreeDestages(t *testing.T) {
 			return
 		}
 		// Fill back to front, as parallel log writers would.
-		l.XWriteAt(p, start+200, bytes.Repeat([]byte{3}, 100))
-		l.XWriteAt(p, start+100, bytes.Repeat([]byte{2}, 100))
-		l.XWriteAt(p, start, bytes.Repeat([]byte{1}, 100))
+		for i, off := range []int64{start + 200, start + 100, start} {
+			if err := l.XWriteAt(p, off, bytes.Repeat([]byte{byte(3 - i)}, 100)); err != nil {
+				t.Errorf("write at %d: %v", off, err)
+			}
+		}
 		p.Sleep(time.Millisecond)
 		if dev.Destage().DestagedStream() != 0 {
 			t.Error("destaged before free")

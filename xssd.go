@@ -400,8 +400,10 @@ func (g *Log) Pread(p *Proc, buf []byte) (int64, error) { return g.l.XPread(p, b
 // Alloc reserves a fast-side area for random-order writes (x_alloc).
 func (g *Log) Alloc(p *Proc, size int) (int64, error) { return g.l.XAlloc(p, size) }
 
-// WriteAt stores into an allocated area at the given stream offset.
-func (g *Log) WriteAt(p *Proc, off int64, data []byte) { g.l.XWriteAt(p, off, data) }
+// WriteAt stores into an allocated area at the given stream offset. A
+// write reaching outside the device's CMB window stores nothing and
+// returns an error.
+func (g *Log) WriteAt(p *Proc, off int64, data []byte) error { return g.l.XWriteAt(p, off, data) }
 
 // Free releases an allocated area, making it destage-eligible (x_free).
 func (g *Log) Free(p *Proc, start int64) error { return g.l.XFree(p, start) }

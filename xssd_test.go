@@ -140,8 +140,11 @@ func TestPublicAdvancedAPI(t *testing.T) {
 		if err != nil {
 			t.Fatalf("alloc: %v", err)
 		}
-		log.WriteAt(p, start+64, bytes.Repeat([]byte{2}, 64))
-		log.WriteAt(p, start, bytes.Repeat([]byte{1}, 64))
+		for i, off := range []int64{start + 64, start} {
+			if err := log.WriteAt(p, off, bytes.Repeat([]byte{byte(2 - i)}, 64)); err != nil {
+				t.Fatalf("write at %d: %v", off, err)
+			}
+		}
 		if err := log.Free(p, start); err != nil {
 			t.Fatalf("free: %v", err)
 		}
@@ -153,6 +156,40 @@ func TestPublicAdvancedAPI(t *testing.T) {
 		}
 		if buf[0] != 1 || buf[64] != 2 {
 			t.Fatal("allocation contents out of order")
+		}
+	})
+}
+
+// TestWriteAtRejectsOffsetsOutsideTheWindow: WriteAt's offset is caller
+// input, so one outside the CMB window is an error, not a dead run, and the
+// log stays usable after it.
+func TestWriteAtRejectsOffsetsOutsideTheWindow(t *testing.T) {
+	sys := NewSystem(4)
+	dev := sys.MustDevice(DeviceOptions{Name: "win"})
+	sys.Run(func(p *Proc) {
+		log := dev.OpenLog(p)
+		start, err := log.Alloc(p, 64)
+		if err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		buf := bytes.Repeat([]byte{7}, 64)
+		for _, off := range []int64{-64, -1, 1 << 40, 1<<40 - 63, 1 << 41} {
+			if err := log.WriteAt(p, off, buf); err == nil {
+				t.Errorf("WriteAt(%d, 64 bytes) accepted", off)
+			}
+		}
+		if err := log.WriteAt(p, start, buf); err != nil {
+			t.Fatalf("WriteAt inside the area: %v", err)
+		}
+		if err := log.Free(p, start); err != nil {
+			t.Fatalf("free: %v", err)
+		}
+		got := make([]byte, 64)
+		if _, err := dev.OpenLog(p).Pread(p, got); err != nil {
+			t.Fatalf("pread: %v", err)
+		}
+		if !bytes.Equal(got, buf) {
+			t.Fatal("area contents lost after the rejected writes")
 		}
 	})
 }

@@ -10,9 +10,9 @@ import (
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
-	"xssd/internal/repl"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/villars"
 	"xssd/internal/xapi"
 )
@@ -54,27 +54,34 @@ func AblationScheme() *Table {
 }
 
 // ablationSchemeCell wires a primary and two secondaries the way every
-// replicated harness does, through repl.Setup, and times XPwrite+XFsync.
+// replicated harness does, through the stack builder's replication setup,
+// and times XPwrite+XFsync.
 func ablationSchemeCell(scheme core.ReplicationScheme) (obs.Candlestick, error) {
-	c := newCellSim(5)
-	defer c.Close()
-	env := c.env
-	prim := fig13Device(env, "prim", 400*time.Nanosecond)
-	sec1 := fig13Device(c.NewEnv("sec1", 6), "sec1", 400*time.Nanosecond)
-	sec2 := fig13Device(c.NewEnv("sec2", 7), "sec2", 400*time.Nanosecond)
-	cluster, err := repl.New(env, []*villars.Device{prim, sec1, sec2})
+	c, err := newCell(stack.Config{
+		Seed:        5,
+		Secondaries: 2,
+		Scheme:      scheme,
+		Device: func(env *sim.Env, i int) *villars.Device {
+			name := "prim"
+			if i > 0 {
+				name = fmt.Sprintf("sec%d", i)
+			}
+			return fig13Device(env, name, 400*time.Nanosecond)
+		},
+	})
 	if err != nil {
 		return obs.Candlestick{}, err
 	}
+	defer c.Close()
 	var sample obs.Sample
-	env.Go("writer", func(p *sim.Proc) {
+	c.Host.Go("writer", func(p *sim.Proc) {
 		// Setup drives the secondaries' queues directly, which is legal
 		// while the group is still inline.
-		if err = cluster.Setup(p, 0, scheme); err != nil {
+		if err = c.Boot(p); err != nil {
 			return
 		}
 		c.Parallelize()
-		l := xapi.Open(p, prim, xapi.Options{})
+		l := xapi.Open(p, c.Primary, xapi.Options{})
 		buf := make([]byte, 256)
 		for {
 			t0 := p.Now()
@@ -87,7 +94,7 @@ func ablationSchemeCell(scheme core.ReplicationScheme) (obs.Candlestick, error) 
 		}
 	})
 	c.RunUntil(c.Now() + 4*time.Millisecond)
-	c.capture("ablation-scheme/" + scheme.String())
+	capture(c.Group, "ablation-scheme/"+scheme.String())
 	return sample.Candlestick(), err
 }
 
@@ -113,9 +120,9 @@ func AblationCredit() *Table {
 func ablationCreditCell(strat xapi.CreditStrategy, name string) (mbps, readsPerMB float64) {
 	c := newCellSim(1)
 	defer c.Close()
-	dev := fig10Device(c.env, pm.SRAMSpec)
+	dev := fig10Device(c.Host, pm.SRAMSpec)
 	var reads int64
-	c.env.Go("writer", func(p *sim.Proc) {
+	c.Host.Go("writer", func(p *sim.Proc) {
 		l := xapi.Open(p, dev, xapi.Options{Strategy: strat})
 		buf := make([]byte, 4096)
 		for {
@@ -125,7 +132,7 @@ func ablationCreditCell(strat xapi.CreditStrategy, name string) (mbps, readsPerM
 	})
 	c.Parallelize()
 	c.RunUntil(20 * time.Millisecond)
-	c.capture("ablation-credit/" + name)
+	capture(c.Group, "ablation-credit/"+name)
 	bytes := float64(dev.CMB().Ring().Frontier())
 	mb := bytes / 1e6
 	if mb == 0 {
@@ -198,9 +205,9 @@ type flushOpener func(p *sim.Proc) (flush func() (ok bool))
 func ablationBackingCell(cell string, mk func(env *sim.Env) flushOpener) time.Duration {
 	c := newCellSim(1)
 	defer c.Close()
-	open := mk(c.env)
+	open := mk(c.Host)
 	var sample obs.Sample
-	c.env.Go("writer", func(p *sim.Proc) {
+	c.Host.Go("writer", func(p *sim.Proc) {
 		flush := open(p)
 		for {
 			t0 := p.Now()
@@ -213,7 +220,7 @@ func ablationBackingCell(cell string, mk func(env *sim.Env) flushOpener) time.Du
 	})
 	c.Parallelize()
 	c.RunUntil(20 * time.Millisecond)
-	c.capture("ablation-backing/" + cell)
+	capture(c.Group, "ablation-backing/"+cell)
 	return sample.Candlestick().P50
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"xssd/internal/obs"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 )
 
 // engineWorkers sizes the executor pool of every figure cell's sim.Group
@@ -19,25 +20,26 @@ var engineWorkers int
 // experiment cell runs at a time.
 func SetEngineWorkers(n int) { engineWorkers = n }
 
-// cellSim is the per-cell simulation: a group started inline for bring-up.
-// Cells build member 0 through env and every further device's member
-// through NewEnv, call Parallelize once setup is done, drive time through
-// RunUntil, and defer Close so back-to-back cells do not accumulate parked
-// goroutines.
-type cellSim struct {
-	*sim.Group
-	env *sim.Env // member 0
+// newCell opens a cell's stack with engineWorkers executors: member 0
+// seeded cfg.Seed, and the devices, replicas and log cfg asks for. Cells
+// build further members through NewEnv, call Parallelize once setup is
+// done, drive time through RunUntil, and defer Close so back-to-back cells
+// do not accumulate parked goroutines.
+func newCell(cfg stack.Config) (*stack.Stack, error) {
+	cfg.Workers = engineWorkers
+	return stack.New(cfg)
 }
 
-// newCellSim opens the cell's group and its member 0 with the figure's seed.
-func newCellSim(seed int64) *cellSim {
-	g := sim.NewGroup(sim.GroupConfig{Workers: engineWorkers, StartInline: true})
-	return &cellSim{Group: g, env: g.NewEnv("m0", seed)}
+// newCellSim opens a bare cell: the group and its member 0 with the
+// figure's seed. A bare stack always validates.
+func newCellSim(seed int64) *stack.Stack {
+	c, _ := newCell(stack.Config{Seed: seed})
+	return c
 }
 
 // capture records the cell's event count and group counters and, under
 // -metrics, its merged metrics snapshot.
-func (c *cellSim) capture(cell string) {
+func capture(c *sim.Group, cell string) {
 	lastEvents = c.Events()
 	lastGroupStats = c.Stats()
 	if activeCapture == nil {

@@ -11,6 +11,7 @@ import (
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/tpcc"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
@@ -67,39 +68,39 @@ var fig9DRAMBacking = pm.Spec{
 // Fig09Cell runs one (setup, workers) cell and reports mean latency and
 // committed-transaction throughput.
 func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
-	c := newCellSim(42)
-	defer c.Close()
-	env := c.env
-	hostMem := pcie.NewHostMemory(1 << 20)
-
-	var log *wal.Log
-	mkLog := func(sink wal.Sink) *wal.Log {
-		return wal.NewLog(env, sink, wal.Config{GroupBytes: 16 << 10, GroupTimeout: 10 * time.Millisecond})
-	}
-	switch setup {
-	case "NoLog":
-		log = nil
-	case "Memory":
-		log = mkLog(wal.NewMemorySink(env, pm.NVDIMMSpec))
-	case "Villars-SRAM", "Villars-DRAM":
+	wcfg := wal.Config{GroupBytes: 16 << 10, GroupTimeout: 10 * time.Millisecond}
+	scfg := stack.Config{Seed: 42}
+	if setup == "Villars-SRAM" || setup == "Villars-DRAM" {
 		backing := pm.SRAMSpec
 		if setup == "Villars-DRAM" {
 			backing = fig9DRAMBacking
 		}
-		dev := villars.New(env, fig9DeviceConfig("fig9", backing), hostMem)
-		ready := make(chan struct{}, 1)
-		env.Go("open-sink", func(p *sim.Proc) {
-			log = mkLog(wal.NewVillarsSink(p, dev, setup))
-			ready <- struct{}{}
-		})
-		c.RunUntil(time.Microsecond)
-		<-ready
+		scfg.Device = func(env *sim.Env, _ int) *villars.Device {
+			return villars.New(env, fig9DeviceConfig("fig9", backing), pcie.NewHostMemory(1<<20))
+		}
+		scfg.Sink, scfg.WAL = setup, wcfg
+	}
+	c, _ := newCell(scfg) // a stack of one device and its log always validates
+	defer c.Close()
+	env := c.Host
+
+	var log *wal.Log
+	switch setup {
+	case "Memory":
+		log = wal.NewLog(env, wal.NewMemorySink(env, pm.NVDIMMSpec), wcfg)
+	case "Villars-SRAM", "Villars-DRAM":
+		_ = c.BootInline() // a sink and a log: nothing to fail
+		log = c.Log
 	case "NVMe":
+		hostMem := pcie.NewHostMemory(1 << 20)
 		dev := villars.New(env, fig9DeviceConfig("fig9", pm.SRAMSpec), hostMem)
-		log = mkLog(wal.NewNVMeSink(dev, hostMem, 1<<19, 0, dev.FTL().LogicalPages()/2))
+		log = wal.NewLog(env, wal.NewNVMeSink(dev, hostMem, 1<<19, 0, dev.FTL().LogicalPages()/2), wcfg)
 	}
 
-	eng := db.New(env, log)
+	eng := c.Engine // a Villars setup's engine, booted with its log
+	if eng == nil {
+		eng = db.New(env, log)
+	}
 	cfg := tpcc.DefaultConfig()
 	tpcc.Load(eng, cfg, 7)
 
@@ -157,7 +158,7 @@ func Fig09Cell(setup string, workers int) (lat time.Duration, ktps float64) {
 	}
 	c.Parallelize()
 	c.RunUntil(fig9Window)
-	c.capture(fmt.Sprintf("fig9/%s/w%d", setup, workers))
+	capture(c.Group, fmt.Sprintf("fig9/%s/w%d", setup, workers))
 	window := (fig9Window - fig9Warmup).Seconds()
 	return sample.Mean(), float64(committed) / window / 1000
 }

@@ -44,7 +44,7 @@ func fig10Device(env *sim.Env, backing pm.Spec) *villars.Device {
 func Fig10Cell(backing pm.Spec, uncached bool, size int) float64 {
 	c := newCellSim(1)
 	defer c.Close()
-	env := c.env
+	env := c.Host
 	dev := fig10Device(env, backing)
 	env.Go("writer", func(p *sim.Proc) {
 		l := xapi.Open(p, dev, xapi.Options{Uncached: uncached})
@@ -59,7 +59,7 @@ func Fig10Cell(backing pm.Spec, uncached bool, size int) float64 {
 	if uncached {
 		mode = "uc"
 	}
-	c.capture(fmt.Sprintf("fig10/%s/%s/%dB", backing.Class, mode, size))
+	capture(c.Group, fmt.Sprintf("fig10/%s/%s/%dB", backing.Class, mode, size))
 	return float64(dev.CMB().Ring().Frontier()) / fig10Window.Seconds()
 }
 

@@ -29,7 +29,7 @@ const fig11Window = 30 * time.Millisecond
 func Fig11Cell(queueSize, groupSize int) (lat time.Duration, mbps float64) {
 	c := newCellSim(1)
 	defer c.Close()
-	env := c.env
+	env := c.Host
 	cfg := villars.DefaultConfig("fig11")
 	cfg.Backing = pm.SRAMSpec
 	// A roomy ring keeps the destage pipeline off the critical path so the
@@ -57,7 +57,7 @@ func Fig11Cell(queueSize, groupSize int) (lat time.Duration, mbps float64) {
 	})
 	c.Parallelize()
 	c.RunUntil(fig11Window)
-	c.capture(fmt.Sprintf("fig11/q%dK/g%dK", queueSize>>10, groupSize>>10))
+	capture(c.Group, fmt.Sprintf("fig11/q%dK/g%dK", queueSize>>10, groupSize>>10))
 	return sample.Mean(), float64(bytes) / fig11Window.Seconds() / 1e6
 }
 

@@ -43,7 +43,7 @@ func fig12Device(env *sim.Env, policy sched.Policy) *villars.Device {
 func Fig12Cell(policy sched.Policy, fastOffer float64) (conv, fast float64) {
 	c := newCellSim(3)
 	defer c.Close()
-	env := c.env
+	env := c.Host
 	dev := fig12Device(env, policy)
 	geo := dev.Array().Geometry()
 	progBW := geo.ProgramBandwidth(dev.Array().Timing())
@@ -94,7 +94,7 @@ func Fig12Cell(policy sched.Policy, fastOffer float64) (conv, fast float64) {
 	convStart := dev.Scheduler().BytesBySource(sched.Conventional)
 	fastStart := dev.Scheduler().BytesBySource(sched.Destage)
 	c.RunUntil(fig12Window)
-	c.capture(fmt.Sprintf("fig12/%s/offer%.0f", policy, fastOffer*100))
+	capture(c.Group, fmt.Sprintf("fig12/%s/offer%.0f", policy, fastOffer*100))
 	window := (fig12Window - warm).Seconds()
 	conv = float64(dev.Scheduler().BytesBySource(sched.Conventional)-convStart) / window / progBW
 	fast = float64(dev.Scheduler().BytesBySource(sched.Destage)-fastStart) / window / progBW

@@ -12,6 +12,7 @@ import (
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/villars"
 	"xssd/internal/xapi"
 )
@@ -49,7 +50,7 @@ func fig13Device(env *sim.Env, name string, period time.Duration) *villars.Devic
 func Fig13Cell(period time.Duration) (obs.Candlestick, float64) {
 	c := newCellSim(5)
 	defer c.Close()
-	env := c.env
+	env := c.Host
 	prim := fig13Device(env, "prim", period)
 	// The secondary lives on its own member, so all pair traffic —
 	// mirrored writes one way, counter updates the other — crosses at
@@ -87,7 +88,7 @@ func Fig13Cell(period time.Duration) (obs.Candlestick, float64) {
 	})
 	c.Parallelize()
 	c.RunUntil(fig13Window)
-	c.capture(fmt.Sprintf("fig13/period%v", period))
+	capture(c.Group, fmt.Sprintf("fig13/period%v", period))
 	updates := sec.Transport().UpdatesSent()
 	wire := float64(updates) * float64(core.CounterUpdateBytes)
 	share := wire / (ntb.DefaultBandwidth * fig13Window.Seconds())
@@ -105,8 +106,8 @@ func Fig13Cell(period time.Duration) (obs.Candlestick, float64) {
 // repl.Setup it starts when its AddPeer lands, after the role command
 // completes. That shifts the counter-update phase, which would move Fig
 // 13's quantiles and the event counts the perf gate holds by equality.
-func setRoles(c *cellSim, prim, sec *villars.Device) {
-	c.env.Go("set-roles", func(p *sim.Proc) {
+func setRoles(c *stack.Stack, prim, sec *villars.Device) {
+	c.Host.Go("set-roles", func(p *sim.Proc) {
 		submitMode(p, sec, core.Secondary)
 		submitMode(p, prim, core.Primary)
 	})

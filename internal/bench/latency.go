@@ -12,6 +12,7 @@ import (
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/tpcc"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
@@ -92,7 +93,7 @@ func latencyDeviceConfig(pairs, coalesce int) villars.Config {
 func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 	c := newCellSim(latSeed)
 	defer c.Close()
-	env := c.env
+	env := c.Host
 	hostMem := pcie.NewHostMemory(1 << 20)
 	dev := villars.New(env, latencyDeviceConfig(pairs, coalesce), hostMem)
 	drv := dev.HostDriver()
@@ -142,7 +143,7 @@ func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 	}
 	c.Parallelize()
 	c.RunUntil(latWindow)
-	c.capture(fmt.Sprintf("lat/nvme/q%d/d%d/c%d", pairs, depth, coalesce))
+	capture(c.Group, fmt.Sprintf("lat/nvme/q%d/d%d/c%d", pairs, depth, coalesce))
 
 	hists := make([]*obs.Histogram, pairs)
 	for q := 0; q < pairs; q++ {
@@ -155,25 +156,20 @@ func LatencyNVMeCell(pairs, depth, coalesce int) Measurement {
 // each feeding the LSNs RunMixAsync returns into its own depth-pipeDepth
 // wal.Pipeline, and digests the pipelines' submit→durable histograms.
 func LatencyTPCCCell(pipeDepth int) Measurement {
-	c := newCellSim(latSeed)
-	defer c.Close()
-	env := c.env
-	hostMem := pcie.NewHostMemory(1 << 20)
-	dev := villars.New(env, fig9DeviceConfig("lattpcc", pm.SRAMSpec), hostMem)
-
-	var log *wal.Log
-	ready := make(chan struct{}, 1)
-	env.Go("open-sink", func(p *sim.Proc) {
-		log = wal.NewLog(env, wal.NewVillarsSink(p, dev, "lattpcc"),
-			wal.Config{GroupBytes: 16 << 10, GroupTimeout: 10 * time.Millisecond})
-		ready <- struct{}{}
-	})
-	c.RunUntil(time.Microsecond)
-	<-ready
-
-	eng := db.New(env, log)
 	cfg := tpcc.DefaultConfig()
-	tpcc.Load(eng, cfg, 7)
+	c, _ := newCell(stack.Config{ // a stack of one device and its log always validates
+		Seed: latSeed,
+		Device: func(env *sim.Env, _ int) *villars.Device {
+			return villars.New(env, fig9DeviceConfig("lattpcc", pm.SRAMSpec), pcie.NewHostMemory(1<<20))
+		},
+		Sink: "lattpcc",
+		WAL:  wal.Config{GroupBytes: 16 << 10, GroupTimeout: 10 * time.Millisecond},
+		Load: func(eng *db.Engine) { tpcc.Load(eng, cfg, 7) },
+	})
+	defer c.Close()
+	env := c.Host
+	_ = c.BootInline() // a sink, a log and the load: nothing to fail
+	eng, log := c.Engine, c.Log
 
 	hists := make([]*obs.Histogram, latTPCCJobs)
 	sc := obs.For(env).Scope("lattpcc/pipe")
@@ -192,7 +188,7 @@ func LatencyTPCCCell(pipeDepth int) Measurement {
 	}
 	c.Parallelize()
 	c.RunUntil(latTPCCWindow)
-	c.capture(fmt.Sprintf("lat/tpcc/pipe%d", pipeDepth))
+	capture(c.Group, fmt.Sprintf("lat/tpcc/pipe%d", pipeDepth))
 
 	return Measurement{Events: c.Events(), Lat: obs.SummaryOf(hists...)}
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"xssd/internal/btree"
-	"xssd/internal/ckpt"
 	"xssd/internal/db"
 	"xssd/internal/nand"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/tpcc"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
@@ -33,7 +32,6 @@ const (
 	pagedCellPool      = 140  // ≈ ¼ of the pages the load leaves (TestPagedCellShape)
 	pagedCellSlots     = 4096 // page ids × 2 shadow slots
 	pagedCellHostMem   = 1 << 20
-	pagedCellCkpt      = 2 * time.Millisecond
 	pagedCellDev       = "paged"
 )
 
@@ -42,49 +40,49 @@ const (
 // pager issued; loaded is the page count the bulk load left resident, which
 // pagedCellPool is sized against.
 func pagedTPCCCell() (m Measurement, loaded int, err error) {
-	c := newCellSim(42)
+	dcfg := villars.DefaultConfig(pagedCellDev)
+	dcfg.Backing = pm.SRAMSpec
+	dcfg.Backing.Capacity = 2 << 20
+	dcfg.CMBSize = dcfg.Backing.Capacity
+	dcfg.Geometry = nand.Geometry{Channels: 4, WaysPerChan: 4, BlocksPerDie: 20, PagesPerBlock: 64, PageSize: 4 << 10}
+	dcfg.QueueSize = 32 << 10
+	tcfg := tpcc.DefaultConfig()
+	c, err := newCell(stack.Config{
+		Seed: 42,
+		Device: func(env *sim.Env, _ int) *villars.Device {
+			return villars.New(env, dcfg, pcie.NewHostMemory(pagedCellHostMem))
+		},
+		Sink:  "plog",
+		WAL:   wal.Config{GroupBytes: 4 << 10, GroupTimeout: 50 * time.Microsecond},
+		Paged: &stack.Paged{Slots: pagedCellSlots, Pool: pagedCellPool},
+		Load:  func(eng *db.Engine) { tpcc.Load(eng, tcfg, 7) },
+	})
+	if err != nil {
+		return Measurement{}, 0, fmt.Errorf("bench: paged/tpcc: %w", err)
+	}
 	defer c.Close()
-	env := c.env
-	cfg := villars.DefaultConfig(pagedCellDev)
-	cfg.Backing = pm.SRAMSpec
-	cfg.Backing.Capacity = 2 << 20
-	cfg.CMBSize = cfg.Backing.Capacity
-	cfg.Geometry = nand.Geometry{Channels: 4, WaysPerChan: 4, BlocksPerDie: 20, PagesPerBlock: 64, PageSize: 4 << 10}
-	cfg.QueueSize = 32 << 10
-	dev := villars.New(env, cfg, pcie.NewHostMemory(pagedCellHostMem))
+	env, st := c.Host, c
 
 	var (
-		mgr             *ckpt.Manager
 		commits, failed int64
 		bootErr         error
 		booted          bool
 	)
-	reg := obs.For(env)
-	tcfg := tpcc.DefaultConfig()
 	env.Go("boot", func(p *sim.Proc) {
 		defer func() { booted = true }()
-		log := wal.NewLog(env, wal.NewVillarsSink(p, dev, "plog"),
-			wal.Config{GroupBytes: 4 << 10, GroupTimeout: 50 * time.Microsecond})
-		var base int64
-		if base, bootErr = dev.AllocLBARange(pagedCellSlots); bootErr != nil {
+		if bootErr = st.Boot(p); bootErr != nil {
 			return
 		}
-		scratch := int64(pagedCellHostMem) - btree.DeviceScratchSize(dev.BlockSize())
-		pager := btree.NewPager(btree.NewDeviceStore(dev, base, pagedCellSlots, scratch),
-			btree.Config{PoolPages: pagedCellPool, Scope: reg.Scope(pagedCellDev + "/pager")})
-		eng := db.NewPaged(env, log, pager)
-		mgr = ckpt.NewManager(eng, log, ckpt.Config{Interval: pagedCellCkpt, Scope: reg.Scope(pagedCellDev + "/ckpt")})
-		tpcc.Load(eng, tcfg, 7)
-		loaded = pager.Resident()
+		loaded = st.Pager.Resident()
 		// Bulk-loaded pages are all dirty and cannot be evicted; the first
 		// checkpoint writes them out so the pool cap holds from the first
 		// transaction on.
-		if _, bootErr = mgr.RunOnce(p); bootErr != nil {
+		if _, bootErr = st.Ckpt.RunOnce(p); bootErr != nil {
 			return
 		}
-		env.Go("ckpt", mgr.Run)
+		env.Go("ckpt", st.Ckpt.Run)
 		for w := 0; w < pagedCellTerminals; w++ {
-			client := tpcc.NewClient(eng, tcfg, int64(100+w), w%tcfg.Warehouses+1)
+			client := tpcc.NewClient(st.Engine, tcfg, int64(100+w), w%tcfg.Warehouses+1)
 			env.Go(fmt.Sprintf("terminal-%d", w), func(p *sim.Proc) {
 				for {
 					p.Sleep(fig9Compute)
@@ -108,13 +106,16 @@ func pagedTPCCCell() (m Measurement, loaded int, err error) {
 	}
 	c.Parallelize()
 	c.RunUntil(c.Now() + pagedCellWindow)
-	c.capture("paged/tpcc")
-	if failed > 0 || mgr.Completed() < 2 {
-		return Measurement{}, 0, fmt.Errorf("bench: paged/tpcc: %d transactions failed, %d checkpoints completed", failed, mgr.Completed())
+	capture(c.Group, "paged/tpcc")
+	if err := st.Ckpt.Err(); err != nil {
+		return Measurement{}, 0, fmt.Errorf("bench: paged/tpcc: checkpoint manager stopped: %w", err)
+	}
+	if failed > 0 || st.Ckpt.Completed() < 2 {
+		return Measurement{}, 0, fmt.Errorf("bench: paged/tpcc: %d transactions failed, %d checkpoints completed", failed, st.Ckpt.Completed())
 	}
 	return Measurement{
 		Events:    c.Events(),
 		Commits:   commits,
-		PageReads: reg.Counter(pagedCellDev + "/pager/reads").Value(),
+		PageReads: obs.For(env).Counter(pagedCellDev + "/pager/reads").Value(),
 	}, loaded, nil
 }

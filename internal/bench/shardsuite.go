@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"xssd/internal/db"
+	"xssd/internal/chaos"
 	"xssd/internal/shard"
-	"xssd/internal/sim"
 	"xssd/internal/tpcc"
-	"xssd/internal/wal"
 )
 
 // The shard cells of the suite: aggregate TPC-C throughput of the sharded
@@ -35,7 +33,6 @@ import (
 const (
 	shardWindow = 20 * time.Millisecond // measured virtual window
 	shardSettle = 5 * time.Millisecond  // drain tail after the window
-	shardTerms  = 2                     // terminals per shard
 	shardSeed   = 21
 )
 
@@ -78,79 +75,18 @@ func shardCells() []Cell {
 
 // ShardBenchCell runs one sharded-cluster topology to the end of the
 // measurement window: shards primaries, two warehouses and two terminals
-// each, no faults, the given remote mix. cell names the run for the
-// metrics capture (xbench -metrics).
+// each (chaos.RunShards, as the sharded chaos scenario runs them), no
+// faults, the given remote mix. cell names the run for the metrics
+// capture (xbench -metrics).
 func ShardBenchCell(cell string, shards, simWorkers int, mix tpcc.RemoteMix) (Measurement, error) {
-	tcfg := tpcc.Config{Warehouses: 2 * shards, Districts: 2, CustomersPerDistrict: 8, Items: 40, FillerLen: 10}
-	cl, err := shard.New(shard.Config{
-		Shards:     shards,
-		Warehouses: tcfg.Warehouses,
-		SimWorkers: simWorkers,
-		Seed:       shardSeed,
-		WAL:        wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond},
-		Load: func(eng *db.Engine, id int) {
-			tpcc.LoadWarehouses(eng, tcfg, shardSeed, func(w int) bool {
-				return shard.OwnerOf(w, shards, tcfg.Warehouses) == id
-			})
-		},
-	})
+	run, err := chaos.RunShards(shard.Config{Shards: shards, SimWorkers: simWorkers, Seed: shardSeed},
+		nil, shardSeed, mix, shardWindow, shardSettle)
 	if err != nil {
 		return Measurement{}, err
 	}
-	defer cl.Close()
-	defer func() { lastGroupStats = cl.Group().Stats() }()
-	cl.Build()
-
-	var (
-		bootErr error
-		stop    bool
-		clients []*tpcc.Client
-	)
-	cl.Shard(0).Env().Go("shard-bench-boot", func(p *sim.Proc) {
-		if bootErr = cl.Boot(p); bootErr != nil {
-			return
-		}
-		for _, sh := range cl.Shards() {
-			sh := sh
-			for w := 0; w < shardTerms; w++ {
-				home := sh.ID()*2 + 1 + w%2
-				c := tpcc.NewShardedClient(cl, tcfg, shardSeed*97+int64(sh.ID())*1000+int64(w)+1, home, mix)
-				clients = append(clients, c)
-				sh.Env().Go(fmt.Sprintf("term-%d-%d", sh.ID(), w), func(p *sim.Proc) {
-					lg := sh.Log()
-					for !stop {
-						lg.WaitBacklog(p, 32<<10)
-						if stop {
-							return
-						}
-						p.Sleep(100 * time.Microsecond)
-						c.RunMix(p)
-					}
-				})
-			}
-		}
-		cl.Release()
-	})
-	cl.RunUntil(shardWindow)
-	if bootErr != nil {
-		return Measurement{}, bootErr
-	}
-	stop = true
-	cl.RunUntil(shardWindow + shardSettle)
-
-	m := Measurement{Events: cl.Events()}
-	for _, c := range clients {
-		byType, _, _ := c.Counts()
-		for _, n := range byType {
-			m.Commits += n
-		}
-	}
-	lastEvents = m.Events
-	if activeCapture != nil {
-		activeCapture.cells = append(activeCapture.cells,
-			CellMetrics{Cell: cell, Snapshot: cl.Snapshot()})
-	}
-	return m, nil
+	defer run.Close()
+	capture(run.Cluster.Group(), cell)
+	return Measurement{Events: lastEvents, Commits: run.Commits}, nil
 }
 
 // shardScalingFloor: the 4-shard cell must commit at least this multiple

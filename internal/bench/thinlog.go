@@ -7,6 +7,7 @@ import (
 	"xssd/internal/nand"
 	"xssd/internal/pcie"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/tpcc"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
@@ -28,27 +29,23 @@ const (
 // ThinLogCell runs the cell and reports the events it dispatched and the
 // flash pages its device programmed.
 func ThinLogCell() Measurement {
-	c := newCellSim(42)
-	defer c.Close()
-	env := c.env
 	cfg := villars.DefaultConfig("thinlog")
 	cfg.Geometry = nand.Geometry{Channels: 4, WaysPerChan: 4, BlocksPerDie: 64, PagesPerBlock: 64, PageSize: 4 << 10}
 	cfg.DestageLatencyBound = thinLogBound
-	dev := villars.New(env, cfg, pcie.NewHostMemory(1<<20))
-
-	var log *wal.Log
-	ready := make(chan struct{}, 1)
-	env.Go("open-sink", func(p *sim.Proc) {
-		log = wal.NewLog(env, wal.NewVillarsSink(p, dev, "thinlog"),
-			wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond})
-		ready <- struct{}{}
-	})
-	c.RunUntil(time.Microsecond)
-	<-ready
-
-	eng := db.New(env, log)
 	tcfg := tpcc.DefaultConfig()
-	tpcc.Load(eng, tcfg, 7)
+	c, _ := newCell(stack.Config{ // a stack of one device and its log always validates
+		Seed: 42,
+		Device: func(env *sim.Env, _ int) *villars.Device {
+			return villars.New(env, cfg, pcie.NewHostMemory(1<<20))
+		},
+		Sink: "thinlog",
+		WAL:  wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond},
+		Load: func(eng *db.Engine) { tpcc.Load(eng, tcfg, 7) },
+	})
+	defer c.Close()
+	env := c.Host
+	_ = c.BootInline() // a sink, a log and the load: nothing to fail
+	eng, dev := c.Engine, c.Primary
 	client := tpcc.NewClient(eng, tcfg, 100, 1)
 	env.Go("terminal", func(p *sim.Proc) {
 		for {
@@ -58,6 +55,6 @@ func ThinLogCell() Measurement {
 	})
 	c.Parallelize()
 	c.RunUntil(thinLogWindow)
-	c.capture("destage/thinlog")
+	capture(c.Group, "destage/thinlog")
 	return Measurement{Events: c.Events(), NandPages: dev.Stats().NAND.Programs}
 }

@@ -13,6 +13,11 @@ import (
 // of range, silent controller write loss). Match with errors.Is.
 var ErrStore = errors.New("btree: page store")
 
+// ErrStoreFull reports a write to a slot past the store's last one: the
+// tree has grown more page ids than the store has shadow pairs for. It
+// wraps ErrStore, and unlike the other store errors a retry cannot succeed.
+var ErrStoreFull = fmt.Errorf("%w: full", ErrStore)
+
 // PageStore is the backing medium the Pager reads and writes page slots
 // against. Slot s holds one page image; the shadow-slot scheme above maps
 // page id p to slots 2p and 2p+1. Read and WriteBatch take the calling
@@ -58,16 +63,27 @@ func (s *MemStore) Read(_ *sim.Proc, slot int64, buf []byte) error {
 	return nil
 }
 
-// WriteBatch implements PageStore.
+// WriteBatch implements PageStore. A bad batch writes nothing.
 func (s *MemStore) WriteBatch(_ *sim.Proc, slots []int64, images [][]byte) error {
+	if err := checkBatch(slots, images, s.cap, s.pageSize); err != nil {
+		return err
+	}
 	for i, slot := range slots {
-		if slot < 0 || slot >= s.cap {
-			return fmt.Errorf("%w: write slot %d out of range %d", ErrStore, slot, s.cap)
-		}
-		if len(images[i]) != s.pageSize {
-			return fmt.Errorf("%w: write of %d bytes, page size %d", ErrStore, len(images[i]), s.pageSize)
-		}
 		s.slots[slot] = append([]byte(nil), images[i]...)
+	}
+	return nil
+}
+
+// checkBatch validates a whole write batch before any of it is written:
+// every slot inside [0, slots) and every image pageSize bytes.
+func checkBatch(slots []int64, images [][]byte, n int64, pageSize int) error {
+	for i, slot := range slots {
+		if slot < 0 || slot >= n {
+			return fmt.Errorf("%w: write slot %d out of range %d", ErrStoreFull, slot, n)
+		}
+		if len(images[i]) != pageSize {
+			return fmt.Errorf("%w: write of %d bytes, page size %d", ErrStore, len(images[i]), pageSize)
+		}
 	}
 	return nil
 }
@@ -146,17 +162,10 @@ func (s *DeviceStore) release() {
 	s.free.Broadcast()
 }
 
-func (s *DeviceStore) checkSlot(slot int64) error {
-	if slot < 0 || slot >= s.slots {
-		return fmt.Errorf("%w: slot %d out of range %d", ErrStore, slot, s.slots)
-	}
-	return nil
-}
-
 // Read implements PageStore: one NVMe read DMAed into the staging area.
 func (s *DeviceStore) Read(p *sim.Proc, slot int64, buf []byte) error {
-	if err := s.checkSlot(slot); err != nil {
-		return err
+	if slot < 0 || slot >= s.slots {
+		return fmt.Errorf("%w: slot %d out of range %d", ErrStore, slot, s.slots)
 	}
 	if err := s.acquire(p); err != nil {
 		return err
@@ -174,8 +183,17 @@ func (s *DeviceStore) Read(p *sim.Proc, slot int64, buf []byte) error {
 // the submission queue together, each from its own staging slot, so a
 // checkpoint's page walk overlaps firmware and flash-program latency
 // instead of paying it per page.
+//
+// The whole batch is validated before the first command goes out, so a
+// bad batch writes nothing. A check inside the submit loop would leave
+// the window's earlier writes in flight when it returned: their staging
+// slots are reused by the next command while the device may still be
+// reading them, and a page id's slot can receive another page's image.
 func (s *DeviceStore) WriteBatch(p *sim.Proc, slots []int64, images [][]byte) error {
 	ps := int64(s.PageSize())
+	if err := checkBatch(slots, images, s.slots, int(ps)); err != nil {
+		return err
+	}
 	for start := 0; start < len(slots); start += deviceBatchWindow {
 		end := start + deviceBatchWindow
 		if end > len(slots) {
@@ -189,14 +207,6 @@ func (s *DeviceStore) WriteBatch(p *sim.Proc, slots []int64, images [][]byte) er
 		}
 		toks := make([]nvme.Token, 0, end-start)
 		for i := start; i < end; i++ {
-			if err := s.checkSlot(slots[i]); err != nil {
-				s.release()
-				return err
-			}
-			if len(images[i]) != int(ps) {
-				s.release()
-				return fmt.Errorf("%w: write of %d bytes, page size %d", ErrStore, len(images[i]), ps)
-			}
 			stage := s.scratch + int64(i-start)*ps
 			copy(s.dev.HostMemory().Bytes()[stage:], images[i])
 			toks = append(toks, s.driver.SubmitAsync(0, nvme.Command{

@@ -36,17 +36,14 @@ import (
 	"math/rand"
 	"time"
 
-	"xssd/internal/btree"
-	"xssd/internal/ckpt"
 	"xssd/internal/core"
 	"xssd/internal/db"
-	"xssd/internal/failover"
 	"xssd/internal/fault"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
-	"xssd/internal/repl"
 	"xssd/internal/shard"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/tpcc"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
@@ -72,7 +69,7 @@ const chaosStallTimeout = 2 * time.Millisecond
 // Shards, Paged and KillAt are the axes beyond the replicated single
 // primary. Each is implemented against the plain configuration only, so
 // Run rejects any two of them together rather than silently dropping one
-// (see validate).
+// (stack.Config.Validate).
 type Scenario struct {
 	// Seed seeds the simulation environment (and hence the workload and
 	// every prob-triggered fault decision).
@@ -88,26 +85,21 @@ type Scenario struct {
 	Window time.Duration
 	// SimWorkers is how many quantum executors run the scenario's
 	// sim.Group; values below 1 mean 1, the serial runner. The placement
-	// does not depend on it: the primary and the host side live on
-	// member 0 and each secondary on a member of its own, so runs with the
-	// same (Seed, Plan, shape) are byte-identical at every SimWorkers. A
-	// KillAt run keeps the group inline to the end, one instant per
-	// quantum on one clock, so the takeover's rewiring and the re-bound
-	// host stream are race-free and exact at any count; SimWorkers then
-	// changes nothing.
+	// (stack.New) does not depend on it, so runs with the same (Seed, Plan,
+	// shape) are byte-identical at every SimWorkers. A KillAt run keeps the
+	// group inline to the end, so SimWorkers then changes nothing.
 	SimWorkers int
 	// Shards, when > 0, runs the sharded-cluster scenario instead of the
 	// single-primary one: Shards primary devices partitioning 2*Shards
 	// warehouses, cross-shard 2PC, and invariant I8 on top of the
 	// classics (see shard.go).
 	Shards int
-	// Paged stores the database in B+tree pages behind a buffer pool
-	// (internal/btree), destaged to a conventional-side LBA range of the
-	// primary, with a background fuzzy-checkpoint manager (internal/ckpt)
-	// bounding recovery to the WAL tail — and checks invariant I9 against
-	// the device's own checkpointed page slots (see paged.go). Every other
-	// run keeps the in-memory row-map engine and checks I9 post mortem
-	// against a synthetic checkpoint schedule that costs no virtual time.
+	// Paged stores the database in B+tree pages on the primary's
+	// conventional side with a background fuzzy-checkpoint manager
+	// (stack.Paged), and checks invariant I9 against the device's own
+	// checkpointed page slots (see paged.go). Every other run checks I9 post
+	// mortem against a synthetic checkpoint schedule that costs no virtual
+	// time.
 	Paged bool
 	// KillAt, when > 0, kills whichever device is primary at that instant
 	// and lets a failover.Manager promote a survivor mid-workload
@@ -124,6 +116,23 @@ const (
 	settleTime      = 20 * time.Millisecond
 )
 
+// terminal is a TPC-C worker's loop: wait out the log's back-pressure,
+// think, run one transaction, until done. The think time is sized so a
+// window's worth of log traffic stays well inside the destage LBA ring —
+// the flash verifier needs the whole stream still resident.
+func terminal(lg *wal.Log, done func() bool, run func(p *sim.Proc)) func(p *sim.Proc) {
+	return func(p *sim.Proc) {
+		for !done() {
+			lg.WaitBacklog(p, 32<<10)
+			if done() {
+				return
+			}
+			p.Sleep(100 * time.Microsecond)
+			run(p)
+		}
+	}
+}
+
 func (s Scenario) withDefaults() Scenario {
 	if s.Plan == nil {
 		s.Plan = &fault.Plan{}
@@ -135,31 +144,35 @@ func (s Scenario) withDefaults() Scenario {
 }
 
 // validate rejects a scenario the harness cannot run as asked: a
-// malformed plan, a kill with no survivor or outside the window, or two
-// axes that are not composed yet — each pair would run with one axis
-// quietly ignored while the summary claimed its invariant. Call after
-// withDefaults.
+// malformed plan, a kill outside the window, or a stack whose parts are
+// not composed yet (stack.Config.Validate) — each pair would run with one
+// axis quietly ignored while the summary claimed its invariant. Call
+// after withDefaults.
 func (s Scenario) validate() error {
 	if err := s.Plan.Validate(); err != nil {
 		return fmt.Errorf("chaos: %w", err)
 	}
-	kill := s.KillAt != 0
-	uncomposed := func(pair, why string) error {
-		return fmt.Errorf("chaos: scenario combines %s, which are not composed yet (%s)", pair, why)
-	}
-	switch {
-	case kill && s.Secondaries < 1:
-		return fmt.Errorf("chaos: failover needs at least one secondary")
-	case kill && (s.KillAt < 0 || s.KillAt >= s.Window):
+	if s.KillAt != 0 && (s.KillAt < 0 || s.KillAt >= s.Window) {
 		return fmt.Errorf("chaos: kill time %v outside the window %v", s.KillAt, s.Window)
-	case s.Shards > 0 && s.Paged:
-		return uncomposed("Shards and Paged", "shard.Cluster builds row-map engines")
-	case s.Shards > 0 && kill:
-		return uncomposed("Shards and KillAt", "shard.Cluster has no failover manager")
-	case s.Paged && kill:
-		return uncomposed("Paged and KillAt", "the page store stays bound to the dead primary")
+	}
+	if err := s.stackShape().Validate(); err != nil {
+		return fmt.Errorf("chaos: scenario: %w", err)
 	}
 	return nil
+}
+
+// stackShape is the stack a scenario asks for: the replica shape, the
+// engine and a kill's failover. A sharded scenario is checked as the
+// stack of its shard 0; the others are alike.
+func (s Scenario) stackShape() stack.Config {
+	c := stack.Config{Secondaries: s.Secondaries, Scheme: s.Scheme, Failover: s.KillAt != 0}
+	if s.Paged {
+		c.Paged = &stack.Paged{Slots: pagedSlots, Pool: pagedPool}
+	}
+	if s.Shards > 0 {
+		c.Shard = shard.Scope(0)
+	}
+	return c
 }
 
 // invariants names what Run checks on this scenario's axes, for the
@@ -288,53 +301,48 @@ func Run(s Scenario) (*Result, error) {
 	return runSingle(s)
 }
 
-// runSingle is the single-primary runner: one primary, its secondaries,
-// one host-side WAL + engine + TPC-C workers, with the boot taking the
-// kill, paged or classic arm.
+// runSingle is the single-primary runner: one stack — primary, its
+// secondaries, host-side WAL and engine, classic or paged — and the TPC-C
+// workers, with a kill run's failover manager inside the stack.
 //
 // A kill run differs from the others in the four places marked (1)-(4),
 // each one something the takeover needs.
 func runSingle(s Scenario) (*Result, error) {
 	kill := s.KillAt > 0
-	plan := s.Plan
+	cfg := s.stackShape()
+	cfg.Seed, cfg.Workers, cfg.Plan = s.Seed, s.SimWorkers, s.Plan
 	if kill {
-		plan = &fault.Plan{Rules: append(append([]fault.Rule(nil), s.Plan.Rules...), fault.Rule{
+		cfg.Plan = &fault.Plan{Rules: append(append([]fault.Rule(nil), s.Plan.Rules...), fault.Rule{
 			Trigger: fault.TriggerAt, At: s.KillAt, Point: fault.PrimaryKill, Action: fault.ActionFail,
 		})}
 	}
-
-	// Injectors attach inside newEngine, before building devices, so
-	// at-time power-loss rules arm.
-	en := newEngine(s.Seed, s.SimWorkers, s.Secondaries, plan)
-	defer en.detach()
-	defer en.group.Close()
-	env := en.host
-
-	prim := shard.DefaultDevice(env, PrimaryName)
-	devices := []*villars.Device{prim}
-	for i := 0; i < s.Secondaries; i++ {
-		devices = append(devices, shard.DefaultDevice(en.envs[i+1], fmt.Sprintf("s%d", i)))
-	}
-	var cluster *repl.Cluster
-	if len(devices) > 1 {
-		var err error
-		cluster, err = repl.New(env, devices)
-		if err != nil {
-			return nil, err
+	cfg.Device = func(env *sim.Env, i int) *villars.Device {
+		if i == 0 {
+			return shard.DefaultDevice(env, PrimaryName)
 		}
+		return shard.DefaultDevice(env, fmt.Sprintf("s%d", i-1))
 	}
-
-	tcfg := tpcc.Config{Warehouses: 2, Districts: 2, CustomersPerDistrict: 8, Items: 40, FillerLen: 10}
+	tcfg := ShardTPCC(1) // the sharded runs' shape, one shard's worth
 	load := func(e *db.Engine) { tpcc.Load(e, tcfg, loadSeed) }
+	cfg.Sink, cfg.Load = "chaos", load
+	cfg.WAL = wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond}
+	var written []byte
+	if !kill {
+		// (1) Only a run without a kill records the host stream: on a kill
+		// run two sinks see traffic, and the stack's log retains the
+		// flushed stream instead, which is the oracle.
+		cfg.WrapSink = func(inner wal.Sink) wal.Sink { return &recordingSink{inner: inner, buf: &written} }
+	}
+	st, err := stack.New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	defer st.Close()
+	env, prim, devices := st.Host, st.Primary, st.Devices
+
 	var (
-		written   []byte
-		lg        *wal.Log
-		eng       *db.Engine
-		ckptMgr   *ckpt.Manager
-		fo        *failover.Manager
-		pagedBase int64
-		bootErr   error
-		stop      bool
+		bootErr error
+		stop    bool
 	)
 	r := &Result{Seed: s.Seed, Secondaries: s.Secondaries, Scheme: s.Scheme}
 
@@ -345,89 +353,43 @@ func runSingle(s Scenario) (*Result, error) {
 		// host-side state (engine stats, durable LSN) and the primary lives
 		// on the host member, so the power loss lands on the victim's own
 		// Env.
-		en.injs[0].OnTime(fault.PrimaryKill, "", func() {
-			p := cluster.Primary()
+		st.Faults.Injectors[0].OnTime(fault.PrimaryKill, "", func() {
+			p := st.Repl.Primary()
 			if p == nil || p.PowerLost() {
 				return
 			}
-			if eng != nil {
-				r.PreKillCommits, _ = eng.Stats()
+			if st.Engine != nil {
+				r.PreKillCommits, _ = st.Engine.Stats()
 			}
-			if lg != nil {
-				r.DurableAtKill = lg.DurableLSN()
+			if st.Log != nil {
+				r.DurableAtKill = st.Log.DurableLSN()
 			}
 			p.InjectPowerLoss()
 		})
 	}
 
 	env.Go("chaos-boot", func(p *sim.Proc) {
-		if cluster != nil {
-			if bootErr = cluster.Setup(p, 0, s.Scheme); bootErr != nil {
-				return
-			}
+		if bootErr = st.Boot(p); bootErr != nil {
+			return
 		}
-		sink := wal.NewVillarsSink(p, prim, "chaos")
-		wcfg := wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond}
-		if kill {
-			// (1) No host recording — two sinks will see traffic. The log
-			// retains the flushed stream instead: the takeover's backfill
-			// and tail replay are served from that copy (paper §7.1 assigns
-			// catch-up transfer to the database), and so is the oracle. The
-			// manager starts right after the log: its watchdog's spawn
-			// order relative to the workers is part of the event history.
-			wcfg.Retain = true
-			lg = wal.NewLog(env, sink, wcfg)
-			if fo, bootErr = failover.New(env, cluster, lg, sink); bootErr != nil {
-				return
-			}
-		} else {
-			lg = wal.NewLog(env, &recordingSink{inner: sink, buf: &written}, wcfg)
+		if st.Ckpt != nil {
+			env.Go("chaos-ckpt", st.Ckpt.Run)
 		}
-		if s.Paged {
-			// Page slots live above the destage rings on the conventional
-			// side; DMA staging sits at the top of host memory (the WAL
-			// path rides the CMB, so nothing else maps that region).
-			pagedBase, bootErr = prim.AllocLBARange(pagedSlots)
-			if bootErr != nil {
-				return
-			}
-			scratch := int64(len(prim.HostMemory().Bytes())) - btree.DeviceScratchSize(prim.BlockSize())
-			store := btree.NewDeviceStore(prim, pagedBase, pagedSlots, scratch)
-			pager := btree.NewPager(store, btree.Config{PoolPages: pagedPool, Scope: obs.For(env).Scope(PrimaryName + "/pager")})
-			eng = db.NewPaged(env, lg, pager)
-			ckptMgr = ckpt.NewManager(eng, lg, ckpt.Config{Interval: pagedCkptInterval, Scope: obs.For(env).Scope(PrimaryName + "/ckpt")})
-			env.Go("chaos-ckpt", ckptMgr.Run)
-		} else {
-			eng = db.New(env, lg)
-		}
-		load(eng)
+		eng, lg := st.Engine, st.Log
 		// (2) Workers exit with a dead log — except on kill runs, where
 		// they outlive the primary: they block on backlog back-pressure
 		// while the pipeline is down and resume once the takeover restarts
 		// it.
 		done := func() bool { return stop || (!kill && lg.Dead()) }
 		for w := 0; w < scenarioWorkers; w++ {
-			w := w
-			env.Go(fmt.Sprintf("chaos-worker-%d", w), func(p *sim.Proc) {
-				client := tpcc.NewClient(eng, tcfg, s.Seed*97+int64(w)+1, w%tcfg.Warehouses+1)
-				for !done() {
-					lg.WaitBacklog(p, 32<<10)
-					if done() {
-						return
-					}
-					// Think time sized so a window's worth of log traffic
-					// stays well inside the destage LBA ring — the flash
-					// verifier needs the whole stream still resident.
-					p.Sleep(100 * time.Microsecond)
-					client.RunMixAsync(p)
-				}
-			})
+			client := tpcc.NewClient(eng, tcfg, s.Seed*97+int64(w)+1, w%tcfg.Warehouses+1)
+			env.Go(fmt.Sprintf("chaos-worker-%d", w), terminal(lg, done, func(p *sim.Proc) { client.RunMixAsync(p) }))
 		}
 		// Bring-up walked every member's state directly (role commands,
 		// peer wiring); only now may members run concurrently. (3) A kill
-		// run stays inline: its takeover walks them again (failover.New).
+		// run stays inline: its takeover walks them again.
 		if !kill {
-			en.group.Parallelize()
+			st.Group.Parallelize()
 		}
 	})
 
@@ -435,7 +397,7 @@ func runSingle(s Scenario) (*Result, error) {
 	// (4) Kill runs have no stall monitor — it costs events, and the
 	// register it polls dies with the primary — and, below, do not wait
 	// out a post-crash drain: the takeover is their recovery.
-	if cluster != nil && !kill {
+	if st.Repl != nil && !kill {
 		// Direct peers of the primary: the replicas whose staleness the
 		// primary's own status register is responsible for surfacing. In
 		// a chain the primary only watches its successor.
@@ -491,35 +453,39 @@ func runSingle(s Scenario) (*Result, error) {
 		})
 	}
 
-	en.group.RunUntil(s.Window)
+	st.Group.RunUntil(s.Window)
 	if bootErr != nil {
 		return nil, fmt.Errorf("chaos: boot: %w", bootErr)
 	}
 	stop = true
-	if ckptMgr != nil {
+	lg, eng := st.Log, st.Engine
+	if st.Ckpt != nil {
 		// Exit after the in-flight attempt (if any) so the checkpoint
 		// record traffic quiesces inside the settle window — the no-crash
 		// I1 checks demand a drained WAL at the cut.
-		ckptMgr.Stop()
+		st.Ckpt.Stop()
 	}
-	en.group.RunUntil(s.Window + settleTime)
-	if fo != nil {
-		fo.Stop()
+	st.Group.RunUntil(s.Window + settleTime)
+	if st.Failover != nil {
+		st.Failover.Stop()
 	}
 
 	r.PowerLost = prim.PowerLost()
 	if !kill && r.PowerLost && !prim.Drained() {
-		en.group.RunUntil(en.group.Now() + 300*time.Millisecond)
+		st.Group.RunUntil(st.Group.Now() + 300*time.Millisecond)
 	}
 	v := &violations{}
 
 	r.Durable = lg.DurableLSN()
 	r.Commits, _ = eng.Stats()
-	r.Firings = en.firings()
+	r.Firings = st.Faults.Firings()
 	r.StallSeen = mon.seen
 	r.MaxSuppressed = mon.maxSuppressed
-	if ckptMgr != nil {
-		r.Checkpoints = ckptMgr.Completed()
+	if st.Ckpt != nil {
+		r.Checkpoints = st.Ckpt.Completed()
+		if err := st.Ckpt.Err(); err != nil {
+			v.add("I9", "checkpoint manager stopped: %v", err)
+		}
 	}
 
 	// Live-engine fingerprint. The classic engine walks in-memory maps;
@@ -553,7 +519,7 @@ func runSingle(s Scenario) (*Result, error) {
 	i1, i2, i3 := "I1", "I2", "I3"
 	if kill {
 		i1, i2, i3 = "I6", "I6", "I6"
-		conv, oracle = checkTakeover(v, r, fo, cluster, lg, prim)
+		conv, oracle = checkTakeover(v, r, st.Failover, st.Repl, lg, prim)
 		replicas = nil
 		for _, d := range devices {
 			if !d.PowerLost() && d != conv {
@@ -593,7 +559,7 @@ func runSingle(s Scenario) (*Result, error) {
 
 			// ---- I9: checkpoint-bounded recovery equality -------------
 			if s.Paged {
-				v.extend(livePagedI9(prim, pagedBase, r.Checkpoints, records, tcfg, liveFP, liveFPOK))
+				v.extend(livePagedI9(prim, st.Pages(), r.Checkpoints, records, load, liveFP, liveFPOK))
 			} else {
 				v.extend(syntheticPagedI9(s.Seed, records, load))
 			}
@@ -601,7 +567,7 @@ func runSingle(s Scenario) (*Result, error) {
 	}
 
 	// ---- I5 ingredients: event-history fingerprint + metrics snapshot -
-	snap := obs.SnapshotOf(en.envs)
+	snap := obs.SnapshotOf(st.Group.Envs())
 	r.Metrics = snap.Encode()
 	fp := obs.FNVOffset
 	for _, d := range devices {
@@ -618,8 +584,8 @@ func runSingle(s Scenario) (*Result, error) {
 	fp = obs.Mix64(fp, uint64(r.Firings))
 	fp = obs.Mix64(fp, snap.Fingerprint())
 	r.Fingerprint = fp
-	r.Events = en.group.Events()
-	r.Stray = en.group.Stats().Stray
+	r.Events = st.Group.Events()
+	r.Stray = st.Group.Stats().Stray
 	r.Violations = v.list
 	return r, nil
 }

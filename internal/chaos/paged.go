@@ -26,56 +26,19 @@ import (
 	"xssd/internal/ckpt"
 	"xssd/internal/db"
 	"xssd/internal/sim"
-	"xssd/internal/tpcc"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
 )
 
+// A paged run's stack; its checkpoint manager runs every 2 ms, so ~15
+// checkpoints fit the default 30ms window.
 const (
 	// pagedSlots is the conventional-side LBA range a paged run reserves:
 	// 1024 page ids × 2 shadow slots, one device block per slot.
 	pagedSlots = 2048
 	// pagedPool is the live engine's buffer-pool cap in pages.
 	pagedPool = 128
-	// pagedCkptInterval paces the background checkpoint manager; ~15
-	// checkpoints fit the default 30ms window.
-	pagedCkptInterval = 2 * time.Millisecond
 )
-
-// ftlStore adapts post-mortem FTL reads to btree.PageStore so recovery
-// can load checkpointed pages exactly the way the flash-prefix verifier
-// reads the destaged stream: straight through the FTL on the device's
-// own Env, which works even after a power loss (the dead host interface
-// never gets involved). It is read-only — recovery never writes.
-type ftlStore struct {
-	dev   *villars.Device
-	base  int64
-	slots int64
-}
-
-// PageSize implements btree.PageStore.
-func (s *ftlStore) PageSize() int { return s.dev.BlockSize() }
-
-// Read implements btree.PageStore.
-func (s *ftlStore) Read(p *sim.Proc, slot int64, buf []byte) error {
-	if slot < 0 || slot >= s.slots {
-		return fmt.Errorf("%w: slot %d out of range %d", btree.ErrStore, slot, s.slots)
-	}
-	page, err := s.dev.FTL().Read(p, s.base+slot)
-	if err != nil {
-		return fmt.Errorf("%w: ftl read slot %d (lba %d): %w", btree.ErrStore, slot, s.base+slot, err)
-	}
-	copy(buf, page)
-	return nil
-}
-
-// WriteBatch implements btree.PageStore.
-func (s *ftlStore) WriteBatch(*sim.Proc, []int64, [][]byte) error {
-	return fmt.Errorf("%w: post-mortem store is read-only", btree.ErrStore)
-}
-
-// Sync implements btree.PageStore.
-func (s *ftlStore) Sync(*sim.Proc) error { return nil }
 
 // preCheckpointRecords counts the redo records a checkpoint at startLSN
 // absolves recovery from replaying — when it is positive, the tail must
@@ -94,15 +57,14 @@ func preCheckpointRecords(records []wal.Record, startLSN int64) int {
 }
 
 // livePagedI9 checks I9 on a paged run post mortem: recover a fresh
-// engine from the primary's checkpointed page slots plus the durable
-// stream's tail, and compare it against a full-stream replay into both
-// a memory-backed paged engine and the classic row-map engine. The
-// recovery reads flash through the FTL on the device's Env — the run is
-// over and single-threaded, so driving that member directly is
-// race-free (same pattern as flashPrefix).
-func livePagedI9(prim *villars.Device, base int64, completed int64, records []wal.Record, tcfg tpcc.Config, liveFP uint64, liveFPOK bool) []string {
+// engine from the primary's checkpointed page slots (pages, the stack's
+// post-mortem reader) plus the durable stream's tail, and compare it
+// against a full-stream replay into both a memory-backed paged engine and
+// the classic row-map engine. The recovery reads flash through the FTL on
+// the device's Env — the run is over and single-threaded, so driving that
+// member directly is race-free (same pattern as flashPrefix).
+func livePagedI9(prim *villars.Device, pages btree.PageStore, completed int64, records []wal.Record, load func(*db.Engine), liveFP uint64, liveFPOK bool) []string {
 	var out []string
-	load := func(e *db.Engine) { tpcc.Load(e, tcfg, loadSeed) }
 
 	var (
 		recFP    uint64
@@ -112,8 +74,7 @@ func livePagedI9(prim *villars.Device, base int64, completed int64, records []wa
 	)
 	denv := prim.Env()
 	denv.Go("chaos-paged-recover", func(p *sim.Proc) {
-		fs := &ftlStore{dev: prim, base: base, slots: pagedSlots}
-		eng, stats, err := ckpt.Recover(p, denv, fs, pagedPool, records, load)
+		eng, stats, err := ckpt.Recover(p, denv, pages, pagedPool, records, load)
 		st, rerr = stats, err
 		if err == nil {
 			recFP = eng.FingerprintIn(p)

@@ -29,56 +29,59 @@ import (
 	"xssd/internal/fault"
 	"xssd/internal/obs"
 	"xssd/internal/shard"
+	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/tpcc"
 	"xssd/internal/wal"
-
-	"xssd/internal/sim"
 )
 
-// shardScenarioTPCC scales the per-shard database: two warehouses per
-// shard with the classic chaos row counts.
-func shardScenarioTPCC(shards int) tpcc.Config {
+// ShardTPCC is the TPC-C shape of every sharded harness: two warehouses
+// per shard, with the classic chaos row counts.
+func ShardTPCC(shards int) tpcc.Config {
 	return tpcc.Config{Warehouses: 2 * shards, Districts: 2, CustomersPerDistrict: 8, Items: 40, FillerLen: 10}
 }
 
-// runSharded executes a Shards > 0 scenario; see the package comment
-// above for the invariants it checks.
-func runSharded(s Scenario) (*Result, error) {
-	tcfg := shardScenarioTPCC(s.Shards)
-	streams := make([][]byte, s.Shards)
-	cfg := shard.Config{
-		Shards:      s.Shards,
-		Warehouses:  tcfg.Warehouses,
-		Secondaries: s.Secondaries,
-		Scheme:      s.Scheme,
-		SimWorkers:  s.SimWorkers,
-		Seed:        s.Seed,
-		WAL:         wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond},
-		WrapSink: func(id int, inner wal.Sink) wal.Sink {
-			return &recordingSink{inner: inner, buf: &streams[id]}
-		},
-		Load: func(eng *db.Engine, id int) {
-			tpcc.LoadWarehouses(eng, tcfg, loadSeed, func(w int) bool {
-				return shard.OwnerOf(w, s.Shards, tcfg.Warehouses) == id
-			})
-		},
+// ShardRun is a sharded TPC-C run that has finished its window and its
+// settle time. Close it when done.
+type ShardRun struct {
+	Cluster *shard.Cluster
+	Load    func(eng *db.Engine, shardID int) // the initial rows, for replay oracles
+	Faults  *stack.Faults                     // nil without a plan
+	Commits int64                             // transactions the terminals committed
+}
+
+// Close releases the cluster and unhooks the faults.
+func (r *ShardRun) Close() {
+	r.Cluster.Close()
+	if r.Faults != nil {
+		r.Faults.Detach()
+	}
+}
+
+// RunShards drives a sharded TPC-C cluster the way the sharded chaos
+// scenario and the shard bench cells both do. cfg gives the cluster's
+// Shards, Seed, SimWorkers and replica shape (and a WrapSink); RunShards
+// fills in the ShardTPCC warehouses and a Load seeded with loadSeed. plan,
+// when non-nil, is hooked into the shards' members before any device
+// exists. Two terminals per shard, homed on its two warehouses, draw
+// remote warehouses at mix and commit through 2PC until window; then they
+// stop and the cluster runs settle longer.
+func RunShards(cfg shard.Config, plan *fault.Plan, loadSeed int64, mix tpcc.RemoteMix, window, settle time.Duration) (*ShardRun, error) {
+	tcfg := ShardTPCC(cfg.Shards)
+	cfg.Warehouses = tcfg.Warehouses
+	cfg.Load = func(eng *db.Engine, id int) {
+		tpcc.LoadWarehouses(eng, tcfg, loadSeed, func(w int) bool {
+			return shard.OwnerOf(w, cfg.Shards, tcfg.Warehouses) == id
+		})
 	}
 	cl, err := shard.New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
+		return nil, err
 	}
-	defer cl.Close()
-	envs := cl.Envs()
-	injs := make([]*fault.Injector, len(envs))
-	for i, e := range envs {
-		injs[i] = fault.New(e, s.Plan)
-		fault.Attach(e, injs[i])
+	run := &ShardRun{Cluster: cl, Load: cfg.Load}
+	if plan != nil {
+		run.Faults = stack.AttachFaults(cl.Envs(), plan)
 	}
-	defer func() {
-		for _, e := range envs {
-			fault.Detach(e)
-		}
-	}()
 	cl.Build()
 
 	var (
@@ -86,7 +89,7 @@ func runSharded(s Scenario) (*Result, error) {
 		stop    bool
 		clients []*tpcc.Client
 	)
-	cl.Shard(0).Env().Go("chaos-shard-boot", func(p *sim.Proc) {
+	cl.Shard(0).Env().Go("shard-boot", func(p *sim.Proc) {
 		if bootErr = cl.Boot(p); bootErr != nil {
 			return
 		}
@@ -94,30 +97,50 @@ func runSharded(s Scenario) (*Result, error) {
 			sh := sh
 			for w := 0; w < scenarioWorkers; w++ {
 				home := sh.ID()*2 + 1 + w%2
-				c := tpcc.NewShardedClient(cl, tcfg, s.Seed*97+int64(sh.ID())*1000+int64(w)+1, home, tpcc.SpecMix())
+				c := tpcc.NewShardedClient(cl, tcfg, cfg.Seed*97+int64(sh.ID())*1000+int64(w)+1, home, mix)
 				clients = append(clients, c)
-				sh.Env().Go(fmt.Sprintf("chaos-shard%d-worker-%d", sh.ID(), w), func(p *sim.Proc) {
-					lg := sh.Log()
-					for !stop && !lg.Dead() {
-						lg.WaitBacklog(p, 32<<10)
-						if stop || lg.Dead() {
-							return
-						}
-						p.Sleep(100 * time.Microsecond)
-						c.RunMix(p)
-					}
-				})
+				done := func() bool { return stop || sh.Log().Dead() }
+				sh.Env().Go(fmt.Sprintf("shard%d-terminal-%d", sh.ID(), w), terminal(sh.Log(), done, func(p *sim.Proc) { c.RunMix(p) }))
 			}
 		}
 		cl.Release()
 	})
 
-	cl.RunUntil(s.Window)
+	cl.RunUntil(window)
 	if bootErr != nil {
-		return nil, fmt.Errorf("chaos: boot: %w", bootErr)
+		run.Close()
+		return nil, fmt.Errorf("boot: %w", bootErr)
 	}
 	stop = true
-	cl.RunUntil(s.Window + settleTime)
+	cl.RunUntil(window + settle)
+	for _, c := range clients {
+		byType, _, _ := c.Counts()
+		for _, n := range byType {
+			run.Commits += n
+		}
+	}
+	return run, nil
+}
+
+// runSharded executes a Shards > 0 scenario; see the package comment
+// above for the invariants it checks.
+func runSharded(s Scenario) (*Result, error) {
+	streams := make([][]byte, s.Shards)
+	run, err := RunShards(shard.Config{
+		Shards:      s.Shards,
+		Secondaries: s.Secondaries,
+		Scheme:      s.Scheme,
+		SimWorkers:  s.SimWorkers,
+		Seed:        s.Seed,
+		WrapSink: func(id int, inner wal.Sink) wal.Sink {
+			return &recordingSink{inner: inner, buf: &streams[id]}
+		},
+	}, s.Plan, loadSeed, tpcc.SpecMix(), s.Window, settleTime)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	defer run.Close()
+	cl, load := run.Cluster, run.Load
 
 	r := &Result{Seed: s.Seed, Secondaries: s.Secondaries, Scheme: s.Scheme}
 	v := &violations{}
@@ -129,15 +152,7 @@ func runSharded(s Scenario) (*Result, error) {
 			}
 		}
 	}
-	for _, c := range clients {
-		byType, _, _ := c.Counts()
-		for _, n := range byType {
-			r.Commits += n
-		}
-	}
-	for _, inj := range injs {
-		r.Firings += len(inj.Firings())
-	}
+	r.Commits, r.Firings = run.Commits, run.Faults.Firings()
 
 	// ---- per-shard I1 + I3, and the flash-prefix views for I2/I8 ------
 	prefixes := make([][]byte, s.Shards)
@@ -181,12 +196,11 @@ func runSharded(s Scenario) (*Result, error) {
 			acked[i] = sh.AckedGIDs()
 		}
 		v.extend(shard.CheckAtomicity(views, acked))
-		replayLoad := func(eng *db.Engine, id int) { cfg.Load(eng, id) }
-		recovered, rerr := shard.Replay(sim.NewEnv(1), views, replayLoad)
+		recovered, rerr := shard.Replay(sim.NewEnv(1), views, load)
 		if rerr != nil {
 			v.add("I2", "recover from flash prefixes: %v", rerr)
 		} else {
-			oracle, oerr := shard.Replay(sim.NewEnv(1), hostViews, replayLoad)
+			oracle, oerr := shard.Replay(sim.NewEnv(1), hostViews, load)
 			if oerr != nil {
 				v.add("I2", "replay host streams: %v", oerr)
 			} else {
@@ -217,7 +231,7 @@ func runSharded(s Scenario) (*Result, error) {
 		}
 		id := i
 		v.prefix = fmt.Sprintf("shard %d: ", i)
-		v.extend(syntheticPagedI9(s.Seed*1000003+int64(i)*7919+29, wal.DecodeAll(prefixes[i]), func(e *db.Engine) { cfg.Load(e, id) }))
+		v.extend(syntheticPagedI9(s.Seed*1000003+int64(i)*7919+29, wal.DecodeAll(prefixes[i]), func(e *db.Engine) { load(e, id) }))
 	}
 	v.prefix = ""
 

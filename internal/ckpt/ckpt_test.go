@@ -3,12 +3,14 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"xssd/internal/btree"
 	"xssd/internal/db"
+	"xssd/internal/obs"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
 )
@@ -472,4 +474,40 @@ func FuzzCheckpointRecord(f *testing.F) {
 			t.Fatalf("built record round trip mismatch: %+v != %+v", got, r)
 		}
 	})
+}
+
+// TestManagerStopsOnFullStore: a paged engine whose tree grows past its
+// store's slots gets btree.ErrStoreFull from the next checkpoint, and Run
+// stops there and reports it through Err instead of retrying every
+// interval.
+func TestManagerStopsOnFullStore(t *testing.T) {
+	h := newHarness(43, 64)
+	h.store = btree.NewMemStore(testPageSize, 8) // four page ids
+	h.pg = btree.NewPager(h.store, btree.Config{PoolPages: 64})
+	h.eng = db.NewPaged(h.env, h.log, h.pg)
+	h.eng.CreateTable("kv")
+	m := NewManager(h.eng, h.log, Config{Interval: 500 * time.Microsecond, Scope: obs.For(h.env).Scope("ckpt")})
+	stopped := false
+	h.env.Go("ckpt", func(p *sim.Proc) { m.Run(p); stopped = true })
+	h.env.Go("grower", func(p *sim.Proc) {
+		for i := 0; i < 400; i++ {
+			tx := h.eng.BeginP(p)
+			tx.PutOwnedIn(h.eng.Table("kv"), fmt.Sprintf("k%06d", i), bytes.Repeat([]byte{'v'}, 64))
+			if err := tx.Commit(p); err != nil {
+				t.Errorf("commit %d: %v", i, err)
+				return
+			}
+			p.Sleep(20 * time.Microsecond)
+		}
+	})
+	h.env.RunUntil(30 * time.Millisecond)
+	if !stopped {
+		t.Fatalf("Run still retrying after %d aborted checkpoints (err %v)", m.mAborted.Value(), m.Err())
+	}
+	if err := m.Err(); !errors.Is(err, btree.ErrStoreFull) {
+		t.Fatalf("Err() = %v, want btree.ErrStoreFull", err)
+	}
+	if n := m.mAborted.Value(); n != 1 {
+		t.Errorf("%d aborted checkpoints, want exactly the one that found the store full", n)
+	}
 }

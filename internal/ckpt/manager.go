@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
+	"xssd/internal/btree"
 	"xssd/internal/db"
 	"xssd/internal/obs"
 	"xssd/internal/sim"
@@ -30,6 +32,7 @@ type Manager struct {
 	stop     bool
 	inFlight bool
 	idle     *sim.Signal
+	err      error // why Run stopped for good; nil while it runs
 
 	completed int64
 
@@ -63,6 +66,11 @@ func NewManager(eng *db.Engine, log *wal.Log, cfg Config) *Manager {
 // record.
 func (m *Manager) Completed() int64 { return m.completed }
 
+// Err returns the error that stopped Run for good: a page store with no
+// slot left for the tree's page ids (btree.ErrStoreFull). It is nil while
+// Run keeps going, and after a Stop or a dead log.
+func (m *Manager) Err() error { return m.err }
+
 // Stop asks the manager to exit after the current attempt (if any).
 func (m *Manager) Stop() { m.stop = true }
 
@@ -81,8 +89,12 @@ func (m *Manager) Run(p *sim.Proc) {
 		}
 		if _, err := m.RunOnce(p); err != nil {
 			// A failed attempt aborted cleanly (images re-queued); the
-			// next round retries. Device death ends the loop — nothing
-			// will ever succeed again.
+			// next round retries. A full store and device death end the
+			// loop — no retry can succeed.
+			if errors.Is(err, btree.ErrStoreFull) {
+				m.err = err
+				return
+			}
 			if m.log != nil && m.log.Dead() {
 				return
 			}

@@ -21,9 +21,15 @@ func SnapshotOf(envs []*sim.Env) *Snapshot {
 // snapshot, in member-index order. Each member of a group owns its own
 // registry (registries hang off the Env), so a multi-env run's "-metrics"
 // export is the merge of every member's snapshot. Series names must be
-// disjoint across members — device- and host-scoped names already are; a
-// duplicate means two members registered the same series and would make
-// the merged encoding ambiguous, so Merge panics on one. Now is the
+// disjoint across members; a duplicate would make the merged encoding
+// ambiguous, so Merge panics on one. That panic is API misuse, not a
+// reachable fault: every name is scoped by what registers it, and
+// internal/stack assigns those scopes for every harness — each device's
+// series under its own name on its own member, the pager and checkpoint
+// series under the primary's name, a replica set under "repl" or its
+// shard's scope, the 2PC series under cluster/shard/<i>. Only a caller
+// that gives two members devices or scopes of the same name can reach it
+// (TestStackSnapshotsMerge builds secondaries and a paged engine). Now is the
 // maximum member timestamp. The result's series are re-sorted by name, so
 // merged output is byte-stable regardless of which member contributed
 // which series.

@@ -108,7 +108,10 @@ func (r *Registry) Snapshot() *Snapshot {
 func (s *Snapshot) Encode() []byte {
 	b, err := json.Marshal(s)
 	if err != nil {
-		// A Snapshot is plain integers and strings; Marshal cannot fail.
+		// Unreachable: a Snapshot holds only integers, strings and slices of
+		// structs of those, with no custom marshalers, floats, maps or
+		// pointers, and json.Marshal fails only on unsupported types,
+		// cycles, NaN or Inf floats and marshaler errors.
 		panic(fmt.Sprintf("obs: snapshot encode: %v", err))
 	}
 	return append(b, '\n')

@@ -11,9 +11,9 @@
 //
 // Topology: shard i's primary device, WAL flusher, database engine, and
 // terminals all live on member Env "sh<i>"; each of its secondaries gets
-// its own member. The only cross-shard channel is the RPC conduit in
-// rpc.go, built on Env.PostTo, so runs are byte-identical for every
-// worker count.
+// its own member (internal/stack builds each shard). The only cross-shard
+// channel is the RPC conduit in rpc.go, built on Env.PostTo, so runs are
+// byte-identical for every worker count.
 package shard
 
 import (
@@ -26,8 +26,8 @@ import (
 	"xssd/internal/nand"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
-	"xssd/internal/repl"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
 )
@@ -39,7 +39,9 @@ import (
 var ErrUnavailable = errors.New("shard: peer unavailable")
 
 // Config shapes a shard cluster. The zero value is invalid: Shards and
-// Warehouses must be set.
+// Warehouses must be set. Secondaries, Scheme, WAL, Device, WrapSink and
+// Load shape every shard's stack (stack.Config), whose log sink is named
+// after the shard's primary.
 type Config struct {
 	// Shards is the number of primary devices (>= 1); shard i's primary
 	// is named "p<i>".
@@ -128,11 +130,7 @@ type Shard struct {
 	env  *sim.Env
 	name string // primary device name, "p<i>" — also the fault scope
 
-	dev  *villars.Device
-	secs []*villars.Device
-	sink wal.Sink
-	lg   *wal.Log
-	eng  *db.Engine
+	stk *stack.Stack // devices, replica set, log and engine
 
 	// Coordinator state, owned by this shard's env.
 	nextSeq  int64
@@ -171,16 +169,18 @@ func (s *Shard) ID() int { return s.id }
 func (s *Shard) Env() *sim.Env { return s.env }
 
 // Device returns the shard's primary device.
-func (s *Shard) Device() *villars.Device { return s.dev }
+func (s *Shard) Device() *villars.Device { return s.stk.Primary }
 
 // Secondaries returns the shard's replica devices in index order.
-func (s *Shard) Secondaries() []*villars.Device { return append([]*villars.Device(nil), s.secs...) }
+func (s *Shard) Secondaries() []*villars.Device {
+	return append([]*villars.Device(nil), s.stk.Devices[1:]...)
+}
 
 // Log returns the shard's WAL.
-func (s *Shard) Log() *wal.Log { return s.lg }
+func (s *Shard) Log() *wal.Log { return s.stk.Log }
 
 // Engine returns the shard's database engine.
-func (s *Shard) Engine() *db.Engine { return s.eng }
+func (s *Shard) Engine() *db.Engine { return s.stk.Engine }
 
 // AckedGIDs returns the cross-shard transactions this shard, as
 // coordinator, acknowledged as committed — in acknowledgement order. The
@@ -211,18 +211,13 @@ func New(cfg Config) (*Cluster, error) {
 			id:       i,
 			c:        c,
 			name:     fmt.Sprintf("p%d", i),
-			env:      c.place(fmt.Sprintf("sh%d", i)),
+			env:      stack.Place(c.group, cfg.Seed, fmt.Sprintf("sh%d", i)),
 			outcomes: map[int64]bool{},
 			remote:   map[int64]*party{},
 		}
 		c.shards = append(c.shards, s)
 	}
 	return c, nil
-}
-
-// place returns a new member for the next device, seeded by its index.
-func (c *Cluster) place(name string) *sim.Env {
-	return c.group.NewEnv(name, sim.MemberSeed(c.cfg.Seed, len(c.group.Envs())))
 }
 
 // Envs returns the member environments in index order. Attach fault
@@ -243,19 +238,18 @@ func (c *Cluster) ShardOf(warehouse int) int {
 	return OwnerOf(warehouse, c.cfg.Shards, c.cfg.Warehouses)
 }
 
-// Build constructs every shard's devices (primaries first, then each
-// shard's secondaries on their own members) and the per-shard metrics.
-// Call after fault injectors are attached and before Boot.
+// Scope is the metrics scope of shard id: its 2PC and RPC series, and
+// its replica set under Scope(id) + "/repl".
+func Scope(id int) string { return fmt.Sprintf("cluster/shard/%d", id) }
+
+// Build constructs every shard's stack (devices and replica set; the
+// secondaries on their own members, shard-major after the primaries) and
+// the per-shard metrics. Call after fault injectors are attached and
+// before Boot.
 func (c *Cluster) Build() {
 	for _, s := range c.shards {
-		s.dev = c.cfg.Device(s.env, s.name)
-	}
-	for _, s := range c.shards {
-		for j := 0; j < c.cfg.Secondaries; j++ {
-			env := c.place(fmt.Sprintf("sh%d.s%d", s.id, j))
-			s.secs = append(s.secs, c.cfg.Device(env, fmt.Sprintf("s%d.%d", s.id, j)))
-		}
-		sc := obs.For(s.env).Scope(fmt.Sprintf("cluster/shard/%d", s.id))
+		s.stk = stack.Build(s.env, s.stackConfig(c.cfg))
+		sc := obs.For(s.env).Scope(Scope(s.id))
 		s.mRPCOut = sc.Counter("rpc/out")
 		s.mRPCIn = sc.Counter("rpc/in")
 		s.mPrepares = sc.Counter("2pc/prepares")
@@ -265,6 +259,32 @@ func (c *Cluster) Build() {
 		s.mPrepareLat = sc.Histogram("2pc/prepare_ns")
 		s.mCommitLat = sc.Histogram("2pc/commit_ns")
 	}
+}
+
+// stackConfig is shard s's stack: primary "p<i>" and secondaries
+// "s<i>.<j>", a row-map engine, the log sink named after the primary.
+func (s *Shard) stackConfig(cfg Config) stack.Config {
+	sc := stack.Config{
+		Seed:        cfg.Seed,
+		Secondaries: cfg.Secondaries,
+		Scheme:      cfg.Scheme,
+		Shard:       Scope(s.id),
+		Sink:        s.name,
+		WAL:         cfg.WAL,
+		Device: func(env *sim.Env, i int) *villars.Device {
+			if i == 0 {
+				return cfg.Device(env, s.name)
+			}
+			return cfg.Device(env, fmt.Sprintf("s%d.%d", s.id, i-1))
+		},
+	}
+	if cfg.WrapSink != nil {
+		sc.WrapSink = func(inner wal.Sink) wal.Sink { return cfg.WrapSink(s.id, inner) }
+	}
+	if cfg.Load != nil {
+		sc.Load = func(eng *db.Engine) { cfg.Load(eng, s.id) }
+	}
+	return sc
 }
 
 // Boot brings the cluster up: every shard runs replication setup, WAL
@@ -283,7 +303,7 @@ func (c *Cluster) Boot(p *sim.Proc) error {
 		s := s
 		s.env.Go("boot-"+s.name, func(bp *sim.Proc) {
 			defer func() { booted++ }()
-			errs[s.id] = s.bringUp(bp, c.cfg)
+			errs[s.id] = s.stk.Boot(bp)
 		})
 	}
 	// Inline quanta run members on the coordinator goroutine in
@@ -298,30 +318,6 @@ func (c *Cluster) Boot(p *sim.Proc) error {
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", id, err)
 		}
-	}
-	return nil
-}
-
-// bringUp is one shard's boot sequence, run on the shard's own Env.
-func (s *Shard) bringUp(p *sim.Proc, cfg Config) error {
-	if len(s.secs) > 0 {
-		devices := append([]*villars.Device{s.dev}, s.secs...)
-		rc, err := repl.NewScoped(s.env, devices, fmt.Sprintf("cluster/shard/%d/repl", s.id))
-		if err != nil {
-			return err
-		}
-		if err := rc.Setup(p, 0, cfg.Scheme); err != nil {
-			return fmt.Errorf("replication setup: %w", err)
-		}
-	}
-	s.sink = wal.NewVillarsSink(p, s.dev, s.name)
-	if cfg.WrapSink != nil {
-		s.sink = cfg.WrapSink(s.id, s.sink)
-	}
-	s.lg = wal.NewLog(s.env, s.sink, cfg.WAL)
-	s.eng = db.New(s.env, s.lg)
-	if cfg.Load != nil {
-		cfg.Load(s.eng, s.id)
 	}
 	return nil
 }

@@ -59,7 +59,7 @@ type partRef struct {
 // in the same Tx and allocates none for it.
 func (s *Shard) BeginIn(t *Tx, p *sim.Proc) *Tx {
 	*t = Tx{home: s}
-	s.eng.BeginIn(&t.local, p)
+	s.stk.Engine.BeginIn(&t.local, p)
 	return t
 }
 
@@ -128,7 +128,7 @@ func (t *Tx) remoteGet(p *sim.Proc, sid int, table, key string) ([]byte, bool, e
 	var ok bool
 	reached := t.home.rpc(p, t.home.c.shards[sid], func(dst *Shard, reply func(mut func())) {
 		pt := dst.partyFor(gid, coord)
-		v, o := getByName(dst.eng, pt.tx, table, key)
+		v, o := getByName(dst.stk.Engine, pt.tx, table, key)
 		// Copy before crossing members: the engine's row buffer belongs
 		// to dst and a later write there may replace it mid-flight.
 		v = append([]byte(nil), v...)
@@ -179,9 +179,9 @@ func (t *Tx) remoteWrite(sid int, table, key string, val []byte, del bool) {
 		pt := dst.partyFor(gid, coord)
 		pt.writes++
 		if del {
-			pt.tx.DeleteIn(dst.eng.Table(table), key)
+			pt.tx.DeleteIn(dst.stk.Engine.Table(table), key)
 		} else {
-			pt.tx.PutOwnedIn(dst.eng.Table(table), key, val)
+			pt.tx.PutOwnedIn(dst.stk.Engine.Table(table), key, val)
 		}
 	})
 }
@@ -256,8 +256,8 @@ func (t *Tx) Commit(p *sim.Proc) error {
 	// own WAL. Everything before it aborts cleanly; everything after it
 	// must (and can) go forward.
 	payload := db.EncodeControl(db.KindDecision, t.gid, home.id, t.order, t.local.EncodedWrites())
-	lsn := home.lg.Append(wal.Record{TxID: t.gid, Payload: payload})
-	if !home.lg.WaitDurableOrDead(p, lsn) {
+	lsn := home.stk.Log.Append(wal.Record{TxID: t.gid, Payload: payload})
+	if !home.stk.Log.WaitDurableOrDead(p, lsn) {
 		// The coordinator's device died first: the decision never became
 		// durable, so recovery will presume abort — abort live too.
 		return t.abort(ErrUnavailable)
@@ -284,7 +284,7 @@ func (t *Tx) Commit(p *sim.Proc) error {
 func (s *Shard) partyFor(gid int64, coord int) *party {
 	pt := s.remote[gid]
 	if pt == nil {
-		pt = &party{tx: s.eng.Begin(), coord: coord}
+		pt = &party{tx: s.stk.Engine.Begin(), coord: coord}
 		s.remote[gid] = pt
 	}
 	return pt
@@ -329,8 +329,8 @@ func (s *Shard) doPrepare(p *sim.Proc, pt *party, gid int64, coord, expectWrites
 		pt.tx.Abort()
 	} else if pt.tx.Prepare() == nil {
 		rec := db.EncodeControl(db.KindPrepare, gid, coord, nil, pt.tx.EncodedWrites())
-		lsn := s.lg.Append(wal.Record{TxID: gid, Payload: rec})
-		if s.lg.WaitDurableOrDead(p, lsn) {
+		lsn := s.stk.Log.Append(wal.Record{TxID: gid, Payload: rec})
+		if s.stk.Log.WaitDurableOrDead(p, lsn) {
 			v = true
 		} else {
 			pt.tx.Abort() // our device died: the prepare never persisted
@@ -384,7 +384,7 @@ func (s *Shard) finish(gid int64, commit bool) {
 	delete(s.remote, gid)
 	if commit && pt.prepared && pt.vote {
 		pt.tx.CommitPrepared(gid)
-		s.lg.Append(wal.Record{TxID: gid, Payload: db.EncodeControl(db.KindCommitP, gid, pt.coord, nil, nil)})
+		s.stk.Log.Append(wal.Record{TxID: gid, Payload: db.EncodeControl(db.KindCommitP, gid, pt.coord, nil, nil)})
 		s.mCommits2PC.Inc()
 	} else {
 		pt.tx.Abort()

@@ -126,7 +126,7 @@ func TestDuplicatePrepareDelivery(t *testing.T) {
 		gid := int64(1)<<48 | 1
 		pt := part.partyFor(gid, 0)
 		pt.writes = 1
-		pt.tx.PutOwnedIn(part.eng.Table("kv"), balKey(3), encBal(777))
+		pt.tx.PutOwnedIn(part.stk.Engine.Table("kv"), balKey(3), encBal(777))
 		record := func(v bool) { votes = append(votes, v) }
 		part.startPrepare(gid, 0, 1, record) // first delivery: spawns the wait
 		part.startPrepare(gid, 0, 1, record) // duplicate while in flight

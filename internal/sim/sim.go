@@ -125,6 +125,10 @@ func NewEnv(seed int64) *Env {
 	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
+// Name returns the member name a Group gave the environment; "" for a
+// standalone Env.
+func (e *Env) Name() string { return e.name }
+
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return time.Duration(e.now) }
 

@@ -29,7 +29,7 @@ import (
 const (
 	pagedCellWindow    = 2 * time.Second // ≈ 1 s of wall
 	pagedCellTerminals = 4
-	pagedCellPool      = 140  // ≈ ¼ of the pages the load leaves (TestPagedCellShape)
+	pagedCellPool      = 105  // ≈ ¼ of the pages the load leaves (TestPagedCellShape)
 	pagedCellSlots     = 4096 // page ids × 2 shadow slots
 	pagedCellHostMem   = 1 << 20
 	pagedCellDev       = "paged"

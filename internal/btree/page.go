@@ -27,11 +27,15 @@ import (
 //	[16:24) recovery LSN (end LSN of the last redo record applied)
 //	[24:26) key count
 //	[26:28) cell-area byte length
-//	[28:32) CRC-32 (IEEE) over bytes [0:28) ++ cells [headerLen:headerLen+used)
+//	[28:30) split hint: 1 + the index of the leaf's last inserted cell, 0
+//	        for none (always 0 on a branch; never past the key count)
+//	[30:34) CRC-32 (IEEE) over bytes [0:30) ++ cells [headerLen:headerLen+used)
+//
+// Version 2 added the split hint (and with it two header bytes).
 const (
 	pageMagic   = 0x50544258 // "XBTP"
-	pageVersion = 1
-	headerLen   = 32
+	pageVersion = 2
+	headerLen   = 34
 
 	kindLeaf   = 1
 	kindBranch = 2
@@ -53,6 +57,11 @@ type node struct {
 	kind byte
 	lsn  int64
 	size int // cell-area bytes, maintained incrementally by the tree ops
+
+	// hint is a leaf's split hint: 1 + the index of its last inserted
+	// cell, or 0 for none. It is part of the page image, so a leaf keeps
+	// it across eviction and recovery (see Tree.splitLeaf).
+	hint int
 
 	// leaf payload
 	cells []cell
@@ -116,6 +125,9 @@ func encodeNode(n *node, pageSize int) ([]byte, error) {
 	if n.size > pageSize-headerLen {
 		return nil, fmt.Errorf("%w: node %d cell area %d over page size %d", ErrTooLarge, n.id, n.size, pageSize)
 	}
+	if n.hint > n.count() || (n.kind == kindBranch && n.hint != 0) {
+		return nil, fmt.Errorf("btree: node %d split hint %d on a kind-%d node of %d keys", n.id, n.hint, n.kind, n.count())
+	}
 	buf := make([]byte, pageSize)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:4], pageMagic)
@@ -124,6 +136,7 @@ func encodeNode(n *node, pageSize int) ([]byte, error) {
 	le.PutUint64(buf[8:16], n.id)
 	le.PutUint64(buf[16:24], uint64(n.lsn))
 	le.PutUint16(buf[24:26], uint16(n.count()))
+	le.PutUint16(buf[28:30], uint16(n.hint))
 	off := headerLen
 	switch n.kind {
 	case kindLeaf:
@@ -158,9 +171,9 @@ func encodeNode(n *node, pageSize int) ([]byte, error) {
 		return nil, fmt.Errorf("btree: node %d size accounting drifted: tracked %d, encoded %d", n.id, n.size, used)
 	}
 	le.PutUint16(buf[26:28], uint16(used))
-	crc := crc32.ChecksumIEEE(buf[0:28])
+	crc := crc32.ChecksumIEEE(buf[0:30])
 	crc = crc32.Update(crc, crc32.IEEETable, buf[headerLen:headerLen+used])
-	le.PutUint32(buf[28:32], crc)
+	le.PutUint32(buf[30:34], crc)
 	return buf, nil
 }
 
@@ -198,16 +211,21 @@ func decodeNode(data []byte) (*node, error) {
 	if headerLen+used > len(data) {
 		return nil, fmt.Errorf("%w: cell area %d overruns %d-byte page", ErrCorrupt, used, len(data))
 	}
-	crc := crc32.ChecksumIEEE(data[0:28])
+	crc := crc32.ChecksumIEEE(data[0:30])
 	crc = crc32.Update(crc, crc32.IEEETable, data[headerLen:headerLen+used])
-	if got := le.Uint32(data[28:32]); got != crc {
+	if got := le.Uint32(data[30:34]); got != crc {
 		return nil, fmt.Errorf("%w: crc %#x, computed %#x", ErrCorrupt, got, crc)
+	}
+	hint := int(le.Uint16(data[28:30]))
+	if hint > nkeys || (kind == kindBranch && hint != 0) {
+		return nil, fmt.Errorf("%w: split hint %d on a kind-%d page of %d keys", ErrCorrupt, hint, kind, nkeys)
 	}
 	n := &node{
 		id:   le.Uint64(data[8:16]),
 		kind: kind,
 		lsn:  int64(le.Uint64(data[16:24])),
 		size: used,
+		hint: hint,
 	}
 	cells := bytes.Clone(data[headerLen : headerLen+used])
 	off := 0

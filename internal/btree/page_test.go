@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"slices"
 	"testing"
 )
 
+// sampleLeaf is a three-cell leaf whose last insert was "beta", at index 1.
 func sampleLeaf() *node {
-	n := &node{id: 9, kind: kindLeaf, lsn: 4242}
+	n := &node{id: 9, kind: kindLeaf, lsn: 4242, hint: 2}
 	for _, c := range []cell{
 		{"alpha", 3, []byte("one"), false},
 		{"beta", 7, nil, true},
@@ -32,7 +34,7 @@ func sampleBranch() *node {
 }
 
 func nodesEqual(a, b *node) bool {
-	if a.id != b.id || a.kind != b.kind || a.lsn != b.lsn || a.size != b.size {
+	if a.id != b.id || a.kind != b.kind || a.lsn != b.lsn || a.size != b.size || a.hint != b.hint {
 		return false
 	}
 	return slices.Equal(a.keys, b.keys) && slices.Equal(a.children, b.children) &&
@@ -126,20 +128,40 @@ func TestPageRejectsStructuralLies(t *testing.T) {
 	if _, err := decodeNode(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("separator-less branch accepted: %v", err)
 	}
+
+	// A split hint past the key count, or on a branch, under a valid CRC.
+	for _, c := range []struct {
+		n    *node
+		hint uint16
+	}{{sampleLeaf(), 4}, {sampleBranch(), 1}} {
+		buf, err := encodeNode(c.n, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(buf[28:30], c.hint)
+		crc := crc32.ChecksumIEEE(buf[0:30])
+		crc = crc32.Update(crc, crc32.IEEETable, buf[headerLen:headerLen+c.n.size])
+		binary.LittleEndian.PutUint32(buf[30:34], crc)
+		if _, err := decodeNode(buf); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("split hint %d on a kind-%d page of %d keys accepted: %v", c.hint, c.n.kind, c.n.count(), err)
+		}
+	}
 }
 
 // FuzzBtreePageRoundTrip drives the codec both ways: arbitrary bytes must
 // never panic the decoder, and any page it accepts must re-encode to an
-// image that decodes to the same node. A second arm builds a leaf from the
-// fuzz input, checks the encode→decode round trip exactly, and then
-// overwrites the image: the decoded leaf's keys and values view its own
-// copy of the cell area, so they must not change.
+// image that decodes to the same node. The seed corpus holds a leaf with
+// a nonzero split hint. A second arm builds a leaf from the fuzz input,
+// split hint included, checks the encode→decode round trip exactly, and
+// then overwrites the image: the decoded leaf's keys and values view its
+// own copy of the cell area, so they must not change.
 func FuzzBtreePageRoundTrip(f *testing.F) {
-	if leaf, err := encodeNode(sampleLeaf(), 128); err == nil {
-		f.Add(leaf)
-	}
-	if br, err := encodeNode(sampleBranch(), 128); err == nil {
-		f.Add(br)
+	for _, n := range []*node{sampleLeaf(), sampleBranch()} {
+		img, err := encodeNode(n, 160)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
 	}
 	f.Add(make([]byte, headerLen))
 	f.Add([]byte("XBTP junk that is not a page at all, just prose"))
@@ -182,6 +204,9 @@ func FuzzBtreePageRoundTrip(f *testing.F) {
 			n.cells = append(n.cells, c)
 			n.size += c.size()
 			prev = c.key
+		}
+		if len(data) > 0 {
+			n.hint = int(data[0]) % (len(n.cells) + 1)
 		}
 		pageSize := headerLen + n.size + 16
 		img, err := encodeNode(n, pageSize)

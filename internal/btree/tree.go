@@ -81,12 +81,17 @@ func (t *Tree) Get(p *sim.Proc, key string) (Item, bool, error) {
 func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
 	if 3*leafCellSize(key, it.Val) > t.pg.maxCell() || 4*branchCellSize(key) > t.pg.maxCell() {
 		// A leaf cell of at most a third of the cell area A is what lets
-		// splitLeaf's byte midpoint place both halves. The leaf held at
-		// most A before this put, which adds (or grows) one cell of c
-		// bytes, so an overflowing leaf holds s <= A + c. The left half
+		// splitLeaf place both halves. The leaf held at most A before this
+		// put, which adds (or grows) one cell of c bytes, so an
+		// overflowing leaf holds s <= A + c. The byte midpoint's left half
 		// stops at the first cell that takes it to half = s/2 or more, so
 		// left < half + c <= (A + c)/2 + c <= A when c <= A/3; the right
-		// half is at most s - half, also under A.
+		// half is at most s - half, also under A. An ascending run's split
+		// keeps old cells on the left, at most A; it keeps the new cell
+		// there too only if that fits, and its right half is then old
+		// cells. Otherwise cells[:at] plus the new cell passed A, so the
+		// right half, the new cell and the cells after it, is under
+		// s - (A - c) <= 2c <= A.
 		//
 		// The branch bound guarantees every overflowing branch holds at
 		// least four separators, so a split always leaves a valid key on
@@ -137,6 +142,7 @@ func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (se
 		// an insert clones the caller's, which may be a view of a buffer
 		// the caller reuses.
 		c := cell{ver: it.Ver, val: it.Val, tomb: it.Tomb}
+		at := -1 // the split point an ascending run asks for, if any
 		if i, ok := n.search(key); ok {
 			c.key = n.cells[i].key
 			n.size += c.size() - n.cells[i].size()
@@ -145,10 +151,14 @@ func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (se
 			c.key = strings.Clone(key)
 			n.cells = slices.Insert(n.cells, i, c)
 			n.size += c.size()
+			if i > 0 && n.hint == i {
+				at = i // the previous insert into this leaf went to i-1
+			}
+			n.hint = i + 1
 		}
 		t.pg.markDirty(f, lsn)
 		if n.size > t.pg.maxCell() {
-			return t.splitLeaf(f, lsn)
+			return t.splitLeaf(f, lsn, at)
 		}
 		return "", 0, false, nil
 	}
@@ -195,24 +205,53 @@ func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (se
 	return "", 0, false, nil
 }
 
-// splitLeaf moves the upper half (by bytes) of f into a fresh right
-// sibling; the separator is the right sibling's first key. Put's
-// admission rule is what makes both halves fit. The separator is cloned:
-// a decoded leaf's key is a view into its page's cell-area copy, which a
-// long-lived parent must not keep alive.
-func (t *Tree) splitLeaf(f *frame, lsn int64) (string, uint64, bool, error) {
+// splitLeaf moves the cells from a split point on of f into a fresh
+// right sibling; the separator is the right sibling's first key.
+//
+// at >= 0 says the split comes from an insert at index at that landed
+// right after the leaf's previous insert: an ascending run, such as a
+// district's newest orders. Its split is InnoDB's sequential-insert split,
+// which leaves the run's pages full instead of half empty:
+//   - cells after the new one belong to higher keys the run will not add
+//     to (the next district's first orders), so when the left page can
+//     hold cells[:at+1] they alone move right and the run goes on
+//     appending to the left page;
+//   - otherwise the left page keeps cells[:at] and the new cell starts
+//     the right page, where the run's next inserts go.
+//
+// Any other split cuts at the byte midpoint. Put's admission rule makes
+// every choice fit. The split hint follows the cell it names into its
+// half; the other half has none. Every input to the choice is in the page
+// image, so page shape stays a function of the operation history alone,
+// across eviction and recovery.
+//
+// The separator is cloned: a decoded leaf's key is a view into its page's
+// cell-area copy, which a long-lived parent must not keep alive.
+func (t *Tree) splitLeaf(f *frame, lsn int64, at int) (string, uint64, bool, error) {
 	n := f.n
-	half := n.size / 2
-	acc, sp := 0, 0
-	for sp = 0; sp < len(n.cells)-1; sp++ {
-		acc += n.cells[sp].size()
-		if acc >= half {
-			sp++
-			break
+	var sp int
+	if at >= 0 {
+		left := 0 // bytes of cells[:at]
+		for i := range n.cells[:at] {
+			left += n.cells[i].size()
 		}
-	}
-	if sp == 0 {
-		sp = 1
+		sp = at
+		if at+1 < len(n.cells) && left+n.cells[at].size() <= t.pg.maxCell() {
+			sp = at + 1
+		}
+	} else {
+		half := n.size / 2
+		acc := 0
+		for sp = 0; sp < len(n.cells)-1; sp++ {
+			acc += n.cells[sp].size()
+			if acc >= half {
+				sp++
+				break
+			}
+		}
+		if sp == 0 {
+			sp = 1
+		}
 	}
 	rf := t.pg.alloc(kindLeaf)
 	r := rf.n
@@ -223,6 +262,9 @@ func (t *Tree) splitLeaf(f *frame, lsn int64) (string, uint64, bool, error) {
 	clear(n.cells[sp:])
 	n.cells = n.cells[:sp]
 	n.size -= r.size
+	if n.hint > sp {
+		r.hint, n.hint = n.hint-sp, 0
+	}
 	t.pg.markDirty(f, lsn)
 	t.pg.markDirty(rf, lsn)
 	sep := strings.Clone(r.cells[0].key)
@@ -303,6 +345,7 @@ func (t *Tree) remove(p *sim.Proc, f *frame, key string, lsn int64) (bool, error
 		}
 		n.size -= n.cells[i].size()
 		n.cells = slices.Delete(n.cells, i, i+1)
+		n.hint = 0
 		t.pg.markDirty(f, lsn)
 		return true, nil
 	}
@@ -423,6 +466,7 @@ func (t *Tree) mergeInto(p *sim.Proc, f *frame, j int, left, right *frame, lsn i
 	} else {
 		l.cells = append(l.cells, r.cells...)
 		l.size += r.size
+		l.hint = 0
 	}
 	f.n.keys = slices.Delete(f.n.keys, j, j+1)
 	f.n.children = slices.Delete(f.n.children, j+1, j+2)

@@ -32,6 +32,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -231,8 +232,9 @@ type Result struct {
 	Stray    int64 // cross-member touches around the conduits (sim.GroupStats.Stray); counted by the serial runner only
 
 	// Checkpoints counts the fuzzy checkpoints that reached their durable
-	// record (paged runs only; always 0 for the classic engine).
-	Checkpoints int64
+	// record and CkptAborted the attempts that aborted (paged runs only;
+	// both always 0 for the classic engine).
+	Checkpoints, CkptAborted int64
 
 	StallSeen     bool          // status register showed StatusReplicaStalled
 	MaxSuppressed time.Duration // longest observed shadow-suppression stretch
@@ -477,12 +479,17 @@ func runSingle(s Scenario) (*Result, error) {
 	v := &violations{}
 
 	r.Durable = lg.DurableLSN()
+	if err := lg.Err(); err != nil && !errors.Is(err, wal.ErrSinkLost) {
+		// Only a lost device may halt the log: any other failed flush froze
+		// the durable horizon under a live primary.
+		v.add("I1", "log halted: %v", err)
+	}
 	r.Commits, _ = eng.Stats()
 	r.Firings = st.Faults.Firings()
 	r.StallSeen = mon.seen
 	r.MaxSuppressed = mon.maxSuppressed
 	if st.Ckpt != nil {
-		r.Checkpoints = st.Ckpt.Completed()
+		r.Checkpoints, r.CkptAborted = st.Ckpt.Completed(), st.Ckpt.Aborted()
 		if err := st.Ckpt.Err(); err != nil {
 			v.add("I9", "checkpoint manager stopped: %v", err)
 		}

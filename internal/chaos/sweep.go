@@ -97,7 +97,7 @@ func Sweep(w io.Writer, gen func(seed int64) Scenario, seeds, simWorkers int) er
 		} else {
 			fmt.Fprintf(w, "crash=%-5v commits=%-5d ", r.PowerLost, r.Commits)
 			if sc.Paged {
-				fmt.Fprintf(w, "ckpts=%-3d ", r.Checkpoints)
+				fmt.Fprintf(w, "ckpts=%-3d aborts=%-3d ", r.Checkpoints, r.CkptAborted)
 			}
 			fmt.Fprintf(w, "written=%-7d destaged=%-7d faults=%-2d", r.Written, r.Destaged, r.Firings)
 		}

@@ -34,7 +34,7 @@ type Manager struct {
 	idle     *sim.Signal
 	err      error // why Run stopped for good; nil while it runs
 
-	completed int64
+	completed, aborted int64
 
 	mCompleted, mAborted, mPages *obs.Counter
 	mDur                         *obs.Histogram
@@ -65,6 +65,10 @@ func NewManager(eng *db.Engine, log *wal.Log, cfg Config) *Manager {
 // Completed returns the number of checkpoints that reached their durable
 // record.
 func (m *Manager) Completed() int64 { return m.completed }
+
+// Aborted returns the number of checkpoint attempts that aborted: a
+// failed page write or sync, or a record the log never made durable.
+func (m *Manager) Aborted() int64 { return m.aborted }
 
 // Err returns the error that stopped Run for good: a page store with no
 // slot left for the tree's page ids (btree.ErrStoreFull). It is nil while
@@ -129,17 +133,14 @@ func (m *Manager) RunOnce(p *sim.Proc) (bool, error) {
 	// their entries.
 	pg := m.eng.Pager()
 	if err := pg.WriteImages(p, ck.Snap.Images); err != nil {
-		m.mAborted.Inc()
-		return false, fmt.Errorf("ckpt: write images: %w", err)
+		return m.abort(fmt.Errorf("ckpt: write images: %w", err))
 	}
 	if err := pg.Sync(p); err != nil {
-		m.mAborted.Inc()
-		return false, fmt.Errorf("ckpt: sync: %w", err)
+		return m.abort(fmt.Errorf("ckpt: sync: %w", err))
 	}
 	lsn := m.log.Append(wal.Record{Payload: FromCheckpoint(ck).Encode()})
 	if !m.log.WaitDurableOrDead(p, lsn) {
-		m.mAborted.Inc()
-		return false, fmt.Errorf("ckpt: record lost: log dead before lsn %d", lsn)
+		return m.abort(fmt.Errorf("ckpt: record lost: log dead before lsn %d", lsn))
 	}
 	pg.CommitCheckpoint(ck.Snap)
 	m.completed++
@@ -147,4 +148,11 @@ func (m *Manager) RunOnce(p *sim.Proc) (bool, error) {
 	m.mPages.Add(int64(len(ck.Snap.Images)))
 	m.mDur.Observe(int64(m.eng.Env().Now() - start))
 	return true, nil
+}
+
+// abort counts an aborted attempt and returns RunOnce's result for it.
+func (m *Manager) abort(err error) (bool, error) {
+	m.aborted++
+	m.mAborted.Inc()
+	return false, err
 }

@@ -148,7 +148,8 @@ type Log struct {
 	appended *sim.Signal // record arrived
 	flushed  *sim.Signal // durableLSN advanced
 
-	dead bool // sink lost; no further flush will ever complete
+	dead bool  // halted; no further flush will ever complete
+	err  error // the failed sink write that halted the log (Err)
 
 	// metrics (wal/<sink>/...)
 	mRecords     *obs.Counter
@@ -311,26 +312,23 @@ func (l *Log) flusher(p *sim.Proc) {
 			if err == nil {
 				break
 			}
-			if errors.Is(err, ErrSinkLost) {
-				// The device is gone (power loss). Freeze the durable
-				// horizon where it is and halt; without a failover the
-				// unflushed records are lost, exactly like a crashed log.
-				// The failed batch is put back at the front of the buffer
-				// so Resume can re-drive a byte-exact stream onto a
-				// promoted device.
-				restored := make([]byte, 0, len(batch)+len(l.buf))
-				restored = append(restored, batch...)
-				restored = append(restored, l.buf...)
-				l.buf = restored
-				l.bufStart = start
-				l.dead = true
-				l.flushed.Broadcast()
-				return
-			}
-			// Any other failed flush would corrupt the durability
-			// horizon; halt the pipeline loudly rather than acking lost
-			// data.
-			panic(fmt.Sprintf("wal: sink %s failed: %v", l.sink.Name(), err))
+			// The device is gone (ErrSinkLost, a power loss) or the write
+			// failed some other way: acking past it would corrupt the
+			// durability horizon. Freeze the horizon where it is and halt;
+			// without a failover the unflushed records are lost, exactly
+			// like a crashed log. The failed batch is put back at the
+			// front of the buffer so Resume can re-drive a byte-exact
+			// stream onto a promoted device, and the error is kept for
+			// Err.
+			restored := make([]byte, 0, len(batch)+len(l.buf))
+			restored = append(restored, batch...)
+			restored = append(restored, l.buf...)
+			l.buf = restored
+			l.bufStart = start
+			l.dead = true
+			l.err = fmt.Errorf("wal: sink %s failed: %w", l.sink.Name(), err)
+			l.flushed.Broadcast()
+			return
 		}
 		if l.cfg.Retain {
 			l.retained = append(l.retained, batch...)
@@ -348,10 +346,15 @@ func (l *Log) Stats() (records, flushes, bytes int64) {
 	return l.mRecords.Value(), l.mFlushes.Value(), l.mFlushBytes.Value()
 }
 
-// Dead reports whether the pipeline has halted because its sink was lost
-// (power failure). DurableLSN is final; WaitDurable past it and
-// WaitBacklog block forever.
+// Dead reports whether the pipeline has halted: its sink was lost (power
+// failure) or failed a write (Err says which), or Halt was called.
+// DurableLSN is final; WaitDurable past it and WaitBacklog block forever.
 func (l *Log) Dead() bool { return l.dead }
+
+// Err returns the failed sink write that halted the log, wrapping the
+// sink's error (errors.Is(err, ErrSinkLost) after a power loss). It is
+// nil while the log runs, after a Halt, and again after a Resume.
+func (l *Log) Err() error { return l.err }
 
 // Halt forces the pipeline into the halted state. A failover manager
 // calls this when the sink's device died while the flusher sat idle —
@@ -425,6 +428,7 @@ func (l *Log) Resume(p *sim.Proc, sink Sink, fr int64) (int64, error) {
 	}
 	l.sink = sink
 	l.dead = false
+	l.err = nil
 	if len(l.buf) > 0 {
 		l.oldestWait = l.env.Now()
 	}

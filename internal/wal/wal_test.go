@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,70 @@ func TestCommitWaitsForDurability(t *testing.T) {
 	}
 	if log.DurableLSN() != int64(EncodedLen(1)) {
 		t.Fatalf("durable LSN = %d", log.DurableLSN())
+	}
+}
+
+// failOnceSink fails its first write with a plain error (not ErrSinkLost)
+// and accepts every later one.
+type failOnceSink struct {
+	countingSink
+	failed bool
+}
+
+var errSinkBroke = errors.New("sink broke")
+
+func (s *failOnceSink) Write(p *sim.Proc, data []byte) error {
+	if !s.failed {
+		s.failed = true
+		return errSinkBroke
+	}
+	return s.countingSink.Write(p, data)
+}
+
+// TestFailedSinkHaltsTheLog: a sink error other than ErrSinkLost halts the
+// log the way a lost sink does — no panic, the durable horizon frozen, the
+// failed batch kept for Resume, every waiter released — and Err reports
+// the error.
+func TestFailedSinkHaltsTheLog(t *testing.T) {
+	env := sim.NewEnv(1)
+	sink := &failOnceSink{}
+	log := NewLog(env, sink, Config{GroupBytes: 1, GroupTimeout: time.Millisecond})
+	var (
+		durable, returned bool
+	)
+	env.Go("worker", func(p *sim.Proc) {
+		lsn := log.Append(Record{TxID: 1, Payload: []byte("x")})
+		durable = log.WaitDurableOrDead(p, lsn)
+		returned = true
+	})
+	env.RunUntil(time.Second)
+	if !returned {
+		t.Fatal("WaitDurableOrDead still blocked after the sink failed")
+	}
+	if durable {
+		t.Error("WaitDurableOrDead reported a record durable that the sink failed")
+	}
+	if !log.Dead() {
+		t.Error("log not dead after a failed sink write")
+	}
+	if err := log.Err(); !errors.Is(err, errSinkBroke) || errors.Is(err, ErrSinkLost) {
+		t.Errorf("Err() = %v, want it to wrap %v and not ErrSinkLost", err, errSinkBroke)
+	}
+	if log.DurableLSN() != 0 || log.Backlog() != int64(EncodedLen(1)) {
+		t.Errorf("durable %d, backlog %d: want the failed batch back in the buffer", log.DurableLSN(), log.Backlog())
+	}
+
+	// The kept batch re-drives through a fresh sink, and Err clears.
+	next := &countingSink{}
+	env.Go("resume", func(p *sim.Proc) {
+		if _, err := log.Resume(p, next, 0); err != nil {
+			t.Errorf("resume: %v", err)
+		}
+	})
+	env.RunUntil(2 * time.Second)
+	got := bytes.Join(next.batches, nil)
+	if log.Dead() || log.Err() != nil || log.DurableLSN() != int64(EncodedLen(1)) || len(got) != EncodedLen(1) {
+		t.Errorf("after resume: dead %v, err %v, durable %d, %d bytes re-driven", log.Dead(), log.Err(), log.DurableLSN(), len(got))
 	}
 }
 

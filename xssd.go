@@ -264,7 +264,9 @@ func (s *System) NewDevice(opts DeviceOptions) (*Device, error) {
 }
 
 // MustDevice is NewDevice for tests and examples with known-good options;
-// it panics on a validation error.
+// it panics on a validation error. That panic is API misuse, the Must-
+// helper convention (regexp.MustCompile): a caller whose options come
+// from outside the program calls NewDevice and handles the error.
 func (s *System) MustDevice(opts DeviceOptions) *Device {
 	d, err := s.NewDevice(opts)
 	if err != nil {

@@ -75,6 +75,24 @@ func (t *Tree) Get(p *sim.Proc, key string) (Item, bool, error) {
 	}
 }
 
+// ColdPage walks key's root-to-leaf path through resident frames only and
+// returns the first page on it that is not resident: the page a Put or Get
+// of key would ask the pager for first and miss. ok is false when the
+// whole path is resident. The walk pins, touches and counts nothing.
+func (t *Tree) ColdPage(key string) (id uint64, ok bool) {
+	id = t.root
+	for {
+		f := t.pg.frames[id]
+		if f == nil {
+			return id, true
+		}
+		if f.n.kind == kindLeaf {
+			return 0, false
+		}
+		id = f.n.children[route(f.n.keys, key)]
+	}
+}
+
 // Put inserts or replaces key with it, stamping touched pages with lsn
 // (the end LSN of the redo record carrying this write). It keeps no
 // reference to key: an insert stores a copy.

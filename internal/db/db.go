@@ -68,6 +68,10 @@ type Engine struct {
 	// the first Prepare, so purely local workloads never pay for it.
 	pins map[hkey]*Tx
 
+	// cold is apply's scratch: the page ids a write set's puts would miss
+	// on first, handed to the pager in one Prefetch call.
+	cold []uint64
+
 	// spare holds the read/write sets of finished transactions, cleared
 	// but with their capacity, for BeginIn to hand out again (DESIGN §9): a
 	// transaction's cost is then the rows it writes, not three containers
@@ -601,8 +605,31 @@ func (t *Tx) commit(p *sim.Proc) (int64, error) {
 // resolved handle; they resolve against this engine, creating tables on
 // first touch.
 //
+// On a paged engine the puts' cold pages are read first, in one batch
+// (DESIGN §14): for each write, the first page on its key's path that is
+// not resident, found through resident branches only. A table this apply
+// creates has a fresh resident root and nothing to read, so the walk
+// skips it rather than creating it out of the puts' order.
+//
 //xssd:hotpath
 func (e *Engine) apply(p *sim.Proc, ws []writeOp, ver, lsn int64) error {
+	if e.pager != nil && len(ws) > 1 {
+		e.cold = e.cold[:0]
+		for _, w := range ws {
+			tab := w.tab.t
+			if tab == nil {
+				if tab = e.tables[w.tab.name]; tab == nil {
+					continue
+				}
+			}
+			if id, ok := tab.rows.(*btree.Tree).ColdPage(w.key); ok {
+				e.cold = append(e.cold, id)
+			}
+		}
+		if err := e.pager.Prefetch(p, e.cold); err != nil {
+			return err
+		}
+	}
 	for _, w := range ws {
 		tab := w.tab.t
 		if tab == nil {

@@ -251,6 +251,9 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // start runs fn as the new process p, which the caller allocated, from the
 // current virtual time: a carrier takes it, and its first dispatch is
 // scheduled at (now, next seq).
+// A start on a closed Env is API misuse and panics; no caller reaches it,
+// for Close is terminal and owners call it in deferred teardown, after the
+// last run, when nothing starts processes any more.
 func (e *Env) start(p *Proc, name string, fn func(p *Proc)) {
 	if e.closed {
 		panic("sim: Go on closed Env")
@@ -297,6 +300,10 @@ func (c *carrier) run() {
 }
 
 // resume switches to p's carrier until the process blocks or finishes.
+// Resuming a finished process is a scheduler bug, not a caller's error, and
+// panics; it is unreachable, because a process is resumed only by its own
+// dispatch event or a Signal wake-up, and both are dropped when it
+// finishes (it waits on at most one Signal, and only while parked).
 func (p *Proc) resume() {
 	if p.c.p != p {
 		// A wake-up for a process that already finished would resume
@@ -309,7 +316,9 @@ func (p *Proc) resume() {
 // yieldToScheduler hands control back and blocks until resumed. yield
 // reports false once Close has stopped the carrier — at the resume that
 // delivers the stop, and at once on any later call from a deferred
-// function — and the process unwinds.
+// function — and the process unwinds. It unwinds by panicking with the
+// procKilled sentinel, which no caller sees: carrier.run recovers it and
+// records no failure.
 //
 //xssd:hotpath
 func (p *Proc) yieldToScheduler() {
@@ -327,6 +336,8 @@ func (p *Proc) yieldToScheduler() {
 // was never resumed at all never starts. Close is terminal: the Env must
 // not be used afterwards. It must be called from the driving test or main
 // goroutine, never from process context.
+// A Close from process context is API misuse and panics; no caller reaches
+// it, for every owner closes in deferred teardown on the driving goroutine.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -429,6 +440,10 @@ func (p *Proc) WaitFor(s *Signal, cond func() bool) {
 // drain, say) holds no event and no process, so it is not in the number.
 // If a process panicked, Run rethrows the *ProcPanic here, on the driving
 // goroutine.
+// A Run from inside a run (a process or a scheduler callback calling it)
+// or on a closed Env is API misuse and panics, in run; no caller reaches
+// it, for every owner drives its Env from the goroutine that built it and
+// closes it in deferred teardown, after the last run.
 func (e *Env) Run() int { n := e.run(-1); e.rethrow(); return n }
 
 // RunUntil drives the simulation until virtual time t; events due later
@@ -436,6 +451,8 @@ func (e *Env) Run() int { n := e.run(-1); e.rethrow(); return n }
 func (e *Env) RunUntil(t time.Duration) int { n := e.run(int64(t)); e.rethrow(); return n }
 
 // rethrow surfaces a captured process panic on the caller's goroutine.
+// This panic is the process's own failure carried across the coroutine
+// boundary, not a new one: it fires only when a process panicked first.
 func (e *Env) rethrow() {
 	if e.fail != nil {
 		panic(e.fail)
@@ -521,6 +538,10 @@ type Link struct {
 
 // NewLink creates a link with the given bandwidth (bytes/second) and fixed
 // propagation latency.
+// A non-positive bandwidth is API misuse and panics; no caller reaches it,
+// for every bandwidth is a package constant or comes from a fixed spec
+// (PCIe lanes, pm bank specs, NAND timing, the NTB default), and the public
+// facade only selects among those specs.
 func (e *Env) NewLink(name string, bytesPerSec float64, latency time.Duration) *Link {
 	if bytesPerSec <= 0 {
 		panic("sim: link bandwidth must be positive")

@@ -116,6 +116,24 @@ func (t *Tx) GetW(p *sim.Proc, warehouse int, tab db.Table, key string) ([]byte,
 	return v, ok, nil
 }
 
+// WantW names a row the transaction is about to touch, for the next Fetch
+// to read in one batch (db.Tx.Want). A row the home shard owns goes to
+// the local transaction. A remote one is dropped: naming it must not cost
+// an RPC, and the remote read that follows is one round trip anyway.
+//
+//xssd:hotpath
+func (t *Tx) WantW(warehouse int, tab db.Table, key string) {
+	if t.home.c.ShardOf(warehouse) == t.home.id {
+		t.local.Want(tab, key)
+	}
+}
+
+// Fetch reads the home rows WantW named since the last Fetch
+// (db.Tx.Fetch).
+//
+//xssd:hotpath
+func (t *Tx) Fetch() { t.local.Fetch() }
+
 // remoteGet is GetW's remote arm: a read RPC into shard sid.
 func (t *Tx) remoteGet(p *sim.Proc, sid int, table, key string) ([]byte, bool, error) {
 	t.part(sid)

@@ -283,6 +283,47 @@ func TestRemoteWriteKeyOutlivesScratch(t *testing.T) {
 	}
 }
 
+// TestWantRemoteCostsNoRPC: WantW on a row another shard owns is dropped
+// on the spot. Naming it and fetching sends no RPC and makes the shard no
+// participant, so the transaction then reads and commits as a local one
+// would; the remote read that follows is the one RPC.
+func TestWantRemoteCostsNoRPC(t *testing.T) {
+	streams := make([][]byte, 2)
+	cl, err := New(testConfig(2, 2, 31, streams))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Build()
+	done := false
+	boot(t, cl, func(p *sim.Proc) {
+		home := cl.Shard(0)
+		kv := home.Engine().Table("kv")
+		out := home.mRPCOut.Value()
+		tx := home.BeginIn(new(Tx), p)
+		tx.WantW(3, kv, balKey(3))
+		tx.WantW(1, kv, balKey(1))
+		tx.Fetch()
+		if n := home.mRPCOut.Value() - out; n != 0 || len(tx.parts) != 0 || tx.gid != 0 {
+			t.Errorf("WantW on a remote row: %d RPCs, %d participants, gid %#x; want none", n, len(tx.parts), tx.gid)
+		}
+		if _, ok, err := tx.GetW(p, 3, kv, balKey(3)); err != nil || !ok {
+			t.Errorf("remote read: ok=%v err=%v", ok, err)
+		}
+		if n := home.mRPCOut.Value() - out; n != 1 {
+			t.Errorf("the remote read sent %d RPCs, want 1", n)
+		}
+		tx.Abort()
+		done = true
+	})
+	for step := 0; !done && step < 100; step++ {
+		cl.RunUntil(cl.Now() + 10*time.Millisecond)
+	}
+	if !done {
+		t.Fatal("the transaction did not finish")
+	}
+}
+
 func countPrepares(v *View) int {
 	cs, _ := db.Controls(v.Records)
 	n := 0

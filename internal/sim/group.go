@@ -367,6 +367,14 @@ func (g *Group) RunUntil(t time.Duration) int {
 		g.stats.Quanta++
 		g.now = qEnd
 		if f := g.firstFailure(); f != nil {
+			// This panic is a member's own failure carried to the driving
+			// goroutine, not a new one, as Env.rethrow's is for a lone
+			// Env: runQuantum turned a process's or a scheduler callback's
+			// panic into data, and this rethrows it. It fires only when
+			// such a panic came first, so no caller reaches it on its own;
+			// each site that can panic inside a process is audited where it
+			// stands. Closing first releases every parked goroutine and the
+			// helpers, so the rethrow leaks none of them.
 			g.running = false
 			g.Close()
 			panic(f)

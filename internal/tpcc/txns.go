@@ -95,11 +95,24 @@ type Client struct {
 
 	// Per-call scratch the terminal owns, cleared by the profile that
 	// uses it: the customer ids of one name-index row, the item ids
-	// Stock-Level has already counted, and the key of the row about to be
-	// read or written (tmp).
+	// Stock-Level has already counted, Delivery's districts with an order
+	// to deliver, and the key of the row about to be read or written (tmp).
 	ids  []int64
 	seen map[int64]bool
+	due  []dueOrder
 	kb   []byte
+}
+
+// dueOrder is what Delivery's read rounds learn about one district's
+// oldest undelivered order before its writes: the district row, the
+// order id, whether the new-order row is still there, and the order row
+// if it was read.
+type dueOrder struct {
+	d, oid int
+	dist   District
+	queued bool // the new-order row is there
+	found  bool // the order row is there (read only when queued)
+	order  Order
 }
 
 type tableSet struct {
@@ -131,10 +144,18 @@ func resolveTables(eng *db.Engine) tableSet {
 // keeps — so every row is named with a view of a buffer the terminal
 // reuses (tmp). A value handed to PutW is the row from then on and is
 // never written again.
+//
+// WantW and Fetch group a profile's reads into rounds (db.Tx.Want): the
+// rows a round names are read from the device in one batch. Naming a row
+// reads nothing and draws nothing, so the write set, its order and the
+// terminal's rng draws do not depend on the rounds. On a row map both do
+// nothing.
 type rowTx interface {
 	GetW(p *sim.Proc, warehouse int, tab db.Table, key string) ([]byte, bool, error)
 	PutW(warehouse int, tab db.Table, key string, val []byte)
 	DeleteW(warehouse int, tab db.Table, key string)
+	WantW(warehouse int, tab db.Table, key string)
+	Fetch()
 	ID() int64
 	Abort()
 }
@@ -154,6 +175,9 @@ func (t localTx) PutW(_ int, tab db.Table, key string, val []byte) { t.PutOwnedI
 
 //xssd:hotpath
 func (t localTx) DeleteW(_ int, tab db.Table, key string) { t.DeleteIn(tab, key) }
+
+//xssd:hotpath
+func (t localTx) WantW(_ int, tab db.Table, key string) { t.Want(tab, key) }
 
 // NewClient creates a terminal bound to homeWID, drawing remote
 // warehouses at SpecMix.
@@ -341,6 +365,15 @@ func (c *Client) newOrder(p *sim.Proc) error {
 	dist.NextOID++
 	tx.PutW(w, c.tabs.district, dKey, dist.Encode())
 
+	// The order id names the rows the order inserts: read their pages in
+	// one batch with the customer's. The lines' items and stock are drawn
+	// one line at a time, after this.
+	tx.WantW(w, c.tabs.customer, c.tmp(appendCKey(c.kb[:0], w, d, cid)))
+	tx.WantW(w, c.tabs.order, c.tmp(appendOKey(c.kb[:0], w, d, oid)))
+	tx.WantW(w, c.tabs.newOrder, c.tmp(appendNOKey(c.kb[:0], w, d, oid)))
+	tx.WantW(w, c.tabs.orderLine, c.tmp(appendOLKey(c.kb[:0], w, d, oid, 1)))
+	tx.Fetch()
+
 	cRow, ok, err := tx.GetW(p, w, c.tabs.customer, c.tmp(appendCKey(c.kb[:0], w, d, cid)))
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing customer"))
@@ -419,6 +452,9 @@ func (c *Client) payment(p *sim.Proc) error {
 	amount := int64(c.rng.Intn(499900) + 100)
 
 	tx := c.begin(p)
+	// The history row's key is known from the start; its page is read
+	// with the customer's, once the customer is chosen.
+	tx.WantW(w, c.tabs.history, c.tmp(appendHKey(c.kb[:0], w, d, tx.ID())))
 	wKey := c.tmp(appendWKey(c.kb[:0], w))
 	wRow, ok, err := tx.GetW(p, w, c.tabs.warehouse, wKey)
 	if err != nil || !ok {
@@ -442,6 +478,8 @@ func (c *Client) payment(p *sim.Proc) error {
 		return abort(tx, err)
 	}
 	cKey := c.tmp(appendCKey(c.kb[:0], cw, cd, cid))
+	tx.WantW(cw, c.tabs.customer, cKey)
+	tx.Fetch()
 	cRow, ok, err := tx.GetW(p, cw, c.tabs.customer, cKey)
 	if err != nil || !ok {
 		return abort(tx, orErr(err, "tpcc: missing customer"))
@@ -525,11 +563,15 @@ func (c *Client) orderStatus(p *sim.Proc) error {
 }
 
 // delivery implements clause 2.7: deliver the oldest undelivered order of
-// each district.
+// each district. The districts are independent, so their reads go in two
+// rounds of one batch each — the district rows, then the new-order and
+// order rows they point at — before the writes run district by district:
+// each district's writes in the same order, and the districts in order.
 func (c *Client) delivery(p *sim.Proc) error {
 	w := c.home
 	carrier := int64(c.rng.Intn(10) + 1)
 	tx := c.begin(p)
+	c.due = c.due[:0]
 	for d := 1; d <= c.cfg.Districts; d++ {
 		dRow, ok, err := tx.GetW(p, w, c.tabs.district, c.tmp(appendDKey(c.kb[:0], w, d)))
 		if err != nil {
@@ -543,32 +585,46 @@ func (c *Client) delivery(p *sim.Proc) error {
 		if int64(oid) >= dist.NextOID {
 			continue // nothing to deliver in this district
 		}
-		noKey := c.tmp(appendNOKey(c.kb[:0], w, d, oid))
-		_, ok, err = tx.GetW(p, w, c.tabs.newOrder, noKey)
+		c.due = append(c.due, dueOrder{d: d, oid: oid, dist: dist})
+		tx.WantW(w, c.tabs.newOrder, c.tmp(appendNOKey(c.kb[:0], w, d, oid)))
+		tx.WantW(w, c.tabs.order, c.tmp(appendOKey(c.kb[:0], w, d, oid)))
+		tx.WantW(w, c.tabs.orderLine, c.tmp(appendOLKey(c.kb[:0], w, d, oid, 1)))
+	}
+	tx.Fetch()
+	for i := range c.due {
+		o := &c.due[i]
+		var err error
+		_, o.queued, err = tx.GetW(p, w, c.tabs.newOrder, c.tmp(appendNOKey(c.kb[:0], w, o.d, o.oid)))
 		if err != nil {
 			return abort(tx, err)
 		}
-		if ok {
-			tx.DeleteW(w, c.tabs.newOrder, noKey)
+		if !o.queued {
+			continue // order consumed by a concurrent delivery
 		}
-		dist.NextDelivery++
-		// The new-order key took the scratch: name the district again.
-		tx.PutW(w, c.tabs.district, c.tmp(appendDKey(c.kb[:0], w, d)), dist.Encode())
-		if !ok {
-			continue // order consumed by a concurrent delivery; advance anyway
-		}
-
-		oKey := c.tmp(appendOKey(c.kb[:0], w, d, oid))
-		oRow, ok, err := tx.GetW(p, w, c.tabs.order, oKey)
+		oRow, ok, err := tx.GetW(p, w, c.tabs.order, c.tmp(appendOKey(c.kb[:0], w, o.d, o.oid)))
 		if err != nil {
 			return abort(tx, err)
 		}
-		if !ok {
-			continue
+		if o.found = ok; ok {
+			o.order = DecodeOrder(oRow)
+			tx.WantW(w, c.tabs.customer, c.tmp(appendCKey(c.kb[:0], w, o.d, int(o.order.CID))))
 		}
-		order := DecodeOrder(oRow)
+	}
+	tx.Fetch()
+	for i := range c.due {
+		o := &c.due[i]
+		d, oid := o.d, o.oid
+		if o.queued {
+			tx.DeleteW(w, c.tabs.newOrder, c.tmp(appendNOKey(c.kb[:0], w, d, oid)))
+		}
+		o.dist.NextDelivery++
+		tx.PutW(w, c.tabs.district, c.tmp(appendDKey(c.kb[:0], w, d)), o.dist.Encode())
+		if !o.queued || !o.found {
+			continue // a consumed order still advances the district
+		}
+		order := o.order
 		order.Carrier = carrier
-		tx.PutW(w, c.tabs.order, oKey, order.Encode())
+		tx.PutW(w, c.tabs.order, c.tmp(appendOKey(c.kb[:0], w, d, oid)), order.Encode())
 		// DeliveryD == 0 means "undelivered", so a delivery at virtual
 		// time zero must still stamp a nonzero instant.
 		stamp := int64(p.Now())
@@ -618,6 +674,13 @@ func (c *Client) stockLevel(p *sim.Proc) error {
 		return abort(tx, orErr(err, "tpcc: missing district"))
 	}
 	dist := DecodeDistrict(dRow)
+	// The scan's orders and their first lines, read in one batch before
+	// it starts.
+	for oid := int(dist.NextOID) - 1; oid >= 1 && oid > int(dist.NextOID)-20; oid-- {
+		tx.WantW(w, c.tabs.order, c.tmp(appendOKey(c.kb[:0], w, d, oid)))
+		tx.WantW(w, c.tabs.orderLine, c.tmp(appendOLKey(c.kb[:0], w, d, oid, 1)))
+	}
+	tx.Fetch()
 	low := 0
 	clear(c.seen)
 	for oid := int(dist.NextOID) - 1; oid >= 1 && oid > int(dist.NextOID)-20; oid-- {

@@ -29,7 +29,7 @@ import (
 const (
 	pagedCellWindow    = 2 * time.Second // ≈ 1 s of wall
 	pagedCellTerminals = 4
-	pagedCellPool      = 105  // ≈ ¼ of the pages the load leaves (TestPagedCellShape)
+	pagedCellPool      = 85   // ≈ ¼ of the pages the load builds (TestPagedCellShape)
 	pagedCellSlots     = 4096 // page ids × 2 shadow slots
 	pagedCellHostMem   = 1 << 20
 	pagedCellDev       = "paged"
@@ -37,8 +37,8 @@ const (
 
 // pagedTPCCCell runs the cell and reports the events it dispatched, the
 // commits it acknowledged inside the window and the device page reads its
-// pager issued; loaded is the page count the bulk load left resident, which
-// pagedCellPool is sized against.
+// pager issued; loaded is the page count of the tree the bulk load built,
+// which pagedCellPool is sized against.
 func pagedTPCCCell() (m Measurement, loaded int, err error) {
 	dcfg := villars.DefaultConfig(pagedCellDev)
 	dcfg.Backing = pm.SRAMSpec
@@ -73,13 +73,14 @@ func pagedTPCCCell() (m Measurement, loaded int, err error) {
 		if bootErr = st.Boot(p); bootErr != nil {
 			return
 		}
-		loaded = st.Pager.Resident()
 		// Bulk-loaded pages are all dirty and cannot be evicted; the first
-		// checkpoint writes them out so the pool cap holds from the first
-		// transaction on.
+		// checkpoint builds the staged tables, writes every page out so the
+		// pool cap holds from the first transaction on, and so counts the
+		// loaded tree.
 		if _, bootErr = st.Ckpt.RunOnce(p); bootErr != nil {
 			return
 		}
+		loaded = int(obs.For(env).Counter(pagedCellDev + "/ckpt/pages_written").Value())
 		env.Go("ckpt", st.Ckpt.Run)
 		for w := 0; w < pagedCellTerminals; w++ {
 			client := tpcc.NewClient(st.Engine, tcfg, int64(100+w), w%tcfg.Warehouses+1)

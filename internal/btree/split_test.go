@@ -189,10 +189,10 @@ func mixedRuns(t testing.TB, rng *rand.Rand) error {
 }
 
 // pureRuns grows only the runs, in random bursts, and checks page fill:
-// every leaf is at least 90 % full except a run's last leaf (the one
-// still filling) and a leaf that starts with a loaded key (the load's
-// boundary leaves, which the first insert into a full leaf splits at the
-// byte midpoint).
+// every leaf holds at most runFill eighths of its cell area and less than
+// one cell under that, except a run's last leaf (the one still filling)
+// and a leaf that starts with a loaded key (the load's boundary leaves,
+// which the first insert into a full leaf splits at the byte midpoint).
 func pureRuns(t testing.TB, rng *rand.Rand) error {
 	r, err := newRunsTree(t, rng)
 	if err != nil {
@@ -214,6 +214,8 @@ func pureRuns(t testing.TB, rng *rand.Rand) error {
 		return err
 	}
 	checked := 0
+	reserve := r.pg.maxCell() * runFill / 8
+	cellMax := leafCellSize(runsKey(0, 0), make([]byte, 29)) // runInsert's largest cell
 	for _, n := range leaves {
 		first, last := n.cells[0].key, n.cells[len(n.cells)-1].key
 		var d, i int
@@ -230,8 +232,8 @@ func pureRuns(t testing.TB, rng *rand.Rand) error {
 			continue
 		}
 		checked++
-		if 10*n.size < 9*r.pg.maxCell() {
-			return fmt.Errorf("leaf %d [%s..%s] is %d%% full", n.id, first, last, 100*n.size/r.pg.maxCell())
+		if n.size > reserve || n.size+cellMax <= reserve {
+			return fmt.Errorf("leaf %d [%s..%s] holds %d bytes, want within one %d-byte cell under %d", n.id, first, last, n.size, cellMax, reserve)
 		}
 	}
 	if checked == 0 {
@@ -244,9 +246,9 @@ func pureRuns(t testing.TB, rng *rand.Rand) error {
 // interleaved ascending runs mixed with random writes and removes, the
 // tree equals a sorted-map oracle, CheckInvariants holds, and every page
 // image round-trips with its split hint. On runs alone, the pages the
-// runs fill are at least 90 % full: a leaf splits at the insertion point,
-// not the byte midpoint, and the cells after that point leave the run's
-// page instead of riding along in each of its pages.
+// runs fill end within one cell of runFill eighths full: a leaf splits at
+// the insertion point, not the byte midpoint, and then gives back the
+// cells past 7/8, which leaves each run page an eighth free to grow in.
 func TestQuickAscendingRuns(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -314,5 +316,46 @@ func TestRunSplitMovesCellsAfterTheRun(t *testing.T) {
 	}
 	if h := leaves[0].hint; h != 2 {
 		t.Errorf("the run's leaf has split hint %d, want 2: its next insert, at index 2, continues the run", h)
+	}
+}
+
+// TestSortedPutsLeaveAGrowthReserve builds a tree the way a paged engine
+// builds a loaded table, by Put in key order, from order-line-shaped rows
+// on 4 KiB pages: 14-byte keys and 23-byte values, 50-byte cells. Every
+// leaf but the last ends within one cell of runFill eighths full, and
+// growing every row by 7 bytes, as TPC-C's Delivery does with its date,
+// splits no leaf.
+func TestSortedPutsLeaveAGrowthReserve(t *testing.T) {
+	const rows, cell = 4000, 50
+	pg := NewPager(NewMemStore(4096, 1<<24), Config{PoolPages: 1024})
+	tr := New(pg)
+	key := func(i int) string { return fmt.Sprintf("ol:1:1:%04d:%02d", i/10, i%10+1) }
+	lsn := int64(0)
+	putAll := func(vlen int) {
+		for i := range rows {
+			lsn++
+			if err := tr.Put(nil, key(i), Item{Ver: lsn, Val: bytes.Repeat([]byte{'v'}, vlen)}, lsn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.CheckInvariants(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putAll(cell - leafCellSize(key(0), nil))
+	leaves, err := (&runsTree{t: t, tr: tr, pg: pg}).leaves()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reserve := pg.maxCell() * runFill / 8
+	for _, n := range leaves[:len(leaves)-1] {
+		if n.size > reserve || n.size+cell <= reserve {
+			t.Fatalf("leaf %d [%s..] holds %d bytes, want within one %d-byte cell under %d", n.id, n.cells[0].key, n.size, cell, reserve)
+		}
+	}
+	pages := pg.nextID
+	putAll(cell + 7 - leafCellSize(key(0), nil))
+	if pg.nextID != pages {
+		t.Errorf("growing every cell by 7 bytes took the tree from %d to %d pages: %d leaves had no room", pages, pg.nextID, pg.nextID-pages)
 	}
 }

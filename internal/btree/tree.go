@@ -93,11 +93,11 @@ func (t *Tree) ColdPage(key string) (id uint64, ok bool) {
 	}
 }
 
-// Put inserts or replaces key with it, stamping touched pages with lsn
-// (the end LSN of the redo record carrying this write). It keeps no
-// reference to key: an insert stores a copy.
-func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
-	if 3*leafCellSize(key, it.Val) > t.pg.maxCell() || 4*branchCellSize(key) > t.pg.maxCell() {
+// Fits returns the error Put gives a row too large for a page, wrapping
+// ErrTooLarge, or nil: a caller that stages rows for a later Put checks
+// them with it up front.
+func (t *Tree) Fits(key string, val []byte) error {
+	if 3*leafCellSize(key, val) > t.pg.maxCell() || 4*branchCellSize(key) > t.pg.maxCell() {
 		// A leaf cell of at most a third of the cell area A is what lets
 		// splitLeaf place both halves. The leaf held at most A before this
 		// put, which adds (or grows) one cell of c bytes, so an
@@ -109,12 +109,27 @@ func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
 		// there too only if that fits, and its right half is then old
 		// cells. Otherwise cells[:at] plus the new cell passed A, so the
 		// right half, the new cell and the cells after it, is under
-		// s - (A - c) <= 2c <= A.
+		// s - (A - c) <= 2c <= A. If the run's left half then gives cells
+		// back to stay at 7A/8, it stops at the first prefix that does,
+		// one cell (at most A/3) short of a prefix that did not: it keeps
+		// over 7A/8 - A/3, and the right half holds under
+		// A + A/3 - (7A/8 - A/3) = 19A/24.
 		//
 		// The branch bound guarantees every overflowing branch holds at
 		// least four separators, so a split always leaves a valid key on
 		// both sides.
-		return fmt.Errorf("%w: key %q with %d-byte value", ErrTooLarge, key, len(it.Val))
+		return fmt.Errorf("%w: key %q with %d-byte value", ErrTooLarge, key, len(val))
+	}
+	return nil
+}
+
+// Put inserts or replaces key with it, stamping touched pages with lsn
+// (the end LSN of the redo record carrying this write). It keeps no
+// reference to key: an insert stores a copy. It refuses a row that Fits
+// refuses.
+func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
+	if err := t.Fits(key, it.Val); err != nil {
+		return err
 	}
 	f, err := t.pg.fetch(p, t.root)
 	if err != nil {
@@ -223,13 +238,23 @@ func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (se
 	return "", 0, false, nil
 }
 
+// runFill is how many eighths of its cell area an ascending run's split
+// leaves filled in the left page. The eighth it keeps free is room for
+// rows that grow after the run appended them: TPC-C's Delivery stamps an
+// order line with its delivery date, about 7 bytes on a cell of about 50,
+// roughly a seventh of it, and Payment and NewOrder grow counters by a
+// byte or two. A page of such rows at 7/8 takes every one of those
+// updates without a split; a full one splits at its byte midpoint on the
+// first, and leaves two pages half full.
+const runFill = 7
+
 // splitLeaf moves the cells from a split point on of f into a fresh
 // right sibling; the separator is the right sibling's first key.
 //
 // at >= 0 says the split comes from an insert at index at that landed
 // right after the leaf's previous insert: an ascending run, such as a
 // district's newest orders. Its split is InnoDB's sequential-insert split,
-// which leaves the run's pages full instead of half empty:
+// which leaves the run's pages dense instead of half empty:
 //   - cells after the new one belong to higher keys the run will not add
 //     to (the next district's first orders), so when the left page can
 //     hold cells[:at+1] they alone move right and the run goes on
@@ -237,11 +262,13 @@ func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (se
 //   - otherwise the left page keeps cells[:at] and the new cell starts
 //     the right page, where the run's next inserts go.
 //
-// Any other split cuts at the byte midpoint. Put's admission rule makes
-// every choice fit. The split hint follows the cell it names into its
-// half; the other half has none. Every input to the choice is in the page
-// image, so page shape stays a function of the operation history alone,
-// across eviction and recovery.
+// Either way the left page then gives back cells from its end until it
+// is at most runFill eighths full, keeping at least one cell, so the rows
+// the run leaves behind can grow in place. Any other split cuts at the
+// byte midpoint. Put's admission rule makes every choice fit. The split
+// hint follows the cell it names into its half; the other half has none.
+// Every input to the choice is in the page image, so page shape stays a
+// function of the operation history alone, across eviction and recovery.
 //
 // The separator is cloned: a decoded leaf's key is a view into its page's
 // cell-area copy, which a long-lived parent must not keep alive.
@@ -255,7 +282,11 @@ func (t *Tree) splitLeaf(f *frame, lsn int64, at int) (string, uint64, bool, err
 		}
 		sp = at
 		if at+1 < len(n.cells) && left+n.cells[at].size() <= t.pg.maxCell() {
-			sp = at + 1
+			sp, left = at+1, left+n.cells[at].size()
+		}
+		for reserve := t.pg.maxCell() * runFill / 8; sp > 1 && left > reserve; {
+			sp--
+			left -= n.cells[sp].size()
 		}
 	} else {
 		half := n.size / 2

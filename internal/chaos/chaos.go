@@ -235,6 +235,10 @@ type Result struct {
 	// record and CkptAborted the attempts that aborted (paged runs only;
 	// both always 0 for the classic engine).
 	Checkpoints, CkptAborted int64
+	// Fetched counts the pages the live engine's Tx.Fetch calls asked the
+	// pager for, the ones Want found cold (db.Engine.Fetched; 0 on the
+	// classic engine).
+	Fetched int64
 
 	StallSeen     bool          // status register showed StatusReplicaStalled
 	MaxSuppressed time.Duration // longest observed shadow-suppression stretch
@@ -485,6 +489,7 @@ func runSingle(s Scenario) (*Result, error) {
 		v.add("I1", "log halted: %v", err)
 	}
 	r.Commits, _ = eng.Stats()
+	r.Fetched = eng.Fetched()
 	r.Firings = st.Faults.Firings()
 	r.StallSeen = mon.seen
 	r.MaxSuppressed = mon.maxSuppressed

@@ -36,8 +36,10 @@ const (
 	// pagedSlots is the conventional-side LBA range a paged run reserves:
 	// 1024 page ids × 2 shadow slots, one device block per slot.
 	pagedSlots = 2048
-	// pagedPool is the live engine's buffer-pool cap in pages.
-	pagedPool = 128
+	// pagedPool is the live engine's buffer-pool cap in pages: well under
+	// the loaded tree, so transactions' reads miss and their batched
+	// fetches (db.Tx.Fetch) reach the device under the injected faults.
+	pagedPool = 16
 )
 
 // preCheckpointRecords counts the redo records a checkpoint at startLSN

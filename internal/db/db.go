@@ -72,6 +72,17 @@ type Engine struct {
 	// on first, handed to the pager in one Prefetch call.
 	cold []uint64
 
+	// staged is set while a paged table holds rows LoadRow staged and
+	// build has not inserted yet. stagedKeys holds the bytes of their
+	// keys, which are views into it (as a transaction's keys are, see
+	// txSets).
+	staged     bool
+	stagedKeys []byte
+
+	// fetched counts the pages Tx.Fetch handed the pager: the ones Want
+	// found cold.
+	fetched int64
+
 	// spare holds the read/write sets of finished transactions, cleared
 	// but with their capacity, for BeginIn to hand out again (DESIGN §9): a
 	// transaction's cost is then the rows it writes, not three containers
@@ -100,6 +111,16 @@ type store interface {
 type table struct {
 	name string
 	rows store
+
+	// staged holds the rows LoadRow gave a paged table since the last
+	// build, in call order.
+	staged []stagedRow
+}
+
+// stagedRow is one loaded row waiting for build; it owns val.
+type stagedRow struct {
+	key string
+	val []byte
 }
 
 // rowMap is the memory-only store: a map from key to a row slot. It owns
@@ -262,6 +283,7 @@ func (e *Engine) RowCountIn(p *sim.Proc, name string) int {
 // scanLive visits a table's live rows in key order: the one scan behind
 // row counts and fingerprints.
 func (e *Engine) scanLive(p *sim.Proc, t *table, fn func(key string, val []byte)) {
+	e.build(p)
 	err := t.rows.Scan(p, func(k string, it btree.Item) bool {
 		if !it.Tomb {
 			fn(k, it.Val)
@@ -275,6 +297,10 @@ func (e *Engine) scanLive(p *sim.Proc, t *table, fn func(key string, val []byte)
 
 // Stats returns committed and aborted transaction counts.
 func (e *Engine) Stats() (commits, aborts int64) { return e.commits, e.aborts }
+
+// Fetched returns how many pages transactions' Fetch calls have handed
+// the pager: the pages their Want calls found cold. A row map's is 0.
+func (e *Engine) Fetched() int64 { return e.fetched }
 
 // Tx is one transaction. All methods must be called from a single
 // simulated process; only commits (and, on a paged engine, reads) block.
@@ -355,6 +381,7 @@ func (e *Engine) BeginP(p *sim.Proc) *Tx { return e.BeginIn(new(Tx), p) }
 // hold t — a late call through another reference would reach the new
 // transaction.
 func (e *Engine) BeginIn(t *Tx, p *sim.Proc) *Tx {
+	e.build(p)
 	e.nextTx++
 	*t = Tx{eng: e, id: e.nextTx, p: p, txSets: e.spare.Get()}
 	if t.wIndex == nil { // no spare: a fresh set
@@ -462,6 +489,7 @@ func (t *Tx) Fetch() {
 	if len(t.want) == 0 {
 		return
 	}
+	t.eng.fetched += int64(len(t.want))
 	err := t.eng.pager.Prefetch(t.p, t.want)
 	t.want = t.want[:0]
 	if err != nil {
@@ -824,18 +852,62 @@ func (e *Engine) Env() *sim.Env { return e.env }
 // LoadRow installs a row directly, bypassing transactions and the log.
 // It exists for bulk loading (e.g. populating TPC-C tables); rows loaded
 // this way carry version 0, exactly like rows recovered from a snapshot.
-// On a paged engine the load happens before any checkpoint, so every
-// touched page is fresh and resident — no device I/O, no process needed.
-// LoadRow keeps neither key nor val: the store copies the key, and the row
-// gets a copy of val.
-// A store error is API misuse: a tree put fails only on a page miss (none
-// before the first checkpoint — the pager never evicts a dirty page) or
-// an oversize row (the loaders' fixed schemas write none).
+// A row map takes the row at once. A paged table stages it, and the first
+// engine call after the load that reads or writes rows or cuts a
+// checkpoint builds every staged table (build, DESIGN §14). LoadRow keeps
+// neither key nor val: the stage and the store copy them. It panics on a
+// row too large for a page, which is API misuse (the loaders' fixed
+// schemas write none).
 func (e *Engine) LoadRow(tableName, key string, val []byte) {
-	it := btree.Item{Val: append([]byte(nil), val...)}
-	if err := e.Table(tableName).t.rows.Put(nil, key, it, 0); err != nil {
+	tab := e.Table(tableName).t
+	val = append([]byte(nil), val...)
+	var err error
+	if tr, ok := tab.rows.(*btree.Tree); !ok {
+		err = tab.rows.Put(nil, key, btree.Item{Val: val}, 0)
+	} else if err = tr.Fits(key, val); err == nil {
+		n := len(e.stagedKeys)
+		e.stagedKeys = append(e.stagedKeys, key...)
+		tab.staged = append(tab.staged, stagedRow{view(e.stagedKeys[n:]), val})
+		e.staged = true
+	}
+	if err != nil {
 		panic(fmt.Sprintf("db: load row %q/%q: %v", tableName, key, err))
 	}
+}
+
+// build inserts the rows LoadRow staged, on process p. It takes the
+// tables in Tables() order, and each table's rows in key order, the last
+// row loaded winning for a repeated key, so the pages it builds depend on
+// the set of rows loaded and not on the order they came in. Inserting in
+// key order makes every insert an ascending run, whose splits leave each
+// leaf runFill eighths full (btree.Tree.splitLeaf): a table loaded in any
+// other order splits full leaves at their midpoints and stays half empty.
+// It runs under the commit lock, since a put may miss and yield when rows
+// were staged after a checkpoint; a put can fail only that way, on a dead
+// device, which ends the run as every store fault does.
+func (e *Engine) build(p *sim.Proc) {
+	if !e.staged {
+		return
+	}
+	e.lockCommits(p)
+	defer e.unlockCommits()
+	for _, name := range e.Tables() {
+		tab := e.tables[name]
+		rows := tab.staged
+		tab.staged = nil
+		slices.SortStableFunc(rows, func(a, b stagedRow) int { return strings.Compare(a.key, b.key) })
+		for i, r := range rows {
+			if i+1 < len(rows) && rows[i+1].key == r.key {
+				continue
+			}
+			if err := tab.rows.Put(p, r.key, btree.Item{Val: r.val}, 0); err != nil {
+				e.fault(p, fmt.Errorf("db: build %q/%q: %w", name, r.key, err))
+			}
+		}
+	}
+	// Only now: a caller that waited on the lock meanwhile finds nothing
+	// left. The trees copied every key they keep.
+	e.staged, e.stagedKeys = false, nil
 }
 
 // Read is a convenience snapshot read outside any transaction.
@@ -846,6 +918,7 @@ func (e *Engine) Read(tableName, key string) ([]byte, bool) {
 // ReadIn is Read running on a simulated process (paged engines may fetch
 // the page from the device).
 func (e *Engine) ReadIn(p *sim.Proc, tableName, key string) ([]byte, bool) {
+	e.build(p)
 	tab, ok := e.tables[tableName]
 	if !ok {
 		return nil, false

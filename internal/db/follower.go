@@ -21,6 +21,7 @@ func NewFollower(eng *Engine) *Follower { return &Follower{w: replayer{e: eng}} 
 // Feed consumes the next chunk of the log stream, applying every complete
 // record it completes. Partial records are buffered for the next call.
 func (f *Follower) Feed(chunk []byte) error {
+	f.w.e.build(f.w.p) // rows LoadRow staged lie under the log, as in Replay
 	f.pending = append(f.pending, chunk...)
 	off := 0
 	for {

@@ -57,6 +57,7 @@ type Checkpoint struct {
 // the lock, concurrently with new commits (that is what makes the
 // checkpoint fuzzy). Only a paged engine has pages to cut.
 func (e *Engine) BeginCheckpoint(p *sim.Proc) (Checkpoint, error) {
+	e.build(p)
 	e.lockCommits(p)
 	defer e.unlockCommits()
 	snap, err := e.pager.SnapshotCheckpoint()

@@ -136,6 +136,7 @@ type ReplayStats struct {
 // late, because its rows stay pinned until the decision. A malformed
 // record, or a COMMITP with no PREPARE, is an error.
 func (e *Engine) Replay(p *sim.Proc, records []wal.Record, from int64, decided func(gid int64, coord int) bool) (ReplayStats, error) {
+	e.build(p)
 	w := replayer{e: e, p: p, from: from}
 	for _, r := range records {
 		if err := w.walk(r); err != nil {

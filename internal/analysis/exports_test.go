@@ -44,7 +44,6 @@ var kept = map[string]string{
 
 	// Test drivers: only tests run them, by design.
 	"analysis/analysistest.Run": "the analyzers' golden-file harness",
-	"btree.Tree.Remove":         "the oracle property and the pinned layout walk drive underflow merges through physical deletes; the engine deletes with tombstones",
 	"fault.ActionNone":          "the zero ActionKind a Decision carries when no rule fired; tests compare Act against it",
 	"sim.Env.Run":               "tests run a bare Env until its queue empties; programs bound every run with RunUntil",
 }

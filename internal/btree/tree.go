@@ -167,7 +167,7 @@ func (t *Tree) Put(p *sim.Proc, key string, it Item, lsn int64) error {
 // is, and the merged size did not fall. Probing the siblings of a node
 // that kept or gained size can therefore never find a merge, and skipping
 // the probe leaves page shape the same function of the operation history
-// (TestTreeLayoutPinned was recorded with the probe in place).
+// (TestTreeLayoutPinned was first recorded with the probe in place).
 func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (sep string, right uint64, split bool, err error) {
 	n := f.n
 	if n.kind == kindLeaf {
@@ -213,8 +213,7 @@ func (t *Tree) insert(p *sim.Proc, f *frame, key string, it Item, lsn int64) (se
 			return "", 0, false, nil
 		}
 		// The child shrank and may now sit below the fill floor or fit
-		// into a neighbor; restore occupancy exactly like the remove path
-		// does.
+		// into a neighbor; restore occupancy around it.
 		return "", 0, false, t.maybeMerge(p, f, j, cf, lsn)
 	}
 	t.pg.unpin(cf)
@@ -358,62 +357,6 @@ func (t *Tree) splitBranch(f *frame, lsn int64) (string, uint64, bool, error) {
 	return sep, id, true, nil
 }
 
-// Remove physically deletes key (distinct from a tombstone Put: the
-// entry leaves the page, so nodes can underflow and merge).
-func (t *Tree) Remove(p *sim.Proc, key string, lsn int64) (bool, error) {
-	f, err := t.pg.fetch(p, t.root)
-	if err != nil {
-		return false, err
-	}
-	removed, err := t.remove(p, f, key, lsn)
-	if err != nil {
-		t.pg.unpin(f)
-		return false, err
-	}
-	// Root collapse: a branch root left with a single child hands the
-	// root role down.
-	for f.n.kind == kindBranch && len(f.n.keys) == 0 {
-		child := f.n.children[0]
-		t.pg.unpin(f)
-		t.pg.free(f)
-		t.root = child
-		if f, err = t.pg.fetch(p, child); err != nil {
-			return removed, err
-		}
-	}
-	t.pg.unpin(f)
-	return removed, nil
-}
-
-func (t *Tree) remove(p *sim.Proc, f *frame, key string, lsn int64) (bool, error) {
-	n := f.n
-	if n.kind == kindLeaf {
-		i, ok := n.search(key)
-		if !ok {
-			return false, nil
-		}
-		n.size -= n.cells[i].size()
-		n.cells = slices.Delete(n.cells, i, i+1)
-		n.hint = 0
-		t.pg.markDirty(f, lsn)
-		return true, nil
-	}
-	j := route(n.keys, key)
-	cf, err := t.pg.fetch(p, n.children[j])
-	if err != nil {
-		return false, err
-	}
-	removed, err := t.remove(p, cf, key, lsn)
-	if err != nil {
-		t.pg.unpin(cf)
-		return false, err
-	}
-	if err := t.maybeMerge(p, f, j, cf, lsn); err != nil {
-		return removed, err
-	}
-	return removed, nil
-}
-
 // mergedSize is the cell-area size of merging left and right siblings of
 // the given kind under separator sep (branch merges pull the separator
 // down; leaf merges just concatenate).
@@ -432,10 +375,10 @@ func mergedSize(kind byte, left, right int, sep string) int {
 // absorbable. Merges cascade until cf's pairs are all settled.
 //
 // Callers reach it only for a child whose pairs may have changed standing:
-// one that shrank (remove, a shrinking put — see insert) or one new to its
-// position (the halves of a split, the seam of a branch merge). Each
-// sibling it fetches is a page read off the operation's own path and is
-// counted as a merge_probe.
+// one that shrank under a put (see insert) or one new to its position (the
+// halves of a split, the seam of a branch merge). Each sibling it fetches
+// is a page read off the operation's own path and is counted as a
+// merge_probe.
 func (t *Tree) maybeMerge(p *sim.Proc, f *frame, j int, cf *frame, lsn int64) error {
 	minFill := t.pg.maxCell() / 4
 	limit := 3 * t.pg.maxCell() / 4

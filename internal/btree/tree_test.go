@@ -83,6 +83,10 @@ func compareWithOracle(tr *Tree, oracle map[string]Item) error {
 // against a sorted-map oracle, with structural invariants (ordering,
 // uniform depth, size accounting, occupancy floor) re-checked after every
 // mutation so the violating op is pinpointed, not just the end state.
+// Rows are deleted the way the engine deletes them, by a tombstone put,
+// and the oracle holds a tombstone as a found row with Tomb set. Merges
+// come from the two triggers puts have: the halves of a split and a node
+// that shrank. Some seeds must merge, or the floor goes untested.
 func TestTreeQuickVsOracle(t *testing.T) {
 	pageSize := 512
 	ops := 400
@@ -90,38 +94,31 @@ func TestTreeQuickVsOracle(t *testing.T) {
 	if testing.Short() {
 		ops, maxCount = 150, 8
 	}
+	merged := 0 // seeds on which a merge freed a page
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		store := NewMemStore(pageSize, 4096)
 		pg := NewPager(store, Config{PoolPages: 8})
 		tr := New(pg)
 		oracle := map[string]Item{}
+		freed := false
 		for i := 0; i < ops; i++ {
 			key := fmt.Sprintf("k%04d", rng.Intn(120))
 			switch op := rng.Intn(10); {
-			case op < 7: // put (insert, update, or tombstone)
+			case op < 9: // put: insert, growing or shrinking update, or tombstone
 				it := Item{
 					Ver:  int64(i + 1),
 					Val:  []byte(fmt.Sprintf("v%d-%s", i, string(make([]byte, rng.Intn(120))))),
 					Tomb: rng.Intn(8) == 0,
+				}
+				if op >= 7 { // delete, as db.Tx.DeleteIn does: a versioned tombstone
+					it = Item{Ver: int64(i + 1), Tomb: true}
 				}
 				if err := tr.Put(nil, key, it, int64(i+1)); err != nil {
 					t.Logf("seed %d op %d: put: %v", seed, i, err)
 					return false
 				}
 				oracle[key] = it
-			case op < 9: // physical remove — the only path that merges
-				got, err := tr.Remove(nil, key, int64(i+1))
-				if err != nil {
-					t.Logf("seed %d op %d: remove: %v", seed, i, err)
-					return false
-				}
-				_, want := oracle[key]
-				if got != want {
-					t.Logf("seed %d op %d: remove %q returned %v, oracle %v", seed, i, key, got, want)
-					return false
-				}
-				delete(oracle, key)
 			default: // point read
 				it, ok, err := tr.Get(nil, key)
 				if err != nil {
@@ -138,6 +135,7 @@ func TestTreeQuickVsOracle(t *testing.T) {
 				t.Logf("seed %d op %d: %v", seed, i, err)
 				return false
 			}
+			freed = freed || len(pg.freeIDs) > 0
 			// Periodic checkpoints clean frames so the tiny pool actually
 			// evicts and later fetches exercise the codec path.
 			if i%64 == 63 {
@@ -148,10 +146,16 @@ func TestTreeQuickVsOracle(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
+		if freed {
+			merged++
+		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: maxCount}); err != nil {
 		t.Fatal(err)
+	}
+	if merged == 0 {
+		t.Fatalf("no merge freed a page on any of %d seeds: the occupancy floor was never restored", maxCount)
 	}
 }
 
@@ -260,16 +264,20 @@ func TestValueOutlivesEviction(t *testing.T) {
 	}
 }
 
-// TestTreeSplitAndMergeDepth drives the tree up through repeated splits
-// and back down through merges, checking depth transitions and contents.
+// TestTreeSplitAndMergeDepth drives the tree up through repeated splits,
+// then deletes every key the way the engine does, with a tombstone put.
+// Each tombstone shrinks its leaf, so the sweep merges leaves under the
+// occupancy floor, which CheckInvariants checks after every put; every
+// key must then read back as a tombstone with the sweep's version.
 func TestTreeSplitAndMergeDepth(t *testing.T) {
 	store := NewMemStore(256, 65536)
 	pg := NewPager(store, Config{PoolPages: 16})
 	tr := New(pg)
 	const n = 500
+	key := func(i int) string { return fmt.Sprintf("key-%05d", i*7919%n) }
+	val := bytes.Repeat([]byte{'x'}, 48) // 70-byte cells: leaves of two or three, which tombstones take under the floor
 	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key-%05d", i*7919%n)
-		if err := tr.Put(nil, key, Item{Ver: int64(i + 1), Val: []byte("xxxxxxxxxxxxxxxx")}, int64(i+1)); err != nil {
+		if err := tr.Put(nil, key(i), Item{Ver: int64(i + 1), Val: val}, int64(i+1)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -284,33 +292,28 @@ func TestTreeSplitAndMergeDepth(t *testing.T) {
 		t.Fatal("500 keys on 256-byte pages did not grow a branch root")
 	}
 	pg.unpin(rootF)
+	freed := false
 	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key-%05d", i*7919%n)
-		removed, err := tr.Remove(nil, key, int64(n+i+1))
-		if err != nil {
-			t.Fatalf("remove %d: %v", i, err)
-		}
-		if !removed {
-			t.Fatalf("remove %d: key %q missing", i, key)
+		lsn := int64(n + i + 1)
+		if err := tr.Put(nil, key(i), Item{Ver: lsn, Tomb: true}, lsn); err != nil {
+			t.Fatalf("tombstone %d: %v", i, err)
 		}
 		if err := tr.CheckInvariants(nil); err != nil {
-			t.Fatalf("after remove %d: %v", i, err)
+			t.Fatalf("after tombstone %d: %v", i, err)
 		}
+		freed = freed || len(pg.freeIDs) > 0
 	}
-	count := 0
-	if err := tr.Scan(nil, func(string, Item) bool { count++; return true }); err != nil {
-		t.Fatal(err)
+	if !freed {
+		t.Fatal("tombstoning every key merged no pages")
 	}
-	if count != 0 {
-		t.Fatalf("%d keys survived full removal", count)
-	}
-	if rf, err := pg.fetch(nil, tr.Root()); err != nil {
-		t.Fatal(err)
-	} else {
-		if rf.n.kind != kindLeaf {
-			t.Fatal("empty tree did not collapse back to a leaf root")
+	for i := 0; i < n; i++ {
+		it, ok, err := tr.Get(nil, key(i))
+		if err != nil {
+			t.Fatal(err)
 		}
-		pg.unpin(rf)
+		if want := int64(n + i + 1); !ok || !it.Tomb || it.Ver != want || len(it.Val) != 0 {
+			t.Fatalf("key %q reads found %v {%d %q tomb %v}, want a tombstone at version %d", key(i), ok, it.Ver, it.Val, it.Tomb, want)
+		}
 	}
 }
 

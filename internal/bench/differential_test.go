@@ -10,6 +10,7 @@ import (
 
 	"xssd/internal/core"
 	"xssd/internal/tpcc"
+	"xssd/internal/villars"
 )
 
 // The figure-cell differential suite: every cell must produce the same
@@ -285,14 +286,36 @@ func TestCompareFlagsNandPageDrift(t *testing.T) {
 	}
 }
 
-// TestThinLogCellPadsPerBoundNotPerLine pins the cell's point: a terminal
-// that persists a record every half millisecond under a 1 ms bound costs
-// about a page per bound interval. With the bound ageing the ring head the
-// same cell programmed 1 069 pages.
+// TestThinLogCellPadsPerBoundNotPerLine pins the reader cell's point: a
+// terminal that persists a record every half millisecond under a 1 ms bound,
+// its log followed by a tail reader, costs about a page per bound interval.
+// With the bound ageing the ring head the same cell programmed 1 069 pages.
 func TestThinLogCellPadsPerBoundNotPerLine(t *testing.T) {
-	m := ThinLogCell()
+	m := ThinLogReaderCell()
 	if most := int64(thinLogWindow/thinLogBound) + 16; m.NandPages == 0 || m.NandPages > most {
 		t.Fatalf("%d flash pages in %v under a %v bound, want at most %d", m.NandPages, thinLogWindow, thinLogBound, most)
+	}
+	if m.Lat.N == 0 || m.Lat.Max > int64(5*thinLogBound) {
+		t.Fatalf("reader lag %+v: want reads, none later than five bounds", m.Lat)
+	}
+	if again := ThinLogReaderCell(); again != m {
+		t.Fatalf("cell does not repeat: %+v then %+v", m, again)
+	}
+}
+
+// TestThinLogCellFillsPagesWithoutReader pins the reader-less cell's: with
+// nobody reading the log, the trickle fills whole pages and only the
+// stream's quiet stretches pad one, so the pages cost at most 5 % more than
+// the payload would in whole pages, and well under half the reader cell's.
+func TestThinLogCellFillsPagesWithoutReader(t *testing.T) {
+	m, st := thinLogCell(false)
+	perPage := int64(4<<10) - villars.PageHeaderLen
+	if whole := (st.PayloadBytes + perPage - 1) / perPage; st.Pages == 0 || st.Pages*100 > whole*105 {
+		t.Fatalf("%d destage pages (%d padded) for %d payload bytes, want at most 5%% over %d whole pages",
+			st.Pages, st.PartialPages, st.PayloadBytes, whole)
+	}
+	if r := ThinLogReaderCell(); 2*m.NandPages >= r.NandPages {
+		t.Fatalf("%d flash pages without a reader, %d with one; want under half", m.NandPages, r.NandPages)
 	}
 	if again := ThinLogCell(); again != m {
 		t.Fatalf("cell does not repeat: %+v then %+v", m, again)

@@ -90,6 +90,9 @@ func perfCells() []Cell {
 		{Name: "destage/thinlog", Run: func() (Measurement, error) {
 			return ThinLogCell(), nil
 		}},
+		{Name: "destage/thinlog/reader", Run: func() (Measurement, error) {
+			return ThinLogReaderCell(), nil
+		}},
 		{Name: "paged/tpcc", Run: func() (Measurement, error) {
 			m, _, err := pagedTPCCCell()
 			return m, err

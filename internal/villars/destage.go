@@ -41,9 +41,11 @@ func DecodePageHeader(buf []byte) (streamOff int64, payloadLen int, ok bool) {
 // range of logical blocks on the conventional side (paper §4.3). It
 // bundles ring-head data into flash pages, padding with filler only when
 // the oldest byte not yet in a page has been eligible for the latency
-// bound, and keeps up to one page per die in flight so the destage stream
-// can use the array's full program bandwidth. The PM ring is released
-// strictly in order as pages land.
+// bound and someone needs the flash copy now: a tail reader read the
+// destage registers within the bound, the stream has been quiet for the
+// bound, or power failed. It keeps up to one page per die in flight so the
+// destage stream can use the array's full program bandwidth. The PM ring
+// is released strictly in order as pages land.
 type destageModule struct {
 	dev *Device
 	fs  *fastSide
@@ -78,6 +80,17 @@ type destageModule struct {
 	kickFn   func()        // kick.Broadcast, bound once for the latency-bound timer
 	armedFor time.Duration // deadline of the last latency-bound timer armed
 	Advanced *sim.Signal   // broadcast after every completed page
+
+	// Who needs a padded page. A tail reader counts until readUntil, the
+	// bound after its last read of RegDestagedStream or RegDestageTailLBA;
+	// the stream is quiet from quietAt, the bound after floorSeen — the
+	// floor floorMoved last saw — rose. quietArmed marks the one pending
+	// quiet-deadline timer, quietFn its callback bound once.
+	readUntil  time.Duration
+	quietAt    time.Duration
+	floorSeen  int64
+	quietArmed bool
+	quietFn    func()
 
 	// metrics (<fs>/destage/...)
 	mPages        *obs.Counter
@@ -120,6 +133,7 @@ func newDestageModule(d *Device, fs *fastSide, baseLBA, lbaCount int64) *destage
 	m.workers = sim.NewWorkers(d.env, "destage-page-"+fs.name, m.writePage)
 	m.since = fifo.Make[time.Duration](int(fs.cmbSize/int64(m.maxPayload())) + 1)
 	m.kickFn = m.kick.Broadcast
+	m.quietFn = m.quietDue
 	sc := obs.For(d.env).Scope(fs.name + "/destage")
 	m.mPages = sc.Counter("pages")
 	m.mPartialPages = sc.Counter("partial_pages")
@@ -169,13 +183,17 @@ func (m *destageModule) loop(p *sim.Proc) {
 
 // carvable returns how many bytes the loop should carve into a page at
 // this instant, or 0 when it has to wait: the pipeline is full, nothing is
-// eligible, or there is less than a page and it is not old enough for a
-// padded one. In the last case it also makes sure a timer will kick the
-// loop when the latency bound falls due on a quiet ring. The bound ages the
-// oldest eligible byte that is not in a page yet (eligibleSince), not the
-// ring head: bytes already carved are on their way to flash whatever the
-// ring still holds. eligibleSince only moves forward, so one timer per
-// distinct deadline is enough.
+// eligible, or there is less than a page and no padded one is due. A
+// padded page is due once the oldest eligible byte that is not in a page
+// yet (eligibleSince) has waited the latency bound — bytes already carved
+// are on their way to flash whatever the ring still holds — and someone
+// needs the flash copy: a tail reader read the destage registers within the
+// bound, the stream has been quiet for the bound, or power failed. A log
+// that keeps trickling with no reader fills whole pages instead; its bytes
+// wait durable in the PM ring. Waiting, carvable makes sure a timer will
+// kick the loop: one per distinct age deadline (eligibleSince only moves
+// forward, so that is enough) and, past it, at most one pending quiet
+// deadline.
 //
 //xssd:hotpath
 func (m *destageModule) carvable() int64 {
@@ -189,15 +207,51 @@ func (m *destageModule) carvable() int64 {
 	if max := int64(m.maxPayload()); eligible >= max {
 		return max
 	}
-	deadline := m.eligibleSince() + m.fs.latencyBound
-	if m.dev.powerLost || m.dev.env.Now() >= deadline {
+	if m.dev.powerLost {
 		return eligible
 	}
-	if deadline != m.armedFor {
-		m.armedFor = deadline
-		m.dev.env.At(deadline, m.kickFn)
+	now := m.dev.env.Now()
+	if deadline := m.eligibleSince() + m.fs.latencyBound; now < deadline {
+		if deadline != m.armedFor {
+			m.armedFor = deadline
+			m.dev.env.At(deadline, m.kickFn)
+		}
+		return 0
+	}
+	if now < m.readUntil || now >= m.quietAt {
+		return eligible
+	}
+	if !m.quietArmed {
+		m.quietArmed = true
+		m.dev.env.At(m.quietAt, m.quietFn)
 	}
 	return 0
+}
+
+// quietDue is the quiet-deadline timer: the stream may have been quiet for
+// the bound. Like frontierMoved it wakes the loop only when a page is
+// carvable; otherwise carvable has re-armed the timer for the later quiet
+// deadline if a padded page still waits on it. A loop that is not parked
+// on kick looks for itself when it gets there.
+func (m *destageModule) quietDue() {
+	m.quietArmed = false
+	if m.kick.Waiting() && m.carvable() > 0 {
+		m.kick.Broadcast()
+	}
+}
+
+// tailRead stamps a read of RegDestagedStream or RegDestageTailLBA: a tail
+// reader is waiting on the flash copy, so padded pages are due at their age
+// deadline for the next bound. A reader that arrives after a deadline has
+// passed unpadded wakes the loop at once rather than at the next floor move
+// or quiet deadline.
+func (m *destageModule) tailRead() {
+	now := m.dev.env.Now()
+	lapsed := now >= m.readUntil
+	m.readUntil = now + m.fs.latencyBound
+	if lapsed && m.kick.Waiting() && m.carvable() > 0 {
+		m.kick.Broadcast()
+	}
 }
 
 // eligibleSince returns when the byte at the carve point became
@@ -211,12 +265,17 @@ func (m *destageModule) eligibleSince() time.Duration {
 
 // floorMoved stamps this instant on every page boundary past the carve
 // point that destageFloor() has crossed since the last call — the carve
-// point itself when nothing was eligible. Whatever raises the floor calls
+// point itself when nothing was eligible — and, when the floor rose, moves
+// the quiet deadline to the bound from now. Whatever raises the floor calls
 // it in the same instant: a persist (frontierMoved) or a Free.
 //
 //xssd:hotpath
 func (m *destageModule) floorMoved() {
 	floor, max := m.fs.cmb.destageFloor(), int64(m.maxPayload())
+	if floor > m.floorSeen {
+		m.floorSeen = floor
+		m.quietAt = m.dev.env.Now() + m.fs.latencyBound
+	}
 	for next := m.carved + int64(m.since.Len())*max; next < floor; next += max {
 		m.since.Push(m.dev.env.Now())
 	}

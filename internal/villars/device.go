@@ -402,7 +402,9 @@ func (c controlTarget) MemRead(off int64, dst []byte) {
 }
 
 // readRegister returns the 64-bit value of the register at off for one
-// fast side (the primary's credit is replication-aware; VFs are local).
+// fast side (the primary's credit is replication-aware; VFs are local). A
+// read of the destaged-stream or tail register marks a tail reader for the
+// destage module's padding rule.
 func (d *Device) readRegister(fs *fastSide, off int64) int64 {
 	switch off {
 	case core.RegCredit:
@@ -417,12 +419,14 @@ func (d *Device) readRegister(fs *fastSide, off int64) int64 {
 	case core.RegStatus:
 		return d.statusRegister()
 	case core.RegDestagedStream:
+		fs.destage.tailRead()
 		return fs.destage.destagedStream
 	case core.RegDestageBaseLBA:
 		return fs.destage.baseLBA
 	case core.RegDestageLBACount:
 		return fs.destage.lbaCount
 	case core.RegDestageTailLBA:
+		fs.destage.tailRead()
 		return fs.destage.tail
 	}
 	return 0

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"xssd/internal/core"
 	"xssd/internal/fault"
 	"xssd/internal/nvme"
 	"xssd/internal/obs"
@@ -143,16 +144,20 @@ func TestQuickMultiQueueHistoryInvariant(t *testing.T) {
 	}
 }
 
-// The destage latency bound's property test: for a RANDOM trickle of lines
+// The destage latency bound's property tests: for a RANDOM trickle of lines
 // (sizes, gaps, the bound itself, the flash program time, now and then a
 // burst of a page or more, an Alloc/Free pin, a power loss at the end),
 //
 //   - no padded page is carved while its first byte — the oldest eligible
 //     byte not yet in a page — is younger than the bound, except after
-//     power loss, and
-//   - every page is carved within the bound of its first byte becoming
-//     eligible, plus whatever part of the wait the pipeline was full, plus
-//     the backing-bus time of a carve or two.
+//     power loss;
+//   - with a tail reader polling the destaged-stream register, every page
+//     is carved within the bound of its first byte becoming eligible, plus
+//     whatever part of the wait the pipeline was full, plus the
+//     backing-bus time of a carve or two;
+//   - with no reader, no padded page is carved while bytes keep becoming
+//     eligible within the bound, and every page is carved within the bound
+//     after the stream goes quiet (or at power loss), with the same slack.
 //
 // Eligibility is observed from outside the destage module: a byte is
 // eligible from the first instant destageFloor() is past it.
@@ -178,7 +183,10 @@ type trickleRun struct {
 	pages     []tricklePage
 }
 
-func runTrickle(t *testing.T, seed int64) trickleRun {
+// runTrickle runs the schedule seed draws; with reader set, a tail reader
+// polls RegDestagedStream through the control region every 5 µs, as
+// XPread does while it waits.
+func runTrickle(t *testing.T, seed int64, reader bool) trickleRun {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	env := sim.NewEnv(seed)
@@ -219,6 +227,16 @@ func runTrickle(t *testing.T, seed int64) trickleRun {
 			p.Sleep(cfg.Timing.TProg / 2)
 		}
 	})
+
+	if reader {
+		ctl := pcie.NewMMIO(d.ControlRegion(), pcie.Uncached)
+		env.Go("tail-reader", func(p *sim.Proc) {
+			for {
+				readReg(p, ctl, core.RegDestagedStream)
+				p.Sleep(5 * time.Microsecond)
+			}
+		})
+	}
 
 	ops := 40 + rng.Intn(120)
 	pinAt, pinFor := rng.Intn(ops), 1+rng.Intn(20)
@@ -305,6 +323,57 @@ func (r trickleRun) eligibleAt(off int64) time.Duration {
 	return -1
 }
 
+// quietDeadline returns when a reader-less device owes page i, whose first
+// byte became eligible at since, a carve: the first instant from the bound
+// after since, and from the carve of the page before it, at which the
+// stream has been quiet for the bound — the floor did not rise within it —
+// and the pipeline has room, or power loss if that comes first. Quiet can
+// end again while the pipeline is full, so the two are sought together.
+func (r trickleRun) quietDeadline(i int, since time.Duration) time.Duration {
+	t := since + r.bound
+	if i > 0 {
+		t = max(t, r.pages[i-1].carved)
+	}
+	for {
+		from := t
+		for i := len(r.floorAt) - 1; i >= 0; i-- {
+			if at := r.floorAt[i]; at > t-r.bound && at <= t {
+				t = at + r.bound
+				i = len(r.floorAt) // rescan from the new instant
+			}
+		}
+		if r.powerLost > 0 && r.powerLost < t {
+			t = max(r.powerLost, since)
+		}
+		t = r.roomFrom(t)
+		if t == from {
+			return t
+		}
+	}
+}
+
+// roomFrom returns the first instant from t at which the pipeline is not
+// full.
+func (r trickleRun) roomFrom(t time.Duration) time.Duration {
+	for j := r.inflight - 1; j < len(r.pages); j++ {
+		if s, e := r.pages[j].carved, r.pages[j-r.inflight+1].retired; s <= t && t < e {
+			t = e
+		}
+	}
+	return t
+}
+
+// floorRoseIn reports whether the floor rose inside the open interval
+// (from, to).
+func (r trickleRun) floorRoseIn(from, to time.Duration) bool {
+	for _, at := range r.floorAt {
+		if at > from && at < to {
+			return true
+		}
+	}
+	return false
+}
+
 // fullBetween returns how much of [from, to) the pipeline was full: page j
 // fills it when it enters and page j-inflight+1 frees it when it retires.
 func (r trickleRun) fullBetween(from, to time.Duration) time.Duration {
@@ -324,44 +393,75 @@ func (r trickleRun) fullBetween(from, to time.Duration) time.Duration {
 	return sum
 }
 
-func TestQuickLatencyBoundAgesOldestUncarvedByte(t *testing.T) {
-	// A carve reads its bytes over the backing bus, behind any drain in
-	// flight there, before the page enters the pipeline; so a page may be
-	// late by its own read, the read the loop was in when the deadline fell
-	// due, and those of the pages carved ahead of it since.
-	const busSlack = 1500 * time.Nanosecond
-	prop := func(seed int64) bool {
-		r := runTrickle(t, seed)
-		for i, pg := range r.pages {
-			since := r.eligibleAt(pg.off)
-			if since < 0 {
-				t.Errorf("seed %d: page at %d carved but never eligible", seed, pg.off)
-				continue
-			}
-			deadline := since + r.bound
-			crashed := r.powerLost > 0 && pg.carved >= r.powerLost
-			if pg.n < r.maxPage && !crashed && pg.carved < deadline {
+// A carve reads its bytes over the backing bus, behind any drain in flight
+// there, before the page enters the pipeline; so a page may be late by its
+// own read, the read the loop was in when the deadline fell due, and those
+// of the pages carved ahead of it since.
+const busSlack = 1500 * time.Nanosecond
+
+// checkTrickle runs the latency-bound property over seed's schedule, with
+// or without a tail reader; deadlineOf gives page i's due instant from the
+// run and its first byte's eligibility.
+func checkTrickle(t *testing.T, seed int64, reader bool, deadlineOf func(r trickleRun, i int, since time.Duration) time.Duration) bool {
+	r := runTrickle(t, seed, reader)
+	for i, pg := range r.pages {
+		since := r.eligibleAt(pg.off)
+		if since < 0 {
+			t.Errorf("seed %d: page at %d carved but never eligible", seed, pg.off)
+			continue
+		}
+		crashed := r.powerLost > 0 && pg.carved >= r.powerLost
+		if pg.n < r.maxPage && !crashed {
+			if pg.carved < since+r.bound {
 				t.Errorf("seed %d: padded page [%d,+%d) carved at %v, its first byte eligible only since %v (bound %v)",
 					seed, pg.off, pg.n, pg.carved, since, r.bound)
 			}
-			reads := 2
-			for _, q := range r.pages[:i] {
-				if q.carved >= deadline {
-					reads++
-				}
-			}
-			if late := pg.carved - deadline - r.fullBetween(deadline, pg.carved); late > time.Duration(reads)*busSlack {
-				t.Errorf("seed %d: page [%d,+%d) carved at %v, %v past its deadline %v with the pipeline free",
-					seed, pg.off, pg.n, pg.carved, late, deadline)
+			// The loop decides, then reads the bytes over the bus before
+			// the page enters the pipeline: lines may persist meanwhile.
+			if !reader && r.floorRoseIn(pg.carved-r.bound, pg.carved-2*busSlack) {
+				t.Errorf("seed %d: padded page [%d,+%d) carved at %v with no reader, the floor rising within the bound %v before it",
+					seed, pg.off, pg.n, pg.carved, r.bound)
 			}
 		}
-		return !t.Failed()
+		deadline := deadlineOf(r, i, since)
+		reads := 2
+		for _, q := range r.pages[:i] {
+			if q.carved >= deadline {
+				reads++
+			}
+		}
+		if late := pg.carved - deadline - r.fullBetween(deadline, pg.carved); late > time.Duration(reads)*busSlack {
+			t.Errorf("seed %d: page [%d,+%d) carved at %v, %v past its deadline %v with the pipeline free",
+				seed, pg.off, pg.n, pg.carved, late, deadline)
+		}
 	}
+	return !t.Failed()
+}
+
+func quickTrickleConfig() *quick.Config {
 	cfg := &quick.Config{MaxCountScale: 0.3, Rand: rand.New(rand.NewSource(22))}
 	if testing.Short() {
 		cfg.MaxCountScale = 0.08
 	}
-	if err := quick.Check(prop, cfg); err != nil {
+	return cfg
+}
+
+func TestQuickLatencyBoundAgesOldestUncarvedByte(t *testing.T) {
+	prop := func(seed int64) bool {
+		return checkTrickle(t, seed, true, func(r trickleRun, _ int, since time.Duration) time.Duration { return since + r.bound })
+	}
+	if err := quick.Check(prop, quickTrickleConfig()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickLatencyBoundWaitsForQuietWithoutReader is the reader-less twin:
+// the same schedules, nobody reading the destage registers.
+func TestQuickLatencyBoundWaitsForQuietWithoutReader(t *testing.T) {
+	prop := func(seed int64) bool {
+		return checkTrickle(t, seed, false, trickleRun.quietDeadline)
+	}
+	if err := quick.Check(prop, quickTrickleConfig()); err != nil {
 		t.Fatal(err)
 	}
 }

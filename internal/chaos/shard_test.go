@@ -16,8 +16,8 @@ func TestShardSweepHoldsInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Fold(results); got != 0xfeaefeb49003ddcb {
-		t.Errorf("sharded 6-seed fold = %016x, want feaefeb49003ddcb (a sharded run's event history changed)", got)
+	if got := Fold(results); got != 0x0401a3a87875c9e7 {
+		t.Errorf("sharded 6-seed fold = %016x, want 0401a3a87875c9e7 (a sharded run's event history changed)", got)
 	}
 	crashes := 0
 	for _, sr := range results {

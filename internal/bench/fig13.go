@@ -7,12 +7,11 @@ import (
 	"xssd/internal/core"
 	"xssd/internal/nand"
 	"xssd/internal/ntb"
-	"xssd/internal/nvme"
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
+	"xssd/internal/repl"
 	"xssd/internal/sim"
-	"xssd/internal/stack"
 	"xssd/internal/villars"
 	"xssd/internal/xapi"
 )
@@ -55,12 +54,16 @@ func Fig13Cell(period time.Duration) (obs.Candlestick, float64) {
 	// The secondary lives on its own member, so all pair traffic —
 	// mirrored writes one way, counter updates the other — crosses at
 	// barriers through the bridges.
-	secEnv := c.NewEnv("sec", 6)
-	sec := fig13Device(secEnv, "sec", period)
-	toSec := ntb.NewDefaultBridgeTo(env, secEnv, "p-s")
-	toPrim := ntb.NewDefaultBridgeTo(secEnv, env, "s-p")
-	prim.Transport().AddPeer(sec, toSec, toPrim)
-	setRoles(c, prim, sec)
+	sec := fig13Device(c.NewEnv("sec", 6), "sec", period)
+	rc, _ := repl.New(env, []*villars.Device{prim, sec}) // fails only on no devices
+	// Setup drives the secondary's queue directly, which is legal while
+	// the group is still inline.
+	env.Go("set-roles", func(p *sim.Proc) {
+		if err := rc.Setup(p, 0, core.Eager); err != nil {
+			panic(err) // two fresh devices: neither refuses its role
+		}
+	})
+	c.RunUntil(c.Now() + 100*time.Microsecond)
 
 	var sample obs.Sample
 	target := int64(0)
@@ -93,29 +96,6 @@ func Fig13Cell(period time.Duration) (obs.Candlestick, float64) {
 	wire := float64(updates) * float64(core.CounterUpdateBytes)
 	share := wire / (ntb.DefaultBandwidth * fig13Window.Seconds())
 	return sample.Candlestick(), share * 100
-}
-
-// setRoles flips the pair into secondary/primary through the admin path.
-// It runs during bring-up (the group is still inline), so the admin proc
-// may drive the secondary's queues directly even when it lives on another
-// member.
-//
-// Fig 13 and the pargroup/repl3 cells wire by hand rather than through
-// repl.Setup on purpose. Here AddPeer runs before the role command, so the
-// secondary starts reporting the moment it turns secondary; under
-// repl.Setup it starts when its AddPeer lands, after the role command
-// completes. That shifts the counter-update phase, which would move Fig
-// 13's quantiles and the event counts the perf gate holds by equality.
-func setRoles(c *stack.Stack, prim, sec *villars.Device) {
-	c.Host.Go("set-roles", func(p *sim.Proc) {
-		submitMode(p, sec, core.Secondary)
-		submitMode(p, prim, core.Primary)
-	})
-	c.RunUntil(c.Now() + 100*time.Microsecond)
-}
-
-func submitMode(p *sim.Proc, d *villars.Device, mode core.TransportMode) {
-	d.HostDriver().Submit(p, nvme.Command{Opcode: nvme.OpXSetTransportMode, CDW: int64(mode)})
 }
 
 // Fig13 regenerates the paper's Figure 13.

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"xssd/internal/core"
-	"xssd/internal/ntb"
 	"xssd/internal/pm"
+	"xssd/internal/repl"
 	"xssd/internal/sim"
 	"xssd/internal/villars"
 	"xssd/internal/xapi"
@@ -72,26 +72,19 @@ func PargroupReplCell(simWorkers int) int64 {
 	defer g.Close()
 	defer func() { lastGroupStats = g.Stats() }()
 	env := g.NewEnv("host", 2000)
-	prim := fig10Device(env, pm.SRAMSpec)
-	prim.Transport().SetScheme(core.Eager)
-	secs := make([]*villars.Device, pargroupSecondaries)
-	for i := range secs {
-		name := fmt.Sprintf("sec%d", i)
-		secEnv := g.NewEnv(name, int64(2001+i))
-		secs[i] = fig10Device(secEnv, pm.SRAMSpec)
-		prim.Transport().AddPeer(secs[i],
-			ntb.NewDefaultBridgeTo(env, secEnv, "p-"+name),
-			ntb.NewDefaultBridgeTo(secEnv, env, name+"-p"))
+	devs := []*villars.Device{fig10Device(env, pm.SRAMSpec)}
+	for i := 0; i < pargroupSecondaries; i++ {
+		devs = append(devs, fig10Device(g.NewEnv(fmt.Sprintf("sec%d", i), int64(2001+i)), pm.SRAMSpec))
 	}
+	rc, _ := repl.New(env, devs) // fails only on no devices
 	env.Go("writer", func(p *sim.Proc) {
-		// Role assignment drives the secondaries' queues directly, which
-		// is legal while the group is still inline.
-		for _, sec := range secs {
-			submitMode(p, sec, core.Secondary)
+		// Setup drives the secondaries' queues directly, which is legal
+		// while the group is still inline.
+		if err := rc.Setup(p, 0, core.Eager); err != nil {
+			panic(err) // fresh devices: none refuses its role
 		}
-		submitMode(p, prim, core.Primary)
 		g.Parallelize()
-		l := xapi.Open(p, prim, xapi.Options{})
+		l := xapi.Open(p, devs[0], xapi.Options{})
 		buf := make([]byte, 256)
 		for {
 			l.XPwrite(p, buf)

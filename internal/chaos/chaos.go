@@ -58,11 +58,6 @@ const PrimaryName = "p"
 // run, so recovery oracles can rebuild the starting state).
 const loadSeed = 7
 
-// chaosStallTimeout is the devices' replica stall timeout, set by
-// shard.DefaultDevice, which builds every chaos device; the I4 oracle
-// demands the stall bit once suppression exceeds twice this.
-const chaosStallTimeout = 2 * time.Millisecond
-
 // Scenario describes one chaos run. (Seed, Plan) plus the shape fields
 // fully determine the execution; Run on an identical Scenario replays
 // identically (invariants I5 and I7).
@@ -331,7 +326,7 @@ func runSingle(s Scenario) (*Result, error) {
 	tcfg := ShardTPCC(1) // the sharded runs' shape, one shard's worth
 	load := func(e *db.Engine) { tpcc.Load(e, tcfg, loadSeed) }
 	cfg.Sink, cfg.Load = "chaos", load
-	cfg.WAL = wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond}
+	cfg.WAL = shard.DefaultWAL
 	var written []byte
 	if !kill {
 		// (1) Only a run without a kill records the host stream: on a kill
@@ -545,7 +540,7 @@ func runSingle(s Scenario) (*Result, error) {
 	// ---- I4: a stale replica must be surfaced in the status register --
 	// One-directional: a long suppression stretch with data outstanding
 	// must raise the bit; the bit may also show for shorter transients.
-	if mon.maxSuppressed > 2*chaosStallTimeout && !mon.seen {
+	if mon.maxSuppressed > 2*shard.DefaultStallTimeout && !mon.seen {
 		v.add("I4", "shadow suppressed for %v with data outstanding, stall bit never set", mon.maxSuppressed)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xssd/internal/fault"
+	"xssd/internal/shard"
 )
 
 // Determinism regression (invariant I5): the same (seed, plan) must
@@ -136,8 +137,8 @@ func TestStallMonitorSurfacesFrozenShadow(t *testing.T) {
 	if r.Firings == 0 {
 		t.Fatal("freeze rule did not fire")
 	}
-	if r.MaxSuppressed <= 2*chaosStallTimeout {
-		t.Fatalf("monitor saw max suppression %v, want > %v: the primary-side staleness streak missed the freeze", r.MaxSuppressed, 2*chaosStallTimeout)
+	if r.MaxSuppressed <= 2*shard.DefaultStallTimeout {
+		t.Fatalf("monitor saw max suppression %v, want > %v: the primary-side staleness streak missed the freeze", r.MaxSuppressed, 2*shard.DefaultStallTimeout)
 	}
 	if !r.StallSeen {
 		t.Fatal("status register never showed StatusReplicaStalled during a 10ms shadow freeze")

@@ -41,8 +41,10 @@ func (v *violations) extend(msgs []string) {
 // checkReplicaPrefix demands that each replica's ring holds a byte-exact
 // prefix of the oracle stream, no longer than limit — the frontier of the
 // device it mirrors — and, when converged is set (faults have cleared and
-// nothing upstream died), exactly that long (§4.2). Callers label it I3
-// for a primary's secondaries and I6 for the survivors of a takeover.
+// nothing upstream died), exactly that long (§4.2). A replica that lost
+// power is held to the prefix only: it stopped where its crash left it.
+// Callers label it I3 for a primary's secondaries and I6 for the
+// survivors of a takeover.
 func checkReplicaPrefix(v *violations, label string, replicas []*villars.Device, oracle []byte, limit int64, converged bool) {
 	for _, d := range replicas {
 		ring := d.CMB().Ring()
@@ -63,7 +65,7 @@ func checkReplicaPrefix(v *violations, label string, replicas []*villars.Device,
 				v.add(label, "%s ring bytes diverge from the stream in [%d,%d)", d.Name(), head, fr)
 			}
 		}
-		if converged && fr != limit {
+		if converged && fr != limit && !d.PowerLost() {
 			v.add(label, "%s did not converge: frontier %d, primary %d", d.Name(), fr, limit)
 		}
 	}

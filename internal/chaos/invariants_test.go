@@ -42,7 +42,7 @@ func newPrefixRig(t *testing.T) *prefixRig {
 			return
 		}
 		sink := &recordingSink{inner: wal.NewVillarsSink(p, rg.prim, "rig"), buf: &rg.written}
-		rg.lg = wal.NewLog(rg.env, sink, wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond})
+		rg.lg = wal.NewLog(rg.env, sink, shard.DefaultWAL)
 		for i := 0; i < 24; i++ {
 			rg.lg.WaitDurable(p, rg.lg.Append(wal.Record{TxID: int64(i + 1), Payload: bytes.Repeat([]byte{byte(i + 1)}, 200+i)}))
 		}
@@ -115,6 +115,13 @@ func TestReplicaPrefixCheckCanSayNo(t *testing.T) {
 	if got := rg.replica(append(rg.written[:fr:fr], 0), fr+1, false); len(got) != 0 {
 		t.Errorf("a lagging replica is a prefix while faults may still be clearing: %v", got)
 	}
+	// A replica that lost power stopped where its crash left it: it is held
+	// to the prefix, not to convergence.
+	rg.sec.InjectPowerLoss()
+	if got := rg.replica(append(rg.written[:fr:fr], 0), fr+1, true); len(got) != 0 {
+		t.Errorf("a dead replica short of the primary: %v", got)
+	}
+	wantOne(t, "dead replica, flipped live byte", rg.replica(flipped(rg.written, fr-1), fr, true), "diverge")
 }
 
 // TestConventionalPrefixCheckCanSayNo: the I1 oracle returns the flash

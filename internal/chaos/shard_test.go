@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"xssd/internal/core"
 	"xssd/internal/fault"
+	"xssd/internal/shard"
+	"xssd/internal/tpcc"
 )
 
 // TestShardSweepHoldsInvariants drives randomized sharded scenarios —
@@ -102,5 +105,49 @@ func TestShardSweepPrinterGreen(t *testing.T) {
 	}
 	if !strings.Contains(out, "I8 hold") {
 		t.Fatalf("missing closing summary:\n%s", out)
+	}
+}
+
+// TestShardFaultsReachSecondaries pins the cluster's bring-up order: every
+// member, each shard's secondaries included, is placed before the plan is
+// hooked, so a power rule scoped to shard 1's secondary kills it and an
+// unscoped NAND rule fires on a secondary's own injector too. The sharded
+// invariants (I1-I3, I8) hold through both.
+func TestShardFaultsReachSecondaries(t *testing.T) {
+	// Lazy: the primaries' credit does not wait on a dead secondary. A
+	// cluster has no failover manager to drop it from an eager or chain
+	// replica set, so that shard's log would stop.
+	sc := Scenario{Seed: 5, Shards: 2, Secondaries: 1, Scheme: core.Lazy}.withDefaults()
+	sc.Plan = &fault.Plan{Rules: []fault.Rule{
+		{Point: fault.DevicePower + "@s1.0", Trigger: fault.TriggerAt, At: sc.Window / 2, Action: fault.ActionFail},
+		{Point: fault.NANDProgram, Trigger: fault.TriggerOn, Count: 20, Action: fault.ActionFail, Times: 2},
+	}}
+	run, err := RunShards(shard.Config{Shards: sc.Shards, Secondaries: sc.Secondaries, Scheme: sc.Scheme, Seed: sc.Seed},
+		sc.Plan, loadSeed, tpcc.SpecMix(), sc.Window, settleTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+	if !run.Cluster.Shard(1).Secondaries()[0].PowerLost() {
+		t.Error("s1.0 kept its power: its member has no injector")
+	}
+	// Injectors follow the members: the shards' own, then the secondaries.
+	secFirings := 0
+	for _, inj := range run.Faults.Injectors[sc.Shards:] {
+		secFirings += len(inj.Firings())
+	}
+	if secFirings == 0 {
+		t.Errorf("no secondary's injector fired (%d members, %d injectors)", len(run.Cluster.Envs()), len(run.Faults.Injectors))
+	}
+
+	r, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Violations) > 0 {
+		t.Errorf("violations: %v", r.Violations)
+	}
+	if r.Commits == 0 {
+		t.Error("no transactions committed")
 	}
 }

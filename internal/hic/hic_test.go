@@ -108,7 +108,7 @@ func TestVendorCommandRoutesToAdminHandler(t *testing.T) {
 	admin := &stubAdmin{}
 	r := newRig(admin)
 	r.env.Go("host", func(p *sim.Proc) {
-		c := r.driver.Submit(p, nvme.Command{Opcode: nvme.OpXQueryStatus, CDW: 42})
+		c := r.driver.Submit(p, nvme.Command{Opcode: nvme.OpXSetDestagePolicy, CDW: 42})
 		if c.Status != nvme.StatusSuccess || c.Value != 77 {
 			t.Errorf("completion = %+v", c)
 		}
@@ -217,7 +217,7 @@ func TestMultiQueueRoundRobinArbitration(t *testing.T) {
 	r.env.Go("host", func(p *sim.Proc) {
 		var toks []nvme.Token
 		submit := func(q int, cdw int64) {
-			toks = append(toks, r.driver.SubmitAsync(q, nvme.Command{Opcode: nvme.OpXQueryStatus, CDW: cdw}))
+			toks = append(toks, r.driver.SubmitAsync(q, nvme.Command{Opcode: nvme.OpXSetDestagePolicy, CDW: cdw}))
 		}
 		drain := func() {
 			for _, tok := range toks {

@@ -37,8 +37,6 @@ const (
 	// Vendor-specific admin commands (X-SSD extensions).
 	OpXSetTransportMode Opcode = 0xC0 // CDW: TransportMode
 	OpXSetDestagePolicy Opcode = 0xC1 // CDW: scheduling policy
-	OpXConfigureRing    Opcode = 0xC2 // CDW: destage LBA ring base/len
-	OpXQueryStatus      Opcode = 0xC3 // returns transport status register
 	OpXAlloc            Opcode = 0xC5 // advanced API: reserve a fast-side area (CDW: size)
 	OpXFree             Opcode = 0xC6 // advanced API: release an area (CDW: start offset)
 )

@@ -14,7 +14,7 @@ func TestDriverMatchesCompletionToCaller(t *testing.T) {
 	drv := NewDriver(env, qs)
 	var got Completion
 	env.Go("host", func(p *sim.Proc) {
-		got = drv.Submit(p, Command{Opcode: OpXQueryStatus, CDW: 21})
+		got = drv.Submit(p, Command{Opcode: OpXSetDestagePolicy, CDW: 21})
 	})
 	env.RunUntil(time.Millisecond)
 	if got.Status != StatusSuccess || got.Value != 42 {
@@ -96,7 +96,7 @@ func TestQueueDoorbellWakesConsumer(t *testing.T) {
 }
 
 func TestVendorOpcodeRange(t *testing.T) {
-	for _, op := range []Opcode{OpXSetTransportMode, OpXSetDestagePolicy, OpXConfigureRing, OpXQueryStatus, OpXAlloc, OpXFree} {
+	for _, op := range []Opcode{OpXSetTransportMode, OpXSetDestagePolicy, OpXAlloc, OpXFree} {
 		if op < 0xC0 {
 			t.Fatalf("vendor opcode 0x%X below vendor-specific range", op)
 		}

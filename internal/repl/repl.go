@@ -157,43 +157,49 @@ func (c *Cluster) Setup(p *sim.Proc, primaryIdx int, scheme core.ReplicationSche
 	c.primary = primaryIdx
 	c.scheme = scheme
 	c.order = nil
-	prim := c.devices[primaryIdx]
-	if scheme != core.Chain {
-		prim.Transport().ClearPeers()
-		prim.Transport().SetScheme(scheme)
-		for i, d := range c.devices {
-			if i == primaryIdx {
-				continue
-			}
-			if err := setMode(p, d, core.Secondary); err != nil {
-				return err
-			}
-			prim.Transport().AddPeer(d, c.bridges[primaryIdx][i], c.bridges[i][primaryIdx])
-		}
-		return setMode(p, prim, core.Primary)
-	}
-	c.order = []int{primaryIdx}
-	for i := range c.devices {
-		if i != primaryIdx {
-			c.order = append(c.order, i)
-		}
-	}
-	for k, i := range c.order {
-		d := c.devices[i]
+	for _, d := range c.devices {
 		d.Transport().ClearPeers()
-		if k == 0 {
-			d.Transport().SetScheme(core.Chain)
-			continue
+	}
+	links := c.star()
+	if scheme == core.Chain {
+		// The same devices in the same order, each mirroring to the next.
+		c.order = []int{primaryIdx}
+		for k, l := range links {
+			links[k][0] = c.order[k]
+			c.order = append(c.order, l[1])
 		}
-		if err := setMode(p, d, core.Secondary); err != nil {
+	}
+	return c.wire(p, links)
+}
+
+// star returns the links of a star around the primary, one to every other
+// live device in index order.
+func (c *Cluster) star() [][2]int {
+	var links [][2]int
+	for i, d := range c.devices {
+		if i != c.primary && !d.PowerLost() {
+			links = append(links, [2]int{c.primary, i})
+		}
+	}
+	return links
+}
+
+// wire is the one bring-up order of every topology: it selects the scheme
+// on the primary, attaches each link (from, to) with AddPeer, then sends the
+// role commands, every link's far end secondary in link order and the
+// primary last. A secondary starts reporting its counter when its role
+// command lands, so a star, a chain and a promoted star all start alike.
+func (c *Cluster) wire(p *sim.Proc, links [][2]int) error {
+	prim := c.devices[c.primary]
+	prim.Transport().SetScheme(c.scheme)
+	for _, l := range links {
+		from, to := l[0], l[1]
+		c.devices[from].Transport().AddPeer(c.devices[to], c.bridges[from][to], c.bridges[to][from])
+	}
+	for _, l := range links {
+		if err := setMode(p, c.devices[l[1]], core.Secondary); err != nil {
 			return err
 		}
-	}
-	// Wire links head -> ... -> tail; AddPeer also installs the reverse
-	// counter-report window.
-	for k := 0; k+1 < len(c.order); k++ {
-		from, to := c.order[k], c.order[k+1]
-		c.devices[from].Transport().AddPeer(c.devices[to], c.bridges[from][to], c.bridges[to][from])
 	}
 	return setMode(p, prim, core.Primary)
 }
@@ -229,25 +235,12 @@ func (c *Cluster) Promote(p *sim.Proc, newPrimary int) error {
 	}
 	c.promotions++
 	c.primary = newPrimary
-	prim := c.devices[newPrimary]
 	if c.order != nil {
 		c.order = c.order[pos:]
-		prim.Transport().SetScheme(core.Chain)
-		return setMode(p, prim, core.Primary)
+		return c.wire(p, nil)
 	}
-	// Rebuild the star around the new primary, skipping dead devices.
-	prim.Transport().ClearPeers()
-	prim.Transport().SetScheme(c.scheme)
-	for i, d := range c.devices {
-		if i == newPrimary || d.PowerLost() {
-			continue
-		}
-		if err := setMode(p, d, core.Secondary); err != nil {
-			return err
-		}
-		prim.Transport().AddPeer(d, c.bridges[newPrimary][i], c.bridges[i][newPrimary])
-	}
-	return setMode(p, prim, core.Primary)
+	c.devices[newPrimary].Transport().ClearPeers()
+	return c.wire(p, c.star())
 }
 
 // Elect picks the secondary to promote after the primary's death,

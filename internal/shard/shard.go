@@ -11,9 +11,10 @@
 //
 // Topology: shard i's primary device, WAL flusher, database engine, and
 // terminals all live on member Env "sh<i>"; each of its secondaries gets
-// its own member (internal/stack builds each shard). The only cross-shard
-// channel is the RPC conduit in rpc.go, built on Env.PostTo, so runs are
-// byte-identical for every worker count.
+// a member of its own, placed after every shard's "sh<i>" (internal/stack
+// builds each shard on them). The only cross-shard channel is the RPC
+// conduit in rpc.go, built on Env.PostTo, so runs are byte-identical for
+// every worker count.
 package shard
 
 import (
@@ -64,9 +65,9 @@ type Config struct {
 	// Seed seeds shard 0's Env; further members derive theirs with a
 	// splitmix64 finalizer, so (Seed, shape) fixes the whole run.
 	Seed int64
-	// WAL configures every shard's log. A zero value uses small
-	// chaos-style batching (4 KiB / 500 µs) rather than wal.DefaultConfig,
-	// which is sized for full-scale figure runs.
+	// WAL configures every shard's log. A zero value uses DefaultWAL
+	// rather than wal.DefaultConfig, which is sized for full-scale figure
+	// runs.
 	WAL wal.Config
 	// Device builds one device; nil means DefaultDevice. Harnesses
 	// override it to apply their own geometry or tracing setup.
@@ -82,8 +83,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.WAL.GroupBytes == 0 && c.WAL.GroupTimeout == 0 {
-		c.WAL.GroupBytes = 4 << 10
-		c.WAL.GroupTimeout = 500 * time.Microsecond
+		c.WAL = DefaultWAL
 	}
 	if c.Device == nil {
 		c.Device = DefaultDevice
@@ -102,6 +102,15 @@ func OwnerOf(warehouse, shards, warehouses int) int {
 	return s
 }
 
+// DefaultWAL is the small chaos-style log batching (4 KiB / 500 µs) of
+// every chaos-sized stack: a cluster whose Config.WAL is zero, and the
+// single-primary chaos runs.
+var DefaultWAL = wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond}
+
+// DefaultStallTimeout is DefaultDevice's replica stall timeout; the chaos
+// I4 oracle demands the stall bit once suppression exceeds twice this.
+const DefaultStallTimeout = 2 * time.Millisecond
+
 // DefaultDevice builds the small-geometry device the shard harnesses use
 // (the chaos configuration: light enough that an 8-shard cluster still
 // runs in seconds, with tracing on for fingerprints).
@@ -113,7 +122,7 @@ func DefaultDevice(env *sim.Env, name string) *villars.Device {
 	cfg.CMBSize = 64 << 10
 	cfg.DestageLatencyBound = 100 * time.Microsecond
 	cfg.ShadowUpdatePeriod = 2 * time.Microsecond
-	cfg.StallTimeout = 2 * time.Millisecond
+	cfg.StallTimeout = DefaultStallTimeout
 	cfg.RepairTimeout = time.Millisecond
 	d := villars.New(env, cfg, pcie.NewHostMemory(1<<20))
 	d.EnableTracing(4096)
@@ -130,7 +139,8 @@ type Shard struct {
 	env  *sim.Env
 	name string // primary device name, "p<i>" — also the fault scope
 
-	stk *stack.Stack // devices, replica set, log and engine
+	members []*sim.Env   // env, then one member per secondary
+	stk     *stack.Stack // devices, replica set, log and engine
 
 	// Coordinator state, owned by this shard's env.
 	nextSeq  int64
@@ -194,9 +204,10 @@ type Cluster struct {
 	shards []*Shard
 }
 
-// New validates cfg and creates the shards' simulation environments — and
-// nothing else, so a harness can attach fault injectors to Envs() before
-// Build constructs the devices (at-time power rules arm at device creation).
+// New validates cfg and places every member of the cluster — the shards'
+// members, then each shard's secondaries, shard-major — and nothing else,
+// so a harness can attach fault injectors to Envs() before Build
+// constructs the devices (at-time power rules arm at device creation).
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards < 1 {
@@ -217,11 +228,14 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.shards = append(c.shards, s)
 	}
+	for _, s := range c.shards {
+		s.members = stack.PlaceSecondaries(s.env, cfg.Seed, cfg.Secondaries)
+	}
 	return c, nil
 }
 
-// Envs returns the member environments in index order. Attach fault
-// injectors here, before Build.
+// Envs returns every member environment in index order, secondaries
+// included. Attach fault injectors here, before Build.
 func (c *Cluster) Envs() []*sim.Env { return c.group.Envs() }
 
 // Group returns the group the cluster runs on; never nil.
@@ -242,13 +256,12 @@ func (c *Cluster) ShardOf(warehouse int) int {
 // its replica set under Scope(id) + "/repl".
 func Scope(id int) string { return fmt.Sprintf("cluster/shard/%d", id) }
 
-// Build constructs every shard's stack (devices and replica set; the
-// secondaries on their own members, shard-major after the primaries) and
-// the per-shard metrics. Call after fault injectors are attached and
-// before Boot.
+// Build constructs every shard's stack (devices and replica set) on the
+// members New placed, and the per-shard metrics. Call after fault
+// injectors are attached and before Boot.
 func (c *Cluster) Build() {
 	for _, s := range c.shards {
-		s.stk = stack.Build(s.env, s.stackConfig(c.cfg))
+		s.stk = stack.Build(s.members, s.stackConfig(c.cfg))
 		sc := obs.For(s.env).Scope(Scope(s.id))
 		s.mRPCOut = sc.Counter("rpc/out")
 		s.mRPCIn = sc.Counter("rpc/in")
@@ -265,12 +278,10 @@ func (c *Cluster) Build() {
 // "s<i>.<j>", a row-map engine, the log sink named after the primary.
 func (s *Shard) stackConfig(cfg Config) stack.Config {
 	sc := stack.Config{
-		Seed:        cfg.Seed,
-		Secondaries: cfg.Secondaries,
-		Scheme:      cfg.Scheme,
-		Shard:       Scope(s.id),
-		Sink:        s.name,
-		WAL:         cfg.WAL,
+		Scheme: cfg.Scheme,
+		Shard:  Scope(s.id),
+		Sink:   s.name,
+		WAL:    cfg.WAL,
 		Device: func(env *sim.Env, i int) *villars.Device {
 			if i == 0 {
 				return cfg.Device(env, s.name)

@@ -2,10 +2,12 @@
 // internal/ runs it — members and fault injectors, a primary with its
 // replica set, sink and WAL, the engine (row map, or B+tree pages with
 // their checkpoint manager) and the load — so chaos, bench and each shard
-// of a shard.Cluster build it in one place. New (or Build) places the
-// members and builds the devices; Boot runs the rest on the host member
-// while the group is inline. Harnesses keep fault plans, windows, timing
-// and metrics.
+// of a shard.Cluster build it in one place. One bring-up order: place
+// every member, hook the fault plan on them, then build the devices. New
+// does all three for a lone stack; a shard.Cluster places every shard's
+// members, its harness hooks the plan, and Build builds each shard. Boot
+// runs the rest on the host member while the group is inline. Harnesses
+// keep fault plans, windows, timing and metrics.
 package stack
 
 import (
@@ -45,7 +47,7 @@ type Config struct {
 	// Device builds device i on env: the primary for i = 0, secondary i-1
 	// after it. Nil builds none: New then opens a bare group.
 	Device      func(env *sim.Env, i int) *villars.Device
-	Secondaries int                    // replica devices, each on a member of its own
+	Secondaries int                    // replica devices New places, each on a member of its own
 	Scheme      core.ReplicationScheme // set up by Boot when Secondaries > 0
 	// Shard is the metrics scope of the cluster shard this stack is, e.g.
 	// "cluster/shard/2", and its replica set registers under Shard+"/repl";
@@ -115,47 +117,48 @@ func New(cfg Config) (*Stack, error) {
 		return nil, err
 	}
 	g := sim.NewGroup(sim.GroupConfig{Workers: cfg.Workers, StartInline: true})
-	s := &Stack{Group: g, Host: Place(g, cfg.Seed, "host"), cfg: cfg}
-	envs := s.placeSecondaries()
+	envs := PlaceSecondaries(Place(g, cfg.Seed, "host"), cfg.Seed, cfg.Secondaries)
+	var faults *Faults
 	if cfg.Plan != nil {
-		s.Faults = AttachFaults(envs, cfg.Plan)
+		faults = AttachFaults(envs, cfg.Plan)
 	}
-	s.build(envs)
+	s := Build(envs, cfg)
+	s.Faults = faults
 	return s, nil
 }
 
-// Build is New for one shard of a cluster: host is the shard's member,
-// the secondaries go after the members the group already has, and the
-// cluster hooks up faults and closes the group. cfg must pass Validate.
-func Build(host *sim.Env, cfg Config) *Stack {
-	s := &Stack{Group: host.Group(), Host: host, cfg: cfg}
-	s.build(s.placeSecondaries())
-	return s
-}
-
-func (s *Stack) placeSecondaries() []*sim.Env {
-	envs := []*sim.Env{s.Host}
-	for i := 0; i < s.cfg.Secondaries; i++ {
-		envs = append(envs, Place(s.Group, s.cfg.Seed, fmt.Sprintf("%s.s%d", s.Host.Name(), i)))
+// PlaceSecondaries adds n members for host's secondaries after the members
+// its group already has, named after host, and returns host followed by
+// them: the members Build takes.
+func PlaceSecondaries(host *sim.Env, seed int64, n int) []*sim.Env {
+	envs := []*sim.Env{host}
+	for i := 0; i < n; i++ {
+		envs = append(envs, Place(host.Group(), seed, fmt.Sprintf("%s.s%d", host.Name(), i)))
 	}
 	return envs
 }
 
-func (s *Stack) build(envs []*sim.Env) {
-	if s.cfg.Device == nil {
-		return
+// Build builds the devices and the replica set of a stack on members
+// already placed: envs[0] is the host and primary, envs[i] secondary i-1.
+// New calls it for a lone stack, and a cluster for each shard once the
+// harness has hooked its plan on every member. cfg must pass Validate.
+func Build(envs []*sim.Env, cfg Config) *Stack {
+	s := &Stack{Group: envs[0].Group(), Host: envs[0], cfg: cfg}
+	if cfg.Device == nil {
+		return s
 	}
 	for i, env := range envs {
-		s.Devices = append(s.Devices, s.cfg.Device(env, i))
+		s.Devices = append(s.Devices, cfg.Device(env, i))
 	}
 	s.Primary = s.Devices[0]
 	if len(s.Devices) > 1 {
 		scope := "repl"
-		if s.cfg.Shard != "" {
-			scope = s.cfg.Shard + "/repl"
+		if cfg.Shard != "" {
+			scope = cfg.Shard + "/repl"
 		}
 		s.Repl, _ = repl.NewScoped(s.Host, s.Devices, scope) // fails only on no devices
 	}
+	return s
 }
 
 // Boot brings the stack up on p, a process of the host member, while the

@@ -509,20 +509,6 @@ func (d *Device) Admin(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 		}
 		d.sch.SetPolicy(pol)
 		return nvme.Completion{Status: nvme.StatusSuccess}
-	case nvme.OpXConfigureRing:
-		base := cmd.CDW >> 32
-		count := cmd.CDW & 0xFFFFFFFF
-		if count <= 0 || base+count > d.ftl.LogicalPages() {
-			return nvme.Completion{Status: nvme.StatusInvalid}
-		}
-		if d.fs.cmb.ring.Live() > 0 || d.fs.destage.destagedStream > 0 {
-			// Reconfiguring a live ring would orphan data.
-			return nvme.Completion{Status: nvme.StatusError}
-		}
-		d.fs.destage.baseLBA, d.fs.destage.lbaCount = base, count
-		return nvme.Completion{Status: nvme.StatusSuccess}
-	case nvme.OpXQueryStatus:
-		return nvme.Completion{Status: nvme.StatusSuccess, Value: d.statusRegister()}
 	case nvme.OpXAlloc:
 		a, err := d.fs.cmb.Alloc(int(cmd.CDW))
 		if err != nil {

@@ -323,7 +323,7 @@ func TestHostQueuesZeroIsOnePair(t *testing.T) {
 						check("read", drv.Submit(p, nvme.Command{Opcode: nvme.OpRead, LBA: lba - 1, Blocks: 1, PRP: (48 + w) * bs}))
 					}
 				}
-				check("status", drv.Submit(p, nvme.Command{Opcode: nvme.OpXQueryStatus}))
+				check("mode", drv.Submit(p, nvme.Command{Opcode: nvme.OpXSetTransportMode, CDW: int64(core.Standalone)}))
 			})
 		}
 		env.Go("fast", func(p *sim.Proc) {
@@ -360,35 +360,12 @@ func TestAdminCommands(t *testing.T) {
 		if c.Status != nvme.StatusSuccess {
 			t.Errorf("set mode: %v", c.Status)
 		}
-		c = driver.Submit(p, nvme.Command{Opcode: nvme.OpXQueryStatus})
-		if c.Status != nvme.StatusSuccess || c.Value&core.StatusTransportUp == 0 {
-			t.Errorf("query status = %+v", c)
+		if d.statusRegister()&core.StatusTransportUp == 0 {
+			t.Errorf("status register = %#x, want transport up", d.statusRegister())
 		}
 		c = driver.Submit(p, nvme.Command{Opcode: nvme.OpXSetTransportMode, CDW: 99})
 		if c.Status != nvme.StatusInvalid {
 			t.Errorf("bogus mode accepted: %v", c.Status)
-		}
-		c = driver.Submit(p, nvme.Command{Opcode: nvme.OpXConfigureRing, CDW: 8<<32 | 64})
-		if c.Status != nvme.StatusSuccess {
-			t.Errorf("configure ring: %v", c.Status)
-		}
-		if d.Destage().baseLBA != 8 || d.Destage().lbaCount != 64 {
-			t.Error("ring not reconfigured")
-		}
-	})
-	env.RunUntil(100 * time.Millisecond)
-}
-
-func TestConfigureRingRejectedWhenLive(t *testing.T) {
-	env := sim.NewEnv(1)
-	d := newDevice(env, "a")
-	driver := d.HostDriver()
-	env.Go("host", func(p *sim.Proc) {
-		d.CMB().MemWrite(0, make([]byte, 64))
-		p.Sleep(5 * time.Microsecond)
-		c := driver.Submit(p, nvme.Command{Opcode: nvme.OpXConfigureRing, CDW: 0<<32 | 64})
-		if c.Status != nvme.StatusError {
-			t.Errorf("reconfigure with live data: %v, want error", c.Status)
 		}
 	})
 	env.RunUntil(100 * time.Millisecond)

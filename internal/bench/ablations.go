@@ -12,7 +12,6 @@ import (
 	"xssd/internal/pm"
 	"xssd/internal/sched"
 	"xssd/internal/sim"
-	"xssd/internal/stack"
 	"xssd/internal/villars"
 	"xssd/internal/xapi"
 )
@@ -57,23 +56,14 @@ func AblationScheme() *Table {
 // replicated harness does, through the stack builder's replication setup,
 // and times XPwrite+XFsync.
 func ablationSchemeCell(scheme core.ReplicationScheme) (obs.Candlestick, error) {
-	c, err := newCell(stack.Config{
-		Seed:        5,
-		Secondaries: 2,
-		Scheme:      scheme,
-		Device: func(env *sim.Env, i int) *villars.Device {
-			name := "prim"
-			if i > 0 {
-				name = fmt.Sprintf("sec%d", i)
-			}
-			return fig13Device(env, name, 400*time.Nanosecond)
-		},
-	})
-	if err != nil {
-		return obs.Candlestick{}, err
-	}
+	c := newReplCell(5, engineWorkers, scheme, func(env *sim.Env, name string) *villars.Device {
+		return fig13Device(env, name, 400*time.Nanosecond)
+	}, "prim", "sec1", "sec2")
 	defer c.Close()
-	var sample obs.Sample
+	var (
+		sample obs.Sample
+		err    error
+	)
 	c.Host.Go("writer", func(p *sim.Proc) {
 		// Setup drives the secondaries' queues directly, which is legal
 		// while the group is still inline.
@@ -120,7 +110,7 @@ func AblationCredit() *Table {
 func ablationCreditCell(strat xapi.CreditStrategy, name string) (mbps, readsPerMB float64) {
 	c := newCellSim(1)
 	defer c.Close()
-	dev := fig10Device(c.Host, pm.SRAMSpec)
+	dev := fig10Device(c.Host, "fig10", pm.SRAMSpec)
 	var reads int64
 	c.Host.Go("writer", func(p *sim.Proc) {
 		l := xapi.Open(p, dev, xapi.Options{Strategy: strat})
@@ -152,7 +142,7 @@ func AblationBacking() *Table {
 	// Villars fast side per backing.
 	for _, backing := range []pm.Spec{pm.SRAMSpec, pm.DRAMSpec} {
 		p50 := ablationBackingCell(fmt.Sprintf("villars-%s", backing.Class), func(env *sim.Env) flushOpener {
-			dev := fig10Device(env, backing)
+			dev := fig10Device(env, "fig10", backing)
 			return func(p *sim.Proc) func() bool {
 				l := xapi.Open(p, dev, xapi.Options{})
 				buf := make([]byte, 16<<10)

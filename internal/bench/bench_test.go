@@ -145,3 +145,26 @@ func TestFig12CellConventionalPriorityProtects(t *testing.T) {
 		t.Fatalf("conventional priority achieved only %.0f%%, want ~50%%", conv*100)
 	}
 }
+
+// TestPargroupReplNamesEveryBridge: the repl3 topology names each device
+// apart, so every bridge of its full mesh — three devices, six directed
+// links, each on its sender's member — registers an ntb/<from>-><to>
+// series of its own instead of sharing one with a sibling.
+func TestPargroupReplNamesEveryBridge(t *testing.T) {
+	st := pargroupRepl(1)
+	defer st.Close()
+	seen := map[string]bool{}
+	for _, env := range st.Envs() {
+		for _, c := range obs.For(env).Snapshot().Counters {
+			if strings.HasPrefix(c.Name, "ntb/") && strings.HasSuffix(c.Name, "/chunks") {
+				if seen[c.Name] {
+					t.Errorf("two members register %s", c.Name)
+				}
+				seen[c.Name] = true
+			}
+		}
+	}
+	if n := len(st.Devices); len(seen) != n*(n-1) {
+		t.Errorf("%d ntb series for %d devices, want one per bridge (%d): %v", len(seen), n, n*(n-1), seen)
+	}
+}

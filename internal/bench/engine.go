@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"xssd/internal/core"
 	"xssd/internal/obs"
 	"xssd/internal/sim"
 	"xssd/internal/stack"
+	"xssd/internal/villars"
 )
 
 // engineWorkers sizes the executor pool of every figure cell's sim.Group
@@ -28,6 +30,18 @@ func SetEngineWorkers(n int) { engineWorkers = n }
 func newCell(cfg stack.Config) (*stack.Stack, error) {
 	cfg.Workers = engineWorkers
 	return stack.New(cfg)
+}
+
+// newReplCell opens a cell whose devices form one replica set under
+// workers executors: names[0] the primary on member 0 (seeded seed), and
+// names[i] secondary i-1 on a member of its own, each built by dev. Boot
+// sets the set up under scheme.
+func newReplCell(seed int64, workers int, scheme core.ReplicationScheme, dev func(env *sim.Env, name string) *villars.Device, names ...string) *stack.Stack {
+	c, _ := stack.New(stack.Config{ // a lone replica set always validates
+		Seed: seed, Workers: workers, Secondaries: len(names) - 1, Scheme: scheme,
+		Device: func(env *sim.Env, i int) *villars.Device { return dev(env, names[i]) },
+	})
+	return c
 }
 
 // newCellSim opens a bare cell: the group and its member 0 with the

@@ -23,8 +23,8 @@ var fig10Sizes = []int{1, 2, 4, 8, 16, 32, 64, 128}
 
 const fig10Window = 20 * time.Millisecond
 
-func fig10Device(env *sim.Env, backing pm.Spec) *villars.Device {
-	cfg := villars.DefaultConfig("fig10")
+func fig10Device(env *sim.Env, name string, backing pm.Spec) *villars.Device {
+	cfg := villars.DefaultConfig(name)
 	cfg.Backing = backing
 	// Give the SRAM ring enough slack (the paper notes the 128 KB CMB
 	// "capacity could be increased by making certain compromises" in FPGA
@@ -45,7 +45,7 @@ func Fig10Cell(backing pm.Spec, uncached bool, size int) float64 {
 	c := newCellSim(1)
 	defer c.Close()
 	env := c.Host
-	dev := fig10Device(env, backing)
+	dev := fig10Device(env, "fig10", backing)
 	env.Go("writer", func(p *sim.Proc) {
 		l := xapi.Open(p, dev, xapi.Options{Uncached: uncached})
 		buf := make([]byte, size)

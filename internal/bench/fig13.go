@@ -10,7 +10,6 @@ import (
 	"xssd/internal/obs"
 	"xssd/internal/pcie"
 	"xssd/internal/pm"
-	"xssd/internal/repl"
 	"xssd/internal/sim"
 	"xssd/internal/villars"
 	"xssd/internal/xapi"
@@ -47,19 +46,18 @@ func fig13Device(env *sim.Env, name string, period time.Duration) *villars.Devic
 // Fig13Cell measures the shadow-counter confirmation delay distribution
 // and the counter-update bandwidth share for one period.
 func Fig13Cell(period time.Duration) (obs.Candlestick, float64) {
-	c := newCellSim(5)
-	defer c.Close()
-	env := c.Host
-	prim := fig13Device(env, "prim", period)
 	// The secondary lives on its own member, so all pair traffic —
 	// mirrored writes one way, counter updates the other — crosses at
 	// barriers through the bridges.
-	sec := fig13Device(c.NewEnv("sec", 6), "sec", period)
-	rc, _ := repl.New(env, []*villars.Device{prim, sec}) // fails only on no devices
-	// Setup drives the secondary's queue directly, which is legal while
-	// the group is still inline.
+	c := newReplCell(5, engineWorkers, core.Eager, func(env *sim.Env, name string) *villars.Device {
+		return fig13Device(env, name, period)
+	}, "prim", "sec")
+	defer c.Close()
+	env, prim, sec := c.Host, c.Primary, c.Devices[1]
+	// Boot's replication setup drives the secondary's queue directly,
+	// which is legal while the group is still inline.
 	env.Go("set-roles", func(p *sim.Proc) {
-		if err := rc.Setup(p, 0, core.Eager); err != nil {
+		if err := c.Boot(p); err != nil {
 			panic(err) // two fresh devices: neither refuses its role
 		}
 	})

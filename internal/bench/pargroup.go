@@ -6,8 +6,8 @@ import (
 
 	"xssd/internal/core"
 	"xssd/internal/pm"
-	"xssd/internal/repl"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/villars"
 	"xssd/internal/xapi"
 )
@@ -44,7 +44,7 @@ func PargroupCell(devices, simWorkers int) int64 {
 	defer func() { lastGroupStats = g.Stats() }()
 	for i := 0; i < devices; i++ {
 		env := g.NewEnv(fmt.Sprintf("d%d", i), int64(1000+i))
-		dev := fig10Device(env, pm.SRAMSpec)
+		dev := fig10Device(env, "fig10", pm.SRAMSpec)
 		env.Go("writer", func(p *sim.Proc) {
 			l := xapi.Open(p, dev, xapi.Options{})
 			buf := make([]byte, 256)
@@ -59,37 +59,37 @@ func PargroupCell(devices, simWorkers int) int64 {
 
 // The repl3 cells are the same question at the quantum every replicated
 // topology actually runs: the fig 13 wiring under load — a primary on the
-// host member, pargroupSecondaries eager secondaries on members of their
-// own behind cross-member NTB bridges, the default 1µs quantum the 1.1µs
-// hop dictates — so all three members are active in nearly every quantum
-// and each does a few dozen events in it.
-const pargroupSecondaries = 2
+// host member, two eager secondaries on members of their own behind
+// cross-member NTB bridges, the default 1µs quantum the 1.1µs hop
+// dictates — so all three members are active in nearly every quantum and
+// each does a few dozen events in it.
 
 // PargroupReplCell runs the replicated topology under simWorkers quantum
 // executors and reports the total events dispatched.
 func PargroupReplCell(simWorkers int) int64 {
-	g := sim.NewGroup(sim.GroupConfig{Workers: simWorkers, StartInline: true})
-	defer g.Close()
-	defer func() { lastGroupStats = g.Stats() }()
-	env := g.NewEnv("host", 2000)
-	devs := []*villars.Device{fig10Device(env, pm.SRAMSpec)}
-	for i := 0; i < pargroupSecondaries; i++ {
-		devs = append(devs, fig10Device(g.NewEnv(fmt.Sprintf("sec%d", i), int64(2001+i)), pm.SRAMSpec))
-	}
-	rc, _ := repl.New(env, devs) // fails only on no devices
-	env.Go("writer", func(p *sim.Proc) {
-		// Setup drives the secondaries' queues directly, which is legal
-		// while the group is still inline.
-		if err := rc.Setup(p, 0, core.Eager); err != nil {
+	st := pargroupRepl(simWorkers)
+	defer st.Close()
+	defer func() { lastGroupStats = st.Stats() }()
+	st.Host.Go("writer", func(p *sim.Proc) {
+		// Boot's replication setup drives the secondaries' queues
+		// directly, which is legal while the group is still inline.
+		if err := st.Boot(p); err != nil {
 			panic(err) // fresh devices: none refuses its role
 		}
-		g.Parallelize()
-		l := xapi.Open(p, devs[0], xapi.Options{})
+		st.Parallelize()
+		l := xapi.Open(p, st.Primary, xapi.Options{})
 		buf := make([]byte, 256)
 		for {
 			l.XPwrite(p, buf)
 		}
 	})
-	g.RunUntil(pargroupWindow)
-	return g.Events()
+	st.RunUntil(pargroupWindow)
+	return st.Events()
+}
+
+// pargroupRepl builds the repl3 topology, each device named apart.
+func pargroupRepl(simWorkers int) *stack.Stack {
+	return newReplCell(2000, simWorkers, core.Eager, func(env *sim.Env, name string) *villars.Device {
+		return fig10Device(env, name, pm.SRAMSpec)
+	}, "prim", "sec0", "sec1")
 }

@@ -112,6 +112,16 @@ const (
 	settleTime      = 20 * time.Millisecond
 )
 
+// oracleWAL is every chaos stack's log: the chaos batching, retaining
+// its stream. What the host appended to that log is the oracle every
+// invariant holds a device to (logStream).
+var oracleWAL = wal.Config{GroupBytes: shard.DefaultWAL.GroupBytes, GroupTimeout: shard.DefaultWAL.GroupTimeout, Retain: true}
+
+// logStream returns everything the host appended to lg: the retained
+// durable prefix, any batch a sink write still holds, and the unflushed
+// tail.
+func logStream(lg *wal.Log) ([]byte, error) { return lg.StreamRange(0, lg.AppendedLSN()) }
+
 // terminal is a TPC-C worker's loop: wait out the log's back-pressure,
 // think, run one transaction, until done. The think time is sized so a
 // window's worth of log traffic stays well inside the destage LBA ring —
@@ -219,7 +229,7 @@ type Result struct {
 	PowerLost   bool // a primary lost power (always, on a KillAt run)
 
 	Commits  int64 // committed transactions (live engine)
-	Written  int64 // bytes of the oracle stream: what the host handed to the sink
+	Written  int64 // bytes of the oracle stream: everything the host appended to its log
 	Destaged int64 // bytes the (final) primary moved to the conventional side
 	Durable  int64 // final durable horizon of the WAL
 	Firings  int   // fault rules that fired
@@ -258,24 +268,6 @@ type Result struct {
 	Violations  []string
 }
 
-// recordingSink wraps a sink and keeps the exact byte stream the host
-// handed down — the oracle every prefix invariant is checked against.
-// Bytes are recorded before the inner write so a power loss mid-write
-// leaves the device with a prefix of the recording, never the reverse.
-type recordingSink struct {
-	inner wal.Sink
-	buf   *[]byte
-}
-
-// Write implements wal.Sink.
-func (s *recordingSink) Write(p *sim.Proc, data []byte) error {
-	*s.buf = append(*s.buf, data...)
-	return s.inner.Write(p, data)
-}
-
-// Name implements wal.Sink.
-func (s *recordingSink) Name() string { return s.inner.Name() }
-
 // stallMonitor is the I4 oracle: it polls the primary's status register
 // and, independently, watches for stretches where a direct peer's shadow
 // reporting is being suppressed while data is outstanding — exactly the
@@ -306,7 +298,7 @@ func Run(s Scenario) (*Result, error) {
 // secondaries, host-side WAL and engine, classic or paged — and the TPC-C
 // workers, with a kill run's failover manager inside the stack.
 //
-// A kill run differs from the others in the four places marked (1)-(4),
+// A kill run differs from the others in the three places marked (1)-(3),
 // each one something the takeover needs.
 func runSingle(s Scenario) (*Result, error) {
 	kill := s.KillAt > 0
@@ -325,15 +317,7 @@ func runSingle(s Scenario) (*Result, error) {
 	}
 	tcfg := ShardTPCC(1) // the sharded runs' shape, one shard's worth
 	load := func(e *db.Engine) { tpcc.Load(e, tcfg, loadSeed) }
-	cfg.Sink, cfg.Load = "chaos", load
-	cfg.WAL = shard.DefaultWAL
-	var written []byte
-	if !kill {
-		// (1) Only a run without a kill records the host stream: on a kill
-		// run two sinks see traffic, and the stack's log retains the
-		// flushed stream instead, which is the oracle.
-		cfg.WrapSink = func(inner wal.Sink) wal.Sink { return &recordingSink{inner: inner, buf: &written} }
-	}
+	cfg.Sink, cfg.Load, cfg.WAL = "chaos", load, oracleWAL
 	st, err := stack.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
@@ -377,7 +361,7 @@ func runSingle(s Scenario) (*Result, error) {
 			env.Go("chaos-ckpt", st.Ckpt.Run)
 		}
 		eng, lg := st.Engine, st.Log
-		// (2) Workers exit with a dead log — except on kill runs, where
+		// (1) Workers exit with a dead log — except on kill runs, where
 		// they outlive the primary: they block on backlog back-pressure
 		// while the pipeline is down and resume once the takeover restarts
 		// it.
@@ -387,7 +371,7 @@ func runSingle(s Scenario) (*Result, error) {
 			env.Go(fmt.Sprintf("chaos-worker-%d", w), terminal(lg, done, func(p *sim.Proc) { client.RunMixAsync(p) }))
 		}
 		// Bring-up walked every member's state directly (role commands,
-		// peer wiring); only now may members run concurrently. (3) A kill
+		// peer wiring); only now may members run concurrently. (2) A kill
 		// run stays inline: its takeover walks them again.
 		if !kill {
 			st.Group.Parallelize()
@@ -395,7 +379,7 @@ func runSingle(s Scenario) (*Result, error) {
 	})
 
 	mon := &stallMonitor{}
-	// (4) Kill runs have no stall monitor — it costs events, and the
+	// (3) Kill runs have no stall monitor — it costs events, and the
 	// register it polls dies with the primary — and, below, do not wait
 	// out a post-crash drain: the takeover is their recovery.
 	if st.Repl != nil && !kill {
@@ -498,7 +482,7 @@ func runSingle(s Scenario) (*Result, error) {
 	// Live-engine fingerprint. The classic engine walks in-memory maps;
 	// a paged engine reads pages through the device, so its walk runs as
 	// a post-mortem process on the host event loop (single-threaded by
-	// now — the flashPrefix pattern). After a power loss the pool may
+	// now — the stack.FlashPrefix pattern). After a power loss the pool may
 	// have evicted pages only the dead host path could reload, so the
 	// live fingerprint is deterministically skipped.
 	var liveFP uint64
@@ -516,17 +500,22 @@ func runSingle(s Scenario) (*Result, error) {
 		}
 	}
 
-	// Whose conventional side, whose replicas, against which stream: the
-	// primary and its secondaries against the host recording — or, after
-	// a takeover, the promoted device and the other survivors against the
-	// retained stream (conv is nil when the takeover left no device to
-	// inspect; checkTakeover has said why).
-	conv, replicas, oracle := prim, devices[1:], written
+	// Whose conventional side and whose replicas: the primary and its
+	// secondaries — or, after a takeover, the promoted device and the other
+	// survivors (conv is nil when the takeover left no device to inspect;
+	// checkTakeover has said why). Either way they are held to the log's
+	// own stream.
+	oracle, err := logStream(lg)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: oracle stream: %w", err)
+	}
+	r.Written = int64(len(oracle))
+	conv, replicas := prim, devices[1:]
 	replicaLimit, converged := prim.CMB().Ring().Frontier(), !r.PowerLost
 	i1, i2, i3 := "I1", "I2", "I3"
 	if kill {
 		i1, i2, i3 = "I6", "I6", "I6"
-		conv, oracle = checkTakeover(v, r, st.Failover, st.Repl, lg, prim)
+		conv = checkTakeover(v, r, st.Failover, st.Repl, lg, prim)
 		replicas = nil
 		for _, d := range devices {
 			if !d.PowerLost() && d != conv {
@@ -535,7 +524,6 @@ func runSingle(s Scenario) (*Result, error) {
 		}
 		replicaLimit, converged = r.Durable, true
 	}
-	r.Written = int64(len(oracle))
 
 	// ---- I4: a stale replica must be surfaced in the status register --
 	// One-directional: a long suppression stretch with data outstanding
@@ -555,11 +543,15 @@ func runSingle(s Scenario) (*Result, error) {
 			return nil, fmt.Errorf("chaos: %w", err)
 		}
 		if prefix != nil {
-			// ---- I2: crash-recovery equality --------------------------
+			// ---- I2: crash-recovery equality, a cluster of one ---------
 			// A takeover leaves the live engine running on the survivor,
 			// so the two stay comparable across that crash.
+			var live []uint64
+			if liveFPOK && (kill || !r.PowerLost) {
+				live = []uint64{liveFP}
+			}
 			records := wal.DecodeAll(prefix)
-			recovered := checkRecovery(v, i2, env, load, prefix, oracle, liveFP, liveFPOK && (kill || !r.PowerLost))
+			recovered := checkRecovery(v, i2, [][]byte{prefix}, [][]byte{oracle}, nil, func(e *db.Engine, _ int) { load(e) }, live)
 			if kill {
 				checkCommittedSurvive(v, r, recovered, records)
 			}

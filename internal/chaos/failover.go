@@ -1,6 +1,6 @@
 // Failover chaos: the Scenario.KillAt axis. The primary dies mid-workload,
 // a failover.Manager promotes a survivor, and on top of the prefix
-// disciplines (checked on the survivors, against the retained stream) the
+// disciplines (checked on the survivors, against the log's stream) the
 // run must show:
 //
 //	I6  exactly one clean takeover, and every transaction committed before
@@ -43,10 +43,9 @@ func DefaultFailoverScenario(seed int64) Scenario {
 
 // checkTakeover checks the promotion half of I6 — one clean takeover that
 // lost none of the durable horizon — and fills r's takeover fields. It
-// returns the promoted device and the oracle stream the survivors are
-// held to; the device is nil when no survivor took over (reported here),
-// leaving nothing for the prefix checks to inspect.
-func checkTakeover(v *violations, r *Result, fo *failover.Manager, cluster *repl.Cluster, lg *wal.Log, dead *villars.Device) (*villars.Device, []byte) {
+// returns the promoted device, nil when no survivor took over (reported
+// here), leaving nothing for the prefix checks to inspect.
+func checkTakeover(v *violations, r *Result, fo *failover.Manager, cluster *repl.Cluster, lg *wal.Log, dead *villars.Device) *villars.Device {
 	takeovers := fo.Takeovers()
 	if err := fo.Err(); err != nil {
 		v.add("I6", "manager halted: %v", err)
@@ -74,28 +73,21 @@ func checkTakeover(v *violations, r *Result, fo *failover.Manager, cluster *repl
 		}
 	}
 
-	// The oracle stream: the retained flushed prefix — a failover run has
-	// no single host recording (two sinks saw traffic), but retention is
-	// byte-exact by construction.
-	oracle, err := lg.StreamRange(0, r.Durable)
-	if err != nil {
-		v.add("I6", "retained stream [0, %d): %v", r.Durable, err)
-	}
 	if r.Durable < r.DurableAtKill {
 		v.add("I6", "durable horizon moved backwards: %d after kill at %d", r.Durable, r.DurableAtKill)
 	}
-	if promoted == nil || promoted == dead || err != nil {
-		return nil, nil
+	if promoted == nil || promoted == dead {
+		return nil
 	}
-	return promoted, oracle
+	return promoted
 }
 
 // checkCommittedSurvive is I6's claim about the recovered stream itself:
 // no transaction appears twice (the tail replay and the backfill must not
 // re-drive what a survivor already held), and the database recovered from
-// the promoted flash (nil when recovery failed) holds at least every
-// commit acknowledged before the kill.
-func checkCommittedSurvive(v *violations, r *Result, recovered *db.Engine, records []wal.Record) {
+// the promoted flash (checkRecovery's one engine; none when recovery
+// failed) holds at least every commit acknowledged before the kill.
+func checkCommittedSurvive(v *violations, r *Result, recovered []*db.Engine, records []wal.Record) {
 	seen := make(map[int64]bool, len(records))
 	for _, rec := range records {
 		if seen[rec.TxID] {
@@ -104,10 +96,10 @@ func checkCommittedSurvive(v *violations, r *Result, recovered *db.Engine, recor
 		}
 		seen[rec.TxID] = true
 	}
-	if recovered == nil {
+	if len(recovered) == 0 {
 		return
 	}
-	if c, _ := recovered.Stats(); c < r.PreKillCommits {
+	if c, _ := recovered[0].Stats(); c < r.PreKillCommits {
 		v.add("I6", "recovered %d commits < %d committed before the kill", c, r.PreKillCommits)
 	}
 }

@@ -3,17 +3,20 @@
 // facts about it: a replica's ring is a prefix of the stream it mirrors,
 // the conventional side is a gap-free prefix of that stream, and a
 // database recovered from that prefix is the database the stream
-// describes. The runners differ in which devices and which oracle stream
-// they hand in, not in what is demanded of them.
+// describes. Every stack's oracle is its own log's stream: everything the
+// host appended, retained by the log (wal.Config.Retain). The runners
+// differ in which devices and how many stacks they hand in, not in what is
+// demanded of them.
 package chaos
 
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"xssd/internal/db"
+	"xssd/internal/shard"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
 )
@@ -72,15 +75,14 @@ func checkReplicaPrefix(v *violations, label string, replicas []*villars.Device,
 }
 
 // checkConventionalPrefix demands that d's conventional side holds a
-// gap-free prefix of the oracle stream lg acknowledged (§4.1, §4.3): after
-// a power loss a drained device covering at least the durable horizon,
-// otherwise — the stack has settled — the whole stream, with nothing left
-// in the WAL or the ring. It reads the destage ring back through the FTL
-// (in virtual time, on d's Env) and returns those bytes only when they are
-// a prefix of the oracle, so recovery checks never run on — and re-report
-// — a stream already known to be wrong. The error is a harness failure,
-// not a breach. Callers label it I1 for a primary (one per shard) and I6
-// for a promoted device against the retained stream.
+// gap-free prefix of lg's stream, the oracle (§4.1, §4.3): after a power
+// loss a drained device covering at least the durable horizon, otherwise —
+// the stack has settled — the whole stream, with nothing left in the WAL
+// or the ring. It reads the destage ring back (stack.FlashPrefix) and
+// returns those bytes only when they are a prefix of the oracle, so
+// recovery checks never run on — and re-report — a stream already known
+// to be wrong. The error is a harness failure, not a breach. Callers label
+// it I1 for a primary (one per shard) and I6 for a promoted device.
 func checkConventionalPrefix(v *violations, label string, d *villars.Device, lg *wal.Log, oracle []byte) ([]byte, error) {
 	destaged, total := d.Destage().DestagedStream(), int64(len(oracle))
 	if d.PowerLost() {
@@ -108,7 +110,7 @@ func checkConventionalPrefix(v *violations, label string, d *villars.Device, lg 
 		// Scenario parameters are sized to keep this from happening.
 		return nil, fmt.Errorf("stream wrapped %s's destage ring (%d slots): shrink the window or workload", d.Name(), slots)
 	}
-	prefix, err := flashPrefix(d)
+	prefix, err := stack.FlashPrefix(d)
 	if err != nil {
 		v.add(label, "%v", err)
 		return nil, nil
@@ -127,68 +129,63 @@ func checkConventionalPrefix(v *violations, label string, d *villars.Device, lg 
 	return prefix, nil
 }
 
-// flashPrefix reads the destage ring back through the FTL and reassembles
-// the stream prefix the conventional side holds, failing on any gap or
-// malformed page (the read itself runs in virtual time). The verifier
-// process runs on the device's own Env: a promoted secondary lives in its
-// own member, and its NAND timers must dispatch on the same event loop
-// the verifier sleeps on. The run is post-mortem
-// (single-threaded), so driving one member directly is race-free.
-func flashPrefix(d *villars.Device) ([]byte, error) {
-	env := d.Env()
-	base, count := d.Destage().LBARing()
-	var got []byte
-	var rerr error
-	env.Go("chaos-flash-verify", func(p *sim.Proc) {
-		for slot := int64(0); slot < d.Destage().TailLBA(); slot++ {
-			page, err := d.FTL().Read(p, base+slot%count)
-			if err != nil {
-				rerr = fmt.Errorf("flash prefix: read slot %d: %w", slot, err)
-				return
-			}
-			off, n, ok := villars.DecodePageHeader(page)
-			if !ok {
-				rerr = fmt.Errorf("flash prefix: slot %d is not a destage page", slot)
-				return
-			}
-			if off != int64(len(got)) {
-				rerr = fmt.Errorf("flash prefix: slot %d at stream offset %d, want %d (gap)", slot, off, len(got))
-				return
-			}
-			got = append(got, page[villars.PageHeaderLen:villars.PageHeaderLen+n]...)
+// checkRecovery is I2 (I6 after a takeover) over a run's streams, one per
+// stack; a lone stack is a cluster of one. It demands that the databases
+// recovered from the flash prefixes are exactly the ones a replay of the
+// same length of each oracle stream yields, with the coordinators' durable
+// decisions resolving in-doubt prepares (shard.Replay); that no
+// cross-shard transaction is half-applied (I8: shard.CheckAtomicity, with
+// acked[i] the gids shard i acknowledged); and, when live is non-nil, that
+// they equal the live engines' fingerprints. A nil prefix — its stream
+// already failed I1 — skips the check. It returns the recovered engines,
+// none when recovery failed, for checks only one caller makes. The oracle
+// engines run on a private Env: they register no instruments and spend no
+// virtual time.
+func checkRecovery(v *violations, label string, prefixes, oracles [][]byte, acked [][]int64, load func(*db.Engine, int), live []uint64) []*db.Engine {
+	n := len(prefixes)
+	at := func(i int) {
+		if n > 1 {
+			v.prefix = fmt.Sprintf("shard %d: ", i)
 		}
-	})
-	env.RunUntil(env.Now() + 50*time.Millisecond)
-	return got, rerr
-}
-
-// checkRecovery demands that a database recovered from the flash prefix
-// is exactly the one a replay of the same length of oracle stream yields,
-// and — when liveOK: the host side lost nothing, because nothing crashed
-// or because a takeover healed the crash — the live engine's liveFP too.
-// Callers label it I2, and I6 after a takeover. It returns the recovered
-// engine (nil when recovery failed) for checks only one caller makes.
-//
-// The oracle engines are built on env, the run's host Env, not a private
-// one: db.New registers instruments there, and they are part of the
-// metrics snapshot every pinned fingerprint folds in.
-func checkRecovery(v *violations, label string, env *sim.Env, load func(*db.Engine), prefix, oracle []byte, liveFP uint64, liveOK bool) *db.Engine {
-	recovered := db.New(env, nil)
-	load(recovered)
-	if err := recovered.Recover(wal.DecodeAll(prefix)); err != nil {
+	}
+	defer func() { v.prefix = "" }()
+	views, replayed := make([]*shard.View, n), make([]*shard.View, n)
+	for i := range prefixes {
+		at(i)
+		if prefixes[i] == nil {
+			return nil
+		}
+		var err error
+		if views[i], err = shard.ParseStream(i, prefixes[i]); err != nil {
+			v.add(label, "parse flash prefix: %v", err)
+			return nil
+		}
+		if replayed[i], err = shard.ParseStream(i, oracles[i][:len(prefixes[i])]); err != nil {
+			v.add(label, "parse host stream: %v", err)
+			return nil
+		}
+	}
+	v.prefix = ""
+	v.extend(shard.CheckAtomicity(views, acked))
+	env := sim.NewEnv(1)
+	recovered, err := shard.Replay(env, views, load)
+	if err != nil {
 		v.add(label, "recover from flash prefix: %v", err)
 		return nil
 	}
-	replayed := db.New(env, nil)
-	load(replayed)
-	if err := replayed.Recover(wal.DecodeAll(oracle[:len(prefix)])); err != nil {
+	oracle, err := shard.Replay(env, replayed, load)
+	if err != nil {
 		v.add(label, "replay host stream: %v", err)
+		return recovered
 	}
-	if recovered.Fingerprint() != replayed.Fingerprint() {
-		v.add(label, "recovered state diverges from host-stream replay")
-	}
-	if liveOK && recovered.Fingerprint() != liveFP {
-		v.add(label, "recovered state != live engine")
+	for i, eng := range recovered {
+		at(i)
+		if eng.Fingerprint() != oracle[i].Fingerprint() {
+			v.add(label, "recovered state diverges from host-stream replay")
+		}
+		if live != nil && eng.Fingerprint() != live[i] {
+			v.add(label, "recovered state != live engine")
+		}
 	}
 	return recovered
 }

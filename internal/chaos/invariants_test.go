@@ -15,8 +15,8 @@ import (
 )
 
 // prefixRig is the smallest stack the prefix checks apply to: a primary
-// and one eager secondary, a WAL over a recordingSink, and a few KB of
-// records pushed through it.
+// and one eager secondary, a retaining WAL, and a few KB of records pushed
+// through it; written is the log's stream.
 type prefixRig struct {
 	env       *sim.Env
 	prim, sec *villars.Device
@@ -41,8 +41,7 @@ func newPrefixRig(t *testing.T) *prefixRig {
 		if err = cluster.Setup(p, 0, core.Eager); err != nil {
 			return
 		}
-		sink := &recordingSink{inner: wal.NewVillarsSink(p, rg.prim, "rig"), buf: &rg.written}
-		rg.lg = wal.NewLog(rg.env, sink, shard.DefaultWAL)
+		rg.lg = wal.NewLog(rg.env, wal.NewVillarsSink(p, rg.prim, "rig"), oracleWAL)
 		for i := 0; i < 24; i++ {
 			rg.lg.WaitDurable(p, rg.lg.Append(wal.Record{TxID: int64(i + 1), Payload: bytes.Repeat([]byte{byte(i + 1)}, 200+i)}))
 		}
@@ -53,6 +52,9 @@ func newPrefixRig(t *testing.T) *prefixRig {
 	}
 	if err != nil || !done {
 		t.Fatalf("rig bring-up: done=%v err=%v", done, err)
+	}
+	if rg.written, err = logStream(rg.lg); err != nil {
+		t.Fatal(err)
 	}
 	return rg
 }

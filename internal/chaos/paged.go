@@ -64,7 +64,7 @@ func preCheckpointRecords(records []wal.Record, startLSN int64) int {
 // against a full-stream replay into both a memory-backed paged engine and
 // the classic row-map engine. The recovery reads flash through the FTL on
 // the device's Env — the run is over and single-threaded, so driving that
-// member directly is race-free (same pattern as flashPrefix).
+// member directly is race-free (same pattern as stack.FlashPrefix).
 func livePagedI9(prim *villars.Device, pages btree.PageStore, completed int64, records []wal.Record, load func(*db.Engine), liveFP uint64, liveFPOK bool) []string {
 	var out []string
 

@@ -5,19 +5,17 @@
 // order lines, 15% of payments) makes a slice of the traffic cross-shard
 // 2PC. Faults come from the same plan grammar — including shard.rpc
 // rules scoped to a shard name and device.power kills of individual
-// primaries. I1 and I3 are the shared prefix checks (invariants.go), run
-// per shard against that shard's own recording; I5 and the synthetic I9
-// carry over as they are; I4 has no monitor here. What is the cluster's
-// own:
+// primaries. I1-I3 are the shared checks (invariants.go), run per shard
+// against that shard's own log stream; I5 and the synthetic I9 carry over
+// as they are; I4 has no monitor here. I2's recovery walks the 2PC control
+// records, so a shard's cross-shard write sets apply as its coordinator
+// decided. What is the cluster's own:
 //
-//	I2  recovering every shard from its flash prefix (with 2PC control
-//	    records steering cross-shard write sets) reproduces the replay
-//	    of the host streams — and the live engines when nothing crashed;
 //	I8  no single kill, at any point in the protocol, leaves a
 //	    cross-shard transaction half-applied: every participant commit
 //	    has a durable coordinator decision, every durable decision has
 //	    durable participant prepares, every client ack has a durable
-//	    decision (shard.CheckAtomicity).
+//	    decision (shard.CheckAtomicity, inside the recovery check).
 package chaos
 
 import (
@@ -60,7 +58,7 @@ func (r *ShardRun) Close() {
 
 // RunShards drives a sharded TPC-C cluster the way the sharded chaos
 // scenario and the shard bench cells both do. cfg gives the cluster's
-// Shards, Seed, SimWorkers and replica shape (and a WrapSink); RunShards
+// Shards, Seed, SimWorkers and replica shape (and its WAL); RunShards
 // fills in the ShardTPCC warehouses and a Load seeded with loadSeed. plan,
 // when non-nil, is hooked into the shards' members before any device
 // exists. Two terminals per shard, homed on its two warehouses, draw
@@ -125,16 +123,13 @@ func RunShards(cfg shard.Config, plan *fault.Plan, loadSeed int64, mix tpcc.Remo
 // runSharded executes a Shards > 0 scenario; see the package comment
 // above for the invariants it checks.
 func runSharded(s Scenario) (*Result, error) {
-	streams := make([][]byte, s.Shards)
 	run, err := RunShards(shard.Config{
 		Shards:      s.Shards,
 		Secondaries: s.Secondaries,
 		Scheme:      s.Scheme,
 		SimWorkers:  s.SimWorkers,
 		Seed:        s.Seed,
-		WrapSink: func(id int, inner wal.Sink) wal.Sink {
-			return &recordingSink{inner: inner, buf: &streams[id]}
-		},
+		WAL:         oracleWAL,
 	}, s.Plan, loadSeed, tpcc.SpecMix(), s.Window, settleTime)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
@@ -154,11 +149,16 @@ func runSharded(s Scenario) (*Result, error) {
 	}
 	r.Commits, r.Firings = run.Commits, run.Faults.Firings()
 
-	// ---- per-shard I1 + I3, and the flash-prefix views for I2/I8 ------
-	prefixes := make([][]byte, s.Shards)
+	// ---- per-shard I1 + I3, and the flash prefixes for I2/I8 ----------
+	n := s.Shards
+	streams, prefixes, acked := make([][]byte, n), make([][]byte, n), make([][]int64, n)
+	var live []uint64
 	for i, sh := range cl.Shards() {
 		v.prefix = fmt.Sprintf("shard %d: ", i)
 		prim := sh.Device()
+		if streams[i], err = logStream(sh.Log()); err != nil {
+			return nil, fmt.Errorf("chaos: shard %d: oracle stream: %w", i, err)
+		}
 		r.Written += int64(len(streams[i]))
 		r.Destaged += prim.Destage().DestagedStream()
 		r.Durable += sh.Log().DurableLSN()
@@ -166,56 +166,15 @@ func runSharded(s Scenario) (*Result, error) {
 		if prefixes[i], err = checkConventionalPrefix(v, "I1", prim, sh.Log(), streams[i]); err != nil {
 			return nil, fmt.Errorf("chaos: shard %d: %w", i, err)
 		}
-	}
-
-	// ---- I2 + I8: cluster recovery from the flash prefixes ------------
-	views := make([]*shard.View, s.Shards)
-	hostViews := make([]*shard.View, s.Shards)
-	parseOK := true
-	for i := range prefixes {
-		v.prefix = fmt.Sprintf("shard %d: ", i)
-		if prefixes[i] == nil {
-			parseOK = false
-			break
-		}
-		if views[i], err = shard.ParseStream(i, prefixes[i]); err != nil {
-			v.add("I2", "parse flash prefix: %v", err)
-			parseOK = false
-			break
-		}
-		if hostViews[i], err = shard.ParseStream(i, streams[i][:len(prefixes[i])]); err != nil {
-			v.add("I2", "parse host stream: %v", err)
-			parseOK = false
-			break
+		acked[i] = sh.AckedGIDs()
+		if !r.PowerLost {
+			live = append(live, sh.Engine().Fingerprint())
 		}
 	}
 	v.prefix = ""
-	if parseOK {
-		acked := make([][]int64, s.Shards)
-		for i, sh := range cl.Shards() {
-			acked[i] = sh.AckedGIDs()
-		}
-		v.extend(shard.CheckAtomicity(views, acked))
-		recovered, rerr := shard.Replay(sim.NewEnv(1), views, load)
-		if rerr != nil {
-			v.add("I2", "recover from flash prefixes: %v", rerr)
-		} else {
-			oracle, oerr := shard.Replay(sim.NewEnv(1), hostViews, load)
-			if oerr != nil {
-				v.add("I2", "replay host streams: %v", oerr)
-			} else {
-				for i := range recovered {
-					v.prefix = fmt.Sprintf("shard %d: ", i)
-					if recovered[i].Fingerprint() != oracle[i].Fingerprint() {
-						v.add("I2", "recovered state diverges from host-stream replay")
-					}
-					if !r.PowerLost && recovered[i].Fingerprint() != cl.Shard(i).Engine().Fingerprint() {
-						v.add("I2", "recovered state != live engine with no crash")
-					}
-				}
-			}
-		}
-	}
+
+	// ---- I2 + I8: cluster recovery from the flash prefixes ------------
+	checkRecovery(v, "I2", prefixes, streams, acked, load, live)
 
 	// ---- I9: checkpoint-bounded recovery, per shard -------------------
 	// Synthetic schedule: each shard's durable stream replays into a paged

@@ -116,7 +116,8 @@ func TestShardSweepPrinterGreen(t *testing.T) {
 func TestShardFaultsReachSecondaries(t *testing.T) {
 	// Lazy: the primaries' credit does not wait on a dead secondary. A
 	// cluster has no failover manager to drop it from an eager or chain
-	// replica set, so that shard's log would stop.
+	// replica set, so that shard's log would stop
+	// (TestShardStuckLogIsAnI1Breach).
 	sc := Scenario{Seed: 5, Shards: 2, Secondaries: 1, Scheme: core.Lazy}.withDefaults()
 	sc.Plan = &fault.Plan{Rules: []fault.Rule{
 		{Point: fault.DevicePower + "@s1.0", Trigger: fault.TriggerAt, At: sc.Window / 2, Action: fault.ActionFail},
@@ -150,4 +151,37 @@ func TestShardFaultsReachSecondaries(t *testing.T) {
 	if r.Commits == 0 {
 		t.Error("no transactions committed")
 	}
+}
+
+// TestShardStuckLogIsAnI1Breach records what a dead eager secondary does
+// to a cluster with no failover manager to drop it: shard 1's primary
+// waits on the dead shadow for good, so a sink write stays outstanding and
+// that shard's log stops. The harness must say so as I1 breaches on shard
+// 1 alone (a backlog, and appended bytes the device lacks), and the
+// oracle, which reads the batch still in flight, must not invent a
+// diverging flash prefix beside them.
+func TestShardStuckLogIsAnI1Breach(t *testing.T) {
+	sc := Scenario{Seed: 5, Shards: 2, Secondaries: 1, Scheme: core.Eager}.withDefaults()
+	sc.Plan = &fault.Plan{Rules: []fault.Rule{
+		{Point: fault.DevicePower + "@s1.0", Trigger: fault.TriggerAt, At: sc.Window / 2, Action: fault.ActionFail},
+		{Point: fault.NANDProgram, Trigger: fault.TriggerOn, Count: 20, Action: fault.ActionFail, Times: 2},
+	}}
+	r, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Violations) == 0 {
+		t.Fatal("a stuck log went unreported")
+	}
+	backlog := false
+	for _, m := range r.Violations {
+		if !strings.HasPrefix(m, "shard 1: I1: ") || strings.Contains(m, "diverges") {
+			t.Errorf("want only shard 1's I1 breaches, got %q", m)
+		}
+		backlog = backlog || strings.Contains(m, "WAL backlog")
+	}
+	if !backlog {
+		t.Errorf("no violation names the WAL backlog: %v", r.Violations)
+	}
+	t.Logf("%q", r.Violations)
 }

@@ -40,9 +40,9 @@ import (
 var ErrUnavailable = errors.New("shard: peer unavailable")
 
 // Config shapes a shard cluster. The zero value is invalid: Shards and
-// Warehouses must be set. Secondaries, Scheme, WAL, Device, WrapSink and
-// Load shape every shard's stack (stack.Config), whose log sink is named
-// after the shard's primary.
+// Warehouses must be set. Secondaries, Scheme, WAL, Device and Load shape
+// every shard's stack (stack.Config), whose log sink is named after the
+// shard's primary.
 type Config struct {
 	// Shards is the number of primary devices (>= 1); shard i's primary
 	// is named "p<i>".
@@ -65,16 +65,13 @@ type Config struct {
 	// Seed seeds shard 0's Env; further members derive theirs with a
 	// splitmix64 finalizer, so (Seed, shape) fixes the whole run.
 	Seed int64
-	// WAL configures every shard's log. A zero value uses DefaultWAL
-	// rather than wal.DefaultConfig, which is sized for full-scale figure
+	// WAL configures every shard's log. A zero batching uses DefaultWAL's
+	// rather than wal.DefaultConfig's, which is sized for full-scale figure
 	// runs.
 	WAL wal.Config
 	// Device builds one device; nil means DefaultDevice. Harnesses
 	// override it to apply their own geometry or tracing setup.
 	Device func(env *sim.Env, name string) *villars.Device
-	// WrapSink, when non-nil, wraps shard i's WAL sink (oracles record
-	// the exact byte stream a shard's host side handed down).
-	WrapSink func(shardID int, inner wal.Sink) wal.Sink
 	// Load populates shard i's engine with its partition of the initial
 	// rows; nil leaves engines empty. It runs during Boot, before any
 	// terminal starts.
@@ -83,7 +80,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.WAL.GroupBytes == 0 && c.WAL.GroupTimeout == 0 {
-		c.WAL = DefaultWAL
+		c.WAL.GroupBytes, c.WAL.GroupTimeout = DefaultWAL.GroupBytes, DefaultWAL.GroupTimeout
 	}
 	if c.Device == nil {
 		c.Device = DefaultDevice
@@ -288,9 +285,6 @@ func (s *Shard) stackConfig(cfg Config) stack.Config {
 			}
 			return cfg.Device(env, fmt.Sprintf("s%d.%d", s.id, i-1))
 		},
-	}
-	if cfg.WrapSink != nil {
-		sc.WrapSink = func(inner wal.Sink) wal.Sink { return cfg.WrapSink(s.id, inner) }
 	}
 	if cfg.Load != nil {
 		sc.Load = func(eng *db.Engine) { cfg.Load(eng, s.id) }

@@ -30,39 +30,34 @@ func balKey(w int) string { return fmt.Sprintf("w%d/balance", w) }
 func encBal(v int64) []byte { return []byte(fmt.Sprintf("%d", v)) }
 func decBal(b []byte) int64 { var v int64; fmt.Sscanf(string(b), "%d", &v); return v }
 
-// okSink records bytes only after the inner sink acknowledged them, so
-// the recorded stream is exactly the acknowledged-durable stream: a
-// group-commit batch is all-or-nothing, and the log only reports
-// durability for batches whose Write returned nil.
-type okSink struct {
-	inner wal.Sink
-	buf   *[]byte
-}
-
-func (s *okSink) Write(p *sim.Proc, data []byte) error {
-	if err := s.inner.Write(p, data); err != nil {
-		return err
-	}
-	*s.buf = append(*s.buf, data...)
-	return nil
-}
-
-func (s *okSink) Name() string { return s.inner.Name() }
-
 // testConfig builds a cluster config over shards*2 warehouses with
-// recorded sinks and the bank loader.
-func testConfig(shards, simWorkers int, seed int64, streams [][]byte) Config {
+// retaining logs and the bank loader.
+func testConfig(shards, simWorkers int, seed int64) Config {
 	warehouses := shards * 2
 	return Config{
 		Shards:     shards,
 		Warehouses: warehouses,
 		SimWorkers: simWorkers,
 		Seed:       seed,
-		WrapSink: func(id int, inner wal.Sink) wal.Sink {
-			return &okSink{inner: inner, buf: &streams[id]}
-		},
-		Load: bankLoad(shards, warehouses),
+		WAL:        wal.Config{Retain: true},
+		Load:       bankLoad(shards, warehouses),
 	}
+}
+
+// durableStreams returns every shard's acknowledged-durable stream, from
+// its log's retained copy: a group-commit batch is all-or-nothing, and the
+// log retains only batches whose sink write returned nil.
+func durableStreams(t *testing.T, cl *Cluster) [][]byte {
+	t.Helper()
+	streams := make([][]byte, len(cl.shards))
+	for i, s := range cl.shards {
+		b, err := s.Log().StreamRange(0, s.Log().DurableLSN())
+		if err != nil {
+			t.Fatalf("shard %d stream: %v", i, err)
+		}
+		streams[i] = b
+	}
+	return streams
 }
 
 func bankLoad(shards, warehouses int) func(*db.Engine, int) {
@@ -116,9 +111,10 @@ func balance(cl *Cluster, w int) int64 {
 	return decBal(row)
 }
 
-// parseAll parses every recorded stream into views.
-func parseAll(t *testing.T, streams [][]byte) []*View {
+// parseAll parses every shard's durable stream into views.
+func parseAll(t *testing.T, cl *Cluster) []*View {
 	t.Helper()
+	streams := durableStreams(t, cl)
 	views := make([]*View, len(streams))
 	for i, s := range streams {
 		v, err := ParseStream(i, s)
@@ -133,9 +129,9 @@ func parseAll(t *testing.T, streams [][]byte) []*View {
 // checkCluster runs the post-mortem oracle: I8 atomicity over the
 // durable streams, and replay-equality against the live engines of every
 // shard whose device survived.
-func checkCluster(t *testing.T, cl *Cluster, streams [][]byte, deadShard int) {
+func checkCluster(t *testing.T, cl *Cluster, deadShard int) {
 	t.Helper()
-	views := parseAll(t, streams)
+	views := parseAll(t, cl)
 	acked := make([][]int64, len(views))
 	for i := range views {
 		acked[i] = cl.Shard(i).AckedGIDs()
@@ -195,8 +191,7 @@ func boot(t testing.TB, cl *Cluster, body func(p *sim.Proc)) {
 }
 
 func TestLocalCommitStaysLocal(t *testing.T) {
-	streams := make([][]byte, 1)
-	cl, err := New(testConfig(1, 0, 42, streams))
+	cl, err := New(testConfig(1, 0, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,16 +210,15 @@ func TestLocalCommitStaysLocal(t *testing.T) {
 	if gids := cl.Shard(0).AckedGIDs(); len(gids) != 0 {
 		t.Fatalf("local tx allocated cross-shard gids: %v", gids)
 	}
-	views := parseAll(t, streams)
+	views := parseAll(t, cl)
 	if n := len(views[0].Prepares) + len(views[0].Decisions) + len(views[0].CommitPs); n != 0 {
 		t.Fatalf("local commit wrote %d control records, want 0", n)
 	}
-	checkCluster(t, cl, streams, -1)
+	checkCluster(t, cl, -1)
 }
 
 func TestCrossShardCommit(t *testing.T) {
-	streams := make([][]byte, 2)
-	cl, err := New(testConfig(2, 0, 42, streams))
+	cl, err := New(testConfig(2, 0, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +241,7 @@ func TestCrossShardCommit(t *testing.T) {
 	if len(gids) != 1 {
 		t.Fatalf("acked gids %v, want exactly one", gids)
 	}
-	views := parseAll(t, streams)
+	views := parseAll(t, cl)
 	if _, ok := views[0].Decisions[gids[0]]; !ok {
 		t.Fatal("coordinator stream has no durable DECISION")
 	}
@@ -257,7 +251,7 @@ func TestCrossShardCommit(t *testing.T) {
 	if !views[1].CommitPs[gids[0]] {
 		t.Fatal("participant stream has no COMMITP")
 	}
-	checkCluster(t, cl, streams, -1)
+	checkCluster(t, cl, -1)
 }
 
 // TestShardStreamNeedsShardReplay pins what single-engine replay does with
@@ -265,8 +259,7 @@ func TestCrossShardCommit(t *testing.T) {
 // cross-shard transfer, which rides the DECISION record, so with nothing
 // in doubt it rebuilds the live engine exactly as shard.Replay does.
 func TestShardStreamNeedsShardReplay(t *testing.T) {
-	streams := make([][]byte, 2)
-	cl, err := New(testConfig(2, 0, 42, streams))
+	cl, err := New(testConfig(2, 0, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,14 +277,14 @@ func TestShardStreamNeedsShardReplay(t *testing.T) {
 
 	plain := db.New(sim.NewEnv(1), nil)
 	load(plain, 0)
-	if err := plain.Recover(wal.DecodeAll(streams[0])); err != nil {
+	if err := plain.Recover(wal.DecodeAll(durableStreams(t, cl)[0])); err != nil {
 		t.Fatalf("db.Recover: %v", err)
 	}
 	if got := plain.Fingerprint(); got != live {
 		t.Fatalf("db.Recover of shard 0's stream %#x != live %#x: the DECISION record's write is missing", got, live)
 	}
 
-	engines, err := Replay(sim.NewEnv(1), parseAll(t, streams), load)
+	engines, err := Replay(sim.NewEnv(1), parseAll(t, cl), load)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -301,8 +294,7 @@ func TestShardStreamNeedsShardReplay(t *testing.T) {
 }
 
 func TestCrossShardConflictAborts(t *testing.T) {
-	streams := make([][]byte, 2)
-	cl, err := New(testConfig(2, 0, 7, streams))
+	cl, err := New(testConfig(2, 0, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +335,7 @@ func TestCrossShardConflictAborts(t *testing.T) {
 	if committed == 0 {
 		t.Fatal("both racers aborted on every attempt; expected at least one commit")
 	}
-	checkCluster(t, cl, streams, -1)
+	checkCluster(t, cl, -1)
 }
 
 // TestWorkerCountParity is the acceptance check that a cluster's outcome
@@ -357,8 +349,7 @@ func TestWorkerCountParity(t *testing.T) {
 		acked   string
 	}
 	run := func(workers int) fold {
-		streams := make([][]byte, 4)
-		cl, err := New(testConfig(4, workers, 99, streams))
+		cl, err := New(testConfig(4, workers, 99))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,12 +376,12 @@ func TestWorkerCountParity(t *testing.T) {
 			}
 		})
 		var f fold
-		for i := range cl.Shards() {
+		for i, stream := range durableStreams(t, cl) {
 			f.fps = append(f.fps, cl.Shard(i).Engine().Fingerprint())
-			f.streams = append(f.streams, string(streams[i]))
+			f.streams = append(f.streams, string(stream))
 			f.acked = fmt.Sprintf("%s|%v", f.acked, cl.Shard(i).AckedGIDs())
 		}
-		checkCluster(t, cl, streams, -1)
+		checkCluster(t, cl, -1)
 		return f
 	}
 	base := run(1)
@@ -443,8 +434,7 @@ func TestControlRecordRoundTrip(t *testing.T) {
 // write set of the PREPARE before the cut, and a DECISION lands in the
 // checkpoint's images or in the tail, wherever the cut puts it.
 func TestCheckpointBetweenPrepareAndCommitP(t *testing.T) {
-	streams := make([][]byte, 2)
-	cl, err := New(testConfig(2, 0, 42, streams))
+	cl, err := New(testConfig(2, 0, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +450,7 @@ func TestCheckpointBetweenPrepareAndCommitP(t *testing.T) {
 		t.Fatalf("transfers: %v, %v", errOut, errBack)
 	}
 	load := bankLoad(2, 4)
-	for i, v := range parseAll(t, streams) {
+	for i, v := range parseAll(t, cl) {
 		prep := -1
 		for k := range v.Records {
 			if cs, _ := db.Controls(v.Records[k : k+1]); len(cs) == 1 && cs[0].Kind == db.KindPrepare {

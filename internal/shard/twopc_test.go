@@ -25,8 +25,7 @@ import (
 // writes resolve through the termination protocol, and recovery presumes
 // abort.
 func TestCoordinatorDiesBeforeDecision(t *testing.T) {
-	streams := make([][]byte, 2)
-	cl, err := New(testConfig(2, 0, 11, streams))
+	cl, err := New(testConfig(2, 0, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestCoordinatorDiesBeforeDecision(t *testing.T) {
 	if n := len(cl.Shard(1).remote); n != 0 {
 		t.Fatalf("%d unresolved participant transactions after drain", n)
 	}
-	views := parseAll(t, streams)
+	views := parseAll(t, cl)
 	if len(views[0].Decisions) != 0 {
 		t.Fatal("decision record durable despite power loss before append")
 	}
@@ -62,7 +61,7 @@ func TestCoordinatorDiesBeforeDecision(t *testing.T) {
 	if len(views[1].CommitPs) != 0 {
 		t.Fatal("participant applied an undecided transaction")
 	}
-	checkCluster(t, cl, streams, 0)
+	checkCluster(t, cl, 0)
 }
 
 // TestParticipantFrozenDuringPrepare freezes shard 1's RPC traffic so
@@ -71,8 +70,7 @@ func TestCoordinatorDiesBeforeDecision(t *testing.T) {
 // prepare on the participant must eventually abort through the
 // termination protocol — leaving no pins and no state change.
 func TestParticipantFrozenDuringPrepare(t *testing.T) {
-	streams := make([][]byte, 2)
-	cfg := testConfig(2, 0, 13, streams)
+	cfg := testConfig(2, 0, 13)
 	cl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +102,7 @@ func TestParticipantFrozenDuringPrepare(t *testing.T) {
 	if n := len(cl.Shard(1).remote); n != 0 {
 		t.Fatalf("%d unresolved participant transactions after drain", n)
 	}
-	checkCluster(t, cl, streams, -1)
+	checkCluster(t, cl, -1)
 }
 
 // TestDuplicatePrepareDelivery delivers the same PREPARE twice — once
@@ -112,8 +110,7 @@ func TestParticipantFrozenDuringPrepare(t *testing.T) {
 // once after the vote is recorded. Both duplicates must see the original
 // vote, and exactly one PREPARE record may reach the log.
 func TestDuplicatePrepareDelivery(t *testing.T) {
-	streams := make([][]byte, 2)
-	cl, err := New(testConfig(2, 0, 17, streams))
+	cl, err := New(testConfig(2, 0, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +142,7 @@ func TestDuplicatePrepareDelivery(t *testing.T) {
 			t.Fatalf("vote %d = no, want yes", i)
 		}
 	}
-	views := parseAll(t, streams)
+	views := parseAll(t, cl)
 	if n := len(views[1].Records); countPrepares(views[1]) != 1 {
 		t.Fatalf("participant logged %d PREPARE records (of %d records), want exactly 1", countPrepares(views[1]), n)
 	}
@@ -170,8 +167,7 @@ func TestRemoteReadKeyOutlivesTimeout(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			streams := make([][]byte, 2)
-			cl, err := New(testConfig(2, 2, 23, streams))
+			cl, err := New(testConfig(2, 2, 23))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,8 +240,7 @@ func TestRemoteReadKeyOutlivesTimeout(t *testing.T) {
 // the op lands. Each shard runs on its own member, so under -race the
 // detector sees the post cross members.
 func TestRemoteWriteKeyOutlivesScratch(t *testing.T) {
-	streams := make([][]byte, 2)
-	cl, err := New(testConfig(2, 2, 29, streams))
+	cl, err := New(testConfig(2, 2, 29))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +283,7 @@ func TestRemoteWriteKeyOutlivesScratch(t *testing.T) {
 // participant, so the transaction then reads and commits as a local one
 // would; the remote read that follows is the one RPC.
 func TestWantRemoteCostsNoRPC(t *testing.T) {
-	streams := make([][]byte, 2)
-	cl, err := New(testConfig(2, 2, 31, streams))
+	cl, err := New(testConfig(2, 2, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,8 +341,7 @@ func TestKillAnywhereProperty(t *testing.T) {
 			victim = 1
 		}
 		killAt := time.Duration(killAtRaw%8000) * time.Microsecond // within the busy window
-		streams := make([][]byte, 2)
-		cl, err := New(testConfig(2, 0, int64(seed)+1, streams))
+		cl, err := New(testConfig(2, 0, int64(seed)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +369,7 @@ func TestKillAnywhereProperty(t *testing.T) {
 				})
 			}
 		})
-		checkCluster(t, cl, streams, victim)
+		checkCluster(t, cl, victim)
 		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {

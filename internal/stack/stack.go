@@ -52,12 +52,11 @@ type Config struct {
 	// Shard is the metrics scope of the cluster shard this stack is, e.g.
 	// "cluster/shard/2", and its replica set registers under Shard+"/repl";
 	// a lone stack's registers under "repl".
-	Shard    string
-	Sink     string                  // the primary's log sink; empty boots no log and no engine
-	WrapSink func(wal.Sink) wal.Sink // when non-nil, wraps the sink the log writes through
-	WAL      wal.Config              // the log's batching
-	// Failover has the log retain its flushed stream and starts a
-	// failover.Manager right after the log; the group must stay inline.
+	Shard string
+	Sink  string     // the primary's log sink; empty boots no log and no engine
+	WAL   wal.Config // the log's batching and retention
+	// Failover starts a failover.Manager right after the log, and implies
+	// WAL.Retain; the group must stay inline.
 	Failover bool
 	Paged    *Paged           // nil builds the row-map engine
 	Load     func(*db.Engine) // runs at the end of Boot
@@ -98,7 +97,7 @@ type Stack struct {
 	Failover *failover.Manager // Failover only
 
 	cfg  Config
-	sink *wal.VillarsSink // the log's Villars sink, unwrapped, for failover
+	sink *wal.VillarsSink // the log's sink, for failover
 	base int64            // first LBA of the page slots
 }
 
@@ -176,13 +175,9 @@ func (s *Stack) Boot(p *sim.Proc) error {
 		return nil
 	}
 	s.sink = wal.NewVillarsSink(p, s.Primary, cfg.Sink)
-	var sink wal.Sink = s.sink
-	if cfg.WrapSink != nil {
-		sink = cfg.WrapSink(sink)
-	}
 	wcfg := cfg.WAL
-	wcfg.Retain = cfg.Failover
-	s.Log = wal.NewLog(s.Host, sink, wcfg)
+	wcfg.Retain = wcfg.Retain || cfg.Failover
+	s.Log = wal.NewLog(s.Host, s.sink, wcfg)
 	if cfg.Failover {
 		// Right after the log: the watchdog's spawn order relative to the
 		// harness's processes is part of the event history.
@@ -243,6 +238,40 @@ func (s *Stack) Pages() btree.PageStore {
 		return nil
 	}
 	return &ftlStore{dev: s.Primary, base: s.base, slots: s.cfg.Paged.Slots}
+}
+
+// FlashPrefix is the other post-mortem reader: it reads d's destage ring
+// back through its FTL and reassembles the prefix of the log stream d's
+// conventional side holds, failing on any gap or malformed page. Like
+// Pages it runs on the device's own Env, in virtual time, and works after
+// a power loss; d may be any device of a stack, a promoted secondary
+// included. Use it once the run is over and the group single-threaded.
+func FlashPrefix(d *villars.Device) ([]byte, error) {
+	env := d.Env()
+	base, count := d.Destage().LBARing()
+	var got []byte
+	var rerr error
+	env.Go("flash-prefix", func(p *sim.Proc) {
+		for slot := int64(0); slot < d.Destage().TailLBA(); slot++ {
+			page, err := d.FTL().Read(p, base+slot%count)
+			if err != nil {
+				rerr = fmt.Errorf("flash prefix: read slot %d: %w", slot, err)
+				return
+			}
+			off, n, ok := villars.DecodePageHeader(page)
+			if !ok {
+				rerr = fmt.Errorf("flash prefix: slot %d is not a destage page", slot)
+				return
+			}
+			if off != int64(len(got)) {
+				rerr = fmt.Errorf("flash prefix: slot %d at stream offset %d, want %d (gap)", slot, off, len(got))
+				return
+			}
+			got = append(got, page[villars.PageHeaderLen:villars.PageHeaderLen+n]...)
+		}
+	})
+	env.RunUntil(env.Now() + 50*time.Millisecond)
+	return got, rerr
 }
 
 // Close releases a lone stack's group and unhooks its faults.

@@ -50,26 +50,14 @@ func TestValidateRejectsUncomposedPairs(t *testing.T) {
 	}
 }
 
-// recorder keeps the byte stream the log hands its sink.
-type recorder struct {
-	wal.Sink
-	buf []byte
-}
-
-func (r *recorder) Write(p *sim.Proc, data []byte) error {
-	r.buf = append(r.buf, data...)
-	return r.Sink.Write(p, data)
-}
-
 // pagedStack boots a paged TPC-C stack with two eager secondaries,
 // commits a few transactions and completes one checkpoint, then commits a
-// few more. It returns the stack, the recorded log stream and the
+// few more. It returns the stack, whose log retains its stream, and the
 // table load.
-func pagedStack(t *testing.T) (*stack.Stack, *recorder, func(*db.Engine)) {
+func pagedStack(t *testing.T) (*stack.Stack, func(*db.Engine)) {
 	t.Helper()
 	tcfg := tpcc.Config{Warehouses: 2, Districts: 2, CustomersPerDistrict: 8, Items: 40, FillerLen: 10}
 	load := func(e *db.Engine) { tpcc.Load(e, tcfg, 7) }
-	rec := &recorder{}
 	st, err := stack.New(stack.Config{
 		Seed:        3,
 		Secondaries: 2,
@@ -77,11 +65,10 @@ func pagedStack(t *testing.T) (*stack.Stack, *recorder, func(*db.Engine)) {
 		Device: func(env *sim.Env, i int) *villars.Device {
 			return shard.DefaultDevice(env, []string{"p", "s0", "s1"}[i])
 		},
-		Sink:     "t",
-		WrapSink: func(inner wal.Sink) wal.Sink { rec.Sink = inner; return rec },
-		WAL:      wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond},
-		Paged:    &stack.Paged{Slots: 1024, Pool: 64},
-		Load:     load,
+		Sink:  "t",
+		WAL:   wal.Config{GroupBytes: 4 << 10, GroupTimeout: 500 * time.Microsecond, Retain: true},
+		Paged: &stack.Paged{Slots: 1024, Pool: 64},
+		Load:  load,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +101,14 @@ func pagedStack(t *testing.T) (*stack.Stack, *recorder, func(*db.Engine)) {
 	if !done {
 		t.Fatal("workload did not finish")
 	}
-	return st, rec, load
+	return st, load
 }
 
 // TestPagesReadsCompletedCheckpoint: recovery through the post-mortem
 // reader — the last completed checkpoint's images from the primary's
 // flash plus the log tail — rebuilds the live engine's state.
 func TestPagesReadsCompletedCheckpoint(t *testing.T) {
-	st, rec, load := pagedStack(t)
+	st, load := pagedStack(t)
 	if st.Pages() == nil {
 		t.Fatal("a paged stack has no post-mortem reader")
 	}
@@ -131,7 +118,12 @@ func TestPagesReadsCompletedCheckpoint(t *testing.T) {
 	st.Host.Go("verify", func(p *sim.Proc) {
 		defer func() { finished = true }()
 		live = st.Engine.FingerprintIn(p)
-		eng, s, err := ckpt.Recover(p, st.Host, st.Pages(), 64, wal.DecodeAll(rec.buf), load)
+		stream, err := st.Log.StreamRange(0, st.Log.AppendedLSN())
+		if err != nil {
+			t.Errorf("log stream: %v", err)
+			return
+		}
+		eng, s, err := ckpt.Recover(p, st.Host, st.Pages(), 64, wal.DecodeAll(stream), load)
 		if err != nil {
 			t.Errorf("recover: %v", err)
 			return
@@ -158,7 +150,7 @@ func TestPagesReadsCompletedCheckpoint(t *testing.T) {
 // engine's — so merging their snapshots, which panics on a duplicate,
 // succeeds and keeps every member's series.
 func TestStackSnapshotsMerge(t *testing.T) {
-	st, _, _ := pagedStack(t)
+	st, _ := pagedStack(t)
 	snap := obs.SnapshotOf(st.Envs())
 	names := map[string]bool{}
 	for _, c := range snap.Counters {

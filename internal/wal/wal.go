@@ -438,27 +438,31 @@ func (l *Log) Resume(p *sim.Proc, sink Sink, fr int64) (int64, error) {
 }
 
 // StreamRange returns a copy of the log stream's bytes in [from, to).
-// Durable bytes are served from the retained copy (Config.Retain);
-// appended-but-unflushed bytes from the accumulator. Used by a failover
-// manager to backfill a surviving secondary's missing prefix.
+// Durable bytes are served from the retained copy (Config.Retain), the
+// batch a sink write still holds from the flush buffer, and
+// appended-but-unflushed bytes from the accumulator. A failover manager
+// uses it to backfill a surviving secondary's missing prefix, and the
+// chaos harness reads its oracle stream through it.
 func (l *Log) StreamRange(from, to int64) ([]byte, error) {
-	end := l.bufStart + int64(len(l.buf))
+	end := l.AppendedLSN()
 	if from < 0 || to > end || from > to ||
-		(from < l.bufStart && !l.cfg.Retain) {
+		(from < l.durableLSN && !l.cfg.Retain) {
 		return nil, fmt.Errorf("%w: range [%d, %d) outside [0, %d)",
 			ErrTailUnavailable, from, to, end)
 	}
 	out := make([]byte, 0, to-from)
-	if from < l.bufStart {
-		stop := to
-		if stop > l.bufStart {
-			stop = l.bufStart
+	// Three consecutive pieces: [0, durableLSN) retained, [durableLSN,
+	// bufStart) in flight (empty unless a sink write is outstanding), and
+	// [bufStart, end) accumulating.
+	for _, seg := range [...]struct {
+		lo   int64
+		data []byte
+	}{{0, l.retained}, {l.durableLSN, l.batch[:l.bufStart-l.durableLSN]}, {l.bufStart, l.buf}} {
+		if hi := seg.lo + int64(len(seg.data)); from < to && from < hi {
+			stop := min(to, hi)
+			out = append(out, seg.data[from-seg.lo:stop-seg.lo]...)
+			from = stop
 		}
-		out = append(out, l.retained[from:stop]...)
-		from = stop
-	}
-	if from < to {
-		out = append(out, l.buf[from-l.bufStart:to-l.bufStart]...)
 	}
 	return out, nil
 }

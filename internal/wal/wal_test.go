@@ -388,3 +388,59 @@ func TestGroupTimeoutArmsOneTimerPerDeadline(t *testing.T) {
 		t.Fatalf("events from the last append to the flush: %d after 10 appends, %d after 200; want the same small count", few, many)
 	}
 }
+
+// holdSink accepts writes at once, except write number hold, which it
+// holds for good: a sink behind an eager secondary that lost power.
+type holdSink struct {
+	writes, hold int
+	never        *sim.Signal
+}
+
+func (s *holdSink) Write(p *sim.Proc, data []byte) error {
+	if s.writes++; s.writes == s.hold {
+		p.Wait(s.never)
+	}
+	return nil
+}
+
+func (s *holdSink) Name() string { return "hold" }
+
+// TestStreamRangeServesTheBatchInFlight: while a sink write is
+// outstanding its batch is neither retained nor in the accumulator, and
+// StreamRange serves it from the flush buffer. Three 256-byte batches
+// flush, the fourth is held, and 344 bytes wait behind it.
+func TestStreamRangeServesTheBatchInFlight(t *testing.T) {
+	for _, retain := range []bool{true, false} {
+		env := sim.NewEnv(1)
+		sink := &holdSink{hold: 4, never: env.NewSignal()}
+		log := NewLog(env, sink, Config{GroupBytes: 256, GroupTimeout: time.Millisecond, Retain: retain})
+		var want []byte
+		env.Go("appender", func(p *sim.Proc) {
+			for i := 0; i < 12; i++ {
+				r := Record{TxID: int64(i + 1), Payload: bytes.Repeat([]byte{byte(i + 1)}, 100)}
+				want = r.Encode(want)
+				log.Append(r)
+			}
+		})
+		env.RunUntil(time.Millisecond)
+		if log.DurableLSN() != 768 || log.AppendedLSN() != 1368 || sink.writes != 4 {
+			t.Fatalf("retain %v: durable %d, appended %d, %d writes: want 768, 1368, 4 (the fourth held)", retain, log.DurableLSN(), log.AppendedLSN(), sink.writes)
+		}
+		from := int64(0)
+		if !retain {
+			from = log.DurableLSN()
+			if _, err := log.StreamRange(0, 1368); !errors.Is(err, ErrTailUnavailable) {
+				t.Errorf("retain %v: durable bytes served without retention: %v", retain, err)
+			}
+		}
+		for _, r := range [][2]int64{{from, 1368}, {800, 1100}, {900, 1000}, {1100, 1368}} {
+			got, err := log.StreamRange(r[0], r[1])
+			if err != nil {
+				t.Errorf("retain %v: StreamRange%v: %v", retain, r, err)
+			} else if !bytes.Equal(got, want[r[0]:r[1]]) {
+				t.Errorf("retain %v: StreamRange%v: %d bytes differ from the appended records", retain, r, len(got))
+			}
+		}
+		env.Close()
+	}
+}

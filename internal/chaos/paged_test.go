@@ -16,7 +16,7 @@ import (
 // nothing it injects reaches a page write, so an abort there is the page
 // store failing on its own.
 func TestPagedSweepHoldsInvariants(t *testing.T) {
-	seeds, want := 8, uint64(0x240e7769ea06a659)
+	seeds, want := 8, uint64(0x38ce8234aa2b2193)
 	if testing.Short() {
 		seeds, want = 4, 0x493fb7ecf3b96681
 	}

@@ -5,11 +5,12 @@
 // order lines, 15% of payments) makes a slice of the traffic cross-shard
 // 2PC. Faults come from the same plan grammar — including shard.rpc
 // rules scoped to a shard name and device.power kills of individual
-// primaries. I1-I3 are the shared checks (invariants.go), run per shard
-// against that shard's own log stream; I5 and the synthetic I9 carry over
-// as they are; I4 has no monitor here. I2's recovery walks the 2PC control
-// records, so a shard's cross-shard write sets apply as its coordinator
-// decided. What is the cluster's own:
+// primaries. After the window each shard's stack goes through the same
+// post-window path as a lone run's (finish): I1-I3 against that shard's
+// own log stream, one recovery check over every shard, I9 and the fold;
+// I4 has no monitor here. I2's recovery walks the 2PC control records, so
+// a shard's cross-shard write sets apply as its coordinator decided. What
+// is the cluster's own:
 //
 //	I8  no single kill, at any point in the protocol, leaves a
 //	    cross-shard transaction half-applied: every participant commit
@@ -25,12 +26,10 @@ import (
 
 	"xssd/internal/db"
 	"xssd/internal/fault"
-	"xssd/internal/obs"
 	"xssd/internal/shard"
 	"xssd/internal/sim"
 	"xssd/internal/stack"
 	"xssd/internal/tpcc"
-	"xssd/internal/wal"
 )
 
 // ShardTPCC is the TPC-C shape of every sharded harness: two warehouses
@@ -104,13 +103,13 @@ func RunShards(cfg shard.Config, plan *fault.Plan, loadSeed int64, mix tpcc.Remo
 		cl.Release()
 	})
 
-	cl.RunUntil(window)
+	cl.Group().RunUntil(window)
 	if bootErr != nil {
 		run.Close()
 		return nil, fmt.Errorf("boot: %w", bootErr)
 	}
 	stop = true
-	cl.RunUntil(window + settle)
+	cl.Group().RunUntil(window + settle)
 	for _, c := range clients {
 		byType, _, _ := c.Counts()
 		for _, n := range byType {
@@ -120,8 +119,9 @@ func RunShards(cfg shard.Config, plan *fault.Plan, loadSeed int64, mix tpcc.Remo
 	return run, nil
 }
 
-// runSharded executes a Shards > 0 scenario; see the package comment
-// above for the invariants it checks.
+// runSharded executes a Shards > 0 scenario: RunShards, then the one
+// post-window path over the shards' stacks (see the package comment above
+// for the invariants it checks).
 func runSharded(s Scenario) (*Result, error) {
 	run, err := RunShards(shard.Config{
 		Shards:      s.Shards,
@@ -135,88 +135,15 @@ func runSharded(s Scenario) (*Result, error) {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	defer run.Close()
-	cl, load := run.Cluster, run.Load
-
-	r := &Result{Seed: s.Seed, Secondaries: s.Secondaries, Scheme: s.Scheme}
-	v := &violations{}
-	for _, sh := range cl.Shards() {
-		if sh.Device().PowerLost() {
-			r.PowerLost = true
-			if !sh.Device().Drained() {
-				cl.RunUntil(cl.Now() + 300*time.Millisecond)
-			}
-		}
+	var (
+		stacks []*stack.Stack
+		acked  [][]int64
+	)
+	for _, sh := range run.Cluster.Shards() {
+		stacks, acked = append(stacks, sh.Stack()), append(acked, sh.AckedGIDs())
 	}
-	r.Commits, r.Firings = run.Commits, run.Faults.Firings()
-
-	// ---- per-shard I1 + I3, and the flash prefixes for I2/I8 ----------
-	n := s.Shards
-	streams, prefixes, acked := make([][]byte, n), make([][]byte, n), make([][]int64, n)
-	var live []uint64
-	for i, sh := range cl.Shards() {
-		v.prefix = fmt.Sprintf("shard %d: ", i)
-		prim := sh.Device()
-		if streams[i], err = logStream(sh.Log()); err != nil {
-			return nil, fmt.Errorf("chaos: shard %d: oracle stream: %w", i, err)
-		}
-		r.Written += int64(len(streams[i]))
-		r.Destaged += prim.Destage().DestagedStream()
-		r.Durable += sh.Log().DurableLSN()
-		checkReplicaPrefix(v, "I3", sh.Secondaries(), streams[i], prim.CMB().Ring().Frontier(), !prim.PowerLost())
-		if prefixes[i], err = checkConventionalPrefix(v, "I1", prim, sh.Log(), streams[i]); err != nil {
-			return nil, fmt.Errorf("chaos: shard %d: %w", i, err)
-		}
-		acked[i] = sh.AckedGIDs()
-		if !r.PowerLost {
-			live = append(live, sh.Engine().Fingerprint())
-		}
-	}
-	v.prefix = ""
-
-	// ---- I2 + I8: cluster recovery from the flash prefixes ------------
-	checkRecovery(v, "I2", prefixes, streams, acked, load, live)
-
-	// ---- I9: checkpoint-bounded recovery, per shard -------------------
-	// Synthetic schedule: each shard's durable stream replays into a paged
-	// engine with fuzzy checkpoints and a randomized crash point. The
-	// paged, checkpoint and classic replays are all db.Engine.Replay, so
-	// all three apply the shard's cross-shard writes from its DECISION and
-	// COMMITP records, a COMMITP past a checkpoint finding its PREPARE
-	// before it. In-doubt prepares are presumed aborted on all three; I2
-	// above checks them against the coordinators' decisions.
-	for i := range prefixes {
-		if prefixes[i] == nil {
-			continue
-		}
-		id := i
-		v.prefix = fmt.Sprintf("shard %d: ", i)
-		v.extend(syntheticPagedI9(s.Seed*1000003+int64(i)*7919+29, wal.DecodeAll(prefixes[i]), func(e *db.Engine) { load(e, id) }))
-	}
-	v.prefix = ""
-
-	// ---- I5 ingredients: fold, shard-major ----------------------------
-	snap := cl.Snapshot()
-	r.Metrics = snap.Encode()
-	fp := obs.FNVOffset
-	for i, sh := range cl.Shards() {
-		fp = obs.Mix64(fp, sh.Device().Tracer().Fingerprint())
-		for _, sec := range sh.Secondaries() {
-			fp = obs.Mix64(fp, sec.Tracer().Fingerprint())
-		}
-		fp = obs.Mix64(fp, sh.Engine().Fingerprint())
-		fp = obs.Mix64(fp, uint64(len(streams[i])))
-		for _, gid := range sh.AckedGIDs() {
-			fp = obs.Mix64(fp, uint64(gid))
-		}
-	}
-	fp = obs.Mix64(fp, uint64(r.Commits))
-	fp = obs.Mix64(fp, uint64(r.Firings))
-	fp = obs.Mix64(fp, snap.Fingerprint())
-	r.Fingerprint = fp
-	r.Events = cl.Events()
-	r.Stray = cl.Group().Stats().Stray
-	r.Violations = v.list
-	return r, nil
+	r := &Result{Seed: s.Seed, Secondaries: s.Secondaries, Scheme: s.Scheme, Commits: run.Commits, Firings: run.Faults.Firings()}
+	return finish(r, &violations{}, stacks, acked, run.Load)
 }
 
 // DefaultShardScenario derives a randomized sharded scenario from a

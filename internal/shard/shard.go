@@ -178,10 +178,9 @@ func (s *Shard) Env() *sim.Env { return s.env }
 // Device returns the shard's primary device.
 func (s *Shard) Device() *villars.Device { return s.stk.Primary }
 
-// Secondaries returns the shard's replica devices in index order.
-func (s *Shard) Secondaries() []*villars.Device {
-	return append([]*villars.Device(nil), s.stk.Devices[1:]...)
-}
+// Stack returns the shard's stack: its devices (the primary, then the
+// secondaries in index order), replica set, log and engine.
+func (s *Shard) Stack() *stack.Stack { return s.stk }
 
 // Log returns the shard's WAL.
 func (s *Shard) Log() *wal.Log { return s.stk.Log }
@@ -331,18 +330,6 @@ func (c *Cluster) Boot(p *sim.Proc) error {
 // barrier on. Call from the boot process once every cross-member touch is
 // done.
 func (c *Cluster) Release() { c.group.Parallelize() }
-
-// RunUntil drives the cluster to absolute virtual time t.
-func (c *Cluster) RunUntil(t time.Duration) { c.group.RunUntil(t) }
-
-// Now returns the cluster's virtual time.
-func (c *Cluster) Now() time.Duration { return c.group.Now() }
-
-// Events returns total dispatched events across all members.
-func (c *Cluster) Events() int64 { return c.group.Events() }
-
-// Snapshot merges every member's metrics registry in index order.
-func (c *Cluster) Snapshot() *obs.Snapshot { return obs.SnapshotOf(c.group.Envs()) }
 
 // Close releases every parked process goroutine and the executor pool.
 func (c *Cluster) Close() { c.group.Close() }

@@ -184,7 +184,7 @@ func boot(t testing.TB, cl *Cluster, body func(p *sim.Proc)) {
 			body(p)
 		}
 	})
-	cl.RunUntil(cl.Now() + 50*time.Millisecond)
+	cl.Group().RunUntil(cl.Group().Now() + 50*time.Millisecond)
 	if bootErr != nil {
 		t.Fatalf("Boot: %v", bootErr)
 	}

@@ -42,7 +42,7 @@ func onTransferCluster(tb testing.TB, dst int, fn func(p *sim.Proc, cl *Cluster)
 		done = true
 	})
 	for step := 0; !done && step < 1000; step++ {
-		cl.RunUntil(cl.Now() + time.Second)
+		cl.Group().RunUntil(cl.Group().Now() + time.Second)
 	}
 	if !done {
 		tb.Fatal("transfers did not finish")
@@ -84,7 +84,7 @@ func BenchmarkShardTransfer(b *testing.B) {
 		b.Run(k.name, func(b *testing.B) {
 			onTransferCluster(b, k.dst, func(p *sim.Proc, cl *Cluster) {
 				b.ReportAllocs()
-				events := cl.Events()
+				events := cl.Group().Events()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := transfer(p, cl, 1, k.dst, 1); err != nil {
@@ -93,7 +93,7 @@ func BenchmarkShardTransfer(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(cl.Events()-events)/float64(b.N), "events/op")
+				b.ReportMetric(float64(cl.Group().Events()-events)/float64(b.N), "events/op")
 			})
 		})
 	}

@@ -220,7 +220,7 @@ func TestRemoteReadKeyOutlivesTimeout(t *testing.T) {
 				cl.Release()
 				read(p)
 			})
-			cl.RunUntil(cl.Now() + 100*time.Millisecond)
+			cl.Group().RunUntil(cl.Group().Now() + 100*time.Millisecond)
 			if !voted {
 				t.Fatal("the late participant never voted")
 			}
@@ -266,7 +266,7 @@ func TestRemoteWriteKeyOutlivesScratch(t *testing.T) {
 		done = true
 	})
 	for step := 0; !done && step < 100; step++ {
-		cl.RunUntil(cl.Now() + 10*time.Millisecond)
+		cl.Group().RunUntil(cl.Group().Now() + 10*time.Millisecond)
 	}
 	if !done {
 		t.Fatal("the transaction did not finish")
@@ -311,7 +311,7 @@ func TestWantRemoteCostsNoRPC(t *testing.T) {
 		done = true
 	})
 	for step := 0; !done && step < 100; step++ {
-		cl.RunUntil(cl.Now() + 10*time.Millisecond)
+		cl.Group().RunUntil(cl.Group().Now() + 10*time.Millisecond)
 	}
 	if !done {
 		t.Fatal("the transaction did not finish")

@@ -101,13 +101,13 @@ func runShardedWorkload(t *testing.T, txns int) ([]owned, Config) {
 		cl.Release()
 	})
 	for step := 0; finished < warehouses && step < 1000; step++ {
-		cl.RunUntil(cl.Now() + 10*time.Millisecond)
+		cl.Group().RunUntil(cl.Group().Now() + 10*time.Millisecond)
 	}
 	if bootErr != nil || finished < warehouses {
 		t.Fatalf("cluster run: boot error %v, %d of %d terminals finished", bootErr, finished, warehouses)
 	}
 	// Let every participant hear its decision before the engines are read.
-	cl.RunUntil(cl.Now() + 50*time.Millisecond)
+	cl.Group().RunUntil(cl.Group().Now() + 50*time.Millisecond)
 	parts := make([]owned, shards)
 	for w := 1; w <= warehouses; w++ {
 		id := cl.ShardOf(w)

@@ -8,8 +8,10 @@ import (
 
 	"xssd/internal/core"
 	"xssd/internal/repl"
+	"xssd/internal/sched"
 	"xssd/internal/shard"
 	"xssd/internal/sim"
+	"xssd/internal/stack"
 	"xssd/internal/villars"
 	"xssd/internal/wal"
 )
@@ -62,9 +64,12 @@ func newPrefixRig(t *testing.T) *prefixRig {
 // settle lets destage and catch-up finish on both devices.
 func (rg *prefixRig) settle() { rg.env.RunUntil(rg.env.Now() + 20*time.Millisecond) }
 
-func (rg *prefixRig) replica(oracle []byte, limit int64, converged bool) []string {
+func (rg *prefixRig) replica(t *testing.T, oracle []byte, limit int64, converged bool) []string {
+	t.Helper()
 	v := &violations{}
-	checkReplicaPrefix(v, "I3", []*villars.Device{rg.sec}, oracle, limit, converged)
+	if err := checkReplicaPrefix(v, "I3", []*villars.Device{rg.sec}, oracle, limit, converged); err != nil {
+		t.Fatalf("checkReplicaPrefix: %v", err)
+	}
 	return v.list
 }
 
@@ -99,31 +104,82 @@ func flipped(stream []byte, at int64) []byte {
 }
 
 // TestReplicaPrefixCheckCanSayNo: the I3 oracle passes the true stream
-// and fires on each way a replica can fail to be a prefix of it.
+// and fires on each way a replica can fail to be a prefix of it, in its
+// ring or on its flash.
 func TestReplicaPrefixCheckCanSayNo(t *testing.T) {
 	rg := newPrefixRig(t)
+	fr := liveRing(t, rg)
+	// First, while the ring still holds live bytes: reading a live
+	// replica's flash back runs its clock, and its destage drains the ring.
+	got := rg.replica(t, flipped(rg.written, fr-1), fr, true)
+	wantOne(t, "flipped live byte", got, "diverge")
+	if !strings.Contains(strings.Join(got, "\n"), "ring bytes diverge") {
+		t.Errorf("flipped live byte: the ring comparison stayed silent: %v", got)
+	}
+	if got := rg.replica(t, rg.written, fr, true); len(got) != 0 {
+		t.Errorf("true stream: %v", got)
+	}
+	wantOne(t, "oracle truncated below the frontier", rg.replica(t, rg.written[:fr-1], fr, false), "beyond host stream")
+	wantOne(t, "limit behind the frontier", rg.replica(t, rg.written, fr-1, false), "ran ahead")
+	wantOne(t, "converged with the limit one byte ahead", rg.replica(t, append(rg.written[:fr:fr], 0), fr+1, true), "did not converge")
+	if got := rg.replica(t, append(rg.written[:fr:fr], 0), fr+1, false); len(got) != 0 {
+		t.Errorf("a lagging replica is a prefix while faults may still be clearing: %v", got)
+	}
+
+	// A replica that lost power stopped where its crash left it: it is
+	// held to its ring's prefix, not to convergence, and its flash is not
+	// read.
+	t.Run("dead replica", func(t *testing.T) {
+		rg := newPrefixRig(t)
+		fr := liveRing(t, rg)
+		rg.sec.InjectPowerLoss()
+		if got := rg.replica(t, append(rg.written[:fr:fr], 0), fr+1, true); len(got) != 0 {
+			t.Errorf("a dead replica short of the primary: %v", got)
+		}
+		wantOne(t, "dead replica, flipped live byte", rg.replica(t, flipped(rg.written, fr-1), fr, true), "ring bytes diverge")
+	})
+
+	// A settled replica has nothing live in its ring: only its flash can
+	// show that a destaged page is not the stream.
+	t.Run("corrupted flash page", func(t *testing.T) {
+		rg := newPrefixRig(t)
+		rg.settle()
+		ring := rg.sec.CMB().Ring()
+		fr := ring.Frontier()
+		if ring.Head() != fr || rg.sec.Destage().DestagedStream() != fr {
+			t.Fatalf("rig: secondary ring [%d,%d), destaged %d — not fully destaged", ring.Head(), fr, rg.sec.Destage().DestagedStream())
+		}
+		if got := rg.replica(t, rg.written, fr, true); len(got) != 0 {
+			t.Fatalf("true stream: %v", got)
+		}
+		base, _ := rg.sec.Destage().LBARing()
+		var err error
+		stack.PostMortem(rg.env, "corrupt", time.Millisecond, func(p *sim.Proc) {
+			var page []byte
+			if page, err = rg.sec.FTL().Read(p, base); err != nil {
+				return
+			}
+			page = append([]byte(nil), page...)
+			page[villars.PageHeaderLen] ^= 0x40
+			err = rg.sec.FTL().Write(p, base, page, sched.Conventional)
+		})
+		if err != nil {
+			t.Fatalf("corrupt the first destage page: %v", err)
+		}
+		wantOne(t, "corrupted flash page", rg.replica(t, rg.written, fr, true), "flash prefix diverges")
+	})
+}
+
+// liveRing returns the secondary's frontier, failing unless the rig left
+// live bytes in its ring for the ring comparison to read.
+func liveRing(t *testing.T, rg *prefixRig) int64 {
+	t.Helper()
 	ring := rg.sec.CMB().Ring()
 	head, fr := ring.Head(), ring.Frontier()
 	if fr != int64(len(rg.written)) || head >= fr {
 		t.Fatalf("rig: secondary ring [%d,%d) of a %d-byte stream — no live bytes to compare", head, fr, len(rg.written))
 	}
-	if got := rg.replica(rg.written, fr, true); len(got) != 0 {
-		t.Errorf("true stream: %v", got)
-	}
-	wantOne(t, "flipped live byte", rg.replica(flipped(rg.written, fr-1), fr, true), "diverge")
-	wantOne(t, "oracle truncated below the frontier", rg.replica(rg.written[:fr-1], fr, false), "beyond host stream")
-	wantOne(t, "limit behind the frontier", rg.replica(rg.written, fr-1, false), "ran ahead")
-	wantOne(t, "converged with the limit one byte ahead", rg.replica(append(rg.written[:fr:fr], 0), fr+1, true), "did not converge")
-	if got := rg.replica(append(rg.written[:fr:fr], 0), fr+1, false); len(got) != 0 {
-		t.Errorf("a lagging replica is a prefix while faults may still be clearing: %v", got)
-	}
-	// A replica that lost power stopped where its crash left it: it is held
-	// to the prefix, not to convergence.
-	rg.sec.InjectPowerLoss()
-	if got := rg.replica(append(rg.written[:fr:fr], 0), fr+1, true); len(got) != 0 {
-		t.Errorf("a dead replica short of the primary: %v", got)
-	}
-	wantOne(t, "dead replica, flipped live byte", rg.replica(flipped(rg.written, fr-1), fr, true), "diverge")
+	return fr
 }
 
 // TestConventionalPrefixCheckCanSayNo: the I1 oracle returns the flash
@@ -162,10 +218,12 @@ func TestViolationsCarryTheirLocation(t *testing.T) {
 	rg := newPrefixRig(t)
 	v := &violations{prefix: "shard 3: "}
 	fr := rg.sec.CMB().Ring().Frontier()
-	checkReplicaPrefix(v, "I3", []*villars.Device{rg.sec}, flipped(rg.written, fr-1), fr+1, true)
+	if err := checkReplicaPrefix(v, "I3", []*villars.Device{rg.sec}, flipped(rg.written, fr-1), fr+1, true); err != nil {
+		t.Fatal(err)
+	}
 	v.extend([]string{"I9: handed over"})
-	if len(v.list) != 3 {
-		t.Fatalf("want the diverge, the non-convergence and the handed-over message, got %v", v.list)
+	if len(v.list) != 4 {
+		t.Fatalf("want the ring's and the flash's divergence, the non-convergence and the handed-over message, got %v", v.list)
 	}
 	for _, m := range v.list {
 		if !strings.HasPrefix(m, "shard 3: I") {

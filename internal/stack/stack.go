@@ -243,35 +243,52 @@ func (s *Stack) Pages() btree.PageStore {
 // FlashPrefix is the other post-mortem reader: it reads d's destage ring
 // back through its FTL and reassembles the prefix of the log stream d's
 // conventional side holds, failing on any gap or malformed page. Like
-// Pages it runs on the device's own Env, in virtual time, and works after
-// a power loss; d may be any device of a stack, a promoted secondary
-// included. Use it once the run is over and the group single-threaded.
+// Pages it runs on the device's own Env, in virtual time (PostMortem), and
+// works after a power loss; d may be any device of a stack, a secondary or
+// a promoted one included. Use it once the run is over and the group
+// single-threaded.
 func FlashPrefix(d *villars.Device) ([]byte, error) {
-	env := d.Env()
 	base, count := d.Destage().LBARing()
 	var got []byte
 	var rerr error
-	env.Go("flash-prefix", func(p *sim.Proc) {
+	done := PostMortem(d.Env(), "flash-prefix", 50*time.Millisecond, func(p *sim.Proc) {
 		for slot := int64(0); slot < d.Destage().TailLBA(); slot++ {
 			page, err := d.FTL().Read(p, base+slot%count)
 			if err != nil {
-				rerr = fmt.Errorf("flash prefix: read slot %d: %w", slot, err)
+				rerr = fmt.Errorf("%s flash prefix: read slot %d: %w", d.Name(), slot, err)
 				return
 			}
 			off, n, ok := villars.DecodePageHeader(page)
 			if !ok {
-				rerr = fmt.Errorf("flash prefix: slot %d is not a destage page", slot)
+				rerr = fmt.Errorf("%s flash prefix: slot %d is not a destage page", d.Name(), slot)
 				return
 			}
 			if off != int64(len(got)) {
-				rerr = fmt.Errorf("flash prefix: slot %d at stream offset %d, want %d (gap)", slot, off, len(got))
+				rerr = fmt.Errorf("%s flash prefix: slot %d at stream offset %d, want %d (gap)", d.Name(), slot, off, len(got))
 				return
 			}
 			got = append(got, page[villars.PageHeaderLen:villars.PageHeaderLen+n]...)
 		}
 	})
-	env.RunUntil(env.Now() + 50*time.Millisecond)
+	if !done {
+		return nil, fmt.Errorf("%s flash prefix: read did not finish", d.Name())
+	}
 	return got, rerr
+}
+
+// PostMortem runs read as a process on env and drives env alone, a
+// microsecond at a time, until read returns or budget of virtual time has
+// passed; it reports whether read returned. The post-mortem readers use
+// it once a run is over and its group single-threaded, so driving one
+// member directly is race-free, and they stop when they are done rather
+// than letting the member's background timers fire for the whole budget.
+func PostMortem(env *sim.Env, name string, budget time.Duration, read func(p *sim.Proc)) bool {
+	done := false
+	env.Go(name, func(p *sim.Proc) { read(p); done = true })
+	for end := env.Now() + budget; !done && env.Now() < end; {
+		env.RunUntil(env.Now() + time.Microsecond)
+	}
+	return done
 }
 
 // Close releases a lone stack's group and unhooks its faults.

@@ -80,9 +80,9 @@ at 14ms device.power@p fail
 // stays exercised in CI — and pin its fold, so a drift in any classic
 // fingerprint fails here instead of waiting for someone to diff sweeps.
 func TestSweepSmall(t *testing.T) {
-	seeds, want := 3, uint64(0x46c860ff03831867)
+	seeds, want := 3, uint64(0xeacd61db7164ef57)
 	if testing.Short() {
-		seeds, want = 2, 0xc2b655f22942b894
+		seeds, want = 2, 0x52c1f5fc88bec220
 	}
 	var buf bytes.Buffer
 	if err := Sweep(&buf, DefaultScenario, seeds, 0); err != nil {

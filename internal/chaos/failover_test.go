@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xssd/internal/core"
+	"xssd/internal/fault"
 )
 
 // TestRunFailoverCleanKill is the harness smoke test: one kill per scheme
@@ -50,4 +51,40 @@ func TestRunFailoverCleanKill(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunFailoverReplaysAndBackfills stages the kill the randomized sweep
+// never draws: half the mirror traffic dropped, so when the primary dies
+// early the survivors lag its durable horizon. The takeover must replay
+// the log's tail onto the promoted device and backfill the other
+// survivor, hold I6, and re-run to the same fingerprint (I7).
+func TestRunFailoverReplaysAndBackfills(t *testing.T) {
+	sc := Scenario{
+		Seed:        3,
+		Scheme:      core.Lazy,
+		Secondaries: 2,
+		Window:      20 * time.Millisecond,
+		KillAt:      5 * time.Millisecond,
+		Plan: &fault.Plan{Rules: []fault.Rule{{
+			Point: fault.TransportMirror, Trigger: fault.TriggerProb, Prob: 0.5, Action: fault.ActionDrop, Times: 100000,
+		}}},
+	}
+	r, err := Run(sc)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, v := range r.Violations {
+		t.Errorf("violation: %s", v)
+	}
+	if r.Replayed == 0 || r.Backfilled == 0 {
+		t.Errorf("takeover replayed %d and backfilled %d bytes, want both above zero", r.Replayed, r.Backfilled)
+	}
+	again, err := Run(sc)
+	if err != nil {
+		t.Fatalf("re-run: %v", err)
+	}
+	if again.Fingerprint != r.Fingerprint {
+		t.Errorf("I7: re-run fingerprint %016x != %016x", again.Fingerprint, r.Fingerprint)
+	}
+	t.Logf("promoted %s, resume %d, replay %d, backfill %d", r.Promoted, r.ResumeAt, r.Replayed, r.Backfilled)
 }

@@ -47,9 +47,13 @@ type Injector struct {
 	env     *sim.Env
 	rng     *rand.Rand
 	rules   []*ruleState
-	counts  map[string]int64 // bare point and point@comp cumulative weights
+	counts  map[counter]int64 // cumulative weights
 	firings []Firing
 }
+
+// counter keys Injector.counts: a point's bare count has comp "", its
+// count scoped to one component that component's name.
+type counter struct{ point, comp string }
 
 // New compiles a plan into an injector bound to env. A nil plan yields an
 // injector that never fires. The plan must be valid (see Plan.Validate);
@@ -58,7 +62,7 @@ func New(env *sim.Env, plan *Plan) *Injector {
 	inj := &Injector{
 		env:    env,
 		rng:    rand.New(rand.NewSource(env.Rand().Int63())),
-		counts: map[string]int64{},
+		counts: map[counter]int64{},
 	}
 	if plan != nil {
 		for i, r := range plan.Rules {
@@ -107,14 +111,14 @@ func (i *Injector) Check(point, comp string, weight int64) Decision {
 	if i == nil || weight <= 0 {
 		return Decision{}
 	}
-	before := i.counts[point]
+	before := i.counts[counter{point, ""}]
 	after := before + weight
-	i.counts[point] = after
+	i.counts[counter{point, ""}] = after
 	var compBefore, compAfter int64
 	if comp != "" {
-		compBefore = i.counts[point+"@"+comp]
+		compBefore = i.counts[counter{point, comp}]
 		compAfter = compBefore + weight
-		i.counts[point+"@"+comp] = compAfter
+		i.counts[counter{point, comp}] = compAfter
 	}
 	now := i.env.Now()
 	for _, r := range i.rules {

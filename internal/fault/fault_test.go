@@ -210,6 +210,26 @@ func TestProbDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestScopedCheckAllocatesNothing: a check scoped to a component, with
+// rules on its point that do not fire, allocates nothing: the counters
+// are keyed by point and component, not by a concatenated name.
+func TestScopedCheckAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	inj := New(env, &Plan{Rules: []Rule{
+		{Point: NANDProgram + "@p", Trigger: TriggerOn, Count: 1 << 40, Action: ActionFail},
+		{Point: NANDProgram, Trigger: TriggerOn, Count: 1 << 40, Action: ActionFail},
+	}})
+	check := func() {
+		if inj.Check(NANDProgram, "p", 1).Fail() {
+			t.Fatal("a rule fired")
+		}
+	}
+	check() // the first check of a point creates its counters
+	if n := testing.AllocsPerRun(100, check); n != 0 {
+		t.Errorf("a scoped check that fires nothing allocates %v objects, want 0", n)
+	}
+}
+
 func TestNilInjectorIsInert(t *testing.T) {
 	var inj *Injector
 	if inj.Check("x", "", 1).Act != ActionNone {

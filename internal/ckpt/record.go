@@ -55,25 +55,20 @@ func (r Record) Encode() []byte {
 	sort.Strings(names)
 
 	buf := make([]byte, 0, 64+len(r.Free)*8+int(r.NextID)/8)
-	var scratch [8]byte
 	le := binary.LittleEndian
-	u16 := func(v uint16) { le.PutUint16(scratch[:2], v); buf = append(buf, scratch[:2]...) }
-	u32 := func(v uint32) { le.PutUint32(scratch[:4], v); buf = append(buf, scratch[:4]...) }
-	u64 := func(v uint64) { le.PutUint64(scratch[:8], v); buf = append(buf, scratch[:8]...) }
-
-	u16(db.CheckpointOps)
+	buf = le.AppendUint16(buf, db.CheckpointOps)
 	buf = append(buf, recordVersion)
-	u64(uint64(r.StartLSN))
-	u64(r.NextID)
-	u32(uint32(len(names)))
+	buf = le.AppendUint64(buf, uint64(r.StartLSN))
+	buf = le.AppendUint64(buf, r.NextID)
+	buf = le.AppendUint32(buf, uint32(len(names)))
 	for _, n := range names {
-		u16(uint16(len(n)))
+		buf = le.AppendUint16(buf, uint16(len(n)))
 		buf = append(buf, n...)
-		u64(r.Tables[n])
+		buf = le.AppendUint64(buf, r.Tables[n])
 	}
-	u32(uint32(len(r.Free)))
+	buf = le.AppendUint32(buf, uint32(len(r.Free)))
 	for _, id := range r.Free {
-		u64(id)
+		buf = le.AppendUint64(buf, id)
 	}
 	bitmap := make([]byte, (int(r.NextID)+7)/8)
 	for id, par := range r.Parity {
@@ -82,7 +77,7 @@ func (r Record) Encode() []byte {
 		}
 	}
 	buf = append(buf, bitmap...)
-	u32(crc32.ChecksumIEEE(buf))
+	buf = le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf
 }
 

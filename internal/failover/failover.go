@@ -14,6 +14,7 @@
 package failover
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -155,12 +156,7 @@ func (m *Manager) mmio(i int) *pcie.MMIO {
 
 // readStatus polls device i's status register (a non-posted MMIO load).
 func (m *Manager) readStatus(p *sim.Proc, i int) int64 {
-	b := m.mmio(i).Load(p, core.RegStatus, 8)
-	var v int64
-	for k := 0; k < 8; k++ {
-		v |= int64(b[k]) << (8 * k)
-	}
-	return v
+	return int64(binary.LittleEndian.Uint64(m.mmio(i).Load(p, core.RegStatus, 8)))
 }
 
 // watch is the watchdog process: poll the primary's status register every

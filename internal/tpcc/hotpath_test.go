@@ -184,14 +184,11 @@ func TestRowBytesNeverChange(t *testing.T) {
 					if _, err := client.RunMix(p); err != nil {
 						t.Errorf("transaction %d: %v", i, err)
 					}
-					for {
-						rec, n, err := wal.Decode(stream[off:])
-						if err != nil {
-							break
-						}
-						off += n
+					records, n := wal.Frame(stream[off:], int64(off))
+					for _, rec := range records {
 						hold(redoRows(rec.Payload))
 					}
+					off += n
 				}
 				done = true
 			})

@@ -9,10 +9,11 @@ import (
 // the identity, every truncation of a record must be rejected, a corrupted
 // magic must be rejected, and DecodeAll over a record followed by
 // arbitrary junk must stop cleanly at a boundary whose decoded prefix
-// re-encodes to exactly the consumed bytes (the crash-recovery contract).
+// re-encodes to exactly the consumed bytes (the crash-recovery contract),
+// and the same whether the stream is framed whole or in two chunks.
 func FuzzWALRoundTrip(f *testing.F) {
 	f.Add(int64(1), []byte("payload"), []byte{})
-	f.Add(int64(-7), []byte{}, []byte{0x41, 0x57})        // magic-like junk
+	f.Add(int64(-7), []byte{}, []byte{0x41, 0x57}) // magic-like junk
 	f.Add(int64(1<<40), bytes.Repeat([]byte{0xAA}, 300), []byte{0x57, 0x41, 0xFF})
 	f.Fuzz(func(t *testing.T, txid int64, payload, junk []byte) {
 		rec := Record{TxID: txid, Payload: payload}
@@ -21,7 +22,7 @@ func FuzzWALRoundTrip(f *testing.F) {
 			t.Fatalf("encoded %d bytes, EncodedLen says %d", len(enc), EncodedLen(len(payload)))
 		}
 
-		dec, n, err := Decode(enc)
+		dec, n, err := decode(enc)
 		if err != nil {
 			t.Fatalf("decode of fresh encoding failed: %v", err)
 		}
@@ -41,7 +42,7 @@ func FuzzWALRoundTrip(f *testing.F) {
 			if cut < 0 || cut >= len(enc) {
 				continue
 			}
-			if _, _, err := Decode(enc[:cut]); err == nil {
+			if _, _, err := decode(enc[:cut]); err == nil {
 				t.Fatalf("truncation to %d of %d bytes accepted", cut, len(enc))
 			}
 		}
@@ -49,7 +50,7 @@ func FuzzWALRoundTrip(f *testing.F) {
 		// A corrupted magic must be rejected.
 		bad := append([]byte(nil), enc...)
 		bad[0] ^= 0xFF
-		if _, _, err := Decode(bad); err == nil {
+		if _, _, err := decode(bad); err == nil {
 			t.Fatal("corrupted magic accepted")
 		}
 
@@ -75,5 +76,6 @@ func FuzzWALRoundTrip(f *testing.F) {
 		if recs[0].TxID != txid || !bytes.Equal(recs[0].Payload, payload) {
 			t.Fatal("leading record corrupted by trailing junk")
 		}
+		checkEverySplit(t, stream)
 	})
 }

@@ -54,8 +54,8 @@ func (r Record) Encode(dst []byte) []byte {
 	return append(dst, r.Payload...)
 }
 
-// Decode parses one record from buf, returning it and the bytes consumed.
-func Decode(buf []byte) (Record, int, error) {
+// decode parses one record from buf, returning it and the bytes consumed.
+func decode(buf []byte) (Record, int, error) {
 	if len(buf) < recordHeaderLen {
 		return Record{}, 0, errors.New("wal: short record header")
 	}
@@ -71,20 +71,26 @@ func Decode(buf []byte) (Record, int, error) {
 	return Record{TxID: txid, Payload: payload}, recordHeaderLen + n, nil
 }
 
-// DecodeAll parses a stream of records, stopping at the first short or
-// invalid record (a crash may truncate the tail).
-func DecodeAll(buf []byte) []Record {
-	var out []Record
-	off := 0
-	for off < len(buf) {
-		r, n, err := Decode(buf[off:])
+// Frame is the one step that turns log-stream bytes into records: it
+// parses the whole records of buf, which starts at stream offset base,
+// stamps each with its LSN and returns them with the bytes they span. It
+// stops at the first short or invalid record — a crash may truncate the
+// tail, and a follower's next chunk may complete it.
+func Frame(buf []byte, base int64) (records []Record, n int) {
+	for {
+		r, size, err := decode(buf[n:])
 		if err != nil {
-			break
+			return records, n
 		}
-		r.LSN = int64(off)
-		out = append(out, r)
-		off += n
+		r.LSN = base + int64(n)
+		records = append(records, r)
+		n += size
 	}
+}
+
+// DecodeAll frames a whole stream from offset 0.
+func DecodeAll(buf []byte) []Record {
+	out, _ := Frame(buf, 0)
 	return out
 }
 

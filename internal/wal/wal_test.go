@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -21,7 +22,7 @@ func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
 	if len(buf) != EncodedLen(len(r.Payload)) {
 		t.Fatalf("encoded length %d", len(buf))
 	}
-	got, n, err := Decode(buf)
+	got, n, err := decode(buf)
 	if err != nil || n != len(buf) {
 		t.Fatalf("decode: %v, n=%d", err, n)
 	}
@@ -31,15 +32,15 @@ func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, _, err := Decode([]byte{1, 2, 3}); err == nil {
+	if _, _, err := decode([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short buffer accepted")
 	}
-	if _, _, err := Decode(make([]byte, 32)); err == nil {
+	if _, _, err := decode(make([]byte, 32)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	r := Record{TxID: 1, Payload: make([]byte, 100)}
 	buf := r.Encode(nil)
-	if _, _, err := Decode(buf[:20]); err == nil {
+	if _, _, err := decode(buf[:20]); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 }
@@ -61,6 +62,46 @@ func TestDecodeAllStopsAtTruncation(t *testing.T) {
 	cut := DecodeAll(buf[:len(buf)-3]) // chop the tail record
 	if len(cut) != 4 {
 		t.Fatalf("truncated stream decoded %d records, want 4", len(cut))
+	}
+}
+
+// frameInTwo frames buf[:k] from offset 0, then what that left unframed
+// plus buf[k:] from where it stopped — a Follower fed two chunks.
+func frameInTwo(buf []byte, k int) ([]Record, int) {
+	first, n := Frame(buf[:k], 0)
+	rest, m := Frame(buf[n:], int64(n))
+	return append(first, rest...), n + m
+}
+
+// checkEverySplit fails t unless framing buf in two chunks, split at any
+// offset, gives the records, LSNs and consumed bytes of framing it whole.
+func checkEverySplit(t *testing.T, buf []byte) {
+	t.Helper()
+	want, wantN := Frame(buf, 0)
+	for k := 0; k <= len(buf); k++ {
+		if got, n := frameInTwo(buf, k); n != wantN || !reflect.DeepEqual(got, want) {
+			t.Fatalf("split at %d of %d bytes: %d records over %d bytes, want %d over %d",
+				k, len(buf), len(got), n, len(want), wantN)
+		}
+	}
+}
+
+// property: a stream of whole records and a torn tail frames the same in
+// two chunks, whatever the split point, as in one.
+func TestQuickFrameAnySplit(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var buf []byte
+		for i := 0; i < int(n%8)+1; i++ {
+			p := make([]byte, rng.Intn(40))
+			rng.Read(p)
+			buf = Record{TxID: rng.Int63(), Payload: p}.Encode(buf)
+		}
+		checkEverySplit(t, buf[:len(buf)-rng.Intn(recordHeaderLen)])
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 

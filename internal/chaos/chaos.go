@@ -17,10 +17,10 @@
 //	I5  re-running the same (seed, plan) reproduces the run bit for bit
 //	    (identical trace fingerprints);
 //	I9  recovering from (last complete checkpoint + WAL tail) is
-//	    bit-identical to a full replay of the durable stream, and replays
-//	    strictly fewer records once a checkpoint completed — paged runs
-//	    check it against the primary's own page slots, every other run
-//	    against a synthetic checkpoint schedule (paged.go).
+//	    bit-identical to a full replay of the durable stream, and finds
+//	    a checkpoint once one completed — paged runs check it against
+//	    the primary's own page slots, every other run against a
+//	    synthetic checkpoint schedule (paged.go).
 //
 // I6-I7 (takeover safety and determinism) and I8 (cross-shard atomicity)
 // belong to the KillAt and Shards axes: failover.go, shard.go. There is

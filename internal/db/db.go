@@ -60,6 +60,9 @@ type Engine struct {
 	// yields between encoding and appending, so one buffer serves every
 	// commit on the engine.
 	encBuf []byte
+	// decBuf is replay's scratch: the ops of the record being applied,
+	// decoded anew for each. One walk at a time replays into an engine.
+	decBuf []writeOp
 
 	// pins maps rows claimed by prepared-but-undecided distributed
 	// transactions to their owner. A prepared participant must be able to
@@ -965,20 +968,19 @@ func appendWrites(buf []byte, ws []writeOp) []byte {
 	return buf
 }
 
-// decodeWrites parses a redo payload. It accepts exactly what
-// encodeWrites produces: a flags byte of 0 or 1, and nothing past the
-// last op. An op's table name and key are
-// views into buf, which the stores copy when they keep them; only the
-// value, which a store installs as is, gets its own copy. So the ops are
-// valid as long as buf is, and replay allocates the op slice and one
+// decodeWrites parses a redo payload, appending its ops to out. It
+// accepts exactly what encodeWrites produces: a flags byte of 0 or 1, and
+// nothing past the last op. An op's table name and key are views into
+// buf, which the stores copy when they keep them; only the value, which a
+// store installs as is, gets its own copy. So the ops are valid as long as
+// buf is, and replay, which decodes into Engine.decBuf, allocates one
 // value per op.
-func decodeWrites(buf []byte) ([]writeOp, error) {
+func decodeWrites(out []writeOp, buf []byte) ([]writeOp, error) {
 	if len(buf) < 2 {
 		return nil, errors.New("db: short redo payload")
 	}
 	n := int(binary.LittleEndian.Uint16(buf[:2]))
 	buf = buf[2:]
-	out := make([]writeOp, 0, n)
 	for i := 0; i < n; i++ {
 		if len(buf) < 2 {
 			return nil, errors.New("db: truncated redo op")

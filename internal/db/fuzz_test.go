@@ -46,7 +46,7 @@ func FuzzRedoPayload(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 1, 't', 1, 0, 'k', 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayOne(data)
-		ws, err := decodeWrites(data)
+		ws, err := decodeWrites(nil, data)
 		if err != nil {
 			return
 		}

@@ -225,8 +225,9 @@ func (w *replayer) walk(r wal.Record) error {
 // applyPayload installs an encoded write set as one committed
 // transaction, stamping rows with ver and pages with lsn.
 func (e *Engine) applyPayload(p *sim.Proc, payload []byte, ver, lsn int64) error {
-	ws, err := decodeWrites(payload)
+	ws, err := decodeWrites(e.decBuf[:0], payload)
 	if err == nil {
+		e.decBuf = ws
 		err = e.apply(p, ws, ver, lsn)
 	}
 	if err != nil {

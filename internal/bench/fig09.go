@@ -51,7 +51,6 @@ func fig9DeviceConfig(name string, backing pm.Spec) villars.Config {
 	if cfg.Backing.Capacity < 2<<20 {
 		cfg.Backing.Capacity = 2 << 20
 	}
-	cfg.CMBSize = cfg.Backing.Capacity
 	cfg.Geometry = nand.Geometry{Channels: 8, WaysPerChan: 8, BlocksPerDie: 64, PagesPerBlock: 64, PageSize: 16 << 10}
 	cfg.QueueSize = 32 << 10
 	return cfg

@@ -33,7 +33,6 @@ func fig10Device(env *sim.Env, name string, backing pm.Spec) *villars.Device {
 	if cfg.Backing.Capacity < 4<<20 {
 		cfg.Backing.Capacity = 4 << 20
 	}
-	cfg.CMBSize = cfg.Backing.Capacity
 	cfg.Geometry = nand.Geometry{Channels: 8, WaysPerChan: 8, BlocksPerDie: 64, PagesPerBlock: 64, PageSize: 16 << 10}
 	cfg.QueueSize = 32 << 10
 	return villars.New(env, cfg, pcie.NewHostMemory(1<<20))

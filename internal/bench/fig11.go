@@ -35,7 +35,6 @@ func Fig11Cell(queueSize, groupSize int) (lat time.Duration, mbps float64) {
 	// A roomy ring keeps the destage pipeline off the critical path so the
 	// intake queue is the variable under test.
 	cfg.Backing.Capacity = 8 << 20
-	cfg.CMBSize = 8 << 20
 	cfg.QueueSize = queueSize
 	cfg.Geometry = nand.Geometry{Channels: 8, WaysPerChan: 8, BlocksPerDie: 64, PagesPerBlock: 64, PageSize: 16 << 10}
 	dev := villars.New(env, cfg, pcie.NewHostMemory(1<<20))

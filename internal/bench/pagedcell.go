@@ -43,7 +43,6 @@ func pagedTPCCCell() (m Measurement, loaded int, err error) {
 	dcfg := villars.DefaultConfig(pagedCellDev)
 	dcfg.Backing = pm.SRAMSpec
 	dcfg.Backing.Capacity = 2 << 20
-	dcfg.CMBSize = dcfg.Backing.Capacity
 	dcfg.Geometry = nand.Geometry{Channels: 4, WaysPerChan: 4, BlocksPerDie: 20, PagesPerBlock: 64, PageSize: 4 << 10}
 	dcfg.QueueSize = 32 << 10
 	tcfg := tpcc.DefaultConfig()

@@ -61,7 +61,7 @@ func fig9DeviceConfig(name string, backing pm.Spec) villars.Config {
 // the same 2 GB/s controller, so its effective intake is a fraction of it.
 var fig9DRAMBacking = pm.Spec{
 	Class: pm.DRAM, Capacity: 128 << 20, Bandwidth: 2e9,
-	Latency: 120 * time.Nanosecond, Persistent: true, SharedFrac: 0.7,
+	Latency: 120 * time.Nanosecond, SharedFrac: 0.7,
 }
 
 // Fig09Cell runs one (setup, workers) cell and reports mean latency and

@@ -970,11 +970,13 @@ func appendWrites(buf []byte, ws []writeOp) []byte {
 
 // decodeWrites parses a redo payload, appending its ops to out. It
 // accepts exactly what encodeWrites produces: a flags byte of 0 or 1, and
-// nothing past the last op. An op's table name and key are views into
-// buf, which the stores copy when they keep them; only the value, which a
-// store installs as is, gets its own copy. So the ops are valid as long as
-// buf is, and replay, which decodes into Engine.decBuf, allocates one
-// value per op.
+// nothing past the last op. An op's table name, key and value are all
+// views into buf. The stores copy the names and keys they keep and install
+// a value as is, capped at its own length so that nothing can append into
+// the next op's bytes; that is safe because buf is a record's private
+// payload (wal.Frame copies each one) and nothing writes through a row's
+// value. So replay, which decodes into Engine.decBuf, allocates nothing
+// per op.
 func decodeWrites(out []writeOp, buf []byte) ([]writeOp, error) {
 	if len(buf) < 2 {
 		return nil, errors.New("db: short redo payload")
@@ -1007,7 +1009,7 @@ func decodeWrites(out []writeOp, buf []byte) ([]writeOp, error) {
 		if len(buf) < vl {
 			return nil, errors.New("db: truncated value")
 		}
-		val := append([]byte(nil), buf[:vl]...)
+		val := buf[:vl:vl]
 		buf = buf[vl:]
 		out = append(out, writeOp{tab: Table{name: tableName}, key: key, val: val, delete: flags == 1})
 	}

@@ -1052,13 +1052,13 @@ func TestRowMapAllocations(t *testing.T) {
 const commitAllocs = 0
 
 // TestApplyRecordAllocations pins what replaying a redo record allocates
-// — every replay, Follower.Feed included, decodes this way: a copy of
-// each value, since a store installs the value as is. The ops go into the
-// engine's reused slice, table names and keys are views into the payload,
-// and a store copies a key only when it inserts the row; here every op
-// updates or deletes a row the store already holds. With a string per
-// table name and per key, replay allocated three objects per op (24
-// here), and with an op slice per record one more (8).
+// — every replay, Follower.Feed included, decodes this way: nothing. The
+// ops go into the engine's reused slice, table names, keys and values are
+// views into the record's private payload, and a store copies a key only
+// when it inserts the row; here every op updates or deletes a row the
+// store already holds. With a string per table name and per key, replay
+// allocated three objects per op (24 here), with an op slice per record
+// one more (8), and with a copy of each value one per live value (7).
 func TestApplyRecordAllocations(t *testing.T) {
 	eachStore(t, func(t *testing.T, mk mkEngine) {
 		eng := mk(sim.NewEnv(1), nil)
@@ -1079,7 +1079,7 @@ func TestApplyRecordAllocations(t *testing.T) {
 			}
 			recs[0].LSN += 100
 		})
-		if want := float64(7); n != want {
+		if want := float64(0); n != want {
 			t.Errorf("replaying 7 updates and a delete: %v allocs, want %v", n, want)
 		}
 	})

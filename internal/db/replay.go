@@ -134,7 +134,9 @@ type ReplayStats struct {
 // COMMITP is in doubt: after the walk it applies, in gid order, iff
 // decided(gid, coordinator) — a nil decided presumes abort. That is safe
 // late, because its rows stay pinned until the decision. A malformed
-// record, or a COMMITP with no PREPARE, is an error.
+// record, or a COMMITP with no PREPARE, is an error. Applied rows keep
+// views of the records' payloads as their values, so nothing may rewrite a
+// payload afterwards; wal.Frame gives every record its own.
 func (e *Engine) Replay(p *sim.Proc, records []wal.Record, from int64, decided func(gid int64, coord int) bool) (ReplayStats, error) {
 	e.build(p)
 	w := replayer{e: e, p: p, from: from}

@@ -88,7 +88,6 @@ type Takeover struct {
 // sequence. The WAL must be configured with Retain so the takeover can
 // serve backfill and tail-replay bytes (wal.Config).
 type Manager struct {
-	env     *sim.Env
 	cluster *repl.Cluster
 	lg      *wal.Log
 	sink    *wal.VillarsSink
@@ -118,7 +117,6 @@ func New(env *sim.Env, cluster *repl.Cluster, lg *wal.Log, sink *wal.VillarsSink
 		return nil, fmt.Errorf("%w: start it with StartInline and do not call Parallelize", ErrParallelGroup)
 	}
 	m := &Manager{
-		env:     env,
 		cluster: cluster,
 		lg:      lg,
 		sink:    sink,

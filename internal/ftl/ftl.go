@@ -28,18 +28,21 @@ var (
 
 // Config tunes the FTL.
 type Config struct {
-	// OverProvision is the fraction of raw capacity hidden from the host
-	// and used as GC headroom.
-	OverProvision float64
 	// GCThreshold triggers collection on a die when its free-block count
 	// falls to or below this value.
 	GCThreshold int
-	// GCReserve blocks per die are usable only by the collector itself.
-	GCReserve int
 }
 
-// DefaultConfig matches a typical 20% over-provisioned SSD.
-var DefaultConfig = Config{OverProvision: 0.2, GCThreshold: 3, GCReserve: 1}
+// DefaultConfig collects on a die once it is down to three free blocks.
+var DefaultConfig = Config{GCThreshold: 3}
+
+// overProvision is the fraction of raw capacity hidden from the host and
+// used as GC headroom, as on a typical SSD; gcReserve blocks per die are
+// usable only by the collector itself.
+const (
+	overProvision = 0.2
+	gcReserve     = 1
+)
 
 // unmapped marks an l2p or p2l entry with no page behind it.
 const unmapped = -1
@@ -63,7 +66,6 @@ type dieState struct {
 // FTL maps logical pages onto a nand.Array through a sched.Scheduler.
 type FTL struct {
 	env *sim.Env
-	arr *nand.Array
 	sch *sched.Scheduler
 	geo nand.Geometry
 	cfg Config
@@ -153,11 +155,10 @@ func New(env *sim.Env, arr *nand.Array, sch *sched.Scheduler, cfg Config) *FTL {
 	geo := arr.Geometry()
 	f := &FTL{
 		env:        env,
-		arr:        arr,
 		sch:        sch,
 		geo:        geo,
 		cfg:        cfg,
-		l2p:        make([]int32, logicalPages(geo, cfg)),
+		l2p:        make([]int32, logicalPages(geo)),
 		p2l:        make([]int32, geo.TotalPages()),
 		validCount: make([]int, geo.Dies()*geo.BlocksPerDie),
 		programs:   make([]int, geo.Dies()*geo.BlocksPerDie),
@@ -187,8 +188,8 @@ func New(env *sim.Env, arr *nand.Array, sch *sched.Scheduler, cfg Config) *FTL {
 }
 
 // logicalPages computes the host-visible logical page count.
-func logicalPages(geo nand.Geometry, cfg Config) int64 {
-	return int64(float64(geo.TotalPages()) * (1 - cfg.OverProvision))
+func logicalPages(geo nand.Geometry) int64 {
+	return int64(float64(geo.TotalPages()) * (1 - overProvision))
 }
 
 // LogicalPages returns the host-visible capacity in pages.
@@ -282,7 +283,7 @@ func (f *FTL) allocate(p *sim.Proc, class sched.Source) (int64, error) {
 		for try := 0; try < len(f.dies); try++ {
 			die := f.nextDie
 			f.nextDie = (f.nextDie + 1) % len(f.dies)
-			if ppn := f.allocateOn(die, class, f.cfg.GCReserve); ppn >= 0 {
+			if ppn := f.allocateOn(die, class, gcReserve); ppn >= 0 {
 				return ppn, nil
 			}
 		}

@@ -55,7 +55,6 @@ type fetched struct {
 
 // Controller is the host interface controller.
 type Controller struct {
-	env   *sim.Env
 	qs    *nvme.QueueSet
 	link  *sim.Link
 	host  *pcie.HostMemory
@@ -102,7 +101,6 @@ type writeBack struct {
 // carried the command.
 func New(env *sim.Env, qs *nvme.QueueSet, link *sim.Link, host *pcie.HostMemory, f *ftl.FTL, admin AdminHandler) *Controller {
 	c := &Controller{
-		env:        env,
 		qs:         qs,
 		link:       link,
 		host:       host,

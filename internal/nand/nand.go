@@ -121,13 +121,11 @@ var (
 
 type dieState struct {
 	busyUntil time.Duration
-	ops       int64
 }
 
 type blockState struct {
 	nextPage int // next programmable page index (NAND sequential constraint)
 	bad      bool
-	erases   int64
 }
 
 // Array is the flash array.
@@ -301,7 +299,6 @@ func (a *Array) occupyDie(ch, way int, d time.Duration, o *dieOp) {
 		die.busyUntil = now
 	}
 	die.busyUntil += d
-	die.ops++
 	a.env.At(die.busyUntil, o.fire)
 }
 
@@ -322,7 +319,6 @@ func (o *dieOp) dieDone() {
 		a.mEraseLat.Since(o.start)
 		blk := &a.blocks[a.blockIndex(o.block)]
 		blk.nextPage = 0
-		blk.erases++
 		base := a.blockIndex(o.block) * a.geo.PagesPerBlock
 		for pi := base; pi < base+a.geo.PagesPerBlock; pi++ {
 			if b := a.page[pi]; b != 0 {

@@ -131,8 +131,8 @@ func TestEraseResetsBlock(t *testing.T) {
 		})
 	})
 	env.Run()
-	if a.blocks[a.blockIndex(addr.BlockAddr())].erases != 1 {
-		t.Fatalf("erase count = %d", a.blocks[a.blockIndex(addr.BlockAddr())].erases)
+	if a.erases != 1 {
+		t.Fatalf("erase count = %d", a.erases)
 	}
 }
 

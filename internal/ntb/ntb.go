@@ -42,7 +42,6 @@ type Bridge struct {
 	env    *sim.Env
 	remote *sim.Env // Env the window targets live in; may be env itself
 	link   *sim.Link
-	hops   int
 	name   string
 
 	// slots holds every chunk slot this bridge has made, as a ring in
@@ -71,7 +70,6 @@ func NewBridgeTo(env, remote *sim.Env, name string, bandwidth float64, hopLatenc
 		env:    env,
 		remote: remote,
 		link:   env.NewLink("ntb-"+name, bandwidth, time.Duration(hops)*hopLatency),
-		hops:   hops,
 		name:   name,
 	}
 	sc := obs.For(env).Scope("ntb/" + name)

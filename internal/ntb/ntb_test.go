@@ -62,29 +62,33 @@ func TestWindowWriteDelivers(t *testing.T) {
 	}
 }
 
+// hopDelivery returns when a one-byte write lands across a bridge built
+// with the given hop count.
+func hopDelivery(hops int) time.Duration {
+	env := sim.NewEnv(1)
+	br := NewBridgeTo(env, env, "chain", DefaultBandwidth, DefaultHopLatency, hops)
+	target := newLandingTarget(env, 1024)
+	win := br.NewWindow(target, 0)
+	env.Go("m", func(p *sim.Proc) {
+		win.Write(0, []byte{1})
+	})
+	env.Run()
+	return target.at[0]
+}
+
 func TestDaisyChainAddsLatency(t *testing.T) {
-	delivery := func(hops int) time.Duration {
-		env := sim.NewEnv(1)
-		br := NewBridgeTo(env, env, "chain", DefaultBandwidth, DefaultHopLatency, hops)
-		target := newLandingTarget(env, 1024)
-		win := br.NewWindow(target, 0)
-		env.Go("m", func(p *sim.Proc) {
-			win.Write(0, []byte{1})
-		})
-		env.Run()
-		return target.at[0]
-	}
-	one, two := delivery(1), delivery(2)
+	one, two := hopDelivery(1), hopDelivery(2)
 	if two-one != DefaultHopLatency {
 		t.Fatalf("2-hop minus 1-hop = %v, want one hop latency %v", two-one, DefaultHopLatency)
 	}
 }
 
 func TestHopsFloorAtOne(t *testing.T) {
-	env := sim.NewEnv(1)
-	br := NewBridgeTo(env, env, "x", DefaultBandwidth, DefaultHopLatency, 0)
-	if br.hops != 1 {
-		t.Fatalf("hops = %d, want clamped to 1", br.hops)
+	one := hopDelivery(1)
+	for _, hops := range []int{0, -2} {
+		if got := hopDelivery(hops); got != one {
+			t.Errorf("%d hops: delivered at %v, want the one-hop %v", hops, got, one)
+		}
 	}
 }
 

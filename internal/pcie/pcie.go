@@ -91,7 +91,6 @@ type delivery struct {
 // payloads live in a per-region FIFO and every completion fires the same
 // pre-bound deliver callback — no per-TLP closure or buffer allocation.
 type Region struct {
-	env    *sim.Env
 	link   *sim.Link
 	target Target
 	size   int64
@@ -104,8 +103,8 @@ type Region struct {
 }
 
 // NewRegion maps target behind link as a region of the given size.
-func NewRegion(env *sim.Env, link *sim.Link, target Target, size int64) *Region {
-	r := &Region{env: env, link: link, target: target, size: size}
+func NewRegion(link *sim.Link, target Target, size int64) *Region {
+	r := &Region{link: link, target: target, size: size}
 	r.deliver = r.deliverNext
 	return r
 }

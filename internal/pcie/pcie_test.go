@@ -34,7 +34,7 @@ func (r *recorder) MemRead(off int64, dst []byte) { copy(dst, r.mem[off:]) }
 func testRegion(env *sim.Env, size int64) (*Region, *recorder) {
 	link := env.NewLink("pcie", 4*Gen2.LaneBandwidth(), 200*time.Nanosecond)
 	rec := newRecorder(int(size))
-	return NewRegion(env, link, rec, size), rec
+	return NewRegion(link, rec, size), rec
 }
 
 func TestGenerationBandwidth(t *testing.T) {

@@ -55,7 +55,7 @@ func trainRun(seed int64, oneByOne bool) (log []string, switches int64, ties int
 	defer env.Close()
 	link := env.NewLink("pcie", 4*Gen2.LaneBandwidth(), 200*time.Nanosecond)
 	rec := &timedRecorder{env: env}
-	region := NewRegion(env, link, rec, 1<<20)
+	region := NewRegion(link, rec, 1<<20)
 	mm := NewMMIO(region, WriteCombining)
 	host := NewHostMemory(1 << 16)
 
@@ -201,7 +201,7 @@ func TestTwoHandlesStoreConcurrently(t *testing.T) {
 		defer env.Close()
 		link := env.NewLink("pcie", 4*Gen2.LaneBandwidth(), 200*time.Nanosecond)
 		rec := &timedRecorder{env: env}
-		region := NewRegion(env, link, rec, 1<<20)
+		region := NewRegion(link, rec, 1<<20)
 		for core := 0; core < 2; core++ {
 			mm := NewMMIO(region, WriteCombining)
 			base, fill := int64(core)<<16, byte(0xA0+core)
@@ -267,7 +267,7 @@ func TestHostPacingIsLinkOccupancy(t *testing.T) {
 	for _, bw := range []float64{4 * Gen2.LaneBandwidth(), 16 * Gen4.LaneBandwidth(), 200e9} {
 		env := sim.NewEnv(1)
 		link := env.NewLink("pcie", bw, 200*time.Nanosecond)
-		region := NewRegion(env, link, newRecorder(1<<16), 1<<16)
+		region := NewRegion(link, newRecorder(1<<16), 1<<16)
 		mm := NewMMIO(region, WriteCombining)
 		env.Go("core", func(p *sim.Proc) {
 			off := int64(0)

@@ -4,9 +4,9 @@
 // host-side battery-backed DRAM (NVDIMM) for the paper's "Memory" baseline.
 //
 // A Bank is a capacity plus a bus: writes and reads occupy the bus for
-// their serialization time and add a fixed access latency. Persistence is a
-// property of the class (battery/supercapacitor backing), which the crash
-// model in internal/villars consults.
+// their serialization time and add a fixed access latency. Every class
+// survives power loss (battery or supercapacitor backing): the crash model
+// in internal/villars always drains the ring's persisted prefix to flash.
 package pm
 
 import (
@@ -44,27 +44,25 @@ type Spec struct {
 	Capacity   int64         // bytes
 	Bandwidth  float64       // bytes/second of the access bus
 	Latency    time.Duration // fixed per-access latency
-	Persistent bool          // survives power loss (battery/supercap)
 	SharedFrac float64       // fraction of bus consumed by background traffic
 }
 
 // Paper §6 presets.
 var (
 	// SRAMSpec: 128 KB of BlockRAM behind a 128-bit @ 250 MHz bus = 4 GB/s.
-	SRAMSpec = Spec{Class: SRAM, Capacity: 128 << 10, Bandwidth: 4e9, Latency: 50 * time.Nanosecond, Persistent: true}
+	SRAMSpec = Spec{Class: SRAM, Capacity: 128 << 10, Bandwidth: 4e9, Latency: 50 * time.Nanosecond}
 	// DRAMSpec: 128 MB of DDR3 behind a 64-bit @ 250 MHz bus = 2 GB/s,
 	// shared with the device's regular data-buffering activity.
-	DRAMSpec = Spec{Class: DRAM, Capacity: 128 << 20, Bandwidth: 2e9, Latency: 120 * time.Nanosecond, Persistent: true, SharedFrac: 0.5}
+	DRAMSpec = Spec{Class: DRAM, Capacity: 128 << 20, Bandwidth: 2e9, Latency: 120 * time.Nanosecond, SharedFrac: 0.5}
 	// NVDIMMSpec: host-side battery-backed DIMM used by the Memory
 	// baseline; reachable by plain stores, no PCIe hop.
-	NVDIMMSpec = Spec{Class: NVDIMM, Capacity: 8 << 30, Bandwidth: 6e9, Latency: 150 * time.Nanosecond, Persistent: true}
+	NVDIMMSpec = Spec{Class: NVDIMM, Capacity: 8 << 30, Bandwidth: 6e9, Latency: 150 * time.Nanosecond}
 )
 
 // Bank is an instantiated memory with its access bus.
 type Bank struct {
-	env  *sim.Env
-	spec Spec
-	bus  *sim.Link
+	env *sim.Env
+	bus *sim.Link
 
 	bgPeriod time.Duration // background burst interval (SharedFrac > 0)
 	bgNext   func()        // backgroundStep, bound once
@@ -75,7 +73,7 @@ type Bank struct {
 // process) keeps that fraction of the bus busy, modelling the data-buffer
 // traffic the paper's DRAM CMB shares its controller with.
 func NewBank(env *sim.Env, spec Spec) *Bank {
-	b := &Bank{env: env, spec: spec, bus: env.NewLink("pm-"+spec.Class.String(), spec.Bandwidth, spec.Latency)}
+	b := &Bank{env: env, bus: env.NewLink("pm-"+spec.Class.String(), spec.Bandwidth, spec.Latency)}
 	if spec.SharedFrac > 0 {
 		// Periodically claim bursts sized so that the long-run bus occupancy
 		// matches the fraction: a burst of B bytes every B/(frac*bandwidth)

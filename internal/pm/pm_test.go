@@ -18,7 +18,7 @@ func TestClassString(t *testing.T) {
 
 func TestBankWriteTiming(t *testing.T) {
 	env := sim.NewEnv(1)
-	bank := NewBank(env, Spec{Class: SRAM, Capacity: 1 << 20, Bandwidth: 1e9, Latency: 100 * time.Nanosecond, Persistent: true})
+	bank := NewBank(env, Spec{Class: SRAM, Capacity: 1 << 20, Bandwidth: 1e9, Latency: 100 * time.Nanosecond})
 	var took time.Duration
 	env.Go("w", func(p *sim.Proc) {
 		start := p.Now()
@@ -77,11 +77,6 @@ func TestSharedDRAMBackgroundTrafficSlowsWrites(t *testing.T) {
 }
 
 func TestPresetsPersistence(t *testing.T) {
-	for _, s := range []Spec{SRAMSpec, DRAMSpec, NVDIMMSpec} {
-		if !s.Persistent {
-			t.Fatalf("%v preset not persistent", s.Class)
-		}
-	}
 	if SRAMSpec.Capacity != 128<<10 || DRAMSpec.Capacity != 128<<20 {
 		t.Fatal("preset capacities do not match paper setup")
 	}
@@ -89,7 +84,7 @@ func TestPresetsPersistence(t *testing.T) {
 
 func TestWriteAsyncCallback(t *testing.T) {
 	env := sim.NewEnv(1)
-	bank := NewBank(env, Spec{Class: SRAM, Capacity: 1 << 20, Bandwidth: 1e9, Latency: 0, Persistent: true})
+	bank := NewBank(env, Spec{Class: SRAM, Capacity: 1 << 20, Bandwidth: 1e9, Latency: 0})
 	var at time.Duration
 	env.Go("w", func(p *sim.Proc) {
 		bank.WriteAsync(500, func() { at = env.Now() })

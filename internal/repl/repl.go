@@ -38,7 +38,6 @@ var (
 // Cluster is a replication group. Exactly one member is primary; the rest
 // are secondaries receiving the mirrored fast-side stream.
 type Cluster struct {
-	env     *sim.Env
 	devices []*villars.Device
 	primary int
 	scheme  core.ReplicationScheme
@@ -68,7 +67,7 @@ func NewScoped(env *sim.Env, devices []*villars.Device, scope string) (*Cluster,
 	if len(devices) == 0 {
 		return nil, ErrNoDevices
 	}
-	c := &Cluster{env: env, devices: devices, primary: -1}
+	c := &Cluster{devices: devices, primary: -1}
 	c.bridges = make([][]*ntb.Bridge, len(devices))
 	for i := range devices {
 		c.bridges[i] = make([]*ntb.Bridge, len(devices))

@@ -44,10 +44,7 @@ type cmbModule struct {
 	CreditChanged *sim.Signal // frontier advanced
 
 	// advanced API (paper §5.2): active allocations pin the destage floor.
-	allocs      []Allocation
-	nextAllocID int64
-
-	supercapDead bool
+	allocs []Allocation
 
 	// metrics (<fs>/cmb/...)
 	mBytesIn  *obs.Counter
@@ -66,7 +63,6 @@ type cmbChunk struct {
 // §5.2): the device will not destage past the start of the oldest active
 // allocation, so the area may be written in any order until freed.
 type Allocation struct {
-	ID         int64
 	Start, End int64
 }
 
@@ -222,8 +218,7 @@ func (m *cmbModule) Alloc(size int) (Allocation, error) {
 		return Allocation{}, ring.ErrFull
 	}
 	start := m.allocTail()
-	m.nextAllocID++
-	a := Allocation{ID: m.nextAllocID, Start: start, End: start + int64(size)}
+	a := Allocation{Start: start, End: start + int64(size)}
 	m.allocs = append(m.allocs, a)
 	return a, nil
 }
@@ -245,26 +240,17 @@ func (m *cmbModule) allocTail() int64 {
 	return t
 }
 
-// Free releases an allocation; once every allocation below it is also
-// free, the region becomes destage-eligible.
-func (m *cmbModule) Free(id int64) bool {
+// Free releases the allocation beginning at stream offset start, the
+// handle OpXFree carries; once every allocation below it is also free,
+// the region becomes destage-eligible. It reports false when no active
+// allocation begins there.
+func (m *cmbModule) Free(start int64) bool {
 	for i, a := range m.allocs {
-		if a.ID == id {
+		if a.Start == start {
 			m.allocs = append(m.allocs[:i], m.allocs[i+1:]...)
 			m.fs.destage.floorMoved()
 			m.fs.destage.kick.Broadcast()
 			return true
-		}
-	}
-	return false
-}
-
-// FreeByStart releases the allocation beginning at the given stream
-// offset (the handle shape the NVMe vendor command can carry).
-func (m *cmbModule) FreeByStart(start int64) bool {
-	for _, a := range m.allocs {
-		if a.Start == start {
-			return m.Free(a.ID)
 		}
 	}
 	return false

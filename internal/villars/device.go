@@ -59,7 +59,8 @@ type Config struct {
 	Geometry nand.Geometry
 	// Timing sets the NAND operation latencies (tPROG, tR, tBERS).
 	Timing nand.Timing
-	// FTL tunes the flash translation layer.
+	// FTL tunes the flash translation layer; a zero GCThreshold means
+	// ftl.DefaultConfig.
 	FTL ftl.Config
 	// Policy is the initial destage scheduling policy.
 	Policy sched.Policy
@@ -96,9 +97,6 @@ const (
 	pcieGen   = pcie.Gen2
 	// linkLatency is the host-device propagation delay.
 	linkLatency = 300 * time.Nanosecond
-	// supercapBudget is how long the device runs after power loss to
-	// drain the fast side (ample).
-	supercapBudget = 100 * time.Millisecond
 )
 
 // DefaultConfig returns the paper's experimental setup: SRAM-backed CMB,
@@ -127,7 +125,7 @@ func (c *Config) fillDefaults() {
 	if c.Timing.TProg == 0 {
 		c.Timing = nand.DefaultTiming
 	}
-	if c.FTL.OverProvision == 0 {
+	if c.FTL.GCThreshold == 0 {
 		c.FTL = ftl.DefaultConfig
 	}
 	if c.DestageLatencyBound == 0 {
@@ -226,8 +224,8 @@ func New(env *sim.Env, cfg Config, host *pcie.HostMemory) *Device {
 	d.vfLBAUsed = cfg.DestageLBAs
 	d.transport = newTransportModule(d)
 
-	d.bank = pcie.NewRegion(env, d.link, d.fs.cmb, CMBWindowSize)
-	d.ctrlRgn = pcie.NewRegion(env, d.link, controlTarget{d.fs, d}, core.ControlSize)
+	d.bank = pcie.NewRegion(d.link, d.fs.cmb, CMBWindowSize)
+	d.ctrlRgn = pcie.NewRegion(d.link, controlTarget{d.fs, d}, core.ControlSize)
 
 	// Always-on telemetry: the conventional-side components register their
 	// series under the device name, and the device itself exports its
@@ -282,8 +280,8 @@ func (d *Device) CreateVF(name string, cmbSize int64, queueSize int, destageLBAs
 	vf := &VirtualFunction{
 		dev:     d,
 		fs:      fs,
-		dataRgn: pcie.NewRegion(d.env, d.link, fs.cmb, CMBWindowSize),
-		ctrlRgn: pcie.NewRegion(d.env, d.link, controlTarget{fs, d}, core.ControlSize),
+		dataRgn: pcie.NewRegion(d.link, fs.cmb, CMBWindowSize),
+		ctrlRgn: pcie.NewRegion(d.link, controlTarget{fs, d}, core.ControlSize),
 	}
 	d.vfs = append(d.vfs, vf)
 	return vf, nil
@@ -516,7 +514,7 @@ func (d *Device) Admin(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 		}
 		return nvme.Completion{Status: nvme.StatusSuccess, Value: a.Start}
 	case nvme.OpXFree:
-		if !d.fs.cmb.FreeByStart(cmd.CDW) {
+		if !d.fs.cmb.Free(cmd.CDW) {
 			return nvme.Completion{Status: nvme.StatusInvalid}
 		}
 		return nvme.Completion{Status: nvme.StatusSuccess}
@@ -550,14 +548,6 @@ func (d *Device) InjectPowerLoss() {
 		fs.cmb.kickDrain() // so an idle drain observes the flag
 		fs.destage.kick.Broadcast()
 	}
-	deadline := d.env.Now() + supercapBudget
-	d.env.At(deadline, func() {
-		// Energy exhausted: whatever remains undrained is lost. With the
-		// default budget the rings are long drained by now.
-		for _, fs := range d.fastSides() {
-			fs.cmb.supercapDead = true
-		}
-	})
 }
 
 // fastSides returns the primary fast side plus every virtual function's.

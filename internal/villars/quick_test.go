@@ -279,13 +279,13 @@ func runTrickle(t *testing.T, seed int64, reader bool) trickleRun {
 				off = pin.End
 			}
 			if pinned && i == pinAt+pinFor {
-				cmb.Free(pin.ID)
+				cmb.Free(pin.Start)
 				noteFloor()
 				pinned = false
 			}
 		}
 		if pinned {
-			cmb.Free(pin.ID)
+			cmb.Free(pin.Start)
 			noteFloor()
 		}
 		run.total = off

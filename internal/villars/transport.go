@@ -28,10 +28,9 @@ type transportModule struct {
 	// secondary state
 	reportTo     *ntb.Window // counter-update path back to the primary
 	reportPeerID int
-	reporting    bool   // a reportStep is scheduled
-	reportLate   bool   // that step is the tail of a fault-delayed update
-	reportNext   func() // reportStep, bound once
-	lastReported int64
+	reporting    bool          // a reportStep is scheduled
+	reportLate   bool          // that step is the tail of a fault-delayed update
+	reportNext   func()        // reportStep, bound once
 	frozenUntil  time.Duration // fault plan: suppress reports until then
 	// reportMsg is the one update message a step fills and sends; the
 	// bridge copies it before WriteRaw returns.
@@ -339,7 +338,6 @@ func (t *transportModule) reportStep() {
 		// Fig 13 measures exactly this fixed-rate traffic (2.35% of the
 		// fabric at 0.4 µs).
 		v := t.reportValue()
-		t.lastReported = v
 		for i := 0; i < 8; i++ {
 			t.reportMsg[i] = byte(v >> (8 * i))
 		}

@@ -394,7 +394,7 @@ func TestAdvancedAllocPinsDestaging(t *testing.T) {
 		t.Fatalf("frontier = %d, want 256", d.CMB().Ring().Frontier())
 	}
 	env.Go("free", func(p *sim.Proc) {
-		if !d.CMB().Free(a.ID) {
+		if !d.CMB().Free(a.Start) {
 			t.Error("free failed")
 		}
 	})
@@ -402,6 +402,39 @@ func TestAdvancedAllocPinsDestaging(t *testing.T) {
 	if d.Destage().DestagedStream() != 256 {
 		t.Fatalf("destaged %d after free, want 256", d.Destage().DestagedStream())
 	}
+}
+
+// TestAdminFreeTakesAllocStart drives the advanced API's vendor commands
+// through Device.Admin: the start OpXAlloc returns is the one handle
+// OpXFree takes, it frees once, and an offset inside the allocation names
+// nothing.
+func TestAdminFreeTakesAllocStart(t *testing.T) {
+	env := sim.NewEnv(1)
+	d := newDevice(env, "a")
+	env.Go("host", func(p *sim.Proc) {
+		c := d.Admin(p, nvme.Command{Opcode: nvme.OpXAlloc, CDW: 256})
+		if c.Status != nvme.StatusSuccess {
+			t.Errorf("alloc: status %v", c.Status)
+			return
+		}
+		start := c.Value
+		if got := d.CMB().destageFloor(); got != start {
+			t.Errorf("destage floor = %d with the allocation active, want its start %d", got, start)
+		}
+		if c := d.Admin(p, nvme.Command{Opcode: nvme.OpXFree, CDW: start + 128}); c.Status != nvme.StatusInvalid {
+			t.Errorf("free inside the allocation: status %v, want StatusInvalid", c.Status)
+		}
+		if c := d.Admin(p, nvme.Command{Opcode: nvme.OpXFree, CDW: start}); c.Status != nvme.StatusSuccess {
+			t.Errorf("free of the returned start: status %v, want StatusSuccess", c.Status)
+		}
+		if n := len(d.CMB().allocs); n != 0 {
+			t.Errorf("%d allocations active after the free, want 0", n)
+		}
+		if c := d.Admin(p, nvme.Command{Opcode: nvme.OpXFree, CDW: start}); c.Status != nvme.StatusInvalid {
+			t.Errorf("second free of the start: status %v, want StatusInvalid", c.Status)
+		}
+	})
+	env.RunUntil(time.Millisecond)
 }
 
 func TestStallDetection(t *testing.T) {

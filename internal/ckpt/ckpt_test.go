@@ -219,6 +219,61 @@ func TestCheckpointRacesCommitter(t *testing.T) {
 	}
 }
 
+// TestCheckpointDuringDecisionWaitKeepsTheDecision runs a checkpoint in
+// the window a 2PC coordinator leaves open: its DECISION record, which
+// carries the coordinator's own writes, is appended but not yet applied,
+// and the coordinator waits for it to become durable without the commit
+// lock. The cut must not pass that record: recovery has to replay it, or
+// the acknowledged write is in neither the images nor the tail.
+func TestCheckpointDuringDecisionWaitKeepsTheDecision(t *testing.T) {
+	h := newHarness(53, 64)
+	m := NewManager(h.eng, h.log, Config{})
+	const gid = 1 << 40
+	var completed, committed bool
+	h.env.Go("coordinator", func(p *sim.Proc) {
+		seed := h.eng.BeginP(p)
+		seed.PutOwnedIn(h.eng.Table("kv"), "k0000", []byte("seed"))
+		if err := seed.Commit(p); err != nil {
+			t.Errorf("seed commit: %v", err)
+			return
+		}
+		tx := h.eng.BeginP(p)
+		tx.PutOwnedIn(h.eng.Table("kv"), "k0001", []byte("decided"))
+		if err := tx.Prepare(); err != nil {
+			t.Errorf("prepare: %v", err)
+			return
+		}
+		payload := db.EncodeControl(db.KindDecision, gid, 0, []int{1}, tx.EncodedWrites())
+		lsn := h.log.Append(wal.Record{TxID: gid, Payload: payload})
+		h.env.Go("ckpt", func(p *sim.Proc) {
+			ok, err := m.RunOnce(p)
+			if err != nil {
+				t.Errorf("checkpoint: %v", err)
+			}
+			completed = ok
+		})
+		h.log.WaitDurable(p, lsn)
+		tx.CommitPrepared(gid)
+		committed = true
+	})
+	h.env.RunUntil(10 * time.Millisecond)
+	if !completed || !committed {
+		t.Fatalf("checkpoint completed %v, decision applied %v", completed, committed)
+	}
+
+	rec, st := h.recoverStream(t)
+	if !st.Found {
+		t.Fatal("recovery did not find the checkpoint")
+	}
+	want := h.oracleFingerprints(t)
+	if live := h.eng.FingerprintIn(nil); live != want {
+		t.Fatalf("live fingerprint %#x != full-replay oracle %#x", live, want)
+	}
+	if got := rec.FingerprintIn(nil); got != want {
+		t.Fatalf("recovered from StartLSN %d: fingerprint %#x != live and full replay %#x", st.StartLSN, got, want)
+	}
+}
+
 // TestCrashMidCheckpointFallsBack completes one checkpoint, commits
 // more, then crashes the device midway through a second checkpoint —
 // after its images hit their shadow slots but before its record becomes

@@ -41,9 +41,11 @@ func (e *Engine) OpenPagedTable(name string, root uint64) {
 
 // Checkpoint is one fuzzy checkpoint captured from a paged engine: the
 // page images and allocation state of the pager snapshot, the table
-// directory (name → root page id), and the WAL append frontier at the
+// directory (name → root page id), and the WAL's applied frontier at the
 // snapshot instant. Everything below StartLSN is covered by the images;
-// recovery replays only records at or past it.
+// recovery replays only records at or past it. The images may also hold
+// the writes of records past StartLSN that applied before the snapshot;
+// replaying those installs the same rows again.
 type Checkpoint struct {
 	Snap     btree.Snapshot
 	Tables   map[string]uint64
@@ -51,8 +53,12 @@ type Checkpoint struct {
 }
 
 // BeginCheckpoint captures a checkpoint cut under the commit lock: no
-// commit is mid-flight, so the dirty pages plus the WAL prefix below
-// StartLSN are exactly the committed state. The snapshot itself spends
+// commit is mid-flight, so the dirty pages plus the WAL prefix below the
+// append frontier are exactly the committed state. A prepared transaction
+// still undecided holds the cut back to the frontier at its Prepare
+// (applied): its DECISION or PREPARE record may already be below the
+// append frontier while its writes are not yet in any page, and the tail
+// replay from StartLSN applies that record. The snapshot itself spends
 // zero virtual time; writing the images out happens afterwards, outside
 // the lock, concurrently with new commits (that is what makes the
 // checkpoint fuzzy). Only a paged engine has pages to cut.
@@ -64,7 +70,7 @@ func (e *Engine) BeginCheckpoint(p *sim.Proc) (Checkpoint, error) {
 	if err != nil {
 		return Checkpoint{}, fmt.Errorf("db: checkpoint snapshot: %w", err)
 	}
-	ck := Checkpoint{Snap: snap, Tables: make(map[string]uint64, len(e.tables)), StartLSN: e.frontier()}
+	ck := Checkpoint{Snap: snap, Tables: make(map[string]uint64, len(e.tables)), StartLSN: e.applied()}
 	for name, tab := range e.tables {
 		ck.Tables[name] = tab.rows.(*btree.Tree).Root()
 	}

@@ -38,9 +38,6 @@ var kept = map[string]string{
 	"villars.Device.Link":            "tests compute wire time from the device's PCIe link",
 	"villars.transportModule.Mode":   "tests read a device's replication role after setup and promotion",
 	"villars.transportModule.Scheme": "tests read the scheme a device's transport runs after setup and promotion",
-	"wal.Pipeline.Depth":             "tests read the pipeline's clamped in-flight bound",
-	"wal.Pipeline.Inflight":          "tests read how many commit tokens are in flight",
-	"wal.Pipeline.Retired":           "tests read how many commit tokens have retired",
 
 	// Test drivers: only tests run them, by design.
 	"analysis/analysistest.Run": "the analyzers' golden-file harness",

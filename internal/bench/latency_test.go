@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // The latency cells' determinism contract: a cell re-run dispatches the
 // same events and reports the same virtual-time quantiles, and the
@@ -46,5 +49,18 @@ func TestLatencyTPCCPipelineBeatsSynchronous(t *testing.T) {
 	}
 	if pipe16.Lat.P50 >= pipe1.Lat.P50 {
 		t.Fatalf("pipelined p50 %d >= synchronous p50 %d", pipe16.Lat.P50, pipe1.Lat.P50)
+	}
+}
+
+// TestLatencyTPCCPipe1MeasuresTheGroupTimeout pins what the depth-1 cell
+// measures: a terminal waits out each commit before its next, so no group
+// reaches GroupBytes and every commit is acknowledged when the 10 ms
+// GroupTimeout flushes its group. Each sample spans from the commit's
+// submit to the instant the log made it durable.
+func TestLatencyTPCCPipe1MeasuresTheGroupTimeout(t *testing.T) {
+	lat := LatencyTPCCCell(1).Lat
+	lo, hi := int64(9500*time.Microsecond), int64(10100*time.Microsecond)
+	if lat.N == 0 || lat.Min < lo || lat.Max > hi {
+		t.Fatalf("pipe1 latency %+v, want every sample in [9.5 ms, 10.1 ms]", lat)
 	}
 }

@@ -38,7 +38,6 @@ func For(env *sim.Env) *Registry {
 	r := &Registry{
 		env:        env,
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		gaugeFns:   make(map[string]func() int64),
 		histograms: make(map[string]*Histogram),
 	}
@@ -54,7 +53,6 @@ func For(env *sim.Env) *Registry {
 type Registry struct {
 	env        *sim.Env
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	gaugeFns   map[string]func() int64
 	histograms map[string]*Histogram
 
@@ -64,8 +62,6 @@ type Registry struct {
 	// handed-out pointers stay stable for the registry's lifetime.
 	counterSlab *[counterSlabSize]Counter
 	counterUsed int
-	gaugeSlab   *[counterSlabSize]Gauge
-	gaugeUsed   int
 	histSlab    *[histSlabSize]Histogram
 	histUsed    int
 }
@@ -83,16 +79,6 @@ func (r *Registry) newCounter() *Counter {
 	c := &r.counterSlab[r.counterUsed]
 	r.counterUsed++
 	return c
-}
-
-func (r *Registry) newGauge() *Gauge {
-	if r.gaugeSlab == nil || r.gaugeUsed == len(r.gaugeSlab) {
-		r.gaugeSlab = new([counterSlabSize]Gauge)
-		r.gaugeUsed = 0
-	}
-	g := &r.gaugeSlab[r.gaugeUsed]
-	r.gaugeUsed++
-	return g
 }
 
 func (r *Registry) newHistogram() *Histogram {
@@ -113,16 +99,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := r.newCounter()
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the gauge registered under name, creating it if new.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := r.newGauge()
-	r.gauges[name] = g
-	return g
 }
 
 // GaugeFunc registers fn as a gauge evaluated lazily at snapshot time (for
@@ -182,14 +158,6 @@ func (s Scope) Counter(name string) *Counter {
 	return s.r.Counter(s.join(name))
 }
 
-// Gauge registers a gauge under the scope's prefix.
-func (s Scope) Gauge(name string) *Gauge {
-	if s.r == nil {
-		return nil
-	}
-	return s.r.Gauge(s.join(name))
-}
-
 // GaugeFunc registers a lazy gauge under the scope's prefix.
 func (s Scope) GaugeFunc(name string, fn func() int64) {
 	if s.r == nil {
@@ -229,24 +197,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a point-in-time int64 series that may move both ways.
-type Gauge struct{ v int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // NumBuckets is the fixed histogram bucket count: bucket 0 holds values

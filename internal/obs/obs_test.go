@@ -81,16 +81,14 @@ func TestHistogramMoments(t *testing.T) {
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Add(5)
 	c.Inc()
-	g.Set(7)
 	h.Observe(3)
 	h.ObserveDuration(time.Second)
 	h.Since(0)
 	h.Start().End()
-	if c.Value() != 0 || g.Value() != 0 || h.N() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || h.N() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	var s Scope // zero scope: instruments are nil, methods no-op
@@ -170,7 +168,7 @@ func TestSnapshotFingerprintAndFormats(t *testing.T) {
 	env := sim.NewEnv(3)
 	r := For(env)
 	r.Counter("c").Add(10)
-	r.Gauge("g").Set(-4)
+	r.GaugeFunc("g", func() int64 { return -4 })
 	r.Histogram("h").Observe(9)
 	snap := r.Snapshot()
 	if snap.Fingerprint() != snap.Fingerprint() {

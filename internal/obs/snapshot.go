@@ -60,25 +60,14 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Counters = append(s.Counters, NamedValue{Name: name, Value: r.counters[name].Value()})
 	}
 
-	gnames := make([]string, 0, len(r.gauges)+len(r.gaugeFns))
-	for name := range r.gauges {
-		gnames = append(gnames, name)
-	}
+	gnames := make([]string, 0, len(r.gaugeFns))
 	for name := range r.gaugeFns {
-		if _, dup := r.gauges[name]; !dup {
-			gnames = append(gnames, name)
-		}
+		gnames = append(gnames, name)
 	}
 	sort.Strings(gnames)
 	s.Gauges = make([]NamedValue, 0, len(gnames))
 	for _, name := range gnames {
-		var v int64
-		if fn, ok := r.gaugeFns[name]; ok {
-			v = fn()
-		} else {
-			v = r.gauges[name].Value()
-		}
-		s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: v})
+		s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: r.gaugeFns[name]()})
 	}
 
 	hnames := make([]string, 0, len(r.histograms))

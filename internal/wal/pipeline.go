@@ -4,95 +4,75 @@ import (
 	"time"
 
 	"xssd/internal/fifo"
-	"xssd/internal/obs"
 	"xssd/internal/sim"
 )
 
-// Pipeline is the async group-commit pipeline: a worker submits
-// transactions as fast as the engine produces them (db.Tx.CommitAsync
-// returns an LSN without waiting for the flusher) and the pipeline keeps
-// up to depth commit tokens in flight, blocking only when the window is
-// full — ERMIA-style pipelined commit with bounded in-flight depth
-// instead of a per-transaction durability stall.
+// Pipeline is ERMIA-style pipelined commit (paper §6.1): a worker submits
+// each commit's LSN as soon as db.Tx.CommitAsync returns it and goes on
+// with its next transaction, and one acker process acknowledges the
+// commits in LSN order, each at the instant the log makes it durable —
+// the durability token of paper §5.1 retiring when the log reaches it.
 //
-// Retirement order is submission order: LSNs are monotone and the WAL's
-// durable frontier advances monotonically, so the FIFO head is always the
-// next token to retire. A halted log (ErrSinkLost) strands the pipeline;
-// failover flows drain or discard it before Resume rebinds the sink.
+// LSNs are submitted in increasing order and the durable frontier only
+// advances, so the FIFO head is always the next commit to acknowledge. A
+// halted log (ErrSinkLost) strands the acker at its head entry.
 type Pipeline struct {
-	log     *Log
-	depth   int
-	toks    fifo.Queue[pipeEntry]
-	retired int64
-	mLat    *obs.Histogram // submit→durable, ns
-	mDepth  *obs.Gauge
+	log      *Log
+	ack      func(start, durable time.Duration)
+	pending  fifo.Queue[pipeEntry]
+	arrived  *sim.Signal // a Submit into an empty FIFO wakes the acker
+	acked    *sim.Signal // each ack wakes WaitInflight
+	inflight int         // submitted and not yet acknowledged
 }
 
-// pipeEntry is one in-flight commit: its LSN and submission time.
+// pipeEntry is one commit waiting for its ack: its LSN and the start
+// instant its submitter passed.
 type pipeEntry struct {
-	lsn int64
-	at  time.Duration
+	lsn   int64
+	start time.Duration
 }
 
-// NewPipeline creates a pipeline of the given depth (minimum 1) over
-// log. A non-zero scope registers the pipeline's instruments: the
-// submit→durable latency histogram "commit_ns" and the in-flight depth
-// gauge "inflight".
-func NewPipeline(log *Log, depth int, sc obs.Scope) *Pipeline {
-	if depth < 1 {
-		depth = 1
-	}
-	return &Pipeline{
-		log:    log,
-		depth:  depth,
-		mLat:   sc.Histogram("commit_ns"),
-		mDepth: sc.Gauge("inflight"),
-	}
+// NewPipeline starts the acker process on log's environment. It calls
+// ack(start, durable) once per submitted commit, in LSN order, where
+// start is the instant Submit was given and durable the instant the log
+// became durable up to the commit's LSN.
+func NewPipeline(log *Log, ack func(start, durable time.Duration)) *Pipeline {
+	pl := &Pipeline{log: log, ack: ack, arrived: log.env.NewSignal(), acked: log.env.NewSignal()}
+	log.env.Go("pipeline-acker", pl.acker)
+	return pl
 }
 
-// Submit enqueues a committed transaction's LSN (as returned by
-// CommitAsync; lsn <= 0, a read-only transaction, is a no-op). When the
-// pipeline already holds depth tokens it blocks until the oldest one is
-// durable — the only stall the async path has.
+// Submit hands the pipeline a commit's record end LSN (as CommitAsync
+// returns it; a read-only commit has no record and is not submitted) and
+// the instant its latency counts from. It never blocks: WaitInflight is
+// the back-pressure.
 //
 //xssd:hotpath
-func (pl *Pipeline) Submit(p *sim.Proc, lsn int64) {
-	pl.retire()
-	if lsn <= 0 {
-		return
-	}
-	if pl.toks.Len() >= pl.depth {
-		oldest, _ := pl.toks.Peek()
-		pl.log.WaitDurable(p, oldest.lsn)
-		pl.retire()
-	}
-	pl.toks.Push(pipeEntry{lsn: lsn, at: p.Now()})
-	pl.mDepth.Set(int64(pl.toks.Len()))
+func (pl *Pipeline) Submit(lsn int64, start time.Duration) {
+	pl.pending.Push(pipeEntry{lsn: lsn, start: start})
+	pl.inflight++
+	pl.arrived.Broadcast()
 }
 
-// retire pops every token the WAL's durable frontier already covers.
-//
-//xssd:hotpath
-func (pl *Pipeline) retire() {
-	durable := pl.log.DurableLSN()
-	for e, ok := pl.toks.Peek(); ok && e.lsn <= durable; e, ok = pl.toks.Peek() {
-		pl.toks.Pop()
-		pl.retired++
-		if pl.mLat != nil {
-			pl.mLat.ObserveDuration(pl.log.env.Now() - e.at)
+// WaitInflight blocks while n or more submitted commits are not yet
+// acknowledged, so that a Submit after it keeps at most n in flight — the
+// commit-count analogue of Log.WaitBacklog.
+func (pl *Pipeline) WaitInflight(p *sim.Proc, n int) {
+	p.WaitFor(pl.acked, func() bool { return pl.inflight < n })
+}
+
+// acker is the acknowledging process: it takes the oldest commit, waits
+// until the log is durable up to it, and acknowledges it at that instant.
+func (pl *Pipeline) acker(p *sim.Proc) {
+	for {
+		e, ok := pl.pending.Pop()
+		if !ok {
+			p.Wait(pl.arrived)
+			continue
 		}
+		pl.log.WaitDurable(p, e.lsn)
+		pl.inflight--
+		pl.ack(e.start, p.Now())
+		pl.acked.Broadcast()
 	}
-	pl.mDepth.Set(int64(pl.toks.Len()))
 }
-
-// Inflight returns the number of submitted-but-not-yet-durable tokens.
-func (pl *Pipeline) Inflight() int { return pl.toks.Len() }
-
-// Retired returns how many tokens have become durable.
-func (pl *Pipeline) Retired() int64 { return pl.retired }
-
-// Depth returns the pipeline's in-flight bound.
-func (pl *Pipeline) Depth() int { return pl.depth }
-
-// Latency returns the submit→durable histogram (nil without a scope).
-func (pl *Pipeline) Latency() *obs.Histogram { return pl.mLat }

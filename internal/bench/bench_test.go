@@ -136,6 +136,18 @@ func TestFig09CellNoLogFastest(t *testing.T) {
 	}
 }
 
+// TestFig09CellCountsOnlyTheWindow runs one NoLog worker: it commits one
+// transaction per fig9Compute, so over the measured span its throughput
+// is 1/fig9Compute. Counting the warm-up's commits too would read about
+// 120/110 of that.
+func TestFig09CellCountsOnlyTheWindow(t *testing.T) {
+	_, ktps := Fig09Cell("NoLog", 1)
+	want := 1 / fig9Compute.Seconds() / 1000
+	if ktps < 0.99*want || ktps > 1.01*want {
+		t.Fatalf("NoLog at 1 worker: %.2f ktxn/s, want %.2f within 1%%", ktps, want)
+	}
+}
+
 func TestFig12CellConventionalPriorityProtects(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

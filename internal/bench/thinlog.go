@@ -101,6 +101,8 @@ func thinLogCell(reader bool) (Measurement, villars.DestageStats) {
 	name := "destage/thinlog"
 	if reader {
 		name += "/reader"
+		// lag_ns: from the first CMB persist whose frontier covers a read
+		// chunk's end to the tail read that returned the chunk.
 		lag := obs.For(env).Scope("thinlog/reader").Histogram("lag_ns")
 		observeReadLag(lag, tr.Filter(obs.CMBPersist), reads)
 		m.Lat = lag.Summary()

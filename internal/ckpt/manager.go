@@ -58,6 +58,9 @@ func NewManager(eng *db.Engine, log *wal.Log, cfg Config) *Manager {
 	m.mCompleted = sc.Counter("completed")
 	m.mAborted = sc.Counter("aborted")
 	m.mPages = sc.Counter("pages_written")
+	// duration_ns: from RunOnce starting, before the commit lock, to the
+	// pager committing the checkpoint once its record is durable
+	// (completed attempts only).
 	m.mDur = sc.Histogram("duration_ns")
 	return m
 }

@@ -104,7 +104,7 @@ type Manager struct {
 	mPromotions *obs.Counter
 	mReplayed   *obs.Counter
 	mBackfilled *obs.Counter
-	mPromoteLat *obs.Histogram // detection -> stream live again, ns
+	mPromoteLat *obs.Histogram
 }
 
 // New starts a failover manager over the cluster. The log's sink must be
@@ -128,6 +128,8 @@ func New(env *sim.Env, cluster *repl.Cluster, lg *wal.Log, sink *wal.VillarsSink
 	m.mPromotions = sc.Counter("promotions")
 	m.mReplayed = sc.Counter("replayed_bytes")
 	m.mBackfilled = sc.Counter("backfilled_bytes")
+	// promotion_ns: from takeover detecting the dead primary to the host
+	// stream resuming on the promoted device.
 	m.mPromoteLat = sc.Histogram("promotion_ns")
 	env.Go("failover-watchdog", m.watch)
 	return m, nil

@@ -159,8 +159,7 @@ type Array struct {
 	reads, progs, erases int64
 	injectedBad          int64
 
-	// metrics: end-to-end op latency (issue -> completion, including bus
-	// and die queueing), nil until Observe.
+	// metrics: nil until Observe.
 	mProgLat  *obs.Histogram
 	mReadLat  *obs.Histogram
 	mEraseLat *obs.Histogram
@@ -175,6 +174,9 @@ func (a *Array) Observe(sc obs.Scope) {
 	sc.GaugeFunc("programs", func() int64 { return a.progs })
 	sc.GaugeFunc("erases", func() int64 { return a.erases })
 	sc.GaugeFunc("injected_bad", func() int64 { return a.injectedBad })
+	// program_ns and erase_ns: from an op's issue to its die finishing it.
+	// read_ns: from a read's issue to its page landing across the channel
+	// bus. All three include bus and die queueing.
 	a.mProgLat = sc.Histogram("program_ns")
 	a.mReadLat = sc.Histogram("read_ns")
 	a.mEraseLat = sc.Histogram("erase_ns")

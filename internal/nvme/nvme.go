@@ -233,7 +233,7 @@ type driverQueue struct {
 	submitted int64
 	completed int64
 	lastSeq   uint64
-	mLat      *obs.Histogram // submit→complete latency, ns
+	mLat      *obs.Histogram
 	cSub      *obs.Counter
 	cCmp      *obs.Counter
 }
@@ -307,6 +307,8 @@ func (d *Driver) Observe(sc obs.Scope) {
 		q := sc.Sub(fmt.Sprintf("q%d", i))
 		dq.cSub = q.Counter("submitted")
 		dq.cCmp = q.Counter("completed")
+		// submit_complete_ns: from the driver pushing a command onto the
+		// submission queue to the driver draining its completion.
 		dq.mLat = q.Histogram("submit_complete_ns")
 		if dq.submitAt == nil {
 			dq.submitAt = map[uint16]time.Duration{}

@@ -117,6 +117,8 @@ func (s *Scheduler) Observe(sc obs.Scope) {
 		sub := sc.Sub(src.String())
 		sub.GaugeFunc("ops", func() int64 { return s.opsBySource[src] })
 		sub.GaugeFunc("bytes", func() int64 { return s.bytesBySource[src] })
+		// wait_ns: from a request entering the queue to its dispatch to
+		// the array.
 		s.waitHist[src] = sub.Histogram("wait_ns")
 	}
 	sc.GaugeFunc("policy", func() int64 { return int64(s.policy) })

@@ -265,6 +265,9 @@ func (c *Cluster) Build() {
 		s.mResolves = sc.Counter("2pc/resolves")
 		s.mCommits2PC = sc.Counter("2pc/commits")
 		s.mAborts2PC = sc.Counter("2pc/aborts")
+		// 2pc/prepare_ns: from a cross-shard Commit call to the last
+		// participant's yes vote. 2pc/commit_ns: from the same call to the
+		// decision reaching every participant (committed transactions only).
 		s.mPrepareLat = sc.Histogram("2pc/prepare_ns")
 		s.mCommitLat = sc.Histogram("2pc/commit_ns")
 	}

@@ -50,7 +50,7 @@ type cmbModule struct {
 	mBytesIn  *obs.Counter
 	mOverruns *obs.Counter
 	mRejected *obs.Counter
-	mPersist  *obs.Histogram // intake arrival -> ring persist, ns
+	mPersist  *obs.Histogram
 }
 
 type cmbChunk struct {
@@ -80,6 +80,8 @@ func newCMBModule(d *Device, fs *fastSide, bank *pm.Bank) *cmbModule {
 	m.mBytesIn = sc.Counter("bytes_in")
 	m.mOverruns = sc.Counter("overruns")
 	m.mRejected = sc.Counter("rejected")
+	// persist_ns: from a chunk entering the intake queue to its write
+	// into the persistent ring.
 	m.mPersist = sc.Histogram("persist_ns")
 	sc.GaugeFunc("credit", m.ring.Frontier)
 	sc.GaugeFunc("live", m.ring.Live)

@@ -98,7 +98,7 @@ type destageModule struct {
 	mFillerBytes  *obs.Counter
 	mErrors       *obs.Counter
 	mRetries      *obs.Counter
-	mPageLat      *obs.Histogram // carve -> in-order retire, ns
+	mPageLat      *obs.Histogram
 }
 
 // Destage write-failure retry policy: a failed page program (injected or
@@ -140,6 +140,8 @@ func newDestageModule(d *Device, fs *fastSide, baseLBA, lbaCount int64) *destage
 	m.mFillerBytes = sc.Counter("filler_bytes")
 	m.mErrors = sc.Counter("errors")
 	m.mRetries = sc.Counter("retries")
+	// page_ns: from carving a page out of the CMB ring to retiring it in
+	// order, its ring bytes released after the NAND program.
 	m.mPageLat = sc.Histogram("page_ns")
 	// Every carve adds its payload to the carve point and nothing else
 	// moves it, so the stream offset is the payload account beside

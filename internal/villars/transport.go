@@ -54,7 +54,7 @@ type transportModule struct {
 	mMirrorDelays      *obs.Counter
 	mRepairResends     *obs.Counter
 	mUpdatesSuppressed *obs.Counter
-	mUpdateLag         *obs.Histogram // shadow-counter distance on each update, bytes
+	mUpdateLag         *obs.Histogram
 }
 
 // peerLink is the primary's view of one secondary.
@@ -100,6 +100,8 @@ func newTransportModule(d *Device) *transportModule {
 	t.mMirrorDelays = sc.Counter("mirror_delays")
 	t.mRepairResends = sc.Counter("repair_resends")
 	t.mUpdatesSuppressed = sc.Counter("updates_suppressed")
+	// update_lag_bytes: at each accepted shadow-counter update, the local
+	// CMB ring frontier minus the peer's shadow counter, in bytes.
 	t.mUpdateLag = sc.Histogram("update_lag_bytes")
 	sc.GaugeFunc("peers", func() int64 { return int64(len(t.peers)) })
 	return t

@@ -96,8 +96,8 @@ type Logger struct {
 	// endpoint — the registry deduplicates by name.
 	mCreditReads *obs.Counter
 	mBytes       *obs.Counter
-	mStall       *obs.Histogram // one credit-stall episode, ns
-	mFsync       *obs.Histogram // one XFsync call, ns
+	mStall       *obs.Histogram
+	mFsync       *obs.Histogram
 }
 
 // Options tune Open.
@@ -138,6 +138,9 @@ func Open(p *sim.Proc, dev Endpoint, opts Options) *Logger {
 	sc := obs.For(l.env).Scope(dev.Name() + "/xapi")
 	l.mCreditReads = sc.Counter("credit_reads")
 	l.mBytes = sc.Counter("bytes")
+	// stall_ns: from XPwrite finding its credit used up to the credit read
+	// that grants more. fsync_ns: from an XFsync call to the credit read
+	// showing every written byte persistent (successful calls only).
 	l.mStall = sc.Histogram("stall_ns")
 	l.mFsync = sc.Histogram("fsync_ns")
 	qs := l.readReg(p, core.RegQueueSize)

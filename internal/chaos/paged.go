@@ -22,6 +22,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"xssd/internal/btree"
@@ -57,8 +58,7 @@ func livePagedI9(stk *stack.Stack, records []wal.Record, load func(*db.Engine), 
 		st    ckpt.Stats
 		rerr  error
 	)
-	prim, completed := stk.Primary, stk.Ckpt.Completed()
-	denv := prim.Env()
+	completed, denv := stk.Ckpt.Completed(), stk.Primary.Env()
 	if !stack.PostMortem(denv, "chaos-paged-recover", 200*time.Millisecond, func(p *sim.Proc) {
 		eng, stats, err := ckpt.Recover(p, denv, stk.Pages(), pagedPool, records, load)
 		st, rerr = stats, err
@@ -76,14 +76,14 @@ func livePagedI9(stk *stack.Stack, records []wal.Record, load func(*db.Engine), 
 		out = append(out, fmt.Sprintf("I9: %d checkpoints completed but none found on the durable stream", completed))
 	}
 
-	oracle := db.NewPaged(sim.NewEnv(1), nil, btree.NewPager(btree.NewMemStore(prim.BlockSize(), 1<<30), btree.Config{PoolPages: pagedPool}))
-	load(oracle)
-	if err := oracle.Recover(records); err != nil {
+	// Without its checkpoint records the whole stream replays (the oracle).
+	full := slices.DeleteFunc(slices.Clone(records), func(r wal.Record) bool { return ckpt.IsCheckpointPayload(r.Payload) })
+	oracle, _, err := ckpt.Recover(nil, sim.NewEnv(1), stk.Pages(), pagedPool, full, load)
+	if err != nil {
 		return append(out, fmt.Sprintf("I9: full-stream paged replay: %v", err))
 	}
-	classic := db.New(sim.NewEnv(1), nil)
-	load(classic)
-	if err := classic.Recover(records); err != nil {
+	classic, _, err := ckpt.Recover(nil, sim.NewEnv(1), nil, 0, records, load)
+	if err != nil {
 		return append(out, fmt.Sprintf("I9: full-stream classic replay: %v", err))
 	}
 	oFP, cFP := oracle.FingerprintIn(nil), classic.Fingerprint()
@@ -104,8 +104,8 @@ func livePagedI9(stk *stack.Stack, records []wal.Record, load func(*db.Engine), 
 // of a few records, with a fuzzy checkpoint after each (segment lengths
 // and the crash record drawn from the seed), crash, recover from (last
 // checkpoint + tail), and demand bit-identical state versus the replayed
-// engine and a full classic replay. Every replay is db.Engine.Replay, so
-// a shard's DECISION and COMMITP records apply on all three. Everything
+// engine and a full classic replay (both recoveries are ckpt.Recover).
+// A shard's DECISION and COMMITP records apply on all three. Everything
 // runs on nil procs against MemStores — zero virtual time, so callers'
 // event schedules and fingerprints are untouched.
 func syntheticPagedI9(seed int64, records []wal.Record, load func(*db.Engine)) []string {
@@ -118,9 +118,8 @@ func syntheticPagedI9(seed int64, records []wal.Record, load func(*db.Engine)) [
 	rng := rand.New(rand.NewSource(seed*1000003 + 71))
 	cut := 1 + rng.Intn(len(records))
 
-	const pageSize = 1024
 	const pool = 48
-	store := btree.NewMemStore(pageSize, 1<<30)
+	store := btree.NewMemStore(1024, 1<<30)
 	eng := db.NewPaged(sim.NewEnv(seed+13), nil, btree.NewPager(store, btree.Config{PoolPages: pool}))
 	load(eng)
 
@@ -131,7 +130,7 @@ func syntheticPagedI9(seed int64, records []wal.Record, load func(*db.Engine)) [
 		// COMMITP in this segment may close one from an earlier segment.
 		hi := min(lo+n, cut)
 		spliced = append(spliced, records[lo:hi]...)
-		if _, err := eng.Replay(nil, records[:hi], records[lo].LSN, nil); err != nil {
+		if _, err := eng.Replay(nil, records[:hi], records[lo].LSN); err != nil {
 			return fail("I9: synthetic replay: %v", err)
 		}
 		if hi < lo+n {
@@ -163,9 +162,8 @@ func syntheticPagedI9(seed int64, records []wal.Record, load func(*db.Engine)) [
 		return fail("I9: %d synthetic checkpoints taken but none found on the stream", ckpts)
 	}
 
-	classic := db.New(sim.NewEnv(seed+31), nil)
-	load(classic)
-	if err := classic.Recover(records[:cut]); err != nil {
+	classic, _, err := ckpt.Recover(nil, sim.NewEnv(seed+31), nil, 0, records[:cut], load)
+	if err != nil {
 		return fail("I9: synthetic classic replay: %v", err)
 	}
 	var out []string

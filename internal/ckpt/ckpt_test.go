@@ -381,6 +381,83 @@ func TestRecoveryWithoutCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoverWithoutAStoreReplaysTheWholeStream recovers a stream that
+// holds checkpoint records with a nil store: ckpt.Recover builds a row-map
+// engine, looks for no checkpoint, replays every record, and ends where
+// the classic engine's recovery of the same records does.
+func TestRecoverWithoutAStoreReplaysTheWholeStream(t *testing.T) {
+	h := newHarness(61, 64)
+	m := NewManager(h.eng, h.log, Config{Interval: 300 * time.Microsecond})
+	h.env.Go("ckpt", m.Run)
+	var done bool
+	h.runCommitter(t, 100, &done)
+	h.env.RunUntil(30 * time.Millisecond)
+	m.Stop()
+	h.env.RunUntil(h.env.Now() + 5*time.Millisecond)
+	if !done || m.Completed() == 0 {
+		t.Fatalf("committer done %v, %d checkpoints completed; want both", done, m.Completed())
+	}
+
+	records := wal.DecodeAll(h.sink.data)
+	rec, st, err := Recover(nil, sim.NewEnv(1), nil, 0, records, nil)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if st.Found || st.StartLSN != 0 || st.Tail != st.Total || st.Total == 0 {
+		t.Fatalf("a nil store must replay the whole stream: %+v", st)
+	}
+	if rec.Paged() {
+		t.Fatal("a nil store recovered a paged engine")
+	}
+	classic := db.New(sim.NewEnv(2), nil)
+	if err := classic.Recover(records); err != nil {
+		t.Fatalf("classic recovery: %v", err)
+	}
+	if got, want := rec.Fingerprint(), classic.Fingerprint(); got != want {
+		t.Fatalf("nil-store recovery %#x != db.Engine.Recover %#x", got, want)
+	}
+}
+
+// latencySink is recordingSink behind a fixed device latency per write.
+type latencySink struct {
+	recordingSink
+	lat time.Duration
+}
+
+func (s *latencySink) Write(p *sim.Proc, b []byte) error {
+	p.Sleep(s.lat)
+	return s.recordingSink.Write(p, b)
+}
+
+// TestCheckpointDurationReadsBack drives one checkpoint whose duration is
+// fixed by construction and reads it back from duration_ns. A MemStore
+// pager writes and syncs in zero virtual time, and the record, appended
+// alone to an idle log, becomes durable one group timeout plus one sink
+// write after the attempt starts.
+func TestCheckpointDurationReadsBack(t *testing.T) {
+	const timeout, lat = 300 * time.Microsecond, 70 * time.Microsecond
+	env := sim.NewEnv(1)
+	log := wal.NewLog(env, &latencySink{lat: lat}, wal.Config{GroupBytes: 4 << 10, GroupTimeout: timeout})
+	eng := db.NewPaged(env, log, btree.NewPager(btree.NewMemStore(testPageSize, 1<<20), btree.Config{PoolPages: 8}))
+	eng.CreateTable("kv")
+	reg := obs.For(env)
+	m := NewManager(eng, log, Config{Scope: reg.Scope("ckpt")})
+	var ok bool
+	var err error
+	env.Go("ckpt", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		ok, err = m.RunOnce(p)
+	})
+	env.RunUntil(5 * time.Millisecond)
+	if !ok || err != nil {
+		t.Fatalf("checkpoint completed %v: %v", ok, err)
+	}
+	h := reg.Histogram("ckpt/duration_ns")
+	if n, sum := h.N(), h.Sum(); n != 1 || sum != int64(timeout+lat) {
+		t.Fatalf("duration_ns holds %d observations summing to %v, want 1 of %v", n, time.Duration(sum), timeout+lat)
+	}
+}
+
 // TestManagerRunLoop exercises the background process end to end:
 // checkpoints complete on the interval, Stop lands, and WaitIdle
 // returns with nothing in flight.

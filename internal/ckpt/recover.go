@@ -12,8 +12,9 @@ import (
 // Stats describes one recovery: whether a complete checkpoint bounded
 // the replay, and how much of the log it actually replayed.
 type Stats struct {
-	// Found is true when a complete checkpoint record was on the durable
-	// log (its page images are durable by protocol order).
+	// Found is true when a store was given and a complete checkpoint
+	// record was on the durable log (its images are durable by protocol
+	// order).
 	Found bool
 	// StartLSN is the found checkpoint's replay cut (0 without one).
 	StartLSN int64
@@ -24,18 +25,20 @@ type Stats struct {
 	Tail int
 }
 
-// Recover rebuilds a paged engine from a durable log stream. With a
-// checkpoint on the stream, the pager restores onto store (the device's
-// page slots) and db.Engine.Replay walks the stream from Record.StartLSN.
-// Without one, load rebuilds the pre-log state (bulk-loaded rows never
-// hit the WAL) into a fresh memory-backed pager — the device pages are
-// not trustworthy before the first complete checkpoint — and the whole
-// stream replays. Either way a shard's DECISION and COMMITP records apply;
-// an in-doubt PREPARE is presumed aborted.
+// Recover is the one procedure that turns a durable log stream into an
+// engine. load seeds the pre-log state (bulk-loaded rows never hit the
+// WAL) unless a checkpoint's images hold it. A nil store gives a row map
+// that replays the whole stream. With a store and a checkpoint on the
+// stream, the pager restores onto store (the device's page slots) and
+// db.Engine.Replay walks the stream from Record.StartLSN; without one, a
+// fresh memory-backed pager takes the whole stream, since the device
+// pages are not trustworthy before the first complete checkpoint. An
+// in-doubt PREPARE is presumed aborted unless records carry the COMMITP a
+// cluster's resolver would have logged for it (shard.Replay).
 func Recover(p *sim.Proc, env *sim.Env, store btree.PageStore, poolPages int, records []wal.Record, load func(*db.Engine)) (*db.Engine, Stats, error) {
 	var st Stats
 	var rec Record
-	for i := len(records) - 1; i >= 0; i-- {
+	for i := len(records) - 1; store != nil && i >= 0; i-- {
 		if IsCheckpointPayload(records[i].Payload) {
 			r, err := Decode(records[i].Payload)
 			if err != nil {
@@ -50,21 +53,23 @@ func Recover(p *sim.Proc, env *sim.Env, store btree.PageStore, poolPages int, re
 	}
 
 	var eng *db.Engine
-	if st.Found {
+	switch {
+	case store == nil:
+		eng = db.New(env, nil)
+	case st.Found:
 		pg := btree.NewPager(store, btree.Config{PoolPages: poolPages})
 		pg.Restore(rec.NextID, rec.Free, rec.Parity)
 		eng = db.NewPaged(env, nil, pg)
 		for name, root := range rec.Tables {
 			eng.OpenPagedTable(name, root)
 		}
-	} else {
-		mem := btree.NewMemStore(store.PageSize(), int64(1)<<32)
-		eng = db.NewPaged(env, nil, btree.NewPager(mem, btree.Config{PoolPages: poolPages}))
-		if load != nil {
-			load(eng)
-		}
+	default:
+		eng = db.NewPaged(env, nil, btree.NewPager(btree.NewMemStore(store.PageSize(), 1<<32), btree.Config{PoolPages: poolPages}))
 	}
-	rs, err := eng.Replay(p, records, st.StartLSN, nil)
+	if !st.Found && load != nil {
+		load(eng)
+	}
+	rs, err := eng.Replay(p, records, st.StartLSN)
 	st.Total, st.Tail = rs.Total, rs.Replayed
 	if err != nil {
 		return nil, st, fmt.Errorf("ckpt: recover: %w", err)

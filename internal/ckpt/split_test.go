@@ -76,7 +76,7 @@ func TestRecoveredTreeSplitsLikeTheLiveOne(t *testing.T) {
 		if !st.Found || st.Tail == 0 {
 			t.Fatalf("run %d: recovery found checkpoint %v, replayed %d records", run, st.Found, st.Tail)
 		}
-		if _, err := rec.Replay(nil, records, crashAt, nil); err != nil {
+		if _, err := rec.Replay(nil, records, crashAt); err != nil {
 			t.Fatalf("run %d: the next rows on the recovered engine: %v", run, err)
 		}
 

@@ -230,7 +230,7 @@ func TestEveryReaderBuilds(t *testing.T) {
 		"FingerprintIn":   func(e *Engine) { e.FingerprintIn(nil) },
 		"RowCountIn":      func(e *Engine) { e.RowCountIn(nil, "t") },
 		"BeginCheckpoint": func(e *Engine) { _, _ = e.BeginCheckpoint(nil) },
-		"Replay":          func(e *Engine) { _, _ = e.Replay(nil, rec, 0, nil) },
+		"Replay":          func(e *Engine) { _, _ = e.Replay(nil, rec, 0) },
 		"Follower.Feed":   func(e *Engine) { _ = NewFollower(e).Feed(rec[0].Encode(nil)) },
 	} {
 		e := newBuildEngine()

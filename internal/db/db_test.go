@@ -1074,7 +1074,7 @@ func TestApplyRecordAllocations(t *testing.T) {
 		}
 		recs := []wal.Record{{TxID: 1, Payload: encodeWrites(ws)}}
 		n := testing.AllocsPerRun(100, func() {
-			if _, err := eng.Replay(nil, recs, 0, nil); err != nil {
+			if _, err := eng.Replay(nil, recs, 0); err != nil {
 				t.Fatal(err)
 			}
 			recs[0].LSN += 100

@@ -11,7 +11,7 @@ import (
 // replayOne walks one record with payload into a fresh row-map engine. It
 // may fail; it must not panic.
 func replayOne(payload []byte) {
-	New(sim.NewEnv(1), nil).Replay(nil, []wal.Record{{TxID: 1, Payload: payload}}, 0, nil)
+	New(sim.NewEnv(1), nil).Replay(nil, []wal.Record{{TxID: 1, Payload: payload}}, 0)
 }
 
 // FuzzControlRecord fuzzes the 2PC control record codec: arbitrary bytes

@@ -9,8 +9,6 @@ package db
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
-	"slices"
 
 	"xssd/internal/sim"
 	"xssd/internal/wal"
@@ -95,9 +93,7 @@ func decodeControl(payload []byte) (Control, error) {
 		c.Shards = append(c.Shards, int(binary.LittleEndian.Uint16(b[2*i:])))
 	}
 	c.Writes = b[2*n:]
-	switch c.Kind {
-	case KindPrepare, KindDecision, KindCommitP:
-	default:
+	if c.Kind < KindPrepare || c.Kind > KindCommitP {
 		return c, fmt.Errorf("db: 2PC record gid %d: unknown kind %d", c.GID, c.Kind)
 	}
 	return c, nil
@@ -131,28 +127,17 @@ type ReplayStats struct {
 // coordinator's, and a COMMITP its PREPARE's, found before the cut or
 // after it; rows take the TxID (a 2PC record's gid) and pages the
 // record's end LSN, the stamps the live engine used. A PREPARE with no
-// COMMITP is in doubt: after the walk it applies, in gid order, iff
-// decided(gid, coordinator) — a nil decided presumes abort. That is safe
-// late, because its rows stay pinned until the decision. A malformed
+// COMMITP is in doubt and presumed aborted; a cluster hands recovery the
+// COMMITPs its resolver would have logged (shard.Replay). A malformed
 // record, or a COMMITP with no PREPARE, is an error. Applied rows keep
-// views of the records' payloads as their values, so nothing may rewrite a
-// payload afterwards; wal.Frame gives every record its own.
-func (e *Engine) Replay(p *sim.Proc, records []wal.Record, from int64, decided func(gid int64, coord int) bool) (ReplayStats, error) {
+// views of the records' payloads as their values, so nothing may rewrite
+// a payload afterwards; wal.Frame gives every record its own.
+func (e *Engine) Replay(p *sim.Proc, records []wal.Record, from int64) (ReplayStats, error) {
 	e.build(p)
 	w := replayer{e: e, p: p, from: from}
 	for _, r := range records {
 		if err := w.walk(r); err != nil {
 			return w.st, err
-		}
-	}
-	if decided == nil {
-		return w.st, nil
-	}
-	for _, gid := range slices.Sorted(maps.Keys(w.open)) {
-		if c := w.open[gid]; decided(gid, c.Coord) {
-			if err := e.applyPayload(p, c.Writes, gid, e.lastLSN); err != nil {
-				return w.st, fmt.Errorf("db: in-doubt gid %d: %w", gid, err)
-			}
 		}
 	}
 	return w.st, nil
@@ -161,7 +146,7 @@ func (e *Engine) Replay(p *sim.Proc, records []wal.Record, from int64, decided f
 // Recover replays a decoded log stream in order (crash restart): the
 // whole stream, every in-doubt PREPARE presumed aborted.
 func (e *Engine) Recover(records []wal.Record) error {
-	_, err := e.Replay(nil, records, 0, nil)
+	_, err := e.Replay(nil, records, 0)
 	return err
 }
 

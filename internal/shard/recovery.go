@@ -4,11 +4,10 @@
 // internal/db) are ordinary WAL entries on the shard that emits them:
 // they flow through the same group-commit batches, ring, mirroring and
 // destage path as redo records. So each shard recovers from its own
-// durable stream through db.Engine.Replay, the walker every engine
-// recovers through, which applies DECISION and COMMITP write sets as it
-// meets them. What the cluster adds is the decision table: a PREPARE with
-// no COMMITP is in doubt, and applies iff the coordinator's durable
-// stream holds a DECISION for the gid — otherwise presumed abort.
+// durable stream through ckpt.Recover, like every engine. What the cluster
+// adds is the coordinators' outcomes: a PREPARE with no COMMITP is in
+// doubt, and commits iff its coordinator's durable stream holds a DECISION
+// for the gid — recovery appends the COMMITP its resolver would have logged.
 //
 // I8 — no single crash, anywhere, may break cross-shard atomicity — is
 // checked post-mortem from the durable streams plus the coordinators'
@@ -20,6 +19,7 @@ import (
 	"maps"
 	"slices"
 
+	"xssd/internal/ckpt"
 	"xssd/internal/db"
 	"xssd/internal/sim"
 	"xssd/internal/wal"
@@ -81,30 +81,40 @@ func viewOf(views []*View, sid int) *View {
 // A lost coordinator stream is presumed abort, like any undecided gid.
 func decisionFor(views []*View, gid int64, coord int) bool {
 	cv := viewOf(views, coord)
-	if cv == nil {
-		return false
-	}
-	_, ok := cv.Decisions[gid]
-	return ok
+	return cv != nil && cv.Decisions[gid].Kind == db.KindDecision
 }
 
-// Replay recovers one engine per view, with the coordinators' durable
-// decisions resolving in-doubt prepares. load seeds each fresh engine
-// exactly as the live cluster was seeded (same closure as Config.Load).
-// The env only provides clocks for the replay engines; no simulated time
-// passes.
+// resolve returns v's records and, on a copy, the COMMITP the live
+// resolver would have logged (twopc.go) for each in-doubt PREPARE whose
+// coordinator durably decided commit, in gid order, at LSNs continuing
+// from the end of the last whole record. v.Records is never written.
+func resolve(views []*View, v *View) []wal.Record {
+	out, lsn := slices.Clip(v.Records), int64(0)
+	if n := len(out); n > 0 {
+		lsn = out[n-1].LSN + int64(wal.EncodedLen(len(out[n-1].Payload)))
+	}
+	for _, gid := range slices.Sorted(maps.Keys(v.Prepares)) {
+		if c := v.Prepares[gid]; !v.CommitPs[gid] && decisionFor(views, gid, c.Coord) {
+			out = append(out, wal.Record{LSN: lsn, TxID: gid, Payload: db.EncodeControl(db.KindCommitP, gid, c.Coord, nil, nil)})
+			lsn += int64(wal.EncodedLen(len(out[len(out)-1].Payload)))
+		}
+	}
+	return out
+}
+
+// Replay recovers one row-map engine per view through ckpt.Recover, each
+// view's records resolved against the coordinators' durable decisions.
+// load seeds each fresh engine exactly as the live cluster was seeded
+// (same closure as Config.Load). The env only provides clocks for the
+// replay engines; no simulated time passes.
 func Replay(env *sim.Env, views []*View, load func(eng *db.Engine, shardID int)) ([]*db.Engine, error) {
-	decided := func(gid int64, coord int) bool { return decisionFor(views, gid, coord) }
 	engines := make([]*db.Engine, len(views))
 	for i, v := range views {
 		if v == nil {
 			continue
 		}
-		eng := db.New(env, nil)
-		if load != nil {
-			load(eng, v.Shard)
-		}
-		if _, err := eng.Replay(nil, v.Records, 0, decided); err != nil {
+		eng, _, err := ckpt.Recover(nil, env, nil, 0, resolve(views, v), func(e *db.Engine) { load(e, v.Shard) })
+		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", v.Shard, err)
 		}
 		engines[i] = eng

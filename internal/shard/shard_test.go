@@ -461,23 +461,7 @@ func TestCheckpointBetweenPrepareAndCommitP(t *testing.T) {
 			t.Fatalf("shard %d: PREPARE at %d of %d records; want one with a record after it", i, prep, len(v.Records))
 		}
 
-		store := btree.NewMemStore(512, 1<<20)
-		eng := db.NewPaged(sim.NewEnv(1), nil, btree.NewPager(store, btree.Config{PoolPages: 16}))
-		load(eng, i)
-		if _, err := eng.Replay(nil, v.Records[:prep+1], 0, nil); err != nil {
-			t.Fatalf("shard %d: replay to the PREPARE: %v", i, err)
-		}
-		ck, err := eng.BeginCheckpoint(nil)
-		if err != nil {
-			t.Fatalf("shard %d: checkpoint: %v", i, err)
-		}
-		if err := eng.Pager().WriteImages(nil, ck.Snap.Images); err != nil {
-			t.Fatalf("shard %d: write images: %v", i, err)
-		}
-		eng.Pager().CommitCheckpoint(ck.Snap)
-		spliced := append(slices.Clone(v.Records[:prep+1]), wal.Record{LSN: ck.StartLSN, Payload: ckpt.FromCheckpoint(ck).Encode()})
-		spliced = append(spliced, v.Records[prep+1:]...)
-
+		store, spliced := checkpointAfter(t, v.Records, prep, func(e *db.Engine) { load(e, i) })
 		rec, st, err := ckpt.Recover(nil, sim.NewEnv(2), store, 16, spliced, func(e *db.Engine) { load(e, i) })
 		if err != nil {
 			t.Fatalf("shard %d: ckpt.Recover: %v", i, err)
@@ -488,6 +472,97 @@ func TestCheckpointBetweenPrepareAndCommitP(t *testing.T) {
 		if got, want := rec.FingerprintIn(nil), cl.Shard(i).Engine().Fingerprint(); got != want {
 			t.Errorf("shard %d: ckpt.Recover fingerprint %#x != live %#x", i, got, want)
 		}
+	}
+}
+
+// checkpointAfter replays records[:k+1] into a paged engine on a fresh
+// MemStore, checkpoints it there, and returns the store with the stream
+// the checkpoint record is spliced into right after records[k].
+func checkpointAfter(t *testing.T, records []wal.Record, k int, load func(*db.Engine)) (*btree.MemStore, []wal.Record) {
+	t.Helper()
+	store := btree.NewMemStore(512, 1<<20)
+	eng := db.NewPaged(sim.NewEnv(1), nil, btree.NewPager(store, btree.Config{PoolPages: 16}))
+	load(eng)
+	if _, err := eng.Replay(nil, records[:k+1], 0); err != nil {
+		t.Fatalf("replay to record %d: %v", k, err)
+	}
+	ck, err := eng.BeginCheckpoint(nil)
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if err := eng.Pager().WriteImages(nil, ck.Snap.Images); err != nil {
+		t.Fatalf("write images: %v", err)
+	}
+	eng.Pager().CommitCheckpoint(ck.Snap)
+	spliced := append(slices.Clone(records[:k+1]), wal.Record{LSN: ck.StartLSN, Payload: ckpt.FromCheckpoint(ck).Encode()})
+	return store, append(spliced, records[k+1:]...)
+}
+
+// TestPagedParticipantAppliesTheDecidedPrepare closes the participant
+// window on the recovery side. Shard 1's stream is cut right before the
+// COMMITP of a transfer shard 0 coordinated, so its PREPARE is durable and
+// in doubt while shard 0's DECISION survives, and a checkpoint is spliced
+// in after the PREPARE. Resolved against the views, the stream recovers
+// through ckpt.Recover's checkpoint path to the live engine and to
+// Replay's row-map engine: the acknowledged write is applied, not
+// presumed aborted.
+func TestPagedParticipantAppliesTheDecidedPrepare(t *testing.T) {
+	cl, err := New(testConfig(2, 0, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Build()
+	var txErr error
+	boot(t, cl, func(p *sim.Proc) { txErr = transfer(p, cl, 1, 3, 200) })
+	if txErr != nil {
+		t.Fatalf("transfer: %v", txErr)
+	}
+	load := bankLoad(2, 4)
+	live := cl.Shard(1).Engine().Fingerprint()
+	streams, views := durableStreams(t, cl), parseAll(t, cl)
+	prep, commitP := -1, -1
+	for k, r := range views[1].Records {
+		if cs, _ := db.Controls([]wal.Record{r}); len(cs) == 1 {
+			switch cs[0].Kind {
+			case db.KindPrepare:
+				prep = k
+			case db.KindCommitP:
+				commitP = k
+			}
+		}
+	}
+	if prep < 0 || commitP < prep {
+		t.Fatalf("shard 1: PREPARE at %d, COMMITP at %d; want both, in that order", prep, commitP)
+	}
+	cut, err := ParseStream(1, streams[1][:views[1].Records[commitP].LSN])
+	if err != nil {
+		t.Fatal(err)
+	}
+	views[1] = cut
+	engines, err := Replay(sim.NewEnv(1), views, load)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if got := engines[1].Fingerprint(); got != live {
+		t.Fatalf("Replay of the cut stream %#x != live %#x", got, live)
+	}
+
+	store, spliced := checkpointAfter(t, cut.Records, prep, func(e *db.Engine) { load(e, 1) })
+	cut.Records = spliced
+	resolved := resolve(views, cut)
+	if len(resolved) != len(spliced)+1 || len(cut.Records) != len(spliced) {
+		t.Fatalf("resolve gave %d records over a view of %d (now %d); want one COMMITP appended to a copy", len(resolved), len(spliced), len(cut.Records))
+	}
+	rec, st, err := ckpt.Recover(nil, sim.NewEnv(2), store, 16, resolved, func(e *db.Engine) { load(e, 1) })
+	if err != nil {
+		t.Fatalf("ckpt.Recover: %v", err)
+	}
+	if !st.Found {
+		t.Fatalf("recovered from %+v, want the spliced checkpoint", st)
+	}
+	if got := rec.FingerprintIn(nil); got != live {
+		t.Errorf("ckpt.Recover fingerprint %#x != live %#x: the decided PREPARE was presumed aborted", got, live)
 	}
 }
 
